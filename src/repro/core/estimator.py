@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
 from ..errors import EstimatorError
@@ -48,6 +49,20 @@ try:  # scratch buffers for the fused union kernel
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
+
+
+@lru_cache(maxsize=8)
+def _linear_counts(m: int):
+    """Linear-counting estimates indexed by zero-register count.
+
+    Filled with the scalar expression of
+    ``HyperLogLog._estimate_from_stats`` so the batched path stays
+    bit-identical to it (``numpy.log`` may differ in the last ulp);
+    slot 0 is never selected.  Read-only: the array is shared.
+    """
+    table = _np.array([0.0] + [m * math.log(m / zeros) for zeros in range(1, m + 1)])
+    table.setflags(write=False)
+    return table
 
 
 class CardinalityEstimator(ABC):
@@ -238,24 +253,16 @@ class HllEstimator(CardinalityEstimator):
             return [self.union_cardinality(state, combo) for combo in combos]
         # One gather maps every table id in the batch to its matrix row;
         # the raw estimates divide out vectorized (same IEEE ops as the
-        # scalar path, so values are bit-identical) and only rows in the
-        # linear-counting regime fall back to a scalar log.
+        # scalar path, so values are bit-identical) and rows in the
+        # linear-counting regime select from the per-m table.
         rows = self._row_of[_np.asarray(combos, dtype=_np.intp)]
         first = self._sketches[combos[0][0]]
-        m = first.m
-        alpha_mm = first._alpha_mm
-        threshold = 2.5 * m
-        term_one = self._matrix.term_one
-        log = math.log
-        results: list[float] = []
-        for totals, zeros in self._matrix.union_stats_chunks(rows):
-            raws = alpha_mm / (totals / term_one)
-            for raw, zero_count in zip(raws.tolist(), zeros.tolist()):
-                if raw <= threshold and zero_count:
-                    results.append(m * log(m / zero_count))
-                else:
-                    results.append(raw)
-        return results
+        chunks = list(self._matrix.union_stats_chunks(rows))
+        totals = _np.concatenate([chunk[0] for chunk in chunks])
+        zeros = _np.concatenate([chunk[1] for chunk in chunks])
+        raws = first._alpha_mm / (totals / self._matrix.term_one)
+        linear = (raws <= 2.5 * first.m) & (zeros > 0)
+        return _np.where(linear, _linear_counts(first.m)[zeros], raws).tolist()
 
     def observe_merge(
         self, state: "GreedyState", consumed: tuple[int, ...], new_id: int

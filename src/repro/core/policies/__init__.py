@@ -18,6 +18,7 @@ from .base import (
     make_policy,
     register_policy,
 )
+from .candidate_index import CandidateIndex
 from .largest_match import LargestMatchPolicy
 from .random_policy import RandomPolicy
 from .smallest_input import SmallestInputPolicy
@@ -27,6 +28,7 @@ __all__ = [
     "BalanceTreeInputPolicy",
     "BalanceTreeOutputPolicy",
     "BalanceTreePolicy",
+    "CandidateIndex",
     "ChoosePolicy",
     "GreedyState",
     "LargestMatchPolicy",

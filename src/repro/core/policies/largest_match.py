@@ -17,12 +17,10 @@ Ties break by creation order, consistent with the other policies.
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations
 
 from .base import ChoosePolicy, GreedyState, register_policy
-
-_Pair = tuple[int, int]
+from .candidate_index import CandidateIndex
 
 
 @register_policy("largest_match", "lm")
@@ -32,57 +30,35 @@ class LargestMatchPolicy(ChoosePolicy):
     name = "largest_match"
 
     def __init__(self) -> None:
-        self._intersections: dict[_Pair, int] = {}
-        # table id -> pairs it participates in, for O(degree) retirement
-        # of a consumed table (a rebuild-filter would rescan all O(n^2)
-        # pairs on every merge).
-        self._pairs_of: dict[int, set[_Pair]] = {}
-        # lazy-deletion heap over (-intersection, pair); a pair's value
-        # never changes once computed (ids never revive), so stale
-        # entries are exactly the dead pairs and are skipped on peek.
-        self._heap: list[tuple[int, _Pair]] = []
+        # Pairs scored by *negated* intersection, so the shared index's
+        # smallest (score, pair) is the largest match, ties toward the
+        # earliest-created pair.
+        self.index = CandidateIndex()
 
-    def _add_pair(self, pair: _Pair, value: int) -> None:
-        self._intersections[pair] = value
-        self._pairs_of.setdefault(pair[0], set()).add(pair)
-        self._pairs_of.setdefault(pair[1], set()).add(pair)
-        heapq.heappush(self._heap, (-value, pair))
-
-    def prepare(self, state: GreedyState) -> None:
+    def _add_pairs(self, state: GreedyState, pairs: list[tuple[int, int]]) -> None:
         live = state.live
         intersect = state.backend.intersection_size
-        self._intersections = {}
-        self._pairs_of = {}
-        self._heap = []
-        for a, b in combinations(sorted(live), 2):
-            self._add_pair((a, b), intersect(live[a], live[b]))
+        self.index.add_batch(
+            pairs, [-intersect(live[a], live[b]) for a, b in pairs]
+        )
 
-    def _best_pair(self) -> _Pair:
-        # max intersection; ties resolved toward the earliest-created
-        # pair — the heap orders by (-value, pair), the same total order
-        # the previous full min-scan used.
-        heap = self._heap
-        intersections = self._intersections
-        while True:
-            _, pair = heap[0]
-            if pair in intersections:
-                return pair
-            heapq.heappop(heap)
+    def prepare(self, state: GreedyState) -> None:
+        self.index = CandidateIndex()
+        self._add_pairs(state, list(combinations(sorted(state.live), 2)))
 
     def choose(self, state: GreedyState) -> tuple[int, ...]:
         arity = state.arity_for_next_merge()
-        first, second = self._best_pair()
-        chosen = [first, second]
+        chosen = list(self.index.best())
         if arity > 2:
             live = state.live
             backend = state.backend
             intersect = backend.intersection_size
-            union = backend.union((live[first], live[second]))
+            union = backend.union(live[table_id] for table_id in chosen)
             remaining = set(live) - set(chosen)
             while len(chosen) < arity and remaining:
-                best = min(
-                    remaining,
-                    key=lambda table_id: (-intersect(union, live[table_id]), table_id),
+                _, best = min(
+                    (-intersect(union, live[table_id]), table_id)
+                    for table_id in remaining
                 )
                 chosen.append(best)
                 union = backend.union((union, live[best]))
@@ -92,18 +68,10 @@ class LargestMatchPolicy(ChoosePolicy):
     def observe_merge(
         self, state: GreedyState, consumed: tuple[int, ...], new_id: int
     ) -> None:
-        intersections = self._intersections
-        pairs_of = self._pairs_of
         for dead in consumed:
-            for pair in pairs_of.pop(dead, ()):
-                intersections.pop(pair, None)
-                partner = pair[0] if pair[1] == dead else pair[1]
-                partner_pairs = pairs_of.get(partner)
-                if partner_pairs is not None:
-                    partner_pairs.discard(pair)
-        new_handle = state.live[new_id]
-        intersect = state.backend.intersection_size
-        for table_id, handle in state.live.items():
-            if table_id == new_id:
-                continue
-            self._add_pair((table_id, new_id), intersect(new_handle, handle))
+            self.index.retire(dead)
+        # new_id is the freshest table, so (other, new_id) is sorted.
+        self._add_pairs(
+            state,
+            [(table_id, new_id) for table_id in state.live if table_id != new_id],
+        )

@@ -18,20 +18,22 @@ A pre-built estimator instance is also accepted — the lsm layer passes
 an :class:`~repro.core.estimator.HllEstimator` seeded with persistent
 sstable sketches so compaction runs never re-hash a key.
 
+Candidates live in the :class:`~.candidate_index.CandidateIndex` shared
+with BT(O) and LM: one push per estimate, O(1) retirement of a consumed
+table, and ``choose`` pops only entries that went stale.
+
 Ties break on (cardinality, combination ids), i.e. by creation order,
 which reproduces the worked example (cost 40 on the 5-set instance).
 """
 
 from __future__ import annotations
 
-import heapq
 from itertools import combinations
 from typing import Optional
 
 from ..estimator import EstimatorSpec, resolve_policy_estimator
 from .base import ChoosePolicy, GreedyState, register_policy
-
-_EstimateKey = tuple[int, ...]
+from .candidate_index import CandidateIndex, Combo
 
 
 @register_policy("smallest_output", "so")
@@ -56,86 +58,43 @@ class SmallestOutputPolicy(ChoosePolicy):
             )
         )
         self.estimator = self._estimator.name
-        self._estimates: dict[_EstimateKey, float] = {}
-        # table id -> combinations it was ever cached in, so a consumed
-        # table retires its cache entries in O(degree) instead of a
-        # full-cache rebuild per merge.  Lists may hold already-retired
-        # combos (a combo dies with its *first* consumed member); the
-        # estimates dict is the source of truth and retirement tolerates
-        # stale entries, which keeps the hot append path branch-free.
-        self._combos_of: dict[int, list[_EstimateKey]] = {}
-        # lazy-deletion heap over (estimate, combo); an estimate never
-        # changes once cached (ids never revive), so stale entries are
-        # exactly the retired combos and are skipped on peek.
-        self._heap: list[tuple[float, _EstimateKey]] = []
+        self.index = CandidateIndex()
         self._arity: Optional[int] = None
         self.estimate_calls = 0  # exposed for overhead accounting/tests
 
     # ------------------------------------------------------------------
-    def _add_estimates(
-        self, state: GreedyState, combos: list[_EstimateKey]
-    ) -> None:
-        """Estimate and cache a batch of combos (one vectorized call)."""
+    def _add_estimates(self, state: GreedyState, combos: list[Combo]) -> None:
+        """Estimate and index a batch of combos (one vectorized call)."""
         if not combos:
             return
         self.estimate_calls += len(combos)
-        values = self._estimator.union_cardinalities(state, combos)
-        self._estimates.update(zip(combos, values))
-        combos_of = self._combos_of
-        for combo in combos:
-            for table_id in combo:
-                member = combos_of.get(table_id)
-                if member is None:
-                    combos_of[table_id] = [combo]
-                else:
-                    member.append(combo)
-        heap = self._heap
-        if heap:
-            for entry in zip(values, combos):
-                heapq.heappush(heap, entry)
-        else:
-            heap.extend(zip(values, combos))
-            heapq.heapify(heap)
+        self.index.add_batch(
+            combos, self._estimator.union_cardinalities(state, combos)
+        )
 
-    def _fill_cache(self, state: GreedyState, arity: int) -> None:
+    def _fill_index(self, state: GreedyState, arity: int) -> None:
         self._arity = arity
-        self._estimates = {}
-        self._combos_of = {}
-        self._heap = []
         self._add_estimates(state, list(combinations(sorted(state.live), arity)))
 
     # ------------------------------------------------------------------
     def prepare(self, state: GreedyState) -> None:
         self._estimator.prepare(state)
-        self._fill_cache(state, state.arity_for_next_merge())
+        self.index = CandidateIndex()
+        self._fill_index(state, state.arity_for_next_merge())
 
     def choose(self, state: GreedyState) -> tuple[int, ...]:
         arity = state.arity_for_next_merge()
         if arity != self._arity:
-            # The final merge may have fewer than k live tables; rebuild
-            # the cache at the reduced arity.
-            self._fill_cache(state, arity)
-        # Smallest estimated union; ties toward the earliest-created
-        # combination — the heap orders by (estimate, combo), the same
-        # total order the previous full min-scan used.
-        heap = self._heap
-        estimates = self._estimates
-        while True:
-            _, combo = heap[0]
-            if combo in estimates:
-                return combo
-            heapq.heappop(heap)
+            # The final merge may have fewer than k live tables; every
+            # indexed combo is then stale, so refill at the reduced arity.
+            self._fill_index(state, arity)
+        return self.index.best()
 
     def observe_merge(
         self, state: GreedyState, consumed: tuple[int, ...], new_id: int
     ) -> None:
-        estimates = self._estimates
-        combos_of = self._combos_of
         for dead in consumed:
-            # Surviving members keep stale references to these combos in
-            # their lists; retirement is idempotent via the pop default.
-            for combo in combos_of.pop(dead, ()):
-                estimates.pop(combo, None)
+            self.index.retire(dead)
         self._estimator.observe_merge(state, consumed, new_id)
         arity = self._arity or 2
         others = [table_id for table_id in state.live if table_id != new_id]

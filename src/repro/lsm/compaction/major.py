@@ -2,7 +2,10 @@
 
 This is the bridge between :mod:`repro.core` and the storage substrate:
 
-1. model each sstable as its key set (:class:`MergeInstance`),
+1. model each sstable as its key set (:class:`MergeInstance`) — built
+   once per distinct list of input tables, so the strategies a
+   comparison cell runs over the same tables share one instance and with
+   it one bitset encoding (see :func:`_instance_for`),
 2. for output-sensitive policies, build a fresh per-run
    :class:`~repro.core.estimator.CardinalityEstimator` seeded with the
    sstables' persistent sketches (tables compacted before contribute
@@ -23,6 +26,7 @@ on one lane, matching the paper's single-threaded implementations.
 from __future__ import annotations
 
 import time
+import weakref
 from typing import Optional, Sequence
 
 from ...core.backend import canonical_backend_name
@@ -52,6 +56,33 @@ _ESTIMATOR_POLICY_DEFAULTS = {
     "balance_tree_output": "hll",
     "balance_tree": "hll",  # only consulted when suborder == "output"
 }
+
+
+#: One slot: first input table -> (weak refs to all the inputs, their
+#: instance).  Weak on both sides: the entry dies with its first table,
+#: so the memo keeps no table alive and an instance no longer than its
+#: tables, and a dead reference can never match a new table that happens
+#: to reuse the address.  A miss replaces the slot.
+_modelled: "weakref.WeakKeyDictionary[SSTable, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _instance_for(tables: Sequence[SSTable]) -> MergeInstance:
+    """The :class:`MergeInstance` of ``tables``, shared across strategies.
+
+    A comparison cell compacts the *same* table objects once per
+    strategy; sstables are immutable, so their instance — key-set tuple,
+    cached bitset encoding, instance-level sketch cache — is too, and is
+    built once per distinct list of tables.  An engine's background
+    compactions hand in different tables every time and never hit it.
+    """
+    refs, instance = _modelled.get(tables[0], ((), None))
+    if len(refs) != len(tables) or any(
+        ref() is not table for ref, table in zip(refs, tables)
+    ):
+        instance = MergeInstance(tuple(table.key_set for table in tables))
+        _modelled.clear()
+        _modelled[tables[0]] = (tuple(map(weakref.ref, tables)), instance)
+    return instance
 
 
 class MajorCompaction(CompactionStrategy):
@@ -149,7 +180,7 @@ class MajorCompaction(CompactionStrategy):
                 output_tables=[tables[0]],
             )
 
-        instance = MergeInstance(tuple(table.key_set for table in tables))
+        instance = _instance_for(tables)
         estimator, sketch_seconds = self._run_estimator(tables)
         policy_kwargs = dict(self.policy_kwargs)
         if estimator is not None:
