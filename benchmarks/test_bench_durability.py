@@ -18,7 +18,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.lsm import DurableLSMEngine, EngineConfig, LSMEngine
+from repro.lsm import EngineConfig, LSMEngine
 from repro.lsm.format.sstable_io import decode_sstable, encode_sstable
 from repro.lsm.sstable import table_from_records
 from repro.lsm.record import Record
@@ -49,12 +49,12 @@ def test_bench_durability(results_dir):
     timings = {}
     for label, sync_every in (("sync_every_1", 1), ("sync_every_100", 100)):
         with tempfile.TemporaryDirectory() as tmp:
-            engine = DurableLSMEngine.open(
+            engine = LSMEngine.open(
                 Path(tmp), config=config, wal_sync_every=sync_every
             )
             timings[label] = time_puts(engine, ops)
             # Correctness spot check: the bytes on disk alone rebuild it.
-            recovered = DurableLSMEngine.open(Path(tmp), config=config)
+            recovered = LSMEngine.open(Path(tmp), config=config)
             assert recovered.get(0) is not None
             assert recovered.get(63) is not None
 

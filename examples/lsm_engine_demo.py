@@ -51,7 +51,7 @@ def main() -> None:
     print(
         f"1,200 writes through a 100-key memtable -> {engine.table_count} sstables, "
         f"{engine.total_entries_on_disk} entries on disk, "
-        f"{engine.flush_count} flushes, WAL truncated {engine.wal.truncations} times"
+        f"{engine.flush_count} flushes, {len(engine.wal)} records left in the active log"
     )
 
     print("\n== Read path before compaction ==")

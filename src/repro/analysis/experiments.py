@@ -2,12 +2,12 @@
 
 Each ``figure*`` function runs the corresponding experiment and returns
 :class:`ExperimentResult` objects holding the numeric series, a text
-table and an ASCII rendering of the figure.  The module doubles as a
-CLI::
+table and an ASCII rendering of the figure.  ``python -m repro figures``
+is the CLI over it::
 
-    python -m repro.analysis.experiments fig7a          # paper scale
-    python -m repro.analysis.experiments all --fast     # quick pass
-    python -m repro.analysis.experiments fig8 --out results/
+    python -m repro figures fig7a          # paper scale
+    python -m repro figures all --fast     # quick pass
+    python -m repro figures fig8 --out results/
 
 Mapping to the paper:
 
@@ -458,7 +458,7 @@ def run_experiment(
 
 
 def add_figures_arguments(parser: argparse.ArgumentParser) -> None:
-    """The figure CLI flags, shared by ``repro figures`` and the shim."""
+    """The flags of ``repro figures``."""
     parser.add_argument(
         "experiment",
         help="fig7 | fig7a | fig7b | fig8 | fig9a | fig9b | all",
@@ -496,7 +496,7 @@ def add_figures_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_figures(args: argparse.Namespace) -> int:
-    """Execute the parsed figure CLI request (stdout only; see shim note)."""
+    """Execute the parsed ``repro figures`` request."""
     if args.experiment == "all":
         ids = ["fig7", "fig8", "fig9a", "fig9b"]
     else:
@@ -519,26 +519,3 @@ def run_figures(args: argparse.Namespace) -> int:
                 path.write_text(f"{result.title}\n\n{result.text}\n")
                 print(f"[written to {path}]")
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Deprecated figure entry point (use ``python -m repro figures``).
-
-    Kept as a thin shim: parsing and execution are exactly the unified
-    CLI's ``figures`` subcommand, and the deprecation note goes to
-    stderr so stdout stays byte-identical to the historical output.
-    """
-    print(
-        "note: `python -m repro.analysis.experiments` is deprecated; "
-        "use `python -m repro figures`",
-        file=sys.stderr,
-    )
-    parser = argparse.ArgumentParser(
-        description="Regenerate the paper's evaluation figures."
-    )
-    add_figures_arguments(parser)
-    return run_figures(parser.parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -11,10 +11,7 @@ One entry point for everything the repo can run::
     python -m repro bench-trends results/          # perf trend tables
 
 ``run`` and ``sweep`` record a schema-versioned manifest under
-``results/runs/`` (disable with ``--no-store``).  The legacy entry
-points — ``python -m repro.simulator`` and
-``python -m repro.analysis.experiments`` — remain as deprecation shims
-with byte-identical stdout.
+``results/runs/`` (disable with ``--no-store``).
 """
 
 from __future__ import annotations

@@ -54,11 +54,6 @@ class CompactionController:
     ) -> None:
         if table_threshold < 2:
             raise ConfigError("table_threshold must be at least 2")
-        if background and not hasattr(engine, "compact_async"):
-            raise ConfigError(
-                "background=True needs an engine with compact_async "
-                "(e.g. PipelinedLSMEngine)"
-            )
         self.engine = engine
         self.strategy_factory = strategy_factory or _default_strategy
         self.table_threshold = table_threshold

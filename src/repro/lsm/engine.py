@@ -1,16 +1,27 @@
 """The LSM storage engine: the full write and read path of Figure 1.
 
-Writes go WAL -> memtable; a full memtable is flushed as an sstable.
-Reads consult the memtable, then sstables newest-first, pruned by bloom
-filters — the read path whose fan-out compaction exists to shrink.  The
-engine records read-amplification statistics so the effect of a
-compaction strategy on reads is directly measurable (the paper's
-motivation: "a typical read path may contact multiple sstables, making
-disk I/O a bottleneck").
+Writes go commit log -> memtable; a full memtable *freezes* onto a
+queue of immutable memtables and is flushed from there as an sstable.
+Reads consult the active memtable, then the frozen ones newest-first,
+then sstables newest-first, pruned by bloom filters — the read path
+whose fan-out compaction exists to shrink.  The engine records
+read-amplification statistics so the effect of a compaction strategy on
+reads is directly measurable (the paper's motivation: "a typical read
+path may contact multiple sstables, making disk I/O a bottleneck").
+
+There is one engine.  It *has* a storage (:mod:`~repro.lsm.storage`:
+where the log and the tables live — process memory or a filesystem) and
+a flush queue (:mod:`~repro.lsm.pipeline`: who builds a frozen
+memtable's sstable and when the writer waits for it), chosen by two
+constructor parameters each; the defaults are the in-memory,
+stop-the-world engine of the paper's simulator.  docs/concurrency.md
+and docs/durability.md describe the two axes.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import deque
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
@@ -19,12 +30,19 @@ from ..ycsb.operations import Operation, OperationType
 from .compaction.base import CompactionResult, CompactionStrategy
 from .compaction.major import MajorCompaction
 from .disk import SimulatedDisk
+from .faults import LocalFileSystem
 from .memtable import Memtable, make_memtable
+from .pipeline import FlushPipeline, PipelineMetrics
 from .record import Record
 from .sstable import SSTable
-from .wal import WriteAheadLog
+from .storage import FileStorage, MemoryStorage
 
 _INDEX_BLOCK_BYTES = 64  # charged for a bloom false positive probe
+
+#: Id space for background compaction outputs; keeps them disjoint from
+#: flush-assigned ids (and matches phase 2's convention for compacted
+#: tables).
+COMPACTION_ID_BASE = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -96,26 +114,56 @@ class ReadStats:
         return self.scan_tables_probed / self.scans if self.scans else 0.0
 
 
+class _FrozenMemtable:
+    """An immutable memtable awaiting its flush."""
+
+    __slots__ = ("table_id", "memtable", "table")
+
+    def __init__(self, table_id: int, memtable: Memtable) -> None:
+        self.table_id = table_id
+        self.memtable = memtable
+        self.table: Optional[SSTable] = None
+
+
 class LSMEngine:
-    """A single-node LSM key-value store over the simulated disk."""
+    """A single-node LSM key-value store.
+
+    ``fs`` (a :mod:`~repro.lsm.faults` filesystem; :meth:`open` makes
+    one from a directory) selects file storage, recovered on
+    construction; without it everything lives in memory and is billed
+    to ``disk``.  ``max_immutable_memtables`` bounds the frozen queue
+    and ``flush_workers`` threads drain it in the background; with the
+    default 0 workers the writer flushes inline whenever the bound is
+    exceeded, so the default bound of 0 is the stop-the-world engine.
+
+    Single writer thread (puts/deletes/flush/compact); reads may come
+    from any thread — the engine mutex covers every shared structure.
+    ``with`` the engine (or call :meth:`close`) to join the workers.
+    """
 
     def __init__(
         self,
         config: Optional[EngineConfig] = None,
         disk: Optional[SimulatedDisk] = None,
+        fs=None,
+        wal_sync_every: int = 1,
+        max_immutable_memtables: int = 0,
+        flush_workers: int = 0,
     ) -> None:
-        self.config = config or EngineConfig()
-        self.disk = disk or SimulatedDisk()
-        self.memtable: Memtable = make_memtable(
-            self.config.memtable_mode, self.config.memtable_capacity
-        )
-        self.wal = WriteAheadLog(self.disk if self.config.use_wal else None)
-        self.sstables: list[SSTable] = []  # oldest first, newest last
-        self.read_stats = ReadStats()
-        self._seqno = 0
-        self._next_table_id = 0
-        self.flush_count = 0
-        self.user_bytes_written = 0  # payload accepted from callers
+        config = config or EngineConfig()
+        for name, value, floor in (
+            ("wal_sync_every", wal_sync_every, 1),
+            ("max_immutable_memtables", max_immutable_memtables, 0),
+            ("flush_workers", flush_workers, 0),
+        ):
+            if value < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {value}")
+        disk = disk or SimulatedDisk()
+        if fs is None:
+            storage = MemoryStorage(disk, config.use_wal)
+        else:
+            storage = FileStorage(fs, disk, config.use_wal, wal_sync_every)
+        self._start(config, storage, max_immutable_memtables, flush_workers)
 
     @classmethod
     def open(
@@ -125,23 +173,69 @@ class LSMEngine:
         fs=None,
         disk: Optional[SimulatedDisk] = None,
         wal_sync_every: int = 1,
-    ):
-        """Open (or create) a durable engine rooted at ``directory``.
+        max_immutable_memtables: int = 0,
+        flush_workers: int = 0,
+    ) -> "LSMEngine":
+        """Open (or create) a store directory, rebuilding its state from files.
 
-        Rebuilds the pre-crash state from files alone — manifest, live
-        sstables, WAL replay — and returns a
-        :class:`~repro.lsm.durable.DurableLSMEngine`.  ``fs`` accepts a
-        :mod:`~repro.lsm.faults` filesystem in place of a directory
-        (in-memory or fault-injected stores for tests).
+        ``fs`` accepts a :mod:`~repro.lsm.faults` filesystem in place of
+        a directory (in-memory or fault-injected stores for tests).
         """
-        from .durable import DurableLSMEngine
+        if fs is None:
+            if directory is None:
+                raise StorageError("open() needs a directory or a filesystem")
+            fs = LocalFileSystem(directory)
+        return cls(
+            config, disk, fs, wal_sync_every, max_immutable_memtables, flush_workers
+        )
 
-        return DurableLSMEngine.open(
-            directory=directory,
-            config=config,
-            fs=fs,
-            disk=disk,
-            wal_sync_every=wal_sync_every,
+    def _start(self, config, storage, max_immutable_memtables, flush_workers):
+        """Bring the engine up on ``storage``: recover, then replay its logs."""
+        self.config = config
+        self.storage = storage
+        self.disk = storage.disk
+        self.max_immutable_memtables = max_immutable_memtables
+        self.flush_workers = flush_workers
+        self.memtable = self._new_memtable()
+        self.read_stats = ReadStats()
+        self.flush_count = 0
+        self.user_bytes_written = 0  # payload accepted from callers
+        self._mutex = threading.RLock()
+        self._immutable: deque[_FrozenMemtable] = deque()  # oldest first
+        self._compaction_thread: Optional[threading.Thread] = None
+        self._compaction_error: Optional[BaseException] = None
+        self._compaction_results: list[CompactionResult] = []
+        self._pipeline = FlushPipeline(
+            build=self._build,
+            publish=self._publish,
+            max_pending=max_immutable_memtables,
+            workers=flush_workers,
+        )
+        #: ``sstables`` is oldest first; ``_durable_seqno`` is the highest
+        #: seqno in a committed sstable — the log replay cutoff.
+        self.sstables, self._next_table_id, self._durable_seqno, survivors = (
+            storage.recover()
+        )
+        self._compaction_next_id = max(
+            [COMPACTION_ID_BASE] + [table.table_id + 1 for table in self.sstables]
+        )
+        self._seqno = self._durable_seqno
+        for record in survivors:
+            # Already logged: replay fills the memtable only.  A replay
+            # that outgrows the memtable freezes and flushes like any
+            # write, and the logs it came from are collected once a
+            # commit covers them.
+            self._write(record, replayed=True)
+            self._seqno = record.seqno
+
+    @property
+    def wal(self):
+        """The active write-ahead log."""
+        return self.storage.wal
+
+    def _new_memtable(self) -> Memtable:
+        return make_memtable(
+            self.config.memtable_mode, self.config.memtable_capacity
         )
 
     # ------------------------------------------------------------------
@@ -151,13 +245,24 @@ class LSMEngine:
         self._seqno += 1
         return self._seqno
 
-    def _write(self, record: Record) -> None:
-        if self.memtable.is_full:
-            self.flush()
-        if self.config.use_wal:
-            self.wal.append(record)
+    def _write(self, record: Record, replayed: bool = False) -> None:
+        with self._mutex:
+            if not self.memtable.is_full:
+                self._admit(record, replayed)
+                return
+            frozen = self._freeze()
+        # Outside the mutex: submit may stall on backpressure, and
+        # freeing a slot requires a publish, which needs the mutex.
+        self._pipeline.submit(frozen)
+        with self._mutex:
+            self._admit(record, replayed)
+
+    def _admit(self, record: Record, replayed: bool) -> None:
+        if not replayed:
+            if self.config.use_wal:
+                self.storage.wal.append(record)
+            self.user_bytes_written += record.size_bytes
         self.memtable.add(record)
-        self.user_bytes_written += record.size_bytes
 
     def put(
         self,
@@ -174,71 +279,97 @@ class LSMEngine:
         """Delete a key (writes a tombstone; §5.1)."""
         self._write(Record.delete(key, self._next_seqno()))
 
-    def flush(self) -> Optional[SSTable]:
-        """Flush the memtable to a new sstable (Figure 1's dashed arrow)."""
-        if self.memtable.is_empty:
-            return None
-        records = self.memtable.flush_records()
-        table = SSTable(
-            self._next_table_id, records, bloom_fp_rate=self.config.bloom_fp_rate
-        )
+    def _freeze(self) -> _FrozenMemtable:
+        """Move the active memtable to the immutable queue (mutex held).
+
+        The table id is claimed *here*, on the writer thread, so ids
+        follow put order regardless of worker scheduling; the log
+        rotates with the memtable so the sealed log covers exactly the
+        frozen records.
+        """
+        frozen = _FrozenMemtable(self._next_table_id, self.memtable)
         self._next_table_id += 1
-        self.disk.write(table.size_bytes)
-        self.sstables.append(table)
-        self.wal.truncate()
-        self.flush_count += 1
-        return table
+        self._immutable.append(frozen)
+        self.memtable = self._new_memtable()
+        self.storage.rotate()
+        return frozen
+
+    def _build(self, frozen: _FrozenMemtable) -> SSTable:
+        """Sort + construct, touching no shared state (any thread).
+
+        ``pending_records`` (not ``flush_records``) so the frozen
+        memtable stays readable until the publish step retires it.
+        """
+        return SSTable(
+            frozen.table_id,
+            frozen.memtable.pending_records(),
+            bloom_fp_rate=self.config.bloom_fp_rate,
+        )
+
+    def _publish(self, frozen: _FrozenMemtable, table: SSTable) -> None:
+        """In freeze order: persist -> append -> commit (Figure 1's dashed arrow)."""
+        with self._mutex:
+            self.storage.persist(table)
+            self.sstables.append(table)
+            popped = self._immutable.popleft()
+            assert popped is frozen, "publish order diverged from freeze order"
+            self._durable_seqno = max(self._durable_seqno, table.max_seqno)
+            self._commit()  # also retires the log the table absorbed
+            frozen.table = table
+            self.flush_count += 1
+
+    def _commit(self) -> None:
+        self.storage.commit(
+            self.sstables, self._next_table_id, self._durable_seqno
+        )
+
+    def flush(self) -> Optional[SSTable]:
+        """Freeze the active memtable (if non-empty) and drain the queue."""
+        frozen: Optional[_FrozenMemtable] = None
+        with self._mutex:
+            if not self.memtable.is_empty:
+                frozen = self._freeze()
+        if frozen is not None:
+            self._pipeline.submit(frozen)
+        self._pipeline.drain()
+        return frozen.table if frozen is not None else None
+
+    def drain(self) -> None:
+        """Block until every frozen memtable has published its sstable."""
+        self._pipeline.drain()
 
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _memtable_lookup(self, key: Hashable) -> Optional[Record]:
-        """Newest in-memory record for ``key`` (memtable tier only).
-
-        Subclasses with more than one in-memory source (the pipelined
-        engine's immutable queue) override this to search them
-        newest-first; a hit counts as a memtable hit either way.
-        """
-        return self.memtable.get(key)
-
-    def _memtable_tails(self, start_key: Hashable) -> list[list[Record]]:
-        """In-memory scan sources, oldest source first.
-
-        Each element is one source's records with key >= ``start_key``.
-        Memtable records are never charged to the disk; the pipelined
-        engine appends one tail per immutable memtable before the active
-        one so seqno resolution sees every in-flight version.
-        """
-        return [
-            [
-                record
-                for record in self.memtable.pending_records()
-                if record.key >= start_key
-            ]
-        ]
-
     def get(self, key: Hashable) -> Optional[Record]:
         """Newest live record for ``key``, or ``None`` (absent/deleted)."""
-        self.read_stats.reads += 1
-        record = self._memtable_lookup(key)
-        if record is not None:
-            self.read_stats.memtable_hits += 1
-            return self._resolve(record)
-        for table in reversed(self.sstables):
-            if not table.may_contain(key):
-                self.read_stats.bloom_skips += 1
-                continue
-            self.read_stats.tables_probed += 1
-            record = table.get(key)
+        with self._mutex:
+            stats = self.read_stats
+            stats.reads += 1
+            record = self.memtable.get(key)
+            if record is None and self._immutable:
+                for frozen in reversed(self._immutable):  # newest freeze first
+                    record = frozen.memtable.get(key)
+                    if record is not None:
+                        break
             if record is not None:
-                self.disk.read(record.size_bytes)
-                self.read_stats.read_bytes += record.size_bytes
+                stats.memtable_hits += 1
                 return self._resolve(record)
-            self.read_stats.bloom_false_positives += 1
-            self.disk.read(_INDEX_BLOCK_BYTES)  # bloom false positive
-            self.read_stats.read_bytes += _INDEX_BLOCK_BYTES
-        self.read_stats.misses += 1
-        return None
+            for table in reversed(self.sstables):
+                if not table.may_contain(key):
+                    stats.bloom_skips += 1
+                    continue
+                stats.tables_probed += 1
+                record = table.get(key)
+                if record is not None:
+                    self.disk.read(record.size_bytes)
+                    stats.read_bytes += record.size_bytes
+                    return self._resolve(record)
+                stats.bloom_false_positives += 1
+                self.disk.read(_INDEX_BLOCK_BYTES)  # bloom false positive
+                stats.read_bytes += _INDEX_BLOCK_BYTES
+            stats.misses += 1
+            return None
 
     def _resolve(self, record: Record) -> Optional[Record]:
         if record.tombstone:
@@ -250,7 +381,7 @@ class LSMEngine:
     def scan(self, start_key: Hashable, length: int) -> list[Record]:
         """Up to ``length`` live records with key >= ``start_key``.
 
-        Merges the probed sstables and the memtable in ascending key
+        Merges the probed sstables and the memtables in ascending key
         order, resolving newest-per-key as it goes (a tombstone shadows
         every older version without producing output) and stopping only
         once ``length`` live records are resolved or every source is
@@ -258,49 +389,57 @@ class LSMEngine:
         the walk instead of truncating the result.  Tables whose range
         ends before ``start_key`` are pruned without a probe, and every
         sstable record the walk consumes is charged to the simulated
-        disk; memtable records are free.
+        disk; memtable records (active or frozen) are free.
         """
         if length < 1:
             return []
-        stats = self.read_stats
-        stats.scans += 1
-        tails: list[list[Record]] = []
-        for table in self.sstables:  # oldest first; seqno ties keep the first
-            if start_key > table.max_key:
-                stats.scan_tables_pruned += 1
-                continue
-            stats.scan_tables_probed += 1
-            tails.append(table.scan(start_key, table.entry_count))
-        n_table_tails = len(tails)
-        tails.extend(self._memtable_tails(start_key))
-        positions = [0] * len(tails)
-        live: list[Record] = []
-        while len(live) < length:
-            key = None
-            for tail, position in zip(tails, positions):
-                if position < len(tail):
-                    candidate = tail[position].key
-                    if key is None or candidate < key:
-                        key = candidate
-            if key is None:
-                break
-            best = None
-            for index, tail in enumerate(tails):
-                position = positions[index]
-                if position >= len(tail) or tail[position].key != key:
+        with self._mutex:
+            stats = self.read_stats
+            stats.scans += 1
+            tails: list[list[Record]] = []
+            for table in self.sstables:  # oldest first; seqno ties keep the first
+                if start_key > table.max_key:
+                    stats.scan_tables_pruned += 1
                     continue
-                record = tail[position]
-                positions[index] = position + 1
-                if index < n_table_tails:
-                    self.disk.read(record.size_bytes)
-                    stats.read_bytes += record.size_bytes
-                    stats.scan_records_scanned += 1
-                if best is None or record.seqno > best.seqno:
-                    best = record
-            if not best.tombstone:
-                live.append(best)
-        stats.scan_records_returned += len(live)
-        return live
+                stats.scan_tables_probed += 1
+                tails.append(table.scan(start_key, table.entry_count))
+            n_table_tails = len(tails)
+            for memtable in (*(f.memtable for f in self._immutable), self.memtable):
+                tails.append(
+                    [
+                        record
+                        for record in memtable.pending_records()
+                        if record.key >= start_key
+                    ]
+                )
+            positions = [0] * len(tails)
+            live: list[Record] = []
+            while len(live) < length:
+                key = None
+                for tail, position in zip(tails, positions):
+                    if position < len(tail):
+                        candidate = tail[position].key
+                        if key is None or candidate < key:
+                            key = candidate
+                if key is None:
+                    break
+                best = None
+                for index, tail in enumerate(tails):
+                    position = positions[index]
+                    if position >= len(tail) or tail[position].key != key:
+                        continue
+                    record = tail[position]
+                    positions[index] = position + 1
+                    if index < n_table_tails:
+                        self.disk.read(record.size_bytes)
+                        stats.read_bytes += record.size_bytes
+                        stats.scan_records_scanned += 1
+                    if best is None or record.seqno > best.seqno:
+                        best = record
+                if not best.tombstone:
+                    live.append(best)
+            stats.scan_records_returned += len(live)
+            return live
 
     # ------------------------------------------------------------------
     # Workload driving
@@ -330,71 +469,158 @@ class LSMEngine:
         Flushes the memtable first so the result covers every write, then
         replaces the engine's tables with the strategy's output.
         """
-        self.flush()
-        if not self.sstables:
+        self.wait_for_compaction()
+        self.flush()  # freezes + drains outside the mutex
+        with self._mutex:
+            if not self.sstables:
+                raise StorageError("nothing to compact: no sstables on disk")
+            strategy = strategy or MajorCompaction("balance_tree_input")
+            result = strategy.compact(self.sstables, self.disk, self._next_table_id)
+            if result.output_tables:
+                self._next_table_id = (
+                    max(table.table_id for table in result.output_tables) + 1
+                )
+            self._install(result, len(self.sstables))
+            return result
+
+    def compact_async(
+        self, strategy: Optional[CompactionStrategy] = None
+    ) -> threading.Thread:
+        """Compact a snapshot of the current sstables in the background.
+
+        Ingest keeps running; flush publishes append to the table list
+        past the snapshotted prefix, which the completion step replaces
+        with the compaction outputs.  I/O is accounted on a scratch disk
+        and folded into the engine's ledger at completion, so totals
+        match a foreground compaction of the same snapshot exactly;
+        output ids come from :data:`COMPACTION_ID_BASE` — overlapping
+        ingest is inherently timing-dependent, so background compaction
+        is held to value-level equivalence (same records, same total
+        I/O), not byte-stable table ids.
+        """
+        self.wait_for_compaction()
+        with self._mutex:
+            snapshot = list(self.sstables)
+        if not snapshot:
             raise StorageError("nothing to compact: no sstables on disk")
         strategy = strategy or MajorCompaction("balance_tree_input")
-        result = strategy.compact(self.sstables, self.disk, self._next_table_id)
-        self.sstables = list(result.output_tables)
-        if self.sstables:
-            self._next_table_id = (
-                max(table.table_id for table in self.sstables) + 1
-            )
-        return result
+        base_id = self._compaction_next_id
+
+        def run() -> None:
+            try:
+                scratch = SimulatedDisk(self.disk.timing)
+                result = strategy.compact(snapshot, scratch, base_id)
+                with self._mutex:
+                    self.disk.stats.add(scratch.stats)
+                    self._compaction_next_id = max(
+                        [base_id + 1]
+                        + [table.table_id + 1 for table in result.output_tables]
+                    )
+                    self._install(result, len(snapshot))
+                    self._compaction_results.append(result)
+            except BaseException as exc:
+                self._compaction_error = exc
+
+        self._compaction_thread = threading.Thread(
+            target=run, name="compact-async", daemon=True
+        )
+        self._compaction_thread.start()
+        return self._compaction_thread
+
+    def _install(self, result: CompactionResult, n_inputs: int) -> None:
+        """Swap the ``n_inputs`` oldest tables for the outputs (mutex held).
+
+        The commit persists the outputs, publishes the new table set and
+        only then deletes the inputs.
+        """
+        self.sstables = list(result.output_tables) + self.sstables[n_inputs:]
+        self._commit()
+
+    @property
+    def compaction_in_flight(self) -> bool:
+        thread = self._compaction_thread
+        return thread is not None and thread.is_alive()
+
+    def wait_for_compaction(self) -> None:
+        """Join any background compaction; re-raise its failure."""
+        thread = self._compaction_thread
+        if thread is not None:
+            thread.join()
+            self._compaction_thread = None
+        if self._compaction_error is not None:
+            error = self._compaction_error
+            self._compaction_error = None
+            raise error
+
+    def take_compaction_results(self) -> list[CompactionResult]:
+        """Pop results of completed background compactions (oldest first)."""
+        with self._mutex:
+            results = self._compaction_results
+            self._compaction_results = []
+            return results
 
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
-    def _wal_survivors(self) -> list[Record]:
-        """Every durable-but-unflushed record, oldest first.
-
-        The pipelined engine overrides this to concatenate the frozen
-        memtables' WAL segments (freeze order) before the active log.
-        """
-        return self.wal.replay() if self.config.use_wal else []
-
     def simulate_crash_and_recover(
         self, config: Optional[EngineConfig] = None
     ) -> "LSMEngine":
-        """Model a process crash and WAL-based recovery.
+        """Model a process crash and a restart on the same storage.
 
-        The memtable (volatile) is lost; sstables and the WAL (durable)
-        survive.  Recovery replays the WAL into a fresh memtable, exactly
-        as a real LSM store starts up.  Returns the recovered engine;
-        with ``use_wal=False`` any unflushed writes are gone — the
-        trade-off the WAL exists to prevent.  ``config`` restarts the
-        engine under different tunables (e.g. a smaller memtable, which
-        can force flushes mid-replay that the crashed process never hit).
+        Everything volatile — the active memtable, the frozen queue, any
+        flush in flight — is lost: the workers stop where they are and
+        nothing more publishes.  The restarted engine keeps this one's
+        storage, queue bound and worker count, reloads the committed
+        tables and replays the surviving logs; with ``use_wal=False``
+        unflushed writes are gone — the trade-off the log exists to
+        prevent.  ``config`` restarts under different tunables (e.g. a
+        smaller memtable, which forces flushes mid-replay that the
+        crashed process never hit).
         """
-        config = config or self.config
-        recovered = LSMEngine(config, disk=self.disk)
-        recovered.sstables = list(self.sstables)
-        recovered._next_table_id = self._next_table_id
-        max_disk_seqno = max(
-            (record.seqno for table in self.sstables for record in table.records),
-            default=0,
+        self._pipeline.close(raise_error=False)
+        if self._compaction_thread is not None:
+            self._compaction_thread.join()
+        with self._mutex:
+            storage = self.storage.after_crash()
+        recovered = object.__new__(type(self))
+        recovered._start(
+            config or self.config,
+            storage,
+            self.max_immutable_memtables,
+            self.flush_workers,
         )
-        survivors = self._wal_survivors()
-        max_wal_seqno = max((record.seqno for record in survivors), default=0)
-        recovered._seqno = max(max_disk_seqno, max_wal_seqno)
-        # Survivors re-enter the new WAL via restore(): they are already
-        # durable in the pre-crash log, so recovery must not re-bill the
-        # disk or bytes_appended_total for them.
-        if config.use_wal:
-            recovered.wal.restore(survivors)
-        for index, record in enumerate(survivors):
-            if recovered.memtable.is_full:
-                # flush() truncates the recovered log wholesale, but the
-                # survivors not yet replayed exist nowhere else — put
-                # them back so a second crash mid-recovery still finds
-                # them in the log.
-                recovered.flush()
-                if config.use_wal:
-                    recovered.wal.restore(survivors[index:])
-            recovered.memtable.add(record)
         return recovered
 
     # ------------------------------------------------------------------
+    # Lifecycle / introspection
+    # ------------------------------------------------------------------
+    def pipeline_metrics(self) -> PipelineMetrics:
+        return self._pipeline.metrics()
+
+    def pause_flushes(self) -> None:
+        """Test hook: hold frozen memtables in the queue unflushed."""
+        self._pipeline.pause()
+
+    def resume_flushes(self) -> None:
+        self._pipeline.resume()
+
+    @property
+    def immutable_count(self) -> int:
+        with self._mutex:
+            return len(self._immutable)
+
+    def close(self, raise_error: bool = True) -> None:
+        """Join the flush workers (frozen memtables stay readable, unflushed)."""
+        if raise_error:
+            self.wait_for_compaction()
+        self._pipeline.close(raise_error=raise_error)
+
+    def __enter__(self) -> "LSMEngine":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close(raise_error=exc_type is None)
+
     @property
     def table_count(self) -> int:
         return len(self.sstables)

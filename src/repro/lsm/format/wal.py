@@ -16,7 +16,7 @@ Replay distinguishes two failure shapes:
 
 The class mirrors the in-memory :class:`~repro.lsm.wal.WriteAheadLog`
 surface (``append``/``replay``/``truncate``/``is_empty``/``__len__``/
-``bytes_appended_total``/``truncations``) so the engine can swap one
+``last_seqno``/``bytes_appended_total``/``truncations``) so the engine can swap one
 for the other, and bills frame bytes to a
 :class:`~repro.lsm.disk.SimulatedDisk` when one is attached.
 """
@@ -55,7 +55,10 @@ class FileWriteAheadLog:
         self.truncations = 0
         # Repair a torn tail *before* opening for append, so new frames
         # never land after garbage bytes.
-        self._entry_count = len(self._scan(repair=True))
+        records = self._scan(repair=True)
+        self._entry_count = len(records)
+        #: seqno of the newest logged record (0 when empty).
+        self.last_seqno = records[-1].seqno if records else 0
         self._file = fs.open_append(name)
 
     # -- write path -----------------------------------------------------
@@ -66,6 +69,7 @@ class FileWriteAheadLog:
         if self._disk is not None:
             self._disk.write(len(frame))
         self._entry_count += 1
+        self.last_seqno = record.seqno
         self._unsynced += 1
         if self._unsynced >= self._sync_every:
             self.sync()
@@ -81,6 +85,7 @@ class FileWriteAheadLog:
         self._fs.truncate(self._name, 0)
         self._file = self._fs.open_append(self._name)
         self._entry_count = 0
+        self.last_seqno = 0
         self._unsynced = 0
         self.truncations += 1
 

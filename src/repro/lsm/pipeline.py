@@ -1,78 +1,40 @@
-"""The concurrent write pipeline: freeze, immutable queue, background flush.
+"""The flush queue: a bounded, order-preserving build/publish pipeline.
 
-The serial :class:`~repro.lsm.engine.LSMEngine` stops the world to
-flush: ``put()`` on a full memtable builds and publishes the sstable
-inline before the write proceeds.  This module adds the leveldb-style
-pipeline on top of the same engine:
+:class:`~repro.lsm.engine.LSMEngine` freezes a full memtable onto this
+queue instead of flushing it in place; the queue decides *who* builds
+the sstable and *when* the writer must wait:
 
-* a full **active** memtable *freezes* — it is moved, untouched, onto a
-  bounded queue of **immutable** memtables and a fresh active memtable
-  takes its place, so the write path never waits for sorting or sstable
-  construction;
-* **background flush workers** drain the queue through the existing
-  flush path (``flush_records`` → :class:`~repro.lsm.sstable.SSTable`),
-  publishing results strictly in freeze order;
-* **backpressure**: when the queue holds ``max_immutable_memtables``
-  frozen memtables the next freeze stalls the writer until a slot frees
-  up — every stall is counted (``write_stall_count``) and timed;
-* reads consult active memtable → immutable queue (newest first) →
-  sstables, so a frozen-but-unflushed record is always visible.
+* ``workers >= 1`` — background threads claim frozen memtables in
+  freeze order and build them while the writer keeps ingesting; the
+  writer waits only while more than ``max_pending`` are unpublished.
+* ``workers == 0`` — **inline**: nobody builds in the background, so
+  when the bound is exceeded (and on ``drain()``) the producer itself
+  builds and publishes the queue head.  ``max_pending=0`` with no
+  workers is the classic stop-the-world flush.
 
-Determinism is engineered, not hoped for, by two rules (the same recipe
-as the parallel merge executor, docs/concurrency.md):
+Either way a wait is a counted, timed **write stall**, and two rules
+make the outcome independent of scheduling (the same recipe as the
+parallel merge executor, docs/concurrency.md):
 
-1. **table ids are assigned at freeze time** on the writer thread, so
-   ids follow put order no matter which worker builds which table;
-2. **publication is serialized in freeze order**: a worker that
-   finishes early parks its result until every earlier freeze has
-   published.  All shared-state mutation (sstable list, disk billing,
-   WAL retirement, ``flush_count``) happens in the publish step under
-   the engine mutex.
+1. whatever names the result (the engine's table id) is claimed by the
+   producer *before* ``submit``, so names follow submit order;
+2. **publication is serialized in submit order**: a worker that
+   finishes early parks its result until every earlier item has
+   published, and every shared-state mutation lives in the publish
+   step.
 
-Under these rules the pipelined engine's sstables, disk accounting and
-(after a :meth:`~PipelinedLSMEngine.drain`) read counters are
-byte-identical to the serial engine for any worker count — pinned by
-``tests/lsm/test_pipeline.py``.  *While a flush is in flight* reads are
-value-identical but may touch fewer tables than the serial engine (the
-record is still in memory); the differential harness therefore drains
-before comparing counters.  The same honesty applies to
-:meth:`PipelinedLSMEngine.compact_async`: background compaction
-overlapping ingest is inherently timing-dependent, so it is held to
-value-level equivalence (same records, same total I/O), not byte-stable
-table ids.
-
-:class:`FlushPipeline` is the reusable core — the phase-1 fast plane
-pipelines its columnar slab flushes through the very same class
-(``simulator/phase1.py``), and :class:`DurablePipelinedLSMEngine`
-composes the protocol with the durability tier: the file WAL rotates
-into a ``wal-NNNNNN.log`` segment per frozen memtable and recovery
-replays every remaining segment, oldest first (docs/durability.md).
+The phase-1 fast plane pipelines its columnar slab flushes through the
+very same class (``simulator/phase1.py``).
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections import deque
 from time import perf_counter
 from typing import Callable, Iterable, Optional
 
-from ..errors import ConfigError, CorruptionError, StorageError
-from .compaction.base import CompactionResult, CompactionStrategy
-from .compaction.major import MajorCompaction
-from .disk import SimulatedDisk
-from .durable import DurableLSMEngine
-from .engine import EngineConfig, LSMEngine
-from .format.wal import FileWriteAheadLog, WAL_NAME
-from .memtable import Memtable, make_memtable
-from .record import Record
-from .sstable import SSTable
-from .wal import WriteAheadLog
-
-#: Id space for background compaction outputs; keeps them disjoint from
-#: flush-assigned ids (and matches phase 2's convention for compacted
-#: tables).
-COMPACTION_ID_BASE = 10_000_000
+from ..errors import ConfigError, StorageError
 
 
 def resolve_flush_workers(workers: Optional[int]) -> int:
@@ -174,20 +136,23 @@ class _Unit:
 class FlushPipeline:
     """A bounded, order-preserving build/publish pipeline.
 
-    ``submit(item)`` enqueues an item, stalling (and counting the stall)
-    while ``max_pending`` items are already in flight.  Worker threads
-    claim items in submit order and run ``build(item)`` concurrently —
-    the expensive, shared-state-free step.  Results are published by
-    calling ``publish(item, result)`` **strictly in submit order**, so
-    downstream state advances exactly as a serial loop would no matter
-    how builds interleave.  The first exception raised by either
-    callable fails the pipeline; it re-surfaces from ``submit``/
-    ``drain``/``close``.
+    ``submit(item)`` enqueues an item, then stalls (and counts the
+    stall) while more than ``max_pending`` items are unpublished.
+    ``build(item)`` is the expensive, shared-state-free step: worker
+    threads run it concurrently, claiming items in submit order; with
+    ``workers=0`` the stalled (or draining) producer runs it itself.
+    Results are published by calling ``publish(item, result)``
+    **strictly in submit order**, so downstream state advances exactly
+    as a serial loop would no matter how builds interleave.  The first
+    exception raised on a worker fails the pipeline and re-surfaces
+    from ``submit``/``drain``/``close``; an inline build raises straight
+    into the producer.
 
     One producer thread; any number of workers.  ``pause()`` /
     ``resume()`` gate the workers (tests use this to hold items in
     flight deterministically); ``drain()`` resumes and blocks until
-    everything submitted has published.
+    everything submitted has published; ``close()`` stops the workers
+    where they are — whatever has not published by then never will.
     """
 
     def __init__(
@@ -198,10 +163,10 @@ class FlushPipeline:
         workers: int = 1,
         name: str = "flush",
     ) -> None:
-        if max_pending < 1:
-            raise ConfigError(f"max_pending must be >= 1, got {max_pending}")
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
+        if max_pending < 0:
+            raise ConfigError(f"max_pending must be >= 0, got {max_pending}")
+        if workers < 0:
+            raise ConfigError(f"workers must be >= 0, got {workers}")
         self._build = build
         self._publish = publish
         self._max_pending = max_pending
@@ -230,26 +195,20 @@ class FlushPipeline:
 
     # -- producer side --------------------------------------------------
     def submit(self, item) -> None:
-        """Enqueue one item, stalling while the pipeline is full."""
+        """Enqueue one item, stalling while the pipeline is over its bound."""
         with self._cond:
             self._raise_if_failed()
             if self._closed:
                 raise StorageError("cannot submit to a closed pipeline")
             if self._first_submit is None:
                 self._first_submit = perf_counter()
-            if self._pending >= self._max_pending:
-                self._stall_count += 1
-                stall_start = perf_counter()
-                while (
-                    self._pending >= self._max_pending
-                    and self._error is None
-                    and not self._closed
-                ):
-                    self._cond.wait()
-                self._stall_seconds += perf_counter() - stall_start
-                self._raise_if_failed()
             self._units.append(_Unit(item))
             self._cond.notify_all()
+            if self._pending > self._max_pending:
+                self._stall_count += 1
+                stall_start = perf_counter()
+                self._wait_until(self._max_pending)
+                self._stall_seconds += perf_counter() - stall_start
 
     def drain(self) -> None:
         """Resume (if paused) and block until every submit has published."""
@@ -257,9 +216,19 @@ class FlushPipeline:
             self._paused = False
             self._ingest_end = perf_counter()
             self._cond.notify_all()
-            while self._publish_index < len(self._units) and self._error is None:
+            self._wait_until(0)
+
+    def _wait_until(self, pending: int) -> None:
+        """Block (or, inline, work) until at most ``pending`` are unpublished."""
+        while self._pending > pending and self._error is None and not self._closed:
+            if self.workers:
                 self._cond.wait()
-            self._raise_if_failed()
+            else:
+                unit = self._units[self._publish_index]
+                unit.result = self._timed_build(unit)
+                unit.done = True
+                self._publish_done()
+        self._raise_if_failed()
 
     def pause(self) -> None:
         """Stop workers from claiming new items (in-flight builds finish)."""
@@ -272,7 +241,7 @@ class FlushPipeline:
             self._cond.notify_all()
 
     def close(self, raise_error: bool = True) -> None:
-        """Shut the workers down (idempotent); does not drain first."""
+        """Stop the workers (idempotent) without draining or publishing more."""
         with self._cond:
             self._closed = True
             self._paused = False
@@ -305,7 +274,8 @@ class FlushPipeline:
         The ingest wall runs from the first ``submit`` to the latest
         ``drain`` call; the overlap is the union of the build intervals
         clipped to that window, so double-counted concurrency (two
-        workers busy at once) never inflates the fraction past 1.
+        workers busy at once) never inflates the fraction past 1.  An
+        inline build runs *on* the producer, so it overlaps nothing.
         """
         with self._cond:
             first = self._first_submit
@@ -313,7 +283,7 @@ class FlushPipeline:
             wall = (end - first) if first is not None and end is not None else 0.0
             overlap = (
                 _interval_union_seconds(self._build_intervals, first, end)
-                if wall > 0.0
+                if wall > 0.0 and self.workers
                 else 0.0
             )
             return PipelineMetrics(
@@ -332,7 +302,24 @@ class FlushPipeline:
         if self._error is not None:
             raise self._error
 
-    # -- worker side -----------------------------------------------------
+    # -- build / publish -------------------------------------------------
+    def _timed_build(self, unit: _Unit):
+        start = perf_counter()
+        result = self._build(unit.item)
+        self._build_intervals.append((start, perf_counter()))
+        return result
+
+    def _publish_done(self) -> None:
+        """Publish every consecutive finished unit, in submit order."""
+        while self._publish_index < len(self._units):
+            head = self._units[self._publish_index]
+            if not head.done:
+                break
+            self._publish(head.item, head.result)
+            # Free the payload; the slot only marks order.
+            self._units[self._publish_index] = None
+            self._publish_index += 1
+
     def _worker(self) -> None:
         while True:
             with self._cond:
@@ -340,586 +327,30 @@ class FlushPipeline:
                     self._paused or self._claim_index >= len(self._units)
                 ) and not self._closed and self._error is None:
                     self._cond.wait()
-                if self._error is not None:
+                if self._closed or self._error is not None:
                     return
-                if self._claim_index >= len(self._units):
-                    if self._closed:
-                        return
-                    continue
                 unit = self._units[self._claim_index]
                 self._claim_index += 1
-            build_start = perf_counter()
             try:
-                result = self._build(unit.item)
+                result = self._timed_build(unit)
             except BaseException as exc:  # surface to the producer
-                with self._cond:
-                    if self._error is None:
-                        self._error = exc
-                    self._cond.notify_all()
+                self._fail(exc)
                 return
-            build_end = perf_counter()
             with self._cond:
+                if self._closed or self._error is not None:
+                    return
                 unit.result = result
                 unit.done = True
-                self._build_intervals.append((build_start, build_end))
                 try:
-                    # Publish every consecutive done unit, in submit
-                    # order — this worker may publish results built by
-                    # others that finished out of order.
-                    while self._publish_index < len(self._units):
-                        head = self._units[self._publish_index]
-                        if head is None or not head.done:
-                            break
-                        self._publish(head.item, head.result)
-                        # Free the payload; the slot only marks order.
-                        self._units[self._publish_index] = None
-                        self._publish_index += 1
+                    # This worker may publish results built by others
+                    # that finished out of order.
+                    self._publish_done()
                 except BaseException as exc:
-                    if self._error is None:
-                        self._error = exc
+                    self._fail(exc)
                 self._cond.notify_all()
 
-
-class _FrozenMemtable:
-    """An immutable memtable awaiting its background flush."""
-
-    __slots__ = ("table_id", "memtable", "wal", "table")
-
-    def __init__(
-        self,
-        table_id: Optional[int],
-        memtable: Memtable,
-        wal: Optional[WriteAheadLog] = None,
-    ) -> None:
-        self.table_id = table_id
-        self.memtable = memtable
-        self.wal = wal
-        self.table: Optional[SSTable] = None
-
-
-class _ImmutableReadMixin:
-    """Read-path overrides shared by both pipelined engines.
-
-    Expects ``self._immutable`` — frozen sources oldest-first, each with
-    a ``.memtable`` attribute — next to the base engine's ``memtable``.
-    """
-
-    def _memtable_lookup(self, key) -> Optional[Record]:
-        record = self.memtable.get(key)
-        if record is not None:
-            return record
-        for frozen in reversed(self._immutable):  # newest freeze first
-            record = frozen.memtable.get(key)
-            if record is not None:
-                return record
-        return None
-
-    def _memtable_tails(self, start_key) -> list[list[Record]]:
-        tails = [
-            [
-                record
-                for record in frozen.memtable.pending_records()
-                if record.key >= start_key
-            ]
-            for frozen in self._immutable
-        ]
-        tails.append(
-            [
-                record
-                for record in self.memtable.pending_records()
-                if record.key >= start_key
-            ]
-        )
-        return tails
-
-
-class PipelinedLSMEngine(_ImmutableReadMixin, LSMEngine):
-    """An :class:`LSMEngine` whose ``put()`` never blocks on a flush.
-
-    Single writer thread (puts/deletes/flush/compact); reads may come
-    from any thread — the engine mutex covers every shared structure.
-    ``with`` the engine (or call :meth:`close`) to join the workers.
-    """
-
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        disk: Optional[SimulatedDisk] = None,
-        max_immutable_memtables: int = 2,
-        flush_workers: int = 1,
-    ) -> None:
-        if max_immutable_memtables < 1:
-            raise ConfigError(
-                f"max_immutable_memtables must be >= 1, "
-                f"got {max_immutable_memtables}"
-            )
-        super().__init__(config, disk)
-        self.max_immutable_memtables = max_immutable_memtables
-        self.flush_workers = resolve_flush_workers(flush_workers)
-        self._mutex = threading.RLock()
-        self._immutable: deque[_FrozenMemtable] = deque()
-        # Background compaction state (compact_async).
-        self._compaction_thread: Optional[threading.Thread] = None
-        self._compaction_error: Optional[BaseException] = None
-        self._compaction_results: list[CompactionResult] = []
-        self._compaction_next_id = COMPACTION_ID_BASE
-        self._pipeline = FlushPipeline(
-            build=self._build_frozen,
-            publish=self._publish_frozen,
-            max_pending=max_immutable_memtables,
-            workers=self.flush_workers,
-        )
-
-    # -- write path ------------------------------------------------------
-    def _write(self, record: Record) -> None:
-        frozen: Optional[_FrozenMemtable] = None
-        with self._mutex:
-            if self.memtable.is_full:
-                frozen = self._freeze_locked()
-        if frozen is not None:
-            # Outside the mutex: submit may stall on backpressure, and
-            # freeing a slot requires a publish, which needs the mutex.
-            self._pipeline.submit(frozen)
-        with self._mutex:
-            if self.config.use_wal:
-                self.wal.append(record)
-            self.memtable.add(record)
-            self.user_bytes_written += record.size_bytes
-
-    def _freeze_locked(self) -> _FrozenMemtable:
-        """Move the active memtable to the immutable queue (mutex held).
-
-        The table id is claimed *here*, on the writer thread, so ids
-        follow put order regardless of worker scheduling; the WAL
-        rotates with the memtable so each frozen memtable owns exactly
-        the log segment covering its records.
-        """
-        frozen = _FrozenMemtable(
-            self._next_table_id,
-            self.memtable,
-            self.wal if self.config.use_wal else None,
-        )
-        self._next_table_id += 1
-        self._immutable.append(frozen)
-        self.memtable = make_memtable(
-            self.config.memtable_mode, self.config.memtable_capacity
-        )
-        self.wal = WriteAheadLog(self.disk if self.config.use_wal else None)
-        return frozen
-
-    def _build_frozen(self, frozen: _FrozenMemtable) -> SSTable:
-        """Worker step: sort + construct, touching no shared state.
-
-        ``pending_records`` (not ``flush_records``) so the frozen
-        memtable stays readable until the publish step retires it.
-        """
-        return SSTable(
-            frozen.table_id,
-            frozen.memtable.pending_records(),
-            bloom_fp_rate=self.config.bloom_fp_rate,
-        )
-
-    def _publish_frozen(self, frozen: _FrozenMemtable, table: SSTable) -> None:
-        """Publish step, in freeze order: all shared-state mutation."""
-        with self._mutex:
-            self.disk.write(table.size_bytes)
-            self.sstables.append(table)
-            popped = self._immutable.popleft()
-            assert popped is frozen, "publish order diverged from freeze order"
-            if frozen.wal is not None:
-                frozen.wal.truncate()
-            frozen.table = table
-            self.flush_count += 1
-
-    def flush(self) -> Optional[SSTable]:
-        """Freeze the active memtable (if non-empty) and drain the queue."""
-        frozen: Optional[_FrozenMemtable] = None
-        with self._mutex:
-            if not self.memtable.is_empty:
-                frozen = self._freeze_locked()
-        if frozen is not None:
-            self._pipeline.submit(frozen)
-        self._pipeline.drain()
-        return frozen.table if frozen is not None else None
-
-    def drain(self) -> None:
-        """Block until every frozen memtable has published its sstable."""
-        self._pipeline.drain()
-
-    # -- read path -------------------------------------------------------
-    def get(self, key) -> Optional[Record]:
-        with self._mutex:
-            return super().get(key)
-
-    def scan(self, start_key, length: int) -> list[Record]:
-        with self._mutex:
-            return super().scan(start_key, length)
-
-    # -- compaction ------------------------------------------------------
-    def compact(
-        self, strategy: Optional[CompactionStrategy] = None
-    ) -> CompactionResult:
-        """Serial-identical compaction: drain first, then compact inline."""
-        self.wait_for_compaction()
-        self.flush()  # freezes + drains outside the mutex
-        with self._mutex:
-            # The inner flush() re-runs but finds nothing pending, so
-            # holding the mutex here cannot deadlock against a publish.
-            return super().compact(strategy)
-
-    def compact_async(
-        self, strategy: Optional[CompactionStrategy] = None
-    ) -> threading.Thread:
-        """Compact a snapshot of the current sstables in the background.
-
-        Ingest keeps running; flush publishes append to the table list
-        past the snapshotted prefix, which the completion step replaces
-        with the compaction outputs.  I/O is accounted on a scratch disk
-        and folded into the engine's ledger at completion, so totals
-        match a foreground compaction of the same snapshot exactly;
-        output ids come from :data:`COMPACTION_ID_BASE` (background
-        outputs are value-equivalent, not byte-stable — see module doc).
-        """
-        self.wait_for_compaction()
-        with self._mutex:
-            snapshot = list(self.sstables)
-        if not snapshot:
-            raise StorageError("nothing to compact: no sstables on disk")
-        strategy = strategy or MajorCompaction("balance_tree_input")
-        base_id = self._compaction_next_id
-
-        def run() -> None:
-            try:
-                scratch = SimulatedDisk(self.disk.timing)
-                result = strategy.compact(snapshot, scratch, base_id)
-                with self._mutex:
-                    self.disk.stats.add(scratch.stats)
-                    self.sstables = (
-                        list(result.output_tables) + self.sstables[len(snapshot):]
-                    )
-                    top = max(
-                        (table.table_id for table in result.output_tables),
-                        default=base_id,
-                    )
-                    self._compaction_next_id = max(base_id, top) + 1
-                    self._compaction_results.append(result)
-            except BaseException as exc:
-                self._compaction_error = exc
-
-        self._compaction_thread = threading.Thread(
-            target=run, name="compact-async", daemon=True
-        )
-        self._compaction_thread.start()
-        return self._compaction_thread
-
-    @property
-    def compaction_in_flight(self) -> bool:
-        thread = self._compaction_thread
-        return thread is not None and thread.is_alive()
-
-    def wait_for_compaction(self) -> None:
-        """Join any background compaction; re-raise its failure."""
-        thread = self._compaction_thread
-        if thread is not None:
-            thread.join()
-            self._compaction_thread = None
-        if self._compaction_error is not None:
-            error = self._compaction_error
-            self._compaction_error = None
-            raise error
-
-    def take_compaction_results(self) -> list[CompactionResult]:
-        """Pop results of completed background compactions (oldest first)."""
-        with self._mutex:
-            results = self._compaction_results
-            self._compaction_results = []
-            return results
-
-    # -- crash simulation ------------------------------------------------
-    def _wal_survivors(self) -> list[Record]:
-        """Frozen segments' records in freeze order, then the active log."""
-        with self._mutex:
-            survivors: list[Record] = []
-            for frozen in self._immutable:
-                if frozen.wal is not None:
-                    survivors.extend(frozen.wal.replay())
-            if self.config.use_wal:
-                survivors.extend(self.wal.replay())
-            return survivors
-
-    def simulate_crash_and_recover(
-        self, config: Optional[EngineConfig] = None
-    ) -> LSMEngine:
-        with self._mutex:
-            return super().simulate_crash_and_recover(config)
-
-    # -- lifecycle / metrics ---------------------------------------------
-    def pipeline_metrics(self) -> PipelineMetrics:
-        return self._pipeline.metrics()
-
-    def pause_flushes(self) -> None:
-        """Test hook: hold frozen memtables in the queue unflushed."""
-        self._pipeline.pause()
-
-    def resume_flushes(self) -> None:
-        self._pipeline.resume()
-
-    @property
-    def immutable_count(self) -> int:
-        with self._mutex:
-            return len(self._immutable)
-
-    def close(self, raise_error: bool = True) -> None:
-        if self._compaction_thread is not None and raise_error:
-            self.wait_for_compaction()
-        self._pipeline.close(raise_error=raise_error)
-
-    def __enter__(self) -> "PipelinedLSMEngine":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close(raise_error=exc_type is None)
-
-
-def _segment_name(index: int) -> str:
-    return f"wal-{index:06d}.log"
-
-
-def _segment_index(name: str) -> Optional[int]:
-    if not (name.startswith("wal-") and name.endswith(".log")):
-        return None
-    try:
-        return int(name[len("wal-"):-len(".log")])
-    except ValueError:
-        return None
-
-
-class DurablePipelinedLSMEngine(_ImmutableReadMixin, DurableLSMEngine):
-    """The write-pipeline protocol composed with the durability tier.
-
-    The file WAL rotates into one ``wal-NNNNNN.log`` segment per frozen
-    memtable (synced before rotation, so every frozen record is durable
-    before it leaves the write path); flushing the oldest frozen
-    memtable persists its sstable, commits the manifest, and only then
-    garbage-collects segments whose records are covered by the
-    manifest's replay cutoff.  Recovery replays the legacy ``wal.log``
-    (if present) plus every remaining segment in index order.
-
-    Flushes run *inline* when the queue exceeds its bound (counted as
-    write stalls) and on explicit ``flush()`` — deterministic
-    single-thread execution, which is what lets the fault harness sweep
-    a crash into every freeze/rotate/sync/commit/GC boundary.  The
-    threaded overlap lives in :class:`PipelinedLSMEngine`; this class
-    proves the durability protocol composes with freeze/rotation.
-    """
-
-    def __init__(
-        self,
-        config: Optional[EngineConfig] = None,
-        fs=None,
-        disk: Optional[SimulatedDisk] = None,
-        wal_sync_every: int = 1,
-        max_immutable_memtables: int = 2,
-    ) -> None:
-        if max_immutable_memtables < 1:
-            raise ConfigError(
-                f"max_immutable_memtables must be >= 1, "
-                f"got {max_immutable_memtables}"
-            )
-        self.max_immutable_memtables = max_immutable_memtables
-        self._immutable: deque[_FrozenMemtable] = deque()
-        #: (segment name, max seqno appended) for every non-active
-        #: segment that may still hold live records, oldest first.
-        self._segments: list[tuple[str, int]] = []
-        self._segment_counter: Optional[int] = None
-        self._active_segment_name: Optional[str] = None
-        self._active_max_seqno = 0
-        self.write_stall_count = 0
-        self.write_stall_seconds = 0.0
-        super().__init__(config, fs=fs, disk=disk, wal_sync_every=wal_sync_every)
-
-    @classmethod
-    def open(
-        cls,
-        directory=None,
-        config: Optional[EngineConfig] = None,
-        fs=None,
-        disk: Optional[SimulatedDisk] = None,
-        wal_sync_every: int = 1,
-        max_immutable_memtables: int = 2,
-    ) -> "DurablePipelinedLSMEngine":
-        if fs is None:
-            if directory is None:
-                raise StorageError("open() needs a directory or a filesystem")
-            from .faults import LocalFileSystem
-
-            fs = LocalFileSystem(directory)
-        engine = cls(
-            config,
-            fs=fs,
-            disk=disk,
-            wal_sync_every=wal_sync_every,
-            max_immutable_memtables=max_immutable_memtables,
-        )
-        engine._recover()
-        return engine
-
-    # -- segmented WAL ---------------------------------------------------
-    def _make_wal(self) -> FileWriteAheadLog:
-        if self._segment_counter is None:
-            indices = [
-                index
-                for name in self._fs.listdir()
-                if (index := _segment_index(name)) is not None
-            ]
-            self._segment_counter = max(indices) + 1 if indices else 0
-        index = self._segment_counter
-        self._segment_counter += 1
-        self._active_segment_name = _segment_name(index)
-        self._active_max_seqno = 0
-        return FileWriteAheadLog(
-            self._fs,
-            name=self._active_segment_name,
-            disk=self.disk,
-            sync_every=self._wal_sync_every,
-        )
-
-    def _wal_survivor_records(self) -> list[Record]:
-        """Replay the legacy log plus every frozen segment, oldest first."""
-        names: list[str] = []
-        if self._fs.exists(WAL_NAME):
-            names.append(WAL_NAME)
-        names.extend(
-            sorted(
-                (
-                    name
-                    for name in self._fs.listdir()
-                    if _segment_index(name) is not None
-                    and name != self._active_segment_name
-                ),
-                key=_segment_index,
-            )
-        )
-        survivors: list[Record] = []
-        last_seqno = 0
-        for name in names:
-            # Constructing the log repairs a torn tail (only the final
-            # live segment can have one — rotation syncs first).
-            log = FileWriteAheadLog(self._fs, name=name, disk=None)
-            records = log.replay()
-            log.close()
-            if records and records[0].seqno <= last_seqno and last_seqno:
-                raise CorruptionError(
-                    f"WAL segment {name} starts at seqno "
-                    f"{records[0].seqno}, not after {last_seqno}"
-                )
-            if records:
-                last_seqno = records[-1].seqno
-            self._segments.append(
-                (name, records[-1].seqno if records else 0)
-            )
-            survivors.extend(
-                record
-                for record in records
-                if record.seqno > self._durable_seqno
-            )
-        return survivors
-
-    # -- write path ------------------------------------------------------
-    def _write(self, record: Record) -> None:
-        if self.memtable.is_full:
-            self._freeze_active()
-            while len(self._immutable) > self.max_immutable_memtables:
-                # Backpressure: the bounded queue is over its limit, so
-                # the writer flushes the oldest frozen memtable inline.
-                self.write_stall_count += 1
-                stall_start = perf_counter()
-                self._flush_oldest()
-                self.write_stall_seconds += perf_counter() - stall_start
-        if self.config.use_wal:
-            self.wal.append(record)
-            self._active_max_seqno = record.seqno
-        self.memtable.add(record)
-        self.user_bytes_written += record.size_bytes
-
-    def _freeze_active(self) -> None:
-        """Rotate the WAL and move the active memtable onto the queue."""
-        if self.memtable.is_empty:
-            return
-        frozen_wal = None
-        if self.config.use_wal:
-            # Sync before rotating: every record of the frozen memtable
-            # is durable in its segment before the memtable leaves the
-            # write path.
-            self.wal.sync()
-            self.wal.close()
-            self._segments.append(
-                (self._active_segment_name, self._active_max_seqno)
-            )
-            self.wal = self._make_wal()
-        self._immutable.append(_FrozenMemtable(None, self.memtable, frozen_wal))
-        self.memtable = make_memtable(
-            self.config.memtable_mode, self.config.memtable_capacity
-        )
-
-    def _flush_oldest(self) -> SSTable:
-        """Durable flush of the queue head: persist → commit → GC segments."""
-        frozen = self._immutable.popleft()
-        table = SSTable(
-            self._next_table_id,
-            frozen.memtable.flush_records(),
-            bloom_fp_rate=self.config.bloom_fp_rate,
-        )
-        self._next_table_id += 1
-        self._persist_table(table)
-        self.sstables.append(table)
-        self._durable_seqno = max(self._durable_seqno, table.max_seqno)
-        self._write_manifest()  # the commit point
-        self._collect_segments()
-        self.flush_count += 1
-        return table
-
-    def _collect_segments(self) -> None:
-        """Remove WAL segments fully covered by the manifest's cutoff.
-
-        Only garbage after the commit: a crash before the manifest
-        rename leaves every segment, a crash mid-loop leaves segments
-        whose records recovery filters out by seqno.
-        """
-        remaining: list[tuple[str, int]] = []
-        for name, max_seqno in self._segments:
-            if max_seqno <= self._durable_seqno:
-                if self._fs.exists(name):
-                    self._fs.remove(name)
-            else:
-                remaining.append((name, max_seqno))
-        self._segments = remaining
-
-    def flush(self) -> Optional[SSTable]:
-        """Freeze the active memtable, then flush the whole queue."""
-        if self._recovering:
-            # Mid-replay flushes bypass freeze/rotation: the surviving
-            # records live in the old segments (protected from GC by
-            # their seqnos), not in the fresh active segment.
-            return super().flush()
-        self._freeze_active()
-        table: Optional[SSTable] = None
-        while self._immutable:
-            table = self._flush_oldest()
-        return table
-
-    # -- crash simulation ------------------------------------------------
-    def simulate_crash_and_recover(
-        self, config: Optional[EngineConfig] = None
-    ) -> "DurablePipelinedLSMEngine":
-        return type(self).open(
-            config=config or self.config,
-            fs=self._fs,
-            disk=self.disk,
-            wal_sync_every=self._wal_sync_every,
-            max_immutable_memtables=self.max_immutable_memtables,
-        )
-
-    @property
-    def immutable_count(self) -> int:
-        return len(self._immutable)
+    def _fail(self, exc: BaseException) -> None:
+        with self._cond:
+            if self._error is None:
+                self._error = exc
+            self._cond.notify_all()

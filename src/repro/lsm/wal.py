@@ -50,6 +50,11 @@ class WriteAheadLog:
     def is_empty(self) -> bool:
         return not self._entries
 
+    @property
+    def last_seqno(self) -> int:
+        """Seqno of the newest logged record (0 when empty)."""
+        return self._entries[-1].seqno if self._entries else 0
+
     def replay(self) -> list[Record]:
         """Records since the last truncation (crash-recovery view).
 

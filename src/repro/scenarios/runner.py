@@ -89,9 +89,7 @@ def render_comparison_table(
 ) -> str:
     """The classic single-run comparison table.
 
-    This is byte-for-byte the table ``python -m repro.simulator`` has
-    always printed; the deprecation shim and the unified CLI both render
-    through it.
+    The unified CLI renders every comparison scenario through it.
     """
     # Imported lazily: repro.analysis's package init pulls in the figure
     # registry, which itself imports this module (render-only cycle).

@@ -49,7 +49,7 @@ from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import EngineConfig, LSMEngine
 from ..lsm.memtable import distinct_capacity_boundaries, make_memtable
-from ..lsm.pipeline import FlushPipeline, PipelinedLSMEngine, resolve_flush_workers
+from ..lsm.pipeline import FlushPipeline, resolve_flush_workers
 from ..lsm.record import Record
 from ..lsm.sstable import SSTable
 from ..ycsb.operations import OperationType
@@ -86,8 +86,9 @@ class Phase1Result:
     #: Ingest accounting (docs/concurrency.md, part 2).  The wall clock
     #: covers table generation on either plane — measured for serial
     #: ingest too, so pipelined-vs-serial comparisons read straight off
-    #: a report; stalls and flush overlap only move when
-    #: ``write_pipeline=True``.
+    #: a report; flush overlap only moves when ``write_pipeline=True``,
+    #: and a serial run stalls once per inline flush on the reference
+    #: plane (the fast plane's serial loop has no queue: 0).
     write_pipeline: bool = False
     ingest_wall_seconds: float = 0.0
     write_stall_count: int = 0
@@ -201,10 +202,11 @@ def _wants_read_ops(config: SimulationConfig) -> bool:
 def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
     """The operation-at-a-time plane: drive the real LSM engine.
 
-    With ``write_pipeline=True`` the engine is the
-    :class:`~repro.lsm.pipeline.PipelinedLSMEngine`: freezes go to the
-    immutable queue and flush on background workers while the op loop
-    keeps ingesting — same tables, byte for byte.
+    With ``write_pipeline=True`` the engine's flush queue gets a bound
+    and background workers: freezes wait on the immutable queue and
+    flush there while the op loop keeps ingesting — same tables, byte
+    for byte.  Without it the same engine flushes inline (bound 0, no
+    workers), and every flush is a write stall.
     """
     workload = CoreWorkload(config.workload_config())
     engine_config = EngineConfig(
@@ -214,16 +216,13 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         default_value_size=config.value_size,
         use_wal=False,
     )
-    disk = SimulatedDisk(config.timing_model())
-    if config.write_pipeline:
-        engine: LSMEngine = PipelinedLSMEngine(
-            engine_config,
-            disk,
-            max_immutable_memtables=config.max_immutable_memtables,
-            flush_workers=resolve_flush_workers(config.flush_workers),
-        )
-    else:
-        engine = LSMEngine(engine_config, disk)
+    piped = config.write_pipeline
+    engine = LSMEngine(
+        engine_config,
+        SimulatedDisk(config.timing_model()),
+        max_immutable_memtables=config.max_immutable_memtables if piped else 0,
+        flush_workers=resolve_flush_workers(config.flush_workers) if piped else 0,
+    )
     collect = _wants_read_ops(config)
     read_keynums: list[int] = []
     scan_keynums: list[int] = []
@@ -242,16 +241,13 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         count += 1
     engine.flush()
     ingest_wall = perf_counter() - ingest_start
-    stall_count = 0
-    overlap = 0.0
-    if config.write_pipeline:
-        pipeline_metrics = engine.pipeline_metrics()
-        stall_count = pipeline_metrics.write_stall_count
-        if ingest_wall > 0.0:
-            overlap = min(
-                1.0, pipeline_metrics.flush_overlap_seconds / ingest_wall
-            )
-        engine.close()
+    pipeline_metrics = engine.pipeline_metrics()
+    engine.close()
+    overlap = (
+        min(1.0, pipeline_metrics.flush_overlap_seconds / ingest_wall)
+        if ingest_wall > 0.0
+        else 0.0
+    )
     tables = list(engine.sstables)
     return Phase1Result(
         tables=tables,
@@ -267,7 +263,7 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         else None,
         write_pipeline=config.write_pipeline,
         ingest_wall_seconds=ingest_wall,
-        write_stall_count=stall_count,
+        write_stall_count=pipeline_metrics.write_stall_count,
         flush_overlap_fraction=overlap,
     )
 

@@ -1,8 +1,8 @@
-"""Tests for the schedule renderer and the simulator CLI."""
+"""Tests for the schedule renderer and one-off simulator runs via the CLI."""
 
 from repro.analysis import render_schedule
 from repro.core import MergeInstance, merge_with
-from repro.simulator.__main__ import main as simulator_main
+from repro.cli import main as cli_main
 from tests.helpers import worked_example
 
 
@@ -35,14 +35,15 @@ class TestRenderSchedule:
 
 class TestSimulatorCli:
     def test_tiny_run(self, capsys):
-        code = simulator_main(
+        code = cli_main(
             [
-                "--recordcount", "100",
-                "--operationcount", "500",
-                "--memtable", "100",
+                "run", "ycsb-a", "--no-store",
+                "--set", "recordcount=100",
+                "--set", "operationcount=500",
+                "--set", "memtable_capacity=100",
                 "--runs", "1",
                 "--strategies", "SI,RANDOM",
-                "--update-fraction", "0.5",
+                "--set", "update_fraction=0.5",
             ]
         )
         assert code == 0
@@ -51,13 +52,14 @@ class TestSimulatorCli:
         assert "cost/LOPT" in output
 
     def test_kway_flag(self, capsys):
-        code = simulator_main(
+        code = cli_main(
             [
-                "--recordcount", "100",
-                "--operationcount", "300",
-                "--memtable", "50",
+                "run", "ycsb-a", "--no-store",
+                "--set", "recordcount=100",
+                "--set", "operationcount=300",
+                "--set", "memtable_capacity=50",
                 "--runs", "1",
-                "--k", "4",
+                "--set", "k=4",
                 "--strategies", "SI",
             ]
         )

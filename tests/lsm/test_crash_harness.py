@@ -1,4 +1,4 @@
-"""Crash harness: kill the durable engine at EVERY sync boundary.
+"""Crash harness: kill the engine on file storage at EVERY sync boundary.
 
 For each hypothesis-generated workload the harness first runs it
 uncrashed against a counting filesystem to learn how many destructive
@@ -22,11 +22,10 @@ from hypothesis import strategies as st
 
 from repro.lsm import (
     CrashPoint,
-    DurableLSMEngine,
-    DurablePipelinedLSMEngine,
     EngineConfig,
     FaultInjectedFileSystem,
     FaultPlan,
+    LSMEngine,
     MemoryFileSystem,
 )
 
@@ -47,22 +46,21 @@ CONFIG = EngineConfig(memtable_capacity=3)
 
 
 def _open_plain(fs):
-    return DurableLSMEngine.open(fs=fs, config=CONFIG)
+    return LSMEngine.open(fs=fs, config=CONFIG)
 
 
 def _open_pipelined(fs):
-    # Queue bound 1 with capacity 3: the 3-8 op workloads exercise
-    # freeze, WAL segment rotation, inline (backpressure) flush sync,
-    # manifest commit and segment GC — every boundary the write
-    # pipeline added.
-    return DurablePipelinedLSMEngine.open(
-        fs=fs, config=CONFIG, max_immutable_memtables=1
-    )
+    # Queue bound 1 with capacity 3: the 3-8 op workloads leave a frozen
+    # memtable (and its sealed WAL segment) waiting while later writes
+    # land, then hit the inline backpressure flush, manifest commit and
+    # segment GC with a second segment outstanding.
+    return LSMEngine.open(fs=fs, config=CONFIG, max_immutable_memtables=1)
 
 
-#: Both durable engines sweep the same fault points: the plain engine
-#: pins the original protocol, the pipelined one the freeze/rotation
-#: protocol on top of it.
+#: File storage x queue bound {0, 1}, flushed inline (no workers) so a
+#: fault plan lands on the same operation every run: bound 0 seals,
+#: flushes and collects one segment at a time, bound 1 keeps one frozen
+#: memtable in flight across writes.
 ENGINES = [_open_plain, _open_pipelined]
 
 

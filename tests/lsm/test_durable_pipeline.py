@@ -1,23 +1,18 @@
-"""The durable write pipeline: segmented WAL rotation, recovery, GC.
+"""File storage under a queue bound: segmented WAL rotation, recovery, GC.
 
-:class:`DurablePipelinedLSMEngine` composes the freeze/rotation
-protocol with the durability tier: one ``wal-NNNNNN.log`` segment per
-frozen memtable, synced before rotation, garbage-collected only after
-the manifest commit covers its records.  These tests pin the segment
-lifecycle and the recovery path; the crash sweep at every fault point
-lives in test_crash_harness.py.
+The active log is always ``wal.log``; every freeze seals it into one
+``wal-NNNNNN.log`` segment (synced before the rename) that is
+garbage-collected only after the manifest commit covers its records.
+These tests pin the segment lifecycle and the recovery path with inline
+flushes (no workers, so every step is deterministic); the crash sweep at
+every fault point lives in test_crash_harness.py.
 """
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.lsm import (
-    DurableLSMEngine,
-    DurablePipelinedLSMEngine,
-    EngineConfig,
-    MemoryFileSystem,
-)
-from repro.lsm.pipeline import _segment_index, _segment_name
+from repro.lsm import EngineConfig, LSMEngine, MemoryFileSystem
+from repro.lsm.storage import _segment_index, _segment_name
 
 CONFIG = EngineConfig(memtable_capacity=4)
 
@@ -32,57 +27,61 @@ def _segments(fs):
 class TestSegmentLifecycle:
     def test_freeze_rotates_into_numbered_segments(self):
         fs = MemoryFileSystem()
-        engine = DurablePipelinedLSMEngine.open(
+        engine = LSMEngine.open(
             fs=fs, config=CONFIG, max_immutable_memtables=8
         )
         for i in range(10):  # two freezes at capacity 4, queue holds both
             engine.put(i, value_size=30)
         assert engine.immutable_count == 2
-        # Two frozen segments plus the active one.
-        assert len(_segments(fs)) == 3
+        # Two sealed segments; the active log is always wal.log.
+        assert len(_segments(fs)) == 2
+        assert fs.size("wal.log") > 0
 
     def test_flush_collects_covered_segments(self):
         fs = MemoryFileSystem()
-        engine = DurablePipelinedLSMEngine.open(
+        engine = LSMEngine.open(
             fs=fs, config=CONFIG, max_immutable_memtables=8
         )
         for i in range(10):
             engine.put(i, value_size=30)
         engine.flush()
         assert engine.immutable_count == 0
-        # Everything durable in sstables; only the active segment stays.
-        remaining = _segments(fs)
-        assert len(remaining) == 1
+        # Everything durable in sstables; only the (empty) active log stays.
+        assert _segments(fs) == []
+        assert fs.size("wal.log") == 0
         assert any(name.endswith(".sst") for name in fs.listdir())
 
     def test_backpressure_flushes_inline_and_counts_stalls(self):
         fs = MemoryFileSystem()
-        engine = DurablePipelinedLSMEngine.open(
+        engine = LSMEngine.open(
             fs=fs, config=EngineConfig(memtable_capacity=3),
             max_immutable_memtables=1,
         )
         for i in range(40):
             engine.put(i, value_size=30)
-        assert engine.write_stall_count > 0
-        assert engine.write_stall_seconds >= 0.0
+        metrics = engine.pipeline_metrics()
+        assert metrics.write_stall_count > 0
+        assert metrics.write_stall_seconds >= 0.0
+        assert metrics.flush_overlap_fraction == 0.0  # inline: nothing overlaps
         assert engine.immutable_count <= 1
         for i in range(40):
             assert engine.get(i) is not None
 
     def test_segment_names_monotonic_across_reopen(self):
         fs = MemoryFileSystem()
-        engine = DurablePipelinedLSMEngine.open(
+        engine = LSMEngine.open(
             fs=fs, config=CONFIG, max_immutable_memtables=8
         )
         for i in range(6):
             engine.put(i, value_size=30)
         first_gen = set(_segments(fs))
+        assert first_gen
         engine = engine.simulate_crash_and_recover()
-        engine.put(99, value_size=30)
-        # The reopened engine's fresh active segment never reuses an
-        # existing index.
+        for i in range(90, 99):  # enough to freeze (and rotate) again
+            engine.put(i, value_size=30)
+        # A rotation after the reopen never reuses an existing index.
         new_segments = set(_segments(fs)) - first_gen
-        assert new_segments, "reopen must rotate a fresh segment"
+        assert new_segments, "the reopened engine must have rotated"
         assert min(
             _segment_index(name) for name in new_segments
         ) > max(_segment_index(name) for name in first_gen)
@@ -91,7 +90,7 @@ class TestSegmentLifecycle:
 class TestRecovery:
     def test_recovery_replays_active_and_frozen_segments(self):
         fs = MemoryFileSystem()
-        engine = DurablePipelinedLSMEngine.open(
+        engine = LSMEngine.open(
             fs=fs, config=CONFIG, max_immutable_memtables=8
         )
         model = {}
@@ -109,7 +108,7 @@ class TestRecovery:
 
     def test_double_reopen_stable(self):
         fs = MemoryFileSystem()
-        engine = DurablePipelinedLSMEngine.open(
+        engine = LSMEngine.open(
             fs=fs, config=CONFIG, max_immutable_memtables=8
         )
         for i in range(15):
@@ -120,12 +119,12 @@ class TestRecovery:
             assert twice.get(i) is not None
 
     def test_plain_durable_store_opens_in_pipelined_engine(self):
-        """The segmented engine reads a legacy wal.log store."""
+        """The queue bound is a setting of a run, not of the store."""
         fs = MemoryFileSystem()
-        plain = DurableLSMEngine.open(fs=fs, config=CONFIG)
+        plain = LSMEngine.open(fs=fs, config=CONFIG)
         for i in range(7):
             plain.put(i, value_size=25)
-        upgraded = DurablePipelinedLSMEngine.open(
+        upgraded = LSMEngine.open(
             fs=fs, config=CONFIG, max_immutable_memtables=4
         )
         for i in range(7):
@@ -138,7 +137,7 @@ class TestRecovery:
 
     def test_deletes_survive_freeze_and_recovery(self):
         fs = MemoryFileSystem()
-        engine = DurablePipelinedLSMEngine.open(
+        engine = LSMEngine.open(
             fs=fs, config=CONFIG, max_immutable_memtables=8
         )
         for i in range(8):
@@ -153,10 +152,8 @@ class TestRecovery:
 
 class TestValidation:
     def test_bad_queue_bound_rejected(self):
-        with pytest.raises(ConfigError):
-            DurablePipelinedLSMEngine(
-                CONFIG, fs=MemoryFileSystem(), max_immutable_memtables=0
-            )
+        with pytest.raises(ConfigError, match="max_immutable_memtables"):
+            LSMEngine(CONFIG, fs=MemoryFileSystem(), max_immutable_memtables=-1)
 
     def test_segment_name_round_trip(self):
         assert _segment_index(_segment_name(42)) == 42

@@ -18,7 +18,6 @@ from hypothesis.stateful import (
 )
 
 from repro.lsm import (
-    DurableLSMEngine,
     EngineConfig,
     LSMEngine,
     MajorCompaction,
@@ -118,7 +117,7 @@ class DurableEngineModel(RuleBasedStateMachine):
     def setup(self, capacity, mode):
         self.fs = MemoryFileSystem()
         self.config = EngineConfig(memtable_capacity=capacity, memtable_mode=mode)
-        self.engine = DurableLSMEngine.open(fs=self.fs, config=self.config)
+        self.engine = LSMEngine.open(fs=self.fs, config=self.config)
         self.model: dict[int, int] = {}
         self.counter = 0
 
@@ -159,7 +158,7 @@ class DurableEngineModel(RuleBasedStateMachine):
 
     @rule()
     def crash_and_reopen(self):
-        self.engine = DurableLSMEngine.open(fs=self.fs, config=self.config)
+        self.engine = LSMEngine.open(fs=self.fs, config=self.config)
 
     @rule(start=KEYS, length=st.integers(1, 10))
     def bounded_scan(self, start, length):

@@ -1,11 +1,14 @@
-"""The concurrent write pipeline vs the serial engine, differentially.
+"""The flush queue's settings vs the stop-the-world engine, differentially.
 
-The contract (docs/concurrency.md, part 2): after a drain, the
-pipelined engine's sstables, disk accounting and read counters are
-byte-identical to the serial engine for any worker count and queue
-bound.  Mid-flight reads are value-identical (a frozen record is served
-from memory instead of disk), which these tests check separately.
+The contract (docs/concurrency.md, part 2): after a drain, an engine
+with a queue bound and flush workers has sstables, disk accounting,
+files and read counters byte-identical to the inline bound-0 engine on
+the same storage, for any worker count and queue bound.  Mid-flight
+reads are value-identical (a frozen record is served from memory
+instead of disk), which these tests check separately.
 """
+
+import threading
 
 import pytest
 
@@ -16,7 +19,7 @@ from repro.lsm import (
     FlushPipeline,
     LSMEngine,
     MajorCompaction,
-    PipelinedLSMEngine,
+    MemoryFileSystem,
     SizeTieredCompaction,
     resolve_flush_workers,
 )
@@ -49,7 +52,7 @@ def _serial_engine(mode="append", capacity=32):
 
 
 def _pipelined_engine(mode="append", capacity=32, workers=2, max_imm=2):
-    return PipelinedLSMEngine(
+    return LSMEngine(
         EngineConfig(memtable_capacity=capacity, memtable_mode=mode),
         max_immutable_memtables=max_imm,
         flush_workers=workers,
@@ -63,6 +66,10 @@ def _assert_tables_identical(serial, pipelined):
     for a, b in zip(serial.sstables, pipelined.sstables):
         assert a.records == b.records
         assert a.size_bytes == b.size_bytes
+
+
+def _files(fs):
+    return {name: fs.read_bytes(name) for name in fs.listdir()}
 
 
 class TestDifferential:
@@ -80,6 +87,29 @@ class TestDifferential:
             _assert_tables_identical(serial, piped)
             assert serial.disk.stats == piped.disk.stats
             assert serial.flush_count == piped.flush_count
+
+    @pytest.mark.parametrize("on_files", [False, True])
+    @pytest.mark.parametrize("workers", [0, 1, 3])
+    def test_every_storage_and_worker_count_matches_inline(self, on_files, workers):
+        """The 2x2 (and the filesystem x threads cell nothing else covers)."""
+        ops = _workload()
+        config = EngineConfig(memtable_capacity=32, memtable_mode="append")
+        engines = []
+        for bound, count in ((0, 0), (2, workers)):
+            fs = MemoryFileSystem() if on_files else None
+            engine = LSMEngine(
+                config, fs=fs, max_immutable_memtables=bound, flush_workers=count
+            )
+            with engine:
+                _apply(engine, ops)
+                engine.drain()
+                engines.append((engine, fs))
+        (serial, serial_fs), (piped, piped_fs) = engines
+        _assert_tables_identical(serial, piped)
+        assert serial.disk.stats == piped.disk.stats
+        assert serial.flush_count == piped.flush_count
+        if on_files:  # .sst and MANIFEST bytes, logs, directory listing
+            assert _files(serial_fs) == _files(piped_fs)
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_read_counters_identical_after_drain(self, workers):
@@ -143,7 +173,7 @@ class TestMidFlightReads:
 
     def test_wal_survivors_cover_frozen_queue(self):
         config = EngineConfig(memtable_capacity=4, use_wal=True)
-        with PipelinedLSMEngine(
+        with LSMEngine(
             config, max_immutable_memtables=8, flush_workers=2
         ) as engine:
             engine.pause_flushes()
@@ -153,6 +183,26 @@ class TestMidFlightReads:
             for i in range(14):
                 assert recovered.get(i) is not None, f"lost acked key {i}"
             engine.resume_flushes()
+
+
+class TestCrashKeepsComposition:
+    def test_recovered_engine_keeps_queue_settings_and_stops_old_workers(self):
+        threads_before = threading.active_count()
+        config = EngineConfig(memtable_capacity=4, use_wal=True)
+        engine = LSMEngine(config, max_immutable_memtables=8, flush_workers=2)
+        engine.pause_flushes()
+        for i in range(14):
+            engine.put(i, value_size=60)
+        recovered = engine.simulate_crash_and_recover()
+        # A crash flushes nothing, and the dead engine's workers are gone.
+        assert engine.flush_count == 0 and engine.immutable_count == 3
+        assert threading.active_count() == threads_before + 2
+        assert recovered.max_immutable_memtables == 8
+        assert recovered.flush_workers == 2
+        for i in range(14):
+            assert recovered.get(i) is not None, f"lost acked key {i}"
+        recovered.close()
+        assert threading.active_count() == threads_before
 
 
 class TestBackpressure:
@@ -222,28 +272,74 @@ class TestBackgroundCompaction:
             for i in range(60):
                 assert engine.get(i) is not None
 
-    def test_controller_background_requires_async_engine(self):
-        serial = _serial_engine()
-        with pytest.raises(ConfigError):
-            CompactionController(serial, background=True)
+    def test_controller_background_equals_foreground_on_default_engine(self):
+        """Any engine compacts in the background; the default one included."""
+        engines = []
+        for background in (False, True):
+            engine = _serial_engine(capacity=8)
+            controller = CompactionController(
+                engine, table_threshold=4, background=background
+            )
+            for i in range(400):
+                engine.put(i % 60, value_size=45)
+                if i % 8 == 7:
+                    # Trigger on an empty memtable and join at once, so
+                    # both modes compact the very same table snapshots.
+                    engine.flush()
+                    controller.maybe_compact()
+                    controller.finish()
+            engines.append((engine, controller))
+        (fore, fore_ctl), (back, back_ctl) = engines
+        assert fore_ctl.stats.compactions == back_ctl.stats.compactions >= 1
+        assert fore_ctl.stats.total_cost_actual == back_ctl.stats.total_cost_actual
+        assert fore.disk.stats == back.disk.stats
+        assert sorted(
+            (r.key, r.seqno) for t in fore.sstables for r in t.records
+        ) == sorted((r.key, r.seqno) for t in back.sstables for r in t.records)
+
+    def test_reopen_after_compact_async_on_files(self):
+        fs = MemoryFileSystem()
+        config = EngineConfig(memtable_capacity=8)
+        with LSMEngine(
+            config, fs=fs, max_immutable_memtables=2, flush_workers=2
+        ) as engine:
+            for i in range(100):
+                engine.put(i % 30, value_size=i + 1)
+            engine.flush()
+            engine.compact_async(SizeTieredCompaction())
+            engine.wait_for_compaction()
+            for i in range(100, 105):  # unflushed tail: lives in wal.log only
+                engine.put(i % 30, value_size=i + 1)
+            expected = {key: engine.get(key).value_size for key in range(30)}
+            live = [table.table_id for table in engine.sstables]
+        reopened = LSMEngine(config, fs=fs)
+        assert [table.table_id for table in reopened.sstables] == live
+        assert {k: reopened.get(k).value_size for k in range(30)} == expected
+        # Fresh background outputs never reuse a live table's file name.
+        reopened.flush()
+        reopened.compact_async(SizeTieredCompaction())
+        reopened.wait_for_compaction()
+        assert {k: LSMEngine(config, fs=fs).get(k).value_size for k in range(30)} == expected
 
 
 class TestFlushPipelineCore:
     def test_publish_strictly_in_submit_order(self):
-        import time
-
         published = []
+        built = [threading.Event() for _ in range(6)]
+        built[5].set()
 
         def build(item):
-            # Later items build faster; publish order must not care.
-            time.sleep(0.002 * (5 - item))
+            # Item i finishes only after item i + 1 has: completion order
+            # is forced to be the reverse of submit order.
+            assert built[item + 1].wait(timeout=30)
+            built[item].set()
             return item * 10
 
         with FlushPipeline(
             build=build,
             publish=lambda item, result: published.append((item, result)),
             max_pending=8,
-            workers=4,
+            workers=5,
         ) as pipe:
             for i in range(5):
                 pipe.submit(i)
@@ -300,10 +396,36 @@ class TestValidation:
         with pytest.raises(ConfigError):
             resolve_flush_workers(-1)
 
-    def test_bad_queue_bound_rejected(self):
-        with pytest.raises(ConfigError):
-            PipelinedLSMEngine(EngineConfig(), max_immutable_memtables=0)
+    def test_negative_queue_bound_or_workers_rejected(self):
+        with pytest.raises(ConfigError, match="max_immutable_memtables"):
+            LSMEngine(EngineConfig(), max_immutable_memtables=-1)
+        with pytest.raises(ConfigError, match="flush_workers"):
+            LSMEngine(EngineConfig(), flush_workers=-1)
         with pytest.raises(ConfigError):
             FlushPipeline(
-                build=lambda i: i, publish=lambda i, r: None, max_pending=0
+                build=lambda i: i, publish=lambda i, r: None, max_pending=-1
             )
+        with pytest.raises(ConfigError):
+            FlushPipeline(
+                build=lambda i: i, publish=lambda i, r: None, workers=-1
+            )
+
+    @pytest.mark.parametrize("use_wal", [True, False])
+    def test_bad_wal_sync_every_names_the_field(self, use_wal):
+        with pytest.raises(ConfigError, match="wal_sync_every"):
+            LSMEngine.open(
+                fs=MemoryFileSystem(),
+                config=EngineConfig(use_wal=use_wal),
+                wal_sync_every=0,
+            )
+
+    def test_bound_zero_flushes_inline(self):
+        """Bound 0 / no workers is the stop-the-world engine: every
+        freeze is flushed by the writer before the write proceeds."""
+        engine = _serial_engine(capacity=4)
+        for i in range(20):
+            engine.put(i, value_size=10)
+            assert engine.immutable_count == 0
+        metrics = engine.pipeline_metrics()
+        assert metrics.write_stall_count == metrics.flushes == 4
+        assert metrics.flush_overlap_fraction == 0.0

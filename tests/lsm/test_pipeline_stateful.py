@@ -31,7 +31,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.lsm import EngineConfig, PipelinedLSMEngine
+from repro.lsm import EngineConfig, LSMEngine
 
 KEYS = st.integers(0, 24)
 
@@ -43,7 +43,7 @@ class PipelinedEngineModel(RuleBasedStateMachine):
         workers=st.integers(1, 3),
     )
     def setup(self, capacity, mode, workers):
-        self.engine = PipelinedLSMEngine(
+        self.engine = LSMEngine(
             EngineConfig(
                 memtable_capacity=capacity, memtable_mode=mode, use_wal=True
             ),
@@ -112,6 +112,9 @@ class PipelinedEngineModel(RuleBasedStateMachine):
                 assert record.value_size == self.model[key]
             else:
                 assert record is None, f"recovery phantom key {key}"
+        # The crashed process is gone (its workers stopped, nothing more
+        # will publish); the run continues on the restarted engine.
+        self.engine = recovered
 
     @rule(start=KEYS, length=st.integers(1, 10))
     def bounded_scan(self, start, length):
