@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from repro.analysis.experiments import UPDATE_FRACTIONS
 from repro.simulator import SimulationConfig
-from repro.simulator.runner import sweep_update_fraction
+from repro.simulator.runner import sweep as run_sweep
 
 from conftest import series_payload, write_artifact, write_bench_json
 
@@ -57,8 +57,8 @@ def test_fig7b_bto_overhead_below_so(bench_fast, bench_runs):
     base = SimulationConfig.figure7(0.5)
     if bench_fast:
         base = replace(base, operationcount=20_000)
-    sweep = sweep_update_fraction(
-        base, UPDATE_FRACTIONS, labels=("SO", "BT(O)"), runs=bench_runs
+    sweep = run_sweep(
+        base, "update_fraction", UPDATE_FRACTIONS, ("SO", "BT(O)"), runs=bench_runs
     )
     for point in sweep.points:
         so = point.per_strategy["SO"].strategy_overhead_mean

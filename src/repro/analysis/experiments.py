@@ -146,11 +146,10 @@ def figure7(
             agg = point.per_strategy[label]
             cost_row.append(agg.cost_actual_mean)
             cost_row.append(agg.cost_actual_std)
-            seconds = agg.simulated_seconds_mean + agg.strategy_overhead_mean
-            time_row.append(seconds)
+            time_row.append(agg.simulated_seconds_mean)
             time_row.append(agg.simulated_seconds_std)
             cost_series[label].append((point.x, agg.cost_actual_mean))
-            time_series[label].append((point.x, seconds))
+            time_series[label].append((point.x, agg.simulated_seconds_mean))
         cost_rows.append(cost_row)
         time_rows.append(time_row)
 
@@ -314,8 +313,7 @@ def _cost_time_points(sweep, label: str = "SI") -> list[tuple[float, float]]:
     return [
         (
             point.per_strategy[label].cost_actual_mean,
-            point.per_strategy[label].simulated_seconds_mean
-            + point.per_strategy[label].strategy_overhead_mean,
+            point.per_strategy[label].simulated_seconds_mean,
         )
         for point in sweep.points
     ]

@@ -30,7 +30,6 @@ from .partitioner import (
     stream_key_space,
 )
 from .scheduler import (
-    ClusterMetrics,
     ClusterScheduler,
     combine_shard_results,
     imbalance_p99_over_mean,
@@ -39,7 +38,6 @@ from .scheduler import (
 __all__ = [
     "SHARD_SEED_STRIDE",
     "PARTITIONER_NAMES",
-    "ClusterMetrics",
     "ClusterScheduler",
     "HashPartitioner",
     "Partitioner",

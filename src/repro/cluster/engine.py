@@ -30,15 +30,21 @@ the ``num_shards=1`` identity and the jobs byte-stability.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 from ..errors import ConfigError
 from ..simulator.config import SimulationConfig
-from ..simulator.metrics import StrategyResult
-from ..simulator.phase1 import build_tables_from_columns, spill_tables_to_disk
+from ..simulator.metrics import (
+    StrategyResult,
+    empty_result,
+    ingest_fields,
+    served_fields,
+)
+from ..simulator.phase1 import phase1_from_columns, spill_tables_to_disk
 from ..simulator.phase2 import run_strategy
-from ..ycsb.workload import CoreWorkload, ReadOpColumns
+from ..simulator.read_path import ReadPhaseResult
+from ..ycsb.workload import CoreWorkload
 from .partitioner import ShardStream, make_partitioner, split_stream
 from .scheduler import ClusterScheduler, combine_shard_results
 
@@ -90,66 +96,54 @@ def shard_streams(config: SimulationConfig) -> list[ShardStream]:
     return split_stream(stream, partitioner)
 
 
-def _empty_shard_result(
-    label: str, read_ops: Optional[ReadOpColumns]
-) -> StrategyResult:
-    """A shard that received no writes: nothing to compact, all reads miss.
-
-    High ``shard_skew`` with few operations can starve the tail shards
-    entirely; phase 2 refuses empty table sets, so the zero result is
-    synthesized here with the same serving semantics an empty engine
-    would have (every point read probes zero tables and misses).
-    """
-    reads = scans = 0
-    if read_ops is not None:
-        reads = read_ops.read_count
-        scans = read_ops.scan_count
-    return StrategyResult(
-        strategy=label,
-        n_tables=0,
-        n_merges=0,
-        cost_actual=0,
-        cost_simplified=0,
-        lopt_entries=0,
-        bytes_read=0,
-        bytes_written=0,
-        io_seconds=0.0,
-        simulated_seconds=0.0,
-        strategy_overhead_seconds=0.0,
-        wall_seconds=0.0,
-        reads=reads,
-        scans=scans,
-        read_misses=reads,
-    )
-
-
 def run_shard(
     config: SimulationConfig,
     labels: Sequence[str],
     stream: ShardStream,
 ) -> ShardRunResult:
-    """Phase 1 + phase 2 (every label) on one shard's stream slice."""
+    """Phase 1 + phase 2 (every label) on one shard's stream slice.
+
+    High ``shard_skew`` with few operations can starve the tail shards
+    entirely; phase 2 refuses empty table sets, so a shard that received
+    no writes reports the zero row with the serving semantics an empty
+    engine would have (every point read probes zero tables and misses).
+    """
     seed = shard_seed(config.seed, stream.shard_id)
-    tables = build_tables_from_columns(
-        stream.write_keynums, stream.tombstone_positions, config
+    read_ops = stream.read_ops
+    phase1 = phase1_from_columns(
+        stream.write_keynums,
+        stream.tombstone_positions,
+        config,
+        total_operations=stream.op_count,
+        read_ops=read_ops,
     )
+    tables = phase1.tables
     if config.storage == "disk":
-        tables = spill_tables_to_disk(tables)
-    per_label: dict[str, StrategyResult] = {}
-    for label in labels:
-        if tables:
-            per_label[label] = run_strategy(
-                tables, label, config, seed=seed, read_ops=stream.read_ops
-            )
-        else:
-            per_label[label] = _empty_shard_result(label, stream.read_ops)
+        tables = spill_tables_to_disk(
+            tables, wal_sync_every=config.wal_sync_every
+        )
+    reads = read_ops.read_count if read_ops is not None else 0
+    scans = read_ops.scan_count if read_ops is not None else 0
+    all_missed = served_fields(
+        ReadPhaseResult(reads=reads, misses=reads, scans=scans)
+    )
+    ingest = ingest_fields(phase1)
+    per_label = {
+        label: replace(
+            run_strategy(tables, label, config, seed=seed, read_ops=read_ops)
+            if tables
+            else empty_result(label, **all_missed),
+            **ingest,
+        )
+        for label in labels
+    }
     return ShardRunResult(
         shard_id=stream.shard_id,
         seed=seed,
         op_count=stream.op_count,
         write_count=stream.write_count,
         n_tables=len(tables),
-        total_entries=sum(table.entry_count for table in tables),
+        total_entries=phase1.total_entries,
         per_label=per_label,
     )
 
@@ -205,40 +199,19 @@ def run_sharded_cell(
 ) -> dict[str, StrategyResult]:
     """One sharded (point, run) cell: split, run every shard, combine.
 
-    Serial by default (the stream is generated and split once); with
-    ``jobs > 1`` the shards fan out over a process pool via
-    :func:`sharded_shard_task`, byte-identically.  The sweep runner
-    prefers expanding shards into its own pool so cross-cell and
-    cross-shard work share workers — this entry point is the direct API
-    (and the differential harness's).
+    The sweep runner prefers expanding shards into its own pool so
+    cross-cell and cross-shard work share workers — this entry point is
+    the direct API (and the differential harness's).
     """
-    run_config = config.with_seed(config.seed + run_index)
-    num_shards = run_config.num_shards
-    if jobs > 1 and num_shards > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, num_shards)) as pool:
-            shard_runs = list(
-                pool.map(
-                    sharded_shard_task,
-                    [config] * num_shards,
-                    [labels] * num_shards,
-                    [run_index] * num_shards,
-                    range(num_shards),
-                )
-            )
-    else:
-        shard_runs = [
-            run_shard(run_config, labels, stream)
-            for stream in shard_streams(run_config)
-        ]
-    return combine_shard_runs(run_config, labels, shard_runs)
+    return ShardedEngine(config, labels).run(run_index, jobs)
 
 
 class ShardedEngine:
     """Run a sharded configuration end to end, shard-parallel on demand.
 
-    Thin object API over the cell functions: holds the config and label
-    set, exposes per-run execution plus the shard-level inspection the
-    tests and notebooks want (streams, per-shard results).
+    Object API of the cell functions: holds the config and label set,
+    exposes per-run execution plus the shard-level inspection the tests
+    and notebooks want (streams, per-shard results).
     """
 
     def __init__(
@@ -247,19 +220,24 @@ class ShardedEngine:
         self.config = config
         self.labels = tuple(labels)
 
+    def _run_config(self, run_index: int) -> SimulationConfig:
+        return self.config.with_seed(self.config.seed + run_index)
+
     def streams(self, run_index: int = 0) -> list[ShardStream]:
         """The per-shard stream slices of one run's op stream."""
-        return shard_streams(
-            self.config.with_seed(self.config.seed + run_index)
-        )
+        return shard_streams(self._run_config(run_index))
 
     def run_shards(
         self, run_index: int = 0, jobs: int = 1
     ) -> list[ShardRunResult]:
-        """Every shard's individual result for one run (shard order)."""
-        run_config = self.config.with_seed(self.config.seed + run_index)
-        if jobs > 1 and run_config.num_shards > 1:
-            num_shards = run_config.num_shards
+        """Every shard's individual result for one run (shard order).
+
+        Serial by default (the stream is generated and split once); with
+        ``jobs > 1`` the shards fan out over a process pool via
+        :func:`sharded_shard_task`, byte-identically.
+        """
+        num_shards = self.config.num_shards
+        if jobs > 1 and num_shards > 1:
             with ProcessPoolExecutor(
                 max_workers=min(jobs, num_shards)
             ) as pool:
@@ -272,9 +250,10 @@ class ShardedEngine:
                         range(num_shards),
                     )
                 )
+        run_config = self._run_config(run_index)
         return [
             run_shard(run_config, self.labels, stream)
-            for stream in self.streams(run_index)
+            for stream in shard_streams(run_config)
         ]
 
     def run(
@@ -282,7 +261,7 @@ class ShardedEngine:
     ) -> dict[str, StrategyResult]:
         """Cluster-level results of one run (one row per label)."""
         return combine_shard_runs(
-            self.config.with_seed(self.config.seed + run_index),
+            self._run_config(run_index),
             self.labels,
-            self.run_shards(run_index, jobs=jobs),
+            self.run_shards(run_index, jobs),
         )

@@ -29,11 +29,10 @@ amortizes under sharding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Sequence
 
 from ..errors import ConfigError
-from ..simulator.metrics import StrategyResult
+from ..simulator.metrics import StrategyResult, fold_shards
 
 
 def nearest_rank_percentile(values: Sequence[float], q: float) -> float:
@@ -54,19 +53,6 @@ def imbalance_p99_over_mean(values: Sequence[float]) -> float:
     if mean == 0:
         return 0.0
     return nearest_rank_percentile(values, 0.99) / mean
-
-
-@dataclass(frozen=True)
-class ClusterMetrics:
-    """Cross-shard shape of one strategy's run on a sharded cluster."""
-
-    num_shards: int
-    makespan_seconds: float
-    imbalance: float  # p99/mean of per-shard routed operations
-    shard_ops: tuple[int, ...]
-    shard_costs: tuple[int, ...]
-    shard_read_amps: tuple[float, ...]
-    shard_simulated_seconds: tuple[float, ...]
 
 
 class ClusterScheduler:
@@ -94,17 +80,24 @@ class ClusterScheduler:
 
     def metrics(
         self, shard_ops: Sequence[int], shard_results: Sequence[StrategyResult]
-    ) -> ClusterMetrics:
-        """Cluster metrics for one label's per-shard results."""
-        simulated = tuple(r.simulated_seconds for r in shard_results)
-        return ClusterMetrics(
+    ) -> dict[str, Any]:
+        """The cluster-computed result fields of one label's shards.
+
+        The cluster's ``simulated_seconds`` is the global makespan under
+        the shared lane budget; the per-shard vectors and the imbalance
+        headline (p99/mean of routed operations) ride along.
+        """
+        makespan = self.makespan([r.simulated_seconds for r in shard_results])
+        return dict(
+            simulated_seconds=makespan,
             num_shards=len(shard_results),
-            makespan_seconds=self.makespan(simulated),
-            imbalance=imbalance_p99_over_mean([float(n) for n in shard_ops]),
+            cluster_makespan_seconds=makespan,
+            shard_imbalance=imbalance_p99_over_mean(
+                [float(n) for n in shard_ops]
+            ),
             shard_ops=tuple(int(n) for n in shard_ops),
             shard_costs=tuple(r.cost_actual for r in shard_results),
             shard_read_amps=tuple(r.read_amplification for r in shard_results),
-            shard_simulated_seconds=simulated,
         )
 
 
@@ -116,10 +109,10 @@ def combine_shard_results(
 ) -> StrategyResult:
     """One cluster-level :class:`StrategyResult` from per-shard rows.
 
-    Additive counters are summed across shards; ``simulated_seconds``
-    becomes the scheduler's global makespan under the shared lane
-    budget; the per-shard vectors and the imbalance headline ride along
-    in the cluster fields.
+    Every field folds by its rule in the metric catalogue
+    (:func:`~repro.simulator.metrics.fold_shards`: additive counters
+    sum, utilization-style fractions average, ...); the scheduler
+    supplies the makespan, the imbalance and the per-shard vectors.
     """
     if not shard_results:
         raise ConfigError("combine_shard_results needs at least one shard")
@@ -127,56 +120,4 @@ def combine_shard_results(
         raise ConfigError(
             f"mixed strategy labels in shard results for {label!r}"
         )
-    metrics = scheduler.metrics(shard_ops, shard_results)
-    executors = [r for r in shard_results if r.merge_executor != "serial"]
-    merge_executor = (
-        executors[0].merge_executor if executors else shard_results[0].merge_executor
-    )
-    merge_workers = (
-        executors[0].merge_workers if executors else shard_results[0].merge_workers
-    )
-    utilizations = [r.merge_utilization for r in shard_results]
-    return StrategyResult(
-        strategy=label,
-        n_tables=sum(r.n_tables for r in shard_results),
-        n_merges=sum(r.n_merges for r in shard_results),
-        cost_actual=sum(r.cost_actual for r in shard_results),
-        cost_simplified=sum(r.cost_simplified for r in shard_results),
-        lopt_entries=sum(r.lopt_entries for r in shard_results),
-        bytes_read=sum(r.bytes_read for r in shard_results),
-        bytes_written=sum(r.bytes_written for r in shard_results),
-        io_seconds=sum(r.io_seconds for r in shard_results),
-        simulated_seconds=metrics.makespan_seconds,
-        strategy_overhead_seconds=sum(
-            r.strategy_overhead_seconds for r in shard_results
-        ),
-        wall_seconds=sum(r.wall_seconds for r in shard_results),
-        merge_executor=merge_executor,
-        merge_workers=merge_workers,
-        merge_wall_seconds=sum(r.merge_wall_seconds for r in shard_results),
-        merge_utilization=sum(utilizations) / len(utilizations),
-        reads=sum(r.reads for r in shard_results),
-        scans=sum(r.scans for r in shard_results),
-        read_hits=sum(r.read_hits for r in shard_results),
-        read_misses=sum(r.read_misses for r in shard_results),
-        read_tables_probed=sum(r.read_tables_probed for r in shard_results),
-        read_bloom_skips=sum(r.read_bloom_skips for r in shard_results),
-        read_bloom_false_positives=sum(
-            r.read_bloom_false_positives for r in shard_results
-        ),
-        read_bytes=sum(r.read_bytes for r in shard_results),
-        scan_tables_probed=sum(r.scan_tables_probed for r in shard_results),
-        scan_tables_pruned=sum(r.scan_tables_pruned for r in shard_results),
-        scan_records_scanned=sum(
-            r.scan_records_scanned for r in shard_results
-        ),
-        scan_records_returned=sum(
-            r.scan_records_returned for r in shard_results
-        ),
-        num_shards=len(shard_results),
-        cluster_makespan_seconds=metrics.makespan_seconds,
-        shard_imbalance=metrics.imbalance,
-        shard_ops=metrics.shard_ops,
-        shard_costs=metrics.shard_costs,
-        shard_read_amps=metrics.shard_read_amps,
-    )
+    return fold_shards(shard_results, scheduler.metrics(shard_ops, shard_results))

@@ -1,11 +1,12 @@
 """Execute any :class:`Scenario` through the existing sweep machinery.
 
-:func:`execute_sweep` maps a :class:`SweepSpec` onto the simulator's
-``sweep_*`` functions (the same code path the figure goldens certify);
-:class:`ExperimentRunner` resolves a scenario (fast variant, CLI
-overrides, per-distribution axis), runs it, renders a generic
-table-plus-plot report, and optionally records a schema-versioned
-manifest through :class:`~repro.scenarios.store.ResultsStore`.
+:func:`execute_sweep` hands a :class:`SweepSpec` to the simulator's
+:func:`~repro.simulator.runner.sweep` (the same code path the figure
+goldens certify); :class:`ExperimentRunner` resolves a scenario (fast
+variant, CLI overrides, per-distribution axis), runs it, renders a
+generic table-plus-plot report, and optionally records a
+schema-versioned manifest through
+:class:`~repro.scenarios.store.ResultsStore`.
 
 The legacy figure functions in :mod:`repro.analysis.experiments` run
 their sweeps through :func:`execute_sweep` too, so "through the
@@ -20,19 +21,14 @@ from typing import Any, Mapping, Optional, Sequence, Union
 
 from ..errors import ScenarioError
 from ..simulator.config import SimulationConfig
-from ..simulator.metrics import AggregateResult
+from ..simulator.metrics import cell_metrics, report_table, shown_groups
 from ..simulator.phase1 import resolve_plane
 from ..simulator.runner import (
+    SWEEP_AXES,
     ComparisonResult,
     SweepResult,
     run_comparison,
-    sweep_hll_precision,
-    sweep_k,
-    sweep_memtable_capacity,
-    sweep_num_shards,
-    sweep_operationcount,
-    sweep_shard_skew,
-    sweep_update_fraction,
+    sweep as run_sweep,
 )
 from .registry import REGISTRY, ScenarioRegistry
 from .spec import Scenario, SweepSpec
@@ -48,38 +44,19 @@ def execute_sweep(
     fast: bool = False,
 ) -> SweepResult:
     """Run one declared sweep on ``config`` via the simulator machinery."""
-    values = sweep.values_for(fast)
-    labels = tuple(strategies)
-    if sweep.parameter == "update_fraction":
-        return sweep_update_fraction(config, values, labels, runs, jobs=jobs)
-    if sweep.parameter == "operationcount":
-        return sweep_operationcount(
-            config, [int(v) for v in values], labels, runs, jobs=jobs
-        )
-    if sweep.parameter == "memtable_capacity":
-        return sweep_memtable_capacity(
-            [int(v) for v in values],
-            labels,
-            runs=runs,
-            n_sstables=sweep.n_sstables,
-            jobs=jobs,
-            base=config,
-        )
-    if sweep.parameter == "k":
-        return sweep_k(config, [int(v) for v in values], labels, runs, jobs=jobs)
-    if sweep.parameter == "hll_precision":
-        return sweep_hll_precision(
-            config, [int(v) for v in values], labels, runs, jobs=jobs
-        )
-    if sweep.parameter == "num_shards":
-        return sweep_num_shards(
-            config, [int(v) for v in values], labels, runs, jobs=jobs
-        )
-    if sweep.parameter == "shard_skew":
-        return sweep_shard_skew(
-            config, [float(v) for v in values], labels, runs, jobs=jobs
-        )
-    raise ScenarioError(f"unknown sweep parameter {sweep.parameter!r}")
+    options = {
+        name: getattr(sweep, name)
+        for name in SWEEP_AXES[sweep.parameter].options
+    }
+    return run_sweep(
+        config,
+        sweep.parameter,
+        sweep.values_for(fast),
+        tuple(strategies),
+        runs,
+        jobs,
+        **options,
+    )
 
 
 def render_comparison_table(
@@ -89,87 +66,17 @@ def render_comparison_table(
 ) -> str:
     """The classic single-run comparison table.
 
-    The unified CLI renders every comparison scenario through it.
+    The unified CLI renders every comparison scenario through it; the
+    columns (and which optional groups appear) come from the metric
+    catalogue.
     """
     # Imported lazily: repro.analysis's package init pulls in the figure
     # registry, which itself imports this module (render-only cycle).
     from ..analysis.tables import format_table
 
-    # Read columns appear only when the serving phase ran (the mix had
-    # reads/scans), so write-only reports stay byte-identical.
-    served = any(
-        comparison.per_strategy[label].reads_mean
-        or comparison.per_strategy[label].scans_mean
-        for label in labels
+    headers, rows = report_table(
+        [comparison.per_strategy[label] for label in labels]
     )
-    # Merge-execution columns appear only when a non-serial backend ran,
-    # so historical (serial) reports stay byte-identical.
-    parallel = any(
-        comparison.per_strategy[label].merge_executor != "serial"
-        for label in labels
-    )
-    # Cluster columns appear only for sharded runs (num_shards > 1), so
-    # unsharded reports stay byte-identical.
-    sharded = any(
-        comparison.per_strategy[label].num_shards > 1 for label in labels
-    )
-    # Ingest columns appear only when the concurrent write pipeline ran,
-    # so serial reports stay byte-identical.
-    pipelined = any(
-        comparison.per_strategy[label].write_pipeline for label in labels
-    )
-    headers = [
-        "strategy",
-        "costactual mean",
-        "std",
-        "cost/LOPT",
-        "sim seconds",
-        "overhead s",
-    ]
-    if parallel:
-        headers += ["merge wall s", "workers", "util%"]
-    if sharded:
-        headers += ["shards", "makespan s", "imbalance"]
-    if pipelined:
-        headers += ["ingest s", "stalls", "overlap%"]
-    if served:
-        headers += ["read amp", "bloom FP%", "read MB"]
-    rows = []
-    for label in labels:
-        agg = comparison.per_strategy[label]
-        row = [
-            label,
-            agg.cost_actual_mean,
-            agg.cost_actual_std,
-            agg.cost_over_lopt,
-            agg.simulated_seconds_mean + agg.strategy_overhead_mean,
-            agg.strategy_overhead_mean,
-        ]
-        if parallel:
-            row += [
-                agg.merge_wall_seconds_mean,
-                f"{agg.merge_executor} x{agg.merge_workers}",
-                agg.merge_utilization_mean * 100.0,
-            ]
-        if sharded:
-            row += [
-                agg.num_shards,
-                agg.cluster_makespan_mean,
-                agg.shard_imbalance_mean,
-            ]
-        if pipelined:
-            row += [
-                agg.ingest_wall_seconds_mean,
-                agg.write_stall_count_mean,
-                agg.flush_overlap_fraction_mean * 100.0,
-            ]
-        if served:
-            row += [
-                agg.read_amplification_mean,
-                agg.bloom_fp_rate_mean * 100.0,
-                agg.read_bytes_mean / 1e6,
-            ]
-        rows.append(row)
     return format_table(
         headers,
         rows,
@@ -182,14 +89,12 @@ def render_comparison_table(
     )
 
 
-def _render_sweep_tables(
-    sweep: SweepResult, parameter: str, runs: int
-) -> str:
+def _render_sweep_tables(sweep: SweepResult, runs: int) -> str:
     """Cost and time tables plus a cost plot for one executed sweep."""
     from ..analysis.ascii_plot import scatter_plot
     from ..analysis.tables import format_table
 
-    labels = sweep.labels
+    labels, parameter = sweep.labels, sweep.parameter
     cost_rows, time_rows = [], []
     cost_series: dict[str, list[tuple[float, float]]] = {l: [] for l in labels}
     for point in sweep.points:
@@ -198,10 +103,7 @@ def _render_sweep_tables(
         for label in labels:
             agg = point.per_strategy[label]
             cost_row += [agg.cost_actual_mean, agg.cost_actual_std]
-            time_row += [
-                agg.simulated_seconds_mean + agg.strategy_overhead_mean,
-                agg.simulated_seconds_std,
-            ]
+            time_row += [agg.simulated_seconds_mean, agg.simulated_seconds_std]
             cost_series[label].append((point.x, agg.cost_actual_mean))
         cost_rows.append(cost_row)
         time_rows.append(time_row)
@@ -220,50 +122,6 @@ def _render_sweep_tables(
         cost_series, xlabel=parameter, ylabel="costactual"
     )
     return f"{cost_text}\n\n{time_text}\n\n{plot}"
-
-
-def _cell_metrics(agg: AggregateResult) -> dict[str, Any]:
-    return {
-        "strategy": agg.strategy,
-        "runs": agg.runs,
-        "cost_actual_mean": agg.cost_actual_mean,
-        "cost_actual_std": agg.cost_actual_std,
-        "cost_simplified_mean": agg.cost_simplified_mean,
-        "cost_over_lopt": agg.cost_over_lopt,
-        "lopt_entries_mean": agg.lopt_entries_mean,
-        "simulated_seconds_mean": agg.simulated_seconds_mean,
-        "simulated_seconds_std": agg.simulated_seconds_std,
-        "strategy_overhead_mean": agg.strategy_overhead_mean,
-        "wall_seconds_mean": agg.wall_seconds_mean,
-        # Real merge-execution accounting (additive keys; serial
-        # defaults for strategies that never ran a parallel backend).
-        "merge_executor": agg.merge_executor,
-        "merge_workers": agg.merge_workers,
-        "merge_wall_seconds_mean": agg.merge_wall_seconds_mean,
-        "merge_utilization_mean": agg.merge_utilization_mean,
-        # Serving-phase read metrics (additive keys; all zero for
-        # write-only mixes — see store.py's schema policy).
-        "reads_mean": agg.reads_mean,
-        "scans_mean": agg.scans_mean,
-        "read_amplification_mean": agg.read_amplification_mean,
-        "bloom_fp_rate_mean": agg.bloom_fp_rate_mean,
-        "read_bytes_mean": agg.read_bytes_mean,
-        "scan_records_scanned_mean": agg.scan_records_scanned_mean,
-        # Cluster-level metrics (additive keys; num_shards == 1 with
-        # empty per-shard vectors for unsharded runs).
-        "num_shards": agg.num_shards,
-        "cluster_makespan_mean": agg.cluster_makespan_mean,
-        "shard_imbalance_mean": agg.shard_imbalance_mean,
-        "shard_ops_mean": list(agg.shard_ops_mean),
-        "shard_costs_mean": list(agg.shard_costs_mean),
-        "shard_read_amps_mean": list(agg.shard_read_amps_mean),
-        # Phase-1 ingest accounting (additive keys; serial defaults for
-        # runs without the concurrent write pipeline).
-        "write_pipeline": agg.write_pipeline,
-        "ingest_wall_seconds_mean": agg.ingest_wall_seconds_mean,
-        "write_stall_count_mean": agg.write_stall_count_mean,
-        "flush_overlap_fraction_mean": agg.flush_overlap_fraction_mean,
-    }
 
 
 @dataclass(frozen=True)
@@ -289,57 +147,47 @@ class ScenarioRun:
         """
         return resolve_plane(self.config)
 
+    def _points(self):
+        """``(cell header, per-strategy aggregates)`` of every executed
+        point: the points of a sweep, or a comparison's single one."""
+        for distribution, result in self.results.items():
+            if isinstance(result, SweepResult):
+                for point in result.points:
+                    yield {
+                        "distribution": distribution,
+                        # The executed sweep's own axis name (e.g.
+                        # "update_percentage"), which is the unit
+                        # point.x is expressed in — the spec's
+                        # "update_fraction" values are fractions.
+                        "parameter": result.parameter,
+                        "x": point.x,
+                        "plane_used": resolve_plane(point.config),
+                    }, point.per_strategy
+            else:
+                yield {
+                    "distribution": distribution,
+                    "parameter": None,
+                    "x": None,
+                    # Plane eligibility never depends on the
+                    # distribution, so the base config's resolution
+                    # covers every leg.
+                    "plane_used": self.plane_used,
+                }, result.per_strategy
+
     @property
     def read_phase_served(self) -> bool:
         """True when at least one cell replayed reads/scans (serving phase)."""
-        return any(
-            agg.reads_mean or agg.scans_mean
-            for result in self.results.values()
-            for per_strategy in (
-                [point.per_strategy for point in result.points]
-                if isinstance(result, SweepResult)
-                else [result.per_strategy]
-            )
-            for agg in per_strategy.values()
+        return "served" in shown_groups(
+            [agg for _, aggs in self._points() for agg in aggs.values()]
         )
 
     def cells(self) -> list[dict[str, Any]]:
         """Flat per-(distribution, x, strategy) metric rows for the store."""
-        rows: list[dict[str, Any]] = []
-        for distribution, result in self.results.items():
-            if isinstance(result, SweepResult):
-                for point in result.points:
-                    plane = resolve_plane(point.config)
-                    for label in result.labels:
-                        rows.append(
-                            {
-                                "distribution": distribution,
-                                # The executed sweep's own axis name
-                                # (e.g. "update_percentage"), which is
-                                # the unit point.x is expressed in — the
-                                # spec's "update_fraction" values are
-                                # fractions, not percentages.
-                                "parameter": result.parameter,
-                                "x": point.x,
-                                "plane_used": plane,
-                                **_cell_metrics(point.per_strategy[label]),
-                            }
-                        )
-            else:
-                # Plane eligibility never depends on the distribution,
-                # so the base config's resolution covers every leg.
-                plane = self.plane_used
-                for label, agg in result.per_strategy.items():
-                    rows.append(
-                        {
-                            "distribution": distribution,
-                            "parameter": None,
-                            "x": None,
-                            "plane_used": plane,
-                            **_cell_metrics(agg),
-                        }
-                    )
-        return rows
+        return [
+            {**header, **cell_metrics(agg)}
+            for header, aggs in self._points()
+            for agg in aggs.values()
+        ]
 
     def render(self) -> str:
         """A terminal report: header plus tables/plots per distribution."""
@@ -355,11 +203,7 @@ class ScenarioRun:
             if len(self.results) > 1:
                 lines.append(f"-- distribution: {distribution} --")
             if isinstance(result, SweepResult):
-                lines.append(
-                    _render_sweep_tables(
-                        result, result.parameter, self.runs
-                    )
-                )
+                lines.append(_render_sweep_tables(result, self.runs))
             else:
                 config = replace(self.config, distribution=distribution)
                 lines.append(

@@ -24,19 +24,11 @@ from typing import Any, Mapping, Optional, Sequence
 from ..errors import ScenarioError
 from ..simulator.config import SimulationConfig
 from ..simulator.phase2 import known_strategy_labels, strategy_labels
+from ..simulator.runner import SWEEP_AXES
 from ..ycsb.distributions import available_distributions
 
-#: Sweepable SimulationConfig parameters: one per paper figure axis,
-#: plus the kernel knobs the registry's ablation presets grid over.
-SWEEP_PARAMETERS: tuple[str, ...] = (
-    "update_fraction",   # Figure 7 / 9a
-    "memtable_capacity",  # Figure 8 (operationcount derived via n_sstables)
-    "operationcount",    # Figure 9b
-    "k",                 # merge fan-in (k-sweep preset)
-    "hll_precision",     # estimator resolution (hll-sweep preset)
-    "num_shards",        # scale-out tier (shard-sweep preset)
-    "shard_skew",        # multi-tenant shard weights (multi-tenant preset)
-)
+#: Sweepable SimulationConfig parameters (the simulator's axis table).
+SWEEP_PARAMETERS: tuple[str, ...] = tuple(SWEEP_AXES)
 
 #: Version of the ``to_dict`` wire format (bumped on breaking changes).
 SPEC_VERSION = 1

@@ -29,16 +29,11 @@ from .phase2 import (
 from .read_path import READ_KERNELS, ReadPhaseResult, serve_reads
 from .runner import (
     ComparisonResult,
+    SWEEP_AXES,
     SweepPoint,
     SweepResult,
     run_comparison,
-    sweep_hll_precision,
-    sweep_k,
-    sweep_memtable_capacity,
-    sweep_num_shards,
-    sweep_operationcount,
-    sweep_shard_skew,
-    sweep_update_fraction,
+    sweep,
 )
 
 __all__ = [
@@ -49,6 +44,7 @@ __all__ = [
     "Phase1Result",
     "READ_KERNELS",
     "ReadPhaseResult",
+    "SWEEP_AXES",
     "SimulationConfig",
     "StrategyResult",
     "SweepPoint",
@@ -65,11 +61,5 @@ __all__ = [
     "run_strategy",
     "serve_reads",
     "strategy_labels",
-    "sweep_hll_precision",
-    "sweep_k",
-    "sweep_memtable_capacity",
-    "sweep_num_shards",
-    "sweep_operationcount",
-    "sweep_shard_skew",
-    "sweep_update_fraction",
+    "sweep",
 ]

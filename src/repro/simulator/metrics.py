@@ -1,10 +1,22 @@
-"""Result records and aggregation for simulator runs."""
+"""The metric catalogue: what a run reports, declared once.
+
+:class:`StrategyResult` is what one strategy measured on one run.
+Everything downstream of it is *derived* from :data:`CATALOGUE`, one
+:class:`Metric` row per reported number: how per-shard rows fold into a
+cluster row (:func:`fold_shards`), how repeated runs aggregate
+(:class:`AggregateResult`, :func:`aggregate` — "the average and the
+standard deviation for cost and time ... from 3 independent runs",
+paper §5.2), which key the number has in a manifest cell
+(:func:`cell_metrics`) and which column, if any, it gets in the
+comparison table (:func:`report_table`).  Adding a metric is one row
+plus its producer; see docs/simulator.md, "Adding a metric".
+"""
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, fields
-from typing import Sequence
+from dataclasses import MISSING, dataclass, fields, make_dataclass
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -90,70 +102,43 @@ class StrategyResult:
         )
 
 
-@dataclass(frozen=True)
-class AggregateResult:
-    """Mean and standard deviation over repeated runs of one strategy."""
+# ----------------------------------------------------------------------
+# Rules
+# ----------------------------------------------------------------------
+# Shard-fold rules, ``(field name, per-shard rows) -> cluster value``.
+def _sum(name: str, shards: Sequence[StrategyResult]) -> Any:
+    return sum(getattr(row, name) for row in shards)
 
-    strategy: str
-    runs: int
-    cost_actual_mean: float
-    cost_actual_std: float
-    cost_simplified_mean: float
-    simulated_seconds_mean: float
-    simulated_seconds_std: float
-    wall_seconds_mean: float
-    strategy_overhead_mean: float
-    lopt_entries_mean: float
-    # Real merge-execution accounting: the backend/worker settings are
-    # constant across runs of one config; wall clock and utilization are
-    # averaged like the other measured times.
-    merge_executor: str = "serial"
-    merge_workers: int = 1
-    merge_wall_seconds_mean: float = 0.0
-    merge_utilization_mean: float = 0.0
-    # Serving-phase read metrics, averaged over runs (all zero for
-    # write-only mixes so historical reports are unchanged).
-    reads_mean: float = 0.0
-    scans_mean: float = 0.0
-    read_amplification_mean: float = 0.0
-    bloom_fp_rate_mean: float = 0.0
-    read_bytes_mean: float = 0.0
-    scan_records_scanned_mean: float = 0.0
-    # Cluster-level fields: shard count is constant across runs of one
-    # config; the makespan/imbalance headlines and the per-shard load
-    # vector are averaged elementwise over runs.
-    num_shards: int = 1
-    cluster_makespan_mean: float = 0.0
-    shard_imbalance_mean: float = 0.0
-    shard_ops_mean: tuple[float, ...] = ()
-    shard_costs_mean: tuple[float, ...] = ()
-    shard_read_amps_mean: tuple[float, ...] = ()
-    # Phase-1 ingest accounting: the pipeline flag is constant across
-    # runs of one config; wall/stalls/overlap average like other
-    # measured times.
-    write_pipeline: bool = False
-    ingest_wall_seconds_mean: float = 0.0
-    write_stall_count_mean: float = 0.0
-    flush_overlap_fraction_mean: float = 0.0
 
-    @property
-    def cost_over_lopt(self) -> float:
-        return (
-            self.cost_actual_mean / self.lopt_entries_mean
-            if self.lopt_entries_mean
-            else 0.0
-        )
+def _mean(name: str, shards: Sequence[StrategyResult]) -> float:
+    return _sum(name, shards) / len(shards)
+
+
+def _first(name: str, shards: Sequence[StrategyResult]) -> Any:
+    """Constant across the shards of one cell (label, pipeline flag)."""
+    return getattr(shards[0], name)
+
+
+def _executor(name: str, shards: Sequence[StrategyResult]) -> Any:
+    """The first shard that ran a real merge backend speaks for the
+    cluster (empty shards report the serial defaults)."""
+    ran = [row for row in shards if row.merge_executor != "serial"]
+    return getattr((ran or shards)[0], name)
+
+
+#: Fold rule of the fields the cluster scheduler computes (the LPT
+#: makespan, the imbalance headline, the per-shard vectors); their
+#: values are handed to :func:`fold_shards`.
+CLUSTER = "cluster"
 
 
 def _std(values: Sequence[float]) -> float:
     return statistics.stdev(values) if len(values) > 1 else 0.0
 
 
-def _elementwise_mean(
-    vectors: Sequence[Sequence[float]],
-) -> tuple[float, ...]:
+def _vector_mean(vectors: Sequence[Sequence[float]]) -> tuple[float, ...]:
     """Per-shard mean over runs (empty when the vectors are empty)."""
-    if not vectors or not vectors[0]:
+    if not vectors[0]:
         return ()
     lengths = {len(vector) for vector in vectors}
     if len(lengths) != 1:
@@ -164,6 +149,179 @@ def _elementwise_mean(
     )
 
 
+# Run-aggregation rules: the suffixes of the aggregate keys a rule
+# emits, and ``per-run values -> one value per suffix``.
+PER_RUN = ((), None)  # reported per run only, never aggregated
+CONST = (("",), lambda values: (values[0],))  # same in every run of a config
+COUNT = (("",), lambda values: (len(values),))
+MEAN = (("_mean",), lambda values: (statistics.mean(values),))
+MEAN_STD = (
+    ("_mean", "_std"),
+    lambda values: (statistics.mean(values), _std(values)),
+)
+VECTOR = (("_mean",), lambda values: (_vector_mean(values),))
+DERIVED = (("",), None)  # a property of the aggregate, recomputed from its keys
+
+
+def _percent(value: float, agg: Any) -> float:
+    return value * 100.0
+
+
+def _megabytes(value: float, agg: Any) -> float:
+    return value / 1e6
+
+
+def _backend_and_workers(workers: int, agg: Any) -> str:
+    return f"{agg.merge_executor} x{workers}"
+
+
+@dataclass(frozen=True)
+class Column:
+    """A comparison-table column: its header, its group ("" = always
+    shown) and how ``(value, aggregate)`` is displayed (default: as is)."""
+
+    header: str
+    group: str = ""
+    show: Callable[[Any, Any], Any] = lambda value, agg: value
+
+
+def _col(*column: Any) -> tuple[Column, ...]:
+    return (Column(*column),)
+
+
+@dataclass(frozen=True)
+class Metric:
+    """One catalogue row: everything the stack knows about one number."""
+
+    #: The :class:`StrategyResult` field or property the value is read
+    #: from (``None``: the row counts the runs).
+    source: Optional[str]
+    #: Shard-fold rule; ``None`` for a property, which the folded row
+    #: recomputes from its fields.
+    fold: Any
+    #: Run-aggregation rule (one of the constants above).
+    runs: tuple
+    #: Report columns of the row's keys, in key order.
+    columns: tuple[Column, ...] = ()
+    #: Stem of the aggregate attribute / manifest key when it is not
+    #: ``source`` itself.
+    stem: str = ""
+    #: Column group this row switches on: the group is shown when some
+    #: strategy's value differs from the field's default.
+    switch: str = ""
+    #: The ``ReadPhaseResult`` attribute the serving phase fills it from.
+    served: str = ""
+    #: Filled from the ``Phase1Result`` attribute of the same name.
+    ingest: bool = False
+
+    @property
+    def keys(self) -> tuple[str, ...]:
+        """The aggregate attributes / manifest keys this row emits."""
+        return tuple((self.stem or self.source) + end for end in self.runs[0])
+
+
+# One row per line, in comparison-table column order (which is why the
+# serving block sits last although its fields precede the cluster's).
+CATALOGUE: tuple[Metric, ...] = (
+    Metric("strategy", _first, CONST, _col("strategy")),
+    Metric(None, None, COUNT, stem="runs"),
+    Metric("n_tables", _sum, PER_RUN),
+    Metric("n_merges", _sum, PER_RUN),
+    Metric("cost_actual", _sum, MEAN_STD, _col("costactual mean") + _col("std")),
+    Metric("cost_simplified", _sum, MEAN),
+    Metric("cost_over_lopt", None, DERIVED, _col("cost/LOPT")),
+    Metric("lopt_entries", _sum, MEAN),
+    Metric("bytes_read", _sum, PER_RUN),
+    Metric("bytes_written", _sum, PER_RUN),
+    Metric("io_seconds", _sum, PER_RUN),
+    # Scheduled I/O only; a cluster's is the makespan of its shards'
+    # schedules under the shared lane budget.
+    Metric("simulated_seconds", CLUSTER, PER_RUN),
+    # "The running time measures both the strategy overhead and the
+    # actual merge time" (paper 5.1): the reported time holds both.
+    Metric(
+        "total_simulated_seconds", None, MEAN_STD, _col("sim seconds"),
+        stem="simulated_seconds",
+    ),
+    Metric(
+        "strategy_overhead_seconds", _sum, MEAN, _col("overhead s"),
+        stem="strategy_overhead",
+    ),
+    Metric("wall_seconds", _sum, MEAN),
+    # Real merge execution (lsm/compaction/executor.py).
+    Metric("merge_wall_seconds", _sum, MEAN, _col("merge wall s", "parallel")),
+    Metric("merge_executor", _executor, CONST, switch="parallel"),
+    Metric(
+        "merge_workers", _executor, CONST,
+        _col("workers", "parallel", _backend_and_workers),
+    ),
+    Metric("merge_utilization", _mean, MEAN, _col("util%", "parallel", _percent)),
+    # Cluster shape (cluster/scheduler.py).
+    Metric("num_shards", CLUSTER, CONST, _col("shards", "sharded"), switch="sharded"),
+    Metric(
+        "cluster_makespan_seconds", CLUSTER, MEAN, _col("makespan s", "sharded"),
+        stem="cluster_makespan",
+    ),
+    Metric("shard_imbalance", CLUSTER, MEAN, _col("imbalance", "sharded")),
+    Metric("shard_ops", CLUSTER, VECTOR),
+    Metric("shard_costs", CLUSTER, VECTOR),
+    Metric("shard_read_amps", CLUSTER, VECTOR),
+    # Phase-1 ingest accounting (simulator/phase1.py).
+    Metric("write_pipeline", _first, CONST, switch="pipelined", ingest=True),
+    Metric(
+        "ingest_wall_seconds", _sum, MEAN, _col("ingest s", "pipelined"),
+        ingest=True,
+    ),
+    Metric("write_stall_count", _sum, MEAN, _col("stalls", "pipelined"), ingest=True),
+    Metric(
+        "flush_overlap_fraction", _mean, MEAN,
+        _col("overlap%", "pipelined", _percent), ingest=True,
+    ),
+    # Serving phase (simulator/read_path.py).
+    Metric("reads", _sum, MEAN, switch="served", served="reads"),
+    Metric("scans", _sum, MEAN, switch="served", served="scans"),
+    Metric("read_hits", _sum, PER_RUN, served="hits"),
+    Metric("read_misses", _sum, PER_RUN, served="misses"),
+    Metric("read_tables_probed", _sum, PER_RUN, served="tables_probed"),
+    Metric("read_bloom_skips", _sum, PER_RUN, served="bloom_skips"),
+    Metric("read_bloom_false_positives", _sum, PER_RUN, served="bloom_false_positives"),
+    Metric("read_amplification", None, MEAN, _col("read amp", "served")),
+    Metric("bloom_fp_rate", None, MEAN, _col("bloom FP%", "served", _percent)),
+    Metric(
+        "read_bytes", _sum, MEAN, _col("read MB", "served", _megabytes),
+        served="read_bytes",
+    ),
+    Metric("scan_tables_probed", _sum, PER_RUN, served="scan_tables_probed"),
+    Metric("scan_tables_pruned", _sum, PER_RUN, served="scan_tables_pruned"),
+    Metric("scan_records_scanned", _sum, MEAN, served="scan_records_scanned"),
+    Metric("scan_records_returned", _sum, PER_RUN, served="scan_records_returned"),
+)
+
+
+# ----------------------------------------------------------------------
+# Derived from the catalogue
+# ----------------------------------------------------------------------
+def _aggregate_cost_over_lopt(self) -> float:
+    return (
+        self.cost_actual_mean / self.lopt_entries_mean
+        if self.lopt_entries_mean
+        else 0.0
+    )
+
+
+AggregateResult = make_dataclass(
+    "AggregateResult",
+    [key for metric in CATALOGUE if metric.runs[1] for key in metric.keys],
+    frozen=True,
+    namespace={
+        "__doc__": "Mean / standard deviation / constant over repeated runs "
+        "of one strategy: one attribute per stored catalogue key.",
+        "cost_over_lopt": property(_aggregate_cost_over_lopt),
+    },
+)
+AggregateResult.__module__ = __name__  # picklable on every supported python
+
+
 def aggregate(results: Sequence[StrategyResult]) -> AggregateResult:
     """Aggregate repeated runs of the same strategy."""
     if not results:
@@ -171,78 +329,101 @@ def aggregate(results: Sequence[StrategyResult]) -> AggregateResult:
     names = {result.strategy for result in results}
     if len(names) != 1:
         raise ValueError(f"mixed strategies in aggregation: {sorted(names)}")
-    costs = [result.cost_actual for result in results]
-    sims = [result.total_simulated_seconds for result in results]
-    return AggregateResult(
-        strategy=results[0].strategy,
-        runs=len(results),
-        cost_actual_mean=statistics.mean(costs),
-        cost_actual_std=_std(costs),
-        cost_simplified_mean=statistics.mean(
-            [result.cost_simplified for result in results]
-        ),
-        simulated_seconds_mean=statistics.mean(sims),
-        simulated_seconds_std=_std(sims),
-        wall_seconds_mean=statistics.mean(
-            [result.wall_seconds for result in results]
-        ),
-        strategy_overhead_mean=statistics.mean(
-            [result.strategy_overhead_seconds for result in results]
-        ),
-        lopt_entries_mean=statistics.mean(
-            [result.lopt_entries for result in results]
-        ),
-        merge_executor=results[0].merge_executor,
-        merge_workers=results[0].merge_workers,
-        merge_wall_seconds_mean=statistics.mean(
-            [result.merge_wall_seconds for result in results]
-        ),
-        merge_utilization_mean=statistics.mean(
-            [result.merge_utilization for result in results]
-        ),
-        reads_mean=statistics.mean([result.reads for result in results]),
-        scans_mean=statistics.mean([result.scans for result in results]),
-        read_amplification_mean=statistics.mean(
-            [result.read_amplification for result in results]
-        ),
-        bloom_fp_rate_mean=statistics.mean(
-            [result.bloom_fp_rate for result in results]
-        ),
-        read_bytes_mean=statistics.mean(
-            [result.read_bytes for result in results]
-        ),
-        scan_records_scanned_mean=statistics.mean(
-            [result.scan_records_scanned for result in results]
-        ),
-        num_shards=results[0].num_shards,
-        cluster_makespan_mean=statistics.mean(
-            [result.cluster_makespan_seconds for result in results]
-        ),
-        shard_imbalance_mean=statistics.mean(
-            [result.shard_imbalance for result in results]
-        ),
-        shard_ops_mean=_elementwise_mean(
-            [result.shard_ops for result in results]
-        ),
-        shard_costs_mean=_elementwise_mean(
-            [result.shard_costs for result in results]
-        ),
-        shard_read_amps_mean=_elementwise_mean(
-            [result.shard_read_amps for result in results]
-        ),
-        write_pipeline=results[0].write_pipeline,
-        ingest_wall_seconds_mean=statistics.mean(
-            [result.ingest_wall_seconds for result in results]
-        ),
-        write_stall_count_mean=statistics.mean(
-            [result.write_stall_count for result in results]
-        ),
-        flush_overlap_fraction_mean=statistics.mean(
-            [result.flush_overlap_fraction for result in results]
-        ),
-    )
+    values: dict[str, Any] = {}
+    for metric in CATALOGUE:
+        rule = metric.runs[1]
+        if rule is not None:
+            per_run = (
+                [getattr(result, metric.source) for result in results]
+                if metric.source
+                else results
+            )
+            values.update(zip(metric.keys, rule(per_run)))
+    return AggregateResult(**values)
 
 
-def result_fields() -> tuple[str, ...]:
-    """Names of the scalar fields of :class:`StrategyResult` (for tables)."""
-    return tuple(field.name for field in fields(StrategyResult))
+def fold_shards(
+    shards: Sequence[StrategyResult], cluster: Mapping[str, Any]
+) -> StrategyResult:
+    """One cluster-level row from per-shard rows of one strategy.
+
+    Every field folds by its catalogue rule; ``cluster`` carries the
+    :data:`CLUSTER` fields, which only the scheduler can compute.
+    """
+    expected = {m.source for m in CATALOGUE if m.fold is CLUSTER}
+    if set(cluster) != expected:
+        raise ValueError(
+            f"cluster-computed fields {sorted(cluster)} != {sorted(expected)}"
+        )
+    folded = {
+        metric.source: metric.fold(metric.source, shards)
+        for metric in CATALOGUE
+        if callable(metric.fold)
+    }
+    return StrategyResult(**folded, **cluster)
+
+
+def empty_result(strategy: str, **produced: Any) -> StrategyResult:
+    """The row of a strategy that had nothing to compact: every required
+    field zero, ``produced`` (serving / ingest fields) on top."""
+    zeros = {
+        f.name: 0.0 if f.type == "float" else 0
+        for f in fields(StrategyResult)
+        if f.default is MISSING
+    }
+    return StrategyResult(**{**zeros, "strategy": strategy, **produced})
+
+
+def served_fields(served: Any) -> dict[str, Any]:
+    """The result fields one ``ReadPhaseResult`` fills."""
+    return {m.source: getattr(served, m.served) for m in CATALOGUE if m.served}
+
+
+def ingest_fields(phase1: Any) -> dict[str, Any]:
+    """The result fields a run's ``Phase1Result`` fills (the tables are
+    shared within a run, so these ride on every strategy's row)."""
+    return {m.source: getattr(phase1, m.source) for m in CATALOGUE if m.ingest}
+
+
+def cell_metrics(agg: AggregateResult) -> dict[str, Any]:
+    """The manifest cell of one aggregate: every catalogue key."""
+    cell = {key: getattr(agg, key) for m in CATALOGUE for key in m.keys}
+    vectors = {k: list(v) for k, v in cell.items() if isinstance(v, tuple)}
+    return {**cell, **vectors}
+
+
+def shown_groups(aggregates: Sequence[AggregateResult]) -> set[str]:
+    """The optional column groups at least one strategy switches on."""
+    defaults = {f.name: f.default for f in fields(StrategyResult)}
+    return {
+        metric.switch
+        for metric in CATALOGUE
+        if metric.switch
+        and any(
+            getattr(agg, metric.keys[0]) != defaults[metric.source]
+            for agg in aggregates
+        )
+    }
+
+
+def report_table(
+    aggregates: Sequence[AggregateResult],
+) -> tuple[list[str], list[list[Any]]]:
+    """Headers and one row per aggregate of the comparison table.
+
+    A column group appears only when some strategy switched it on (a
+    non-serial executor, shards, the write pipeline, served reads), so
+    reports of runs without the feature stay byte-identical.
+    """
+    shown = shown_groups(aggregates) | {""}
+    columns = [
+        (key, column)
+        for metric in CATALOGUE
+        for key, column in zip(metric.keys, metric.columns)
+        if column.group in shown
+    ]
+    rows = [
+        [column.show(getattr(agg, key), agg) for key, column in columns]
+        for agg in aggregates
+    ]
+    return [column.header for _, column in columns], rows

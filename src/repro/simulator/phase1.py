@@ -272,9 +272,37 @@ def generate_sstables_fast(config: SimulationConfig) -> Phase1Result:
     """The batched columnar plane; bit-identical to the reference."""
     workload = CoreWorkload(config.workload_config())
     stream = workload.op_stream_columns(include_read_ops=_wants_read_ops(config))
+    return phase1_from_columns(
+        stream.write_keynums,
+        stream.tombstone_positions,
+        config,
+        total_operations=stream.total_operations,
+        read_ops=stream.read_ops,
+    )
+
+
+def phase1_from_columns(
+    keynums,
+    tombstone_positions,
+    config: SimulationConfig,
+    total_operations: int,
+    read_ops: Optional[ReadOpColumns] = None,
+) -> Phase1Result:
+    """Flush a write column into sstables, timed, with ingest accounting.
+
+    The fast plane's back half.  The sharded engine feeds each shard's
+    write column through it with shard-local indices, so per-shard
+    seqnos restart at 1 — each shard is an independent engine with its
+    own seqno space.  ``keynums`` may be a list or an int64 array;
+    ``tombstone_positions`` indexes into it.  With
+    ``config.write_pipeline`` the slab flushes run through the
+    :class:`~repro.lsm.pipeline.FlushPipeline` (byte-identical by
+    construction: each slab builds independently and publishes in slab
+    order).
+    """
     ingest_start = perf_counter()
     tables, stall_count, overlap_seconds = _build_tables_and_stats(
-        stream.write_keynums, stream.tombstone_positions, config
+        keynums, tombstone_positions, config
     )
     ingest_wall = perf_counter() - ingest_start
     overlap = (
@@ -282,10 +310,10 @@ def generate_sstables_fast(config: SimulationConfig) -> Phase1Result:
     )
     return Phase1Result(
         tables=tables,
-        total_operations=stream.total_operations,
+        total_operations=total_operations,
         total_entries=sum(table.entry_count for table in tables),
         plane_used="fast",
-        read_ops=stream.read_ops,
+        read_ops=read_ops,
         write_pipeline=config.write_pipeline,
         ingest_wall_seconds=ingest_wall,
         write_stall_count=stall_count,
@@ -296,17 +324,8 @@ def generate_sstables_fast(config: SimulationConfig) -> Phase1Result:
 def build_tables_from_columns(
     keynums, tombstone_positions, config: SimulationConfig
 ) -> list[SSTable]:
-    """Flush a write column into sstables exactly like the fast plane.
-
-    The sharded engine feeds each shard's write column through this with
-    shard-local indices, so per-shard seqnos restart at 1 — each shard
-    is an independent engine with its own seqno space.  ``keynums`` may
-    be a list or an int64 array; ``tombstone_positions`` indexes into it.
-    With ``config.write_pipeline`` the slab flushes run through the
-    :class:`~repro.lsm.pipeline.FlushPipeline` (byte-identical by
-    construction: each slab builds independently and publishes in slab
-    order).
-    """
+    """Just the tables of :func:`phase1_from_columns`, untimed (the
+    benchmark's traced mirror times the call itself)."""
     tables, _, _ = _build_tables_and_stats(keynums, tombstone_positions, config)
     return tables
 

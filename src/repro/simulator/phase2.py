@@ -27,7 +27,7 @@ from ..lsm.disk import SimulatedDisk
 from ..lsm.sstable import SSTable
 from ..ycsb.workload import ReadOpColumns
 from .config import SimulationConfig
-from .metrics import StrategyResult
+from .metrics import StrategyResult, served_fields
 from .read_path import serve_reads
 
 #: label -> (policy name, parallel?) for the paper's §5.1 strategy set.
@@ -142,20 +142,8 @@ def run_strategy(
         # like it pins the heap merge kernel; both kernels are
         # bit-identical (tests/simulator/test_read_path.py).
         kernel = "scalar" if config.data_plane == "reference" else "auto"
-        served = serve_reads(result.output_tables, read_ops, kernel=kernel)
-        read_metrics = dict(
-            reads=served.reads,
-            scans=served.scans,
-            read_hits=served.hits,
-            read_misses=served.misses,
-            read_tables_probed=served.tables_probed,
-            read_bloom_skips=served.bloom_skips,
-            read_bloom_false_positives=served.bloom_false_positives,
-            read_bytes=served.read_bytes,
-            scan_tables_probed=served.scan_tables_probed,
-            scan_tables_pruned=served.scan_tables_pruned,
-            scan_records_scanned=served.scan_records_scanned,
-            scan_records_returned=served.scan_records_returned,
+        read_metrics = served_fields(
+            serve_reads(result.output_tables, read_ops, kernel=kernel)
         )
     return StrategyResult(
         strategy=label,

@@ -5,17 +5,14 @@ time ... from 3 independent runs of the experiment" (§5.2); runs here
 differ by workload seed, and every strategy is evaluated on the *same*
 phase-1 sstables within a run (paired comparison, as in the paper).
 
-Sweeps correspond one-to-one to the figures:
-
-* :func:`sweep_update_fraction` — Figure 7 (and 9a): vary the
-  insert/update mix.
-* :func:`sweep_memtable_capacity` — Figure 8: vary memtable size with a
-  fixed number of sstables.
-* :func:`sweep_operationcount` — Figure 9b: vary the data size.
+Every sweepable parameter is one row of :data:`SWEEP_AXES` and runs
+through :func:`sweep`; the paper's figures are the ``update_fraction``
+(Figure 7 and 9a), ``memtable_capacity`` (Figure 8) and
+``operationcount`` (Figure 9b) axes.
 
 Parallelism
 -----------
-Every sweep (and :func:`run_comparison`) accepts ``jobs``: the
+:func:`sweep` and :func:`run_comparison` accept ``jobs``: the
 independent *(point, run)* cells fan out over a
 ``concurrent.futures.ProcessPoolExecutor``.  A cell is one seeded
 phase 1 plus phase 2 for every strategy label — the whole unit the
@@ -31,11 +28,11 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ConfigError
 from .config import SimulationConfig
-from .metrics import AggregateResult, StrategyResult, aggregate
+from .metrics import AggregateResult, StrategyResult, aggregate, ingest_fields
 from .phase1 import generate_sstables
 from .phase2 import run_strategy, strategy_labels
 
@@ -93,6 +90,10 @@ def _comparison_cell(
         return run_sharded_cell(config, labels, run_index)
     run_config = config.with_seed(config.seed + run_index)
     phase1 = generate_sstables(run_config)
+    # Phase-1 ingest accounting rides on every strategy's result (the
+    # tables are shared within a run, so it is per-cell, not
+    # per-strategy).
+    ingest = ingest_fields(phase1)
     return {
         label: replace(
             run_strategy(
@@ -102,13 +103,7 @@ def _comparison_cell(
                 seed=run_config.seed,
                 read_ops=phase1.read_ops,
             ),
-            # Phase-1 ingest accounting rides on every strategy's result
-            # (the tables are shared within a run, so these are
-            # per-cell, not per-strategy).
-            write_pipeline=phase1.write_pipeline,
-            ingest_wall_seconds=phase1.ingest_wall_seconds,
-            write_stall_count=phase1.write_stall_count,
-            flush_overlap_fraction=phase1.flush_overlap_fraction,
+            **ingest,
         )
         for label in labels
     }
@@ -169,19 +164,15 @@ def _run_cells(
     return results
 
 
-def _comparison_from_cells(
-    config: SimulationConfig,
+def _aggregate_cells(
     labels: tuple[str, ...],
     cell_results: Sequence[dict[str, StrategyResult]],
-) -> ComparisonResult:
-    return ComparisonResult(
-        config=config,
-        per_strategy={
-            label: aggregate([cell[label] for cell in cell_results])
-            for label in labels
-        },
-        runs=len(cell_results),
-    )
+) -> dict[str, AggregateResult]:
+    """Per-strategy aggregates over the runs of one configuration."""
+    return {
+        label: aggregate([cell[label] for cell in cell_results])
+        for label in labels
+    }
 
 
 def run_comparison(
@@ -193,185 +184,132 @@ def run_comparison(
     """Phase 1 + phase 2 for every label, over ``runs`` seeds."""
     labels = tuple(labels) if labels is not None else strategy_labels()
     cells = [(config, labels, run_index) for run_index in range(runs)]
-    return _comparison_from_cells(config, labels, _run_cells(cells, jobs))
+    return ComparisonResult(
+        config, _aggregate_cells(labels, _run_cells(cells, jobs)), runs
+    )
 
 
-def _sweep(
+@dataclass(frozen=True)
+class SweepAxis:
+    """One sweepable parameter: how a value lands on the config and on
+    the x-axis."""
+
+    #: ``SweepResult.parameter``: the unit ``SweepPoint.x`` is in.
+    label: str
+    cast: Callable[[float], Any]
+    #: ``apply(base, value, **options)`` -> the point's config.
+    apply: Callable[..., SimulationConfig]
+    #: Default strategy grid (``None``: the paper's five).
+    labels: Optional[tuple[str, ...]] = None
+    x: Callable[[Any], float] = float
+    #: Keyword options ``apply`` takes beyond the value.
+    options: tuple[str, ...] = ()
+
+
+def _set(field: str) -> Callable[..., SimulationConfig]:
+    return lambda base, value: replace(base, **{field: value})
+
+
+def _set_capacity(
+    base: SimulationConfig, capacity: int, n_sstables: int = 100
+) -> SimulationConfig:
+    """Figure 8's construction: a fixed sstable count, so the implied
+    ``operationcount = capacity * n_sstables - recordcount``."""
+    operationcount = capacity * n_sstables - base.recordcount
+    if operationcount < 0:
+        raise ConfigError(
+            "memtable_capacity * n_sstables must cover the recordcount"
+        )
+    return replace(
+        base, memtable_capacity=capacity, operationcount=operationcount
+    )
+
+
+def _set_shard_skew(base: SimulationConfig, skew: float) -> SimulationConfig:
+    """Zipfian shard-weight skew at a fixed shard count (8 when the
+    base is unsharded: skew needs shards to act on)."""
+    sharded = base if base.num_shards > 1 else replace(base, num_shards=8)
+    return replace(sharded, shard_skew=skew)
+
+
+#: Every sweepable ``SimulationConfig`` parameter: one per paper figure
+#: axis, the kernel knobs the ablation presets grid over, and the
+#: scale-out tier's two.
+SWEEP_AXES: dict[str, SweepAxis] = {
+    # Figure 7 / 9a: the update share of the write mix, plotted in %.
+    "update_fraction": SweepAxis(
+        "update_percentage", float, _set("update_fraction"),
+        x=lambda fraction: fraction * 100.0,
+    ),
+    # Figure 8: memtable size against the LOPT lower bound.
+    "memtable_capacity": SweepAxis(
+        "memtable_capacity", int, _set_capacity, ("BT(I)",),
+        options=("n_sstables",),
+    ),
+    # Figure 9b: the data size.
+    "operationcount": SweepAxis(
+        "operationcount", int, _set("operationcount"), ("SI",)
+    ),
+    # How much a larger merge fan-in shrinks re-merge cost.
+    "k": SweepAxis("k", int, _set("k")),
+    # Only the estimator-driven strategies can move with the precision.
+    "hll_precision": SweepAxis(
+        "hll_precision", int, _set("hll_precision"), ("SO", "BT(O)")
+    ),
+    # Scale-out: does splitting the workload shrink the cluster makespan
+    # faster than it inflates total work?
+    "num_shards": SweepAxis("num_shards", int, _set("num_shards")),
+    # Multi-tenant: do estimation-heavy policies amortize their overhead
+    # better than LM under hot shards?
+    "shard_skew": SweepAxis("shard_skew", float, _set_shard_skew),
+}
+
+
+def sweep(
+    base: SimulationConfig,
     parameter: str,
-    points: Sequence[tuple[float, SimulationConfig]],
-    labels: tuple[str, ...],
-    runs: int,
-    jobs: int,
+    values: Sequence[float],
+    labels: Sequence[str] | None = None,
+    runs: int = 3,
+    jobs: int = 1,
+    **options: Any,
 ) -> SweepResult:
-    """Evaluate every (point, run) cell of a sweep, fanned out together.
+    """Vary one :data:`SWEEP_AXES` parameter of ``base`` over ``values``.
 
-    Parallelizing at the sweep level (rather than per point) keeps all
-    ``jobs`` workers busy across point boundaries.
+    Every (point, run) cell of the sweep fans out together: parallelizing
+    at the sweep level (rather than per point) keeps all ``jobs`` workers
+    busy across point boundaries.
     """
+    try:
+        axis = SWEEP_AXES[parameter]
+    except KeyError:
+        raise ConfigError(
+            f"unknown sweep parameter {parameter!r}; known: {list(SWEEP_AXES)}"
+        ) from None
+    labels = tuple(labels) if labels is not None else (
+        axis.labels or strategy_labels()
+    )
+    points = [
+        (axis.x(value), axis.apply(base, value, **options))
+        for value in map(axis.cast, values)
+    ]
     cells = [
         (config, labels, run_index)
         for _, config in points
         for run_index in range(runs)
     ]
     cell_results = _run_cells(cells, jobs)
-    sweep_points = []
-    for index, (x, config) in enumerate(points):
-        comparison = _comparison_from_cells(
-            config, labels, cell_results[index * runs : (index + 1) * runs]
-        )
-        sweep_points.append(
-            SweepPoint(x=x, config=config, per_strategy=comparison.per_strategy)
-        )
-    return SweepResult(parameter, tuple(sweep_points), labels)
-
-
-def sweep_update_fraction(
-    base: SimulationConfig,
-    fractions: Sequence[float],
-    labels: Sequence[str] | None = None,
-    runs: int = 3,
-    jobs: int = 1,
-) -> SweepResult:
-    """Figure 7's x-axis: update percentage of the write mix."""
-    labels = tuple(labels) if labels is not None else strategy_labels()
-    points = [
-        (fraction * 100.0, replace(base, update_fraction=fraction))
-        for fraction in fractions
-    ]
-    return _sweep("update_percentage", points, labels, runs, jobs)
-
-
-def sweep_memtable_capacity(
-    capacities: Sequence[int],
-    labels: Sequence[str] | None = None,
-    runs: int = 3,
-    n_sstables: int = 100,
-    distribution: str = "latest",
-    seed: int = 0,
-    backend: str | None = None,
-    jobs: int = 1,
-    base: SimulationConfig | None = None,
-) -> SweepResult:
-    """Figure 8's x-axis: memtable size with a fixed sstable count.
-
-    ``backend=None`` keeps the config default (frozenset).  When
-    ``base`` is given, every point derives from it (keeping its
-    estimator/data-plane/... fields) with only the capacity and the
-    implied ``operationcount = capacity * n_sstables - recordcount``
-    replaced — the scenario layer's path; ``distribution``/``seed``/
-    ``backend`` are then ignored.  A ``base`` equal to
-    :meth:`SimulationConfig.figure8` defaults produces configs identical
-    to the classic path.
-    """
-    labels = tuple(labels) if labels is not None else ("BT(I)",)
-    points = []
-    for capacity in capacities:
-        if base is not None:
-            operationcount = capacity * n_sstables - base.recordcount
-            if operationcount < 0:
-                raise ConfigError(
-                    "memtable_capacity * n_sstables must cover the recordcount"
-                )
-            config = replace(
-                base,
-                memtable_capacity=capacity,
-                operationcount=operationcount,
+    return SweepResult(
+        axis.label,
+        tuple(
+            SweepPoint(
+                x,
+                config,
+                _aggregate_cells(
+                    labels, cell_results[i * runs : (i + 1) * runs]
+                ),
             )
-        else:
-            config = SimulationConfig.figure8(
-                memtable_capacity=capacity,
-                n_sstables=n_sstables,
-                distribution=distribution,
-                seed=seed,
-            )
-            if backend is not None:
-                config = replace(config, backend=backend)
-        points.append((float(capacity), config))
-    return _sweep("memtable_capacity", points, labels, runs, jobs)
-
-
-def sweep_operationcount(
-    base: SimulationConfig,
-    counts: Sequence[int],
-    labels: Sequence[str] | None = None,
-    runs: int = 3,
-    jobs: int = 1,
-) -> SweepResult:
-    """Figure 9b's x-axis: number of run-phase operations (data size)."""
-    labels = tuple(labels) if labels is not None else ("SI",)
-    points = [
-        (float(count), replace(base, operationcount=count)) for count in counts
-    ]
-    return _sweep("operationcount", points, labels, runs, jobs)
-
-
-def sweep_k(
-    base: SimulationConfig,
-    ks: Sequence[int],
-    labels: Sequence[str] | None = None,
-    runs: int = 3,
-    jobs: int = 1,
-) -> SweepResult:
-    """Merge fan-in sweep: how much a larger k shrinks re-merge cost."""
-    labels = tuple(labels) if labels is not None else strategy_labels()
-    points = [(float(k), replace(base, k=k)) for k in ks]
-    return _sweep("k", points, labels, runs, jobs)
-
-
-def sweep_hll_precision(
-    base: SimulationConfig,
-    precisions: Sequence[int],
-    labels: Sequence[str] | None = None,
-    runs: int = 3,
-    jobs: int = 1,
-) -> SweepResult:
-    """HLL precision sweep; defaults to the estimator-driven strategies
-    (the "SO"/"BT(O)" labels are the only ones precision can move)."""
-    labels = tuple(labels) if labels is not None else ("SO", "BT(O)")
-    points = [
-        (float(p), replace(base, hll_precision=p)) for p in precisions
-    ]
-    return _sweep("hll_precision", points, labels, runs, jobs)
-
-
-def sweep_num_shards(
-    base: SimulationConfig,
-    shard_counts: Sequence[int],
-    labels: Sequence[str] | None = None,
-    runs: int = 3,
-    jobs: int = 1,
-) -> SweepResult:
-    """Scale-out sweep: shard the keyspace over 1..N engine instances.
-
-    The headline series are the cluster makespan under the shared lane
-    budget and the summed compaction cost — does splitting the workload
-    shrink the schedule faster than it inflates total work?
-    """
-    labels = tuple(labels) if labels is not None else strategy_labels()
-    points = [
-        (float(count), replace(base, num_shards=count))
-        for count in shard_counts
-    ]
-    return _sweep("num_shards", points, labels, runs, jobs)
-
-
-def sweep_shard_skew(
-    base: SimulationConfig,
-    skews: Sequence[float],
-    labels: Sequence[str] | None = None,
-    runs: int = 3,
-    jobs: int = 1,
-) -> SweepResult:
-    """Multi-tenant sweep: zipfian shard-weight skew at fixed shard count.
-
-    Answers the ROADMAP question of whether estimation-heavy policies
-    (SO) amortize their overhead better than LM under hot shards — the
-    imbalance column tracks how concentrated traffic became.
-    """
-    labels = tuple(labels) if labels is not None else strategy_labels()
-    base_shards = base if base.num_shards > 1 else replace(base, num_shards=8)
-    points = [
-        (float(skew), replace(base_shards, shard_skew=skew))
-        for skew in skews
-    ]
-    return _sweep("shard_skew", points, labels, runs, jobs)
+            for i, (x, config) in enumerate(points)
+        ),
+        labels,
+    )

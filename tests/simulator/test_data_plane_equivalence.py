@@ -27,7 +27,7 @@ from repro.simulator import (
     generate_sstables_fast,
     generate_sstables_reference,
     run_strategy,
-    sweep_update_fraction,
+    sweep as run_sweep,
 )
 from repro.ycsb.workload import CoreWorkload, WorkloadConfig
 
@@ -263,11 +263,11 @@ class TestSweepJobsIndependence:
 
     def test_results_independent_of_jobs(self):
         config = small_config(operationcount=1500, recordcount=200)
-        serial = sweep_update_fraction(
-            config, (0.0, 1.0), ("SI", "RANDOM"), runs=2, jobs=1
+        serial = run_sweep(
+            config, "update_fraction", (0.0, 1.0), ("SI", "RANDOM"), runs=2, jobs=1
         )
-        parallel = sweep_update_fraction(
-            config, (0.0, 1.0), ("SI", "RANDOM"), runs=2, jobs=3
+        parallel = run_sweep(
+            config, "update_fraction", (0.0, 1.0), ("SI", "RANDOM"), runs=2, jobs=3
         )
         assert self.deterministic_fields(serial) == self.deterministic_fields(
             parallel

@@ -7,11 +7,7 @@ from repro.simulator import (
     StrategyResult,
     aggregate,
     run_comparison,
-    sweep_hll_precision,
-    sweep_k,
-    sweep_memtable_capacity,
-    sweep_operationcount,
-    sweep_update_fraction,
+    sweep as run_sweep,
 )
 
 
@@ -85,8 +81,8 @@ class TestComparison:
 
 class TestSweeps:
     def test_update_fraction_sweep_shape(self):
-        sweep = sweep_update_fraction(
-            tiny_config(), (0.0, 1.0), labels=("SI", "RANDOM"), runs=1
+        sweep = run_sweep(
+            tiny_config(), "update_fraction", (0.0, 1.0), ("SI", "RANDOM"), runs=1
         )
         assert sweep.parameter == "update_percentage"
         assert [point.x for point in sweep.points] == [0.0, 100.0]
@@ -95,13 +91,21 @@ class TestSweeps:
 
     def test_cost_decreases_with_updates(self):
         """The paper's headline Figure 7 trend at small scale."""
-        sweep = sweep_update_fraction(tiny_config(), (0.0, 1.0), ("SI",), runs=1)
+        sweep = run_sweep(
+            tiny_config(), "update_fraction", (0.0, 1.0), ("SI",), runs=1
+        )
         insert_heavy = sweep.points[0].per_strategy["SI"].cost_actual_mean
         update_heavy = sweep.points[1].per_strategy["SI"].cost_actual_mean
         assert update_heavy < insert_heavy
 
     def test_memtable_sweep_uses_figure8_configs(self):
-        sweep = sweep_memtable_capacity((10, 20), labels=("BT(I)",), runs=1)
+        sweep = run_sweep(
+            SimulationConfig.figure8(memtable_capacity=10),
+            "memtable_capacity",
+            (10, 20),
+            runs=1,
+        )
+        assert sweep.labels == ("BT(I)",)
         assert [point.x for point in sweep.points] == [10.0, 20.0]
         for point in sweep.points:
             assert point.config.update_fraction == 0.6
@@ -110,20 +114,19 @@ class TestSweeps:
         assert lopts[1] > lopts[0]
 
     def test_operationcount_sweep(self):
-        sweep = sweep_operationcount(
-            tiny_config(), (800, 1600), labels=("SI",), runs=1
-        )
+        sweep = run_sweep(tiny_config(), "operationcount", (800, 1600), runs=1)
+        assert sweep.labels == ("SI",)
         costs = [p.per_strategy["SI"].cost_actual_mean for p in sweep.points]
         assert costs[1] > costs[0]
 
     def test_series_accessor_metric(self):
-        sweep = sweep_update_fraction(tiny_config(), (0.5,), ("SI",), runs=1)
+        sweep = run_sweep(tiny_config(), "update_fraction", (0.5,), ("SI",), runs=1)
         series = sweep.series("SI", metric="simulated_seconds_mean")
         assert len(series) == 1
         assert series[0][1] > 0
 
     def test_k_sweep_shape_and_monotonicity(self):
-        sweep = sweep_k(tiny_config(), (2, 4), labels=("SI",), runs=1)
+        sweep = run_sweep(tiny_config(), "k", (2, 4), labels=("SI",), runs=1)
         assert sweep.parameter == "k"
         assert [point.x for point in sweep.points] == [2.0, 4.0]
         assert [point.config.k for point in sweep.points] == [2, 4]
@@ -132,7 +135,7 @@ class TestSweeps:
         assert costs[1] <= costs[0]
 
     def test_hll_precision_sweep_defaults_to_estimator_strategies(self):
-        sweep = sweep_hll_precision(tiny_config(), (10, 12), runs=1)
+        sweep = run_sweep(tiny_config(), "hll_precision", (10, 12), runs=1)
         assert sweep.parameter == "hll_precision"
         assert sweep.labels == ("SO", "BT(O)")
         assert [point.config.hll_precision for point in sweep.points] == [10, 12]

@@ -15,8 +15,7 @@ from repro.simulator import (
     generate_sstables,
     run_strategy,
     strategy_labels,
-    sweep_memtable_capacity,
-    sweep_update_fraction,
+    sweep,
 )
 
 TINY = SimulationConfig(
@@ -31,7 +30,9 @@ TINY = SimulationConfig(
 
 @pytest.fixture(scope="module")
 def tiny_sweep():
-    return sweep_update_fraction(TINY, (0.0, 0.5, 1.0), strategy_labels(), runs=1)
+    return sweep(
+        TINY, "update_fraction", (0.0, 0.5, 1.0), strategy_labels(), runs=1
+    )
 
 
 class TestFigure7Shapes:
@@ -55,7 +56,7 @@ class TestFigure7Shapes:
     def test_bt_fastest_so_slowest(self, tiny_sweep):
         for point in tiny_sweep.points:
             times = {
-                label: agg.simulated_seconds_mean + agg.strategy_overhead_mean
+                label: agg.simulated_seconds_mean
                 for label, agg in point.per_strategy.items()
             }
             assert times["BT(I)"] == min(times.values())
@@ -64,12 +65,17 @@ class TestFigure7Shapes:
 
 class TestFigure8Shape:
     def test_parallel_loglog_lines(self):
-        sweep = sweep_memtable_capacity(
-            (10, 40, 160), labels=("BT(I)",), runs=1, n_sstables=100
+        result = sweep(
+            SimulationConfig.figure8(memtable_capacity=10),
+            "memtable_capacity",
+            (10, 40, 160),
+            runs=1,
+            n_sstables=100,
         )
-        xs = [point.x for point in sweep.points]
-        bt = [point.per_strategy["BT(I)"].cost_actual_mean for point in sweep.points]
-        bound = [point.per_strategy["BT(I)"].lopt_entries_mean for point in sweep.points]
+        assert result.labels == ("BT(I)",)
+        xs = [point.x for point in result.points]
+        bt = [point.per_strategy["BT(I)"].cost_actual_mean for point in result.points]
+        bound = [point.per_strategy["BT(I)"].lopt_entries_mean for point in result.points]
         bt_fit = log_log_fit(xs, bt)
         bound_fit = log_log_fit(xs, bound)
         assert abs(bt_fit.slope - bound_fit.slope) < 0.2
