@@ -20,6 +20,7 @@ and docs/durability.md describe the two axes.
 
 from __future__ import annotations
 
+import heapq
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -381,7 +382,9 @@ class LSMEngine:
     def scan(self, start_key: Hashable, length: int) -> list[Record]:
         """Up to ``length`` live records with key >= ``start_key``.
 
-        Merges the probed sstables and the memtables in ascending key
+        A bounded k-way merge: every probed sstable and every memtable
+        contributes a cursor (one binary search, nothing copied), a heap
+        orders the cursor heads, and records are pulled in ascending key
         order, resolving newest-per-key as it goes (a tombstone shadows
         every older version without producing output) and stopping only
         once ``length`` live records are resolved or every source is
@@ -396,46 +399,46 @@ class LSMEngine:
         with self._mutex:
             stats = self.read_stats
             stats.scans += 1
-            tails: list[list[Record]] = []
-            for table in self.sstables:  # oldest first; seqno ties keep the first
+            sources = []  # (records, cursor), oldest source first
+            for table in self.sstables:
                 if start_key > table.max_key:
                     stats.scan_tables_pruned += 1
                     continue
                 stats.scan_tables_probed += 1
-                tails.append(table.scan(start_key, table.entry_count))
-            n_table_tails = len(tails)
+                sources.append((table.records, table.lower_bound(start_key)))
+            n_tables = len(sources)
             for memtable in (*(f.memtable for f in self._immutable), self.memtable):
-                tails.append(
-                    [
-                        record
-                        for record in memtable.pending_records()
-                        if record.key >= start_key
-                    ]
-                )
-            positions = [0] * len(tails)
+                sources.append(memtable.records_from(start_key))
+            # Heads pop in (key, source) order, so equal keys are visited
+            # oldest source first and the strict ``>`` keeps the first of
+            # two equal seqnos; the record rides along so each one is
+            # fetched from its source exactly once.
+            heap = []
+            for index, (records, position) in enumerate(sources):
+                if position < len(records):
+                    record = records[position]
+                    heap.append((record.key, index, position, record))
+            heapq.heapify(heap)
             live: list[Record] = []
-            while len(live) < length:
-                key = None
-                for tail, position in zip(tails, positions):
-                    if position < len(tail):
-                        candidate = tail[position].key
-                        if key is None or candidate < key:
-                            key = candidate
-                if key is None:
-                    break
+            while heap and len(live) < length:
+                key = heap[0][0]
                 best = None
-                for index, tail in enumerate(tails):
-                    position = positions[index]
-                    if position >= len(tail) or tail[position].key != key:
-                        continue
-                    record = tail[position]
-                    positions[index] = position + 1
-                    if index < n_table_tails:
-                        self.disk.read(record.size_bytes)
-                        stats.read_bytes += record.size_bytes
+                while heap and heap[0][0] == key:
+                    _, index, position, record = heap[0]
+                    if index < n_tables:
+                        size = record.size_bytes
+                        self.disk.read(size)
+                        stats.read_bytes += size
                         stats.scan_records_scanned += 1
                     if best is None or record.seqno > best.seqno:
                         best = record
+                    records = sources[index][0]
+                    position += 1
+                    if position < len(records):
+                        record = records[position]
+                        heapq.heapreplace(heap, (record.key, index, position, record))
+                    else:
+                        heapq.heappop(heap)
                 if not best.tombstone:
                     live.append(best)
             stats.scan_records_returned += len(live)

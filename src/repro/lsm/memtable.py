@@ -12,15 +12,36 @@ Two implementations with one interface:
 
 ``flush_records`` always returns records sorted by key with exactly one
 (newest) version per key — the content of the sstable to be written.
+Scans read the same order through :meth:`Memtable.records_from`; the
+sorted key list behind both is cached and refreshed lazily by the next
+reader after a write, never by the write.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from itertools import islice
 from typing import Hashable, Sequence
 
 from ..errors import ConfigError, StorageError
 from .record import Record
+
+
+class _KeyOrderView:
+    """The newest record per key in ascending key order, looked up on access."""
+
+    __slots__ = ("_keys", "_newest")
+
+    def __init__(self, keys: list, newest: dict) -> None:
+        self._keys = keys
+        self._newest = newest
+
+    def __len__(self) -> int:
+        return len(self._keys)
+
+    def __getitem__(self, index: int) -> Record:
+        return self._newest[self._keys[index]]
 
 
 class Memtable(ABC):
@@ -58,8 +79,24 @@ class Memtable(ABC):
         """Sorted, per-key-deduplicated contents; the memtable is cleared."""
 
     @abstractmethod
+    def _ordered(self) -> tuple[list, dict]:
+        """``(sorted keys, newest record per key)``, cached between writes.
+
+        A stale cache is replaced by a fresh list, never patched in
+        place: a flush worker and a reader may refresh the same frozen
+        memtable at once, and both then publish the same order.
+        """
+
+    def records_from(self, start_key: Hashable) -> tuple[Sequence[Record], int]:
+        """The sorted, deduplicated contents as an indexable view, and the
+        position in it of the first key >= ``start_key`` (nothing is copied)."""
+        keys, newest = self._ordered()
+        return _KeyOrderView(keys, newest), bisect_left(keys, start_key)
+
     def pending_records(self) -> list[Record]:
         """Sorted, per-key-deduplicated contents *without* clearing."""
+        keys, newest = self._ordered()
+        return [newest[key] for key in keys]
 
     @property
     def is_full(self) -> bool:
@@ -76,6 +113,8 @@ class AppendLogMemtable(Memtable):
     def __init__(self, capacity_entries: int) -> None:
         super().__init__(capacity_entries)
         self._log: list[Record] = []
+        #: (log length it was built at, sorted keys, newest record per key)
+        self._view: tuple[int, list, dict] = (0, [], {})
 
     def add(self, record: Record) -> None:
         if self.is_full:
@@ -99,15 +138,20 @@ class AppendLogMemtable(Memtable):
     def __len__(self) -> int:
         return len(self._log)
 
-    def pending_records(self) -> list[Record]:
-        newest: dict[Hashable, Record] = {}
-        for record in self._log:  # later appends have higher seqnos
-            newest[record.key] = record
-        return [newest[key] for key in sorted(newest)]
+    def _ordered(self) -> tuple[list, dict]:
+        built_at, keys, newest = self._view
+        if built_at != len(self._log):
+            log = self._log
+            # Later appends have higher seqnos, so the last one per key wins.
+            newest = {record.key: record for record in log}
+            keys = sorted(newest)
+            self._view = (len(log), keys, newest)
+        return keys, newest
 
     def flush_records(self) -> list[Record]:
         records = self.pending_records()
         self._log = []
+        self._view = (0, [], {})
         return records
 
 
@@ -117,6 +161,7 @@ class SortedMapMemtable(Memtable):
     def __init__(self, capacity_entries: int) -> None:
         super().__init__(capacity_entries)
         self._map: dict[Hashable, Record] = {}
+        self._order: list = []  # sorted keys as of the last ordered read
 
     def add(self, record: Record) -> None:
         if record.key not in self._map and self.is_full:
@@ -139,12 +184,21 @@ class SortedMapMemtable(Memtable):
     def __len__(self) -> int:
         return len(self._map)
 
-    def pending_records(self) -> list[Record]:
-        return [self._map[key] for key in sorted(self._map)]
+    def _ordered(self) -> tuple[list, dict]:
+        order = self._order
+        if len(order) != len(self._map):
+            # Keys only ever join the map, and a dict iterates in
+            # insertion order: whatever lies past the cached length is
+            # new, and timsort merges the sorted prefix with that tail.
+            order = [*order, *islice(self._map, len(order), None)]
+            order.sort()
+            self._order = order
+        return order, self._map
 
     def flush_records(self) -> list[Record]:
         records = self.pending_records()
         self._map = {}
+        self._order = []
         return records
 
 

@@ -28,7 +28,7 @@ key range — i.e. the final merge of a major compaction.
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
@@ -390,12 +390,9 @@ class SSTable:
         found = table_keys[indices] == queries
         return _np.where(found, indices, -1)
 
-    def scan(self, start_key: Hashable, length: int) -> list[Record]:
-        """Up to ``length`` records with key >= start_key."""
-        lo = bisect_right(self._keys, start_key) - 1
-        if lo < 0 or self._keys[lo] != start_key:
-            lo += 1
-        return list(self.records[lo : lo + length])
+    def lower_bound(self, key: Hashable) -> int:
+        """Index into :attr:`records` of the first record with key >= ``key``."""
+        return bisect_left(self._keys, key)
 
     # ------------------------------------------------------------------
     # Durability (see repro.lsm.format.sstable_io for the byte layout)
@@ -424,25 +421,22 @@ class SSTable:
         )
 
 
-def _merge_columnar(
-    columns: Sequence[TableColumns],
-    new_table_id: int,
-    drop_tombstones: bool,
-    bloom_fp_rate: float,
-) -> SSTable:
-    """Sorted-array merge: concatenate, lexsort, keep the newest per key.
+def newest_per_key(columns: Sequence[TableColumns]):
+    """Concatenate sorted runs and find each key's newest record.
 
-    Bit-identical to the heap kernel: the survivor per key is the record
-    with the highest seqno, and should two inputs ever carry the *same*
-    (key, seqno) the earliest input wins — ``heapq.merge`` is stable, so
-    the negated stream index reproduces its tie-break exactly.
+    Returns ``(keys, seqnos, tombstones, survivors)``: the concatenated
+    columns (``tombstones`` is ``None`` when no input has any) and, in
+    ascending key order, the index into them of each key's survivor.
+    The survivor is the record with the highest seqno, and should two
+    inputs ever carry the *same* (key, seqno) the earliest input wins —
+    ``heapq.merge`` is stable, so the negated stream index reproduces
+    the heap kernel's tie-break (and the engine scan's strict ``>``
+    over sources oldest first) exactly.
     """
     keys = _np.concatenate([column.keys for column in columns])
     seqnos = _np.concatenate([column.seqnos for column in columns])
-    value_sizes = _np.concatenate([column.value_sizes for column in columns])
-    any_tombstones = any(column.tombstones is not None for column in columns)
     tombstones = None
-    if any_tombstones:
+    if any(column.tombstones is not None for column in columns):
         tombstones = _np.concatenate(
             [
                 column.tombstones
@@ -460,8 +454,22 @@ def _merge_columnar(
     newest = _np.empty(sorted_keys.shape, dtype=bool)
     newest[:-1] = sorted_keys[1:] != sorted_keys[:-1]
     newest[-1] = True
-    survivors = order[newest]
-    out_keys = sorted_keys[newest]
+    return keys, seqnos, tombstones, order[newest]
+
+
+def _merge_columnar(
+    columns: Sequence[TableColumns],
+    new_table_id: int,
+    drop_tombstones: bool,
+    bloom_fp_rate: float,
+) -> SSTable:
+    """Sorted-array merge: :func:`newest_per_key`, then gather the survivors.
+
+    Bit-identical to the heap kernel, tie-break included.
+    """
+    keys, seqnos, tombstones, survivors = newest_per_key(columns)
+    value_sizes = _np.concatenate([column.value_sizes for column in columns])
+    out_keys = keys[survivors]
     out_seqnos = seqnos[survivors]
     out_values = value_sizes[survivors]
     out_tombstones = tombstones[survivors] if tombstones is not None else None

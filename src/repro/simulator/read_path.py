@@ -17,8 +17,9 @@ Two kernels, differentially certified bit-identical:
 * **batched** — the fast plane: point lookups run columnar over all
   queries at once (range masks + :meth:`BloomFilter.contains_batch` +
   :meth:`SSTable.get_batch`, tables newest to oldest, resolving queries
-  as they hit), and each scan resolves its stop key with a windowed
-  ``lexsort`` merge before charging the consumed slices in bulk.
+  as they hit), and all scans resolve at once against one merged
+  live-key view of the table set (two ``searchsorted`` calls give every
+  scan its stop key) before each table is charged its consumed slices.
 
 ``kernel="auto"`` uses the batched plane whenever numpy is available
 and every table exposes an int64 column view, falling back to the
@@ -28,14 +29,14 @@ unavailable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import _INDEX_BLOCK_BYTES, EngineConfig, LSMEngine
 from ..lsm.record import ENTRY_OVERHEAD_BYTES
-from ..lsm.sstable import SSTable, TableColumns
+from ..lsm.sstable import SSTable, newest_per_key
 from ..ycsb.workload import ReadOpColumns
 
 try:  # optional acceleration; the scalar engine needs no numpy
@@ -45,11 +46,6 @@ except ImportError:  # pragma: no cover - exercised on numpy-less installs
 
 #: ``serve_reads`` kernel names.
 READ_KERNELS = ("auto", "batched", "scalar")
-
-#: The windowed scan resolver's smallest per-table slice; windows grow
-#: geometrically from here, so short scans over heavily-shadowed ranges
-#: converge in a couple of rounds instead of many tiny ones.
-_MIN_SCAN_WINDOW = 16
 
 
 @dataclass(frozen=True)
@@ -133,22 +129,12 @@ def _serve_scalar(
         engine.get(key)
     for start, length in zip(read_ops.scan_keynums, read_ops.scan_lengths):
         engine.scan(start, length)
-    stats = engine.read_stats
-    return ReadPhaseResult(
-        reads=stats.reads,
-        hits=stats.hits,
-        misses=stats.misses,
-        tables_probed=stats.tables_probed,
-        bloom_skips=stats.bloom_skips,
-        bloom_false_positives=stats.bloom_false_positives,
-        read_bytes=stats.read_bytes,
-        scans=stats.scans,
-        scan_tables_probed=stats.scan_tables_probed,
-        scan_tables_pruned=stats.scan_tables_pruned,
-        scan_records_scanned=stats.scan_records_scanned,
-        scan_records_returned=stats.scan_records_returned,
-        kernel_used="scalar",
-    )
+    counters = {
+        field.name: getattr(engine.read_stats, field.name)
+        for field in fields(ReadPhaseResult)
+        if field.name != "kernel_used"
+    }
+    return ReadPhaseResult(**counters, kernel_used="scalar")
 
 
 def _serve_batched(
@@ -218,48 +204,44 @@ def _serve_batched(
         misses += int(open_mask.sum())
 
     # ------------------------------------------------------------------
-    # Range scans: resolve each scan's stop key with a windowed merge,
-    # then charge the consumed slice of every probed table in bulk.
+    # Range scans: every scan asks the same table set the same question,
+    # so merge the set once into its live keys (newest record per key,
+    # tombstoned winners dropped) and resolve all scans against that.
+    # Charging is the scalar walk's rule, one table at a time with the
+    # scans as the vector: a probed table is billed from the scan's
+    # start up to and including its stop key.
     # ------------------------------------------------------------------
-    scans = scan_tables_probed = scan_tables_pruned = 0
-    scan_records_scanned = scan_records_returned = 0
-    n_tables = len(tables)
-    if read_ops.scan_count and n_tables:
-        max_keys = _np.fromiter(
-            (table.max_key for table in tables), dtype=_np.int64, count=n_tables
+    starts = _np.asarray(read_ops.scan_keynums, dtype=_np.int64)
+    lengths = _np.asarray(read_ops.scan_lengths, dtype=_np.int64)
+    served = lengths >= 1  # the engine answers shorter ones without a scan
+    starts, lengths = starts[served], lengths[served]
+    scans = int(starts.size)
+    scan_tables_probed = scan_records_scanned = scan_records_returned = 0
+    if scans and tables:
+        keys, _, tombstones, survivors = newest_per_key(columns)
+        live_keys = keys[survivors]
+        if tombstones is not None:
+            live_keys = live_keys[~tombstones[survivors]]
+        first = _np.searchsorted(live_keys, starts)
+        # A scan that runs out of live keys walks every probed table to
+        # its end; a stop key above any key says so to each table.
+        last = _np.minimum(first + lengths - 1, live_keys.size)
+        stop_keys = _np.append(live_keys, _np.iinfo(_np.int64).max)[last]
+        scan_records_returned = int(
+            (_np.minimum(last + 1, live_keys.size) - first).sum()
         )
-    else:
-        max_keys = None
-    for start, length in zip(read_ops.scan_keynums, read_ops.scan_lengths):
-        if length < 1:
-            continue
-        scans += 1
-        if max_keys is None:
-            continue
-        probed = _np.flatnonzero(max_keys >= start)
-        scan_tables_pruned += n_tables - int(probed.size)
-        scan_tables_probed += int(probed.size)
-        if probed.size == 0:
-            continue
-        scan_columns = [columns[index] for index in probed]
-        starts = [
-            int(_np.searchsorted(column.keys, start)) for column in scan_columns
-        ]
-        stop_key, returned = _scan_resolve(scan_columns, starts, length)
-        scan_records_returned += returned
-        for column, lo in zip(scan_columns, starts):
-            hi = (
-                int(column.keys.size)
-                if stop_key is None
-                else int(_np.searchsorted(column.keys, stop_key, side="right"))
-            )
-            consumed = hi - lo
-            if consumed <= 0:
-                continue
+        for table, column in zip(tables, columns):
+            probed = starts <= table.max_key
+            scan_tables_probed += int(_np.count_nonzero(probed))
+            lo = _np.searchsorted(column.keys, starts[probed])
+            hi = _np.searchsorted(column.keys, stop_keys[probed], side="right")
+            value_bytes = _np.concatenate(([0], _np.cumsum(column.value_sizes)))
+            consumed = int((hi - lo).sum())
             scan_records_scanned += consumed
             read_bytes += consumed * ENTRY_OVERHEAD_BYTES + int(
-                column.value_sizes[lo:hi].sum()
+                (value_bytes[hi] - value_bytes[lo]).sum()
             )
+    scan_tables_pruned = scans * len(tables) - scan_tables_probed
 
     return ReadPhaseResult(
         reads=reads,
@@ -276,65 +258,3 @@ def _serve_batched(
         scan_records_returned=scan_records_returned,
         kernel_used="batched",
     )
-
-
-def _scan_resolve(
-    scan_columns: Sequence[TableColumns],
-    starts: Sequence[int],
-    length: int,
-) -> tuple[Optional[int], int]:
-    """One scan's stop key and live-record count via a windowed merge.
-
-    Takes a window of each probed table's tail, merges the windows with
-    the same ``lexsort`` tie-break as the compaction kernel (newest
-    seqno per key wins; equal seqnos keep the oldest table, matching
-    the scalar walk's strict ``>``), and counts live (non-tombstone)
-    keys up to the *safe bound* — the smallest last key among truncated
-    windows, beyond which an unseen record could still shadow a key.
-    Returns ``(stop_key, length)`` once the ``length``-th live key is
-    certain, or ``(None, live_count)`` when every table is exhausted
-    first; the caller charges each table's ``[start, stop_key]`` slice,
-    exactly the records the scalar walk consumes.
-    """
-    window = max(length, _MIN_SCAN_WINDOW)
-    while True:
-        segment_keys = []
-        segment_seqnos = []
-        segment_tombstones = []
-        segment_streams = []
-        truncated_edges = []
-        for stream, (column, lo) in enumerate(zip(scan_columns, starts)):
-            hi = min(lo + window, int(column.keys.size))
-            if hi <= lo:
-                continue
-            keys = column.keys[lo:hi]
-            segment_keys.append(keys)
-            segment_seqnos.append(column.seqnos[lo:hi])
-            if column.tombstones is not None:
-                segment_tombstones.append(column.tombstones[lo:hi])
-            else:
-                segment_tombstones.append(_np.zeros(hi - lo, dtype=bool))
-            segment_streams.append(_np.full(hi - lo, stream, dtype=_np.int64))
-            if hi < int(column.keys.size):
-                truncated_edges.append(int(keys[-1]))
-        if not segment_keys:
-            return None, 0
-        keys = _np.concatenate(segment_keys)
-        seqnos = _np.concatenate(segment_seqnos)
-        tombstones = _np.concatenate(segment_tombstones)
-        streams = _np.concatenate(segment_streams)
-        order = _np.lexsort((-streams, seqnos, keys))
-        sorted_keys = keys[order]
-        newest = _np.empty(sorted_keys.shape, dtype=bool)
-        newest[:-1] = sorted_keys[1:] != sorted_keys[:-1]
-        newest[-1] = True
-        unique_keys = sorted_keys[newest]
-        live_mask = ~tombstones[order][newest]
-        if truncated_edges:
-            live_mask = live_mask & (unique_keys <= min(truncated_edges))
-        live_keys = unique_keys[live_mask]
-        if int(live_keys.size) >= length:
-            return int(live_keys[length - 1]), length
-        if not truncated_edges:
-            return None, int(live_keys.size)
-        window *= 4

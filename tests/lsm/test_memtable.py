@@ -132,3 +132,38 @@ class TestAddBatch:
         for k in range(8):
             looped.add(Record.put(k % 4, k + 1))
         assert batched.pending_records() == looped.pending_records()
+
+
+@pytest.mark.parametrize("mode", ("append", "map"))
+class TestOrderedView:
+    """``records_from`` and ``pending_records`` share one cached key order."""
+
+    def test_view_starts_at_the_lower_bound_and_copies_nothing(self, mode):
+        memtable = make_memtable(mode, 10)
+        for seqno, key in enumerate((30, 10, 20), start=1):
+            memtable.add(Record.put(key, seqno))
+        view, position = memtable.records_from(15)
+        assert (len(view), position) == (3, 1)
+        assert [view[i].key for i in range(position, len(view))] == [20, 30]
+        assert memtable.records_from(31)[1] == 3
+        assert len(memtable) == 3
+
+    def test_order_is_refreshed_after_writes_and_flushes(self, mode):
+        memtable = make_memtable(mode, 10)
+        memtable.add(Record.put(5, 1))
+        memtable.add(Record.put(9, 2))
+        assert [r.key for r in memtable.pending_records()] == [5, 9]
+        memtable.add(Record.put(1, 3))  # below everything cached
+        memtable.add(Record.put(9, 4))  # an overwrite keeps the order
+        assert [(r.key, r.seqno) for r in memtable.pending_records()] == [
+            (1, 3), (5, 1), (9, 4),
+        ]
+        count = len(memtable)
+        memtable.flush_records()
+        # Refilled to the same length: the cache must not answer for it.
+        for seqno in range(count):
+            memtable.add(Record.put(100 - seqno, 10 + seqno))
+        view, position = memtable.records_from(0)
+        assert [view[i].key for i in range(len(view))] == sorted(
+            100 - seqno for seqno in range(count)
+        )

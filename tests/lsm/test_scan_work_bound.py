@@ -1,0 +1,151 @@
+"""The engine scan's work bound, counted not timed, and its cached order.
+
+A scan is a bounded cursor merge: it may look at the records it
+consumes plus one head per source, and it may never copy a tail.  The
+memtables' sorted key order is cached between scans and refreshed by
+the next scan after a write, so the second half interleaves writes and
+scans against a dict: any stale order shows as a wrong answer.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.lsm import EngineConfig, LSMEngine, Record, SSTable
+
+
+class CountingSequence:
+    """A sequence proxy that counts item reads and refuses to be sliced."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.reads = 0
+
+    def __len__(self) -> int:
+        return len(self.inner)
+
+    def __getitem__(self, index):
+        assert not isinstance(index, slice), "the scan sliced a source"
+        self.reads += 1
+        return self.inner[index]
+
+
+def test_scan_touches_only_what_it_consumes():
+    entries = 100_000
+    engine = LSMEngine(EngineConfig(memtable_capacity=1000, use_wal=False))
+    # Tables 0/2 hold the even keys and 1/3 the odd ones, so every key
+    # is shadowed once and the newest even version is a tombstone.
+    engine.sstables = [
+        SSTable(
+            table_id,
+            [
+                Record(key, table_id + 1, 10, tombstone=table_id == 2)
+                for key in range(table_id % 2, 2 * entries, 2)
+            ],
+        )
+        for table_id in range(4)
+    ]
+    for key in reversed(range(0, 4000, 4)):  # seqnos above the tables' near the scan
+        engine.put(key + 100_000, value_size=7)
+    assert engine.memtable.is_full
+    table_reads = []
+    for table in engine.sstables:
+        table.records = CountingSequence(table.records)
+        table_reads.append(table.records)
+    views = []
+    records_from = engine.memtable.records_from
+
+    def counted_view(start_key):
+        view, position = records_from(start_key)
+        views.append(CountingSequence(view))
+        return views[-1], position
+
+    engine.memtable.records_from = counted_view
+
+    start = 100_001
+    result = engine.scan(start, 5)
+
+    # Evens are dead on disk but the memtable revives every other one.
+    assert [r.key for r in result] == [100_001, 100_003, 100_004, 100_005, 100_007]
+    stats = engine.read_stats
+    assert stats.scan_tables_probed == 4
+    assert stats.scan_records_scanned == 2 * 7  # keys 100_001..100_007, twice each
+    assert sum(proxy.reads for proxy in table_reads) <= stats.scan_records_scanned + 4
+    (view,) = views
+    consumed = sum(1 for key in range(100_000, 104_000, 4) if start <= key <= 100_007)
+    assert view.reads <= consumed + 1
+
+
+def replay(engine: LSMEngine, model: dict, ops) -> None:
+    """Apply ``ops`` to both; every scan must equal the dict's answer."""
+    for op, key, arg in ops:
+        if op == "put":
+            engine.put(key, value_size=arg)
+            model[key] = arg
+        elif op == "delete":
+            engine.delete(key)
+            model.pop(key, None)
+        else:
+            expected = sorted(k for k in model if k >= key)[:arg]
+            got = engine.scan(key, arg)
+            assert [r.key for r in got] == expected, (op, key, arg)
+            assert [r.value_size for r in got] == [model[k] for k in expected]
+
+
+def random_ops(seed: int, count: int, keyspace: int):
+    rng = random.Random(seed)
+    for step in range(1, count + 1):
+        roll = rng.random()
+        key = rng.randrange(keyspace)
+        if roll < 0.5:
+            yield ("put", key, step)
+        elif roll < 0.65:
+            yield ("delete", key, None)
+        else:
+            yield ("scan", key, rng.randint(1, 12))
+
+
+@pytest.mark.parametrize("mode", ("map", "append"))
+def test_cached_memtable_order_follows_writes(mode):
+    engine = LSMEngine(EngineConfig(memtable_capacity=10_000, memtable_mode=mode))
+    model: dict[int, int] = {}
+    replay(
+        engine,
+        model,
+        [
+            ("put", 50, 1),
+            ("put", 70, 2),
+            ("scan", 60, 5),  # caches the order [50, 70]
+            ("put", 65, 3),  # a new key inside the last scan's range
+            ("scan", 60, 5),
+            ("put", 70, 4),  # an overwrite: same order, new record
+            ("scan", 60, 5),
+            ("put", 10, 5),  # a new key below the last scan's start
+            ("scan", 0, 5),
+            ("delete", 65, None),  # a tombstone is a record, not a removal
+            ("scan", 60, 5),
+            ("delete", 99, None),  # a tombstone for a key never written
+            ("scan", 0, 9),
+        ],
+    )
+    replay(engine, model, random_ops(seed=5, count=600, keyspace=80))
+    assert engine.flush_count == 0  # one memtable served every scan
+
+
+@pytest.mark.parametrize("mode", ("map", "append"))
+def test_frozen_memtables_serve_scans_from_the_queue(mode):
+    config = EngineConfig(memtable_capacity=25, memtable_mode=mode)
+    with LSMEngine(config, max_immutable_memtables=64, flush_workers=1) as engine:
+        engine.pause_flushes()
+        model: dict[int, int] = {}
+        replay(engine, model, random_ops(seed=9, count=400, keyspace=60))
+        # Nothing was flushed: every scan merged the active memtable
+        # with the frozen ones, each through its own cached order.
+        assert engine.immutable_count >= 2 and engine.flush_count == 0
+        replay(engine, model, [("scan", 0, 100), ("scan", 31, 3)])
+        engine.resume_flushes()
+        engine.drain()
+        assert engine.immutable_count == 0
+        replay(engine, model, [("scan", 0, 100), ("scan", 31, 3)])

@@ -74,11 +74,12 @@ class TestReads:
         assert not table.may_contain(5)    # out of range
         assert not table.may_contain(100)  # out of range
 
-    def test_scan(self):
+    def test_lower_bound(self):
         table = make_table(0, [1, 3, 5, 7, 9])
-        assert [r.key for r in table.scan(3, 2)] == [3, 5]
-        assert [r.key for r in table.scan(4, 2)] == [5, 7]
-        assert table.scan(10, 3) == []
+        assert table.lower_bound(0) == 0
+        assert table.lower_bound(3) == 1   # an exact hit starts on the key
+        assert table.lower_bound(4) == 2   # a gap starts on the next key
+        assert table.lower_bound(10) == table.entry_count
 
     def test_key_range_overlaps(self):
         a = make_table(0, [1, 5])

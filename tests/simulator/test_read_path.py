@@ -1,6 +1,6 @@
 """Differential harness for the serving read path.
 
-The batched read kernel (columnar gets + windowed scan merges) must
+The batched read kernel (columnar gets + merged-view scans) must
 produce **identical** counts to the scalar reference (the real engine's
 ``get``/``scan``) on every mix and distribution, with and without
 numpy; collecting read ops must not move the write stream by a byte;
