@@ -19,34 +19,35 @@ Every chooser draws from ``[0, item_count)`` where ``item_count`` is
 passed per call, because the run phase inserts new records and the
 choosers must track the growing key space.
 
-Batch API
----------
-:meth:`KeyChooser.next_batch` draws one key per entry of an
-``item_counts`` sequence and is **bit-identical** to the equivalent loop
-of scalar :meth:`KeyChooser.next` calls: it consumes the ``rng`` stream
-in exactly the same order, so swapping a per-operation loop for a batch
-call never changes a simulated workload.  The Gray-sampling choosers
-(zipfian, scrambled zipfian, latest) vectorize their inverse-CDF
-transform with numpy when it is available and fall back to the scalar
-arithmetic otherwise — both paths produce the same keys bit for bit.
-``pow`` stays in scalar Python even on the numpy path because numpy's
-SIMD ``power`` kernels are not bit-identical to libm's ``pow``; IEEE-754
-defines add/mul/div exactly, so everything else vectorizes safely.
-Rejection-sampled choosers (uniform, hotspot) consume a data-dependent
-number of ``getrandbits`` draws per key, which cannot be vectorized
-without changing the stream; their batch path replays the scalar calls.
+Batch decode
+------------
+The Gray-sampling choosers (zipfian, scrambled zipfian, latest) spend
+exactly one ``rng.random()`` per key, so a caller that reads the rng
+stream itself (:mod:`repro.ycsb.wordstream`) hands the variates to
+:meth:`ZipfianChooser.decode_batch` and gets the keys the scalar
+:meth:`KeyChooser.next` calls would have produced, bit for bit, zeta
+state included.  The decode is numpy arrays in and out; IEEE-754 defines
+add/mul/div exactly, so everything vectorizes except ``pow``, whose
+numpy SIMD kernels are not bit-identical to libm's.  The three ``pow``
+sites (marginal zeta terms, ``(2/n)**(1-theta)`` per key-space size,
+the tail ``base**alpha``) therefore each run as one ``map(math.pow,
+...)``.  Rejection-sampled choosers (uniform, hotspot) consume a
+data-dependent number of ``getrandbits`` draws per key whose acceptance
+depends on the running key-space size; they have no batch decode and
+are driven one ``next`` at a time.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from abc import ABC, abstractmethod
-from typing import Sequence
+from itertools import repeat
 
 from ..errors import WorkloadError
 from ..hll.hashing import splitmix64
 
-try:  # optional acceleration; every batch kernel has a pure fallback
+try:  # optional acceleration; the scalar next() needs none of it
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
@@ -59,6 +60,14 @@ DEFAULT_ZIPFIAN_THETA = 0.99
 _ZETA_VECTOR_MIN = 32
 
 
+def _libm_pow(bases, exponent: float) -> "_np.ndarray":
+    """``base ** exponent`` per element through libm's ``pow`` — the one
+    operation of the decode numpy cannot do bit-identically."""
+    return _np.fromiter(
+        map(math.pow, bases, repeat(exponent)), dtype=_np.float64, count=len(bases)
+    )
+
+
 class KeyChooser(ABC):
     """Chooses a key index in ``[0, item_count)``."""
 
@@ -68,26 +77,14 @@ class KeyChooser(ABC):
     def next(self, rng: random.Random, item_count: int) -> int:
         """Draw the next key index given the current key-space size."""
 
-    def next_batch(self, rng: random.Random, item_counts: Sequence[int]) -> Sequence[int]:
-        """One key per entry of ``item_counts``.
-
-        Bit-identical to ``[self.next(rng, count) for count in
-        item_counts]`` — subclasses that override this must preserve both
-        the values and the ``rng`` consumption order of the scalar loop.
-        """
-        return [self.next(rng, count) for count in item_counts]
-
     def _check(self, item_count: int) -> None:
         if item_count < 1:
             raise WorkloadError("item_count must be at least 1")
 
 
 class UniformChooser(KeyChooser):
-    """Uniform over all inserted keys.
-
-    ``randrange`` rejection-samples ``getrandbits`` draws, so the batch
-    path (inherited) replays the scalar calls; see the module docstring.
-    """
+    """Uniform over all inserted keys (``randrange`` rejection-samples
+    ``getrandbits`` draws; see the module docstring)."""
 
     name = "uniform"
 
@@ -127,15 +124,14 @@ class ZipfianChooser(KeyChooser):
         ``np.add.accumulate`` applies the additions strictly sequentially
         and the base value is prepended before accumulating, so every
         partial sum is bit-identical to the scalar ``+=`` loop.  The
-        ``i ** theta`` terms stay in scalar Python (see module
-        docstring); only the reciprocal and the running sum vectorize.
+        ``i ** theta`` terms go through libm (see module docstring);
+        only the reciprocal and the running sum vectorize.
         """
-        theta = self.theta
-        terms = 1.0 / _np.array(
-            [i**theta for i in range(self._n + 1, item_count + 1)],
-            dtype=_np.float64,
-        )
-        return _np.add.accumulate(_np.concatenate(((self._zetan,), terms)))
+        accumulation = _np.empty(item_count - self._n + 1, dtype=_np.float64)
+        accumulation[0] = self._zetan
+        accumulation[1:] = _libm_pow(range(self._n + 1, item_count + 1), self.theta)
+        _np.divide(1.0, accumulation[1:], out=accumulation[1:])
+        return _np.add.accumulate(accumulation, out=accumulation)
 
     def _extend_zeta(self, item_count: int) -> None:
         if item_count < self._n:
@@ -180,54 +176,29 @@ class ZipfianChooser(KeyChooser):
         return self._decode(rng.random(), item_count, self._zetan)
 
     # ------------------------------------------------------------------
-    # Batch API
+    # Batch decode
     # ------------------------------------------------------------------
-    def next_batch(self, rng: random.Random, item_counts: Sequence[int]) -> Sequence[int]:
-        counts = [int(count) for count in item_counts]
-        for count in counts:
-            self._check(count)
-        # item_count == 1 returns 0 without consuming the rng.
-        us = [rng.random() for count in counts if count > 1]
-        if len(us) == len(counts):
-            return self.decode_batch(us, counts)
-        decoded = iter(self.decode_batch(us, [c for c in counts if c > 1]))
-        out = [0 if count == 1 else int(next(decoded)) for count in counts]
-        if _np is not None:
-            return _np.array(out, dtype=_np.int64)
-        return out
-
-    def decode_batch(
-        self, us: Sequence[float], item_counts: Sequence[int]
-    ) -> Sequence[int]:
+    def decode_batch(self, us: "_np.ndarray", item_counts: "_np.ndarray") -> "_np.ndarray":
         """Keys for pre-drawn uniform variates (all ``item_counts > 1``).
 
         ``us[i]`` must be the ``rng.random()`` value :meth:`next` would
-        have drawn for ``item_counts[i]``; callers that interleave other
-        rng draws (the workload's operation chooser) collect the variates
-        themselves and decode here in one vectorized pass.  Updates the
-        incremental zeta state exactly as the scalar calls would.
+        have drawn for ``item_counts[i]``; the caller reads the rng
+        stream itself and decodes here, one vectorized pass per block.
+        Updates the incremental zeta state exactly as the scalar calls
+        would.  Needs numpy; an install without it draws through
+        :meth:`next`.
         """
-        counts = [int(count) for count in item_counts]
-        if len(us) != len(counts):
-            raise WorkloadError("decode_batch needs one variate per item count")
-        for count in counts:
-            if count < 2:
-                raise WorkloadError("decode_batch requires item counts > 1")
-        if not counts:
-            return _np.empty(0, dtype=_np.int64) if _np is not None else []
         if _np is None:
-            out = []
-            for u, count in zip(us, counts):
-                if count != self._n:
-                    self._extend_zeta(count)
-                out.append(self._decode(u, count, self._zetan))
-            return out
-        return self._decode_batch_np(us, counts)
-
-    def _decode_batch_np(self, us: Sequence[float], counts: list[int]) -> "_np.ndarray":
-        counts_arr = _np.asarray(counts, dtype=_np.int64)
-        ucounts, inverse = _np.unique(counts_arr, return_inverse=True)
-        smallest = int(ucounts[0])
+            raise WorkloadError("decode_batch needs numpy; draw with next() instead")
+        u = _np.asarray(us, dtype=_np.float64)
+        counts = _np.asarray(item_counts, dtype=_np.int64)
+        if u.ndim != 1 or u.shape != counts.shape:
+            raise WorkloadError("decode_batch needs one variate per item count")
+        if not counts.size:
+            return _np.empty(0, dtype=_np.int64)
+        smallest = int(counts.min())
+        if smallest < 2:
+            raise WorkloadError("decode_batch requires item counts > 1")
         if smallest < self._n:
             # Defensive shrink (scalar resets and recomputes from zero).
             # zeta(n) is history-independent bit for bit — every path is
@@ -236,43 +207,36 @@ class ZipfianChooser(KeyChooser):
             self._n = 0
             self._zetan = 0.0
         base_n = self._n
-        accumulation = self._marginal_accumulation(int(ucounts[-1]))
-        zeta_at = accumulation[ucounts - base_n]
-        u_arr = _np.asarray(us, dtype=_np.float64)
-        zetan_arr = zeta_at[inverse]
-        uz = u_arr * zetan_arr
-        out = _np.zeros(len(counts), dtype=_np.int64)
-        out[(uz >= 1.0) & (uz < self._second_cut)] = 1
-        tail = _np.nonzero(uz >= self._second_cut)[0]
+        accumulation = self._marginal_accumulation(int(counts.max()))
+        zetan = accumulation[counts - base_n]
+        last = int(counts[-1])
+        self._n = last
+        self._zetan = float(accumulation[last - base_n])
+
+        uz = u * zetan
+        out = (uz >= 1.0).astype(_np.int64)  # head cuts: key 0, else key 1
+        tail = _np.flatnonzero(uz >= self._second_cut)
         if tail.size:
-            # eta per *distinct* key-space size actually reaching the
-            # tail branch, in scalar Python: the two pow calls per size
-            # are exactly the scalar path's arithmetic (and sizes whose
-            # draws all land in the head cuts — item_count == 2 always
-            # does — never evaluate the 0/0-prone expression, matching
-            # the lazy scalar _decode).
-            tail_index = inverse[tail]
-            eta_by_index = {
-                index: self._eta(int(ucounts[index]), float(zeta_at[index]))
-                for index in _np.unique(tail_index).tolist()
-            }
-            eta_t = _np.array(
-                [eta_by_index[index] for index in tail_index.tolist()],
-                dtype=_np.float64,
-            )
-            base_t = eta_t * u_arr[tail] - eta_t + 1.0
-            alpha = self._alpha
-            powed = _np.array(
-                [x**alpha for x in base_t.tolist()], dtype=_np.float64
-            )
-            n_float = counts_arr[tail].astype(_np.float64)
+            # eta once per run of equal key-space sizes reaching the tail
+            # branch (sizes only grow in a workload, so per distinct
+            # size): the same two-pow arithmetic as the scalar path, and
+            # sizes whose draws all land in the head cuts — item_count
+            # == 2 always does — never evaluate the 0/0-prone expression,
+            # matching the lazy scalar _decode.
+            size_t = counts[tail]
+            fresh = _np.concatenate(([True], size_t[1:] != size_t[:-1]))
+            firsts = _np.flatnonzero(fresh)
+            ratio = 2.0 / size_t[firsts].astype(_np.float64)
+            shrink = _libm_pow(ratio.tolist(), 1.0 - self.theta)
+            eta_f = (1.0 - shrink) / (1.0 - self._zeta2 / zetan[tail[firsts]])
+            eta_t = eta_f[_np.cumsum(fresh) - 1]
+            base_t = eta_t * u[tail] - eta_t + 1.0
+            powed = _libm_pow(base_t.tolist(), self._alpha)
+            n_float = size_t.astype(_np.float64)
             # Cap in float *before* the int cast (mirrors scalar int() +
             # min(), and keeps huge intermediates off the int64 cast).
             value = _np.minimum(n_float * powed, n_float).astype(_np.int64)
-            out[tail] = _np.minimum(value, counts_arr[tail] - 1)
-        last = counts[-1]
-        self._n = last
-        self._zetan = float(accumulation[last - base_n])
+            out[tail] = _np.minimum(value, size_t - 1)
         return out
 
 
@@ -295,29 +259,13 @@ class ScrambledZipfianChooser(KeyChooser):
         rank = self._zipfian.next(rng, item_count)
         return splitmix64(rank ^ self._salt) % item_count
 
-    def _scramble(self, ranks: Sequence[int], counts: Sequence[int]) -> Sequence[int]:
-        if _np is not None:
-            from ..hll.hashing import _splitmix64_u64
+    def decode_batch(self, us: "_np.ndarray", item_counts: "_np.ndarray") -> "_np.ndarray":
+        from ..hll.hashing import _splitmix64_u64
 
-            rank_arr = _np.asarray(ranks).astype(_np.uint64)
-            with _np.errstate(over="ignore"):
-                hashed = _splitmix64_u64(rank_arr ^ _np.uint64(self._salt))
-                scattered = hashed % _np.asarray(counts, dtype=_np.uint64)
-            return scattered.astype(_np.int64)
-        salt = self._salt
-        return [
-            splitmix64(rank ^ salt) % count for rank, count in zip(ranks, counts)
-        ]
-
-    def next_batch(self, rng: random.Random, item_counts: Sequence[int]) -> Sequence[int]:
-        counts = [int(count) for count in item_counts]
-        return self._scramble(self._zipfian.next_batch(rng, counts), counts)
-
-    def decode_batch(
-        self, us: Sequence[float], item_counts: Sequence[int]
-    ) -> Sequence[int]:
-        counts = [int(count) for count in item_counts]
-        return self._scramble(self._zipfian.decode_batch(us, counts), counts)
+        ranks = self._zipfian.decode_batch(us, item_counts)
+        with _np.errstate(over="ignore"):
+            hashed = _splitmix64_u64(ranks.astype(_np.uint64) ^ _np.uint64(self._salt))
+        return (hashed % _np.asarray(item_counts, dtype=_np.uint64)).astype(_np.int64)
 
 
 class LatestChooser(KeyChooser):
@@ -333,21 +281,9 @@ class LatestChooser(KeyChooser):
         offset = self._zipfian.next(rng, item_count)
         return item_count - 1 - offset
 
-    @staticmethod
-    def _recency(ranks: Sequence[int], counts: Sequence[int]) -> Sequence[int]:
-        if _np is not None:
-            return _np.asarray(counts, dtype=_np.int64) - 1 - _np.asarray(ranks)
-        return [count - 1 - rank for rank, count in zip(ranks, counts)]
-
-    def next_batch(self, rng: random.Random, item_counts: Sequence[int]) -> Sequence[int]:
-        counts = [int(count) for count in item_counts]
-        return self._recency(self._zipfian.next_batch(rng, counts), counts)
-
-    def decode_batch(
-        self, us: Sequence[float], item_counts: Sequence[int]
-    ) -> Sequence[int]:
-        counts = [int(count) for count in item_counts]
-        return self._recency(self._zipfian.decode_batch(us, counts), counts)
+    def decode_batch(self, us: "_np.ndarray", item_counts: "_np.ndarray") -> "_np.ndarray":
+        ranks = self._zipfian.decode_batch(us, item_counts)
+        return _np.asarray(item_counts, dtype=_np.int64) - 1 - ranks
 
 
 class HotspotChooser(KeyChooser):

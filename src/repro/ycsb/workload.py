@@ -28,10 +28,16 @@ from ..errors import WorkloadError
 from .distributions import DEFAULT_ZIPFIAN_THETA, KeyChooser, make_chooser
 from .operations import Operation, OperationType, OP_TYPE_CODES
 
-try:  # optional acceleration for the columnar write stream
+try:  # the word-stream kernel is numpy arithmetic end to end
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised on numpy-less installs
     _np = None
+else:
+    from .wordstream import gray_op_columns as _gray_op_columns
+
+#: ``getrandbits(k)`` is one Mersenne-Twister word up to k == 32, which
+#: makes "one word per scan-length try" an invariant of every stream.
+_MAX_SCAN_LENGTH_LIMIT = 2**32
 
 
 @dataclass(frozen=True)
@@ -64,6 +70,10 @@ class WorkloadConfig:
             raise WorkloadError("operationcount must be non-negative")
         if self.value_size < 0:
             raise WorkloadError("value_size must be non-negative")
+        if not 1 <= self.max_scan_length < _MAX_SCAN_LENGTH_LIMIT:
+            raise WorkloadError(
+                f"max_scan_length must be in [1, 2**32), got {self.max_scan_length}"
+            )
         proportions = self._proportions()
         if any(p < 0 for p in proportions.values()):
             raise WorkloadError("operation proportions must be non-negative")
@@ -223,36 +233,6 @@ class CoreWorkload:
         """
         return self.__class__.key_name is CoreWorkload.key_name
 
-    def supports_write_stream(self) -> bool:
-        """True when :meth:`write_stream_columns` can replace the op loop.
-
-        The historical writes-only contract of ``write_stream_columns``;
-        mixes with reads or scans use :meth:`op_stream_columns`, which
-        consumes (and drops) their rng draws itself.
-        """
-        return (
-            self.config.read_proportion == 0.0
-            and self.config.scan_proportion == 0.0
-            and self.supports_op_stream()
-        )
-
-    def write_stream_columns(self) -> tuple[Sequence[int], list[int]]:
-        """Load + run phases as flat key columns, no ``Operation`` objects.
-
-        Returns ``(keynums, tombstone_positions)`` where ``keynums[i]``
-        is the key of the ``i``-th write (seqno ``i + 1``) and
-        ``tombstone_positions`` lists the indices that are deletes.
-        Kept for writes-only callers; the full mix-aware stream is
-        :meth:`op_stream_columns`.
-        """
-        if not self.supports_write_stream():
-            raise WorkloadError(
-                "write_stream_columns requires a writes-only mix and the "
-                "identity key_name; use op_stream_columns instead"
-            )
-        stream = self.op_stream_columns()
-        return stream.write_keynums, stream.tombstone_positions
-
     def op_stream_columns(
         self, include_read_ops: bool = False
     ) -> "OpStreamColumns":
@@ -260,64 +240,81 @@ class CoreWorkload:
 
         Consumes the workload rng **exactly** like :meth:`all_operations`:
         one op-type draw per run operation, then the chooser's draws for
-        non-inserts, then a scan-length draw for scans — so the write
-        columns are bit-identical to the operation-at-a-time path.
+        non-inserts, then a scan-length draw for scans — so the columns,
+        ``rng.getstate()``, :attr:`inserted_count` and the chooser's zeta
+        state afterwards all equal that fold's.
         By default read and scan operations consume their draws and are
         dropped before the memtable ("we ignore both of them in our
         simulation", paper §5.1); their types still land in the op-type
         column.  With ``include_read_ops`` the same draws are kept as
-        :class:`ReadOpColumns` for the serving phase — the rng stream
-        position is identical either way, so the write columns do not
-        move.  Key draws for the Gray-sampling choosers are collected as
-        raw variates and decoded in one vectorized ``decode_batch`` call
-        at the end.
+        :class:`ReadOpColumns` for the serving phase.
+
+        With numpy, the Gray-sampling choosers (those with a
+        ``decode_batch``: zipfian, scrambled zipfian, latest) are parsed
+        out of the Mersenne-Twister word stream by
+        :func:`repro.ycsb.wordstream.gray_op_columns`.  Rejection-sampled
+        choosers draw a data-dependent number of words per key, so they
+        — and every chooser on a numpy-less install — take the
+        operation-at-a-time loop below.
         """
         if not self.supports_op_stream():
             raise WorkloadError(
                 "op_stream_columns requires the identity key_name; "
                 "use all_operations instead"
             )
+        if _np is not None and hasattr(self._chooser, "decode_batch"):
+            columns = _gray_op_columns(
+                self._rng,
+                self._chooser,
+                self._op_chooser,
+                self.config,
+                self._inserted,
+                include_read_ops,
+            )
+        else:
+            columns = self._scalar_op_columns(include_read_ops)
+        keynums, tombstone_positions, codes, read_ops, self._inserted = columns
+        return OpStreamColumns(
+            write_keynums=keynums,
+            tombstone_positions=tombstone_positions,
+            op_codes=codes,
+            total_operations=len(codes),
+            read_ops=ReadOpColumns(*read_ops) if include_read_ops else None,
+        )
+
+    def _scalar_op_columns(self, include_read_ops: bool):
+        """:meth:`all_operations` folded into columns one operation per
+        iteration, minus the ``Operation`` objects.
+
+        Classifies against ``_DiscreteChooser``'s own cuts (the for/else
+        inlines ``pick()``, last-choice fallback for points that round
+        up to the total included).
+        """
         config = self.config
         n_load = config.recordcount
-        opcount = config.operationcount
         keynums: list[int] = list(range(n_load))
-        self._inserted += n_load
-
-        # Classify against _DiscreteChooser's own cuts (shared with its
-        # next()); the for/else below inlines pick() for the hot loop,
-        # including its last-choice fallback for points that round up
-        # to the total.
+        inserted = self._inserted + n_load
         cuts = self._op_chooser.cuts
         last_type = self._op_chooser.choices[-1][0]
         total = self._op_chooser.total
-
         rng = self._rng
         rnd = rng.random
         randint = rng.randint
-        chooser = self._chooser
-        scalar_next = chooser.next
-        decode = getattr(chooser, "decode_batch", None)
-        pending_at: list[int] = []
-        pending_us: list[float] = []
-        pending_counts: list[int] = []
-        read_keynums: list[int] = []
-        scan_keynums: list[int] = []
-        scan_lengths: list[int] = []
-        rs_pending_dest: list[tuple[list[int], int]] = []
-        rs_pending_us: list[float] = []
-        rs_pending_counts: list[int] = []
-        tombstone_positions: list[int] = []
-        inserted = self._inserted
+        next_key = self._chooser.next
+        max_scan = config.max_scan_length
         insert_type = OperationType.INSERT
         read_type = OperationType.READ
         scan_type = OperationType.SCAN
         delete_type = OperationType.DELETE
-        max_scan = config.max_scan_length
+        tombstone_positions: list[int] = []
+        read_keynums: list[int] = []
+        scan_keynums: list[int] = []
+        scan_lengths: list[int] = []
         append = keynums.append
         code_of = OP_TYPE_CODES
         op_codes = bytearray([code_of[insert_type]]) * n_load
         add_code = op_codes.append
-        for _ in range(opcount):
+        for _ in range(config.operationcount):
             point = rnd() * total
             for cut, op_type in cuts:
                 if point < cut:
@@ -329,76 +326,25 @@ class CoreWorkload:
                 append(inserted)
                 inserted += 1
                 continue
-            if op_type is read_type or op_type is scan_type:
-                # Consume the chooser's draws exactly like the scalar
-                # path; the rng stream position is identical whether the
-                # key is kept (serving phase) or dropped (writes only).
+            keynum = next_key(rng, inserted)
+            if op_type is scan_type:
+                length = randint(1, max_scan)
                 if include_read_ops:
-                    dest = scan_keynums if op_type is scan_type else read_keynums
-                    if decode is None:
-                        dest.append(scalar_next(rng, inserted))
-                    elif inserted == 1:
-                        dest.append(0)  # single-key space, no rng draw
-                    else:
-                        rs_pending_dest.append((dest, len(dest)))
-                        rs_pending_us.append(rnd())
-                        rs_pending_counts.append(inserted)
-                        dest.append(0)  # placeholder, decoded below
-                    if op_type is scan_type:
-                        scan_lengths.append(randint(1, max_scan))
-                else:
-                    if decode is None:
-                        scalar_next(rng, inserted)
-                    elif inserted > 1:
-                        rnd()
-                    if op_type is scan_type:
-                        randint(1, max_scan)
-                continue
-            if decode is None:
-                append(scalar_next(rng, inserted))
-            elif inserted == 1:
-                # All Gray-sampling choosers return key 0 for a
-                # single-key space without consuming the rng.
-                append(0)
+                    scan_keynums.append(keynum)
+                    scan_lengths.append(length)
+            elif op_type is read_type:
+                if include_read_ops:
+                    read_keynums.append(keynum)
             else:
-                pending_at.append(len(keynums))
-                pending_us.append(rnd())
-                pending_counts.append(inserted)
-                append(0)  # placeholder, decoded below
-            if op_type is delete_type:
-                tombstone_positions.append(len(keynums) - 1)
-        self._inserted = inserted
-        codes = bytes(op_codes)
-        total_operations = n_load + opcount
-
-        if pending_at:
-            decoded = decode(pending_us, pending_counts)
-            if _np is not None:
-                columns = _np.asarray(keynums, dtype=_np.int64)
-                columns[_np.asarray(pending_at, dtype=_np.intp)] = decoded
-                keynums = columns
-            else:
-                for position, keynum in zip(pending_at, decoded):
-                    keynums[position] = keynum
-        if rs_pending_dest:
-            decoded = decode(rs_pending_us, rs_pending_counts)
-            for (dest, position), keynum in zip(rs_pending_dest, decoded):
-                dest[position] = int(keynum)
-        read_ops = (
-            ReadOpColumns(
-                read_keynums=read_keynums,
-                scan_keynums=scan_keynums,
-                scan_lengths=scan_lengths,
-            )
-            if include_read_ops
-            else None
-        )
-        return OpStreamColumns(
-            write_keynums=keynums,
-            tombstone_positions=tombstone_positions,
-            op_codes=codes,
-            total_operations=total_operations,
-            read_ops=read_ops,
+                if op_type is delete_type:
+                    tombstone_positions.append(len(keynums))
+                append(keynum)
+        return (
+            keynums,
+            tombstone_positions,
+            bytes(op_codes),
+            (read_keynums, scan_keynums, scan_lengths),
+            inserted,
         )
 
 

@@ -190,7 +190,8 @@ class TestPhase1Equivalence:
         engine.flush()
 
         config = small_config(recordcount=150, operationcount=1800)
-        keynums, tombstones = CoreWorkload(workload_config).write_stream_columns()
+        stream = CoreWorkload(workload_config).op_stream_columns()
+        keynums, tombstones = stream.write_keynums, stream.tombstone_positions
         tables = phase1_module._flush_slabs_columnar(
             np.asarray(keynums, dtype=np.int64),
             tombstones,

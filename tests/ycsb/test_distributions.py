@@ -159,27 +159,41 @@ class TestDeterminism:
         assert a != b
 
 
-class TestNextBatch:
-    """The batch API is bit-identical to the scalar next() loop."""
+def decode_draws(chooser, rng, counts) -> list[int]:
+    """One key per entry of ``counts`` through ``decode_batch``.
+
+    Draws the variates the way the word-stream kernel reads them: one
+    ``rng.random()`` per key-space size above one (a single-key space
+    is key 0 and consumes nothing), decoded in one call.
+    """
+    pytest.importorskip("numpy", exc_type=ImportError)
+    drawn = [count for count in counts if count > 1]
+    decoded = iter(chooser.decode_batch([rng.random() for _ in drawn], drawn).tolist())
+    return [0 if count == 1 else next(decoded) for count in counts]
+
+
+GRAY_CHOOSERS = ["zipfian", "latest", "scrambled_zipfian"]
+
+
+class TestDecodeBatch:
+    """The batch decode is bit-identical to the scalar next() loop."""
 
     GROWING = [1, 1, 3, 3, 3, 10, 10, 50, 50, 51, 52, 100] * 20 + list(
         range(100, 700, 3)
     )
     NON_MONOTONIC = [5] * 40 + [9] * 40 + [3] * 5 + [11] * 40
 
-    @pytest.mark.parametrize(
-        "name", ["uniform", "zipfian", "latest", "scrambled_zipfian", "hotspot"]
-    )
+    @pytest.mark.parametrize("name", GRAY_CHOOSERS)
     @pytest.mark.parametrize("counts", [GROWING, NON_MONOTONIC])
     def test_matches_scalar_loop(self, name, counts):
         scalar_chooser = make_chooser(name)
         scalar_rng = random.Random(13)
         expected = [scalar_chooser.next(scalar_rng, c) for c in counts]
-        batch_chooser = make_chooser(name)
         batch_rng = random.Random(13)
-        assert list(batch_chooser.next_batch(batch_rng, counts)) == expected
+        assert decode_draws(make_chooser(name), batch_rng, counts) == expected
+        assert batch_rng.getstate() == scalar_rng.getstate()
 
-    @pytest.mark.parametrize("name", ["zipfian", "latest", "scrambled_zipfian"])
+    @pytest.mark.parametrize("name", GRAY_CHOOSERS)
     def test_state_continues_across_batches(self, name):
         counts = self.GROWING
         scalar_chooser = make_chooser(name)
@@ -187,37 +201,48 @@ class TestNextBatch:
         expected = [scalar_chooser.next(scalar_rng, c) for c in counts]
         mixed_chooser = make_chooser(name)
         mixed_rng = random.Random(3)
-        got = list(mixed_chooser.next_batch(mixed_rng, counts[:100]))
+        got = decode_draws(mixed_chooser, mixed_rng, counts[:100])
         got += [mixed_chooser.next(mixed_rng, c) for c in counts[100:200]]
-        got += list(mixed_chooser.next_batch(mixed_rng, counts[200:]))
+        got += decode_draws(mixed_chooser, mixed_rng, counts[200:])
         assert got == expected
+        zipfian = getattr(mixed_chooser, "_zipfian", mixed_chooser)
+        reference = getattr(scalar_chooser, "_zipfian", scalar_chooser)
+        assert (zipfian._n, zipfian._zetan) == (reference._n, reference._zetan)
 
-    @pytest.mark.parametrize(
-        "name", ["uniform", "zipfian", "latest", "scrambled_zipfian"]
-    )
-    def test_pure_fallback_matches(self, name, monkeypatch):
+    @pytest.mark.parametrize("name", GRAY_CHOOSERS)
+    def test_pure_scalar_matches(self, name, monkeypatch):
+        """The numpy decode equals the arithmetic of a numpy-less install."""
         import repro.ycsb.distributions as distributions_module
 
-        with_numpy = list(
-            make_chooser(name).next_batch(random.Random(5), self.GROWING)
-        )
+        with_numpy = decode_draws(make_chooser(name), random.Random(5), self.GROWING)
         monkeypatch.setattr(distributions_module, "_np", None)
-        pure = list(make_chooser(name).next_batch(random.Random(5), self.GROWING))
-        assert pure == with_numpy
+        chooser, rng = make_chooser(name), random.Random(5)
+        assert [chooser.next(rng, count) for count in self.GROWING] == with_numpy
+        with pytest.raises(WorkloadError, match="numpy"):
+            chooser.decode_batch([0.5], [3])
 
-    def test_empty_batch(self):
-        assert list(ZipfianChooser().next_batch(random.Random(0), [])) == []
+    @pytest.mark.parametrize("name", GRAY_CHOOSERS)
+    def test_empty_batch(self, name):
+        assert decode_draws(make_chooser(name), random.Random(0), []) == []
 
     def test_invalid_count_rejected(self):
+        pytest.importorskip("numpy", exc_type=ImportError)
         with pytest.raises(WorkloadError):
-            ZipfianChooser().next_batch(random.Random(0), [3, 0, 5])
+            ZipfianChooser().decode_batch([0.1, 0.2, 0.3], [3, 0, 5])
 
     def test_decode_batch_validates(self):
+        pytest.importorskip("numpy", exc_type=ImportError)
         chooser = ZipfianChooser()
         with pytest.raises(WorkloadError):
             chooser.decode_batch([0.5], [3, 4])  # length mismatch
         with pytest.raises(WorkloadError):
             chooser.decode_batch([0.5], [1])  # single-key space
+
+    def test_only_gray_choosers_decode(self):
+        """Rejection-sampled and stateful choosers have no batch decode,
+        which is what keeps them on the workload's scalar loop."""
+        for name in ("uniform", "hotspot", "sequential"):
+            assert not hasattr(make_chooser(name), "decode_batch")
 
     def test_zeta_extension_vectorized_matches_loop(self):
         vectorized = ZipfianChooser()
@@ -240,8 +265,8 @@ class TestNextBatch:
         chooser = ZipfianChooser()
         scalar = [chooser.next(rng, 2) for _ in range(200)]
         assert set(scalar) <= {0, 1}
-        batch = make_chooser("zipfian").next_batch(random.Random(4), [2] * 200)
-        assert list(batch) == scalar
+        batch = decode_draws(make_chooser("zipfian"), random.Random(4), [2] * 200)
+        assert batch == scalar
         for name in ("latest", "scrambled_zipfian"):
-            values = make_chooser(name).next_batch(random.Random(4), [2] * 50)
-            assert set(int(v) for v in values) <= {0, 1}
+            values = decode_draws(make_chooser(name), random.Random(4), [2] * 50)
+            assert set(values) <= {0, 1}

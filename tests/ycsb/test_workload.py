@@ -1,9 +1,23 @@
 """Tests for the YCSB core workload (load + run phases)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.ycsb.distributions as distributions_module
+import repro.ycsb.workload as workload_module
 from repro.errors import WorkloadError
 from repro.ycsb import CoreWorkload, Operation, OperationType, WorkloadConfig
+from repro.ycsb.operations import CODE_OP_TYPES
+
+try:
+    import repro.ycsb.wordstream as wordstream_module
+except ImportError:  # numpy-less leg: the scalar loop is the only path
+    wordstream_module = None
+
+needs_kernel = pytest.mark.skipif(
+    wordstream_module is None, reason="the word-stream kernel needs numpy"
+)
 
 
 class TestConfigValidation:
@@ -28,6 +42,31 @@ class TestConfigValidation:
 
     def test_all_zero_mix_ok_with_no_operations(self):
         WorkloadConfig(update_proportion=0.0, operationcount=0)
+
+    @pytest.mark.parametrize("max_scan_length", (0, -3, 2**32, 2**40))
+    def test_rejects_max_scan_length_out_of_range(self, max_scan_length):
+        """Both generators used to die mid-stream on ``randint(1, 0)``;
+        the upper bound keeps every ``getrandbits`` try one 32-bit word."""
+        with pytest.raises(WorkloadError, match="max_scan_length"):
+            WorkloadConfig(scan_proportion=1.0, max_scan_length=max_scan_length)
+
+    @pytest.mark.parametrize("max_scan_length", (1, 2**32 - 1))
+    def test_max_scan_length_bounds_generate(self, max_scan_length):
+        config = WorkloadConfig(
+            recordcount=5,
+            operationcount=40,
+            update_proportion=0.0,
+            scan_proportion=1.0,
+            max_scan_length=max_scan_length,
+        )
+        lengths = [
+            op.scan_length
+            for op in CoreWorkload(config).all_operations()
+            if op.type is OperationType.SCAN
+        ]
+        stream = CoreWorkload(config).op_stream_columns(include_read_ops=True)
+        assert stream.read_ops.scan_lengths == lengths
+        assert all(1 <= length <= max_scan_length for length in lengths)
 
     def test_insert_update_mix_helper(self):
         config = WorkloadConfig.insert_update_mix(0.25, operationcount=100)
@@ -162,87 +201,289 @@ class TestDeterminism:
         assert a != b
 
 
-class TestOpStreamColumns:
-    """The columnar op stream == the scalar operation loop, per mix."""
+GRAY_DISTRIBUTIONS = ("zipfian", "scrambled_zipfian", "latest")
+SCALAR_DISTRIBUTIONS = ("uniform", "hotspot", "sequential")
 
-    MIX_CONFIGS = {
-        "writes-only": dict(insert_proportion=0.4, update_proportion=0.6),
-        "read-heavy": dict(read_proportion=0.8, update_proportion=0.2),
-        "scans": dict(
-            read_proportion=0.1,
-            scan_proportion=0.3,
-            insert_proportion=0.3,
-            update_proportion=0.3,
-        ),
-        "deletes": dict(
-            delete_proportion=0.2, insert_proportion=0.4, update_proportion=0.4
-        ),
-        "all-read": dict(read_proportion=1.0, update_proportion=0.0),
-    }
+MIX_CONFIGS = {
+    "all-update": dict(update_proportion=1.0),
+    "writes-only": dict(insert_proportion=0.4, update_proportion=0.6),
+    "read-heavy": dict(read_proportion=0.8, update_proportion=0.2),
+    "scans": dict(
+        read_proportion=0.1,
+        scan_proportion=0.3,
+        insert_proportion=0.3,
+        update_proportion=0.3,
+    ),
+    "deletes": dict(
+        delete_proportion=0.2, insert_proportion=0.4, update_proportion=0.4
+    ),
+    "all-read": dict(read_proportion=1.0, update_proportion=0.0),
+    "all-insert": dict(insert_proportion=1.0, update_proportion=0.0),
+    "all-scan": dict(scan_proportion=1.0, update_proportion=0.0),
+    "rare-insert": dict(
+        insert_proportion=0.02, scan_proportion=0.4, delete_proportion=0.58,
+        update_proportion=0.0,
+    ),
+}
 
-    @staticmethod
-    def scalar_reference(config):
-        """Write columns + op codes from the operation-at-a-time loop."""
-        keynums, tombstones, codes = [], [], []
-        for op in CoreWorkload(config).all_operations():
-            codes.append(op.type.code)
-            if not op.is_write:
-                continue
+
+def scalar_fold(config):
+    """Every column of the stream, folded from ``all_operations()``, and
+    the workload that produced them (for its end state)."""
+    workload = CoreWorkload(config)
+    keynums, tombstones, codes = [], [], []
+    reads, scans, lengths = [], [], []
+    for op in workload.all_operations():
+        codes.append(op.type.code)
+        if op.type is OperationType.READ:
+            reads.append(op.key)
+        elif op.type is OperationType.SCAN:
+            scans.append(op.key)
+            lengths.append(op.scan_length)
+        else:
             if op.type is OperationType.DELETE:
                 tombstones.append(len(keynums))
             keynums.append(op.key)
-        return keynums, tombstones, bytes(codes)
+    return workload, (keynums, tombstones, bytes(codes)), (reads, scans, lengths)
+
+
+def end_state(workload):
+    """What a generator leaves behind: rng position, key-space size and
+    (Gray choosers) the incremental zeta state."""
+    zipfian = getattr(workload._chooser, "_zipfian", workload._chooser)
+    return (
+        workload._rng.getstate(),
+        workload.inserted_count,
+        getattr(zipfian, "_n", None),
+        getattr(zipfian, "_zetan", None),
+    )
+
+
+def assert_stream_equals_fold(config):
+    reference, writes, read_ops = scalar_fold(config)
+    for include_read_ops in (False, True):
+        workload = CoreWorkload(config)
+        stream = workload.op_stream_columns(include_read_ops=include_read_ops)
+        assert (
+            [int(key) for key in stream.write_keynums],
+            stream.tombstone_positions,
+            stream.op_codes,
+        ) == writes
+        assert stream.total_operations == len(stream.op_codes)
+        assert stream.write_count == len(writes[0])
+        if include_read_ops:
+            columns = stream.read_ops
+            assert (
+                columns.read_keynums,
+                columns.scan_keynums,
+                columns.scan_lengths,
+            ) == read_ops
+            # Field types downstream code relies on (truth tests, max()).
+            assert isinstance(columns.read_keynums, list)
+            assert isinstance(columns.scan_lengths, list)
+        else:
+            assert stream.read_ops is None
+        assert isinstance(stream.tombstone_positions, list)
+        assert isinstance(stream.op_codes, bytes)
+        assert end_state(workload) == end_state(reference)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Shrink the kernel's block to 64 words so a few hundred operations
+    cross many block boundaries."""
+    if wordstream_module is not None:
+        monkeypatch.setattr(wordstream_module, "BLOCK_WORDS", 64)
+
+
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """What a numpy-less install observes: the kernel is unreachable."""
+    monkeypatch.setattr(workload_module, "_np", None)
+    monkeypatch.setattr(distributions_module, "_np", None)
+    if wordstream_module is not None:
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("word-stream kernel ran without numpy")
+
+        monkeypatch.setattr(workload_module, "_gray_op_columns", unreachable)
+
+
+class TestOpStreamColumns:
+    """The columnar op stream == the scalar operation loop, per mix."""
 
     @pytest.mark.parametrize("mix", sorted(MIX_CONFIGS))
-    @pytest.mark.parametrize("distribution", ("uniform", "zipfian", "latest"))
+    @pytest.mark.parametrize(
+        "distribution", GRAY_DISTRIBUTIONS + SCALAR_DISTRIBUTIONS
+    )
     def test_stream_identical_to_scalar_loop(self, mix, distribution):
         config = WorkloadConfig(
             recordcount=120,
             operationcount=1500,
             distribution=distribution,
             seed=13,
-            **self.MIX_CONFIGS[mix],
+            **MIX_CONFIGS[mix],
         )
+        assert_stream_equals_fold(config)
         stream = CoreWorkload(config).op_stream_columns()
-        keynums, tombstones, codes = self.scalar_reference(config)
-        assert list(stream.write_keynums) == keynums
-        assert stream.tombstone_positions == tombstones
-        assert stream.op_codes == codes
-        assert stream.total_operations == 120 + 1500 == len(stream.op_codes)
-        assert stream.write_count == len(keynums)
+        assert stream.total_operations == 120 + 1500
         # The op-type column decodes back through CODE_OP_TYPES: its
         # write rows must agree with the write columns exactly.
-        from repro.ycsb.operations import CODE_OP_TYPES
-
         decoded_writes = sum(
             1 for code in stream.op_codes if CODE_OP_TYPES[code].is_write
         )
         assert decoded_writes == stream.write_count
 
-    def test_rng_state_reusable_after_stream(self):
-        """Draws after the batch continue the scalar stream (zeta state
-        and rng position both survive the vectorized decode)."""
+    @pytest.mark.parametrize("mix", sorted(MIX_CONFIGS))
+    @pytest.mark.parametrize("distribution", GRAY_DISTRIBUTIONS)
+    @pytest.mark.parametrize("recordcount", (1, 2))
+    def test_smallest_key_spaces(self, small_blocks, mix, distribution, recordcount):
+        """A single-key space draws no key variate until the first
+        insert (which may never come); two keys never reach eta."""
         config = WorkloadConfig(
-            recordcount=50,
-            operationcount=400,
-            distribution="zipfian",
-            read_proportion=0.5,
-            update_proportion=0.5,
-            seed=3,
+            recordcount=recordcount,
+            operationcount=300,
+            distribution=distribution,
+            seed=5,
+            **MIX_CONFIGS[mix],
         )
-        scalar = CoreWorkload(config)
-        for _ in scalar.all_operations():
-            pass
-        batched = CoreWorkload(config)
-        batched.op_stream_columns()
-        follow_scalar = [
-            op.key for op in _drain_run_ops(scalar, 20)
-        ]
-        follow_batched = [op.key for op in _drain_run_ops(batched, 20)]
-        assert follow_scalar == follow_batched
+        assert_stream_equals_fold(config)
+
+    # All-update operations are four words each, so a 64-word block with
+    # its 64-word tail holds exactly 32 of them.
+    @pytest.mark.parametrize("operationcount", (0, 1, 31, 32, 33, 3 * 32 + 7))
+    @pytest.mark.parametrize("mix", ("all-update", "scans", "all-scan"))
+    def test_block_boundaries(self, small_blocks, mix, operationcount):
+        config = WorkloadConfig(
+            recordcount=10,
+            operationcount=operationcount,
+            distribution="zipfian",
+            seed=operationcount,
+            **MIX_CONFIGS[mix],
+        )
+        assert_stream_equals_fold(config)
+
+    @pytest.mark.parametrize("max_scan_length", (1, 2, 127, 128, 129))
+    @pytest.mark.parametrize("mix", ("scans", "all-scan", "rare-insert"))
+    def test_scan_length_rejection_rates(self, small_blocks, mix, max_scan_length):
+        """``randint`` rejects 0 % (127 of 128 values) to ~50 % (1, 2,
+        128, 129) of its tries; with 64-word blocks scans end blocks,
+        and straddle them, at every alignment."""
+        for seed in range(4):
+            config = WorkloadConfig(
+                recordcount=3,
+                operationcount=400,
+                distribution="latest",
+                max_scan_length=max_scan_length,
+                seed=seed,
+                **MIX_CONFIGS[mix],
+            )
+            assert_stream_equals_fold(config)
+
+    @needs_kernel
+    def test_operation_longer_than_the_block(self, monkeypatch):
+        """A block that completes no operation is re-read with a longer
+        tail, never spun on."""
+        monkeypatch.setattr(wordstream_module, "BLOCK_WORDS", 1)
+        monkeypatch.setattr(wordstream_module, "_TAIL_WORDS", 1)
+        config = WorkloadConfig(
+            recordcount=4,
+            operationcount=60,
+            distribution="zipfian",
+            max_scan_length=128,
+            seed=2,
+            **MIX_CONFIGS["scans"],
+        )
+        assert_stream_equals_fold(config)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        distribution=st.sampled_from(GRAY_DISTRIBUTIONS + SCALAR_DISTRIBUTIONS),
+        weights=st.lists(st.sampled_from((0.0, 0.0, 0.05, 0.5, 1.0)), min_size=5, max_size=5)
+        .filter(any),
+        recordcount=st.integers(1, 40),
+        operationcount=st.integers(0, 500),
+        max_scan_length=st.sampled_from((1, 2, 3, 100, 128, 1000, 2**31, 2**32 - 1)),
+        theta=st.sampled_from((0.5, 0.99)),
+        seed=st.integers(0, 2**32),
+        block_words=st.sampled_from((16, 64, 1 << 16)),
+    )
+    def test_any_mix_leaves_the_scalar_fold_state(
+        self,
+        distribution,
+        weights,
+        recordcount,
+        operationcount,
+        max_scan_length,
+        theta,
+        seed,
+        block_words,
+    ):
+        """Columns, ``rng.getstate()``, ``inserted_count`` and the zeta
+        state equal the scalar fold's for any mix, seed and block size."""
+        insert, update, read, delete, scan = weights
+        config = WorkloadConfig(
+            recordcount=recordcount,
+            operationcount=operationcount,
+            insert_proportion=insert,
+            update_proportion=update,
+            read_proportion=read,
+            delete_proportion=delete,
+            scan_proportion=scan,
+            distribution=distribution,
+            zipfian_theta=theta,
+            max_scan_length=max_scan_length,
+            seed=seed,
+        )
+        if wordstream_module is None:
+            assert_stream_equals_fold(config)
+            return
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(wordstream_module, "BLOCK_WORDS", block_words)
+            assert_stream_equals_fold(config)
+
+    @needs_kernel
+    @pytest.mark.parametrize(
+        "distribution", GRAY_DISTRIBUTIONS + SCALAR_DISTRIBUTIONS
+    )
+    def test_kernel_selected_by_chooser(self, monkeypatch, distribution):
+        """No silent fallback either way: with numpy the Gray choosers
+        always take the kernel, and nothing else ever does."""
+        calls = []
+        kernel = workload_module._gray_op_columns
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(workload_module, "_gray_op_columns", spy)
+        config = WorkloadConfig(
+            recordcount=10, operationcount=50, distribution=distribution,
+            **MIX_CONFIGS["scans"],
+        )
+        CoreWorkload(config).op_stream_columns(include_read_ops=True)
+        assert len(calls) == (1 if distribution in GRAY_DISTRIBUTIONS else 0)
+
+    @pytest.mark.parametrize("mix", sorted(MIX_CONFIGS))
+    @pytest.mark.parametrize("distribution", GRAY_DISTRIBUTIONS + ("uniform",))
+    @pytest.mark.parametrize("recordcount", (1, 60))
+    def test_scalar_loop_alone_carries_every_case(
+        self, no_numpy, mix, distribution, recordcount
+    ):
+        config = WorkloadConfig(
+            recordcount=recordcount,
+            operationcount=400,
+            distribution=distribution,
+            max_scan_length=129,
+            seed=21,
+            **MIX_CONFIGS[mix],
+        )
+        assert_stream_equals_fold(config)
+        stream = CoreWorkload(config).op_stream_columns()
+        assert isinstance(stream.write_keynums, list)
 
     def test_supports_op_stream_covers_every_mix(self):
-        for mix in self.MIX_CONFIGS.values():
+        for mix in MIX_CONFIGS.values():
             config = WorkloadConfig(recordcount=10, operationcount=10, **mix)
             assert CoreWorkload(config).supports_op_stream()
 
@@ -255,24 +496,3 @@ class TestOpStreamColumns:
         assert not workload.supports_op_stream()
         with pytest.raises(WorkloadError):
             workload.op_stream_columns()
-
-    def test_write_stream_columns_still_requires_writes_only(self):
-        config = WorkloadConfig(
-            recordcount=10,
-            operationcount=10,
-            read_proportion=0.5,
-            update_proportion=0.5,
-        )
-        with pytest.raises(WorkloadError):
-            CoreWorkload(config).write_stream_columns()
-
-
-def _drain_run_ops(workload, count):
-    """A few more run-phase operations from an already-driven workload."""
-    from itertools import islice
-
-    from dataclasses import replace as dc_replace
-
-    more = dc_replace(workload.config, operationcount=count)
-    workload.config = more
-    return islice(workload.run_operations(), count)
