@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -57,12 +58,21 @@ def results_dir() -> Path:
     return RESULTS_DIR
 
 
+def figure_panel(name: str):
+    """One paper figure through the path ``repro figures`` prints."""
+    from repro.scenarios import ExperimentRunner
+
+    return ExperimentRunner().run(name, fast=is_fast()).panel()
+
+
 @pytest.fixture(scope="session")
 def figure7_results():
-    """Figure 7 sweep shared by the cost (7a) and time (7b) benches."""
-    from repro.analysis.experiments import figure7
+    """Figure 7 sweep shared by the cost (7a) and time (7b) benches:
+    fig7b is the same spec under another name, read on another metric."""
+    from repro.scenarios import REGISTRY, ExperimentRunner
 
-    return figure7(fast=is_fast())
+    run = ExperimentRunner().run("fig7a", fast=is_fast())
+    return run.panel(), replace(run, scenario=REGISTRY.get("fig7b")).panel()
 
 
 def write_artifact(results_dir: Path, name: str, result) -> Path:

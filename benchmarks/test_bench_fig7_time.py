@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from repro.analysis.experiments import UPDATE_FRACTIONS
+from repro.scenarios.registry import UPDATE_FRACTIONS
 from repro.simulator import SimulationConfig
 from repro.simulator.runner import sweep as run_sweep
 

@@ -12,20 +12,18 @@ memtable size swept 10 -> 10 000 (log-log axes).  Asserted claims:
 
 from __future__ import annotations
 
-from conftest import is_fast, series_payload, write_artifact, write_bench_json
+from conftest import figure_panel, series_payload, write_artifact, write_bench_json
 
 
 def test_fig8_bt_cost_vs_lower_bound(benchmark, results_dir):
-    from repro.analysis.experiments import figure8
-
     result = benchmark.pedantic(
-        lambda: figure8(fast=is_fast()), rounds=1, iterations=1
+        lambda: figure_panel("fig8"), rounds=1, iterations=1
     )
     write_artifact(results_dir, "fig8", result)
 
-    bt_slope = result.metadata["bt_slope"]
-    lopt_slope = result.metadata["lopt_slope"]
-    ratios = result.metadata["ratios"]
+    bt_slope = result.metadata["slopes"]["BT(I)"]
+    lopt_slope = result.metadata["slopes"]["LOPT"]
+    ratios = result.metadata["ratios"]["BT(I)"]
 
     # Parallel log-log lines: slopes agree within 0.15.
     assert abs(bt_slope - lopt_slope) < 0.15

@@ -14,14 +14,12 @@ distribution, and positive fitted slopes.
 
 from __future__ import annotations
 
-from conftest import is_fast, series_payload, write_artifact, write_bench_json
+from conftest import figure_panel, series_payload, write_artifact, write_bench_json
 
 
 def test_fig9a_update_sweep(benchmark, results_dir):
-    from repro.analysis.experiments import figure9a
-
     result = benchmark.pedantic(
-        lambda: figure9a(fast=is_fast()), rounds=1, iterations=1
+        lambda: figure_panel("fig9a"), rounds=1, iterations=1
     )
     write_artifact(results_dir, "fig9a", result)
 
@@ -37,10 +35,8 @@ def test_fig9a_update_sweep(benchmark, results_dir):
 
 
 def test_fig9b_operationcount_sweep(benchmark, results_dir):
-    from repro.analysis.experiments import figure9b
-
     result = benchmark.pedantic(
-        lambda: figure9b(fast=is_fast()), rounds=1, iterations=1
+        lambda: figure_panel("fig9b"), rounds=1, iterations=1
     )
     write_artifact(results_dir, "fig9b", result)
 

@@ -2,11 +2,11 @@
 
 Pins the acceptance bar of the multi-worker merge-execution PR: on a
 multi-lane BALANCETREE schedule at figure-7 scale (insert-only, so the
-merge kernel does maximal work) every execution backend — ``serial``,
-``thread`` and ``process``, at several worker counts — must produce
+merge kernel does maximal work) both execution backends — ``serial``
+and ``thread``, at several worker counts — must produce
 **byte-identical** output tables, cost metrics and simulated durations,
-and on a machine with at least 4 cores the best parallel backend must
-finish the merge section at least 2x faster than the serial loop.
+and on a machine with at least 4 cores the thread backend must finish
+the merge section at least 2x faster than the serial loop.
 
 On fewer cores the identity matrix still runs (that is the correctness
 half of the bar) but the speedup assertion is skipped: a 1-core box
@@ -104,8 +104,6 @@ def test_parallel_backends_identical_and_fast(bench_fast, results_dir):
         ("thread", 1),
         ("thread", 2),
         ("thread", parallel_workers),
-        ("process", 2),
-        ("process", parallel_workers),
     ]
     serial = best_of(tables, schedule, "serial", 1)
     rows = []

@@ -1,38 +1,28 @@
-"""Analysis utilities: statistics, tables, ASCII plots, figure registry."""
+"""Analysis utilities: statistics, tables, ASCII plots, figure panels."""
 
 from .ascii_plot import scatter_plot
 from .experiments import (
-    EXPERIMENTS,
     ExperimentResult,
-    figure7,
-    figure7a,
-    figure7b,
-    figure8,
-    figure9a,
-    figure9b,
-    run_experiment,
+    bound_gap_panel,
+    cost_time_panel,
+    series_panel,
 )
 from .render import render_schedule
 from .stats import LinearFit, linear_fit, log_log_fit, mean, pearson_r, stdev
 from .tables import format_table
 
 __all__ = [
-    "EXPERIMENTS",
     "ExperimentResult",
     "LinearFit",
-    "figure7",
-    "figure7a",
-    "figure7b",
-    "figure8",
-    "figure9a",
-    "figure9b",
+    "bound_gap_panel",
+    "cost_time_panel",
     "format_table",
     "linear_fit",
     "log_log_fit",
     "mean",
     "pearson_r",
     "render_schedule",
-    "run_experiment",
     "scatter_plot",
+    "series_panel",
     "stdev",
 ]

@@ -10,8 +10,10 @@ One entry point for everything the repo can run::
     python -m repro figures fig8 --out results/    # regenerate paper figures
     python -m repro bench-trends results/          # perf trend tables
 
-``run`` and ``sweep`` record a schema-versioned manifest under
-``results/runs/`` (disable with ``--no-store``).
+``run``, ``sweep`` and ``figures`` share one execution path and record a
+schema-versioned manifest under ``results/runs/`` (disable with
+``--no-store``); ``figures <id>`` is ``run <id>`` plus the ``fig7`` /
+``all`` groups and ``--out DIR`` for the ``<id>.txt`` artefacts.
 """
 
 from __future__ import annotations
@@ -19,18 +21,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .analysis.tables import format_table
 from .core.backend import available_backends
 from .core.estimator import available_estimators
-from .errors import ReproError
+from .errors import ReproError, ScenarioError
+from .lsm.compaction.executor import MERGE_EXECUTORS
 from .scenarios import (
+    PANELS,
     REGISTRY,
     ExperimentRunner,
     ResultsStore,
     Scenario,
+    ScenarioRun,
     SweepSpec,
 )
 from .scenarios.spec import SWEEP_PARAMETERS
@@ -109,13 +115,13 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--merge-executor",
         default=None,
-        choices=["serial", "thread", "process"],
+        choices=MERGE_EXECUTORS,
         help="real merge-execution backend for phase-2 schedules; outputs "
         "are byte-identical for every choice (see docs/concurrency.md)",
     )
     parser.add_argument(
         "--merge-workers", type=int, default=None,
-        help="workers for the thread/process merge executor (0 = one per CPU)",
+        help="workers for the thread merge executor (0 = one per CPU)",
     )
     parser.add_argument(
         "--write-pipeline",
@@ -209,21 +215,26 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, Any]:
     return overrides
 
 
-def _execute(args: argparse.Namespace, scenario: Scenario | str) -> int:
-    store = None if args.no_store else ResultsStore(args.store)
-    runner = ExperimentRunner(store=store, jobs=args.jobs)
+def _execute(
+    args: argparse.Namespace,
+    scenario: Scenario | str,
+    executed: Optional[ScenarioRun] = None,
+) -> ScenarioRun:
+    """Run ``scenario`` (unless it comes in ``executed``), record the
+    manifest and print the report."""
     strategies = None
     if args.strategies:
         strategies = tuple(
             label.strip() for label in args.strategies.split(",") if label.strip()
         )
-    run, path = runner.run_and_record(
+    run = executed or ExperimentRunner(jobs=args.jobs).run(
         scenario,
         fast=args.fast,
         runs=args.runs,
         overrides=_collect_overrides(args),
         strategies=strategies,
     )
+    path = None if args.no_store else ResultsStore(args.store).write(run)
     print(run.render(), end="")
     if args.verbose:
         read_phase = "; read phase: served" if run.read_phase_served else ""
@@ -245,7 +256,7 @@ def _execute(args: argparse.Namespace, scenario: Scenario | str) -> int:
         )
     if path is not None:
         print(f"\n[manifest written to {path}]")
-    return 0
+    return run
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +275,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         scenario = args.scenario
     else:
         raise SystemExit("repro run: give a scenario name or --spec FILE")
-    return _execute(args, scenario)
+    _execute(args, scenario)
+    return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -293,7 +305,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         tags=("adhoc",),
         **kwargs,
     )
-    return _execute(args, scenario)
+    _execute(args, scenario)
+    return 0
 
 
 def _cmd_list_scenarios(args: argparse.Namespace) -> int:
@@ -334,10 +347,41 @@ def _cmd_list_scenarios(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figures(args: argparse.Namespace) -> int:
-    from .analysis.experiments import run_figures
+#: ``repro figures`` ids that stand for several panels.
+_FIGURE_GROUPS = {"fig7": ("fig7a", "fig7b"), "all": tuple(PANELS)}
+#: What a scenario is called, as opposed to what it executes.
+_NAMING = ("name", "title", "description", "tags")
 
-    return run_figures(args)
+
+def _as_twin(run: ScenarioRun, twin: Scenario) -> Optional[ScenarioRun]:
+    """``run`` under ``twin``'s name when the two registered specs
+    execute the same experiment (fig7a / fig7b: one sweep read on two
+    metrics), else ``None``."""
+    naming = {key: getattr(twin, key) for key in _NAMING}
+    if replace(REGISTRY.get(run.scenario.name), **naming) != twin:
+        return None
+    return replace(run, scenario=replace(run.scenario, **naming))
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    names = _FIGURE_GROUPS.get(args.experiment, (args.experiment,))
+    if not set(names) <= set(PANELS):
+        raise ScenarioError(
+            f"unknown figure {args.experiment!r}; "
+            f"known: {[*PANELS, *_FIGURE_GROUPS]}"
+        )
+    run = None
+    for name in names:
+        scenario = REGISTRY.get(name)
+        run = _execute(args, scenario, run and _as_twin(run, scenario))
+        if args.out is not None:
+            panel = run.panel()
+            args.out.mkdir(parents=True, exist_ok=True)
+            path = args.out / f"{name}.txt"
+            path.write_text(f"{panel.title}\n\n{panel.text}\n")
+            print(f"[written to {path}]")
+        print()
+    return 0
 
 
 def _cmd_bench_trends(args: argparse.Namespace) -> int:
@@ -423,9 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     figures = sub.add_parser(
         "figures", help="regenerate the paper's evaluation figures"
     )
-    from .analysis.experiments import add_figures_arguments
-
-    add_figures_arguments(figures)
+    figures.add_argument(
+        "experiment", help=" | ".join([*_FIGURE_GROUPS, *PANELS])
+    )
+    figures.add_argument(
+        "--out", type=Path, default=None, help="directory for <id>.txt dumps"
+    )
+    _add_common_run_arguments(figures)
     figures.set_defaults(handler=_cmd_figures)
 
     bench_trends = sub.add_parser(

@@ -66,7 +66,7 @@ class CompactionController:
 
         In background mode the compaction is *started* (on a snapshot of
         the current tables; its strategy may fan merges over the
-        thread/process execution backends) and ingest continues; the
+        thread execution backend) and ingest continues; the
         result lands in the history when :meth:`finish` or a later
         trigger collects it, so this returns ``None`` for background
         starts.

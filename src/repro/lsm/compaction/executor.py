@@ -28,13 +28,8 @@ Independently of the simulated lanes, the merges themselves can run on
   speedup when the merges run the columnar kernel, whose numpy
   sort/concatenate kernels release the GIL; on the pure-python heap
   kernel threads are correct but GIL-bound.
-* ``"process"`` — a process pool.  Inputs travel as int64 column
-  arrays, the worker runs the columnar merge, and the parent
-  rehydrates outputs via :meth:`~repro.lsm.sstable.SSTable.from_columns`
-  (sketch propagation stays on the parent).  Requires numpy and
-  columnar-eligible tables.
 
-All backends produce bit-identical output tables, cost metrics and
+Both backends produce bit-identical output tables, cost metrics and
 simulated durations for any worker count; only the measured wall clock
 (``merge_wall_seconds``, ``worker_utilization``) differs.  See
 ``docs/concurrency.md``.
@@ -45,12 +40,7 @@ from __future__ import annotations
 import os
 import time
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -60,13 +50,8 @@ from ..disk import SimulatedDisk
 from ..sstable import SSTable, merge_sstables
 from .planner import SchedulePlan, plan_schedule
 
-try:  # optional: only the process backend needs numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-
 #: ``execute_schedule`` backend names.
-MERGE_EXECUTORS = ("serial", "thread", "process")
+MERGE_EXECUTORS = ("serial", "thread")
 
 
 def resolve_merge_workers(workers: Optional[int]) -> int:
@@ -163,37 +148,6 @@ def _merge_step(
     return output, time.perf_counter() - started
 
 
-def _process_merge_step(
-    columns: Sequence[tuple],
-    drop_tombstones: bool,
-    bloom_fp_rate: float,
-) -> tuple[tuple, float]:
-    """One timed columnar merge in a worker process.
-
-    Inputs and output travel as plain ``(keys, seqnos, value_sizes,
-    tombstones)`` array tuples — no bloom filters, sparse indexes or
-    sketches cross the process boundary (they are all built lazily, and
-    sketch propagation happens on the parent).
-    """
-    from ..sstable import TableColumns, _merge_columnar
-
-    started = time.perf_counter()
-    views = [
-        TableColumns(
-            _np.asarray(keys), _np.asarray(seqnos), _np.asarray(values),
-            None if tombstones is None else _np.asarray(tombstones),
-        )
-        for keys, seqnos, values, tombstones in columns
-    ]
-    # Table id 0 is a placeholder: the parent renumbers on rehydration.
-    merged = _merge_columnar(views, 0, drop_tombstones, bloom_fp_rate)
-    out = merged._columns
-    return (
-        (out.keys, out.seqnos, out.value_sizes, out.tombstones),
-        time.perf_counter() - started,
-    )
-
-
 class ExecutionBackend(ABC):
     """Runs every merge step of a plan; returns outputs by step index.
 
@@ -250,25 +204,34 @@ class SerialBackend(ExecutionBackend):
         return outputs, busy
 
 
-class _PoolBackend(ExecutionBackend):
-    """Shared DAG pump: submit ready steps, release dependents as they land."""
+class ThreadBackend(ExecutionBackend):
+    """A thread pool pumped by the ready-set DAG: submit the ready
+    steps, release dependents as their inputs land.
+
+    Workers call :func:`merge_sstables` directly.  The columnar kernel
+    spends its time in numpy sort/concatenate kernels that release the
+    GIL, so independent merges genuinely overlap; the heap kernel stays
+    correct but serializes on the GIL.
+    """
+
+    name = "thread"
 
     def run(self, tables, plan, next_table_id, drop_tombstones,
             bloom_fp_rate, merge_kernel):
-        handles = self._prepare(tables, merge_kernel)
-        raw_outputs: list = [None] * plan.n_steps
+        live: dict[int, SSTable] = dict(enumerate(tables))
+        outputs: list = [None] * plan.n_steps
         pending = [len(deps) for deps in plan.dependencies]
         busy = 0.0
         final_index = plan.n_steps - 1
-        with self._make_pool() as pool:
+        with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures: dict = {}
 
             def submit(index: int) -> None:
                 step = plan.steps[index]
                 futures[
-                    self._submit(
-                        pool,
-                        [handles[table_id] for table_id in step.inputs],
+                    pool.submit(
+                        _merge_step,
+                        [live[table_id] for table_id in step.inputs],
                         next_table_id + index,
                         drop_tombstones and index == final_index,
                         bloom_fp_rate,
@@ -282,114 +245,19 @@ class _PoolBackend(ExecutionBackend):
                 done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
                     index = futures.pop(future)
-                    output, seconds = future.result()
-                    raw_outputs[index] = output
+                    outputs[index], seconds = future.result()
                     busy += seconds
-                    handles[plan.steps[index].output] = output
+                    live[plan.steps[index].output] = outputs[index]
                     for dependent in plan.dependents[index]:
                         pending[dependent] -= 1
                         if pending[dependent] == 0:
                             submit(dependent)
-        return (
-            self._materialize(raw_outputs, next_table_id, bloom_fp_rate),
-            busy,
-        )
-
-    # -- hooks ---------------------------------------------------------
-    def _prepare(self, tables, merge_kernel) -> dict:
-        return dict(enumerate(tables))
-
-    @abstractmethod
-    def _make_pool(self):
-        ...
-
-    @abstractmethod
-    def _submit(self, pool, inputs, new_table_id, dropping, bloom_fp_rate,
-                merge_kernel):
-        ...
-
-    def _materialize(self, raw_outputs, next_table_id, bloom_fp_rate):
-        return raw_outputs
-
-
-class ThreadBackend(_PoolBackend):
-    """Workers call :func:`merge_sstables` directly.
-
-    The columnar kernel spends its time in numpy sort/concatenate
-    kernels that release the GIL, so independent merges genuinely
-    overlap; the heap kernel stays correct but serializes on the GIL.
-    """
-
-    name = "thread"
-
-    def _make_pool(self):
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def _submit(self, pool, inputs, new_table_id, dropping, bloom_fp_rate,
-                merge_kernel):
-        return pool.submit(
-            _merge_step, inputs, new_table_id, dropping, bloom_fp_rate,
-            merge_kernel,
-        )
-
-
-class ProcessBackend(_PoolBackend):
-    """Columnar merges in worker processes, columns shipped both ways."""
-
-    name = "process"
-
-    def _prepare(self, tables, merge_kernel) -> dict:
-        if _np is None:
-            raise CompactionError(
-                "the process merge executor requires numpy "
-                "(use 'thread' or 'serial')"
-            )
-        if merge_kernel == "heap":
-            raise CompactionError(
-                "the process merge executor ships int64 columns and always "
-                "runs the columnar kernel; it cannot honor merge_kernel="
-                "'heap' (use the 'thread' or 'serial' executor instead)"
-            )
-        handles = {}
-        for table_id, table in enumerate(tables):
-            columns = table.columns()
-            if columns is None:
-                raise CompactionError(
-                    f"table {table.table_id} has no int64 column view; the "
-                    "process merge executor needs columnar-eligible tables "
-                    "(use 'thread' or 'serial')"
-                )
-            handles[table_id] = (
-                columns.keys, columns.seqnos, columns.value_sizes,
-                columns.tombstones,
-            )
-        return handles
-
-    def _make_pool(self):
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _submit(self, pool, inputs, new_table_id, dropping, bloom_fp_rate,
-                merge_kernel):
-        return pool.submit(
-            _process_merge_step, inputs, dropping, bloom_fp_rate
-        )
-
-    def _materialize(self, raw_outputs, next_table_id, bloom_fp_rate):
-        return [
-            SSTable.from_columns(
-                next_table_id + index, keys, seqnos, values, tombstones,
-                bloom_fp_rate=bloom_fp_rate,
-            )
-            for index, (keys, seqnos, values, tombstones) in enumerate(
-                raw_outputs
-            )
-        ]
+        return outputs, busy
 
 
 _BACKENDS: dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
     "serial": SerialBackend,
     "thread": ThreadBackend,
-    "process": ProcessBackend,
 }
 
 

@@ -15,9 +15,9 @@ Replay distinguishes two failure shapes:
   :class:`~repro.errors.CorruptionError` rather than serve them.
 
 The class mirrors the in-memory :class:`~repro.lsm.wal.WriteAheadLog`
-surface (``append``/``replay``/``truncate``/``is_empty``/``__len__``/
-``last_seqno``/``bytes_appended_total``/``truncations``) so the engine can swap one
-for the other, and bills frame bytes to a
+surface (``append``/``replay``/``is_empty``/``__len__``/``last_seqno``/
+``bytes_appended_total``) so the engine can swap one for the other, and
+bills frame bytes to a
 :class:`~repro.lsm.disk.SimulatedDisk` when one is attached.
 """
 
@@ -35,7 +35,7 @@ WAL_NAME = "wal.log"
 
 
 class FileWriteAheadLog:
-    """An append-only, truncatable, crash-tolerant record log on disk."""
+    """An append-only, crash-tolerant record log on disk."""
 
     def __init__(
         self,
@@ -52,7 +52,6 @@ class FileWriteAheadLog:
         self._sync_every = sync_every
         self._unsynced = 0
         self.bytes_appended_total = 0
-        self.truncations = 0
         # Repair a torn tail *before* opening for append, so new frames
         # never land after garbage bytes.
         records = self._scan(repair=True)
@@ -79,16 +78,6 @@ class FileWriteAheadLog:
         self._file.sync()
         self._unsynced = 0
 
-    def truncate(self) -> None:
-        """Discard logged records after a durable memtable flush."""
-        self._file.close()
-        self._fs.truncate(self._name, 0)
-        self._file = self._fs.open_append(self._name)
-        self._entry_count = 0
-        self.last_seqno = 0
-        self._unsynced = 0
-        self.truncations += 1
-
     def close(self) -> None:
         self._file.close()
 
@@ -101,7 +90,7 @@ class FileWriteAheadLog:
         return self._entry_count == 0
 
     def replay(self) -> list[Record]:
-        """Records since the last truncation (crash-recovery view)."""
+        """Every logged record (crash-recovery view)."""
         return self._scan(repair=False)
 
     def _scan(self, repair: bool) -> list[Record]:

@@ -1,8 +1,9 @@
 """Write-ahead log (commit log).
 
 Every write is appended to the WAL before reaching the memtable so the
-buffered data survives a crash; the log is truncated once the memtable
-is flushed to an sstable.  The simulation keeps the log in memory and
+buffered data survives a crash; the storage rotates to a fresh log when
+a memtable freezes and retires the sealed one once its flush lands (see
+``lsm/storage.py``).  The simulation keeps the log in memory and
 accounts its byte traffic against the simulated disk when one is
 attached — WAL appends are sequential writes and contribute to the
 engine's total I/O picture, though not to compaction cost.
@@ -18,13 +19,12 @@ from .record import Record
 
 
 class WriteAheadLog:
-    """An append-only, truncatable record log."""
+    """An append-only record log."""
 
     def __init__(self, disk: Optional[SimulatedDisk] = None) -> None:
         self._entries: list[Record] = []
         self._disk = disk
         self.bytes_appended_total = 0
-        self.truncations = 0
 
     def append(self, record: Record) -> None:
         self._entries.append(record)
@@ -56,7 +56,7 @@ class WriteAheadLog:
         return self._entries[-1].seqno if self._entries else 0
 
     def replay(self) -> list[Record]:
-        """Records since the last truncation (crash-recovery view).
+        """Every logged record (crash-recovery view).
 
         Validates the log's core invariant — strictly increasing seqnos,
         because appends happen in write order — and raises
@@ -73,8 +73,3 @@ class WriteAheadLog:
                 )
             last_seqno = record.seqno
         return list(self._entries)
-
-    def truncate(self) -> None:
-        """Discard logged records after a successful memtable flush."""
-        self._entries = []
-        self.truncations += 1

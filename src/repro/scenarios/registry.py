@@ -12,13 +12,25 @@ operation-at-a-time loop must carry the ``reference-only`` tag).
 User code registers additional scenarios with
 ``REGISTRY.register(Scenario(...))`` or loads them from JSON specs via
 ``Scenario.from_dict``.
+
+:data:`PANELS` declares, by scenario name, how each paper figure is
+drawn from its executed run; it is a table beside the registry rather
+than a ``Scenario`` field so that specs, their wire format and their
+hashes know nothing about rendering.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Iterator, Optional
+from functools import partial
+from typing import Callable, Iterator, Optional
 
+from ..analysis.experiments import (
+    ExperimentResult,
+    bound_gap_panel,
+    cost_time_panel,
+    series_panel,
+)
 from ..errors import ScenarioError
 from ..simulator.config import SimulationConfig
 from .spec import Scenario, SweepSpec
@@ -145,6 +157,27 @@ def _figure_scenarios() -> list[Scenario]:
         tags=("figure", "paper"),
     )
     return [fig7a, fig7b, fig8, fig9a, fig9b]
+
+
+#: Scenario name -> the renderer of its figure panel (``ScenarioRun ->
+#: ExperimentResult``).  A sweep scenario without a row gets the generic
+#: ``series_panel`` (cost and time tables); see ``ScenarioRun.panel``.
+PANELS: dict[str, Callable[..., ExperimentResult]] = {
+    "fig7a": partial(
+        series_panel, metrics=("cost_actual",), figure="Figure 7a",
+        xlabel="update %",
+    ),
+    "fig7b": partial(
+        series_panel, metrics=("simulated_seconds",), figure="Figure 7b",
+        xlabel="update %",
+    ),
+    "fig8": partial(
+        bound_gap_panel, figure="Figure 8", column="memtable",
+        xlabel="memtable size",
+    ),
+    "fig9a": partial(cost_time_panel, figure="Figure 9a", varied="update %"),
+    "fig9b": partial(cost_time_panel, figure="Figure 9b", varied="operationcount"),
+}
 
 
 def _ablation_scenarios() -> list[Scenario]:

@@ -3,15 +3,12 @@
 :func:`execute_sweep` hands a :class:`SweepSpec` to the simulator's
 :func:`~repro.simulator.runner.sweep` (the same code path the figure
 goldens certify); :class:`ExperimentRunner` resolves a scenario (fast
-variant, CLI overrides, per-distribution axis), runs it, renders a
-generic table-plus-plot report, and optionally records a
-schema-versioned manifest through
-:class:`~repro.scenarios.store.ResultsStore`.
-
-The legacy figure functions in :mod:`repro.analysis.experiments` run
-their sweeps through :func:`execute_sweep` too, so "through the
-ExperimentRunner path" and "through ``figure7()``" are the same
-computation — the byte goldens certify both.
+variant, CLI overrides, per-distribution axis), runs it, and optionally
+records a schema-versioned manifest through
+:class:`~repro.scenarios.store.ResultsStore`.  The resulting
+:class:`ScenarioRun` renders itself: a sweep as the figure panel
+:data:`~repro.scenarios.registry.PANELS` declares for it (the generic
+cost + time series otherwise), a comparison as the catalogue's table.
 """
 
 from __future__ import annotations
@@ -19,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
+from ..analysis.experiments import ExperimentResult, series_panel
+from ..analysis.tables import format_table
 from ..errors import ScenarioError
 from ..simulator.config import SimulationConfig
 from ..simulator.metrics import cell_metrics, report_table, shown_groups
@@ -30,7 +29,7 @@ from ..simulator.runner import (
     run_comparison,
     sweep as run_sweep,
 )
-from .registry import REGISTRY, ScenarioRegistry
+from .registry import PANELS, REGISTRY, ScenarioRegistry
 from .spec import Scenario, SweepSpec
 from .store import ResultsStore
 
@@ -70,10 +69,6 @@ def render_comparison_table(
     columns (and which optional groups appear) come from the metric
     catalogue.
     """
-    # Imported lazily: repro.analysis's package init pulls in the figure
-    # registry, which itself imports this module (render-only cycle).
-    from ..analysis.tables import format_table
-
     headers, rows = report_table(
         [comparison.per_strategy[label] for label in labels]
     )
@@ -87,41 +82,6 @@ def render_comparison_table(
             f"ops={config.operationcount}, runs={comparison.runs}"
         ),
     )
-
-
-def _render_sweep_tables(sweep: SweepResult, runs: int) -> str:
-    """Cost and time tables plus a cost plot for one executed sweep."""
-    from ..analysis.ascii_plot import scatter_plot
-    from ..analysis.tables import format_table
-
-    labels, parameter = sweep.labels, sweep.parameter
-    cost_rows, time_rows = [], []
-    cost_series: dict[str, list[tuple[float, float]]] = {l: [] for l in labels}
-    for point in sweep.points:
-        cost_row: list[object] = [point.x]
-        time_row: list[object] = [point.x]
-        for label in labels:
-            agg = point.per_strategy[label]
-            cost_row += [agg.cost_actual_mean, agg.cost_actual_std]
-            time_row += [agg.simulated_seconds_mean, agg.simulated_seconds_std]
-            cost_series[label].append((point.x, agg.cost_actual_mean))
-        cost_rows.append(cost_row)
-        time_rows.append(time_row)
-    headers = [parameter]
-    for label in labels:
-        headers += [f"{label} mean", f"{label} std"]
-    cost_text = format_table(
-        headers, cost_rows, float_digits=0,
-        title=f"costactual (entries), runs={runs}",
-    )
-    time_text = format_table(
-        headers, time_rows, float_digits=3,
-        title=f"compaction time (simulated s), runs={runs}",
-    )
-    plot = scatter_plot(
-        cost_series, xlabel=parameter, ylabel="costactual"
-    )
-    return f"{cost_text}\n\n{time_text}\n\n{plot}"
 
 
 @dataclass(frozen=True)
@@ -189,8 +149,14 @@ class ScenarioRun:
             for agg in aggs.values()
         ]
 
+    def panel(self) -> ExperimentResult:
+        """The figure panel of a sweep run: the one ``PANELS`` declares
+        for the scenario's name, else the generic cost + time series."""
+        return PANELS.get(self.scenario.name, series_panel)(self)
+
     def render(self) -> str:
-        """A terminal report: header plus tables/plots per distribution."""
+        """A terminal report: header, then the sweep's panel or one
+        comparison table per distribution."""
         scenario = self.scenario
         lines = [
             f"== {scenario.name}: {scenario.title} ==",
@@ -199,19 +165,17 @@ class ScenarioRun:
             f"config: {self.config.describe()}",
             "",
         ]
-        for distribution, result in self.results.items():
-            if len(self.results) > 1:
-                lines.append(f"-- distribution: {distribution} --")
-            if isinstance(result, SweepResult):
-                lines.append(_render_sweep_tables(result, self.runs))
-            else:
+        if scenario.sweep is not None:
+            lines.append(self.panel().text)
+        else:
+            for distribution, result in self.results.items():
+                if len(self.results) > 1:
+                    lines.append(f"-- distribution: {distribution} --")
                 config = replace(self.config, distribution=distribution)
-                lines.append(
-                    render_comparison_table(
-                        config, result, scenario.strategies
-                    )
-                )
-            lines.append("")
+                lines += [
+                    render_comparison_table(config, result, scenario.strategies),
+                    "",
+                ]
         return "\n".join(lines).rstrip() + "\n"
 
 

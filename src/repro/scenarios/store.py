@@ -12,7 +12,9 @@ Layout::
     results/runs/<scenario-name>/<run_id>.json
 
 ``run_id`` is ``<utc-timestamp>-<spec-hash-prefix>`` with a numeric
-suffix on collision, so repeated runs sort chronologically.
+suffix on collision, so repeated runs sort chronologically.  A manifest
+is written to ``<run_id>.json.tmp``, fsynced and renamed into place, so
+a killed run leaves at most a stale ``*.tmp`` that no reader lists.
 
 Cell rows are additive: read-serving metrics (``reads_mean``,
 ``read_amplification_mean``, ``bloom_fp_rate_mean``, ...) joined the
@@ -23,6 +25,7 @@ compatible, and the loader does not validate cell contents.
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -133,7 +136,12 @@ class ResultsStore:
             suffix += 1
         document = manifest.to_dict()
         document["run_id"] = run_id
-        path.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        temporary = path.with_name(path.name + ".tmp")
+        with open(temporary, "w") as file:
+            file.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+            file.flush()
+            os.fsync(file.fileno())
+        os.replace(temporary, path)
         return path
 
     # ------------------------------------------------------------------

@@ -70,13 +70,13 @@ class SimulationConfig:
     # operation-at-a-time engine loop and the heap merge kernel.
     data_plane: str = "auto"
     # Real merge-execution backend for phase-2 schedules: "serial" (the
-    # reference loop — the default, so all goldens stay byte-identical),
-    # "thread" (workers drive the GIL-releasing columnar kernel) or
-    # "process" (columns shipped to a process pool).  Outputs and cost
-    # metrics are byte-identical for every backend and worker count;
-    # only measured wall clock differs (see docs/concurrency.md).
+    # reference loop — the default, so all goldens stay byte-identical)
+    # or "thread" (workers drive the GIL-releasing columnar kernel).
+    # Outputs and cost metrics are byte-identical for both and for every
+    # worker count; only measured wall clock differs (see
+    # docs/concurrency.md).
     merge_executor: str = "serial"
-    # Real workers for the thread/process executors; 0 = one per CPU.
+    # Real workers for the thread executor; 0 = one per CPU.
     merge_workers: int = 0
     # Phase-1 sstable storage: "memory" (the default — tables live as
     # Python objects, all goldens byte-identical) or "disk" (every

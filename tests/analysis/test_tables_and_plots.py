@@ -64,12 +64,12 @@ class TestScatterPlot:
 
 class TestExperimentRegistry:
     def test_known_ids(self):
-        from repro.analysis import EXPERIMENTS
+        from repro.scenarios.registry import PANELS
 
-        assert set(EXPERIMENTS) == {"fig7a", "fig7b", "fig8", "fig9a", "fig9b"}
+        assert set(PANELS) == {"fig7a", "fig7b", "fig8", "fig9a", "fig9b"}
 
-    def test_unknown_id_raises(self):
-        from repro.analysis import run_experiment
+    def test_unknown_id_raises(self, capsys):
+        from repro.cli import main
 
-        with pytest.raises(KeyError):
-            run_experiment("fig99")
+        assert main(["figures", "fig99"]) == 2
+        assert "unknown figure 'fig99'" in capsys.readouterr().err

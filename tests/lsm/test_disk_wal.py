@@ -65,14 +65,6 @@ class TestWal:
         assert len(wal) == 2
         assert [r.seqno for r in wal.replay()] == [1, 2]
 
-    def test_truncate(self):
-        wal = WriteAheadLog()
-        wal.append(Record.put("a", 1))
-        wal.truncate()
-        assert wal.is_empty
-        assert wal.truncations == 1
-        assert wal.bytes_appended_total > 0  # cumulative, not reset
-
     def test_disk_accounting(self):
         disk = SimulatedDisk()
         wal = WriteAheadLog(disk)

@@ -29,18 +29,6 @@ class TestFileWal:
         wal.close()
         assert FileWriteAheadLog(fs).replay() == records(3)
 
-    def test_truncate_empties_the_log(self):
-        fs = MemoryFileSystem()
-        wal = FileWriteAheadLog(fs)
-        for record in records(3):
-            wal.append(record)
-        wal.truncate()
-        assert wal.is_empty
-        assert wal.truncations == 1
-        assert fs.size(WAL_NAME) == 0
-        wal.append(Record.put(9, 100))
-        assert [r.seqno for r in wal.replay()] == [100]
-
     def test_bills_frame_bytes_to_the_disk(self):
         disk = SimulatedDisk()
         wal = FileWriteAheadLog(MemoryFileSystem(), disk=disk)

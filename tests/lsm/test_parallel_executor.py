@@ -6,7 +6,7 @@ The parallel merge engine rests on two invariants:
   a schedule's table ids encode, and its waves are the fixpoint of the
   ready-set rule (a step is ready once every dependency has finished);
 * every :class:`ExecutionBackend` is a pure function of the schedule —
-  serial, thread and process execution produce byte-identical tables,
+  serial and thread execution produce byte-identical tables,
   cost metrics, simulated durations and propagated sketches for any
   worker count.
 
@@ -174,16 +174,6 @@ class TestBackendEquivalence:
         threaded = self._run(tables, schedule, "thread", workers=workers)
         self._assert_equal(serial, threaded)
 
-    def test_process_matches_serial(self):
-        pytest.importorskip("numpy")
-        schedule = MergeSchedule(
-            4, [MergeStep((0, 1), 4), MergeStep((2, 3), 5), MergeStep((4, 5), 6)]
-        )
-        tables = make_tables(4, seed=13, tombstone_rate=0.25)
-        serial = self._run(tables, schedule, "serial")
-        processed = self._run(tables, schedule, "process", workers=2)
-        self._assert_equal(serial, processed)
-
     def test_single_table_schedule_runs_on_every_backend(self):
         schedule = MergeSchedule(1, [])
         tables = make_tables(1, seed=3)
@@ -195,8 +185,12 @@ class TestBackendEquivalence:
 
 class TestBackendErrors:
     def test_unknown_executor(self):
-        with pytest.raises(CompactionError, match="unknown merge executor"):
-            make_execution_backend("gpu")
+        for name in ("gpu", "process"):  # "process" was removed in PR 21
+            with pytest.raises(
+                CompactionError,
+                match=r"unknown merge executor.*'serial', 'thread'",
+            ):
+                make_execution_backend(name)
 
     def test_negative_workers(self):
         with pytest.raises(CompactionError, match="must be >= 0"):
@@ -210,33 +204,3 @@ class TestBackendErrors:
     def test_serial_backend_defaults_to_one_worker(self):
         assert make_execution_backend("serial").workers == 1
         assert make_execution_backend("thread", 4).workers == 4
-
-    def test_process_rejects_heap_kernel(self):
-        pytest.importorskip("numpy")
-        schedule = MergeSchedule(2, [MergeStep((0, 1), 2)])
-        tables = make_tables(2, seed=5)
-        with pytest.raises(CompactionError, match="heap"):
-            execute_schedule(
-                tables,
-                schedule,
-                SimulatedDisk(),
-                next_table_id=100,
-                merge_kernel="heap",
-                executor="process",
-            )
-
-    def test_process_rejects_non_columnar_tables(self):
-        pytest.importorskip("numpy")
-        schedule = MergeSchedule(2, [MergeStep((0, 1), 2)])
-        tables = [
-            SSTable(0, [Record.put("a", 1, value_size=10)]),
-            SSTable(1, [Record.put("b", 2, value_size=10)]),
-        ]
-        with pytest.raises(CompactionError, match="column view"):
-            execute_schedule(
-                tables,
-                schedule,
-                SimulatedDisk(),
-                next_table_id=100,
-                executor="process",
-            )

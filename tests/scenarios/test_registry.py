@@ -1,11 +1,14 @@
 """The built-in registry: legacy figures + new presets, by contract."""
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarios import REGISTRY, Scenario, ScenarioRegistry
+from repro.scenarios.registry import PANELS
 from repro.simulator import SimulationConfig, fast_plane_eligible, resolve_plane
 
 LEGACY_FIGURES = ("fig7a", "fig7b", "fig8", "fig9a", "fig9b")
@@ -102,6 +105,28 @@ class TestBuiltins:
             assert REGISTRY.get(name).distributions == (
                 "uniform", "zipfian", "latest"
             )
+
+
+class TestPanels:
+    """Every paper figure is a registered scenario plus a panel row."""
+
+    def test_every_figure_scenario_has_a_panel(self):
+        figures = {scenario.name for scenario in REGISTRY.scenarios("figure")}
+        assert figures == set(LEGACY_FIGURES)
+        assert figures <= set(PANELS)
+
+    def test_every_panel_names_a_registered_sweep(self):
+        for name in PANELS:
+            assert REGISTRY.get(name).sweep is not None, name
+
+
+def test_spec_hashes_are_pinned():
+    """Refactors must leave every registered spec alone: the fixture
+    holds the hashes of the tree before the figure paths were merged
+    (PR 21's parent commit).  A deliberate spec change re-records it."""
+    fixture = Path(__file__).parent / "fixtures" / "spec_hashes.json"
+    pinned = json.loads(fixture.read_text())
+    assert {s.name: s.spec_hash() for s in REGISTRY} == pinned
 
 
 class TestRegistryBehavior:

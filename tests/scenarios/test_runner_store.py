@@ -246,6 +246,35 @@ class TestStore:
         with pytest.raises(ResultsStoreError):
             store.load(bad)
 
+    def test_write_killed_before_the_rename_leaves_no_manifest(
+        self, runner, store, monkeypatch
+    ):
+        """The manifest appears under its final name only by rename, so
+        a run killed mid-write cannot poison later listings."""
+        run, first = runner.run_and_record("churn", runs=1, overrides=TINY)
+        directory = first.parent
+        assert not list(directory.glob("*.tmp"))  # a good write leaves none
+
+        def killed(source, target):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr("repro.scenarios.store.os.replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            store.write(run)
+        monkeypatch.undo()
+        assert [path.name for path in directory.glob("*.json")] == [first.name]
+        assert len(list(directory.glob("*.json.tmp"))) == 1
+        assert store.latest("churn").run_id == store.load(first).run_id
+        # The next write is not confused by the leftover either.
+        second = store.write(run)
+        assert [m.path for m in store.manifests("churn")] == [first, second]
+
+    def test_stale_temporary_is_ignored(self, runner, store):
+        _, path = runner.run_and_record("churn", runs=1, overrides=TINY)
+        (path.parent / "2020-01-01T000000Z-deadbeef.json.tmp").write_text('{"ha')
+        assert [m.path for m in store.manifests("churn")] == [path]
+        assert store.latest("churn").path == path
+
 
 class TestKernelSweeps:
     def test_k_sweep_preset_executes(self, runner):

@@ -57,15 +57,16 @@ class TestValidation:
     def test_merge_executor_validated(self):
         assert SimulationConfig().merge_executor == "serial"
         SimulationConfig(merge_executor="thread", merge_workers=4)
-        with pytest.raises(ConfigError):
-            SimulationConfig(merge_executor="gpu")
+        for removed_or_unknown in ("process", "gpu"):
+            with pytest.raises(ConfigError, match=r"'serial', 'thread'"):
+                SimulationConfig(merge_executor=removed_or_unknown)
         with pytest.raises(ConfigError):
             SimulationConfig(merge_workers=-1)
 
     def test_describe_mentions_parallel_merges_only(self):
         assert "merge=" not in SimulationConfig().describe()
-        text = SimulationConfig(merge_executor="process").describe()
-        assert "merge=processxauto" in text
+        text = SimulationConfig(merge_executor="thread").describe()
+        assert "merge=threadxauto" in text
         text = SimulationConfig(merge_executor="thread", merge_workers=2).describe()
         assert "merge=threadx2" in text
 

@@ -1,7 +1,9 @@
 """Golden regression tests against the committed ``results/*.txt`` tables.
 
-The figure entry points are re-run at the committed seed scale and
-compared against the artifacts checked into ``results/``:
+The figure scenarios are re-run at the committed seed scale through
+``ExperimentRunner.run(<id>).panel()`` — the one path ``repro run`` and
+``repro figures`` print — and compared against the artifacts checked
+into ``results/``:
 
 * ``fig7a`` and ``fig8`` are fully deterministic (costs, LOPT, ratios
   derive only from seeded workloads and the simulated disk), so the
@@ -17,11 +19,12 @@ These run the paper-scale sweeps (minutes, not seconds) and are marked
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import figure7, figure8
+from repro.scenarios import REGISTRY, ExperimentRunner
 
 pytestmark = pytest.mark.slow
 
@@ -69,9 +72,11 @@ def fig7_panels():
     overhead, and running ``jobs`` workers on fewer cores inflates
     wall-clock readings through scheduler contention.  The parallel
     runner is certified by the jobs=4 byte goldens below, whose panels
-    contain only deterministic values.
+    contain only deterministic values.  fig7b is the same spec under
+    another name, so its panel is read off the one sweep.
     """
-    return figure7(fast=False)
+    run = ExperimentRunner().run("fig7a")
+    return run.panel(), replace(run, scenario=REGISTRY.get("fig7b")).panel()
 
 
 class TestFigure7aGolden:
@@ -82,7 +87,7 @@ class TestFigure7aGolden:
 
     def test_costs_match_committed_bytes_under_jobs4(self):
         """The parallel sweep runner cannot perturb the cost panel."""
-        fig7a, _ = figure7(fast=False, jobs=4)
+        fig7a = ExperimentRunner(jobs=4).run("fig7a").panel()
         assert rendered(fig7a) == committed("fig7a")
 
 
@@ -123,5 +128,5 @@ class TestFigure8Golden:
         """Fig8's table holds only deterministic values (costs, LOPT,
         ratios, slopes), so one jobs=4 fast-plane run certifies both the
         columnar pipeline and the parallel runner byte-for-byte."""
-        result = figure8(fast=False, jobs=4)
+        result = ExperimentRunner(jobs=4).run("fig8").panel()
         assert rendered(result) == committed("fig8")

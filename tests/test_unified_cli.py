@@ -185,6 +185,113 @@ class TestSweep:
         assert {cell["x"] for cell in manifest.cells} == {0.0, 100.0}
 
 
+#: Tiny scale per figure id: a sweep's own parameter (and the
+#: operationcount a capacity sweep derives) cannot be ``--set``.
+FIGURE_SETS = {
+    "fig7a": TINY_SETS,
+    "fig7b": TINY_SETS,
+    "fig8": ["--set", "recordcount=150"],
+    "fig9a": TINY_SETS,
+    "fig9b": ["--set", "recordcount=150", "--set", "memtable_capacity=150"],
+}
+
+
+def panel_section(out: str) -> str:
+    """A report minus its header block and bracketed trailer lines."""
+    return out.split("\n\n", 1)[1].split("\n[", 1)[0].rstrip("\n")
+
+
+class TestFigures:
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        """The ``execute_sweep`` calls made, each distinct sweep executed
+        once: time panels fold measured strategy overhead in, so two
+        commands compare byte for byte only over the same execution."""
+        import repro.scenarios.runner as runner
+
+        real, executed, calls = runner.execute_sweep, {}, []
+
+        def execute_once(*args, **kwargs):
+            key = (args, tuple(sorted(kwargs.items())))
+            calls.append(key)
+            if key not in executed:
+                executed[key] = real(*args, **kwargs)
+            return executed[key]
+
+        monkeypatch.setattr(runner, "execute_sweep", execute_once)
+        return calls
+
+    @pytest.mark.parametrize("name", list(FIGURE_SETS))
+    def test_figures_is_run_plus_the_artefact(self, name, sweeps, capsys, tmp_path):
+        scale = ["--fast", "--runs", "1"] + FIGURE_SETS[name]
+        out_dir, store = tmp_path / "figs", tmp_path / "runs"
+        assert main(
+            ["figures", name, "--out", str(out_dir), "--store", str(store)] + scale
+        ) == 0
+        figures_out = capsys.readouterr().out
+        assert main(["run", name, "--store", str(store)] + scale) == 0
+        run_out = capsys.readouterr().out
+
+        panel = panel_section(figures_out)
+        assert panel == panel_section(run_out)
+        assert figures_out.splitlines()[:3] == run_out.splitlines()[:3]
+        title = REGISTRY.get(name).title
+        assert (out_dir / f"{name}.txt").read_text() == f"{title}\n\n{panel}\n"
+        assert [path.name for path in out_dir.iterdir()] == [f"{name}.txt"]
+        by_figures, by_run = ResultsStore(store).manifests(name)
+        assert by_figures.cells == by_run.cells
+        assert by_figures.spec_hash == by_run.spec_hash
+
+    def test_each_figure_prints_its_own_panel(self, capsys):
+        marks = {
+            "fig7a": "costactual (entries)",
+            "fig7b": "compaction time (simulated s)",
+            "fig8": "LOPT (sum sizes)",
+            "fig9a": "while update % varies",
+            "fig9b": "while operationcount varies",
+        }
+        for name, mark in marks.items():
+            scale = ["--fast", "--runs", "1", "--no-store"] + FIGURE_SETS[name]
+            assert main(["run", name] + scale) == 0
+            out = capsys.readouterr().out
+            assert [m for m in marks.values() if m in out] == [mark]
+
+    def test_fig7_executes_one_sweep_for_both_panels(
+        self, sweeps, capsys, tmp_path
+    ):
+        out_dir, store = tmp_path / "figs", tmp_path / "runs"
+        assert main(
+            ["figures", "fig7", "--fast", "--runs", "1", "--strategies", "SI,SO",
+             "--out", str(out_dir), "--store", str(store)] + TINY_SETS
+        ) == 0
+        assert len(sweeps) == 1
+        out = capsys.readouterr().out
+        assert out.index("== fig7a:") < out.index("== fig7b:")
+        assert sorted(p.name for p in out_dir.iterdir()) == ["fig7a.txt", "fig7b.txt"]
+        for name in ("fig7a", "fig7b"):
+            (manifest,) = ResultsStore(store).manifests(name)
+            assert manifest.scenario["name"] == name
+            assert manifest.scenario["strategies"] == ["SI", "SO"]
+            assert manifest.spec_hash != REGISTRY.get(name).spec_hash()
+
+    def test_all_draws_the_five_panels(self, sweeps, capsys, tmp_path):
+        assert main(
+            ["figures", "all", "--fast", "--runs", "1", "--no-store",
+             "--out", str(tmp_path), "--set", "recordcount=150"]
+        ) == 0
+        assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(FIGURE_SETS)
+        # fig7 once, fig8 once, fig9a / fig9b once per distribution
+        assert len(sweeps) == len(set(sweeps)) == 1 + 1 + 3 + 3
+        assert "[manifest" not in capsys.readouterr().out
+
+    def test_unknown_figure_and_removed_executor_are_clean_errors(self, capsys):
+        assert main(["figures", "churn"]) == 2
+        assert "unknown figure 'churn'" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["figures", "fig8", "--merge-executor", "process"])
+        assert "choose from 'serial', 'thread'" in capsys.readouterr().err
+
+
 class TestBenchTrends:
     @staticmethod
     def _write_snapshot(directory, speedup, seconds, cpu_count=None):
