@@ -96,7 +96,7 @@ def fig7_tables(bench_fast):
 VARIANTS = {
     "legacy": lambda: {"estimator": LegacyHllEstimator()},
     "vectorized": lambda: {"estimator": "hll"},
-    "pure-python": lambda: {"estimator": "hll", "force_pure": True},
+    "pure-python": lambda: {"estimator": HllEstimator(force_pure=True)},
 }
 
 

@@ -127,14 +127,14 @@ def test_parallel_backends_identical_and_fast(bench_fast, results_dir):
         measured[label.replace(" ", "_")] = {
             "merge_wall_seconds": result.merge_wall_seconds,
             "speedup_vs_serial": speedup,
-            "worker_utilization": result.worker_utilization,
+            "worker_utilization": result.merge_utilization,
         }
         rows.append(
             [
                 label,
                 result.merge_wall_seconds,
                 speedup,
-                f"{result.worker_utilization:.0%}",
+                f"{result.merge_utilization:.0%}",
             ]
         )
 

@@ -18,9 +18,11 @@ layer for set algebra:
 
 Estimators are *per-run* objects, like backends: they cache per-table
 state (sketches) keyed by live table id, so create a fresh one per
-greedy run (which is what :func:`make_estimator` callers and
-:class:`~repro.lsm.compaction.major.MajorCompaction` do).  The lsm layer
-can pre-seed an :class:`HllEstimator` with persistent sstable sketches
+greedy run.  A spec — name, alias or instance — is resolved in exactly
+one place, :func:`~repro.core.policies.base.make_policy`, and the policy
+receives the instance.  The lsm layer
+(:class:`~repro.lsm.compaction.major.MajorCompaction`) pre-seeds the
+policy's :class:`HllEstimator` with persistent sstable sketches
 (:meth:`HllEstimator.seed_sketches`) so background-compaction lifetimes
 never hash the same key twice; ``prepare`` then only builds sketches for
 tables that arrived without one.
@@ -327,50 +329,20 @@ def canonical_estimator_name(name: str) -> str:
     )
 
 
-def resolve_policy_estimator(
-    spec: EstimatorSpec,
-    hll_precision: int = 12,
-    hll_seed: int = 0,
-    force_pure: bool = False,
-) -> tuple[CardinalityEstimator, int, int]:
-    """Build a policy's estimator; ``(estimator, precision, seed)``.
-
-    Shared by the output-sensitive policies' constructors: wraps spec
-    errors into :class:`~repro.errors.PolicyError` and reflects a
-    pre-built HLL instance's parameters back so the policy's
-    ``hll_precision``/``hll_seed`` attributes always describe the
-    estimator actually in use.
-    """
-    from ..errors import PolicyError
-
-    try:
-        estimator = make_estimator(
-            spec,
-            hll_precision=hll_precision,
-            hll_seed=hll_seed,
-            force_pure=force_pure,
-        )
-    except EstimatorError as exc:
-        raise PolicyError(str(exc)) from None
-    if isinstance(estimator, HllEstimator):
-        hll_precision = estimator.precision
-        hll_seed = estimator.seed
-    return estimator, hll_precision, hll_seed
-
-
 def make_estimator(
     spec: EstimatorSpec = None,
     hll_precision: int = 12,
     hll_seed: int = 0,
-    force_pure: bool = False,
 ) -> CardinalityEstimator:
     """Build a fresh estimator from a name, alias, instance or ``None``.
 
     ``None`` means the reference (``exact``) estimator.  Passing an
     existing :class:`CardinalityEstimator` returns it unchanged, which
-    lets the lsm layer inject an estimator pre-seeded with persistent
-    sstable sketches; the hll-specific keyword arguments only apply when
-    a fresh ``hll`` estimator is being constructed.
+    lets a caller inject one it built itself (pre-seeded with sketches,
+    or an ``HllEstimator(force_pure=True)`` oracle); the hll-specific
+    keyword arguments only apply when a fresh ``hll`` estimator is being
+    constructed.  Policies get theirs through
+    :func:`~repro.core.policies.base.make_policy`, the one caller.
     """
     if spec is None:
         return ExactEstimator()
@@ -379,9 +351,7 @@ def make_estimator(
     if isinstance(spec, str):
         name = canonical_estimator_name(spec)
         if name == "hll":
-            return HllEstimator(
-                precision=hll_precision, seed=hll_seed, force_pure=force_pure
-            )
+            return HllEstimator(precision=hll_precision, seed=hll_seed)
         return _ESTIMATORS[name]()
     raise EstimatorError(
         "estimator spec must be a name, CardinalityEstimator or None, "

@@ -22,7 +22,6 @@ from typing import Optional, Union
 from ..errors import PolicyError
 from .backend import BackendSpec, make_backend
 from .cost import DEFAULT_COST, MergeCostFunction
-from .estimator import EstimatorSpec
 from .instance import MergeInstance
 from .policies.base import ChoosePolicy, GreedyState, make_policy
 from .schedule import MergeSchedule, MergeStep, ScheduleReplay
@@ -54,7 +53,14 @@ class GreedyMerger:
     ----------
     policy:
         A policy instance or registered name/alias (``"SI"``, ``"BT(I)"``,
-        ...).  Named policies are instantiated with ``policy_kwargs``.
+        ...).  A name is instantiated by
+        :func:`~repro.core.policies.base.make_policy` with
+        ``policy_kwargs`` — which is where ``estimator=`` (a name such as
+        ``"exact"`` / ``"hll"`` or a
+        :class:`~repro.core.estimator.CardinalityEstimator` instance,
+        e.g. one pre-seeded with persistent sstable sketches),
+        ``hll_precision=`` and ``hll_seed=`` go for the output-sensitive
+        policies (SO, BT(O)).
     k:
         Maximum merge fan-in (the K-WAYMERGING parameter); ``k = 2`` is
         the BINARYMERGING problem.
@@ -65,13 +71,6 @@ class GreedyMerger:
         :class:`~repro.core.backend.SetBackend` instance.  Both kernels
         are exact, so the schedule is identical either way; ``"bitset"``
         makes set-heavy policies (SO, LM, BT(O) exact) much faster.
-    estimator:
-        Union-cardinality oracle for output-sensitive policies (SO,
-        BT(O)): a name (``"exact"`` / ``"hll"``) or a
-        :class:`~repro.core.estimator.CardinalityEstimator` instance
-        (e.g. one pre-seeded with persistent sstable sketches).  ``None``
-        keeps the policy's own default; only valid with a policy *name*
-        that accepts an ``estimator`` keyword.
     """
 
     def __init__(
@@ -80,15 +79,10 @@ class GreedyMerger:
         k: int = 2,
         seed: Optional[int] = None,
         backend: BackendSpec = None,
-        estimator: EstimatorSpec = None,
         **policy_kwargs,
     ) -> None:
         if k < 2:
             raise PolicyError(f"merge fan-in k must be at least 2, got {k}")
-        if estimator is not None:
-            if not isinstance(policy, str):
-                raise PolicyError("estimator= is only valid with a policy name")
-            policy_kwargs["estimator"] = estimator
         if isinstance(policy, str):
             policy = make_policy(policy, **policy_kwargs)
         elif policy_kwargs:
@@ -173,10 +167,9 @@ def merge_with(
     k: int = 2,
     seed: Optional[int] = None,
     backend: BackendSpec = None,
-    estimator: EstimatorSpec = None,
     **policy_kwargs,
 ) -> GreedyResult:
     """One-shot convenience: build a merger, run it, return the result."""
     return GreedyMerger(
-        policy, k=k, seed=seed, backend=backend, estimator=estimator, **policy_kwargs
+        policy, k=k, seed=seed, backend=backend, **policy_kwargs
     ).run(instance)

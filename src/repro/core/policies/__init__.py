@@ -5,11 +5,7 @@ in :mod:`repro.core.policies.base`; use :func:`make_policy` to
 instantiate one by name or paper alias (``"SI"``, ``"BT(I)"``, ...).
 """
 
-from .balance_tree import (
-    BalanceTreeInputPolicy,
-    BalanceTreeOutputPolicy,
-    BalanceTreePolicy,
-)
+from .balance_tree import BalanceTreePolicy
 from .base import (
     ChoosePolicy,
     GreedyState,
@@ -22,11 +18,9 @@ from .candidate_index import CandidateIndex
 from .largest_match import LargestMatchPolicy
 from .random_policy import RandomPolicy
 from .smallest_input import SmallestInputPolicy
-from .smallest_output import SmallestOutputHllPolicy, SmallestOutputPolicy
+from .smallest_output import SmallestOutputPolicy
 
 __all__ = [
-    "BalanceTreeInputPolicy",
-    "BalanceTreeOutputPolicy",
     "BalanceTreePolicy",
     "CandidateIndex",
     "ChoosePolicy",
@@ -34,7 +28,6 @@ __all__ = [
     "LargestMatchPolicy",
     "RandomPolicy",
     "SmallestInputPolicy",
-    "SmallestOutputHllPolicy",
     "SmallestOutputPolicy",
     "available_policies",
     "canonical_policy_name",

@@ -35,14 +35,18 @@ from itertools import combinations
 from typing import Optional
 
 from ...errors import PolicyError
-from ..estimator import EstimatorSpec, resolve_policy_estimator
+from ..estimator import CardinalityEstimator
 from .base import ChoosePolicy, GreedyState, pick_smallest, register_policy
 from .candidate_index import CandidateIndex
 
 _SUBORDERS = ("arrival", "input", "output")
 
 
-@register_policy("balance_tree", "bt")
+@register_policy("balance_tree", "bt", estimator="hll")
+@register_policy("balance_tree_input", "bt(i)", "bt_i", "bti", suborder="input")
+@register_policy(
+    "balance_tree_output", "bt(o)", "bt_o", "bto", estimator="hll", suborder="output"
+)
 class BalanceTreePolicy(ChoosePolicy):
     """Level-balanced merging with a configurable within-level sub-order."""
 
@@ -51,23 +55,16 @@ class BalanceTreePolicy(ChoosePolicy):
     def __init__(
         self,
         suborder: str = "input",
-        estimator: EstimatorSpec = "hll",
-        hll_precision: int = 12,
-        hll_seed: int = 0,
-        force_pure: bool = False,
+        estimator: Optional[CardinalityEstimator] = None,
     ) -> None:
         if suborder not in _SUBORDERS:
             raise PolicyError(f"suborder must be one of {_SUBORDERS}, got {suborder!r}")
-        self._estimator, self.hll_precision, self.hll_seed = (
-            resolve_policy_estimator(
-                estimator,
-                hll_precision=hll_precision,
-                hll_seed=hll_seed,
-                force_pure=force_pure,
-            )
-        )
         self.suborder = suborder
-        self.estimator = self._estimator.name
+        # Only the output sub-order consults (and reports) an estimator.
+        if suborder == "output":
+            if estimator is None:
+                raise PolicyError("suborder='output' needs an estimator")
+            self.estimator = estimator
         self._levels: dict[int, int] = {}
         self.index = CandidateIndex()
         # (level, arity) whose combinations the index currently holds
@@ -83,7 +80,7 @@ class BalanceTreePolicy(ChoosePolicy):
         self.index = CandidateIndex()
         self._indexed = None
         if self.suborder == "output":
-            self._estimator.prepare(state)
+            self.estimator.prepare(state)
 
     def _level_candidates(self, state: GreedyState) -> tuple[int, list[int]]:
         """Find ``minL`` and its tables, promoting lone stragglers (§4.3.1)."""
@@ -113,7 +110,7 @@ class BalanceTreePolicy(ChoosePolicy):
             combos = list(combinations(candidates, arity))
             self.estimate_calls += len(combos)
             self.index.add_batch(
-                combos, self._estimator.union_cardinalities(state, combos)
+                combos, self.estimator.union_cardinalities(state, combos)
             )
         return self.index.best()
 
@@ -127,42 +124,12 @@ class BalanceTreePolicy(ChoosePolicy):
         if self.suborder == "output":
             for table_id in consumed:
                 self.index.retire(table_id)
-            self._estimator.observe_merge(state, consumed, new_id)
+            self.estimator.observe_merge(state, consumed, new_id)
 
     def extras(self) -> dict:
         extras = {"step_levels": tuple(self._step_levels), "suborder": self.suborder}
         if self.suborder == "output":
-            extras.update(estimate_calls=self.estimate_calls, estimator=self.estimator)
+            extras.update(
+                estimate_calls=self.estimate_calls, estimator=self.estimator.name
+            )
         return extras
-
-
-@register_policy("balance_tree_input", "bt(i)", "bt_i", "bti")
-class BalanceTreeInputPolicy(BalanceTreePolicy):
-    """BT(I): BALANCETREE choosing the smallest inputs per level (§5.1)."""
-
-    name = "balance_tree_input"
-
-    def __init__(self) -> None:
-        super().__init__(suborder="input")
-
-
-@register_policy("balance_tree_output", "bt(o)", "bt_o", "bto")
-class BalanceTreeOutputPolicy(BalanceTreePolicy):
-    """BT(O): BALANCETREE choosing the smallest estimated union per level."""
-
-    name = "balance_tree_output"
-
-    def __init__(
-        self,
-        estimator: EstimatorSpec = "hll",
-        hll_precision: int = 12,
-        hll_seed: int = 0,
-        force_pure: bool = False,
-    ) -> None:
-        super().__init__(
-            suborder="output",
-            estimator=estimator,
-            hll_precision=hll_precision,
-            hll_seed=hll_seed,
-            force_pure=force_pure,
-        )

@@ -28,8 +28,9 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from ...errors import PolicyError
+from ...errors import EstimatorError, PolicyError
 from ..backend import FrozensetBackend, SetBackend, SetHandle
+from ..estimator import CardinalityEstimator, EstimatorSpec, make_estimator
 from ..instance import MergeInstance
 
 
@@ -73,6 +74,9 @@ class ChoosePolicy(ABC):
     """Strategy object choosing which live tables to merge next."""
 
     name: str = "abstract"
+    #: The union-cardinality oracle an output-sensitive policy consults
+    #: (``None`` for every other policy).
+    estimator: Optional[CardinalityEstimator] = None
 
     def prepare(self, state: GreedyState) -> None:
         """Called once before the first iteration; build incremental state."""
@@ -94,15 +98,25 @@ class ChoosePolicy(ABC):
         return self.name
 
 
-_REGISTRY: dict[str, Callable[..., ChoosePolicy]] = {}
+#: canonical name -> (factory, default estimator, preset keywords).  A
+#: default estimator of ``None`` marks a policy that consults none.
+_REGISTRY: dict[str, tuple[Callable[..., ChoosePolicy], Optional[str], dict]] = {}
 _ALIASES: dict[str, str] = {}
 
 
-def register_policy(name: str, *aliases: str):
-    """Class decorator registering a policy under ``name`` (+ aliases)."""
+def register_policy(
+    name: str, *aliases: str, estimator: Optional[str] = None, **presets
+):
+    """Class decorator registering a policy under ``name`` (+ aliases).
+
+    One class may carry several registrations: ``presets`` are the
+    constructor keywords a name pre-binds (``"BT(O)"`` is BALANCETREE
+    with ``suborder="output"``) and ``estimator`` is the estimator an
+    output-sensitive name defaults to.
+    """
 
     def decorator(factory: Callable[..., ChoosePolicy]):
-        _REGISTRY[name] = factory
+        _REGISTRY[name] = (factory, estimator, presets)
         for alias in aliases:
             _ALIASES[alias.lower()] = name
         return factory
@@ -123,9 +137,36 @@ def canonical_policy_name(name: str) -> str:
     )
 
 
-def make_policy(name: str, **kwargs) -> ChoosePolicy:
-    """Instantiate a registered policy by (possibly aliased) name."""
-    return _REGISTRY[canonical_policy_name(name)](**kwargs)
+def make_policy(name: str, estimator: EstimatorSpec = None, **kwargs) -> ChoosePolicy:
+    """Instantiate a registered policy by (possibly aliased) name.
+
+    The one place an estimator spec is resolved: ``estimator`` is a
+    name, alias or :class:`~repro.core.estimator.CardinalityEstimator`
+    instance (``None``: the name's registered default), and
+    ``hll_precision`` / ``hll_seed`` parameterize a fresh ``hll``
+    estimator.  The policy receives the instance; a policy that consults
+    no estimator rejects all three.  Everything else in ``kwargs`` goes
+    to the policy's constructor after the name's presets.
+    """
+    canonical = canonical_policy_name(name)
+    factory, default_estimator, presets = _REGISTRY[canonical]
+    if default_estimator is not None:
+        hll = {
+            key: kwargs.pop(key)
+            for key in ("hll_precision", "hll_seed")
+            if key in kwargs
+        }
+        try:
+            kwargs["estimator"] = make_estimator(
+                default_estimator if estimator is None else estimator, **hll
+            )
+        except EstimatorError as exc:
+            raise PolicyError(str(exc)) from None
+    elif estimator is not None:
+        raise PolicyError(f"policy {canonical!r} consults no estimator")
+    policy = factory(**presets, **kwargs)
+    policy.name = canonical
+    return policy
 
 
 def available_policies() -> tuple[str, ...]:

@@ -1,22 +1,23 @@
 """SMALLESTOUTPUT (SO) heuristic — paper §4.3.3 and §5.1.
 
 Each iteration merges the combination of ``k`` live tables whose *union*
-has the smallest cardinality.  The union-size oracle is a pluggable
-:class:`~repro.core.estimator.CardinalityEstimator`:
+has the smallest cardinality.  The union-size oracle is the
+:class:`~repro.core.estimator.CardinalityEstimator` instance the policy
+is built with (:func:`~.base.make_policy` resolves names and defaults):
 
-* ``estimator="exact"`` — count materialized unions through the active
-  set backend (reference implementation; O(n^k) set work, fine for
-  tests and small n).
-* ``estimator="hll"`` — the paper's practical scheme: per-table
-  HyperLogLog sketches, union estimated by register-wise max.  The
-  combination cache is maintained incrementally exactly as described in
-  §5.1: after a merge consuming ``k`` tables, estimates not involving
-  them are reused and only the ``C(n - k, k - 1)`` combinations that
-  contain the new table are estimated.
+* ``exact`` (the default of ``"smallest_output"`` / ``"SO"``) — count
+  materialized unions through the active set backend (reference
+  implementation; O(n^k) set work, fine for tests and small n).
+* ``hll`` (the default of ``"smallest_output_hll"``) — the paper's
+  practical scheme: per-table HyperLogLog sketches, union estimated by
+  register-wise max.  The combination cache is maintained incrementally
+  exactly as described in §5.1: after a merge consuming ``k`` tables,
+  estimates not involving them are reused and only the
+  ``C(n - k, k - 1)`` combinations that contain the new table are
+  estimated.
 
-A pre-built estimator instance is also accepted — the lsm layer passes
-an :class:`~repro.core.estimator.HllEstimator` seeded with persistent
-sstable sketches so compaction runs never re-hash a key.
+The lsm layer seeds an :class:`~repro.core.estimator.HllEstimator` with
+persistent sstable sketches so compaction runs never re-hash a key.
 
 Candidates live in the :class:`~.candidate_index.CandidateIndex` shared
 with BT(O) and LM: one push per estimate, O(1) retirement of a consumed
@@ -31,33 +32,20 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional
 
-from ..estimator import EstimatorSpec, resolve_policy_estimator
+from ..estimator import CardinalityEstimator
 from .base import ChoosePolicy, GreedyState, register_policy
 from .candidate_index import CandidateIndex, Combo
 
 
-@register_policy("smallest_output", "so")
+@register_policy("smallest_output", "so", estimator="exact")
+@register_policy("smallest_output_hll", "so_hll", "so(hll)", estimator="hll")
 class SmallestOutputPolicy(ChoosePolicy):
     """Merge the combination of live tables with the smallest union."""
 
     name = "smallest_output"
 
-    def __init__(
-        self,
-        estimator: EstimatorSpec = "exact",
-        hll_precision: int = 12,
-        hll_seed: int = 0,
-        force_pure: bool = False,
-    ) -> None:
-        self._estimator, self.hll_precision, self.hll_seed = (
-            resolve_policy_estimator(
-                estimator,
-                hll_precision=hll_precision,
-                hll_seed=hll_seed,
-                force_pure=force_pure,
-            )
-        )
-        self.estimator = self._estimator.name
+    def __init__(self, estimator: CardinalityEstimator) -> None:
+        self.estimator = estimator
         self.index = CandidateIndex()
         self._arity: Optional[int] = None
         self.estimate_calls = 0  # exposed for overhead accounting/tests
@@ -69,7 +57,7 @@ class SmallestOutputPolicy(ChoosePolicy):
             return
         self.estimate_calls += len(combos)
         self.index.add_batch(
-            combos, self._estimator.union_cardinalities(state, combos)
+            combos, self.estimator.union_cardinalities(state, combos)
         )
 
     def _fill_index(self, state: GreedyState, arity: int) -> None:
@@ -78,7 +66,7 @@ class SmallestOutputPolicy(ChoosePolicy):
 
     # ------------------------------------------------------------------
     def prepare(self, state: GreedyState) -> None:
-        self._estimator.prepare(state)
+        self.estimator.prepare(state)
         self.index = CandidateIndex()
         self._fill_index(state, state.arity_for_next_merge())
 
@@ -95,7 +83,7 @@ class SmallestOutputPolicy(ChoosePolicy):
     ) -> None:
         for dead in consumed:
             self.index.retire(dead)
-        self._estimator.observe_merge(state, consumed, new_id)
+        self.estimator.observe_merge(state, consumed, new_id)
         arity = self._arity or 2
         others = [table_id for table_id in state.live if table_id != new_id]
         if len(others) + 1 < arity:
@@ -111,25 +99,7 @@ class SmallestOutputPolicy(ChoosePolicy):
         )
 
     def extras(self) -> dict:
-        return {"estimate_calls": self.estimate_calls, "estimator": self.estimator}
-
-
-@register_policy("smallest_output_hll", "so_hll", "so(hll)")
-class SmallestOutputHllPolicy(SmallestOutputPolicy):
-    """Convenience registration of SO with the HLL estimator (§5.1)."""
-
-    name = "smallest_output_hll"
-
-    def __init__(
-        self,
-        hll_precision: int = 12,
-        hll_seed: int = 0,
-        estimator: EstimatorSpec = "hll",
-        force_pure: bool = False,
-    ) -> None:
-        super().__init__(
-            estimator=estimator,
-            hll_precision=hll_precision,
-            hll_seed=hll_seed,
-            force_pure=force_pure,
-        )
+        return {
+            "estimate_calls": self.estimate_calls,
+            "estimator": self.estimator.name,
+        }

@@ -13,8 +13,12 @@ harmonic sum ``sum(2**-M[j])`` is accumulated as a dyadic integer
 maximum possible rank) and converted to float once, so the numpy and
 pure-Python paths return bit-identical values regardless of summation
 order.  :meth:`RegisterArray.union_stats` fuses the element-wise max of
-several arrays with that reduction, estimating a union without
-materializing a merged register array.
+several arrays with that reduction, estimating one union without
+materializing a merged register array; :class:`TermMatrix` reduces whole
+batches of candidate unions the same way
+(:meth:`TermMatrix.union_stats_chunks`, its only estimation entry point:
+:class:`~repro.core.estimator.HllEstimator` turns the chunks' exact
+integer sums into estimates).
 """
 
 from __future__ import annotations
@@ -229,55 +233,6 @@ class RegisterArray:
         total += zeros << _SHIFT
         return total / _SHIFT_ONE, zeros
 
-    @classmethod
-    def union_stats_many(
-        cls,
-        arrays: Sequence["RegisterArray"],
-        combos: Sequence[tuple[int, ...]],
-        chunk_rows: int = 256,
-    ) -> list[tuple[float, int]]:
-        """``(harmonic_sum, zeros)`` for many same-arity combinations.
-
-        ``combos`` index into ``arrays``; each result equals
-        :meth:`union_stats` over that combination.  On the numpy path
-        the arrays' term vectors are stacked into a :class:`TermMatrix`
-        and whole chunks of combinations reduce in single vectorized
-        min/sum calls — this is what keeps SMALLESTOUTPUT's
-        candidate-cache fills out of per-estimate Python overhead.
-        Results are bit-identical to the one-at-a-time kernel (the
-        reductions are exact integer sums).
-        """
-        arrays = list(arrays)
-        if not combos:
-            return []
-        arity = len(combos[0])
-        if any(len(combo) != arity for combo in combos):
-            raise ValueError("union_stats_many requires same-arity combos")
-        if arity == 0:
-            raise ValueError("cannot estimate the union of zero arrays")
-        matrix = None
-        if _np is not None and all(array._numpy for array in arrays):
-            m = arrays[0].m
-            if any(array.m != m for array in arrays):
-                raise ValueError(
-                    "cannot merge register arrays of different sizes"
-                )
-            max_rank = max(array.max_rank() for array in arrays)
-            matrix = cls.term_matrix(m, max_rank, capacity=len(arrays))
-            if matrix is not None:
-                for array in arrays:
-                    matrix.append(array)
-        if matrix is None:
-            # A rank beyond the term domain (astronomical key counts)
-            # or a pure backing: exact one-at-a-time histogram kernel.
-            return [
-                cls.union_stats([arrays[index] for index in combo])
-                for combo in combos
-            ]
-        return matrix.union_stats(
-            _np.asarray(combos, dtype=_np.intp), chunk_rows=chunk_rows
-        )
-
     def values(self) -> list[int]:
         """Register contents as a plain list (testing/introspection)."""
         return [int(value) for value in self._regs]
@@ -482,16 +437,3 @@ class TermMatrix:
             merged.sum(axis=1, dtype=_np.int64),
             _popcount(zmerged).sum(axis=1, dtype=_np.int64),
         )
-
-    def union_stats(
-        self, row_combos, chunk_rows: int = 256
-    ) -> list[tuple[float, int]]:
-        """``(harmonic_sum, zeros)`` for each row combination."""
-        results: list[tuple[float, int]] = []
-        term_one = self.term_one
-        for totals, zeros in self.union_stats_chunks(row_combos, chunk_rows):
-            results.extend(
-                (total / term_one, z)
-                for total, z in zip(totals.tolist(), zeros.tolist())
-            )
-        return results

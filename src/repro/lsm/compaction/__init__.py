@@ -12,7 +12,6 @@ from .date_tiered import DateTieredCompaction
 from .executor import (
     MERGE_EXECUTORS,
     ExecutionBackend,
-    ExecutionResult,
     execute_schedule,
     make_execution_backend,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "ControllerStats",
     "DateTieredCompaction",
     "ExecutionBackend",
-    "ExecutionResult",
     "MERGE_EXECUTORS",
     "execute_schedule",
     "make_execution_backend",

@@ -22,7 +22,14 @@ from ..sstable import SSTable
 
 @dataclass
 class CompactionResult:
-    """Outcome and accounting of one compaction run."""
+    """Outcome of one compaction run, and the ledger its merges bill to.
+
+    Every strategy starts one with :meth:`start`, charges each merge
+    step through :meth:`bill` — the only code that moves the six ledger
+    fields ``n_merges``, ``cost_actual_entries``,
+    ``cost_simplified_entries``, ``bytes_read``, ``bytes_written`` and
+    ``io_seconds`` — and fills in its outputs, times and extras.
+    """
 
     strategy_name: str
     input_count: int
@@ -37,15 +44,60 @@ class CompactionResult:
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
     strategy_overhead_seconds: float = 0.0
-    # Real merge-execution backend accounting (see executor.py): which
-    # backend ran the merges, how many workers, the measured wall clock
-    # of the merge section alone, and the mean worker utilization.
-    # Strategies that never run a schedule keep the serial defaults.
+    # Real merge execution (see executor.py): which backend ran the
+    # merges on how many workers, the measured wall clock of the merges
+    # alone, and — for a scheduled execution — the mean fraction of it
+    # each worker spent merging.
     merge_executor: str = "serial"
     merge_workers: int = 1
     merge_wall_seconds: float = 0.0
     merge_utilization: float = 0.0
     extras: dict = field(default_factory=dict)
+
+    @classmethod
+    def start(
+        cls, strategy_name: str, tables: Sequence[SSTable]
+    ) -> "CompactionResult":
+        """An open ledger over ``tables``: nothing merged yet, and the
+        leaves of ``costsimplified`` (every input's size) charged."""
+        return cls(
+            strategy_name,
+            len(tables),
+            list(tables),
+            cost_simplified_entries=sum(table.entry_count for table in tables),
+        )
+
+    def bill(
+        self,
+        inputs: Sequence[SSTable],
+        outputs: Sequence[SSTable],
+        disk: SimulatedDisk,
+    ) -> float:
+        """Charge one merge step; return its disk-model duration.
+
+        The paper's cost function (§2), in one place: ``costactual``
+        pays for every entry read and every entry written,
+        ``costsimplified`` for the entries written (the leaves were
+        charged by :meth:`start`); bytes and seconds follow the same
+        reads and writes through ``disk``.  ``io_seconds`` grows one
+        operation at a time while the returned duration is the step's
+        own sum, which is what the lane model schedules.
+        """
+        duration = 0.0
+        for transfer, tables in ((disk.read, inputs), (disk.write, outputs)):
+            for table in tables:
+                seconds = transfer(table.size_bytes)
+                duration += seconds
+                self.io_seconds += seconds
+        self.bytes_read += sum(table.size_bytes for table in inputs)
+        self.bytes_written += sum(table.size_bytes for table in outputs)
+        written = sum(table.entry_count for table in outputs)
+        self.cost_actual_entries += (
+            sum(table.entry_count for table in inputs) + written
+        )
+        self.cost_simplified_entries += written
+        self.n_merges += 1
+        return duration
 
     @property
     def bytes_total(self) -> int:

@@ -21,8 +21,9 @@ import time
 from typing import Sequence
 
 from ..disk import SimulatedDisk
-from ..sstable import SSTable, merge_sstables
+from ..sstable import SSTable
 from .base import CompactionResult, CompactionStrategy
+from .executor import _merge_step
 
 
 class DateTieredCompaction(CompactionStrategy):
@@ -75,12 +76,8 @@ class DateTieredCompaction(CompactionStrategy):
         if not tables:
             raise ValueError("nothing to compact")
         started = time.perf_counter()
+        result = CompactionResult.start(self.name, tables)
         live = list(tables)
-        cost_actual = 0
-        cost_simplified = sum(table.entry_count for table in tables)
-        bytes_read = bytes_written = 0
-        io_seconds = 0.0
-        n_merges = 0
         rounds = 0
 
         for _ in range(self.max_rounds):
@@ -95,45 +92,26 @@ class DateTieredCompaction(CompactionStrategy):
             oldest_window = max(windows)
             for index in mergeable:
                 group = windows[index]
-                output = merge_sstables(
+                output, seconds = _merge_step(
                     group,
-                    new_table_id=next_table_id,
-                    drop_tombstones=index == oldest_window,
-                    bloom_fp_rate=self.bloom_fp_rate,
+                    next_table_id + result.n_merges,
+                    index == oldest_window,
+                    self.bloom_fp_rate,
                 )
-                next_table_id += 1
+                result.merge_wall_seconds += seconds
+                result.bill(group, [output], disk)
                 for table in group:
-                    io_seconds += disk.read(table.size_bytes)
-                    bytes_read += table.size_bytes
                     live.remove(table)
-                io_seconds += disk.write(output.size_bytes)
-                bytes_written += output.size_bytes
-                cost_actual += (
-                    sum(t.entry_count for t in group) + output.entry_count
-                )
-                cost_simplified += output.entry_count
-                n_merges += 1
                 live.append(output)
 
-        final_windows = self.assign_windows(live)
-        return CompactionResult(
-            strategy_name=self.name,
-            input_count=len(tables),
-            output_tables=live,
-            schedule=None,
-            n_merges=n_merges,
-            cost_actual_entries=cost_actual,
-            cost_simplified_entries=cost_simplified,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            io_seconds=io_seconds,
-            simulated_seconds=io_seconds,
-            wall_seconds=time.perf_counter() - started,
-            extras={
-                "rounds": rounds,
-                "windows": {
-                    index: [t.table_id for t in members]
-                    for index, members in sorted(final_windows.items())
-                },
+        result.output_tables = live
+        result.simulated_seconds = result.io_seconds
+        result.wall_seconds = time.perf_counter() - started
+        result.extras = {
+            "rounds": rounds,
+            "windows": {
+                index: [t.table_id for t in members]
+                for index, members in sorted(self.assign_windows(live).items())
             },
-        )
+        }
+        return result

@@ -2,10 +2,12 @@
 
 :func:`execute_schedule` replays a :class:`~repro.core.schedule.MergeSchedule`
 against actual sstables, performing each step with
-:func:`~repro.lsm.sstable.merge_sstables`.  It returns the paper's cost
-metrics measured on the *executed* merges (entry and byte units) and a
-simulated duration computed by list-scheduling the merge steps onto
-``lanes`` parallel workers of the disk model:
+:func:`~repro.lsm.sstable.merge_sstables`.  It returns a
+:class:`~repro.lsm.compaction.base.CompactionResult` holding the paper's
+cost metrics measured on the *executed* merges (entry and byte units,
+every step billed through ``CompactionResult.bill``) and a simulated
+duration computed by list-scheduling the merge steps onto ``lanes``
+parallel workers of the disk model:
 
 * a step becomes ready when all its input tables exist,
 * each simulated worker executes one merge at a time,
@@ -31,7 +33,7 @@ Independently of the simulated lanes, the merges themselves can run on
 
 Both backends produce bit-identical output tables, cost metrics and
 simulated durations for any worker count; only the measured wall clock
-(``merge_wall_seconds``, ``worker_utilization``) differs.  See
+(``merge_wall_seconds``, ``merge_utilization``) differs.  See
 ``docs/concurrency.md``.
 """
 
@@ -41,13 +43,13 @@ import os
 import time
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from ...core.schedule import MergeSchedule
 from ...errors import CompactionError
 from ..disk import SimulatedDisk
 from ..sstable import SSTable, merge_sstables
+from .base import CompactionResult
 from .planner import SchedulePlan, plan_schedule
 
 #: ``execute_schedule`` backend names.
@@ -97,35 +99,6 @@ def _propagate_sketches(
                 output.sketch(precision, seed)  # fresh build over live keys
 
 
-@dataclass
-class ExecutionResult:
-    """Metrics of one executed schedule."""
-
-    output_table: SSTable
-    n_merges: int
-    cost_actual_entries: int
-    cost_simplified_entries: int
-    bytes_read: int
-    bytes_written: int
-    io_seconds: float
-    simulated_seconds: float
-    wall_seconds: float
-    #: Which backend ran the merges, and on how many real workers.
-    merge_executor: str = "serial"
-    merge_workers: int = 1
-    #: Measured wall clock of the merge-execution section alone (the
-    #: simulated-disk makespan is ``simulated_seconds``).
-    merge_wall_seconds: float = 0.0
-    #: Summed in-merge worker time; ``worker_utilization`` derives from it.
-    worker_busy_seconds: float = 0.0
-
-    @property
-    def worker_utilization(self) -> float:
-        """Mean fraction of the merge wall clock each worker spent merging."""
-        denominator = self.merge_workers * self.merge_wall_seconds
-        return self.worker_busy_seconds / denominator if denominator else 0.0
-
-
 # ----------------------------------------------------------------------
 # Execution backends
 # ----------------------------------------------------------------------
@@ -134,9 +107,14 @@ def _merge_step(
     new_table_id: int,
     drop_tombstones: bool,
     bloom_fp_rate: float,
-    kernel: str,
+    kernel: str = "auto",
 ) -> tuple[SSTable, float]:
-    """One timed merge (serial loop and thread workers)."""
+    """One timed merge: ``(output, seconds)``.
+
+    The only caller of :func:`merge_sstables` in this package — the
+    serial loop, the thread workers and the practical strategies all
+    merge here, so every merge's wall clock is measured the same way.
+    """
     started = time.perf_counter()
     output = merge_sstables(
         inputs,
@@ -289,10 +267,11 @@ def execute_schedule(
     merge_kernel: str = "auto",
     executor: str = "serial",
     workers: Optional[int] = None,
-) -> ExecutionResult:
+) -> CompactionResult:
     """Execute every merge step; see module docstring for the time model.
 
-    ``merge_kernel`` is forwarded to every
+    Returns the ledger of the run (``strategy_name`` is left to the
+    caller).  ``merge_kernel`` is forwarded to every
     :func:`~repro.lsm.sstable.merge_sstables` call (``"auto"`` /
     ``"columnar"`` / ``"heap"``; the kernels are bit-identical).
     ``executor``/``workers`` select the real execution backend; all
@@ -310,15 +289,21 @@ def execute_schedule(
     # --- real merge execution -----------------------------------------
     plan = plan_schedule(schedule)
     backend = make_execution_backend(executor, workers)
-    if plan.n_steps:
+    result = CompactionResult.start("schedule", tables)
+    result.schedule = schedule
+    result.merge_executor = backend.name
+    result.merge_workers = backend.workers
+    outputs: list[SSTable] = []
+    if plan.n_steps:  # a single-table schedule has nothing to merge
         merge_started = time.perf_counter()
         outputs, busy_seconds = backend.run(
             tables, plan, next_table_id, drop_tombstones, bloom_fp_rate,
             merge_kernel,
         )
-        merge_wall = time.perf_counter() - merge_started
-    else:  # single-table schedule: nothing to merge
-        outputs, busy_seconds, merge_wall = [], 0.0, 0.0
+        result.merge_wall_seconds = time.perf_counter() - merge_started
+        worker_seconds = backend.workers * result.merge_wall_seconds
+        if worker_seconds:
+            result.merge_utilization = busy_seconds / worker_seconds
 
     # --- deterministic accounting, in schedule order ------------------
     # Identical for every backend: costs, bytes and the simulated lane
@@ -327,12 +312,6 @@ def execute_schedule(
     live: dict[int, SSTable] = dict(enumerate(tables))
     ready_at: dict[int, float] = {table_id: 0.0 for table_id in live}
     lane_free = [0.0] * lanes
-
-    cost_actual = 0
-    cost_simplified = sum(table.entry_count for table in tables)
-    bytes_read = 0
-    bytes_written = 0
-    io_seconds = 0.0
     final_step_index = plan.n_steps - 1
 
     for index, step in enumerate(plan.steps):
@@ -349,18 +328,7 @@ def execute_schedule(
             )
             _propagate_sketches(inputs, output, union_valid)
 
-        # --- I/O accounting -------------------------------------------
-        step_read = sum(table.size_bytes for table in inputs)
-        step_written = output.size_bytes
-        duration = 0.0
-        for table in inputs:
-            duration += disk.read(table.size_bytes)
-        duration += disk.write(step_written)
-        bytes_read += step_read
-        bytes_written += step_written
-        io_seconds += duration
-        cost_actual += sum(table.entry_count for table in inputs) + output.entry_count
-        cost_simplified += output.entry_count
+        duration = result.bill(inputs, [output], disk)
 
         # --- simulated parallel list scheduling -----------------------
         ready = max(ready_at[table_id] for table_id in step.inputs)
@@ -373,18 +341,7 @@ def execute_schedule(
     if len(live) != 1:
         raise CompactionError("schedule did not reduce the tables to one")
     (final_id, final_table), = live.items()
-    return ExecutionResult(
-        output_table=final_table,
-        n_merges=plan.n_steps,
-        cost_actual_entries=cost_actual,
-        cost_simplified_entries=cost_simplified,
-        bytes_read=bytes_read,
-        bytes_written=bytes_written,
-        io_seconds=io_seconds,
-        simulated_seconds=ready_at.get(final_id, 0.0),
-        wall_seconds=time.perf_counter() - started_wall,
-        merge_executor=backend.name,
-        merge_workers=backend.workers,
-        merge_wall_seconds=merge_wall,
-        worker_busy_seconds=busy_seconds,
-    )
+    result.output_tables = [final_table]
+    result.simulated_seconds = ready_at[final_id]
+    result.wall_seconds = time.perf_counter() - started_wall
+    return result

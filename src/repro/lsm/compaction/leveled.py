@@ -28,8 +28,9 @@ from typing import Sequence
 
 from ..disk import SimulatedDisk
 from ..record import Record
-from ..sstable import SSTable, merge_sstables
+from ..sstable import SSTable
 from .base import CompactionResult, CompactionStrategy
+from .executor import _merge_step
 
 
 class LeveledCompaction(CompactionStrategy):
@@ -71,12 +72,8 @@ class LeveledCompaction(CompactionStrategy):
         if not tables:
             raise ValueError("nothing to compact")
         started = time.perf_counter()
+        result = CompactionResult.start(self.name, tables)
         levels: dict[int, list[SSTable]] = {0: list(tables)}
-        cost_actual = 0
-        cost_simplified = sum(table.entry_count for table in tables)
-        bytes_read = bytes_written = 0
-        io_seconds = 0.0
-        n_merges = 0
 
         def split_records(records: list[Record], start_id: int) -> list[SSTable]:
             chunks = []
@@ -92,8 +89,7 @@ class LeveledCompaction(CompactionStrategy):
             sources: list[SSTable], target_level: int
         ) -> None:
             """Merge sources + overlapping tables of target_level into it."""
-            nonlocal cost_actual, cost_simplified, bytes_read, bytes_written
-            nonlocal io_seconds, n_merges, next_table_id
+            nonlocal next_table_id
             target_tables = levels.get(target_level, [])
             overlapping = [
                 table
@@ -104,28 +100,13 @@ class LeveledCompaction(CompactionStrategy):
             bottommost = all(
                 not levels.get(deeper) for deeper in range(target_level + 1, target_level + 20)
             )
-            merged = merge_sstables(
-                group,
-                new_table_id=next_table_id,
-                drop_tombstones=bottommost,
-                bloom_fp_rate=self.bloom_fp_rate,
-                kernel=self.merge_kernel,
+            merged, seconds = _merge_step(
+                group, next_table_id, bottommost, self.bloom_fp_rate, self.merge_kernel
             )
-            next_table_id += 1
-            outputs = split_records(list(merged.records), next_table_id)
-            next_table_id += len(outputs)
-
-            for table in group:
-                io_seconds += disk.read(table.size_bytes)
-                bytes_read += table.size_bytes
-            for table in outputs:
-                io_seconds += disk.write(table.size_bytes)
-                bytes_written += table.size_bytes
-            cost_actual += sum(t.entry_count for t in group) + sum(
-                t.entry_count for t in outputs
-            )
-            cost_simplified += sum(t.entry_count for t in outputs)
-            n_merges += 1
+            outputs = split_records(list(merged.records), next_table_id + 1)
+            next_table_id += 1 + len(outputs)
+            result.merge_wall_seconds += seconds
+            result.bill(group, outputs, disk)
 
             remaining = [t for t in target_tables if t not in overlapping]
             levels[target_level] = sorted(
@@ -161,24 +142,14 @@ class LeveledCompaction(CompactionStrategy):
         output_tables = [
             table for level in sorted(levels) for table in levels.get(level, [])
         ]
-        return CompactionResult(
-            strategy_name=self.name,
-            input_count=len(tables),
-            output_tables=output_tables,
-            schedule=None,
-            n_merges=n_merges,
-            cost_actual_entries=cost_actual,
-            cost_simplified_entries=cost_simplified,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            io_seconds=io_seconds,
-            simulated_seconds=io_seconds,
-            wall_seconds=time.perf_counter() - started,
-            extras={
-                "levels": {
-                    level: [t.table_id for t in members]
-                    for level, members in levels.items()
-                    if members
-                }
-            },
-        )
+        result.output_tables = output_tables
+        result.simulated_seconds = result.io_seconds
+        result.wall_seconds = time.perf_counter() - started
+        result.extras = {
+            "levels": {
+                level: [t.table_id for t in members]
+                for level, members in levels.items()
+                if members
+            }
+        }
+        return result

@@ -6,17 +6,20 @@ This is the bridge between :mod:`repro.core` and the storage substrate:
    once per distinct list of input tables, so the strategies a
    comparison cell runs over the same tables share one instance and with
    it one bitset encoding (see :func:`_instance_for`),
-2. for output-sensitive policies, build a fresh per-run
-   :class:`~repro.core.estimator.CardinalityEstimator` seeded with the
+2. build the configured policy (SI / SO / BT(I) / BT(O) / LM / RANDOM)
+   with :func:`~repro.core.policies.base.make_policy` — the one place
+   an estimator spec is resolved — and, when the policy consults an
+   :class:`~repro.core.estimator.HllEstimator`, seed it with the
    sstables' persistent sketches (tables compacted before contribute
    theirs for free — the §1 background loop never re-hashes a key),
-3. run the configured policy (SI / SO / BT(I) / BT(O) / LM / RANDOM)
-   through the greedy framework to obtain a merge schedule, timing the
-   policy's decisions plus the sketch building (the *strategy overhead*
-   of §5.1),
+3. run the policy through the greedy framework to obtain a merge
+   schedule, timing the policy's decisions plus the sketch building
+   (the *strategy overhead* of §5.1),
 4. execute the schedule against the real sstables with
    :func:`~repro.lsm.compaction.executor.execute_schedule`, which
-   propagates input sketches losslessly onto every merge output.
+   propagates input sketches losslessly onto every merge output and
+   returns the billed :class:`~.base.CompactionResult`; this strategy
+   adds its name, overhead and extras.
 
 BALANCETREE strategies default to ``lanes = 8`` (the paper's machine has
 8 cores and merges within a level are independent); everything else runs
@@ -30,16 +33,10 @@ import weakref
 from typing import Optional, Sequence
 
 from ...core.backend import canonical_backend_name
-from ...core.estimator import (
-    CardinalityEstimator,
-    EstimatorSpec,
-    HllEstimator,
-    canonical_estimator_name,
-    make_estimator,
-)
+from ...core.estimator import EstimatorSpec, HllEstimator
 from ...core.greedy import GreedyMerger
 from ...core.instance import MergeInstance
-from ...core.policies import canonical_policy_name
+from ...core.policies import ChoosePolicy, canonical_policy_name, make_policy
 from ..disk import SimulatedDisk
 from ..sstable import SSTable
 from .base import CompactionResult, CompactionStrategy
@@ -47,15 +44,6 @@ from .executor import execute_schedule
 
 _PARALLEL_POLICIES = ("balance_tree", "balance_tree_input", "balance_tree_output")
 DEFAULT_PARALLEL_LANES = 8
-
-#: Policies whose choices consult a CardinalityEstimator, with the
-#: estimator each defaults to when none is configured.
-_ESTIMATOR_POLICY_DEFAULTS = {
-    "smallest_output": "exact",
-    "smallest_output_hll": "hll",
-    "balance_tree_output": "hll",
-    "balance_tree": "hll",  # only consulted when suborder == "output"
-}
 
 
 #: One slot: first input table -> (weak refs to all the inputs, their
@@ -105,8 +93,6 @@ class MajorCompaction(CompactionStrategy):
     ) -> None:
         self.policy_name = canonical_policy_name(policy)
         self.backend = canonical_backend_name(backend)
-        if isinstance(estimator, str):
-            estimator = canonical_estimator_name(estimator)
         self.estimator = estimator
         self.k = k
         if lanes is None:
@@ -124,38 +110,28 @@ class MajorCompaction(CompactionStrategy):
         self.merge_workers = merge_workers
         self.policy_kwargs = policy_kwargs
         self.name = f"major({self.policy_name}, k={k})"
+        self._make_policy()  # a bad estimator or keyword fails here, not mid-run
 
     # ------------------------------------------------------------------
-    def _uses_estimator(self) -> bool:
-        if self.policy_name == "balance_tree":
-            return self.policy_kwargs.get("suborder") == "output"
-        return self.policy_name in _ESTIMATOR_POLICY_DEFAULTS
-
-    def _run_estimator(
-        self, tables: Sequence[SSTable]
-    ) -> tuple[Optional[CardinalityEstimator], float]:
-        """A fresh per-run estimator, seeded with the tables' sketches.
-
-        Returns ``(estimator, sketch_seconds)``; sketch building is part
-        of the strategy's decision overhead (§5.1) and is billed there
-        by the caller.  Tables that kept a sketch from an earlier
-        compaction — the §1 background loop — contribute nothing.
-        """
-        if not self._uses_estimator():
-            return None, 0.0
-        spec = self.estimator
-        if spec is None:
-            spec = self.policy_kwargs.get("estimator")
-        if spec is None:
-            spec = _ESTIMATOR_POLICY_DEFAULTS[self.policy_name]
-        estimator = make_estimator(
-            spec,
-            hll_precision=self.policy_kwargs.get("hll_precision", 12),
-            hll_seed=self.policy_kwargs.get("hll_seed", 0),
-            force_pure=self.policy_kwargs.get("force_pure", False),
+    def _make_policy(self) -> ChoosePolicy:
+        return make_policy(
+            self.policy_name, estimator=self.estimator, **self.policy_kwargs
         )
+
+    @staticmethod
+    def _seed_sketches(policy: ChoosePolicy, tables: Sequence[SSTable]) -> float:
+        """Hand the tables' persistent sketches to the policy's HLL
+        estimator; returns the seconds it took.
+
+        Sketch building is part of the strategy's decision overhead
+        (§5.1) and is billed there by the caller.  Tables that kept a
+        sketch from an earlier compaction — the §1 background loop —
+        contribute nothing; other estimators (and the ``force_pure``
+        oracle, which bypasses pre-built sketches) cost nothing.
+        """
+        estimator = policy.estimator
         if not isinstance(estimator, HllEstimator) or estimator.force_pure:
-            return estimator, 0.0
+            return 0.0
         started = time.perf_counter()
         estimator.seed_sketches(
             {
@@ -163,7 +139,7 @@ class MajorCompaction(CompactionStrategy):
                 for index, table in enumerate(tables)
             }
         )
-        return estimator, time.perf_counter() - started
+        return time.perf_counter() - started
 
     def compact(
         self,
@@ -174,28 +150,17 @@ class MajorCompaction(CompactionStrategy):
         if not tables:
             raise ValueError("nothing to compact")
         if len(tables) == 1:
-            return CompactionResult(
-                strategy_name=self.name,
-                input_count=1,
-                output_tables=[tables[0]],
-            )
+            return CompactionResult(self.name, 1, [tables[0]])
 
         instance = _instance_for(tables)
-        estimator, sketch_seconds = self._run_estimator(tables)
-        policy_kwargs = dict(self.policy_kwargs)
-        if estimator is not None:
-            policy_kwargs["estimator"] = estimator
-        merger = GreedyMerger(
-            self.policy_name,
-            k=self.k,
-            seed=self.seed,
-            backend=self.backend,
-            **policy_kwargs,
-        )
-        greedy = merger.run(instance)
+        policy = self._make_policy()
+        sketch_seconds = self._seed_sketches(policy, tables)
+        greedy = GreedyMerger(
+            policy, k=self.k, seed=self.seed, backend=self.backend
+        ).run(instance)
         overhead_seconds = greedy.policy_seconds + sketch_seconds
 
-        execution = execute_schedule(
+        result = execute_schedule(
             tables,
             greedy.schedule,
             disk,
@@ -207,27 +172,12 @@ class MajorCompaction(CompactionStrategy):
             executor=self.merge_executor,
             workers=self.merge_workers,
         )
-        return CompactionResult(
-            strategy_name=self.name,
-            input_count=len(tables),
-            output_tables=[execution.output_table],
-            schedule=greedy.schedule,
-            n_merges=execution.n_merges,
-            cost_actual_entries=execution.cost_actual_entries,
-            cost_simplified_entries=execution.cost_simplified_entries,
-            bytes_read=execution.bytes_read,
-            bytes_written=execution.bytes_written,
-            io_seconds=execution.io_seconds,
-            simulated_seconds=execution.simulated_seconds,
-            wall_seconds=execution.wall_seconds + overhead_seconds,
-            strategy_overhead_seconds=overhead_seconds,
-            merge_executor=execution.merge_executor,
-            merge_workers=execution.merge_workers,
-            merge_wall_seconds=execution.merge_wall_seconds,
-            merge_utilization=execution.worker_utilization,
-            extras={
-                "policy_extras": greedy.extras,
-                "lanes": self.lanes,
-                "sketch_seconds": sketch_seconds,
-            },
-        )
+        result.strategy_name = self.name
+        result.strategy_overhead_seconds = overhead_seconds
+        result.wall_seconds += overhead_seconds
+        result.extras = {
+            "policy_extras": greedy.extras,
+            "lanes": self.lanes,
+            "sketch_seconds": sketch_seconds,
+        }
+        return result

@@ -22,8 +22,9 @@ import time
 from typing import Sequence
 
 from ..disk import SimulatedDisk
-from ..sstable import SSTable, merge_sstables
+from ..sstable import SSTable
 from .base import CompactionResult, CompactionStrategy
+from .executor import _merge_step
 
 
 class SizeTieredCompaction(CompactionStrategy):
@@ -90,33 +91,20 @@ class SizeTieredCompaction(CompactionStrategy):
         if not tables:
             raise ValueError("nothing to compact")
         started = time.perf_counter()
+        result = CompactionResult.start(self.name, tables)
         live = list(tables)
-        cost_actual = 0
-        cost_simplified = sum(table.entry_count for table in tables)
-        bytes_read = bytes_written = 0
-        io_seconds = 0.0
-        n_merges = 0
         rounds = 0
 
         def do_merge(group: list[SSTable], drop: bool) -> SSTable:
-            nonlocal cost_actual, cost_simplified, bytes_read, bytes_written
-            nonlocal io_seconds, n_merges, next_table_id
-            output = merge_sstables(
+            output, seconds = _merge_step(
                 group,
-                new_table_id=next_table_id,
-                drop_tombstones=drop,
-                bloom_fp_rate=self.bloom_fp_rate,
-                kernel=self.merge_kernel,
+                next_table_id + result.n_merges,
+                drop,
+                self.bloom_fp_rate,
+                self.merge_kernel,
             )
-            next_table_id += 1
-            for table in group:
-                io_seconds += disk.read(table.size_bytes)
-                bytes_read += table.size_bytes
-            io_seconds += disk.write(output.size_bytes)
-            bytes_written += output.size_bytes
-            cost_actual += sum(t.entry_count for t in group) + output.entry_count
-            cost_simplified += output.entry_count
-            n_merges += 1
+            result.merge_wall_seconds += seconds
+            result.bill(group, [output], disk)
             return output
 
         while True:
@@ -128,26 +116,14 @@ class SizeTieredCompaction(CompactionStrategy):
                 live.remove(table)
             live.append(do_merge(group, drop=False))
 
-        if self.until_single and len(live) > 1:
-            final = do_merge(live, drop=True)
-            live = [final]
-        elif self.until_single and len(live) == 1:
-            # Single survivor: rewrite once to GC tombstones, as a real
-            # major compaction would.
+        if self.until_single:
+            # The final merge collapses the survivors and GCs tombstones;
+            # a single survivor is rewritten once for the same reason, as
+            # a real major compaction would.
             live = [do_merge(live, drop=True)]
 
-        return CompactionResult(
-            strategy_name=self.name,
-            input_count=len(tables),
-            output_tables=live,
-            schedule=None,
-            n_merges=n_merges,
-            cost_actual_entries=cost_actual,
-            cost_simplified_entries=cost_simplified,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            io_seconds=io_seconds,
-            simulated_seconds=io_seconds,  # STCS merges serially
-            wall_seconds=time.perf_counter() - started,
-            extras={"rounds": rounds},
-        )
+        result.output_tables = live
+        result.simulated_seconds = result.io_seconds  # STCS merges serially
+        result.wall_seconds = time.perf_counter() - started
+        result.extras = {"rounds": rounds}
+        return result

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional, Sequence
 
 from ..errors import ScenarioError
@@ -159,10 +159,6 @@ class Scenario:
     # ------------------------------------------------------------------
     # Variant resolution
     # ------------------------------------------------------------------
-    @property
-    def is_sweep(self) -> bool:
-        return self.sweep is not None
-
     def config_for(self, fast: bool = False) -> SimulationConfig:
         """The base config, with ``fast_overrides`` applied when asked."""
         if fast and self.fast_overrides:
@@ -224,9 +220,6 @@ class Scenario:
         """A stable fingerprint of the full spec (12 hex chars)."""
         canonical = json.dumps(self.to_dict(), sort_keys=True)
         return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-    def with_config(self, config: SimulationConfig) -> "Scenario":
-        return replace(self, config=config)
 
     def describe(self) -> str:
         """One line for ``repro list-scenarios``."""

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import subprocess
+import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -75,10 +76,6 @@ class RunManifest:
     plane_used: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
     path: Optional[Path] = field(default=None, compare=False)
-
-    @property
-    def scenario_name(self) -> str:
-        return self.scenario.get("name", "unknown")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -155,12 +152,19 @@ class ResultsStore:
             raise ResultsStoreError(f"cannot read manifest {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ResultsStoreError(f"corrupt manifest {path}: {exc}") from None
+        if not isinstance(document, dict):
+            raise ResultsStoreError(
+                f"corrupt manifest {path}: expected a JSON object, "
+                f"got {type(document).__name__}"
+            )
         version = document.get("schema_version")
         if not isinstance(version, int) or version > SCHEMA_VERSION:
             raise ResultsStoreError(
                 f"manifest {path} has schema_version {version!r}; this build "
                 f"reads versions <= {SCHEMA_VERSION}"
             )
+        if not isinstance(document.get("cells", []), list):
+            raise ResultsStoreError(f"corrupt manifest {path}: cells is not a list")
         try:
             return RunManifest(
                 run_id=document["run_id"],
@@ -183,7 +187,9 @@ class ResultsStore:
             ) from None
 
     def manifests(self, scenario: Optional[str] = None) -> Iterator[RunManifest]:
-        """All stored manifests (optionally for one scenario), oldest first."""
+        """All readable manifests (optionally for one scenario), oldest
+        first.  One unreadable sibling does not take the listing down:
+        it is skipped with a warning naming its path."""
         if not self.root.is_dir():
             return
         directories = (
@@ -193,7 +199,12 @@ class ResultsStore:
         for directory in directories:
             if not directory.is_dir():
                 continue
-            loaded = [self.load(path) for path in directory.glob("*.json")]
+            loaded = []
+            for path in directory.glob("*.json"):
+                try:
+                    loaded.append(self.load(path))
+                except ResultsStoreError as exc:
+                    warnings.warn(f"skipping unreadable manifest: {exc}")
             # Sort on content, not filenames: a same-second collision
             # suffix ("...-1.json") sorts lexicographically *before* the
             # unsuffixed base ('-' < '.'), which would flip the order.

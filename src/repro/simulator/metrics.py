@@ -209,6 +209,8 @@ class Metric:
     #: Column group this row switches on: the group is shown when some
     #: strategy's value differs from the field's default.
     switch: str = ""
+    #: The ``CompactionResult`` attribute phase 2 fills it from.
+    compacted: str = ""
     #: The ``ReadPhaseResult`` attribute the serving phase fills it from.
     served: str = ""
     #: Filled from the ``Phase1Result`` attribute of the same name.
@@ -225,18 +227,21 @@ class Metric:
 CATALOGUE: tuple[Metric, ...] = (
     Metric("strategy", _first, CONST, _col("strategy")),
     Metric(None, None, COUNT, stem="runs"),
-    Metric("n_tables", _sum, PER_RUN),
-    Metric("n_merges", _sum, PER_RUN),
-    Metric("cost_actual", _sum, MEAN_STD, _col("costactual mean") + _col("std")),
-    Metric("cost_simplified", _sum, MEAN),
+    Metric("n_tables", _sum, PER_RUN, compacted="input_count"),
+    Metric("n_merges", _sum, PER_RUN, compacted="n_merges"),
+    Metric(
+        "cost_actual", _sum, MEAN_STD, _col("costactual mean") + _col("std"),
+        compacted="cost_actual_entries",
+    ),
+    Metric("cost_simplified", _sum, MEAN, compacted="cost_simplified_entries"),
     Metric("cost_over_lopt", None, DERIVED, _col("cost/LOPT")),
     Metric("lopt_entries", _sum, MEAN),
-    Metric("bytes_read", _sum, PER_RUN),
-    Metric("bytes_written", _sum, PER_RUN),
-    Metric("io_seconds", _sum, PER_RUN),
+    Metric("bytes_read", _sum, PER_RUN, compacted="bytes_read"),
+    Metric("bytes_written", _sum, PER_RUN, compacted="bytes_written"),
+    Metric("io_seconds", _sum, PER_RUN, compacted="io_seconds"),
     # Scheduled I/O only; a cluster's is the makespan of its shards'
     # schedules under the shared lane budget.
-    Metric("simulated_seconds", CLUSTER, PER_RUN),
+    Metric("simulated_seconds", CLUSTER, PER_RUN, compacted="simulated_seconds"),
     # "The running time measures both the strategy overhead and the
     # actual merge time" (paper 5.1): the reported time holds both.
     Metric(
@@ -245,17 +250,27 @@ CATALOGUE: tuple[Metric, ...] = (
     ),
     Metric(
         "strategy_overhead_seconds", _sum, MEAN, _col("overhead s"),
-        stem="strategy_overhead",
+        stem="strategy_overhead", compacted="strategy_overhead_seconds",
     ),
-    Metric("wall_seconds", _sum, MEAN),
+    Metric("wall_seconds", _sum, MEAN, compacted="wall_seconds"),
     # Real merge execution (lsm/compaction/executor.py).
-    Metric("merge_wall_seconds", _sum, MEAN, _col("merge wall s", "parallel")),
-    Metric("merge_executor", _executor, CONST, switch="parallel"),
+    Metric(
+        "merge_wall_seconds", _sum, MEAN, _col("merge wall s", "parallel"),
+        compacted="merge_wall_seconds",
+    ),
+    Metric(
+        "merge_executor", _executor, CONST, switch="parallel",
+        compacted="merge_executor",
+    ),
     Metric(
         "merge_workers", _executor, CONST,
         _col("workers", "parallel", _backend_and_workers),
+        compacted="merge_workers",
     ),
-    Metric("merge_utilization", _mean, MEAN, _col("util%", "parallel", _percent)),
+    Metric(
+        "merge_utilization", _mean, MEAN, _col("util%", "parallel", _percent),
+        compacted="merge_utilization",
+    ),
     # Cluster shape (cluster/scheduler.py).
     Metric("num_shards", CLUSTER, CONST, _col("shards", "sharded"), switch="sharded"),
     Metric(
@@ -372,6 +387,13 @@ def empty_result(strategy: str, **produced: Any) -> StrategyResult:
         if f.default is MISSING
     }
     return StrategyResult(**{**zeros, "strategy": strategy, **produced})
+
+
+def compacted_fields(compacted: Any) -> dict[str, Any]:
+    """The result fields one ``CompactionResult`` fills."""
+    return {
+        m.source: getattr(compacted, m.compacted) for m in CATALOGUE if m.compacted
+    }
 
 
 def served_fields(served: Any) -> dict[str, Any]:

@@ -518,16 +518,3 @@ def _flush_slabs_columnar(
         for table_id, (start, stop) in enumerate(slabs)
     ]
 
-
-def _flush_slabs_pure(
-    keynums: list[int],
-    tombstone_positions: list[int],
-    slabs: list[tuple[int, int]],
-    config: SimulationConfig,
-) -> list[SSTable]:
-    """Serial loop over :func:`_pure_slab_builder`."""
-    build = _pure_slab_builder(keynums, tombstone_positions, config)
-    return [
-        build(table_id, start, stop)
-        for table_id, (start, stop) in enumerate(slabs)
-    ]

@@ -27,19 +27,25 @@ from ..lsm.disk import SimulatedDisk
 from ..lsm.sstable import SSTable
 from ..ycsb.workload import ReadOpColumns
 from .config import SimulationConfig
-from .metrics import StrategyResult, served_fields
+from .metrics import StrategyResult, compacted_fields, served_fields
 from .read_path import serve_reads
 
-#: label -> (policy name, parallel?) for the paper's §5.1 strategy set.
-PAPER_STRATEGIES: dict[str, tuple[str, bool]] = {
-    "SI": ("smallest_input", False),
-    "SO": ("smallest_output", False),
-    "BT(I)": ("balance_tree_input", True),
-    "BT(O)": ("balance_tree_output", True),
-    "RANDOM": ("random", False),
+#: Third column of :data:`PAPER_STRATEGIES`: the label's estimator is
+#: whatever ``config.estimator`` says.
+FROM_CONFIG = "config"
+
+#: label -> (policy name, parallel?, estimator) for the paper's §5.1
+#: strategy set.  The estimator is ``None`` for a policy that consults
+#: none, a name that pins it, or :data:`FROM_CONFIG`.
+PAPER_STRATEGIES: dict[str, tuple[str, bool, Optional[str]]] = {
+    "SI": ("smallest_input", False, None),
+    "SO": ("smallest_output", False, FROM_CONFIG),
+    "BT(I)": ("balance_tree_input", True, None),
+    "BT(O)": ("balance_tree_output", True, FROM_CONFIG),
+    "RANDOM": ("random", False, None),
     # extras beyond the paper's figure, available to benches/ablations
-    "LM": ("largest_match", False),
-    "SO(exact)": ("smallest_output", False),
+    "LM": ("largest_match", False, None),
+    "SO(exact)": ("smallest_output", False, "exact"),
 }
 
 #: Related-work baselines shipped in real systems (Cassandra's
@@ -47,13 +53,6 @@ PAPER_STRATEGIES: dict[str, tuple[str, bool]] = {
 #: they emit several output tables — but share the strategy interface
 #: and metrics, so scenarios can grid them against the paper's policies.
 PRACTICAL_STRATEGIES: tuple[str, ...] = ("STCS", "LEVELED")
-
-#: Labels whose estimator is pinned regardless of the config (the
-#: remaining estimator-capable labels follow ``config.estimator``).
-_PINNED_ESTIMATORS: dict[str, str] = {"SO(exact)": "exact"}
-
-#: Policies that consult a CardinalityEstimator at all.
-_ESTIMATOR_POLICIES = ("smallest_output", "balance_tree_output")
 
 
 def strategy_labels() -> tuple[str, ...]:
@@ -91,29 +90,28 @@ def build_strategy(
             merge_kernel=merge_kernel,
         )
     try:
-        policy, parallel = PAPER_STRATEGIES[label]
+        policy, parallel, estimator = PAPER_STRATEGIES[label]
     except KeyError:
         raise CompactionError(
             f"unknown strategy label {label!r}; "
             f"known: {sorted(known_strategy_labels())}"
         ) from None
-    kwargs: dict = {}
-    estimator = None
-    if policy in _ESTIMATOR_POLICIES:
-        estimator = _PINNED_ESTIMATORS.get(label, config.estimator)
-        if estimator == "hll":
-            kwargs["hll_precision"] = config.hll_precision
+    estimator_kwargs: dict = {}
+    if estimator is not None:
+        estimator_kwargs = {
+            "estimator": config.estimator if estimator == FROM_CONFIG else estimator,
+            "hll_precision": config.hll_precision,
+        }
     return MajorCompaction(
         policy,
         k=config.k,
         lanes=config.parallel_lanes if parallel else 1,
         seed=seed if seed is not None else config.seed,
         backend=config.backend,
-        estimator=estimator,
         merge_kernel=merge_kernel,
         merge_executor=config.merge_executor,
         merge_workers=config.merge_workers or None,
-        **kwargs,
+        **estimator_kwargs,
     )
 
 
@@ -147,20 +145,7 @@ def run_strategy(
         )
     return StrategyResult(
         strategy=label,
-        n_tables=len(tables),
-        n_merges=result.n_merges,
-        cost_actual=result.cost_actual_entries,
-        cost_simplified=result.cost_simplified_entries,
         lopt_entries=sum(table.entry_count for table in tables),
-        bytes_read=result.bytes_read,
-        bytes_written=result.bytes_written,
-        io_seconds=result.io_seconds,
-        simulated_seconds=result.simulated_seconds,
-        strategy_overhead_seconds=result.strategy_overhead_seconds,
-        wall_seconds=result.wall_seconds,
-        merge_executor=result.merge_executor,
-        merge_workers=result.merge_workers,
-        merge_wall_seconds=result.merge_wall_seconds,
-        merge_utilization=result.merge_utilization,
+        **compacted_fields(result),
         **read_metrics,
     )

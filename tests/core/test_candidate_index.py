@@ -25,11 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core import GreedyMerger, merge_with
 from repro.core.estimator import make_estimator
-from repro.core.policies import (
-    BalanceTreeOutputPolicy,
-    CandidateIndex,
-    make_policy,
-)
+from repro.core.policies import BalanceTreePolicy, CandidateIndex, make_policy
 from repro.core.policies.base import ChoosePolicy, GreedyState
 from repro.errors import PolicyError
 from tests.helpers import instances, random_instance
@@ -238,8 +234,8 @@ def _level_sizes(n: int) -> list[int]:
     return sizes
 
 
-def _bto_work(n: int) -> tuple[BalanceTreeOutputPolicy, int]:
-    policy = BalanceTreeOutputPolicy(estimator="exact")
+def _bto_work(n: int) -> tuple[BalanceTreePolicy, int]:
+    policy = make_policy("BT(O)", estimator="exact")
     result = GreedyMerger(policy, backend="bitset").run(
         random_instance(n, universe=4 * n, seed=n, max_size=24)
     )

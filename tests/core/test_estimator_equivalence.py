@@ -140,7 +140,9 @@ class TestNumpyPureIdentity:
                 n=11, universe=60, seed=900 * k + seed, max_size=30
             )
             fast = merge_with(policy, instance, k=k)
-            pure = merge_with(policy, instance, k=k, force_pure=True)
+            pure = merge_with(
+                policy, instance, k=k, estimator=HllEstimator(force_pure=True)
+            )
             assert fast.schedule == pure.schedule, (policy, k, seed)
             assert (
                 fast.replay(instance).simplified_cost

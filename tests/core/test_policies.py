@@ -52,7 +52,7 @@ class TestRegistry:
 
     def test_make_policy_kwargs(self):
         policy = make_policy("smallest_output", estimator="hll", hll_precision=10)
-        assert policy.hll_precision == 10
+        assert policy.estimator.precision == 10
 
     def test_bad_estimator(self):
         with pytest.raises(PolicyError):

@@ -275,6 +275,48 @@ class TestStore:
         assert [m.path for m in store.manifests("churn")] == [path]
         assert store.latest("churn").path == path
 
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [
+            ("[]", "expected a JSON object, got list"),
+            ('"fig8"', "expected a JSON object, got str"),
+            ("{not json", "corrupt manifest"),
+        ],
+    )
+    def test_load_rejects_a_document_that_is_not_an_object(
+        self, store, tmp_path, text, complaint
+    ):
+        bad = tmp_path / "x.json"
+        bad.write_text(text)
+        with pytest.raises(ResultsStoreError, match=complaint):
+            store.load(bad)
+
+    def test_load_rejects_cells_that_are_not_a_list(self, runner, store, tmp_path):
+        _, path = runner.run_and_record("churn", runs=1, overrides=TINY)
+        document = json.loads(path.read_text())
+        document["cells"] = {"SI": {}}
+        bad = tmp_path / "cells.json"
+        bad.write_text(json.dumps(document))
+        with pytest.raises(ResultsStoreError, match="cells is not a list"):
+            store.load(bad)
+
+    @pytest.mark.parametrize("text", ["[]", "{not json", '{"schema_version": 1}'])
+    def test_unreadable_sibling_is_skipped_with_a_warning(
+        self, runner, store, text
+    ):
+        """One bad file must not take the whole listing down (it used to:
+        ``[]`` died with AttributeError, the others with the store's own
+        error); the warning names the path so it can be cleaned up."""
+        _, path = runner.run_and_record("churn", runs=1, overrides=TINY)
+        bad = path.parent / "x.json"
+        bad.write_text(text)
+        with pytest.warns(UserWarning, match=r"skipping unreadable manifest.*x\.json"):
+            assert [m.path for m in store.manifests("churn")] == [path]
+        with pytest.warns(UserWarning, match=r"x\.json"):
+            assert store.latest("churn").path == path
+        with pytest.warns(UserWarning, match=r"x\.json"):
+            assert [m.path for m in store.manifests()] == [path]
+
 
 class TestKernelSweeps:
     def test_k_sweep_preset_executes(self, runner):

@@ -284,6 +284,20 @@ class TestCatalogueStructure:
             else:
                 assert metric.fold is None, metric.source
 
+    def test_every_result_field_has_a_declared_producer(self):
+        """The compaction ledger, the serving phase, phase 1 or the
+        cluster scheduler; ``run_strategy`` adds the label and LOPT."""
+        from repro.lsm.compaction import CompactionResult
+
+        compacted = {m.source: m.compacted for m in CATALOGUE if m.compacted}
+        assert set(compacted.values()) <= {f.name for f in fields(CompactionResult)}
+        assert len(compacted) == 14
+        produced = set(compacted) | {"strategy", "lopt_entries"}
+        for metric in CATALOGUE:
+            if metric.served or metric.ingest or metric.fold is CLUSTER:
+                produced.add(metric.source)
+        assert produced == {f.name for f in fields(StrategyResult)}
+
     def test_aggregate_fields_are_the_catalogue_keys(self):
         stored = [
             key
