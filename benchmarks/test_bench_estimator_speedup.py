@@ -21,13 +21,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
-
-np = pytest.importorskip(
-    "numpy",
-    reason="the speedup bar is defined for the vectorized kernels",
-    exc_type=ImportError,
-)
 
 from repro.analysis.tables import format_table
 from repro.core import MergeInstance, merge_with

@@ -25,14 +25,6 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-import pytest
-
-np = pytest.importorskip(
-    "numpy",
-    reason="the speedup bar is defined for the vectorized kernels",
-    exc_type=ImportError,
-)
-
 from repro.analysis.tables import format_table
 from repro.scenarios import REGISTRY
 from repro.simulator import (

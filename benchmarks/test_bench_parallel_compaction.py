@@ -25,12 +25,6 @@ from dataclasses import replace
 
 import pytest
 
-np = pytest.importorskip(
-    "numpy",
-    reason="the speedup bar is defined for the GIL-releasing columnar kernel",
-    exc_type=ImportError,
-)
-
 from repro.analysis.tables import format_table
 from repro.core import GreedyMerger, MergeInstance
 from repro.lsm import SimulatedDisk, execute_schedule

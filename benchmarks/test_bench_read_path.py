@@ -23,14 +23,6 @@ from __future__ import annotations
 import time
 from dataclasses import replace
 
-import pytest
-
-np = pytest.importorskip(
-    "numpy",
-    reason="the speedup bar is defined for the batched kernel",
-    exc_type=ImportError,
-)
-
 from repro.analysis.tables import format_table
 from repro.scenarios import REGISTRY
 from repro.simulator import generate_sstables, serve_reads

@@ -29,12 +29,6 @@ from dataclasses import replace
 
 import pytest
 
-np = pytest.importorskip(
-    "numpy",
-    reason="the speedup bar is defined for the columnar split/build kernels",
-    exc_type=ImportError,
-)
-
 from repro.analysis.tables import format_table
 from repro.cluster import run_sharded_cell
 from repro.simulator import SimulationConfig

@@ -28,12 +28,6 @@ from dataclasses import replace
 
 import pytest
 
-np = pytest.importorskip(
-    "numpy",
-    reason="the speedup bar is defined for the GIL-releasing columnar kernel",
-    exc_type=ImportError,
-)
-
 from repro.analysis.tables import format_table
 from repro.simulator import SimulationConfig
 from repro.simulator.phase1 import (

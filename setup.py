@@ -24,9 +24,8 @@ setup(
             "repro=repro.cli:main",
         ]
     },
-    extras_require={
-        # Pure-python fallbacks cover everything; numpy vectorizes the
-        # HLL kernels and the columnar data plane.
-        "fast": ["numpy"],
-    },
+    # Required, not an extra: the HLL kernels, the columnar data plane,
+    # the op-stream generator and the shard split are numpy end to end,
+    # and `import repro` fails loudly without it.
+    install_requires=["numpy"],
 )

@@ -1,6 +1,6 @@
 """Small statistics helpers used by the figure harness.
 
-Pure-Python implementations (numpy optional elsewhere): means, sample
+Scalar implementations over a handful of points: means, sample
 standard deviations, Pearson correlation and ordinary least squares —
 enough to quantify Figure 9's "almost linear increase" claim and the
 parallel log-log lines of Figure 8.
@@ -47,10 +47,6 @@ class LinearFit:
     slope: float
     intercept: float
     r: float
-
-    @property
-    def r_squared(self) -> float:
-        return self.r * self.r
 
     def predict(self, x: float) -> float:
         return self.slope * x + self.intercept

@@ -34,9 +34,10 @@ streams is exactly the unsharded stream: every write (and its tombstone
 flag), every read and every scan appears on exactly one shard, in its
 original stream order.  With one shard the split is the identity.  The
 property test in tests/cluster/test_partitioner.py enforces this for
-every distribution and both partitioners, with and without numpy, and
-the numpy and pure splits are bit-identical (single-rounding float cuts
-on both paths).
+every distribution and both partitioners.  The split is numpy end to
+end; the scalar :meth:`Partitioner.shard_of` is its oracle (and the
+router for one key), bit-identical through single-rounding float cuts
+on both paths.
 """
 
 from __future__ import annotations
@@ -45,14 +46,11 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as _np
+
 from ..errors import ConfigError
 from ..hll.hashing import hash_key, hash_keys_u64
 from ..ycsb.workload import OpStreamColumns, ReadOpColumns
-
-try:  # optional acceleration; every split kernel has a pure fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 #: Registered partitioner names (the ``SimulationConfig.partitioner``
 #: vocabulary); :func:`make_partitioner` resolves them.
@@ -138,11 +136,11 @@ class Partitioner(ABC):
     def _position(self, key: int, key_space: int) -> float:
         """Map a key to the unit interval (scalar path)."""
 
+    @abstractmethod
     def _position_batch(
         self, keys: "_np.ndarray", key_space: int
-    ) -> Optional["_np.ndarray"]:
-        """Vectorized :meth:`_position`; None when numpy cannot help."""
-        return None
+    ) -> "_np.ndarray":
+        """Vectorized :meth:`_position` over an int64 key array."""
 
     # ------------------------------------------------------------------
     def shard_of(self, key: int, key_space: int) -> int:
@@ -157,24 +155,22 @@ class Partitioner(ABC):
 
     def shard_of_batch(
         self, keys: Sequence[int], key_space: int
-    ) -> Sequence[int]:
-        """One shard id per key; bit-identical to the scalar loop."""
-        if _np is not None:
-            array = _np.asarray(keys, dtype=_np.int64)
-            if self.num_shards == 1:
-                return _np.zeros(array.shape, dtype=_np.int64)
-            positions = self._position_batch(array, key_space)
-            if positions is not None:
-                # searchsorted(side="right") counts cuts <= u, exactly
-                # the scalar loop's "first cut above u" (clamped at the
-                # last shard for the same float edge).
-                return _np.minimum(
-                    _np.searchsorted(
-                        _np.asarray(self._cuts), positions, side="right"
-                    ),
-                    self.num_shards - 1,
-                ).astype(_np.int64)
-        return [self.shard_of(int(key), key_space) for key in keys]
+    ) -> "_np.ndarray":
+        """One shard id per key; bit-identical to :meth:`shard_of`."""
+        array = _np.asarray(keys, dtype=_np.int64)
+        if self.num_shards == 1:
+            return _np.zeros(array.shape, dtype=_np.int64)
+        # searchsorted(side="right") counts cuts <= u, exactly the
+        # scalar loop's "first cut above u" (clamped at the last shard
+        # for the same float edge).
+        return _np.minimum(
+            _np.searchsorted(
+                _np.asarray(self._cuts),
+                self._position_batch(array, key_space),
+                side="right",
+            ),
+            self.num_shards - 1,
+        ).astype(_np.int64)
 
 
 class HashPartitioner(Partitioner):
@@ -189,10 +185,8 @@ class HashPartitioner(Partitioner):
         return hash_key(key) / _U64_SCALE
 
     def _position_batch(self, keys, key_space):
-        hashes = hash_keys_u64(keys)
-        if hashes is None:  # pragma: no cover - int64 input always hashes
-            return None
-        return hashes.astype(_np.float64) / _U64_SCALE
+        # An int64 array always takes hash_keys_u64's batch path.
+        return hash_keys_u64(keys).astype(_np.float64) / _U64_SCALE
 
 
 class RangePartitioner(Partitioner):
@@ -253,127 +247,42 @@ def split_stream(
 
     Every write/read/scan of ``stream`` appears on exactly one shard in
     its original relative order; tombstone positions are re-indexed into
-    the shard-local write column.  The numpy and pure paths produce
-    identical shard streams.
+    the shard-local write column.
     """
-    num_shards = partitioner.num_shards
     key_space = stream_key_space(stream)
     read_ops = stream.read_ops
-    if _np is not None:
-        return _split_columnar(stream, partitioner, key_space, read_ops)
-    return _split_pure(stream, partitioner, key_space, read_ops)
 
+    def routed(column: Sequence[int]) -> tuple["_np.ndarray", "_np.ndarray"]:
+        array = _np.asarray(column, dtype=_np.int64)
+        return array, partitioner.shard_of_batch(array, key_space)
 
-def _split_columnar(
-    stream: OpStreamColumns,
-    partitioner: Partitioner,
-    key_space: int,
-    read_ops: Optional[ReadOpColumns],
-) -> list[ShardStream]:
-    keys = _np.asarray(stream.write_keynums, dtype=_np.int64)
-    shard_ids = _np.asarray(
-        partitioner.shard_of_batch(keys, key_space), dtype=_np.int64
-    )
+    keys, shard_ids = routed(stream.write_keynums)
     tombstones = _np.zeros(keys.shape, dtype=bool)
     if stream.tombstone_positions:
         tombstones[
             _np.asarray(stream.tombstone_positions, dtype=_np.intp)
         ] = True
-    read_shards = scan_shards = None
     if read_ops is not None:
-        read_shards = _np.asarray(
-            partitioner.shard_of_batch(
-                _np.asarray(read_ops.read_keynums, dtype=_np.int64), key_space
-            ),
-            dtype=_np.int64,
-        )
-        scan_shards = _np.asarray(
-            partitioner.shard_of_batch(
-                _np.asarray(read_ops.scan_keynums, dtype=_np.int64), key_space
-            ),
-            dtype=_np.int64,
-        )
+        read_keys, read_shards = routed(read_ops.read_keynums)
+        scan_keys, scan_shards = routed(read_ops.scan_keynums)
+        scan_lengths = _np.asarray(read_ops.scan_lengths, dtype=_np.int64)
     shards: list[ShardStream] = []
     for shard in range(partitioner.num_shards):
         mask = shard_ids == shard
         shard_reads = None
         if read_ops is not None:
-            read_mask = read_shards == shard
             scan_mask = scan_shards == shard
             shard_reads = ReadOpColumns(
-                read_keynums=[
-                    int(k)
-                    for k in _np.asarray(
-                        read_ops.read_keynums, dtype=_np.int64
-                    )[read_mask]
-                ],
-                scan_keynums=[
-                    int(k)
-                    for k in _np.asarray(
-                        read_ops.scan_keynums, dtype=_np.int64
-                    )[scan_mask]
-                ],
-                scan_lengths=[
-                    int(n)
-                    for n in _np.asarray(
-                        read_ops.scan_lengths, dtype=_np.int64
-                    )[scan_mask]
-                ],
+                read_keynums=read_keys[read_shards == shard].tolist(),
+                scan_keynums=scan_keys[scan_mask].tolist(),
+                scan_lengths=scan_lengths[scan_mask].tolist(),
             )
         shards.append(
             ShardStream(
                 shard_id=shard,
                 write_keynums=keys[mask],
-                tombstone_positions=[
-                    int(i) for i in _np.nonzero(tombstones[mask])[0]
-                ],
+                tombstone_positions=_np.nonzero(tombstones[mask])[0].tolist(),
                 read_ops=shard_reads,
             )
         )
     return shards
-
-
-def _split_pure(
-    stream: OpStreamColumns,
-    partitioner: Partitioner,
-    key_space: int,
-    read_ops: Optional[ReadOpColumns],
-) -> list[ShardStream]:
-    num_shards = partitioner.num_shards
-    write_keys: list[list[int]] = [[] for _ in range(num_shards)]
-    tombstone_positions: list[list[int]] = [[] for _ in range(num_shards)]
-    tombstone_set = set(stream.tombstone_positions)
-    for index, key in enumerate(stream.write_keynums):
-        key = int(key)
-        shard = partitioner.shard_of(key, key_space)
-        if index in tombstone_set:
-            tombstone_positions[shard].append(len(write_keys[shard]))
-        write_keys[shard].append(key)
-    shard_reads: list[Optional[ReadOpColumns]] = [None] * num_shards
-    if read_ops is not None:
-        reads: list[list[int]] = [[] for _ in range(num_shards)]
-        scans: list[list[int]] = [[] for _ in range(num_shards)]
-        lengths: list[list[int]] = [[] for _ in range(num_shards)]
-        for key in read_ops.read_keynums:
-            reads[partitioner.shard_of(int(key), key_space)].append(int(key))
-        for key, length in zip(read_ops.scan_keynums, read_ops.scan_lengths):
-            shard = partitioner.shard_of(int(key), key_space)
-            scans[shard].append(int(key))
-            lengths[shard].append(int(length))
-        shard_reads = [
-            ReadOpColumns(
-                read_keynums=reads[s],
-                scan_keynums=scans[s],
-                scan_lengths=lengths[s],
-            )
-            for s in range(num_shards)
-        ]
-    return [
-        ShardStream(
-            shard_id=shard,
-            write_keynums=write_keys[shard],
-            tombstone_positions=tombstone_positions[shard],
-            read_ops=shard_reads[shard],
-        )
-        for shard in range(num_shards)
-    ]

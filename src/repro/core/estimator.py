@@ -29,8 +29,9 @@ tables that arrived without one.
 
 The differential harness in ``tests/core/test_estimator_equivalence.py``
 pins the contracts: ``exact`` reproduces the pre-layer reference
-schedules bit-for-bit, and numpy/pure HLL paths return identical
-estimates and therefore identical schedules.
+schedules bit-for-bit, and the numpy HLL kernels return the same
+estimates, and therefore the same schedules, as their ``force_pure``
+oracle.
 """
 
 from __future__ import annotations
@@ -40,17 +41,14 @@ from abc import ABC, abstractmethod
 from functools import lru_cache
 from typing import TYPE_CHECKING, Mapping, Sequence, Union
 
+import numpy as _np
+
 from ..errors import EstimatorError
 from ..hll import HyperLogLog
 from ..hll.registers import RegisterArray
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .policies.base import GreedyState
-
-try:  # scratch buffers for the fused union kernel
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 
 @lru_cache(maxsize=8)
@@ -116,10 +114,10 @@ class HllEstimator(CardinalityEstimator):
     precision / seed:
         Forwarded to every sketch; pre-seeded sketches must match.
     force_pure:
-        Build sketches on the pure-Python register backing even when
-        numpy is available (differential tests and ablations).  Pre-built
-        sketches are bypassed in this mode so the whole run exercises the
-        fallback kernels.
+        Build sketches on the pure-Python register backing, the oracle
+        of the numpy kernels (differential tests and the estimator
+        bench).  Pre-built sketches are bypassed in this mode so the
+        whole run exercises the oracle kernels.
     """
 
     name = "hll"
@@ -135,8 +133,8 @@ class HllEstimator(CardinalityEstimator):
         # Persistent term matrix for the batched union kernel: one row
         # per live sketch, merged tables appended as row-wise mins, and
         # a table-id -> row vector so whole combo batches map to row
-        # indices in one numpy gather.  None when numpy is unavailable,
-        # force_pure is set, or a sketch leaves the term domain.
+        # indices in one numpy gather.  None when force_pure is set or
+        # a sketch leaves the term domain.
         self._matrix = None
         self._row_of = None
         # Ids whose sketches were explicitly seeded since the last
@@ -209,7 +207,7 @@ class HllEstimator(CardinalityEstimator):
     def _build_matrix(self) -> None:
         self._matrix = None
         self._row_of = None
-        if _np is None or self.force_pure or not self._sketches:
+        if self.force_pure or not self._sketches:
             return
         registers = [sketch._registers for sketch in self._sketches.values()]
         if any(not array.is_vectorized for array in registers):
@@ -240,7 +238,7 @@ class HllEstimator(CardinalityEstimator):
     def union_cardinality(self, state: "GreedyState", combo: tuple[int, ...]) -> float:
         sketches = self._sketches
         first = sketches[combo[0]]
-        if self._scratch is None and _np is not None and not self.force_pure:
+        if self._scratch is None and not self.force_pure:
             self._scratch = _np.empty(first.m, dtype=_np.uint8)
         harmonic_sum, zeros = RegisterArray.union_stats(
             [sketches[table_id]._registers for table_id in combo],

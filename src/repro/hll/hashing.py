@@ -11,6 +11,9 @@ and simulation reproducible across runs:
 * :func:`hash_key` — the dispatching entry point used everywhere in the
   library; supports ``int``, ``str``, ``bytes``, ``tuple`` (recursively)
   and falls back to hashing ``repr`` for other values.
+* :func:`hash_keys_u64` — the numpy batch form of :func:`hash_key` for
+  plain-int keys; :func:`hash_key` is its oracle and the only path for
+  keys a ``uint64`` vector cannot represent (str, bool, tuple, ...).
 
 All results are uniform over ``[0, 2**64)``.
 """
@@ -19,10 +22,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional, Sequence
 
-try:  # optional acceleration; hash_keys_u64 degrades to None without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -102,16 +102,14 @@ def hash_keys_u64(keys: Sequence[Hashable], seed: int = 0) -> Optional["_np.ndar
 
     Returns a ``uint64`` numpy array with ``hash_keys_u64(keys)[i] ==
     hash_key(keys[i], seed)`` for every position, or ``None`` when the
-    batch path does not apply (numpy missing, or any key is not a plain
-    int — ``bool`` keys are type-salted by :func:`hash_key` and must take
-    the scalar path).  Callers fall back to the per-key loop on ``None``.
+    batch path does not apply (some key is not a plain int — ``bool``
+    keys are type-salted by :func:`hash_key` and must take the scalar
+    path).  Callers fall back to the per-key loop on ``None``.
 
     ``int64``/``uint64`` numpy arrays are accepted directly (the read
     path's columnar probe batches); the two's-complement ``uint64`` view
     of a negative ``int64`` equals the scalar path's ``key & MASK64``.
     """
-    if _np is None:
-        return None
     if isinstance(keys, _np.ndarray):
         if keys.dtype == _np.uint64:
             base = keys

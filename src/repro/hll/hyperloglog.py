@@ -14,13 +14,15 @@ implementation:
 * *lossless* unions — the register-wise max of two sketches equals the
   sketch of the union of their streams, the property the incremental
   pair cache in the SO policy relies on,
-* batch ingestion: with numpy present, :meth:`add_all` hashes plain-int
-  key batches as one ``uint64`` vector and scatter-maxes the registers
-  in one call, producing registers byte-identical to the per-key path.
+* batch ingestion: :meth:`add_all` hashes plain-int key batches as one
+  ``uint64`` vector and scatter-maxes the registers in one call,
+  producing registers byte-identical to the per-key path (which serves
+  every other key type).
 
 Estimates are backing-independent: the harmonic-sum kernel accumulates
-exactly (see :mod:`repro.hll.registers`), so numpy and pure-Python
-sketches over the same keys report identical floats.
+exactly (see :mod:`repro.hll.registers`), so a numpy sketch and its
+``force_pure`` bytearray oracle report identical floats over the same
+keys.
 
 Typical relative error is ``1.04 / sqrt(m)`` (about 1.6 % at the default
 precision ``p = 12``).
@@ -31,13 +33,10 @@ from __future__ import annotations
 import math
 from typing import Hashable, Iterable
 
+import numpy as _np
+
 from .hashing import hash_key, hash_keys_u64
 from .registers import RegisterArray
-
-try:  # optional acceleration for batch ingestion
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 MIN_PRECISION = 4
 MAX_PRECISION = 18
@@ -77,8 +76,8 @@ class HyperLogLog:
         Hash seed.  Sketches can only be merged when their precision and
         seed match (they must route keys identically).
     force_pure:
-        Use the pure-Python ``bytearray`` register backing even when
-        numpy is available (differential testing and ablations).
+        Use the pure-Python ``bytearray`` register backing: the oracle
+        the numpy kernels are tested against (and benchmarked beside).
     """
 
     __slots__ = ("precision", "m", "seed", "_registers", "_suffix_bits", "_alpha_mm")

@@ -3,9 +3,11 @@
 A sketch of precision ``p`` keeps ``m = 2**p`` byte-sized registers, each
 storing the maximum observed "rank" (leading-zero count + 1) for hashes
 routed to it.  This module hides the storage: a numpy ``uint8`` array
-when numpy is importable (the SMALLESTOUTPUT policy evaluates thousands
-of sketch unions per compaction, where vectorized max/sum matters), with
-a dependency-free ``bytearray`` fallback providing identical semantics.
+(the SMALLESTOUTPUT policy evaluates thousands of sketch unions per
+compaction, where vectorized max/sum matters), or under ``force_pure``
+a ``bytearray`` with identical semantics -- the oracle the numpy kernels
+are tested against and the "pure-python" row of
+``benchmarks/test_bench_estimator_speedup.py``.
 
 Estimation kernels are *exact* and therefore backing-independent: the
 harmonic sum ``sum(2**-M[j])`` is accumulated as a dyadic integer
@@ -25,10 +27,7 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence
 
-try:  # optional acceleration; the pure-Python path is fully equivalent
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
+import numpy as _np
 
 #: Ranks never exceed 61 for 64-bit hashes (p >= 4 leaves at most 60
 #: suffix bits); any fixed shift above that makes every register term
@@ -37,41 +36,39 @@ _MAX_RANK = 70
 _SHIFT = _MAX_RANK
 _SHIFT_ONE = 1 << _SHIFT
 
-if _np is not None:
-    # Term LUTs for the batched union kernel: register value r maps to
-    # the integer "term" 2**(shift - r).  Terms are monotone
-    # *decreasing* in r, so the register-wise max of sketches is the
-    # element-wise *min* of their term vectors, and the exact harmonic
-    # sum is one int64 reduction (m <= 2**18 terms each <= 2**shift).
-    # Two domains: a narrow uint16 encoding (shift 15) that halves the
-    # kernel's memory traffic when every rank fits, and a wide int32
-    # encoding (shift 30) otherwise; ranks above 30 (impossible below
-    # ~10**9 distinct keys) fall back to the histogram kernel.  All
-    # paths compute the same exact rational, so they agree bit-for-bit.
-    _TERM_SHIFT_NARROW = 15
-    _TERM_SHIFT_WIDE = 30
-    _TERM_LUTS = {
-        _TERM_SHIFT_NARROW: _np.array(
-            [1 << (_TERM_SHIFT_NARROW - r) for r in range(_TERM_SHIFT_NARROW + 1)],
-            dtype=_np.uint16,
-        ),
-        _TERM_SHIFT_WIDE: _np.array(
-            [1 << (_TERM_SHIFT_WIDE - r) for r in range(_TERM_SHIFT_WIDE + 1)],
-            dtype=_np.int32,
-        ),
-    }
+# Term LUTs for the batched union kernel: register value r maps to
+# the integer "term" 2**(shift - r).  Terms are monotone
+# *decreasing* in r, so the register-wise max of sketches is the
+# element-wise *min* of their term vectors, and the exact harmonic
+# sum is one int64 reduction (m <= 2**18 terms each <= 2**shift).
+# Two domains: a narrow uint16 encoding (shift 15) that halves the
+# kernel's memory traffic when every rank fits, and a wide int32
+# encoding (shift 30) otherwise; ranks above 30 (impossible below
+# ~10**9 distinct keys) fall back to the histogram kernel.  All
+# paths compute the same exact rational, so they agree bit-for-bit.
+_TERM_SHIFT_NARROW = 15
+_TERM_SHIFT_WIDE = 30
+_TERM_LUTS = {
+    _TERM_SHIFT_NARROW: _np.array(
+        [1 << (_TERM_SHIFT_NARROW - r) for r in range(_TERM_SHIFT_NARROW + 1)],
+        dtype=_np.uint16,
+    ),
+    _TERM_SHIFT_WIDE: _np.array(
+        [1 << (_TERM_SHIFT_WIDE - r) for r in range(_TERM_SHIFT_WIDE + 1)],
+        dtype=_np.int32,
+    ),
+}
 
 
-if _np is not None:
-    if hasattr(_np, "bitwise_count"):
-        _popcount = _np.bitwise_count
-    else:  # pragma: no cover - numpy < 2.0
-        _POPCNT_LUT = _np.array(
-            [bin(value).count("1") for value in range(256)], dtype=_np.uint8
-        )
+if hasattr(_np, "bitwise_count"):
+    _popcount = _np.bitwise_count
+else:  # pragma: no cover - numpy < 2.0
+    _POPCNT_LUT = _np.array(
+        [bin(value).count("1") for value in range(256)], dtype=_np.uint8
+    )
 
-        def _popcount(bits):
-            return _POPCNT_LUT[bits]
+    def _popcount(bits):
+        return _POPCNT_LUT[bits]
 
 
 def _dyadic_harmonic(counts: Sequence[int]) -> float:
@@ -97,7 +94,7 @@ class RegisterArray:
         if m < 1:
             raise ValueError("register count must be positive")
         self.m = m
-        self._numpy = _np is not None and not force_pure
+        self._numpy = not force_pure
         if _backing is not None:
             self._regs = _backing
         elif self._numpy:
@@ -266,8 +263,6 @@ class RegisterArray:
     ) -> Optional["TermMatrix"]:
         """A fresh :class:`TermMatrix` sized for sketches whose ranks
         stay within ``max_rank``, or None when out of every domain."""
-        if _np is None:
-            return None
         for shift in (_TERM_SHIFT_NARROW, _TERM_SHIFT_WIDE):
             if max_rank <= shift:
                 return TermMatrix(m, term_shift=shift, capacity=capacity)

@@ -18,13 +18,10 @@ from __future__ import annotations
 import math
 from typing import Hashable, Iterable, Optional
 
+import numpy as _np
+
 from ..errors import ConfigError
 from ..hll.hashing import MASK64, hash_key, hash_keys_u64
-
-try:  # optional acceleration for batched insertion
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 _PROBE_SEED_1 = 0x0B1008
 _PROBE_SEED_2 = 0x0B1009
@@ -63,7 +60,7 @@ class BloomFilter:
         if not isinstance(keys, (list, tuple)):
             keys = list(keys)
         h1 = hash_keys_u64(keys, seed=_PROBE_SEED_1)
-        if h1 is None:  # numpy missing or keys not plain ints
+        if h1 is None:  # keys a uint64 vector cannot represent
             for key in keys:
                 self.add(key)
             return

@@ -29,14 +29,17 @@ bloom filter and sketches included.
 only read *after* their durable sync + manifest commit, so unlike the
 WAL there is no torn tail to forgive.  Decoded tables rebuild onto the
 engine's native representations — int64 columns via
-:meth:`SSTable.from_columns` when numpy is available and keys allow,
-record-backed otherwise — so every downstream kernel (columnar merge,
-batched bloom probes, sketch unions) works on a loaded table unchanged.
+:meth:`SSTable.from_columns` when the data allows (plain int keys, no
+payload bytes), record-backed otherwise — so every downstream kernel
+(columnar merge, batched bloom probes, sketch unions) works on a loaded
+table unchanged.
 """
 
 from __future__ import annotations
 
 import struct
+
+import numpy as _np
 
 from ...errors import CorruptionError
 from ...hll import HyperLogLog
@@ -61,11 +64,6 @@ MAGIC = b"LSMSST01"
 DATA_BLOCK_BYTES = 4096
 
 _FORMAT_VERSION = 1
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 
 def _read_block_or_raise(data: bytes, offset: int, what: str) -> tuple[bytes, int]:
@@ -210,8 +208,7 @@ def _build_table(
 ) -> SSTable:
     """Rebuild onto the columnar representation when the data allows."""
     if (
-        _np is not None
-        and records
+        records
         and set(map(type, (r.key for r in records))) <= {int}
         and all(r.value is None for r in records)
     ):

@@ -57,16 +57,6 @@ class Memtable(ABC):
         """Buffer one write."""
 
     @abstractmethod
-    def add_batch(self, records: Sequence[Record]) -> None:
-        """Buffer many writes at once.
-
-        Unlike a loop of :meth:`add` calls, a batch that does not fit is
-        rejected up front (no partial fill); callers split their stream
-        at capacity boundaries.  ``AppendLogMemtable`` implements this
-        as a single bulk extend — the batched data plane's fill path.
-        """
-
-    @abstractmethod
     def get(self, key: Hashable) -> Record | None:
         """Newest buffered record for ``key`` (tombstones included)."""
 
@@ -121,14 +111,6 @@ class AppendLogMemtable(Memtable):
             raise StorageError("memtable is full; flush before writing")
         self._log.append(record)
 
-    def add_batch(self, records: Sequence[Record]) -> None:
-        if len(self._log) + len(records) > self.capacity_entries:
-            raise StorageError(
-                f"batch of {len(records)} records does not fit "
-                f"({len(self._log)}/{self.capacity_entries} used)"
-            )
-        self._log.extend(records)
-
     def get(self, key: Hashable) -> Record | None:
         for record in reversed(self._log):
             if record.key == key:
@@ -168,16 +150,6 @@ class SortedMapMemtable(Memtable):
             raise StorageError("memtable is full; flush before writing")
         self._map[record.key] = record
 
-    def add_batch(self, records: Sequence[Record]) -> None:
-        fresh = {record.key for record in records} - self._map.keys()
-        if len(self._map) + len(fresh) > self.capacity_entries:
-            raise StorageError(
-                f"batch introduces {len(fresh)} new keys and does not fit "
-                f"({len(self._map)}/{self.capacity_entries} used)"
-            )
-        for record in records:
-            self._map[record.key] = record
-
     def get(self, key: Hashable) -> Record | None:
         return self._map.get(key)
 
@@ -200,41 +172,6 @@ class SortedMapMemtable(Memtable):
         self._map = {}
         self._order = []
         return records
-
-
-def distinct_capacity_boundaries(
-    keys: Sequence[Hashable], capacity: int
-) -> list[tuple[int, int]]:
-    """Flush epochs of a map-mode memtable over a write-key stream.
-
-    Returns ``(start, stop)`` index ranges such that feeding
-    ``keys[start:stop]`` into a fresh :class:`SortedMapMemtable` of
-    ``capacity`` distinct keys reproduces exactly the engine's flush
-    behaviour: the engine flushes *before* the first write after an
-    epoch's distinct-key count reaches capacity, so every epoch is the
-    maximal prefix whose distinct count is at most ``capacity`` and ends
-    on the write that first reaches it.  This is the reference for the
-    batched data plane's map-mode slab cutter (and its numpy-less
-    fallback); the vectorized kernel in
-    :mod:`repro.simulator.phase1` must match it index for index.
-    """
-    if capacity < 1:
-        raise ConfigError("memtable capacity must be at least 1")
-    boundaries: list[tuple[int, int]] = []
-    start = 0
-    seen: set = set()
-    add = seen.add
-    for index, key in enumerate(keys):
-        if key not in seen:
-            add(key)
-            if len(seen) == capacity:
-                boundaries.append((start, index + 1))
-                start = index + 1
-                seen = set()
-                add = seen.add
-    if start < len(keys):
-        boundaries.append((start, len(keys)))
-    return boundaries
 
 
 def make_memtable(mode: str, capacity_entries: int) -> Memtable:

@@ -59,7 +59,3 @@ class Record:
         """On-disk footprint of this entry."""
         key_bytes = len(self.key) if isinstance(self.key, (str, bytes)) else 0
         return ENTRY_OVERHEAD_BYTES + key_bytes + self.value_size
-
-    def supersedes(self, other: "Record") -> bool:
-        """True if this record is the newer version of the same key."""
-        return self.key == other.key and self.seqno > other.seqno

@@ -20,9 +20,11 @@ Tables have two internal representations with one interface:
 bit-identical implementations: a columnar sorted-array merge (numpy
 ``lexsort`` + dedup-by-newest-seqno + tombstone mask) used whenever
 every input can expose int64 columns, and the heap-based k-way
-merge-sort fallback.  Tombstone garbage collection is optional because
-it is only safe when the merge output is the *bottommost* table for its
-key range — i.e. the final merge of a major compaction.
+merge-sort: the columnar kernel's oracle and the only merge for tables
+numpy cannot represent (generic keys, payload bytes).  Tombstone garbage
+collection is optional because it is only safe when the merge output is
+the *bottommost* table for its key range — i.e. the final merge of a
+major compaction.
 """
 
 from __future__ import annotations
@@ -33,15 +35,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
+import numpy as _np
+
 from ..errors import StorageError
 from ..hll import HyperLogLog
 from .bloom import BloomFilter
 from .record import ENTRY_OVERHEAD_BYTES, Record
-
-try:  # optional acceleration; the heap merge kernel needs no numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 DEFAULT_INDEX_INTERVAL = 16
 
@@ -124,10 +123,8 @@ class SSTable:
 
         ``keys`` must be strictly ascending; ``value_sizes`` may be a
         scalar applied to every entry; ``tombstones`` is an optional
-        boolean mask.  Requires numpy.
+        boolean mask.
         """
-        if _np is None:  # pragma: no cover - callers gate on numpy
-            raise StorageError("SSTable.from_columns requires numpy")
         keys = _np.asarray(keys, dtype=_np.int64)
         if keys.size == 0:
             raise StorageError(f"sstable {table_id} must contain at least one record")
@@ -170,16 +167,13 @@ class SSTable:
         """The table's int64 column view, or ``None`` if unrepresentable.
 
         Column-backed tables return their native columns; record-backed
-        tables build (and cache) a view when numpy is available, every
-        key is a plain int and no record carries payload bytes.  The
-        columnar merge kernel applies exactly when all inputs return a
-        view.
+        tables build (and cache) a view when every key is a plain int
+        and no record carries payload bytes.  The columnar merge kernel
+        applies exactly when all inputs return a view.
         """
         if self._columns is not None or self._columns_built:
             return self._columns
         self._columns_built = True
-        if _np is None:
-            return None
         records = self.records
         keys = self._keys
         # bool is an int subclass with different hashing; keep it off
@@ -518,8 +512,8 @@ def merge_sstables(
     (e.g. the final output of a major compaction).
 
     ``kernel`` selects the merge implementation: ``"auto"`` (columnar
-    whenever every input exposes int64 columns and numpy is available,
-    heap otherwise), ``"columnar"`` (force; raises when unavailable) or
+    whenever every input exposes int64 columns, heap otherwise),
+    ``"columnar"`` (force; raises when some input has no column view) or
     ``"heap"`` (the reference).  Both kernels produce bit-identical
     tables.
     """
@@ -533,19 +527,15 @@ def merge_sstables(
         return tables[0]
 
     if kernel != "heap":
-        columns = (
-            [table.columns() for table in tables] if _np is not None else None
-        )
-        if columns is not None and all(
-            column is not None for column in columns
-        ):
+        columns = [table.columns() for table in tables]
+        if all(column is not None for column in columns):
             return _merge_columnar(
                 columns, new_table_id, drop_tombstones, bloom_fp_rate
             )
         if kernel == "columnar":
             raise StorageError(
-                "columnar merge kernel requires numpy and int64-representable "
-                "tables (plain int keys, no payload bytes)"
+                "columnar merge kernel requires int64-representable tables "
+                "(plain int keys, no payload bytes)"
             )
 
     # K-way merge of the sorted runs.  heapq.merge keeps the heap logic

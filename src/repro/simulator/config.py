@@ -19,6 +19,7 @@ from ..lsm.disk import (
     DEFAULT_SEEK_SECONDS,
     DiskTimingModel,
 )
+from ..ycsb.distributions import available_distributions
 from ..ycsb.workload import WorkloadConfig
 
 
@@ -67,7 +68,8 @@ class SimulationConfig:
     # read/scan/delete mixes included; bit-identical to the reference,
     # see docs/simulator.md) — "fast" requires it (raising on the
     # exceptional ineligible shapes), "reference" forces the
-    # operation-at-a-time engine loop and the heap merge kernel.
+    # operation-at-a-time engine loop and the heap merge kernel
+    # (unsharded only: shards ingest on the columnar plane).
     data_plane: str = "auto"
     # Real merge-execution backend for phase-2 schedules: "serial" (the
     # reference loop — the default, so all goldens stay byte-identical)
@@ -117,6 +119,15 @@ class SimulationConfig:
         from ..errors import BackendError, EstimatorError
         from ..hll.hyperloglog import MAX_PRECISION, MIN_PRECISION
 
+        # Integer fields first: the comparisons below assume numbers,
+        # and a float capacity or a string seed otherwise dies as a bare
+        # TypeError inside the first cell.
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type == "int" and not isinstance(value, int):
+                raise ConfigError(
+                    f"{spec.name} must be an integer, got {value!r}"
+                )
         try:
             object.__setattr__(
                 self, "backend", canonical_backend_name(self.backend)
@@ -157,6 +168,15 @@ class SimulationConfig:
                 f"memtable_mode must be 'append' or 'map', "
                 f"got {self.memtable_mode!r}"
             )
+        if not 0.0 < self.bloom_fp_rate < 1.0:
+            raise ConfigError(
+                f"bloom_fp_rate must be in (0, 1), got {self.bloom_fp_rate!r}"
+            )
+        if str(self.distribution).lower() not in available_distributions():
+            raise ConfigError(
+                f"distribution must be one of {available_distributions()}, "
+                f"got {self.distribution!r}"
+            )
         if not 0.0 <= self.update_fraction <= 1.0:
             raise ConfigError("update_fraction must be in [0, 1]")
         for name in ("read_fraction", "scan_fraction", "delete_fraction"):
@@ -188,6 +208,13 @@ class SimulationConfig:
             raise ConfigError(
                 f"num_shards must be at least 1, got {self.num_shards}"
             )
+        if self.num_shards > 1 and self.data_plane == "reference":
+            # Shards ingest through phase1_from_columns only; accepting
+            # the pair would record "reference" for a fast-plane run.
+            raise ConfigError(
+                "data_plane='reference' is unsharded only: there is no "
+                f"sharded reference plane (num_shards={self.num_shards})"
+            )
         if not self.shard_skew >= 0.0:
             raise ConfigError(
                 f"shard_skew must be >= 0, got {self.shard_skew!r}"
@@ -208,6 +235,16 @@ class SimulationConfig:
             raise ConfigError(
                 f"wal_sync_every must be at least 1, got {self.wal_sync_every}"
             )
+        # Build both derived objects once so their own validators
+        # (recordcount, operationcount, value_size; bandwidth, seek) run
+        # at configuration time, not inside the first cell or a worker.
+        self.workload_config()
+        try:
+            self.timing_model()
+        except ConfigError as exc:
+            raise ConfigError(
+                f"disk_bandwidth / disk_seek_seconds: {exc}"
+            ) from None
 
     def workload_config(self) -> WorkloadConfig:
         """The YCSB workload this simulation drives.

@@ -21,11 +21,8 @@ Two data planes produce bit-identical sstables:
   exact operation index of every flush) — and each slab is deduplicated
   to a sorted newest-per-key run with one argsort: an array-native
   :class:`~repro.lsm.sstable.SSTable` per flush, no
-  ``Operation``/``Record`` objects, no per-op engine dispatch.  Without
-  numpy the same slabs fill the mode's
-  :class:`~repro.lsm.memtable.Memtable` through one ``add_batch`` call
-  each, reusing the engine's dedup code, and the map-mode boundaries
-  come from :func:`~repro.lsm.memtable.distinct_capacity_boundaries`.
+  ``Operation``/``Record`` objects, no per-op engine dispatch.  Its
+  oracle is the reference plane: the engine's own memtables, key by key.
 
 ``config.data_plane`` selects the plane; ``"auto"`` uses the fast plane
 for **every** expressible configuration — map mode and read/scan/delete
@@ -45,21 +42,16 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
+import numpy as _np
+
 from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import EngineConfig, LSMEngine
-from ..lsm.memtable import distinct_capacity_boundaries, make_memtable
 from ..lsm.pipeline import FlushPipeline, resolve_flush_workers
-from ..lsm.record import Record
 from ..lsm.sstable import SSTable
 from ..ycsb.operations import OperationType
 from ..ycsb.workload import CoreWorkload, ReadOpColumns
 from .config import SimulationConfig
-
-try:  # optional acceleration; the pure path batches through the memtable
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 #: Upper bound on the map-mode distinct-count scan's chunk length; the
 #: effective chunk also tracks the capacity so tiny memtables (many
@@ -335,22 +327,12 @@ def _build_tables_and_stats(
 ) -> tuple[list[SSTable], int, float]:
     """Tables plus (stall count, flush-overlap seconds) for the pipeline."""
     capacity = config.memtable_capacity
-    if _np is not None:
-        key_array = _np.asarray(keynums, dtype=_np.int64)
-        if config.memtable_mode == "map":
-            slabs = _map_mode_slabs_columnar(key_array, capacity)
-        else:
-            slabs = _append_mode_slabs(int(key_array.size), capacity)
-        build_one = _columnar_slab_builder(
-            key_array, list(tombstone_positions), config
-        )
+    key_array = _np.asarray(keynums, dtype=_np.int64)
+    if config.memtable_mode == "map":
+        slabs = _map_mode_slabs_columnar(key_array, capacity)
     else:
-        keys = [int(key) for key in keynums]
-        if config.memtable_mode == "map":
-            slabs = distinct_capacity_boundaries(keys, capacity)
-        else:
-            slabs = _append_mode_slabs(len(keys), capacity)
-        build_one = _pure_slab_builder(keys, list(tombstone_positions), config)
+        slabs = _append_mode_slabs(int(key_array.size), capacity)
+    build_one = _columnar_slab_builder(key_array, list(tombstone_positions), config)
     if not config.write_pipeline:
         return [
             build_one(table_id, start, stop)
@@ -391,9 +373,9 @@ def _map_mode_slabs_columnar(
     keeps only keys new to the epoch, and a sort of their positions
     locates the capacity-th distinct key exactly.  Epochs that end
     mid-chunk restart the scan at the boundary, so the kernel lands
-    flushes on exactly the same operation indices as
-    :func:`~repro.lsm.memtable.distinct_capacity_boundaries` (the pure
-    reference it is differentially tested against).
+    flushes on exactly the same operation indices as a
+    :class:`~repro.lsm.memtable.SortedMapMemtable` driven key by key
+    (the reference it is differentially tested against).
     """
     n = int(keynums.size)
     chunk_len = min(_DISTINCT_CHUNK, max(64, 2 * capacity))
@@ -475,46 +457,3 @@ def _columnar_slab_builder(
         )
 
     return build
-
-
-def _pure_slab_builder(
-    keynums: list[int],
-    tombstone_positions: list[int],
-    config: SimulationConfig,
-):
-    """Numpy-less per-slab builder: batch-fill the mode's memtable and flush."""
-    tombstone_set = set(tombstone_positions)
-    value_size = config.value_size
-
-    def build(table_id: int, start: int, stop: int) -> SSTable:
-        memtable = make_memtable(config.memtable_mode, config.memtable_capacity)
-        memtable.add_batch(
-            [
-                Record.delete(keynums[index], index + 1)
-                if index in tombstone_set
-                else Record(key=keynums[index], seqno=index + 1, value_size=value_size)
-                for index in range(start, stop)
-            ]
-        )
-        return SSTable(
-            table_id,
-            memtable.flush_records(),
-            bloom_fp_rate=config.bloom_fp_rate,
-        )
-
-    return build
-
-
-def _flush_slabs_columnar(
-    keynums: "_np.ndarray",
-    tombstone_positions: list[int],
-    slabs: list[tuple[int, int]],
-    config: SimulationConfig,
-) -> list[SSTable]:
-    """Serial loop over :func:`_columnar_slab_builder` (tests use this)."""
-    build = _columnar_slab_builder(keynums, tombstone_positions, config)
-    return [
-        build(table_id, start, stop)
-        for table_id, (start, stop) in enumerate(slabs)
-    ]
-

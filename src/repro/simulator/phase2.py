@@ -108,6 +108,7 @@ def build_strategy(
         lanes=config.parallel_lanes if parallel else 1,
         seed=seed if seed is not None else config.seed,
         backend=config.backend,
+        bloom_fp_rate=config.bloom_fp_rate,
         merge_kernel=merge_kernel,
         merge_executor=config.merge_executor,
         merge_workers=config.merge_workers or None,

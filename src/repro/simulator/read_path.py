@@ -21,10 +21,9 @@ Two kernels, differentially certified bit-identical:
   live-key view of the table set (two ``searchsorted`` calls give every
   scan its stop key) before each table is charged its consumed slices.
 
-``kernel="auto"`` uses the batched plane whenever numpy is available
-and every table exposes an int64 column view, falling back to the
-scalar engine otherwise; ``"batched"`` requires it and raises when
-unavailable.
+``kernel="auto"`` uses the batched plane whenever every table exposes
+an int64 column view and the scalar engine otherwise (generic keys,
+payload bytes); ``"batched"`` requires the view and raises without it.
 """
 
 from __future__ import annotations
@@ -32,17 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
+import numpy as _np
+
 from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import _INDEX_BLOCK_BYTES, EngineConfig, LSMEngine
 from ..lsm.record import ENTRY_OVERHEAD_BYTES
 from ..lsm.sstable import SSTable, newest_per_key
 from ..ycsb.workload import ReadOpColumns
-
-try:  # optional acceleration; the scalar engine needs no numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 #: ``serve_reads`` kernel names.
 READ_KERNELS = ("auto", "batched", "scalar")
@@ -113,8 +109,8 @@ def serve_reads(
             return result
         if kernel == "batched":
             raise ConfigError(
-                "batched read kernel requires numpy and int64-representable "
-                "tables (plain int keys, no payload bytes)"
+                "batched read kernel requires int64-representable tables "
+                "(plain int keys, no payload bytes)"
             )
     return _serve_scalar(tables, read_ops)
 
@@ -141,8 +137,6 @@ def _serve_batched(
     tables: Sequence[SSTable], read_ops: ReadOpColumns
 ) -> Optional[ReadPhaseResult]:
     """The columnar kernel, or ``None`` when it does not apply."""
-    if _np is None:
-        return None
     columns = [table.columns() for table in tables]
     if any(column is None for column in columns):
         return None

@@ -44,13 +44,10 @@ import random
 from abc import ABC, abstractmethod
 from itertools import repeat
 
+import numpy as _np
+
 from ..errors import WorkloadError
 from ..hll.hashing import splitmix64
-
-try:  # optional acceleration; the scalar next() needs none of it
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
 
 DEFAULT_ZIPFIAN_THETA = 0.99
 
@@ -138,7 +135,7 @@ class ZipfianChooser(KeyChooser):
             # Key spaces never shrink in YCSB; recompute defensively.
             self._n = 0
             self._zetan = 0.0
-        if _np is not None and item_count - self._n >= _ZETA_VECTOR_MIN:
+        if item_count - self._n >= _ZETA_VECTOR_MIN:
             self._zetan = float(self._marginal_accumulation(item_count)[-1])
         else:
             theta = self.theta
@@ -185,11 +182,8 @@ class ZipfianChooser(KeyChooser):
         have drawn for ``item_counts[i]``; the caller reads the rng
         stream itself and decodes here, one vectorized pass per block.
         Updates the incremental zeta state exactly as the scalar calls
-        would.  Needs numpy; an install without it draws through
-        :meth:`next`.
+        would.
         """
-        if _np is None:
-            raise WorkloadError("decode_batch needs numpy; draw with next() instead")
         u = _np.asarray(us, dtype=_np.float64)
         counts = _np.asarray(item_counts, dtype=_np.int64)
         if u.ndim != 1 or u.shape != counts.shape:

@@ -27,13 +27,7 @@ from typing import Hashable, Iterator, Optional, Sequence
 from ..errors import WorkloadError
 from .distributions import DEFAULT_ZIPFIAN_THETA, KeyChooser, make_chooser
 from .operations import Operation, OperationType, OP_TYPE_CODES
-
-try:  # the word-stream kernel is numpy arithmetic end to end
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    _np = None
-else:
-    from .wordstream import gray_op_columns as _gray_op_columns
+from .wordstream import gray_op_columns as _gray_op_columns
 
 #: ``getrandbits(k)`` is one Mersenne-Twister word up to k == 32, which
 #: makes "one word per scan-length try" an invariant of every stream.
@@ -249,20 +243,20 @@ class CoreWorkload:
         column.  With ``include_read_ops`` the same draws are kept as
         :class:`ReadOpColumns` for the serving phase.
 
-        With numpy, the Gray-sampling choosers (those with a
-        ``decode_batch``: zipfian, scrambled zipfian, latest) are parsed
-        out of the Mersenne-Twister word stream by
+        The Gray-sampling choosers (those with a ``decode_batch``:
+        zipfian, scrambled zipfian, latest) are parsed out of the
+        Mersenne-Twister word stream by
         :func:`repro.ycsb.wordstream.gray_op_columns`.  Rejection-sampled
-        choosers draw a data-dependent number of words per key, so they
-        — and every chooser on a numpy-less install — take the
-        operation-at-a-time loop below.
+        choosers (uniform, hotspot) draw a data-dependent number of words
+        per key and the sequential one draws none, so
+        :meth:`_scalar_op_columns` is their only generator.
         """
         if not self.supports_op_stream():
             raise WorkloadError(
                 "op_stream_columns requires the identity key_name; "
                 "use all_operations instead"
             )
-        if _np is not None and hasattr(self._chooser, "decode_batch"):
+        if hasattr(self._chooser, "decode_batch"):
             columns = _gray_op_columns(
                 self._rng,
                 self._chooser,
@@ -284,7 +278,8 @@ class CoreWorkload:
 
     def _scalar_op_columns(self, include_read_ops: bool):
         """:meth:`all_operations` folded into columns one operation per
-        iteration, minus the ``Operation`` objects.
+        iteration, minus the ``Operation`` objects: the generator for
+        choosers without a ``decode_batch`` and the Gray kernel's oracle.
 
         Classifies against ``_DiscreteChooser``'s own cuts (the for/else
         inlines ``pick()``, last-choice fallback for points that round

@@ -4,8 +4,7 @@ The acceptance contract of the scale-out tier:
 
 * ``num_shards=1`` sharded runs are byte-identical to the unsharded
   baseline (every deterministic StrategyResult field, RANDOM included);
-* sharded results are byte-stable for any ``--jobs`` value;
-* the pure-python fallback produces the same results as numpy.
+* sharded results are byte-stable for any ``--jobs`` value.
 """
 
 from __future__ import annotations
@@ -223,21 +222,6 @@ class TestShardedExecution:
         assert len(agg.shard_ops_mean) == 2
         assert agg.cluster_makespan_mean > 0
         assert agg.shard_imbalance_mean > 0
-
-    def test_pure_python_sharding_matches_numpy(self, monkeypatch):
-        config = small_config(num_shards=3, read_fraction=0.1)
-        with_numpy = run_sharded_cell(config, ("SI",), 0)
-        import repro.cluster.partitioner as partitioner_module
-        import repro.simulator.phase1 as phase1_module
-        import repro.ycsb.distributions as distributions_module
-        import repro.ycsb.workload as workload_module
-
-        monkeypatch.setattr(distributions_module, "_np", None)
-        monkeypatch.setattr(workload_module, "_np", None)
-        monkeypatch.setattr(phase1_module, "_np", None)
-        monkeypatch.setattr(partitioner_module, "_np", None)
-        pure = run_sharded_cell(config, ("SI",), 0)
-        assert det(with_numpy["SI"]) == det(pure["SI"])
 
 
 class TestClusterScheduler:

@@ -192,8 +192,6 @@ class TestSketchSeeding:
 
     def test_fully_seeded_estimator_still_batches(self):
         """The persistent-sketch path must build the term matrix too."""
-        numpy = pytest.importorskip("numpy", exc_type=ImportError)
-        del numpy
         instance = random_instance(n=7, universe=35, seed=21)
         estimator = HllEstimator()
         estimator.seed_sketches(

@@ -7,15 +7,15 @@ tests, not flaky statistics).
 
 Parity: the vectorized ingestion path (batch ``uint64`` hashing +
 scatter-max) and the fused union kernel must produce registers and
-estimates *identical* — not approximately equal — to the dependency-free
-``bytearray`` fallback, which is what lets CI run the same suite with
-and without numpy.
+estimates *identical* — not approximately equal — to the ``force_pure``
+``bytearray`` backing, the oracle of the numpy kernels.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,11 +23,6 @@ from hypothesis import strategies as st
 from repro.hll import HyperLogLog
 from repro.hll.hashing import hash_key, hash_keys_u64
 from repro.hll.registers import RegisterArray
-
-try:
-    import numpy
-except ImportError:  # pragma: no cover - numpy-less CI leg
-    numpy = None
 
 
 class TestAccuracyBounds:
@@ -54,7 +49,6 @@ class TestAccuracyBounds:
         )
 
 
-@pytest.mark.skipif(numpy is None, reason="parity needs the numpy kernels")
 class TestNumpyPureParity:
     """force_pure differential: identical registers, identical floats."""
 
@@ -130,7 +124,6 @@ class TestUpdateMany:
         assert regs.get(3) == 7
         assert regs.get(5) == 1
 
-    @pytest.mark.skipif(numpy is None, reason="needs numpy arrays")
     def test_numpy_scatter_matches_loop(self):
         indices = numpy.array([0, 1, 0, 1, 0], dtype=numpy.intp)
         ranks = numpy.array([3, 2, 5, 1, 4], dtype=numpy.uint8)

@@ -1,5 +1,6 @@
 """Tests for the bloom filter."""
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -57,7 +58,6 @@ class TestMembership:
 
 class TestContainsBatch:
     def test_matches_scalar_membership(self):
-        numpy = pytest.importorskip("numpy")
         bloom = BloomFilter.of(range(0, 1000, 3), fp_rate=0.05)
         queries = list(range(-50, 1200, 7))
         batch = bloom.contains_batch(queries)
@@ -68,7 +68,6 @@ class TestContainsBatch:
         assert array.tolist() == batch.tolist()
 
     def test_negative_and_large_keys(self):
-        pytest.importorskip("numpy")
         keys = [-(2**40), -1, 0, 2**62]
         bloom = BloomFilter.of(keys)
         batch = bloom.contains_batch(keys + [123456])

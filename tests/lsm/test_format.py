@@ -2,6 +2,7 @@
 
 import struct
 
+import numpy as np
 import pytest
 
 from repro.errors import CorruptionError, StorageError
@@ -24,11 +25,6 @@ from repro.lsm.format.manifest import (
     read_manifest,
     write_manifest,
 )
-
-try:
-    import numpy as np
-except ImportError:
-    np = None
 
 
 class TestCrc32c:
@@ -178,7 +174,6 @@ class TestSSTableRoundTrip:
         assert loaded.entry_count == 3000
         assert loaded.get(1234).seqno == 1235
 
-    @pytest.mark.skipif(np is None, reason="columnar tables require numpy")
     def test_columnar_table_reloads_onto_columns(self):
         table = SSTable.from_columns(
             9, np.arange(0, 3000, 3), np.arange(1000), 100

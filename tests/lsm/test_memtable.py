@@ -102,38 +102,6 @@ class TestSortedMap:
         assert memtable.get("k").tombstone
 
 
-class TestAddBatch:
-    def test_append_mode_bulk_extend(self):
-        from repro.lsm import AppendLogMemtable, Record
-
-        memtable = AppendLogMemtable(5)
-        memtable.add_batch([Record.put(k, k + 1) for k in range(5)])
-        assert len(memtable) == 5
-        assert [r.key for r in memtable.pending_records()] == list(range(5))
-
-    def test_append_mode_rejects_oversized_batch_without_partial_fill(self):
-        import pytest
-
-        from repro.errors import StorageError
-        from repro.lsm import AppendLogMemtable, Record
-
-        memtable = AppendLogMemtable(3)
-        memtable.add(Record.put(0, 1))
-        with pytest.raises(StorageError):
-            memtable.add_batch([Record.put(k, k + 2) for k in range(3)])
-        assert len(memtable) == 1  # nothing was appended
-
-    def test_map_mode_batch_matches_loop(self):
-        from repro.lsm import Record, SortedMapMemtable
-
-        batched = SortedMapMemtable(10)
-        batched.add_batch([Record.put(k % 4, k + 1) for k in range(8)])
-        looped = SortedMapMemtable(10)
-        for k in range(8):
-            looped.add(Record.put(k % 4, k + 1))
-        assert batched.pending_records() == looped.pending_records()
-
-
 @pytest.mark.parametrize("mode", ("append", "map"))
 class TestOrderedView:
     """``records_from`` and ``pending_records`` share one cached key order."""

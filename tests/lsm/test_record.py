@@ -36,11 +36,3 @@ class TestSizing:
     def test_tombstone_size(self):
         assert Record.delete(1, seqno=1).size_bytes == ENTRY_OVERHEAD_BYTES
 
-
-class TestOrdering:
-    def test_supersedes(self):
-        old = Record.put("k", seqno=1)
-        new = Record.put("k", seqno=2)
-        assert new.supersedes(old)
-        assert not old.supersedes(new)
-        assert not new.supersedes(Record.put("other", seqno=1))

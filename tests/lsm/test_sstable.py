@@ -89,7 +89,6 @@ class TestReads:
         assert not a.key_range_overlaps(c)
 
     def test_get_batch_matches_get(self):
-        pytest.importorskip("numpy")
         keys = list(range(0, 1000, 3))
         table = make_table(0, keys)
         queries = list(range(-5, 1010, 7))
@@ -194,11 +193,6 @@ class TestMerge:
         table = table_from_records(3, [Record.put(1, 1), Record.put(2, 2)])
         assert table.table_id == 3
         assert table.entry_count == 2
-
-
-np = pytest.importorskip(
-    "numpy", reason="columnar tests need numpy", exc_type=ImportError
-)
 
 
 def make_columnar(table_id, keys, seqno_start=1, tombstones=(), value_size=100):

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.simulator import SimulationConfig
+from repro.errors import ConfigError, WorkloadError
+from repro.scenarios import Scenario
+from repro.simulator import SimulationConfig, sweep
 
 
 class TestValidation:
@@ -69,6 +70,53 @@ class TestValidation:
         assert "merge=threadxauto" in text
         text = SimulationConfig(merge_executor="thread", merge_workers=2).describe()
         assert "merge=threadx2" in text
+
+
+#: Values that used to construct and then die inside the first cell
+#: (under ``--jobs``, inside a worker), two of them as bare TypeErrors.
+HOSTILE_VALUES = [
+    ("recordcount", 0),
+    ("value_size", -5),
+    ("operationcount", -3),
+    ("disk_bandwidth", 0),
+    ("disk_seek_seconds", -1),
+    ("distribution", "pareto"),
+    ("seed", "x"),
+    ("memtable_capacity", 2.5),
+    ("bloom_fp_rate", 1.5),
+    ("bloom_fp_rate", 0.0),
+]
+
+ROUTES = {
+    "init": lambda overrides: SimulationConfig(**overrides),
+    "overridden": lambda overrides: SimulationConfig().overridden(overrides),
+    "scenario": lambda overrides: Scenario.from_dict(
+        {"name": "hostile", "title": "hostile", "config": overrides}
+    ),
+}
+
+
+class TestFailsAtConfigurationTime:
+    @pytest.mark.parametrize("field, value", HOSTILE_VALUES)
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_hostile_value_names_its_field(self, route, field, value):
+        with pytest.raises((ConfigError, WorkloadError), match=field):
+            ROUTES[route]({field: value})
+
+    def test_reference_plane_is_unsharded_only(self):
+        """Shards ingest on the fast plane only, so the pair would put
+        ``plane_used: reference`` on a fast-plane run."""
+        SimulationConfig(data_plane="reference", num_shards=1)
+        SimulationConfig(data_plane="fast", num_shards=2)
+        with pytest.raises(ConfigError, match="data_plane.*num_shards"):
+            SimulationConfig(data_plane="reference", num_shards=2)
+        # A num_shards sweep over a reference-plane base fails when its
+        # first sharded point is built, before any cell runs.
+        base = SimulationConfig(
+            data_plane="reference", recordcount=50, operationcount=100
+        )
+        with pytest.raises(ConfigError, match="data_plane.*num_shards"):
+            sweep(base, "num_shards", (1, 2), ("SI",), runs=1)
 
 
 class TestPresets:

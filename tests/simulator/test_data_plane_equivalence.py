@@ -3,8 +3,8 @@
 The fast plane (columnar phase 1 + columnar merge kernel) must produce
 **bit-identical** sstables, schedules and metrics to the reference plane
 (operation-at-a-time engine loop + heap merge) on every key
-distribution, with and without numpy, and sweep results must not depend
-on the number of worker processes.  These tests are the contract that
+distribution, and sweep results must not depend on the number of worker
+processes.  These tests are the contract that
 lets the figure goldens stay byte-identical while the pipeline gets
 faster.
 """
@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import repro.simulator.phase1 as phase1_module
-import repro.ycsb.distributions as distributions_module
-import repro.ycsb.workload as workload_module
 from repro.errors import ConfigError
 from repro.lsm.engine import EngineConfig, LSMEngine
+from repro.lsm.memtable import SortedMapMemtable
+from repro.lsm.record import Record
 from repro.simulator import (
     SimulationConfig,
     fast_plane_eligible,
@@ -62,12 +63,21 @@ def assert_tables_identical(result_a, result_b):
         )
 
 
-@pytest.fixture
-def pure_data_plane(monkeypatch):
-    """Force every batched kernel onto its numpy-less fallback."""
-    monkeypatch.setattr(distributions_module, "_np", None)
-    monkeypatch.setattr(workload_module, "_np", None)
-    monkeypatch.setattr(phase1_module, "_np", None)
+def map_memtable_boundaries(keys, capacity):
+    """Flush epochs of a real ``SortedMapMemtable`` driven key by key,
+    the way the engine drives it: flush before the first write that
+    finds the memtable full."""
+    memtable = SortedMapMemtable(capacity)
+    boundaries, start = [], 0
+    for index, key in enumerate(keys):
+        if memtable.is_full:
+            memtable.flush_records()
+            boundaries.append((start, index))
+            start = index
+        memtable.add(Record(key=key, seqno=index + 1, value_size=0))
+    if start < len(keys):
+        boundaries.append((start, len(keys)))
+    return boundaries
 
 
 class TestPhase1Equivalence:
@@ -81,23 +91,15 @@ class TestPhase1Equivalence:
             generate_sstables_reference(config), generate_sstables_fast(config)
         )
 
-    @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
-    def test_pure_fast_matches_reference(self, pure_data_plane, distribution):
-        config = small_config(distribution=distribution)
-        assert_tables_identical(
-            generate_sstables_reference(config), generate_sstables_fast(config)
-        )
-
     def test_auto_plane_uses_fast_pipeline(self):
         config = small_config()
         assert config.data_plane == "auto"
         assert fast_plane_eligible(config)
         fast = generate_sstables(config)
         assert fast.plane_used == "fast"
-        if phase1_module._np is not None:
-            # Column-backed tables never materialized records here.
-            assert all(table.columns() is not None for table in fast.tables)
-            assert all("records" not in vars(table) for table in fast.tables)
+        # Column-backed tables never materialized records here.
+        assert all(table.columns() is not None for table in fast.tables)
+        assert all("records" not in vars(table) for table in fast.tables)
         assert_tables_identical(generate_sstables_reference(config), fast)
 
     MIXES = {
@@ -117,16 +119,6 @@ class TestPhase1Equivalence:
         assert fast.plane_used == "fast"
         assert_tables_identical(generate_sstables_reference(config), fast)
 
-    @pytest.mark.parametrize("mix", sorted(MIXES))
-    @pytest.mark.parametrize("memtable_mode", ("append", "map"))
-    def test_pure_mode_and_mix_grid_identical(
-        self, pure_data_plane, memtable_mode, mix
-    ):
-        config = small_config(memtable_mode=memtable_mode, **self.MIXES[mix])
-        assert_tables_identical(
-            generate_sstables_reference(config), generate_sstables_fast(config)
-        )
-
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_map_mode_matches_reference_per_distribution(self, distribution):
         config = small_config(memtable_mode="map", distribution=distribution)
@@ -136,18 +128,13 @@ class TestPhase1Equivalence:
 
     def test_map_mode_slab_kernel_matches_pure_boundaries(self):
         """The chunked distinct-count kernel == the memtable reference."""
-        np = pytest.importorskip(
-            "numpy", reason="exercises the columnar slab cutter", exc_type=ImportError
-        )
-        from repro.lsm.memtable import distinct_capacity_boundaries
-
         rng = __import__("random").Random(3)
         for capacity in (1, 2, 7, 50, 200):
             for spread in (5, 40, 1000):
                 keys = [rng.randrange(spread) for _ in range(3000)]
                 assert phase1_module._map_mode_slabs_columnar(
                     np.asarray(keys, dtype=np.int64), capacity
-                ) == distinct_capacity_boundaries(keys, capacity), (
+                ) == map_memtable_boundaries(keys, capacity), (
                     capacity,
                     spread,
                 )
@@ -165,9 +152,6 @@ class TestPhase1Equivalence:
 
     def test_fast_plane_with_deletes(self):
         """Tombstone columns survive the slab pipeline bit-identically."""
-        np = pytest.importorskip(
-            "numpy", reason="exercises the columnar slab kernel", exc_type=ImportError
-        )
         workload_config = WorkloadConfig(
             recordcount=150,
             operationcount=1800,
@@ -192,11 +176,8 @@ class TestPhase1Equivalence:
         config = small_config(recordcount=150, operationcount=1800)
         stream = CoreWorkload(workload_config).op_stream_columns()
         keynums, tombstones = stream.write_keynums, stream.tombstone_positions
-        tables = phase1_module._flush_slabs_columnar(
-            np.asarray(keynums, dtype=np.int64),
-            tombstones,
-            phase1_module._append_mode_slabs(len(keynums), 200),
-            replace(config, memtable_capacity=200),
+        tables = phase1_module.build_tables_from_columns(
+            keynums, tombstones, replace(config, memtable_capacity=200)
         )
         assert len(tables) == len(engine.sstables)
         for fast_table, reference_table in zip(tables, engine.sstables):
@@ -229,9 +210,6 @@ class TestPhase2Equivalence:
         assert result_reference.n_merges == result_fast.n_merges
 
     def test_merge_kernels_identical_on_fast_tables(self, planes):
-        pytest.importorskip(
-            "numpy", reason="forces the columnar merge kernel", exc_type=ImportError
-        )
         from repro.lsm.sstable import merge_sstables
 
         _, _, fast = planes

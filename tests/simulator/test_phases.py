@@ -7,11 +7,13 @@ the benchmark suite.
 import pytest
 
 from repro.errors import CompactionError
+from repro.lsm import BloomFilter, SimulatedDisk
 from repro.simulator import (
     PAPER_STRATEGIES,
     SimulationConfig,
     build_strategy,
     generate_sstables,
+    known_strategy_labels,
     run_strategy,
     strategy_labels,
 )
@@ -125,6 +127,25 @@ class TestPhase2:
         config = small_config(parallel_lanes=4)
         assert build_strategy("BT(I)", config).lanes == 4
         assert build_strategy("SI", config).lanes == 1
+
+    @pytest.mark.parametrize("label", known_strategy_labels())
+    def test_output_filters_sized_for_the_configured_rate(self, label):
+        """``bloom_fp_rate`` reaches every label's merge outputs, not
+        only the phase-1 tables and the practical strategies."""
+        config = small_config(bloom_fp_rate=0.3)
+        tables = generate_sstables(config).tables
+        result = build_strategy(label, config).compact(
+            tables, SimulatedDisk(config.timing_model()), 10_000_000
+        )
+        merged = [t for t in result.output_tables if t not in tables]
+        assert merged
+        for table in merged:
+            sized = BloomFilter(table.entry_count, 0.3)
+            assert (table.bloom.m_bits, table.bloom.k_hashes) == (
+                sized.m_bits,
+                sized.k_hashes,
+            )
+            assert table.bloom.m_bits < BloomFilter(table.entry_count).m_bits
 
     def test_paper_strategy_table_complete(self):
         for label in strategy_labels():

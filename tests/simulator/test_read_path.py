@@ -2,9 +2,8 @@
 
 The batched read kernel (columnar gets + merged-view scans) must
 produce **identical** counts to the scalar reference (the real engine's
-``get``/``scan``) on every mix and distribution, with and without
-numpy; collecting read ops must not move the write stream by a byte;
-and the read metrics must surface through ``run_strategy``,
+``get``/``scan``) on every mix and distribution; collecting read ops
+must not move the write stream by a byte; and the read metrics must surface through ``run_strategy``,
 ``run_comparison`` and the report renderer.
 """
 
@@ -14,8 +13,9 @@ from dataclasses import replace
 
 import pytest
 
-import repro.simulator.read_path as read_path_module
 from repro.errors import ConfigError
+from repro.lsm.record import Record
+from repro.lsm.sstable import SSTable
 from repro.simulator import (
     SimulationConfig,
     run_comparison,
@@ -27,6 +27,7 @@ from repro.simulator.phase1 import (
     generate_sstables_reference,
 )
 from repro.scenarios.runner import render_comparison_table
+from repro.ycsb.workload import ReadOpColumns
 
 COUNTER_FIELDS = (
     "reads",
@@ -81,9 +82,6 @@ class TestKernelEquivalence:
         "distribution", ("uniform", "zipfian", "latest")
     )
     def test_batched_matches_scalar(self, mix, distribution):
-        pytest.importorskip(
-            "numpy", reason="exercises the batched kernel", exc_type=ImportError
-        )
         config = read_config(distribution=distribution, **MIXES[mix])
         phase1 = generate_sstables_fast(config)
         assert phase1.read_ops is not None and phase1.read_ops.has_ops
@@ -95,9 +93,6 @@ class TestKernelEquivalence:
 
     def test_batched_matches_scalar_on_compacted_output(self):
         """Serving against a strategy's output tables, not just phase 1's."""
-        pytest.importorskip(
-            "numpy", reason="exercises the batched kernel", exc_type=ImportError
-        )
         from repro.simulator.phase2 import build_strategy
         from repro.lsm.disk import SimulatedDisk
 
@@ -115,24 +110,38 @@ class TestKernelEquivalence:
         )
         assert_counts_identical(batched, scalar)
 
-    def test_auto_prefers_batched_and_falls_back(self, monkeypatch):
-        config = read_config()
-        phase1 = generate_sstables_fast(config)
-        if read_path_module._np is not None:
-            assert (
-                serve_reads(phase1.tables, phase1.read_ops).kernel_used
-                == "batched"
-            )
-        monkeypatch.setattr(read_path_module, "_np", None)
-        served = serve_reads(phase1.tables, phase1.read_ops, kernel="auto")
-        assert served.kernel_used == "scalar"
+    @staticmethod
+    def str_keyed():
+        """A table with no int64 column view, and ops in its key type."""
+        table = SSTable(
+            0, [Record.put(f"user{n:02d}", n + 1) for n in range(20)]
+        )
+        assert table.columns() is None
+        ops = ReadOpColumns(
+            read_keynums=["user03", "nobody"],
+            scan_keynums=["user10"],
+            scan_lengths=[5],
+        )
+        return [table], ops
 
-    def test_batched_kernel_requires_numpy(self, monkeypatch):
+    def test_auto_prefers_batched_and_falls_back(self):
         config = read_config()
         phase1 = generate_sstables_fast(config)
-        monkeypatch.setattr(read_path_module, "_np", None)
-        with pytest.raises(ConfigError):
-            serve_reads(phase1.tables, phase1.read_ops, kernel="batched")
+        assert (
+            serve_reads(phase1.tables, phase1.read_ops).kernel_used
+            == "batched"
+        )
+        tables, ops = self.str_keyed()
+        served = serve_reads(tables, ops, kernel="auto")
+        assert served.kernel_used == "scalar"
+        assert (served.hits, served.misses) == (1, 1)
+        assert served.scan_records_returned == 5
+
+    def test_batched_kernel_requires_numpy(self):
+        """What the batched kernel still requires: a column view."""
+        tables, ops = self.str_keyed()
+        with pytest.raises(ConfigError, match="int64-representable"):
+            serve_reads(tables, ops, kernel="batched")
 
     def test_unknown_kernel_rejected(self):
         config = read_config()
@@ -142,18 +151,12 @@ class TestKernelEquivalence:
 
     def test_tombstones_resolve_to_misses(self):
         """A read landing on a tombstone is a probe + a miss, not a hit."""
-        from repro.lsm.sstable import SSTable
-        from repro.lsm.record import Record
-        from repro.ycsb.workload import ReadOpColumns
-
         old = SSTable(0, [Record.put(key, key + 1) for key in range(10)])
         new = SSTable(1, [Record.delete(3, 100), Record.put(7, 101)])
         ops = ReadOpColumns(
             read_keynums=[3, 7, 42], scan_keynums=[0], scan_lengths=[10]
         )
         for kernel in ("batched", "scalar"):
-            if kernel == "batched" and read_path_module._np is None:
-                continue
             served = serve_reads([old, new], ops, kernel=kernel)
             assert served.hits == 1  # key 7, from the newer table
             assert served.misses == 2  # tombstoned 3 + absent 42
@@ -184,25 +187,6 @@ class TestReadOpCollection:
         assert list(dropped.write_keynums) == list(collected.write_keynums)
         assert dropped.tombstone_positions == collected.tombstone_positions
         assert dropped.op_codes == collected.op_codes
-
-    def test_pure_plane_collects_identical_read_ops(self, monkeypatch):
-        import repro.ycsb.distributions as distributions_module
-        import repro.ycsb.workload as workload_module
-        import repro.simulator.phase1 as phase1_module
-
-        config = read_config(**MIXES["read-heavy"])
-        with_numpy = generate_sstables_fast(config)
-        monkeypatch.setattr(distributions_module, "_np", None)
-        monkeypatch.setattr(workload_module, "_np", None)
-        monkeypatch.setattr(phase1_module, "_np", None)
-        pure = generate_sstables_fast(config)
-        assert list(pure.read_ops.read_keynums) == list(
-            with_numpy.read_ops.read_keynums
-        )
-        assert list(pure.read_ops.scan_keynums) == list(
-            with_numpy.read_ops.scan_keynums
-        )
-        assert pure.read_ops.scan_lengths == with_numpy.read_ops.scan_lengths
 
     def test_write_only_mix_collects_nothing(self):
         config = read_config(read_fraction=0.0, scan_fraction=0.0)

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.simulator.read_path as read_path_module
 from repro.lsm import EngineConfig, LSMEngine, Record, SSTable
 from repro.lsm.engine import ReadStats
 from repro.simulator.read_path import ReadPhaseResult, serve_reads
@@ -61,8 +60,6 @@ def check_scans(tables, scans) -> None:
     scalar = serve_reads(tables, read_ops, kernel="scalar")
     assert scalar.scans == sum(1 for _, length in scans if length >= 1)
     assert scalar.scan_records_returned == engine.read_stats.scan_records_returned
-    if read_path_module._np is None:
-        return
     batched = serve_reads(tables, read_ops, kernel="batched")
     assert batched.kernel_used == "batched"
     for name in COUNTERS:

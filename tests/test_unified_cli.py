@@ -143,6 +143,14 @@ class TestRun:
         )
         assert "error:" in capsys.readouterr().err
 
+    def test_sharded_reference_plane_is_clean_error(self, capsys):
+        """There is no sharded reference plane; ``--set`` cannot ask for
+        one and get a fast-plane run recorded as ``reference``."""
+        sets = ["--set", "data_plane=reference", "--set", "num_shards=2"]
+        assert main(["run", "churn", "--no-store"] + sets + TINY_SETS) == 2
+        err = capsys.readouterr().err
+        assert "data_plane" in err and "num_shards" in err
+
     def test_zero_runs_is_clean_error(self, capsys):
         assert main(["run", "churn", "--no-store", "--runs", "0"] + TINY_SETS) == 2
         assert "error:" in capsys.readouterr().err

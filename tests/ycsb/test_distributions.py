@@ -166,7 +166,6 @@ def decode_draws(chooser, rng, counts) -> list[int]:
     ``rng.random()`` per key-space size above one (a single-key space
     is key 0 and consumes nothing), decoded in one call.
     """
-    pytest.importorskip("numpy", exc_type=ImportError)
     drawn = [count for count in counts if count > 1]
     decoded = iter(chooser.decode_batch([rng.random() for _ in drawn], drawn).tolist())
     return [0 if count == 1 else next(decoded) for count in counts]
@@ -210,28 +209,14 @@ class TestDecodeBatch:
         assert (zipfian._n, zipfian._zetan) == (reference._n, reference._zetan)
 
     @pytest.mark.parametrize("name", GRAY_CHOOSERS)
-    def test_pure_scalar_matches(self, name, monkeypatch):
-        """The numpy decode equals the arithmetic of a numpy-less install."""
-        import repro.ycsb.distributions as distributions_module
-
-        with_numpy = decode_draws(make_chooser(name), random.Random(5), self.GROWING)
-        monkeypatch.setattr(distributions_module, "_np", None)
-        chooser, rng = make_chooser(name), random.Random(5)
-        assert [chooser.next(rng, count) for count in self.GROWING] == with_numpy
-        with pytest.raises(WorkloadError, match="numpy"):
-            chooser.decode_batch([0.5], [3])
-
-    @pytest.mark.parametrize("name", GRAY_CHOOSERS)
     def test_empty_batch(self, name):
         assert decode_draws(make_chooser(name), random.Random(0), []) == []
 
     def test_invalid_count_rejected(self):
-        pytest.importorskip("numpy", exc_type=ImportError)
         with pytest.raises(WorkloadError):
             ZipfianChooser().decode_batch([0.1, 0.2, 0.3], [3, 0, 5])
 
     def test_decode_batch_validates(self):
-        pytest.importorskip("numpy", exc_type=ImportError)
         chooser = ZipfianChooser()
         with pytest.raises(WorkloadError):
             chooser.decode_batch([0.5], [3, 4])  # length mismatch

@@ -10,13 +10,10 @@ tests fail by name instead of the golden figures drifting.
 
 import random
 
+import numpy as np
 import pytest
 
-np = pytest.importorskip(
-    "numpy", reason="the word-stream kernel needs numpy", exc_type=ImportError
-)
-
-from repro.ycsb.wordstream import MersenneWords, randbelow_at, random_at  # noqa: E402
+from repro.ycsb.wordstream import MersenneWords, randbelow_at, random_at
 
 DRAWS = 10_000
 

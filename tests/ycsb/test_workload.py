@@ -4,20 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.ycsb.distributions as distributions_module
+import repro.ycsb.wordstream as wordstream_module
 import repro.ycsb.workload as workload_module
 from repro.errors import WorkloadError
 from repro.ycsb import CoreWorkload, Operation, OperationType, WorkloadConfig
 from repro.ycsb.operations import CODE_OP_TYPES
-
-try:
-    import repro.ycsb.wordstream as wordstream_module
-except ImportError:  # numpy-less leg: the scalar loop is the only path
-    wordstream_module = None
-
-needs_kernel = pytest.mark.skipif(
-    wordstream_module is None, reason="the word-stream kernel needs numpy"
-)
 
 
 class TestConfigValidation:
@@ -292,21 +283,7 @@ def assert_stream_equals_fold(config):
 def small_blocks(monkeypatch):
     """Shrink the kernel's block to 64 words so a few hundred operations
     cross many block boundaries."""
-    if wordstream_module is not None:
-        monkeypatch.setattr(wordstream_module, "BLOCK_WORDS", 64)
-
-
-@pytest.fixture
-def no_numpy(monkeypatch):
-    """What a numpy-less install observes: the kernel is unreachable."""
-    monkeypatch.setattr(workload_module, "_np", None)
-    monkeypatch.setattr(distributions_module, "_np", None)
-    if wordstream_module is not None:
-
-        def unreachable(*args, **kwargs):
-            raise AssertionError("word-stream kernel ran without numpy")
-
-        monkeypatch.setattr(workload_module, "_gray_op_columns", unreachable)
+    monkeypatch.setattr(wordstream_module, "BLOCK_WORDS", 64)
 
 
 class TestOpStreamColumns:
@@ -380,7 +357,6 @@ class TestOpStreamColumns:
             )
             assert_stream_equals_fold(config)
 
-    @needs_kernel
     def test_operation_longer_than_the_block(self, monkeypatch):
         """A block that completes no operation is re-read with a longer
         tail, never spun on."""
@@ -435,20 +411,16 @@ class TestOpStreamColumns:
             max_scan_length=max_scan_length,
             seed=seed,
         )
-        if wordstream_module is None:
-            assert_stream_equals_fold(config)
-            return
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wordstream_module, "BLOCK_WORDS", block_words)
             assert_stream_equals_fold(config)
 
-    @needs_kernel
     @pytest.mark.parametrize(
         "distribution", GRAY_DISTRIBUTIONS + SCALAR_DISTRIBUTIONS
     )
     def test_kernel_selected_by_chooser(self, monkeypatch, distribution):
-        """No silent fallback either way: with numpy the Gray choosers
-        always take the kernel, and nothing else ever does."""
+        """No silent fallback either way: the Gray choosers always take
+        the kernel, and nothing else ever does."""
         calls = []
         kernel = workload_module._gray_op_columns
 
@@ -468,8 +440,14 @@ class TestOpStreamColumns:
     @pytest.mark.parametrize("distribution", GRAY_DISTRIBUTIONS + ("uniform",))
     @pytest.mark.parametrize("recordcount", (1, 60))
     def test_scalar_loop_alone_carries_every_case(
-        self, no_numpy, mix, distribution, recordcount
+        self, monkeypatch, mix, distribution, recordcount
     ):
+        """The Gray kernel's oracle carries the Gray choosers by itself."""
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the scalar loop reached the kernel")
+
+        monkeypatch.setattr(workload_module, "_gray_op_columns", unreachable)
         config = WorkloadConfig(
             recordcount=recordcount,
             operationcount=400,
@@ -478,9 +456,17 @@ class TestOpStreamColumns:
             seed=21,
             **MIX_CONFIGS[mix],
         )
-        assert_stream_equals_fold(config)
-        stream = CoreWorkload(config).op_stream_columns()
-        assert isinstance(stream.write_keynums, list)
+        reference, writes, read_ops = scalar_fold(config)
+        for include_read_ops in (False, True):
+            workload = CoreWorkload(config)
+            keynums, tombstones, codes, reads, inserted = (
+                workload._scalar_op_columns(include_read_ops)
+            )
+            assert isinstance(keynums, list)
+            assert (keynums, tombstones, codes) == writes
+            assert reads == (read_ops if include_read_ops else ([], [], []))
+            rng_state, _, *zeta = end_state(workload)
+            assert (rng_state, inserted, *zeta) == end_state(reference)
 
     def test_supports_op_stream_covers_every_mix(self):
         for mix in MIX_CONFIGS.values():
