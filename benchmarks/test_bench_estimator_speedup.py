@@ -19,8 +19,6 @@ Writes ``results/ablation_estimator_speedup.txt``.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 

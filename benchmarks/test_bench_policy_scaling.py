@@ -1,19 +1,23 @@
 """Policy-choice scaling: SO / BT(O) / LM overhead at 1x / 4x / 10x Figure-7 scale.
 
 The three output-sensitive policies share one lazy candidate index
-(:class:`repro.core.policies.CandidateIndex`): every candidate is pushed
-once and popped at most once, so policy choice is O(n^2 log n) in the
-number of tables, not O(n^3).  This bench records, at the Figure 7
-mid-point (update 50 %, ``latest``) scaled to ~101 / ~401 / ~1001
-tables, each policy's ``policy_seconds`` and its index push / pop
-counts into ``results/BENCH_policy_scaling.json`` so ``bench-trends``
-shows a relapse.
+(:class:`repro.core.policies.CandidateIndex`): each batch of candidates
+is one sorted run and a heap holds one head per run, so every candidate
+is sorted once and skipped at most once, and policy choice is
+O(n^2 log n) in the number of tables, not O(n^3).  SO and BT(O) score
+their batches with the HLL term kernel (uint16 terms plus exact spill
+columns).  This bench records, at the Figure 7 mid-point (update 50 %,
+``latest``) scaled to ~101 / ~401 / ~1001 tables, each policy's
+``policy_seconds`` and its index counts — ``index_pushes`` candidates
+indexed, ``index_pops`` stale ones skipped — into
+``results/BENCH_policy_scaling.json`` so ``bench-trends`` shows a
+relapse.
 
 Asserted (counts and one ordering, no absolute timing):
 
 * the push counts are exactly the closed forms — SO and LM estimate the
   initial pairs plus one pair per survivor per merge, BT(O) each level's
-  pairs once — and no entry is popped twice;
+  pairs once — and no entry is skipped twice;
 * BT(O)'s overhead stays below SO's at every scale (§5.1: BT(O)
   amortizes its estimation, SO is the slow strategy).
 """

@@ -231,7 +231,8 @@ def stream_key_space(stream: OpStreamColumns) -> int:
     """
     top = 0
     if len(stream.write_keynums):
-        top = max(top, int(max(stream.write_keynums)))
+        # a numpy column from the Gray generator, a list from the scalar one
+        top = int(_np.max(stream.write_keynums))
     if stream.read_ops is not None:
         if stream.read_ops.read_keynums:
             top = max(top, max(stream.read_ops.read_keynums))

@@ -131,12 +131,11 @@ class BitsetBackend(SetBackend):
     def encode_instance(self, instance) -> tuple[int, ...]:
         encoding = getattr(instance, "bitset_encoding", None)
         if encoding is not None:
-            encoder, encoded = encoding
-        else:  # duck-typed instance: anything with a ``.sets`` tuple
-            encoder = BitsetEncoder(instance.sets)
-            encoded = tuple(encoder.encode(keys) for keys in instance.sets)
-        self._encoder = encoder
-        return encoded
+            self._encoder, encoded = encoding
+            return encoded
+        # duck-typed instance: anything with a ``.sets`` tuple
+        self._encoder = BitsetEncoder()
+        return tuple(map(self._encoder.encode, instance.sets))
 
     def encode(self, keys: Iterable[Key]) -> int:
         return self.encoder.encode(keys)

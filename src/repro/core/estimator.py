@@ -45,10 +45,14 @@ import numpy as _np
 
 from ..errors import EstimatorError
 from ..hll import HyperLogLog
-from ..hll.registers import RegisterArray
+from ..hll.registers import RegisterArray, TermMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from .policies.base import GreedyState
+
+#: An (n, k) integer array of table ids, one sorted combo per row (or
+#: the equivalent sequence of tuples).
+ComboArray = Union[_np.ndarray, Sequence[tuple[int, ...]]]
 
 
 @lru_cache(maxsize=8)
@@ -78,12 +82,15 @@ class CardinalityEstimator(ABC):
         """Estimated ``|union of live tables in combo|``."""
 
     def union_cardinalities(
-        self, state: "GreedyState", combos: Sequence[tuple[int, ...]]
+        self, state: "GreedyState", combos: ComboArray
     ) -> list[float]:
-        """Estimates for many same-arity combos (batch of
+        """Estimates for an (n, k) array of same-arity combos (batch of
         :meth:`union_cardinality`; kernels may vectorize the whole batch
         but must return identical values)."""
-        return [self.union_cardinality(state, combo) for combo in combos]
+        return [
+            self.union_cardinality(state, combo)
+            for combo in _np.asarray(combos).tolist()
+        ]
 
     def observe_merge(
         self, state: "GreedyState", consumed: tuple[int, ...], new_id: int
@@ -212,23 +219,15 @@ class HllEstimator(CardinalityEstimator):
         registers = [sketch._registers for sketch in self._sketches.values()]
         if any(not array.is_vectorized for array in registers):
             return
-        # Pick the narrowest term domain the initial sketches allow;
-        # merged rows are mins, so ranks never grow past this again.
-        matrix = RegisterArray.term_matrix(
-            1 << self.precision,
-            max_rank=max(array.max_rank() for array in registers),
-            capacity=2 * len(self._sketches),
-        )
-        if matrix is None:  # rank beyond every term domain
+        # The spill columns are where an initial sketch passes rank 15;
+        # merged rows are unions, so no other column ever needs one.
+        matrix = TermMatrix.of(registers, capacity=2 * len(registers))
+        if matrix is None:  # a rank above 30: the histogram kernel
             return
-        row_of = _np.full(2 * len(self._sketches) + 1, -1, dtype=_np.intp)
-        for table_id, sketch in self._sketches.items():
-            row = matrix.append(sketch._registers)
-            if table_id >= len(row_of):
-                row_of = _np.concatenate(
-                    [row_of, _np.full(table_id + 1, -1, dtype=_np.intp)]
-                )
-            row_of[table_id] = row
+        ids = _np.fromiter(self._sketches, dtype=_np.intp, count=len(registers))
+        size = max(2 * len(ids), int(ids.max())) + 1
+        row_of = _np.full(size, -1, dtype=_np.intp)
+        row_of[ids] = _np.arange(len(ids))
         self._matrix = matrix
         self._row_of = row_of
 
@@ -247,16 +246,17 @@ class HllEstimator(CardinalityEstimator):
         return first._estimate_from_stats(harmonic_sum, zeros)
 
     def union_cardinalities(
-        self, state: "GreedyState", combos: Sequence[tuple[int, ...]]
+        self, state: "GreedyState", combos: ComboArray
     ) -> list[float]:
         if self._matrix is None or len(combos) < 2:
-            return [self.union_cardinality(state, combo) for combo in combos]
+            return super().union_cardinalities(state, combos)
         # One gather maps every table id in the batch to its matrix row;
         # the raw estimates divide out vectorized (same IEEE ops as the
         # scalar path, so values are bit-identical) and rows in the
         # linear-counting regime select from the per-m table.
-        rows = self._row_of[_np.asarray(combos, dtype=_np.intp)]
-        first = self._sketches[combos[0][0]]
+        combos = _np.asarray(combos, dtype=_np.intp)
+        rows = self._row_of[combos]
+        first = self._sketches[int(combos[0, 0])]
         chunks = list(self._matrix.union_stats_chunks(rows))
         totals = _np.concatenate([chunk[0] for chunk in chunks])
         zeros = _np.concatenate([chunk[1] for chunk in chunks])

@@ -102,8 +102,8 @@ class MergeInstance:
         (greedy, replay, the exact solver's callers) shares one encoding
         instead of re-walking the key sets.
         """
-        encoder = BitsetEncoder(self.sets)
-        return encoder, tuple(encoder.encode(keys) for keys in self.sets)
+        encoder = BitsetEncoder()
+        return encoder, tuple(map(encoder.encode, self.sets))
 
     @cached_property
     def _hll_sketch_cache(self) -> dict:

@@ -17,7 +17,7 @@ keep that representation convenient and fast:
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Collection, Hashable, Iterable
 from typing import TypeVar
 
 Key = Hashable
@@ -77,19 +77,24 @@ class BitsetEncoder:
         """Number of distinct keys registered so far."""
         return len(self._keys)
 
-    def encode(self, keys: Iterable[Key]) -> int:
+    def encode(self, keys: Collection[Key]) -> int:
         """Encode a key set as an integer bitset.
 
-        Unseen keys are registered on the fly so that ``encode`` never
-        fails for hashable inputs.  Bits are set in a byte buffer and
-        converted once — setting them on a growing big-int directly
-        would copy O(universe/64) words per key.
+        Unseen keys are registered on the fly, in the order they are met,
+        so that ``encode`` never fails for hashable inputs and encoding
+        sets one after another assigns the same positions as observing
+        them all first.  Bits are set in a byte buffer and converted
+        once — setting them on a growing big-int directly would copy
+        O(universe/64) words per key.
         """
-        self.observe(keys)
         positions = self._positions
-        buffer = bytearray((len(self._keys) + 7) >> 3)
+        seen = self._keys
+        buffer = bytearray((len(seen) + len(keys) + 7) >> 3)
         for key in keys:
-            position = positions[key]
+            position = positions.get(key)
+            if position is None:
+                position = positions[key] = len(seen)
+                seen.append(key)
             buffer[position >> 3] |= 1 << (position & 7)
         return int.from_bytes(buffer, "little")
 

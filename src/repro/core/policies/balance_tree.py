@@ -17,10 +17,11 @@ evaluates two sub-orders, both available here:
   is amortized: a level's ``C(size, arity)`` combinations are estimated
   once, on entering the level, into the
   :class:`~repro.core.policies.candidate_index.CandidateIndex` shared
-  with SO and LM; merged outputs join the *next* level, so a level only
-  shrinks, each merge retires its inputs in O(1) and ``choose`` pops
-  only stale entries.  A run estimates ``sum_levels C(size_level,
-  arity)`` combos — ``~2/3 n^2`` for ``k = 2``, against SO's ``~n^2``.
+  with SO and LM as one sorted run; merged outputs join the *next*
+  level, so a level only shrinks, each merge retires its inputs in O(1)
+  and ``choose`` skips only stale entries.  A run estimates
+  ``sum_levels C(size_level, arity)`` combos — ``~2/3 n^2`` for
+  ``k = 2``, against SO's ``~n^2``.
 * ``suborder="arrival"`` — first-come pairing (the unconstrained variant
   of §4.3.1).
 
@@ -31,13 +32,12 @@ The per-step levels are exposed via :meth:`extras` for schedulers.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional
 
 from ...errors import PolicyError
 from ..estimator import CardinalityEstimator
 from .base import ChoosePolicy, GreedyState, pick_smallest, register_policy
-from .candidate_index import CandidateIndex
+from .candidate_index import CandidateIndex, combination_array
 
 _SUBORDERS = ("arrival", "input", "output")
 
@@ -107,7 +107,7 @@ class BalanceTreePolicy(ChoosePolicy):
         # every indexed combo is stale and the refill starts clean.
         if self._indexed != (min_level, arity):
             self._indexed = (min_level, arity)
-            combos = list(combinations(candidates, arity))
+            combos = combination_array(candidates, arity)
             self.estimate_calls += len(combos)
             self.index.add_batch(
                 combos, self.estimator.union_cardinalities(state, combos)

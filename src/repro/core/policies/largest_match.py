@@ -17,10 +17,10 @@ Ties break by creation order, consistent with the other policies.
 
 from __future__ import annotations
 
-from itertools import combinations
+import numpy as np
 
 from .base import ChoosePolicy, GreedyState, register_policy
-from .candidate_index import CandidateIndex
+from .candidate_index import CandidateIndex, combination_array
 
 
 @register_policy("largest_match", "lm")
@@ -35,16 +35,16 @@ class LargestMatchPolicy(ChoosePolicy):
         # earliest-created pair.
         self.index = CandidateIndex()
 
-    def _add_pairs(self, state: GreedyState, pairs: list[tuple[int, int]]) -> None:
+    def _add_pairs(self, state: GreedyState, pairs: np.ndarray) -> None:
         live = state.live
         intersect = state.backend.intersection_size
         self.index.add_batch(
-            pairs, [-intersect(live[a], live[b]) for a, b in pairs]
+            pairs, [-intersect(live[a], live[b]) for a, b in pairs.tolist()]
         )
 
     def prepare(self, state: GreedyState) -> None:
         self.index = CandidateIndex()
-        self._add_pairs(state, list(combinations(sorted(state.live), 2)))
+        self._add_pairs(state, combination_array(sorted(state.live), 2))
 
     def choose(self, state: GreedyState) -> tuple[int, ...]:
         arity = state.arity_for_next_merge()
@@ -71,7 +71,5 @@ class LargestMatchPolicy(ChoosePolicy):
         for dead in consumed:
             self.index.retire(dead)
         # new_id is the freshest table, so (other, new_id) is sorted.
-        self._add_pairs(
-            state,
-            [(table_id, new_id) for table_id in state.live if table_id != new_id],
-        )
+        others = sorted(table_id for table_id in state.live if table_id != new_id)
+        self._add_pairs(state, combination_array(others, 1, newest=new_id))

@@ -20,8 +20,9 @@ The lsm layer seeds an :class:`~repro.core.estimator.HllEstimator` with
 persistent sstable sketches so compaction runs never re-hash a key.
 
 Candidates live in the :class:`~.candidate_index.CandidateIndex` shared
-with BT(O) and LM: one push per estimate, O(1) retirement of a consumed
-table, and ``choose`` pops only entries that went stale.
+with BT(O) and LM: the initial fill and each refresh are one ``(n, k)``
+array and one sorted run, retiring a consumed table is one flag, and
+``choose`` skips only entries that went stale.
 
 Ties break on (cardinality, combination ids), i.e. by creation order,
 which reproduces the worked example (cost 40 on the 5-set instance).
@@ -29,12 +30,13 @@ which reproduces the worked example (cost 40 on the 5-set instance).
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Optional
+
+import numpy as np
 
 from ..estimator import CardinalityEstimator
 from .base import ChoosePolicy, GreedyState, register_policy
-from .candidate_index import CandidateIndex, Combo
+from .candidate_index import CandidateIndex, combination_array
 
 
 @register_policy("smallest_output", "so", estimator="exact")
@@ -51,9 +53,9 @@ class SmallestOutputPolicy(ChoosePolicy):
         self.estimate_calls = 0  # exposed for overhead accounting/tests
 
     # ------------------------------------------------------------------
-    def _add_estimates(self, state: GreedyState, combos: list[Combo]) -> None:
-        """Estimate and index a batch of combos (one vectorized call)."""
-        if not combos:
+    def _add_estimates(self, state: GreedyState, combos: np.ndarray) -> None:
+        """Estimate and index an (n, k) batch of combos (one vectorized call)."""
+        if not len(combos):
             return
         self.estimate_calls += len(combos)
         self.index.add_batch(
@@ -62,7 +64,7 @@ class SmallestOutputPolicy(ChoosePolicy):
 
     def _fill_index(self, state: GreedyState, arity: int) -> None:
         self._arity = arity
-        self._add_estimates(state, list(combinations(sorted(state.live), arity)))
+        self._add_estimates(state, combination_array(sorted(state.live), arity))
 
     # ------------------------------------------------------------------
     def prepare(self, state: GreedyState) -> None:
@@ -85,17 +87,13 @@ class SmallestOutputPolicy(ChoosePolicy):
             self.index.retire(dead)
         self.estimator.observe_merge(state, consumed, new_id)
         arity = self._arity or 2
-        others = [table_id for table_id in state.live if table_id != new_id]
+        others = sorted(table_id for table_id in state.live if table_id != new_id)
         if len(others) + 1 < arity:
             return
         # new_id is the freshest table, so it sorts after every other id
         # and the combos are already in canonical sorted order.
         self._add_estimates(
-            state,
-            [
-                (*subset, new_id)
-                for subset in combinations(sorted(others), arity - 1)
-            ],
+            state, combination_array(others, arity - 1, newest=new_id)
         )
 
     def extras(self) -> dict:

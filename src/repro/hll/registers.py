@@ -17,10 +17,10 @@ pure-Python paths return bit-identical values regardless of summation
 order.  :meth:`RegisterArray.union_stats` fuses the element-wise max of
 several arrays with that reduction, estimating one union without
 materializing a merged register array; :class:`TermMatrix` reduces whole
-batches of candidate unions the same way
-(:meth:`TermMatrix.union_stats_chunks`, its only estimation entry point:
-:class:`~repro.core.estimator.HllEstimator` turns the chunks' exact
-integer sums into estimates).
+batches of candidate unions the same way over uint16 terms plus exact
+spill columns (:meth:`TermMatrix.union_stats_chunks`, its only
+estimation entry point: :class:`~repro.core.estimator.HllEstimator`
+turns the chunks' exact integer sums into estimates).
 """
 
 from __future__ import annotations
@@ -36,28 +36,31 @@ _MAX_RANK = 70
 _SHIFT = _MAX_RANK
 _SHIFT_ONE = 1 << _SHIFT
 
-# Term LUTs for the batched union kernel: register value r maps to
-# the integer "term" 2**(shift - r).  Terms are monotone
-# *decreasing* in r, so the register-wise max of sketches is the
-# element-wise *min* of their term vectors, and the exact harmonic
-# sum is one int64 reduction (m <= 2**18 terms each <= 2**shift).
-# Two domains: a narrow uint16 encoding (shift 15) that halves the
-# kernel's memory traffic when every rank fits, and a wide int32
-# encoding (shift 30) otherwise; ranks above 30 (impossible below
-# ~10**9 distinct keys) fall back to the histogram kernel.  All
-# paths compute the same exact rational, so they agree bit-for-bit.
-_TERM_SHIFT_NARROW = 15
-_TERM_SHIFT_WIDE = 30
-_TERM_LUTS = {
-    _TERM_SHIFT_NARROW: _np.array(
-        [1 << (_TERM_SHIFT_NARROW - r) for r in range(_TERM_SHIFT_NARROW + 1)],
-        dtype=_np.uint16,
-    ),
-    _TERM_SHIFT_WIDE: _np.array(
-        [1 << (_TERM_SHIFT_WIDE - r) for r in range(_TERM_SHIFT_WIDE + 1)],
-        dtype=_np.int32,
-    ),
-}
+# The batched union kernel's encoding: register value r maps to the
+# uint16 "term" 2**(15 - min(r, 15)).  Terms are monotone *decreasing*
+# in r, so the register-wise max of sketches is the element-wise *min*
+# of their term vectors.  The few register positions where an initial
+# sketch reaches rank 16..30 are *spill columns*: their exact ranks
+# ride along as uint8, and each adds 2**(30 - R) - 2**(30 - min(R, 15))
+# to the union's sum, which is kept in 2**-30 units.  Ranks above 30
+# (impossible below ~10**9 distinct keys) fall back to the histogram
+# kernel.  Every path computes the same exact rational, so they agree
+# bit-for-bit.
+_TERM_SHIFT = 15
+_SPILL_SHIFT = 30
+_TERM_LUT = _np.array(
+    [1 << (_TERM_SHIFT - r) for r in range(_TERM_SHIFT + 1)], dtype=_np.uint16
+)
+_SPILL_FIX = _np.array(
+    [
+        (1 << (_SPILL_SHIFT - r)) - (1 << (_SPILL_SHIFT - min(r, _TERM_SHIFT)))
+        for r in range(_SPILL_SHIFT + 1)
+    ],
+    dtype=_np.int64,
+)
+#: Combos reduced per vectorized call: at p = 12, 64-row chunks (512 KB
+#: of terms) measured ~20 % faster per pair than 256-row ones.
+_CHUNK_ROWS = 64
 
 
 if hasattr(_np, "bitwise_count"):
@@ -251,23 +254,6 @@ class RegisterArray:
         else:
             self._regs[:] = data
 
-    def max_rank(self) -> int:
-        """The largest register value (0 for an empty sketch)."""
-        if self._numpy:
-            return int(self._regs.max(initial=0))
-        return max(self._regs, default=0)
-
-    @classmethod
-    def term_matrix(
-        cls, m: int, max_rank: int, capacity: int = 16
-    ) -> Optional["TermMatrix"]:
-        """A fresh :class:`TermMatrix` sized for sketches whose ranks
-        stay within ``max_rank``, or None when out of every domain."""
-        for shift in (_TERM_SHIFT_NARROW, _TERM_SHIFT_WIDE):
-            if max_rank <= shift:
-                return TermMatrix(m, term_shift=shift, capacity=capacity)
-        return None
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RegisterArray):
             return NotImplemented
@@ -287,10 +273,10 @@ class TermMatrix:
     :class:`~repro.core.estimator.HllEstimator` keeps one of these alive
     for a whole greedy run so candidate estimates never restack rows.
 
-    ``term_shift`` fixes the encoding domain: every appended sketch must
-    have ranks <= term_shift (:meth:`RegisterArray.term_matrix` picks
-    the narrowest domain up front), and :meth:`append_min` can never
-    leave it — mins never decrease a rank.
+    ``spill_columns`` is fixed up front (:meth:`of` takes every column
+    where an initial sketch has rank 16..30): only there may a row's
+    rank exceed 15, and :meth:`append_min` never needs another column —
+    a union's rank at a position is one of its inputs' ranks.
 
     Rows assume the register arrays they were built from are not mutated
     afterwards (sketch unions always produce fresh arrays, so the
@@ -298,24 +284,44 @@ class TermMatrix:
     """
 
     __slots__ = (
-        "m", "term_shift", "term_one", "_lut", "_matrix", "_zbits", "_rows"
+        "m", "spill_columns", "_acc", "_matrix", "_zbits", "_spill", "_rows"
     )
 
-    def __init__(self, m: int, term_shift: int = 30, capacity: int = 16) -> None:
-        if term_shift not in _TERM_LUTS:
-            raise ValueError(f"term_shift must be one of {sorted(_TERM_LUTS)}")
+    #: Totals are in these units: a combo's harmonic sum is
+    #: ``totals / term_one``.
+    term_one = 1 << _SPILL_SHIFT
+
+    def __init__(self, m: int, spill_columns=(), capacity: int = 16) -> None:
         self.m = m
-        self.term_shift = term_shift
-        self.term_one = 1 << term_shift
-        self._lut = _TERM_LUTS[term_shift]
+        self.spill_columns = _np.asarray(spill_columns, dtype=_np.intp)
+        # m terms of at most 2**15 stay below 2**32 up to m = 2**16.
+        self._acc = _np.uint32 if m <= 1 << 16 else _np.int64
         self._rows = 0
-        self._matrix = _np.empty((max(1, capacity), m), dtype=self._lut.dtype)
+        capacity = max(1, capacity)
+        self._matrix = _np.empty((capacity, m), dtype=_np.uint16)
         # Zero-register indicators packed 8 per byte: the union's zeros
         # are popcount(AND of rows) — a few hundred bytes per estimate
         # instead of an equality pass over the whole term row.
-        self._zbits = _np.empty(
-            (max(1, capacity), (m + 7) // 8), dtype=_np.uint8
+        self._zbits = _np.empty((capacity, (m + 7) // 8), dtype=_np.uint8)
+        self._spill = _np.empty(
+            (capacity, len(self.spill_columns)), dtype=_np.uint8
         )
+
+    @classmethod
+    def of(
+        cls, arrays: Sequence[RegisterArray], capacity: int = 16
+    ) -> Optional["TermMatrix"]:
+        """``arrays`` as rows ``0..n-1``, spilling every column where one
+        of them has rank > 15; None when a rank exceeds 30."""
+        top = _np.zeros(arrays[0].m, dtype=_np.uint8)
+        for array in arrays:
+            _np.maximum(top, array._regs, out=top)
+        if int(top.max()) > _SPILL_SHIFT:
+            return None
+        matrix = cls(arrays[0].m, _np.flatnonzero(top > _TERM_SHIFT), capacity)
+        for array in arrays:
+            matrix.append(array)
+        return matrix
 
     def __len__(self) -> int:
         return self._rows
@@ -323,112 +329,103 @@ class TermMatrix:
     def _grow_to(self, rows: int) -> None:
         if rows > len(self._matrix):
             capacity = max(rows, 2 * len(self._matrix))
-            bigger = _np.empty((capacity, self.m), dtype=self._matrix.dtype)
-            bigger[: self._rows] = self._matrix[: self._rows]
-            self._matrix = bigger
-            zbigger = _np.empty(
-                (capacity, self._zbits.shape[1]), dtype=_np.uint8
-            )
-            zbigger[: self._rows] = self._zbits[: self._rows]
-            self._zbits = zbigger
+            for name in ("_matrix", "_zbits", "_spill"):
+                block = getattr(self, name)
+                bigger = _np.empty((capacity, block.shape[1]), dtype=block.dtype)
+                bigger[: self._rows] = block[: self._rows]
+                setattr(self, name, bigger)
 
     def append(self, array: RegisterArray) -> int:
         """Encode a sketch's registers as a new row; its row index."""
         if array.m != self.m:
             raise ValueError("register array size does not match the matrix")
         regs = array._regs
-        if int(regs.max(initial=0)) > self.term_shift:
-            raise ValueError(
-                f"rank beyond the shift-{self.term_shift} term domain"
-            )
-        self._grow_to(self._rows + 1)
-        self._matrix[self._rows] = self._lut[regs.astype(_np.intp)]
-        self._zbits[self._rows] = _np.packbits(regs == 0)
+        spill = regs[self.spill_columns]
+        # Every rank above 15 must sit in a spill column, and none above 30.
+        if int(regs.max()) > _SPILL_SHIFT or _np.count_nonzero(
+            regs > _TERM_SHIFT
+        ) != _np.count_nonzero(spill > _TERM_SHIFT):
+            raise ValueError("rank above 15 outside the spill columns, or above 30")
+        row = self._rows
+        self._grow_to(row + 1)
+        self._matrix[row] = _TERM_LUT[_np.minimum(regs, _TERM_SHIFT)]
+        self._zbits[row] = _np.packbits(regs == 0)
+        self._spill[row] = spill
         self._rows += 1
-        return self._rows - 1
+        return row
 
     def append_min(self, rows: Sequence[int]) -> int:
-        """Add the element-wise min of existing rows (a lossless union)."""
+        """Add the union of existing rows (lossless): the min of their
+        terms, the AND of their zero bits, the max of their spill ranks."""
+        rows = list(rows)
         if not rows:
             raise ValueError("append_min needs at least one row")
-        self._grow_to(self._rows + 1)
-        matrix = self._matrix
-        zbits = self._zbits
-        out = matrix[self._rows]
-        zout = zbits[self._rows]
-        if len(rows) == 1:
-            out[:] = matrix[rows[0]]
-            zout[:] = zbits[rows[0]]
-        else:
-            _np.minimum(matrix[rows[0]], matrix[rows[1]], out=out)
-            _np.bitwise_and(zbits[rows[0]], zbits[rows[1]], out=zout)
-            for row in rows[2:]:
-                _np.minimum(out, matrix[row], out=out)
-                _np.bitwise_and(zout, zbits[row], out=zout)
+        row = self._rows
+        self._grow_to(row + 1)
+        for block, combine in (
+            (self._matrix, _np.minimum),
+            (self._zbits, _np.bitwise_and),
+            (self._spill, _np.maximum),
+        ):
+            combine.reduce(block[rows], axis=0, out=block[row])
         self._rows += 1
-        return self._rows - 1
+        return row
 
-    def union_stats_chunks(self, row_combos, chunk_rows: int = 256):
-        """Yield ``(totals, zeros)`` int64/int arrays per chunk of combos.
+    def union_stats_chunks(self, row_combos):
+        """Yield ``(totals, zeros)`` integer arrays per chunk of combos.
 
         ``row_combos`` is an (n, k) integer array of row indices; a
-        combo's exact harmonic sum is ``totals[i] / term_one``.  Whole
-        chunks reduce in single vectorized min/sum calls; the int64 row
-        sums are exact, so downstream estimates are bit-identical to
-        :meth:`RegisterArray.union_stats` over the same sketches.
+        combo's exact harmonic sum is ``totals[i] / term_one``.  Chunks
+        of ``_CHUNK_ROWS`` combos reduce in single vectorized min/sum
+        calls, and the sums are exact dyadic integers, so downstream
+        estimates are bit-identical to :meth:`RegisterArray.union_stats`
+        over the same sketches.
 
-        Pair batches that share their first row — SO's cache fills and
-        per-merge refreshes both do — reduce against that row broadcast,
-        halving the gather traffic of the general path.
+        Pair batches that share a row — SO's cache fills and per-merge
+        refreshes both do — reduce against that row broadcast, halving
+        the gather traffic of the general path.
         """
         row_combos = _np.asarray(row_combos, dtype=_np.intp)
         if row_combos.ndim != 2:
             raise ValueError("row_combos must be a 2-D (n, k) index array")
-        arity = row_combos.shape[1]
-        if arity == 2 and len(row_combos) > 1:
-            seconds = row_combos[:, 1]
+        if row_combos.shape[1] == 2 and len(row_combos) > 1:
+            firsts, seconds = row_combos[:, 0], row_combos[:, 1]
             if bool((seconds == seconds[0]).all()):
                 # One shared right row — SO's per-merge refresh batches
                 # pair every survivor with the newest table.
-                for start in range(0, len(row_combos), chunk_rows):
-                    yield self._pair_stats(
-                        int(seconds[0]),
-                        row_combos[start : start + chunk_rows, 0],
+                for start in range(0, len(firsts), _CHUNK_ROWS):
+                    yield self._stats(
+                        firsts[start : start + _CHUNK_ROWS], (int(seconds[0]),)
                     )
                 return
-            firsts = row_combos[:, 0]
             bounds = _np.flatnonzero(
                 _np.r_[True, firsts[1:] != firsts[:-1], True]
             )
             if len(row_combos) >= 8 * (len(bounds) - 1):
                 for left, right in zip(bounds[:-1], bounds[1:]):
-                    for start in range(left, right, chunk_rows):
-                        stop = min(start + chunk_rows, right)
-                        yield self._pair_stats(
-                            int(firsts[left]), row_combos[start:stop, 1]
+                    for start in range(left, right, _CHUNK_ROWS):
+                        stop = min(start + _CHUNK_ROWS, right)
+                        yield self._stats(
+                            seconds[start:stop], (int(firsts[left]),)
                         )
                 return
-        matrix = self._matrix
-        zbits = self._zbits
-        for start in range(0, len(row_combos), chunk_rows):
-            chunk = row_combos[start : start + chunk_rows]
-            merged = matrix[chunk[:, 0]]
-            zmerged = zbits[chunk[:, 0]]
-            for column in range(1, arity):
-                _np.minimum(merged, matrix[chunk[:, column]], out=merged)
-                _np.bitwise_and(zmerged, zbits[chunk[:, column]], out=zmerged)
-            yield (
-                merged.sum(axis=1, dtype=_np.int64),
-                _popcount(zmerged).sum(axis=1, dtype=_np.int64),
-            )
+        for start in range(0, len(row_combos), _CHUNK_ROWS):
+            chunk = row_combos[start : start + _CHUNK_ROWS]
+            yield self._stats(chunk[:, 0], chunk.T[1:])
 
-    def _pair_stats(self, base_row: int, other_rows):
-        """``(totals, zeros)`` for ``base_row`` against each other row."""
-        merged = self._matrix[other_rows]
-        _np.minimum(merged, self._matrix[base_row], out=merged)
-        zmerged = self._zbits[other_rows]
-        _np.bitwise_and(zmerged, self._zbits[base_row], out=zmerged)
-        return (
-            merged.sum(axis=1, dtype=_np.int64),
-            _popcount(zmerged).sum(axis=1, dtype=_np.int64),
-        )
+    def _stats(self, rows, partners):
+        """``(totals, zeros)`` of each of ``rows`` unioned with every
+        partner: a row-index array parallel to ``rows`` or one row."""
+        merged = self._matrix[rows]
+        zmerged = self._zbits[rows]
+        for partner in partners:
+            _np.minimum(merged, self._matrix[partner], out=merged)
+            _np.bitwise_and(zmerged, self._zbits[partner], out=zmerged)
+        totals = merged.sum(axis=1, dtype=self._acc).astype(_np.int64)
+        totals <<= _SPILL_SHIFT - _TERM_SHIFT
+        if len(self.spill_columns):
+            spill = self._spill[rows]
+            for partner in partners:
+                _np.maximum(spill, self._spill[partner], out=spill)
+            totals += _SPILL_FIX[spill].sum(axis=1)
+        return totals, _popcount(zmerged).sum(axis=1, dtype=_np.uint32)

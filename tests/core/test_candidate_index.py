@@ -11,14 +11,19 @@ Three layers of evidence that moving SO, BT(O) and LM onto one
   and both estimators;
 * work counts (no timing): BT(O) estimates each level's combinations
   exactly once and the index handles each entry at most twice, so the
-  work per merge grows linearly with ``n``.
+  work per merge grows linearly with ``n``; the heap holds one head per
+  sorted run, never one entry per candidate.
 """
 
 from __future__ import annotations
 
+import heapq
+from collections import Counter
 from itertools import combinations
-from math import comb
+from math import comb, log2
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 from repro.core import GreedyMerger, merge_with
 from repro.core.estimator import make_estimator
 from repro.core.policies import BalanceTreePolicy, CandidateIndex, make_policy
+from repro.core.policies import candidate_index
 from repro.core.policies.base import ChoosePolicy, GreedyState
 from repro.errors import PolicyError
 from tests.helpers import instances, random_instance
@@ -37,24 +43,45 @@ ESTIMATORS = ("exact", "hll")
 # ----------------------------------------------------------------------
 # The index contract
 # ----------------------------------------------------------------------
+def _batch(index: CandidateIndex, entries: list[tuple[float, tuple]]) -> None:
+    """Add ``(score, pair)`` entries as one (n, 2) array batch."""
+    index.add_batch(
+        np.array([pair for _, pair in entries], dtype=np.intp).reshape(-1, 2),
+        np.array([score for score, _ in entries], dtype=np.float64),
+    )
+
+
 class TestCandidateIndex:
     def test_best_is_smallest_score(self):
         index = CandidateIndex()
-        index.add_batch([(0, 1), (0, 2), (1, 2)], [5.0, 3.0, 4.0])
+        _batch(index, [(5.0, (0, 1)), (3.0, (0, 2)), (4.0, (1, 2))])
         assert index.best() == (0, 2)
 
     def test_ties_break_toward_earliest_created_combo(self):
         index = CandidateIndex()
-        index.add_batch([(1, 2), (0, 3), (0, 2)], [7.0, 7.0, 7.0])
+        _batch(index, [(7.0, (1, 2)), (7.0, (0, 3)), (7.0, (0, 2))])
         assert index.best() == (0, 2)
         index.retire(2)
         assert index.best() == (0, 3)
 
+    def test_ties_break_across_runs(self):
+        index = CandidateIndex()
+        _batch(index, [(7.0, (1, 2)), (8.0, (0, 1))])
+        _batch(index, [(7.0, (0, 3)), (7.0, (2, 3))])
+        assert index.best() == (0, 3)
+        index.retire(0)
+        assert index.best() == (1, 2)
+
     def test_best_does_not_consume(self):
         index = CandidateIndex()
-        index.add_batch([(0, 1)], [1.0])
+        _batch(index, [(1.0, (0, 1))])
         assert index.best() == index.best() == (0, 1)
         assert index.pops == 0
+
+    def test_best_returns_plain_int_tuples(self):
+        index = CandidateIndex()
+        index.add_batch(np.array([[0, 1, 2]]), np.array([1.0]))
+        assert all(type(table_id) is int for table_id in index.best())
 
     def test_empty_index_raises(self):
         with pytest.raises(PolicyError):
@@ -62,7 +89,7 @@ class TestCandidateIndex:
 
     def test_exhausted_index_raises(self):
         index = CandidateIndex()
-        index.add_batch([(0, 1), (1, 2)], [1.0, 2.0])
+        _batch(index, [(1.0, (0, 1)), (2.0, (1, 2))])
         index.retire(1)
         with pytest.raises(PolicyError):
             index.best()
@@ -70,7 +97,7 @@ class TestCandidateIndex:
 
     def test_retire_is_idempotent(self):
         index = CandidateIndex()
-        index.add_batch([(0, 1), (2, 3)], [1.0, 2.0])
+        _batch(index, [(1.0, (0, 1)), (2.0, (2, 3))])
         index.retire(0)
         index.retire(0)
         index.retire(99)  # never indexed
@@ -79,11 +106,19 @@ class TestCandidateIndex:
 
     def test_later_batches_join_the_order(self):
         index = CandidateIndex()
-        index.add_batch([(0, 1), (0, 2), (1, 2)], [5.0, 6.0, 7.0])
+        _batch(index, [(5.0, (0, 1)), (6.0, (0, 2)), (7.0, (1, 2))])
         index.retire(0)
-        index.add_batch([(1, 3), (2, 3)], [6.5, 9.0])
+        _batch(index, [(6.5, (1, 3)), (9.0, (2, 3))])
         assert index.best() == (1, 3)
         assert index.pushes == 5
+
+    def test_a_long_stale_prefix_is_skipped(self):
+        """More stale entries than one scan window: the cursor keeps going."""
+        index = CandidateIndex()
+        _batch(index, [(float(i), (0, i)) for i in range(1, 200)] + [(500.0, (1, 2))])
+        index.retire(0)
+        assert index.best() == (1, 2)
+        assert index.pops == 199
 
     @given(
         st.lists(
@@ -92,11 +127,13 @@ class TestCandidateIndex:
             max_size=40,
         ),
         st.lists(st.integers(0, 7), max_size=8),
+        st.integers(1, 4),
     )
-    def test_stale_entries_never_surface(self, scored, retire_order):
+    def test_stale_entries_never_surface(self, scored, retire_order, runs):
         entries = [(float(s), (a, b)) for s, a, b in scored if a < b]
         index = CandidateIndex()
-        index.add_batch([c for _, c in entries], [s for s, _ in entries])
+        for run in range(runs):  # the same entries, split into sorted runs
+            _batch(index, entries[run::runs])
         dead: set[int] = set()
         for table_id in retire_order:
             index.retire(table_id)
@@ -275,6 +312,36 @@ class TestWorkCounts:
         # merge: (n - 2) + (n - 3) + ... + 1 + 0.
         assert policy.index.pushes == comb(n, 2) + comb(n - 1, 2)
         assert policy.index.pops <= policy.index.pushes
+
+    @pytest.mark.parametrize("name", ("SO", "BT(O)", "LM"))
+    def test_heap_holds_run_heads_not_candidates(self, name, monkeypatch):
+        """Heap operations stay within (merges + batches) * log2(batches):
+        one heap entry per sorted run.  One entry per candidate would
+        cost a push or pop per candidate, an order of magnitude more."""
+        calls = Counter()
+
+        def counted(function):
+            def wrapper(*args, **kwargs):
+                calls[function.__name__] += 1
+                return function(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            candidate_index,
+            "heapq",
+            SimpleNamespace(
+                **{name: counted(getattr(heapq, name)) for name in heapq.__all__}
+            ),
+        )
+        n = 128
+        policy = make_policy(name)
+        result = GreedyMerger(policy, backend="bitset").run(
+            random_instance(n, universe=4 * n, seed=3, max_size=24)
+        )
+        merges, batches = result.schedule.n_steps, len(policy.index._runs)
+        assert sum(calls.values()) <= (merges + batches) * log2(batches), calls
+        assert policy.index.pushes > 10 * (merges + batches)
 
     def test_bto_reports_the_overhead_keys_so_reports(self):
         inst = random_instance(9, universe=30, seed=1)

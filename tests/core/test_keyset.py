@@ -57,6 +57,17 @@ class TestBitsetEncoder:
         for s in sets:
             assert enc.encode(s).bit_count() == len(s)
 
+    @given(st.lists(st.frozensets(st.integers(0, 300)), max_size=8))
+    def test_encode_in_order_matches_observing_all_first(self, sets):
+        two_pass = BitsetEncoder(sets)
+        expected = [two_pass.encode(s) for s in sets]
+        one_pass = BitsetEncoder()
+        assert [one_pass.encode(s) for s in sets] == expected
+        assert one_pass.universe_size == two_pass.universe_size
+        assert [one_pass.key_at(i) for i in range(one_pass.universe_size)] == [
+            two_pass.key_at(i) for i in range(two_pass.universe_size)
+        ]
+
     @given(
         st.frozensets(st.integers(0, 30)),
         st.frozensets(st.integers(0, 30)),
