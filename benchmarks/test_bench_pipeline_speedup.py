@@ -5,7 +5,7 @@ figure-7 scale (~100 sstables from the paper's workload) one end-to-end
 phase 1 + phase 2 pass — YCSB generation, memtable flushes, and a full
 SMALLESTINPUT major compaction — must run at least 3x faster on the
 fast plane (``data_plane="auto"``: columnar YCSB batches, array-backed
-sstables, lexsort merge kernel) than on the reference plane
+sstables, columnar run-merge kernel) than on the reference plane
 (``data_plane="reference"``: per-operation engine loop, heap merge),
 while producing **bit-identical** sstables and metrics.  The insert-mix
 point is also timed because insert-heavy workloads stress the merge

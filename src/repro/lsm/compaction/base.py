@@ -46,7 +46,8 @@ class CompactionResult:
     strategy_overhead_seconds: float = 0.0
     # Real merge execution (see executor.py): which backend ran the
     # merges on how many workers, the measured wall clock of the merges
-    # alone, and — for a scheduled execution — the mean fraction of it
+    # (with, for a scheduled execution, the settling interleaved with
+    # them), and — for a scheduled execution — the mean fraction of it
     # each worker spent merging.
     merge_executor: str = "serial"
     merge_workers: int = 1

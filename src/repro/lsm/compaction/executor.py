@@ -23,22 +23,28 @@ Independently of the simulated lanes, the merges themselves can run on
 **real workers**: ``executor`` selects an :class:`ExecutionBackend` —
 
 * ``"serial"`` — the reference loop, one merge at a time in schedule
-  order.  The differential baseline every other backend must match
-  byte for byte.
+  order, on one worker.  The differential baseline every other backend
+  must match byte for byte.
 * ``"thread"`` — a thread pool driven by the ready-set DAG
   (:mod:`~repro.lsm.compaction.planner`).  Worth real wall-clock
   speedup when the merges run the columnar kernel, whose numpy
-  sort/concatenate kernels release the GIL; on the pure-python heap
+  sort and gather kernels release the GIL; on the pure-python heap
   kernel threads are correct but GIL-bound.
 
-Both backends produce bit-identical output tables, cost metrics and
-simulated durations for any worker count; only the measured wall clock
-(``merge_wall_seconds``, ``merge_utilization``) differs.  See
-``docs/concurrency.md``.
+Each step is *settled* — sketches propagated, billed, placed on a
+simulated lane — in schedule order, as soon as it and every earlier
+step have merged.  Settling a step drops its inputs from the one map
+of live tables, so an intermediate table is freed once its consumer is
+settled instead of living until the schedule ends.  Both backends
+produce bit-identical output tables, cost metrics and simulated
+durations for any worker count; only the measured wall clock
+(``merge_wall_seconds``, the merges and the settling between them, and
+``merge_utilization``) differs.  See ``docs/concurrency.md``.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import time
 from abc import ABC, abstractmethod
@@ -127,7 +133,7 @@ def _merge_step(
 
 
 class ExecutionBackend(ABC):
-    """Runs every merge step of a plan; returns outputs by step index.
+    """Runs every merge step of a plan and settles each in schedule order.
 
     Implementations must be *pure* with respect to the schedule: the
     output table of step ``j`` (id, columns, records) may depend only on
@@ -143,94 +149,90 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def run(
         self,
-        tables: Sequence[SSTable],
+        live: dict[int, SSTable],
         plan: SchedulePlan,
-        next_table_id: int,
-        drop_tombstones: bool,
-        bloom_fp_rate: float,
-        merge_kernel: str,
-    ) -> tuple[list[SSTable], float]:
-        """Execute all steps; return ``(outputs, worker_busy_seconds)``."""
+        merge: Callable[[int, list[SSTable]], tuple[SSTable, float]],
+        settle: Callable[[int], None],
+    ) -> float:
+        """Execute all steps; return the workers' busy seconds.
+
+        ``live`` maps table id to table.  ``merge(index, inputs)`` runs
+        step ``index``; its output goes into ``live`` under the step's
+        output id.  ``settle(index)`` must be called in schedule order,
+        each as soon as steps ``0..index`` have merged; it pops the
+        step's inputs from ``live``, so a table is freed once its
+        consumer is settled.
+        """
 
 
 class SerialBackend(ExecutionBackend):
-    """The reference loop: merges in schedule order, one at a time."""
+    """The reference loop: merges in schedule order, one at a time,
+    settling each before the next starts.  It always reports one
+    worker, whatever worker count was asked for."""
 
     name = "serial"
 
     def __init__(self, workers: Optional[int] = None) -> None:
-        super().__init__(1 if workers in (None, 0) else workers)
+        super().__init__(1)
 
-    def run(self, tables, plan, next_table_id, drop_tombstones,
-            bloom_fp_rate, merge_kernel):
-        live: dict[int, SSTable] = dict(enumerate(tables))
-        outputs: list[SSTable] = []
+    def run(self, live, plan, merge, settle):
         busy = 0.0
-        final_index = plan.n_steps - 1
         for index, step in enumerate(plan.steps):
-            inputs = [live[table_id] for table_id in step.inputs]
-            output, seconds = _merge_step(
-                inputs,
-                next_table_id + index,
-                drop_tombstones and index == final_index,
-                bloom_fp_rate,
-                merge_kernel,
+            live[step.output], seconds = merge(
+                index, [live[table_id] for table_id in step.inputs]
             )
-            live[step.output] = output
-            outputs.append(output)
             busy += seconds
-        return outputs, busy
+            settle(index)
+        return busy
 
 
 class ThreadBackend(ExecutionBackend):
     """A thread pool pumped by the ready-set DAG: submit the ready
-    steps, release dependents as their inputs land.
+    steps, release dependents as their inputs land, and settle through
+    a cursor over the completed prefix of the schedule.
 
-    Workers call :func:`merge_sstables` directly.  The columnar kernel
-    spends its time in numpy sort/concatenate kernels that release the
-    GIL, so independent merges genuinely overlap; the heap kernel stays
-    correct but serializes on the GIL.
+    A ready step is submitted only while it lies within ``workers``
+    steps of the cursor, so at most that many steps hold outputs the
+    cursor has not yet settled.  Workers call :func:`merge_sstables`
+    directly.  The columnar kernel spends its time in numpy sort and
+    gather kernels that release the GIL, so independent merges
+    genuinely overlap; the heap kernel stays correct but serializes on
+    the GIL.
     """
 
     name = "thread"
 
-    def run(self, tables, plan, next_table_id, drop_tombstones,
-            bloom_fp_rate, merge_kernel):
-        live: dict[int, SSTable] = dict(enumerate(tables))
-        outputs: list = [None] * plan.n_steps
+    def run(self, live, plan, merge, settle):
+        steps = plan.steps
         pending = [len(deps) for deps in plan.dependencies]
+        ready = list(plan.ready_steps())  # ascending, so already a heap
+        settled = 0
         busy = 0.0
-        final_index = plan.n_steps - 1
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
             futures: dict = {}
 
             def submit(index: int) -> None:
-                step = plan.steps[index]
-                futures[
-                    pool.submit(
-                        _merge_step,
-                        [live[table_id] for table_id in step.inputs],
-                        next_table_id + index,
-                        drop_tombstones and index == final_index,
-                        bloom_fp_rate,
-                        merge_kernel,
-                    )
-                ] = index
+                inputs = [live[table_id] for table_id in steps[index].inputs]
+                futures[pool.submit(merge, index, inputs)] = index
 
-            for index in plan.ready_steps():
-                submit(index)
-            while futures:
+            while settled < plan.n_steps:
+                while ready and ready[0] < settled + self.workers:
+                    submit(heapq.heappop(ready))
                 done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
                     index = futures.pop(future)
-                    outputs[index], seconds = future.result()
+                    live[steps[index].output], seconds = future.result()
                     busy += seconds
-                    live[plan.steps[index].output] = outputs[index]
                     for dependent in plan.dependents[index]:
                         pending[dependent] -= 1
                         if pending[dependent] == 0:
-                            submit(dependent)
-        return outputs, busy
+                            heapq.heappush(ready, dependent)
+                # A step's output is in ``live`` from its merge until
+                # its consumer settles, which comes after the step's own.
+                while settled < plan.n_steps and steps[settled].output in live:
+                    settle(settled)
+                    settled += 1
+        return busy
 
 
 _BACKENDS: dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
@@ -285,40 +287,34 @@ def execute_schedule(
             f"schedule expects {schedule.n_initial} tables, got {len(tables)}"
         )
     started_wall = time.perf_counter()
-
-    # --- real merge execution -----------------------------------------
     plan = plan_schedule(schedule)
     backend = make_execution_backend(executor, workers)
     result = CompactionResult.start("schedule", tables)
     result.schedule = schedule
     result.merge_executor = backend.name
     result.merge_workers = backend.workers
-    outputs: list[SSTable] = []
-    if plan.n_steps:  # a single-table schedule has nothing to merge
-        merge_started = time.perf_counter()
-        outputs, busy_seconds = backend.run(
-            tables, plan, next_table_id, drop_tombstones, bloom_fp_rate,
-            merge_kernel,
-        )
-        result.merge_wall_seconds = time.perf_counter() - merge_started
-        worker_seconds = backend.workers * result.merge_wall_seconds
-        if worker_seconds:
-            result.merge_utilization = busy_seconds / worker_seconds
-
-    # --- deterministic accounting, in schedule order ------------------
-    # Identical for every backend: costs, bytes and the simulated lane
-    # model depend only on the step list and the (deterministic) merge
-    # outputs, never on real scheduling order.
     live: dict[int, SSTable] = dict(enumerate(tables))
     ready_at: dict[int, float] = {table_id: 0.0 for table_id in live}
     lane_free = [0.0] * lanes
     final_step_index = plan.n_steps - 1
 
-    for index, step in enumerate(plan.steps):
+    def merge(index: int, inputs: list[SSTable]) -> tuple[SSTable, float]:
+        return _merge_step(
+            inputs,
+            next_table_id + index,
+            drop_tombstones and index == final_step_index,
+            bloom_fp_rate,
+            merge_kernel,
+        )
+
+    def settle(index: int) -> None:
+        # Identical for every backend: costs, bytes and the simulated
+        # lane model depend only on the step list and the
+        # (deterministic) merge outputs, and run in schedule order.
+        step = plan.steps[index]
         inputs = [live.pop(table_id) for table_id in step.inputs]
-        output = outputs[index]
+        output = live[step.output]
         dropping = drop_tombstones and index == final_step_index
-        live[step.output] = output
         # Sketch persistence: adopt the lossless union sketch, or — when
         # tombstone GC could have dropped keys — rebuild from the
         # surviving key column so bottommost outputs keep their caches.
@@ -337,6 +333,14 @@ def execute_schedule(
         finish = begin + duration
         lane_free[lane] = finish
         ready_at[step.output] = finish
+
+    if plan.n_steps:  # a single-table schedule has nothing to merge
+        merge_started = time.perf_counter()
+        busy_seconds = backend.run(live, plan, merge, settle)
+        result.merge_wall_seconds = time.perf_counter() - merge_started
+        worker_seconds = backend.workers * result.merge_wall_seconds
+        if worker_seconds:
+            result.merge_utilization = busy_seconds / worker_seconds
 
     if len(live) != 1:
         raise CompactionError("schedule did not reduce the tables to one")

@@ -17,14 +17,15 @@ Tables have two internal representations with one interface:
   never allocate a single ``Record``.
 
 :func:`merge_sstables` is the compaction kernel (Figure 2), with two
-bit-identical implementations: a columnar sorted-array merge (numpy
-``lexsort`` + dedup-by-newest-seqno + tombstone mask) used whenever
-every input can expose int64 columns, and the heap-based k-way
-merge-sort: the columnar kernel's oracle and the only merge for tables
-numpy cannot represent (generic keys, payload bytes).  Tombstone garbage
-collection is optional because it is only safe when the merge output is
-the *bottommost* table for its key range — i.e. the final merge of a
-major compaction.
+bit-identical implementations: a columnar run merge (a stable argsort
+of the concatenated key column, which timsort runs as a merge of the k
+sorted inputs, then the newest seqno per equal-key group and a
+tombstone mask) used whenever every input can expose int64 columns, and
+the heap-based k-way merge-sort: the columnar kernel's oracle and the
+only merge for tables numpy cannot represent (generic keys, payload
+bytes).  Tombstone garbage collection is optional because it is only
+safe when the merge output is the *bottommost* table for its key range
+— i.e. the final merge of a major compaction.
 """
 
 from __future__ import annotations
@@ -416,16 +417,23 @@ class SSTable:
 
 
 def newest_per_key(columns: Sequence[TableColumns]):
-    """Concatenate sorted runs and find each key's newest record.
+    """Merge sorted runs and find each key's newest record.
 
     Returns ``(keys, seqnos, tombstones, survivors)``: the concatenated
     columns (``tombstones`` is ``None`` when no input has any) and, in
     ascending key order, the index into them of each key's survivor.
     The survivor is the record with the highest seqno, and should two
-    inputs ever carry the *same* (key, seqno) the earliest input wins —
-    ``heapq.merge`` is stable, so the negated stream index reproduces
-    the heap kernel's tie-break (and the engine scan's strict ``>``
-    over sources oldest first) exactly.
+    inputs ever carry the *same* (key, seqno) the earliest input wins.
+
+    Every run is strictly ascending, so a stable argsort of the key
+    column is timsort merging the k runs it detects, and it leaves each
+    group of equal keys in input order (one record per input, since a
+    run never repeats a key).  The survivor is then the group's first
+    position holding its maximum seqno: the newest record, and among
+    equal newest ones the earliest input.  ``heapq.merge`` is stable
+    over its streams and pops ``(key, -seqno)`` ascending, so the heap
+    kernel keeps that same record, as does the engine scan's strict
+    ``>`` over sources oldest first.
     """
     keys = _np.concatenate([column.keys for column in columns])
     seqnos = _np.concatenate([column.seqnos for column in columns])
@@ -439,16 +447,27 @@ def newest_per_key(columns: Sequence[TableColumns]):
                 for column in columns
             ]
         )
-    streams = _np.repeat(
-        _np.arange(len(columns), dtype=_np.int64),
-        [column.keys.size for column in columns],
-    )
-    order = _np.lexsort((-streams, seqnos, keys))
+    order = _np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
-    newest = _np.empty(sorted_keys.shape, dtype=bool)
-    newest[:-1] = sorted_keys[1:] != sorted_keys[:-1]
-    newest[-1] = True
-    return keys, seqnos, tombstones, order[newest]
+    repeated = _np.flatnonzero(sorted_keys[1:] == sorted_keys[:-1])
+    if not repeated.size:
+        return keys, seqnos, tombstones, order
+    # Only the records of repeated keys compete: gather them, find where
+    # each equal-key group starts, and un-mark each group's survivor.
+    shared = _np.zeros(keys.size, dtype=bool)
+    shared[repeated] = shared[repeated + 1] = True
+    members = _np.flatnonzero(shared)
+    member_keys = sorted_keys[members]
+    starts = _np.flatnonzero(
+        _np.concatenate(([True], member_keys[1:] != member_keys[:-1]))
+    )
+    member_seqnos = seqnos[order[members]]
+    newest = _np.maximum.reduceat(member_seqnos, starts)
+    lengths = _np.diff(starts, append=members.size)
+    candidates = _np.arange(members.size)
+    candidates[member_seqnos != _np.repeat(newest, lengths)] = members.size
+    shared[members[_np.minimum.reduceat(candidates, starts)]] = False
+    return keys, seqnos, tombstones, order[~shared]
 
 
 def _merge_columnar(

@@ -11,19 +11,32 @@ The parallel merge engine rests on two invariants:
   worker count.
 
 Both are checked here over hypothesis-generated random valid schedules.
+A counted bound on the intermediate tables alive during an SI and a
+BT(I) schedule checks that settling frees them as it goes.
 """
 
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MergeSchedule, MergeStep
 from repro.errors import CompactionError
-from repro.lsm import Record, SSTable, SimulatedDisk, execute_schedule
+from repro.lsm import (
+    MajorCompaction,
+    Record,
+    SSTable,
+    SimulatedDisk,
+    execute_schedule,
+)
+from repro.lsm.compaction import executor as executor_module
 from repro.lsm.compaction import make_execution_backend, plan_schedule
 from repro.lsm.compaction.executor import resolve_merge_workers
 
@@ -204,3 +217,98 @@ class TestBackendErrors:
     def test_serial_backend_defaults_to_one_worker(self):
         assert make_execution_backend("serial").workers == 1
         assert make_execution_backend("thread", 4).workers == 4
+
+    def test_serial_backend_reports_one_worker_whatever_is_asked(self):
+        """A worker count is the thread backend's setting: the serial loop
+        merges one step at a time, so it records one worker and its
+        utilization is not divided by workers it never used."""
+        assert make_execution_backend("serial", 4).workers == 1
+        tables = make_tables(4, seed=5)
+        schedule = MergeSchedule(
+            4, [MergeStep((0, 1), 4), MergeStep((2, 3), 5), MergeStep((4, 5), 6)]
+        )
+        result = execute_schedule(
+            tables, schedule, SimulatedDisk(), next_table_id=10,
+            executor="serial", workers=4,
+        )
+        assert result.merge_workers == 1
+        assert 0.0 < result.merge_utilization <= 1.0
+
+
+class TestIntermediatesFreed:
+    """A counted memory bound: an intermediate table is dropped once the
+    step consuming it is settled, not kept until the schedule ends.
+
+    Every ``_merge_step`` output is watched through a weakref.  When a
+    step's merge starts, the intermediates still alive are counted and
+    held to the number of tables live in the schedule just before that
+    step.  The thread backend may run ``workers`` steps ahead of its
+    settle cursor, so it gets that many more.  Keeping every output
+    until a post-pass lets the count reach ``n - 2``.
+    """
+
+    N_TABLES = 32
+    FIRST_ID = 1_000
+
+    @staticmethod
+    def columnar_tables(n_tables, seed):
+        rng = np.random.default_rng(seed)
+        tables = []
+        for table_id in range(n_tables):
+            keys = np.unique(rng.integers(0, 5_000, 300))
+            tables.append(
+                SSTable.from_columns(
+                    table_id, keys, rng.permutation(keys.size) + 1_000 * table_id, 40
+                )
+            )
+        return tables
+
+    @pytest.mark.parametrize("policy", ["SI", "BT(I)"])
+    @pytest.mark.parametrize("executor, workers", [("serial", 1), ("thread", 2)])
+    def test_alive_intermediates_stay_within_the_live_tables(
+        self, monkeypatch, policy, executor, workers
+    ):
+        watched: list[weakref.ref] = []
+        calls: list[tuple[int, int]] = []  # (output table id, alive)
+        lock = threading.Lock()
+        merge_step = executor_module._merge_step
+
+        def counting_merge_step(inputs, new_table_id, *args):
+            with lock:
+                calls.append(
+                    (new_table_id, sum(ref() is not None for ref in watched))
+                )
+            output, seconds = merge_step(inputs, new_table_id, *args)
+            with lock:
+                watched.append(weakref.ref(output))
+            return output, seconds
+
+        monkeypatch.setattr(executor_module, "_merge_step", counting_merge_step)
+        tables = self.columnar_tables(self.N_TABLES, seed=17)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # shake the thread interleavings
+        try:
+            result = MajorCompaction(
+                policy,
+                merge_kernel="columnar",
+                merge_executor=executor,
+                merge_workers=workers,
+            ).compact(tables, SimulatedDisk(), next_table_id=self.FIRST_ID)
+        finally:
+            sys.setswitchinterval(interval)
+
+        live_before = []  # tables live in the schedule before each step
+        live = self.N_TABLES
+        for step in result.schedule.steps:
+            live_before.append(live)
+            live -= len(step.inputs) - 1
+        slack = workers if executor == "thread" else 0
+        assert len(calls) == result.schedule.n_steps == self.N_TABLES - 1
+        for table_id, alive in calls:
+            assert alive <= live_before[table_id - self.FIRST_ID] + slack, (
+                table_id, alive
+            )
+        # The only survivor is the schedule's output.
+        assert [ref() for ref in watched if ref() is not None] == [
+            result.output_table
+        ]

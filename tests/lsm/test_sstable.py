@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.lsm import Record, SSTable, merge_sstables, table_from_records
+from repro.lsm.sstable import newest_per_key
 
 
 def make_table(table_id, keys, seqno_start=1, tombstones=(), value_size=100):
@@ -263,6 +264,30 @@ class TestColumnarTables:
         assert len(batched) == len(scalar)
 
 
+@st.composite
+def merge_inputs(draw):
+    """1..6 runs over a small key space, as (keys, seqnos, value sizes,
+    tombstones) lists: keys overlap across runs, seqnos come from a
+    range small enough that equal (key, seqno) pairs recur, and each
+    example's tombstones are none, some or all of its records."""
+    tombstones = draw(st.sampled_from(["none", "some", "all"]))
+    inputs = []
+    for _ in range(draw(st.integers(1, 6))):
+        keys = sorted(draw(st.sets(st.integers(0, 20), min_size=1, max_size=12)))
+
+        def column(values, size=len(keys)):
+            return st.lists(values, min_size=size, max_size=size)
+
+        seqnos = draw(column(st.integers(1, 8)))
+        values = draw(column(st.integers(0, 99)))
+        if tombstones == "some":
+            dead = draw(column(st.booleans()))
+        else:
+            dead = [tombstones == "all"] * len(keys)
+        inputs.append((keys, seqnos, values, dead))
+    return inputs
+
+
 class TestMergeKernels:
     def tables(self, tombstones=()):
         return [
@@ -303,6 +328,41 @@ class TestMergeKernels:
         heap = merge_sstables([first, second], 9, kernel="heap")
         assert columnar.records == heap.records
         assert columnar.records[0].value_size == 11
+
+    @given(inputs=merge_inputs(), drop=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_columnar_equals_heap_on_drawn_inputs(self, inputs, drop):
+        """k = 1..6 overlapping runs, equal (key, seqno) pairs across
+        inputs, tombstones (all of them, sometimes): both kernels keep
+        the same records, tie-break and all-tombstoned marker included."""
+        tables = [
+            SSTable.from_columns(table_id, *columns)
+            for table_id, columns in enumerate(inputs)
+        ]
+        columnar = merge_sstables(tables, 99, drop_tombstones=drop, kernel="columnar")
+        heap = merge_sstables(tables, 99, drop_tombstones=drop, kernel="heap")
+        assert columnar.records == heap.records
+        assert columnar.size_bytes == heap.size_bytes
+        assert columnar.table_id == heap.table_id
+
+    @given(inputs=merge_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_newest_per_key_equals_a_dict_replay(self, inputs):
+        """The survivor of each key is its highest seqno, and the
+        earliest input among equal highest seqnos."""
+        columns = [
+            SSTable.from_columns(table_id, *columns).columns()
+            for table_id, columns in enumerate(inputs)
+        ]
+        newest: dict[int, tuple[int, int]] = {}  # key -> (seqno, position)
+        position = 0
+        for keys, seqnos, _values, _tombstones in inputs:
+            for key, seqno in zip(keys, seqnos):
+                if key not in newest or seqno > newest[key][0]:
+                    newest[key] = (seqno, position)
+                position += 1
+        *_, survivors = newest_per_key(columns)
+        assert survivors.tolist() == [newest[key][1] for key in sorted(newest)]
 
     def test_columnar_kernel_requires_columns(self):
         table = SSTable(0, [Record.put("a", 1)])
