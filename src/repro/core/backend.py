@@ -129,13 +129,8 @@ class BitsetBackend(SetBackend):
         return self._encoder
 
     def encode_instance(self, instance) -> tuple[int, ...]:
-        encoding = getattr(instance, "bitset_encoding", None)
-        if encoding is not None:
-            self._encoder, encoded = encoding
-            return encoded
-        # duck-typed instance: anything with a ``.sets`` tuple
-        self._encoder = BitsetEncoder()
-        return tuple(map(self._encoder.encode, instance.sets))
+        self._encoder, encoded = instance.bitset_encoding
+        return encoded
 
     def encode(self, keys: Iterable[Key]) -> int:
         return self.encoder.encode(keys)

@@ -15,15 +15,16 @@ the derived quantities the paper's analysis relies on:
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
+from contextlib import suppress
 from functools import cached_property
 
+import numpy as _np
+
 from ..errors import InvalidInstanceError
-from .keyset import BitsetEncoder, Key, freeze_all, union_all
+from .keyset import BitsetEncoder, Key, concat_ascending, freeze_all, union_all
 
 
-@dataclass(frozen=True)
 class MergeInstance:
     """An immutable collection of input key sets ``A_1, ..., A_n``.
 
@@ -31,11 +32,18 @@ class MergeInstance:
     set and every set must be non-empty (an empty sstable would never be
     produced by a memtable flush, and permitting it would make several of
     the paper's bounds vacuous).
+
+    An instance built by :meth:`from_columns` holds sorted ``int64`` key
+    columns instead of sets: sizes read the columns, the bitset encoding
+    is built from them in one numpy pass, and :attr:`sets` is only
+    materialised for callers that iterate keys.
     """
 
-    sets: tuple[frozenset, ...]
+    #: Sorted int64 key columns (``from_columns``), else ``None``.
+    _columns: tuple[_np.ndarray, ...] | None = None
 
-    def __post_init__(self) -> None:
+    def __init__(self, sets: tuple[frozenset, ...]) -> None:
+        self.sets = self._parts = tuple(sets)
         if not self.sets:
             raise InvalidInstanceError("a merge instance needs at least one set")
         for index, s in enumerate(self.sets):
@@ -52,13 +60,28 @@ class MergeInstance:
         """Build an instance from any iterable of key iterables."""
         return cls(freeze_all(collections))
 
+    @classmethod
+    def from_columns(cls, columns: Sequence[_np.ndarray]) -> "MergeInstance":
+        """Build an instance from strictly ascending ``int64`` key columns,
+        one per set (an sstable's key column, no copy)."""
+        columns = tuple(_np.asarray(column, dtype=_np.int64) for column in columns)
+        concat_ascending(columns)
+        instance = cls.__new__(cls)
+        instance._columns = instance._parts = columns
+        return instance
+
+    @cached_property
+    def sets(self) -> tuple[frozenset, ...]:
+        """The input key sets (built from the columns on first use)."""
+        return tuple(frozenset(column.tolist()) for column in self._columns)
+
     @property
     def n(self) -> int:
         """Number of input sets."""
-        return len(self.sets)
+        return len(self._parts)
 
     def __len__(self) -> int:
-        return len(self.sets)
+        return len(self._parts)
 
     def __iter__(self):
         return iter(self.sets)
@@ -79,7 +102,7 @@ class MergeInstance:
     @cached_property
     def total_input_size(self) -> int:
         """``LOPT = sum(|A_i|)`` — the paper's lower bound on OPT (§4.1)."""
-        return sum(len(s) for s in self.sets)
+        return sum(map(len, self._parts))
 
     @cached_property
     def element_frequencies(self) -> dict[Key, int]:
@@ -100,8 +123,17 @@ class MergeInstance:
 
         Cached so that every bitset-backend run over the same instance
         (greedy, replay, the exact solver's callers) shares one encoding
-        instead of re-walking the key sets.
+        instead of re-walking the key sets.  Int keys take the one-pass
+        column build (sets of plain ints are sorted into columns first);
+        keys numpy cannot represent — not a plain ``int`` (``bool``
+        included) or beyond int64 — take the per-key walk.
         """
+        columns = self._columns
+        if columns is None and all(set(map(type, s)) <= {int} for s in self.sets):
+            with suppress(OverflowError):
+                columns = tuple(_np.sort(_np.fromiter(s, _np.int64)) for s in self.sets)
+        if columns is not None:
+            return BitsetEncoder.from_columns(columns)
         encoder = BitsetEncoder()
         return encoder, tuple(map(encoder.encode, self.sets))
 
@@ -137,7 +169,7 @@ class MergeInstance:
 
     def sizes(self) -> tuple[int, ...]:
         """Cardinalities of the input sets, in order."""
-        return tuple(len(s) for s in self.sets)
+        return tuple(map(len, self._parts))
 
     def describe(self) -> str:
         """One-line human-readable summary used by examples and logs."""

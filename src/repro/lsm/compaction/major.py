@@ -2,10 +2,11 @@
 
 This is the bridge between :mod:`repro.core` and the storage substrate:
 
-1. model each sstable as its key set (:class:`MergeInstance`) — built
-   once per distinct list of input tables, so the strategies a
-   comparison cell runs over the same tables share one instance and with
-   it one bitset encoding (see :func:`_instance_for`),
+1. model each sstable as its key set (:class:`MergeInstance`, over the
+   tables' key columns) — built once per distinct list of input tables,
+   so the strategies a comparison cell runs over the same tables share
+   one instance and with it one bitset encoding (see
+   :func:`_instance_for`),
 2. build the configured policy (SI / SO / BT(I) / BT(O) / LM / RANDOM)
    with :func:`~repro.core.policies.base.make_policy` — the one place
    an estimator spec is resolved — and, when the policy consults an
@@ -58,16 +59,23 @@ def _instance_for(tables: Sequence[SSTable]) -> MergeInstance:
     """The :class:`MergeInstance` of ``tables``, shared across strategies.
 
     A comparison cell compacts the *same* table objects once per
-    strategy; sstables are immutable, so their instance — key-set tuple,
+    strategy; sstables are immutable, so their instance — key columns,
     cached bitset encoding, instance-level sketch cache — is too, and is
-    built once per distinct list of tables.  An engine's background
-    compactions hand in different tables every time and never hit it.
+    built once per distinct list of tables.  Tables are modelled by their
+    int64 key columns (no per-key Python); a table without a column view
+    (non-int keys, payload bytes) sends the list through ``key_set``.
+    An engine's background compactions hand in different tables every
+    time and never hit it.
     """
     refs, instance = _modelled.get(tables[0], ((), None))
     if len(refs) != len(tables) or any(
         ref() is not table for ref, table in zip(refs, tables)
     ):
-        instance = MergeInstance(tuple(table.key_set for table in tables))
+        columns = [table.columns() for table in tables]
+        if all(column is not None for column in columns):
+            instance = MergeInstance.from_columns([column.keys for column in columns])
+        else:
+            instance = MergeInstance(tuple(table.key_set for table in tables))
         _modelled.clear()
         _modelled[tables[0]] = (tuple(map(weakref.ref, tables)), instance)
     return instance

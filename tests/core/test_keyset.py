@@ -1,10 +1,14 @@
 """Tests for key-set helpers and the bitset encoder."""
 
+from itertools import combinations_with_replacement
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.keyset import BitsetEncoder, freeze, freeze_all, union_all
+from repro.errors import InvalidInstanceError
 
 
 class TestFreeze:
@@ -122,3 +126,53 @@ class TestBitsetEncoderEdgeCases:
         assert enc.encode({"a"}) == old
         assert enc.universe_size == 2
 
+
+
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def overlapping_columns(draw):
+    """1..12 strictly ascending int64 columns drawn from one small pool of
+    keys (so they overlap), with the int64 extremes and negative keys
+    in reach and, sometimes, a table repeated verbatim."""
+    edges = st.sampled_from([INT64_MIN, INT64_MIN + 1, -1, 0, INT64_MAX])
+    keys = st.one_of(edges, st.integers(-50, 50), st.integers(INT64_MIN, INT64_MAX))
+    pool = draw(st.lists(keys, min_size=1, max_size=40, unique=True))
+    column = st.lists(st.sampled_from(pool), min_size=1, unique=True).map(sorted)
+    columns = draw(st.lists(column, min_size=1, max_size=11))
+    if draw(st.booleans()):
+        columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+    return [np.array(keys, dtype=np.int64) for keys in columns]
+
+
+class TestOnePassBuild:
+    """``BitsetEncoder.from_columns`` against its oracle, the per-key walk."""
+
+    @given(overlapping_columns())
+    def test_matches_the_per_key_walk(self, columns):
+        batch, handles = BitsetEncoder.from_columns(columns)
+        oracle = BitsetEncoder()
+        expected = [oracle.encode(frozenset(column.tolist())) for column in columns]
+        size = batch.universe_size
+        assert size == oracle.universe_size
+        assert [h.bit_count() for h in handles] == [h.bit_count() for h in expected]
+        for i, j in combinations_with_replacement(range(len(columns)), 2):
+            union, meet = handles[i] | handles[j], handles[i] & handles[j]
+            assert union.bit_count() == (expected[i] | expected[j]).bit_count()
+            assert meet.bit_count() == (expected[i] & expected[j]).bit_count()
+        # The first per-key call builds the lazy dict: a new key takes the
+        # next free position, and every old key keeps its sorted rank.
+        assert batch.encode({"fresh"}) == 1 << size
+        assert batch.key_at(size) == "fresh"
+        universe = sorted(set().union(*(column.tolist() for column in columns)))
+        assert [batch.key_at(i) for i in range(size)] == universe
+        for handle, column in zip(handles, columns):
+            assert batch.decode(handle) == set(column.tolist())
+
+    @pytest.mark.parametrize(
+        "columns", [[], [[1, 2], []], [[], [1, 2]], [[1, 3], [2, 2]], [[3, 1]]]
+    )
+    def test_rejects_missing_empty_or_unsorted_columns(self, columns):
+        with pytest.raises(InvalidInstanceError):
+            BitsetEncoder.from_columns([np.array(c, dtype=np.int64) for c in columns])

@@ -4,7 +4,9 @@ The strategies of one comparison cell compact the same table objects, so
 they share one ``MergeInstance`` (and its bitset encoding) through the
 weak memo in ``lsm.compaction.major``.  Pinned here: the sharing
 happens, it changes no result, and the memo keeps neither tables nor
-instances alive once the caller drops the tables.
+instances alive once the caller drops the tables.  Encodings are counted
+as one-pass column builds (``BitsetEncoder.from_columns``), the only way
+an int-keyed instance is encoded.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import gc
 import weakref
 
-from repro.core import instance as instance_module
 from repro.core.keyset import BitsetEncoder
 from repro.lsm import CompactionController, EngineConfig, LSMEngine, MajorCompaction
 from repro.lsm.compaction import major
@@ -39,13 +40,13 @@ def _config() -> SimulationConfig:
 
 def _count_encoders(monkeypatch) -> list[int]:
     built = [0]
+    build = BitsetEncoder.from_columns.__func__
 
-    class CountingEncoder(BitsetEncoder):
-        def __init__(self, *args, **kwargs) -> None:
-            built[0] += 1
-            super().__init__(*args, **kwargs)
+    def counting_build(cls, columns):
+        built[0] += 1
+        return build(cls, columns)
 
-    monkeypatch.setattr(instance_module, "BitsetEncoder", CountingEncoder)
+    monkeypatch.setattr(BitsetEncoder, "from_columns", classmethod(counting_build))
     return built
 
 
