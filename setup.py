@@ -26,6 +26,7 @@ setup(
     },
     # Required, not an extra: the HLL kernels, the columnar data plane,
     # the op-stream generator and the shard split are numpy end to end,
-    # and `import repro` fails loudly without it.
-    install_requires=["numpy"],
+    # and `import repro` fails loudly without it.  2.0 is the floor:
+    # the HLL zero-count kernel calls `numpy.bitwise_count`.
+    install_requires=["numpy>=2.0"],
 )

@@ -61,12 +61,32 @@ def _linear_counts(m: int):
 
     Filled with the scalar expression of
     ``HyperLogLog._estimate_from_stats`` so the batched path stays
-    bit-identical to it (``numpy.log`` may differ in the last ulp);
-    slot 0 is never selected.  Read-only: the array is shared.
+    bit-identical to it (``numpy.log`` may differ in the last ulp).
+    Slot 0 is gathered for ``z = 0`` combos but always overwritten by
+    the term pass (``z = 0`` is below the linear floor), so it never
+    reaches a returned estimate.  Read-only: the array is shared.
     """
     table = _np.array([0.0] + [m * math.log(m / zeros) for zeros in range(1, m + 1)])
     table.setflags(write=False)
     return table
+
+
+@lru_cache(maxsize=8)
+def _linear_floor(m: int, alpha_mm: float) -> int:
+    """The least zero count ``z >= 1`` with ``alpha_mm / z <= 2.5 * m``.
+
+    A union with ``z`` zero registers has harmonic sum ``H >= z`` (each
+    zero register adds exactly 1), and correctly rounded division is
+    monotone, so its raw estimate ``alpha_mm / H <= alpha_mm / z``: from
+    this many zeros up, ``HyperLogLog._estimate_from_stats`` picks linear
+    counting whatever the rest of ``H`` is.
+    """
+    zeros = max(1, math.floor(alpha_mm / (2.5 * m)))
+    while zeros > 1 and alpha_mm / (zeros - 1) <= 2.5 * m:
+        zeros -= 1
+    while alpha_mm / zeros > 2.5 * m:
+        zeros += 1
+    return zeros
 
 
 class CardinalityEstimator(ABC):
@@ -250,19 +270,26 @@ class HllEstimator(CardinalityEstimator):
     ) -> list[float]:
         if self._matrix is None or len(combos) < 2:
             return super().union_cardinalities(state, combos)
-        # One gather maps every table id in the batch to its matrix row;
-        # the raw estimates divide out vectorized (same IEEE ops as the
-        # scalar path, so values are bit-identical) and rows in the
-        # linear-counting regime select from the per-m table.
+        # One gather maps every table id in the batch to its matrix row.
+        # The zeros-only pass settles every combo whose zero count alone
+        # proves linear counting (see _linear_floor); only the rest pay
+        # for the term pass, whose raw estimates divide out vectorized
+        # (same IEEE ops as the scalar path, so values are bit-identical).
         combos = _np.asarray(combos, dtype=_np.intp)
         rows = self._row_of[combos]
         first = self._sketches[int(combos[0, 0])]
-        chunks = list(self._matrix.union_stats_chunks(rows))
-        totals = _np.concatenate([chunk[0] for chunk in chunks])
-        zeros = _np.concatenate([chunk[1] for chunk in chunks])
-        raws = first._alpha_mm / (totals / self._matrix.term_one)
-        linear = (raws <= 2.5 * first.m) & (zeros > 0)
-        return _np.where(linear, _linear_counts(first.m)[zeros], raws).tolist()
+        m = first.m
+        linear_counts = _linear_counts(m)
+        zeros = self._matrix.union_zeros(rows)
+        estimates = linear_counts[zeros]
+        hard = _np.flatnonzero(zeros < _linear_floor(m, first._alpha_mm))
+        if len(hard):
+            totals = self._matrix.union_totals(rows[hard])
+            raws = first._alpha_mm / (totals / self._matrix.term_one)
+            hard_zeros = zeros[hard]
+            linear = (raws <= 2.5 * m) & (hard_zeros > 0)
+            estimates[hard] = _np.where(linear, linear_counts[hard_zeros], raws)
+        return estimates.tolist()
 
     def observe_merge(
         self, state: "GreedyState", consumed: tuple[int, ...], new_id: int

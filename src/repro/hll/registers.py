@@ -17,10 +17,11 @@ pure-Python paths return bit-identical values regardless of summation
 order.  :meth:`RegisterArray.union_stats` fuses the element-wise max of
 several arrays with that reduction, estimating one union without
 materializing a merged register array; :class:`TermMatrix` reduces whole
-batches of candidate unions the same way over uint16 terms plus exact
-spill columns (:meth:`TermMatrix.union_stats_chunks`, its only
-estimation entry point: :class:`~repro.core.estimator.HllEstimator`
-turns the chunks' exact integer sums into estimates).
+batches of candidate unions the same way, in two passes:
+:meth:`TermMatrix.union_zeros` over packed zero bits, and
+:meth:`TermMatrix.union_totals` over uint16 terms plus exact spill
+columns (:class:`~repro.core.estimator.HllEstimator` settles most combos
+from the first and turns the second's exact integer sums into estimates).
 """
 
 from __future__ import annotations
@@ -58,20 +59,13 @@ _SPILL_FIX = _np.array(
     ],
     dtype=_np.int64,
 )
-#: Combos reduced per vectorized call: at p = 12, 64-row chunks (512 KB
-#: of terms) measured ~20 % faster per pair than 256-row ones.
+#: Combos per term-pass call: at p = 12 on the large unions the zeros
+#: pass leaves over, 64-row chunks (512 KB of terms) measured fastest
+#: (~20 % ahead of 192 rows on BT(O)'s triples, level on SO's pairs).
 _CHUNK_ROWS = 64
-
-
-if hasattr(_np, "bitwise_count"):
-    _popcount = _np.bitwise_count
-else:  # pragma: no cover - numpy < 2.0
-    _POPCNT_LUT = _np.array(
-        [bin(value).count("1") for value in range(256)], dtype=_np.uint8
-    )
-
-    def _popcount(bits):
-        return _POPCNT_LUT[bits]
+#: Combos per zeros-only chunk: 1024 rows of zero bits are 512 KB at
+#: p = 12, and measured ~8 % faster than 256-row chunks.
+_ZERO_CHUNK_ROWS = 1024
 
 
 def _dyadic_harmonic(counts: Sequence[int]) -> float:
@@ -284,7 +278,8 @@ class TermMatrix:
     """
 
     __slots__ = (
-        "m", "spill_columns", "_acc", "_matrix", "_zbits", "_spill", "_rows"
+        "m", "spill_columns", "zero_rows", "term_rows",
+        "_acc", "_matrix", "_zbits", "_spill", "_rows",
     )
 
     #: Totals are in these units: a combo's harmonic sum is
@@ -294,15 +289,18 @@ class TermMatrix:
     def __init__(self, m: int, spill_columns=(), capacity: int = 16) -> None:
         self.m = m
         self.spill_columns = _np.asarray(spill_columns, dtype=_np.intp)
+        # Combos reduced by each pass, for work-count tests and benches.
+        self.zero_rows = 0
+        self.term_rows = 0
         # m terms of at most 2**15 stay below 2**32 up to m = 2**16.
         self._acc = _np.uint32 if m <= 1 << 16 else _np.int64
         self._rows = 0
         capacity = max(1, capacity)
         self._matrix = _np.empty((capacity, m), dtype=_np.uint16)
-        # Zero-register indicators packed 8 per byte: the union's zeros
-        # are popcount(AND of rows) — a few hundred bytes per estimate
-        # instead of an equality pass over the whole term row.
-        self._zbits = _np.empty((capacity, (m + 7) // 8), dtype=_np.uint8)
+        # Zero-register indicators packed 64 per word (the tail padded
+        # with 0 bits): the union's zeros are popcount(AND of rows) — m/8
+        # bytes per estimate instead of a pass over the 2m-byte term row.
+        self._zbits = _np.empty((capacity, -(-m // 64)), dtype=_np.uint64)
         self._spill = _np.empty(
             (capacity, len(self.spill_columns)), dtype=_np.uint8
         )
@@ -349,7 +347,9 @@ class TermMatrix:
         row = self._rows
         self._grow_to(row + 1)
         self._matrix[row] = _TERM_LUT[_np.minimum(regs, _TERM_SHIFT)]
-        self._zbits[row] = _np.packbits(regs == 0)
+        zero = _np.zeros(64 * self._zbits.shape[1], dtype=bool)
+        zero[: self.m] = regs == 0
+        self._zbits[row] = _np.packbits(zero).view(_np.uint64)
         self._spill[row] = spill
         self._rows += 1
         return row
@@ -371,56 +371,66 @@ class TermMatrix:
         self._rows += 1
         return row
 
-    def union_stats_chunks(self, row_combos):
-        """Yield ``(totals, zeros)`` integer arrays per chunk of combos.
+    def union_zeros(self, row_combos) -> _np.ndarray:
+        """Zero-register count of each combo's union.
+
+        ``row_combos`` is an (n, k) integer array of row indices.  Each
+        count is the popcount of the AND of the combo's zero bits: m/8
+        bytes per row, against the 2m-byte term rows of
+        :meth:`union_totals`, so large chunks stay cache-sized.
+        """
+        row_combos = _combo_rows(row_combos)
+        self.zero_rows += len(row_combos)
+        zeros = _np.empty(len(row_combos), dtype=_np.uint32)
+        for start in range(0, len(row_combos), _ZERO_CHUNK_ROWS):
+            chunk = row_combos[start : start + _ZERO_CHUNK_ROWS]
+            merged = self._zbits[chunk[:, 0]]
+            for partner in chunk.T[1:]:
+                _np.bitwise_and(merged, self._zbits[partner], out=merged)
+            _np.bitwise_count(merged).sum(
+                axis=1, dtype=_np.uint32, out=zeros[start : start + len(chunk)]
+            )
+        return zeros
+
+    def union_totals(self, row_combos) -> _np.ndarray:
+        """Exact harmonic sum of each combo's union, in ``term_one`` units.
 
         ``row_combos`` is an (n, k) integer array of row indices; a
-        combo's exact harmonic sum is ``totals[i] / term_one``.  Chunks
-        of ``_CHUNK_ROWS`` combos reduce in single vectorized min/sum
+        combo's harmonic sum is ``totals[i] / term_one``.  Chunks of
+        ``_CHUNK_ROWS`` combos reduce in single vectorized min/sum
         calls, and the sums are exact dyadic integers, so downstream
         estimates are bit-identical to :meth:`RegisterArray.union_stats`
         over the same sketches.
 
-        Pair batches that share a row — SO's cache fills and per-merge
-        refreshes both do — reduce against that row broadcast, halving
-        the gather traffic of the general path.
+        Pair batches sharing their right row — SO's per-merge refresh
+        pairs every survivor with the newest table — reduce against that
+        row broadcast, halving the gather traffic of the general path.
         """
-        row_combos = _np.asarray(row_combos, dtype=_np.intp)
-        if row_combos.ndim != 2:
-            raise ValueError("row_combos must be a 2-D (n, k) index array")
-        if row_combos.shape[1] == 2 and len(row_combos) > 1:
-            firsts, seconds = row_combos[:, 0], row_combos[:, 1]
-            if bool((seconds == seconds[0]).all()):
-                # One shared right row — SO's per-merge refresh batches
-                # pair every survivor with the newest table.
-                for start in range(0, len(firsts), _CHUNK_ROWS):
-                    yield self._stats(
-                        firsts[start : start + _CHUNK_ROWS], (int(seconds[0]),)
-                    )
-                return
-            bounds = _np.flatnonzero(
-                _np.r_[True, firsts[1:] != firsts[:-1], True]
+        row_combos = _combo_rows(row_combos)
+        self.term_rows += len(row_combos)
+        lefts, partners = row_combos[:, 0], row_combos.T[1:]
+        shared = (
+            len(partners) == 1
+            and len(lefts) > 1
+            and bool((partners[0] == partners[0, 0]).all())
+        )
+        totals = [_np.zeros(0, dtype=_np.int64)]
+        for start in range(0, len(lefts), _CHUNK_ROWS):
+            stop = start + _CHUNK_ROWS
+            totals.append(
+                self._totals(
+                    lefts[start:stop],
+                    partners[:, 0] if shared else partners[:, start:stop],
+                )
             )
-            if len(row_combos) >= 8 * (len(bounds) - 1):
-                for left, right in zip(bounds[:-1], bounds[1:]):
-                    for start in range(left, right, _CHUNK_ROWS):
-                        stop = min(start + _CHUNK_ROWS, right)
-                        yield self._stats(
-                            seconds[start:stop], (int(firsts[left]),)
-                        )
-                return
-        for start in range(0, len(row_combos), _CHUNK_ROWS):
-            chunk = row_combos[start : start + _CHUNK_ROWS]
-            yield self._stats(chunk[:, 0], chunk.T[1:])
+        return _np.concatenate(totals)
 
-    def _stats(self, rows, partners):
-        """``(totals, zeros)`` of each of ``rows`` unioned with every
-        partner: a row-index array parallel to ``rows`` or one row."""
+    def _totals(self, rows, partners):
+        """Exact sums of each of ``rows`` unioned with every partner: a
+        row-index array parallel to ``rows``, or one row index."""
         merged = self._matrix[rows]
-        zmerged = self._zbits[rows]
         for partner in partners:
             _np.minimum(merged, self._matrix[partner], out=merged)
-            _np.bitwise_and(zmerged, self._zbits[partner], out=zmerged)
         totals = merged.sum(axis=1, dtype=self._acc).astype(_np.int64)
         totals <<= _SPILL_SHIFT - _TERM_SHIFT
         if len(self.spill_columns):
@@ -428,4 +438,11 @@ class TermMatrix:
             for partner in partners:
                 _np.maximum(spill, self._spill[partner], out=spill)
             totals += _SPILL_FIX[spill].sum(axis=1)
-        return totals, _popcount(zmerged).sum(axis=1, dtype=_np.uint32)
+        return totals
+
+
+def _combo_rows(row_combos) -> _np.ndarray:
+    row_combos = _np.asarray(row_combos, dtype=_np.intp)
+    if row_combos.ndim != 2:
+        raise ValueError("row_combos must be a 2-D (n, k) index array")
+    return row_combos

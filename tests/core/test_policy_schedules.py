@@ -118,6 +118,17 @@ def test_fixture_depends_on_the_scores(pinned):
     assert pinned[WIDE_CASE]["SO"] != pinned[WIDE_CASE]["BT(O)"]
 
 
+@pytest.mark.parametrize("case", ("latest/seed=1", "zipfian/seed=1"))
+def test_most_estimates_skip_the_term_pass(case):
+    """At figure-7 scale most candidate unions keep enough zero registers
+    to prove linear counting, so the zeros pass settles them and at most
+    a fifth of the combos SO(hll) and BT(O) estimate reach the 2m-byte
+    term rows."""
+    for name in ("SO", "BT(O)"):
+        matrix = _run(_instance(case), name, "hll")[0].estimator._matrix
+        assert 0 < matrix.term_rows <= 0.2 * matrix.zero_rows, name
+
+
 def test_fixture_reaches_the_spill_columns():
     """The pin only guards the spill path if some p = 12 run takes it:
     a register of rank >= 16 in an initial sketch."""

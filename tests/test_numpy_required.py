@@ -2,9 +2,9 @@
 
 A guarded ``try: import numpy`` is how a second, silently different
 program grows back beside the one every golden and benchmark measures,
-so the three places that decide it are pinned here: the imports under
-``src/repro``, the ``setup.py`` metadata, and what ``import repro`` does
-on an interpreter that cannot import numpy.
+so the places that decide it are pinned here: the imports under
+``src/repro``, the ``setup.py`` metadata and its version floor, and what
+``import repro`` does on an interpreter that cannot import numpy.
 """
 
 from __future__ import annotations
@@ -50,8 +50,24 @@ def test_setup_declares_numpy_as_a_requirement():
         if isinstance(node, ast.Call) and getattr(node.func, "id", "") == "setup"
     ]
     keywords = {keyword.arg: keyword.value for keyword in call.keywords}
-    assert "numpy" in ast.literal_eval(keywords["install_requires"])
+    assert "numpy>=2.0" in ast.literal_eval(keywords["install_requires"])
     assert "extras_require" not in keywords
+
+
+def test_src_has_no_numpy_version_fork():
+    """The floor is the only numpy version the code knows: no
+    ``hasattr(numpy, ...)`` probe keeps a fallback for an older one."""
+    forks = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", "") == "hasattr"
+                and getattr(node.args[0], "id", "") in ("np", "_np", "numpy")
+            ):
+                forks.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert not forks, f"numpy version probes: {forks}"
 
 
 def test_import_without_numpy_fails_naming_it(tmp_path):
