@@ -11,7 +11,7 @@ the merge section at least 2x faster than the serial loop.
 On fewer cores the identity matrix still runs (that is the correctness
 half of the bar) but the speedup assertion is skipped: a 1-core box
 physically cannot exhibit parallel speedup, and the recorded
-``machine.cpu_count`` lets ``repro bench-trends`` tell cross-machine
+``machine.cpu_count`` tells a reader of two snapshots cross-machine
 movement apart from real regressions.
 
 Writes ``results/ablation_parallel_compaction.txt`` and

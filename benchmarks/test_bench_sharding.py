@@ -10,8 +10,8 @@ generation — the same trick the parallel-compaction bench uses.
 
 On fewer cores the identity half still runs but the speedup assertion
 is skipped: a 1-core box physically cannot exhibit parallel speedup,
-and the recorded ``machine.cpu_count`` lets ``repro bench-trends``
-tell cross-machine movement apart from real regressions.
+and the recorded ``machine.cpu_count`` tells a reader of two snapshots
+cross-machine movement apart from real regressions.
 
 Also records the shard-count scaling curve (1, 2, 4, 8 shards): total
 merge cost stays roughly conserved while the cluster makespan drops as

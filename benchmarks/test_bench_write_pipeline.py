@@ -14,7 +14,7 @@ reference plane's put-loop dominates its wall, so it is held to the
 identity bar only.  On fewer than 4 cores the identity matrix still
 runs (the correctness half of the bar) but the speedup assertion is
 skipped: a 1-core box physically cannot overlap builds, and the
-recorded ``machine.cpu_count`` lets ``repro bench-trends`` tell
+recorded ``machine.cpu_count`` tells a reader of two snapshots
 cross-machine movement apart from real regressions.
 
 Writes ``results/ablation_write_pipeline.txt`` and

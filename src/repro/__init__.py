@@ -21,7 +21,7 @@ The package is organized as one subpackage per subsystem:
   and the schema-versioned ``ResultsStore`` (docs/scenarios.md).
 
 Everything is driven from one CLI: ``python -m repro`` (``run``,
-``sweep``, ``list-scenarios``, ``figures``, ``bench-trends``).
+``sweep``, ``list-scenarios``, ``figures``).
 
 Quickstart::
 

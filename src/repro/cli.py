@@ -8,7 +8,6 @@ One entry point for everything the repo can run::
     python -m repro run --spec my_scenario.json    # run a JSON spec
     python -m repro sweep --parameter update_fraction --values 0,0.5,1
     python -m repro figures fig8 --out results/    # regenerate paper figures
-    python -m repro bench-trends results/          # perf trend tables
 
 ``run``, ``sweep`` and ``figures`` share one execution path and record a
 schema-versioned manifest under ``results/runs/`` (disable with
@@ -384,29 +383,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench_trends(args: argparse.Namespace) -> int:
-    from .analysis.trends import build_report, render_report
-
-    missing = [d for d in args.results_dirs if not Path(d).is_dir()]
-    if missing:
-        raise SystemExit(f"repro bench-trends: no such directory: {missing}")
-    report = build_report(args.results_dirs, threshold=args.threshold)
-    if not report.benches:
-        raise SystemExit(
-            "repro bench-trends: no BENCH_*.json snapshots found "
-            f"in {list(args.results_dirs)} (run `pytest -m slow` first)"
-        )
-    print(render_report(report, threshold=args.threshold))
-    if args.fail_on_regression and report.regressions:
-        return 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Declarative experiment CLI for the compaction repro "
-        "(scenarios, sweeps, paper figures, bench trends).",
+        "(scenarios, sweeps, paper figures).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -475,30 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_common_run_arguments(figures)
     figures.set_defaults(handler=_cmd_figures)
-
-    bench_trends = sub.add_parser(
-        "bench-trends",
-        help="render per-bench trend tables from results/BENCH_*.json "
-        "snapshots, flagging regressions",
-    )
-    bench_trends.add_argument(
-        "results_dirs",
-        nargs="*",
-        default=["results"],
-        help="snapshot directories, oldest first (default: results)",
-    )
-    bench_trends.add_argument(
-        "--threshold",
-        type=float,
-        default=0.20,
-        help="relative movement beyond which a metric is flagged (default 0.20)",
-    )
-    bench_trends.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit 1 when any directional metric regressed beyond the threshold",
-    )
-    bench_trends.set_defaults(handler=_cmd_bench_trends)
 
     return parser
 

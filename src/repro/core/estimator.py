@@ -142,8 +142,7 @@ class HllEstimator(CardinalityEstimator):
         Forwarded to every sketch; pre-seeded sketches must match.
     force_pure:
         Build sketches on the pure-Python register backing, the oracle
-        of the numpy kernels (differential tests and the estimator
-        bench).  Pre-built sketches are bypassed in this mode so the
+        of the numpy kernels (differential tests).  Pre-built sketches are bypassed in this mode so the
         whole run exercises the oracle kernels.
     """
 

@@ -6,8 +6,7 @@ routed to it.  This module hides the storage: a numpy ``uint8`` array
 (the SMALLESTOUTPUT policy evaluates thousands of sketch unions per
 compaction, where vectorized max/sum matters), or under ``force_pure``
 a ``bytearray`` with identical semantics -- the oracle the numpy kernels
-are tested against and the "pure-python" row of
-``benchmarks/test_bench_estimator_speedup.py``.
+are tested against, and nothing else.
 
 Estimation kernels are *exact* and therefore backing-independent: the
 harmonic sum ``sum(2**-M[j])`` is accumulated as a dyadic integer

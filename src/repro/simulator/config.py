@@ -219,7 +219,15 @@ class SimulationConfig:
             raise ConfigError(
                 f"shard_skew must be >= 0, got {self.shard_skew!r}"
             )
-        # Accept truthy ints from --set write_pipeline=1 and JSON specs.
+        # Accept 0 / 1 from --set write_pipeline=1 and JSON specs, but no
+        # string: bool("false") would turn the pipeline on.
+        if not (
+            isinstance(self.write_pipeline, int) and self.write_pipeline in (0, 1)
+        ):
+            raise ConfigError(
+                f"write_pipeline must be a bool, 0 or 1 (not a string), "
+                f"got {self.write_pipeline!r}"
+            )
         object.__setattr__(self, "write_pipeline", bool(self.write_pipeline))
         if self.max_immutable_memtables < 1:
             raise ConfigError(

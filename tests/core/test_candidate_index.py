@@ -271,8 +271,8 @@ def _level_sizes(n: int) -> list[int]:
     return sizes
 
 
-def _bto_work(n: int) -> tuple[BalanceTreePolicy, int]:
-    policy = make_policy("BT(O)", estimator="exact")
+def _bto_work(n: int, estimator: str = "exact") -> tuple[BalanceTreePolicy, int]:
+    policy = make_policy("BT(O)", estimator=estimator)
     result = GreedyMerger(policy, backend="bitset").run(
         random_instance(n, universe=4 * n, seed=n, max_size=24)
     )
@@ -282,12 +282,13 @@ def _bto_work(n: int) -> tuple[BalanceTreePolicy, int]:
 class TestWorkCounts:
     @pytest.mark.parametrize("n", (5, 64, 100, 256))
     def test_bto_estimates_each_level_once(self, n):
-        policy, _ = _bto_work(n)
         expected = sum(comb(size, 2) for size in _level_sizes(n))
-        assert policy.estimate_calls == expected
-        assert policy.extras()["estimate_calls"] == expected
-        assert policy.index.pushes == expected
-        assert policy.index.pops <= policy.index.pushes
+        for estimator in ESTIMATORS:
+            policy, _ = _bto_work(n, estimator)
+            assert policy.estimate_calls == expected, estimator
+            assert policy.extras()["estimate_calls"] == expected, estimator
+            assert policy.index.pushes == expected, estimator
+            assert policy.index.pops <= policy.index.pushes, estimator
 
     def test_bto_work_per_merge_grows_linearly(self):
         small, small_steps = _bto_work(64)
@@ -304,14 +305,16 @@ class TestWorkCounts:
     @pytest.mark.parametrize("name", ("SO", "LM"))
     def test_so_and_lm_push_each_candidate_once(self, name):
         n = 40
-        policy = make_policy(name)  # SO defaults to the exact estimator
-        GreedyMerger(policy, backend="bitset").run(
-            random_instance(n, universe=4 * n, seed=3, max_size=24)
-        )
-        # C(n, 2) initial pairs, then one pair per survivor after each
-        # merge: (n - 2) + (n - 3) + ... + 1 + 0.
-        assert policy.index.pushes == comb(n, 2) + comb(n - 1, 2)
-        assert policy.index.pops <= policy.index.pushes
+        # LM consults no estimator; SO is counted under both.
+        for estimator in ESTIMATORS if name == "SO" else (None,):
+            policy = make_policy(name, estimator=estimator)
+            GreedyMerger(policy, backend="bitset").run(
+                random_instance(n, universe=4 * n, seed=3, max_size=24)
+            )
+            # C(n, 2) initial pairs, then one pair per survivor after each
+            # merge: (n - 2) + (n - 3) + ... + 1 + 0.
+            assert policy.index.pushes == comb(n, 2) + comb(n - 1, 2), estimator
+            assert policy.index.pops <= policy.index.pushes, estimator
 
     @pytest.mark.parametrize("name", ("SO", "BT(O)", "LM"))
     def test_heap_holds_run_heads_not_candidates(self, name, monkeypatch):

@@ -64,6 +64,14 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(merge_workers=-1)
 
+    @pytest.mark.parametrize("value", [True, False, 0, 1])
+    def test_write_pipeline_takes_bools_and_0_1(self, value):
+        config = SimulationConfig(write_pipeline=value)
+        assert config.write_pipeline is bool(value)
+        assert config.to_dict() == SimulationConfig(
+            write_pipeline=bool(value)
+        ).to_dict()
+
     def test_describe_mentions_parallel_merges_only(self):
         assert "merge=" not in SimulationConfig().describe()
         text = SimulationConfig(merge_executor="thread").describe()
@@ -85,6 +93,10 @@ HOSTILE_VALUES = [
     ("memtable_capacity", 2.5),
     ("bloom_fp_rate", 1.5),
     ("bloom_fp_rate", 0.0),
+    # bool() of any of these is True: each once turned the pipeline on.
+    ("write_pipeline", "false"),
+    ("write_pipeline", "yes"),
+    ("write_pipeline", 2),
 ]
 
 ROUTES = {

@@ -188,39 +188,48 @@ class TestPhase1Equivalence:
 class TestPhase2Equivalence:
     @pytest.fixture(scope="class")
     def planes(self):
-        config = small_config()
-        return (
-            config,
-            generate_sstables_reference(config),
-            generate_sstables_fast(config),
-        )
+        """Both planes' tables per memtable mode: map mode's flush
+        boundaries come from the data-dependent slab cutter."""
+        planes = []
+        for memtable_mode in ("append", "map"):
+            config = small_config(memtable_mode=memtable_mode)
+            planes.append(
+                (
+                    config,
+                    generate_sstables_reference(config),
+                    generate_sstables_fast(config),
+                )
+            )
+        return planes
 
     @pytest.mark.parametrize("label", ("SI", "SO", "BT(I)", "RANDOM"))
     def test_strategy_metrics_identical(self, planes, label):
-        config, reference, fast = planes
-        result_reference = run_strategy(
-            reference.tables, label, replace(config, data_plane="reference")
-        )
-        result_fast = run_strategy(fast.tables, label, config)
-        assert result_reference.cost_actual == result_fast.cost_actual
-        assert result_reference.cost_simplified == result_fast.cost_simplified
-        assert result_reference.bytes_read == result_fast.bytes_read
-        assert result_reference.bytes_written == result_fast.bytes_written
-        assert result_reference.simulated_seconds == result_fast.simulated_seconds
-        assert result_reference.n_merges == result_fast.n_merges
+        for config, reference, fast in planes:
+            result_reference = run_strategy(
+                reference.tables, label, replace(config, data_plane="reference")
+            )
+            result_fast = run_strategy(fast.tables, label, config)
+            assert result_reference.cost_actual == result_fast.cost_actual
+            assert result_reference.cost_simplified == result_fast.cost_simplified
+            assert result_reference.bytes_read == result_fast.bytes_read
+            assert result_reference.bytes_written == result_fast.bytes_written
+            assert (
+                result_reference.simulated_seconds == result_fast.simulated_seconds
+            )
+            assert result_reference.n_merges == result_fast.n_merges
 
     def test_merge_kernels_identical_on_fast_tables(self, planes):
         from repro.lsm.sstable import merge_sstables
 
-        _, _, fast = planes
-        columnar = merge_sstables(
-            fast.tables, 10_000, drop_tombstones=True, kernel="columnar"
-        )
-        heap = merge_sstables(
-            fast.tables, 10_000, drop_tombstones=True, kernel="heap"
-        )
-        assert columnar.records == heap.records
-        assert columnar.size_bytes == heap.size_bytes
+        for _, _, fast in planes:
+            columnar = merge_sstables(
+                fast.tables, 10_000, drop_tombstones=True, kernel="columnar"
+            )
+            heap = merge_sstables(
+                fast.tables, 10_000, drop_tombstones=True, kernel="heap"
+            )
+            assert columnar.records == heap.records
+            assert columnar.size_bytes == heap.size_bytes
 
 
 class TestSweepJobsIndependence:

@@ -46,6 +46,8 @@ COUNTER_FIELDS = (
 
 MIXES = {
     "read-heavy": {"read_fraction": 0.6, "update_fraction": 0.4},
+    # The registered read-heavy preset's shape: point gets, no scans.
+    "gets-only": {"read_fraction": 0.8, "scan_fraction": 0.0},
     "scan-heavy": {"scan_fraction": 0.4, "read_fraction": 0.1},
     "churny": {
         "read_fraction": 0.3,

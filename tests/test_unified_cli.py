@@ -298,87 +298,3 @@ class TestFigures:
         with pytest.raises(SystemExit):
             main(["figures", "fig8", "--merge-executor", "process"])
         assert "choose from 'serial', 'thread'" in capsys.readouterr().err
-
-
-class TestBenchTrends:
-    @staticmethod
-    def _write_snapshot(directory, speedup, seconds, cpu_count=None):
-        directory.mkdir(parents=True, exist_ok=True)
-        document = {
-            "bench": "demo",
-            "fast_mode": False,
-            "speedup": speedup,
-            "optimized_seconds": seconds,
-        }
-        if cpu_count is not None:
-            document["machine"] = {"cpu_count": cpu_count}
-        (directory / "BENCH_demo.json").write_text(json.dumps(document))
-
-    def test_single_snapshot_table(self, capsys, tmp_path):
-        self._write_snapshot(tmp_path / "a", 8.0, 0.1)
-        assert main(["bench-trends", str(tmp_path / "a")]) == 0
-        out = capsys.readouterr().out
-        assert "bench: demo" in out and "speedup" in out
-        assert "single snapshot" in out
-
-    def test_regression_flagged_and_fails(self, capsys, tmp_path):
-        self._write_snapshot(tmp_path / "old", 8.0, 0.1)
-        self._write_snapshot(tmp_path / "new", 4.0, 0.1)  # speedup halved
-        code = main(
-            [
-                "bench-trends",
-                str(tmp_path / "old"),
-                str(tmp_path / "new"),
-                "--fail-on-regression",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 1
-        assert "REGRESSION" in out
-        assert "demo:speedup" in out
-
-    def test_improvement_not_flagged(self, capsys, tmp_path):
-        self._write_snapshot(tmp_path / "old", 4.0, 0.2)
-        self._write_snapshot(tmp_path / "new", 8.0, 0.1)
-        code = main(
-            ["bench-trends", str(tmp_path / "old"), str(tmp_path / "new"),
-             "--fail-on-regression"]
-        )
-        assert code == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-
-    def test_cross_machine_movement_does_not_fail(self, capsys, tmp_path):
-        """A worse number on a different machine is not a regression."""
-        self._write_snapshot(tmp_path / "old", 8.0, 0.1, cpu_count=8)
-        self._write_snapshot(tmp_path / "new", 2.0, 0.4, cpu_count=1)
-        code = main(
-            ["bench-trends", str(tmp_path / "old"), str(tmp_path / "new"),
-             "--fail-on-regression"]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "CROSS-MACHINE" in out
-        assert "0 regression(s)" in out
-
-    def test_same_machine_movement_still_fails(self, capsys, tmp_path):
-        self._write_snapshot(tmp_path / "old", 8.0, 0.1, cpu_count=4)
-        self._write_snapshot(tmp_path / "new", 2.0, 0.4, cpu_count=4)
-        code = main(
-            ["bench-trends", str(tmp_path / "old"), str(tmp_path / "new"),
-             "--fail-on-regression"]
-        )
-        assert code == 1
-        assert "REGRESSION" in capsys.readouterr().out
-
-    def test_reads_committed_results_dir(self, capsys):
-        """The repo's own results/ snapshots render without error."""
-        from pathlib import Path
-
-        results = Path(__file__).resolve().parent.parent / "results"
-        assert main(["bench-trends", str(results)]) == 0
-        out = capsys.readouterr().out
-        assert "bench:" in out
-
-    def test_missing_dir_errors(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["bench-trends", str(tmp_path / "missing")])
