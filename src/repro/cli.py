@@ -28,7 +28,6 @@ from .analysis.tables import format_table
 from .core.backend import available_backends
 from .core.estimator import available_estimators
 from .errors import ReproError, ScenarioError
-from .lsm.compaction.executor import MERGE_EXECUTORS
 from .scenarios import (
     PANELS,
     REGISTRY,
@@ -112,34 +111,6 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
         "byte-identical to 'memory'; see docs/durability.md)",
     )
     parser.add_argument(
-        "--merge-executor",
-        default=None,
-        choices=MERGE_EXECUTORS,
-        help="real merge-execution backend for phase-2 schedules; outputs "
-        "are byte-identical for every choice (see docs/concurrency.md)",
-    )
-    parser.add_argument(
-        "--merge-workers", type=int, default=None,
-        help="workers for the thread merge executor (0 = one per CPU)",
-    )
-    parser.add_argument(
-        "--write-pipeline",
-        action="store_true",
-        help="phase-1 concurrent write pipeline: freeze full memtables onto "
-        "an immutable queue and flush on background workers while ingest "
-        "continues; tables are byte-identical to serial ingest "
-        "(see docs/concurrency.md)",
-    )
-    parser.add_argument(
-        "--max-immutable-memtables", type=int, default=None,
-        help="bound of the frozen-memtable queue; a full queue stalls "
-        "writers (counted in the write_stall_count metric)",
-    )
-    parser.add_argument(
-        "--flush-workers", type=int, default=None,
-        help="background flush workers for the write pipeline (0 = one per CPU)",
-    )
-    parser.add_argument(
         "--wal-sync-every", type=int, default=None,
         help="group-commit cadence of the file WAL for --storage disk "
         "(sync every Nth append; 1 = every write)",
@@ -194,10 +165,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, Any]:
         ("hll_precision", "hll_precision"),
         ("data_plane", "data_plane"),
         ("storage", "storage"),
-        ("merge_executor", "merge_executor"),
-        ("merge_workers", "merge_workers"),
-        ("max_immutable_memtables", "max_immutable_memtables"),
-        ("flush_workers", "flush_workers"),
         ("wal_sync_every", "wal_sync_every"),
         ("num_shards", "num_shards"),
         ("shard_skew", "shard_skew"),
@@ -207,10 +174,6 @@ def _collect_overrides(args: argparse.Namespace) -> dict[str, Any]:
         value = getattr(args, flag)
         if value is not None:
             overrides[key] = value
-    # store_true default is False, so only override when the flag was
-    # given — scenarios that set write_pipeline in their spec keep it.
-    if getattr(args, "write_pipeline", False):
-        overrides["write_pipeline"] = True
     return overrides
 
 
@@ -237,21 +200,9 @@ def _execute(
     print(run.render(), end="")
     if args.verbose:
         read_phase = "; read phase: served" if run.read_phase_served else ""
-        merge = ""
-        if run.config.merge_executor != "serial":
-            merge = (
-                f"; merge executor: {run.config.merge_executor} "
-                f"x{run.config.merge_workers or 'auto'}"
-            )
-        pipeline = ""
-        if run.config.write_pipeline:
-            pipeline = (
-                f"; write pipeline: imm{run.config.max_immutable_memtables} "
-                f"x{run.config.flush_workers or 'auto'}"
-            )
         print(
             f"\n[data plane: {run.plane_used}; runs={run.runs} "
-            f"jobs={run.jobs}{merge}{pipeline}{read_phase}]"
+            f"jobs={run.jobs}{read_phase}]"
         )
     if path is not None:
         print(f"\n[manifest written to {path}]")

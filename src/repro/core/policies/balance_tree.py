@@ -25,8 +25,9 @@ evaluates two sub-orders, both available here:
 * ``suborder="arrival"`` — first-come pairing (the unconstrained variant
   of §4.3.1).
 
-Because merges within one level touch disjoint tables, the executor can
-run them concurrently — the reason BT(I) finishes fastest in Figure 7b.
+Because merges within one level touch disjoint tables, the executor's
+simulated lanes run them concurrently — the reason BT(I) finishes
+fastest in Figure 7b.
 The per-step levels are exposed via :meth:`extras` for schedulers.
 """
 

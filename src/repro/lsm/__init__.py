@@ -32,7 +32,7 @@ from .faults import (
 )
 from .format import FileWriteAheadLog
 from .metrics import AmplificationReport, measure_amplification
-from .pipeline import FlushPipeline, PipelineMetrics, resolve_flush_workers
+from .pipeline import FlushPipeline, PipelineMetrics
 from .memtable import (
     AppendLogMemtable,
     Memtable,
@@ -87,6 +87,5 @@ __all__ = [
     "make_memtable",
     "measure_amplification",
     "merge_sstables",
-    "resolve_flush_workers",
     "table_from_records",
 ]

@@ -9,15 +9,9 @@
 from .base import CompactionResult, CompactionStrategy
 from .controller import CompactionController, ControllerStats
 from .date_tiered import DateTieredCompaction
-from .executor import (
-    MERGE_EXECUTORS,
-    ExecutionBackend,
-    execute_schedule,
-    make_execution_backend,
-)
+from .executor import execute_schedule
 from .leveled import LeveledCompaction
 from .major import MajorCompaction
-from .planner import SchedulePlan, plan_schedule
 from .size_tiered import SizeTieredCompaction
 
 __all__ = [
@@ -26,13 +20,8 @@ __all__ = [
     "CompactionStrategy",
     "ControllerStats",
     "DateTieredCompaction",
-    "ExecutionBackend",
-    "MERGE_EXECUTORS",
     "execute_schedule",
-    "make_execution_backend",
     "LeveledCompaction",
     "MajorCompaction",
-    "SchedulePlan",
-    "plan_schedule",
     "SizeTieredCompaction",
 ]

@@ -44,11 +44,13 @@ class CompactionResult:
     simulated_seconds: float = 0.0
     wall_seconds: float = 0.0
     strategy_overhead_seconds: float = 0.0
-    # Real merge execution (see executor.py): which backend ran the
-    # merges on how many workers, the measured wall clock of the merges
-    # (with, for a scheduled execution, the settling interleaved with
-    # them), and — for a scheduled execution — the mean fraction of it
-    # each worker spent merging.
+    # Real merge execution (see executor.py): the measured wall clock of
+    # the merges (with, for a scheduled execution, the settling
+    # interleaved with them) and — for a scheduled execution — the
+    # fraction of it spent merging.  ``merge_executor`` and
+    # ``merge_workers`` are constants the benchmark's traced mirror
+    # (bench/simulator.py) still reads; they leave with the next
+    # benchmark change (ROADMAP item 1).
     merge_executor: str = "serial"
     merge_workers: int = 1
     merge_wall_seconds: float = 0.0

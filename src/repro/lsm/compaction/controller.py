@@ -65,8 +65,7 @@ class CompactionController:
         """Compact if the table count reached the threshold.
 
         In background mode the compaction is *started* (on a snapshot of
-        the current tables; its strategy may fan merges over the
-        thread execution backend) and ingest continues; the
+        the current tables) and ingest continues; the
         result lands in the history when :meth:`finish` or a later
         trigger collects it, so this returns ``None`` for background
         starts.

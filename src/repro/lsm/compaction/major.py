@@ -95,8 +95,6 @@ class MajorCompaction(CompactionStrategy):
         backend: str = "frozenset",
         estimator: "EstimatorSpec" = None,
         merge_kernel: str = "auto",
-        merge_executor: str = "serial",
-        merge_workers: Optional[int] = None,
         **policy_kwargs,
     ) -> None:
         self.policy_name = canonical_policy_name(policy)
@@ -114,8 +112,6 @@ class MajorCompaction(CompactionStrategy):
         self.drop_tombstones = drop_tombstones
         self.bloom_fp_rate = bloom_fp_rate
         self.merge_kernel = merge_kernel
-        self.merge_executor = merge_executor
-        self.merge_workers = merge_workers
         self.policy_kwargs = policy_kwargs
         self.name = f"major({self.policy_name}, k={k})"
         self._make_policy()  # a bad estimator or keyword fails here, not mid-run
@@ -177,8 +173,6 @@ class MajorCompaction(CompactionStrategy):
             drop_tombstones=self.drop_tombstones,
             bloom_fp_rate=self.bloom_fp_rate,
             merge_kernel=self.merge_kernel,
-            executor=self.merge_executor,
-            workers=self.merge_workers,
         )
         result.strategy_name = self.name
         result.strategy_overhead_seconds = overhead_seconds

@@ -66,9 +66,10 @@ class DiskTimingModel:
     seek_seconds: float = DEFAULT_SEEK_SECONDS
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bytes_per_sec <= 0:
+        # Negated so that NaN, which fails every comparison, is rejected.
+        if not self.bandwidth_bytes_per_sec > 0:
             raise ConfigError("disk bandwidth must be positive")
-        if self.seek_seconds < 0:
+        if not self.seek_seconds >= 0:
             raise ConfigError("seek time must be non-negative")
 
     def transfer_seconds(self, nbytes: int) -> float:

@@ -13,8 +13,7 @@ the sstable and *when* the writer must wait:
   workers is the classic stop-the-world flush.
 
 Either way a wait is a counted, timed **write stall**, and two rules
-make the outcome independent of scheduling (the same recipe as the
-parallel merge executor, docs/concurrency.md):
+make the outcome independent of scheduling (docs/concurrency.md):
 
 1. whatever names the result (the engine's table id) is claimed by the
    producer *before* ``submit``, so names follow submit order;
@@ -22,28 +21,15 @@ parallel merge executor, docs/concurrency.md):
    finishes early parks its result until every earlier item has
    published, and every shared-state mutation lives in the publish
    step.
-
-The phase-1 fast plane pipelines its columnar slab flushes through the
-very same class (``simulator/phase1.py``).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from time import perf_counter
 from typing import Callable, Iterable, Optional
 
 from ..errors import ConfigError, StorageError
-
-
-def resolve_flush_workers(workers: Optional[int]) -> int:
-    """Normalize a flush-worker setting (``None``/``0`` = one per CPU)."""
-    if workers is None or workers == 0:
-        return max(1, os.cpu_count() or 1)
-    if workers < 0:
-        raise ConfigError(f"flush workers must be >= 0, got {workers}")
-    return workers
 
 
 def _interval_union_seconds(

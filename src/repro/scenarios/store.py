@@ -19,7 +19,9 @@ a killed run leaves at most a stale ``*.tmp`` that no reader lists.
 Cell rows are additive: read-serving metrics (``reads_mean``,
 ``read_amplification_mean``, ``bloom_fp_rate_mean``, ...) joined the
 write-cost keys without a schema bump — added keys are backwards
-compatible, and the loader does not validate cell contents.
+compatible, and the loader does not validate cell contents.  The
+merge executor and write pipeline keys left the same way; their config
+fields are dropped when an old manifest's spec is rebuilt.
 """
 
 from __future__ import annotations

@@ -22,6 +22,19 @@ from ..lsm.disk import (
 from ..ycsb.distributions import available_distributions
 from ..ycsb.workload import WorkloadConfig
 
+#: Removed fields that a stored spec may still hold: manifests written
+#: while they existed record them.  None of their values ever changed a
+#: deterministic output, so :meth:`SimulationConfig.from_dict` drops them.
+_RETIRED_FIELDS = frozenset(
+    {
+        "merge_executor",
+        "merge_workers",
+        "write_pipeline",
+        "max_immutable_memtables",
+        "flush_workers",
+    }
+)
+
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -71,15 +84,6 @@ class SimulationConfig:
     # operation-at-a-time engine loop and the heap merge kernel
     # (unsharded only: shards ingest on the columnar plane).
     data_plane: str = "auto"
-    # Real merge-execution backend for phase-2 schedules: "serial" (the
-    # reference loop — the default, so all goldens stay byte-identical)
-    # or "thread" (workers drive the GIL-releasing columnar kernel).
-    # Outputs and cost metrics are byte-identical for both and for every
-    # worker count; only measured wall clock differs (see
-    # docs/concurrency.md).
-    merge_executor: str = "serial"
-    # Real workers for the thread executor; 0 = one per CPU.
-    merge_workers: int = 0
     # Phase-1 sstable storage: "memory" (the default — tables live as
     # Python objects, all goldens byte-identical) or "disk" (every
     # flushed table is spilled through the on-disk sstable format and
@@ -95,17 +99,6 @@ class SimulationConfig:
     num_shards: int = 1
     shard_skew: float = 0.0
     partitioner: str = "hash"
-    # Concurrent write pipeline (see docs/concurrency.md, part 2).
-    # ``write_pipeline=True`` runs phase-1 ingest through the freeze/
-    # immutable-queue/background-flush pipeline: flush slabs build on
-    # ``flush_workers`` threads (0 = one per CPU) while ingest proceeds,
-    # bounded by ``max_immutable_memtables`` in-flight flushes
-    # (backpressure stalls are counted).  Tables are byte-identical to
-    # the serial path for any worker count; the default stays serial so
-    # every golden is unchanged.
-    write_pipeline: bool = False
-    max_immutable_memtables: int = 2
-    flush_workers: int = 0
     # Group-commit knob of the file WAL used by ``storage="disk"`` runs:
     # sync after every Nth framed append (1 = sync each record).
     wal_sync_every: int = 1
@@ -119,11 +112,14 @@ class SimulationConfig:
         from ..errors import BackendError, EstimatorError
         from ..hll.hyperloglog import MAX_PRECISION, MIN_PRECISION
 
-        # Integer fields first: the comparisons below assume numbers,
+        # Numeric fields first: the comparisons below assume numbers,
         # and a float capacity or a string seed otherwise dies as a bare
-        # TypeError inside the first cell.
+        # TypeError inside the first cell.  A bool is an int to Python
+        # (a JSON ``true`` would run as 1), so no numeric field takes one.
         for spec in fields(self):
             value = getattr(self, spec.name)
+            if spec.type in ("int", "float") and isinstance(value, bool):
+                raise ConfigError(f"{spec.name} must be a number, got {value!r}")
             if spec.type == "int" and not isinstance(value, int):
                 raise ConfigError(
                     f"{spec.name} must be an integer, got {value!r}"
@@ -151,18 +147,6 @@ class SimulationConfig:
             raise ConfigError(
                 f"storage must be 'memory' or 'disk', got {self.storage!r}"
             )
-        from ..lsm.compaction.executor import MERGE_EXECUTORS
-
-        if self.merge_executor not in MERGE_EXECUTORS:
-            raise ConfigError(
-                f"merge_executor must be one of {MERGE_EXECUTORS}, "
-                f"got {self.merge_executor!r}"
-            )
-        if self.merge_workers < 0:
-            raise ConfigError(
-                f"merge_workers must be >= 0 (0 = one per CPU), "
-                f"got {self.merge_workers}"
-            )
         if self.memtable_mode not in ("append", "map"):
             raise ConfigError(
                 f"memtable_mode must be 'append' or 'map', "
@@ -172,11 +156,13 @@ class SimulationConfig:
             raise ConfigError(
                 f"bloom_fp_rate must be in (0, 1), got {self.bloom_fp_rate!r}"
             )
-        if str(self.distribution).lower() not in available_distributions():
+        distribution = str(self.distribution).lower()
+        if distribution not in available_distributions():
             raise ConfigError(
                 f"distribution must be one of {available_distributions()}, "
                 f"got {self.distribution!r}"
             )
+        object.__setattr__(self, "distribution", distribution)
         if not 0.0 <= self.update_fraction <= 1.0:
             raise ConfigError("update_fraction must be in [0, 1]")
         for name in ("read_fraction", "scan_fraction", "delete_fraction"):
@@ -218,26 +204,6 @@ class SimulationConfig:
         if not self.shard_skew >= 0.0:
             raise ConfigError(
                 f"shard_skew must be >= 0, got {self.shard_skew!r}"
-            )
-        # Accept 0 / 1 from --set write_pipeline=1 and JSON specs, but no
-        # string: bool("false") would turn the pipeline on.
-        if not (
-            isinstance(self.write_pipeline, int) and self.write_pipeline in (0, 1)
-        ):
-            raise ConfigError(
-                f"write_pipeline must be a bool, 0 or 1 (not a string), "
-                f"got {self.write_pipeline!r}"
-            )
-        object.__setattr__(self, "write_pipeline", bool(self.write_pipeline))
-        if self.max_immutable_memtables < 1:
-            raise ConfigError(
-                f"max_immutable_memtables must be at least 1, "
-                f"got {self.max_immutable_memtables}"
-            )
-        if self.flush_workers < 0:
-            raise ConfigError(
-                f"flush_workers must be >= 0 (0 = one per CPU), "
-                f"got {self.flush_workers}"
             )
         if self.wal_sync_every < 1:
             raise ConfigError(
@@ -315,11 +281,15 @@ class SimulationConfig:
         Unknown keys raise :class:`~repro.errors.ConfigError` so a typo
         in a JSON spec fails loudly instead of silently using a default;
         omitted keys take the field defaults, which lets specs stay
-        minimal.
+        minimal.  Removed fields (``_RETIRED_FIELDS``) are dropped, whatever
+        their value.
         """
+        data = {
+            key: value for key, value in data.items() if key not in _RETIRED_FIELDS
+        }
         cls._reject_unknown_fields(data)
         try:
-            return cls(**dict(data))
+            return cls(**data)
         except TypeError as exc:
             raise ConfigError(f"invalid SimulationConfig value: {exc}") from None
 
@@ -356,18 +326,10 @@ class SimulationConfig:
             parts.append(f"data_plane={self.data_plane}")
         if self.storage != "memory":
             parts.append(f"storage={self.storage}")
-        if self.merge_executor != "serial":
-            workers = self.merge_workers or "auto"
-            parts.append(f"merge={self.merge_executor}x{workers}")
         if self.num_shards > 1:
             parts.append(f"shards={self.num_shards}x{self.partitioner}")
             if self.shard_skew:
                 parts.append(f"shard_skew={self.shard_skew:g}")
-        if self.write_pipeline:
-            workers = self.flush_workers or "auto"
-            parts.append(
-                f"pipeline=imm{self.max_immutable_memtables}x{workers}"
-            )
         if self.wal_sync_every != 1:
             parts.append(f"wal_sync_every={self.wal_sync_every}")
         return " ".join(parts)

@@ -35,8 +35,11 @@ class StrategyResult:
     simulated_seconds: float
     strategy_overhead_seconds: float
     wall_seconds: float
-    # Real merge-execution accounting (serial defaults for strategies
-    # that never ran a parallel backend; see lsm/compaction/executor.py).
+    # Real merge-execution accounting (lsm/compaction/executor.py).
+    # ``merge_executor`` and ``merge_workers`` are constants that no
+    # catalogue row reads; they stay only because the benchmark's traced
+    # mirror (bench/simulator.py) still passes them, and leave with the
+    # next benchmark change (ROADMAP item 1).
     merge_executor: str = "serial"
     merge_workers: int = 1
     merge_wall_seconds: float = 0.0
@@ -64,14 +67,8 @@ class StrategyResult:
     shard_ops: tuple[int, ...] = ()
     shard_costs: tuple[int, ...] = ()
     shard_read_amps: tuple[float, ...] = ()
-    # Phase-1 ingest accounting (the concurrent write pipeline; all
-    # defaults for historical results).  ``ingest_wall_seconds`` is
-    # measured for serial ingest too so serial-vs-pipelined comparisons
-    # read straight off the report; stalls/overlap are pipeline-only.
-    write_pipeline: bool = False
+    # Phase-1 ingest wall clock (simulator/phase1.py).
     ingest_wall_seconds: float = 0.0
-    write_stall_count: int = 0
-    flush_overlap_fraction: float = 0.0
 
     @property
     def bytes_total(self) -> int:
@@ -115,15 +112,8 @@ def _mean(name: str, shards: Sequence[StrategyResult]) -> float:
 
 
 def _first(name: str, shards: Sequence[StrategyResult]) -> Any:
-    """Constant across the shards of one cell (label, pipeline flag)."""
+    """Constant across the shards of one cell (the label)."""
     return getattr(shards[0], name)
-
-
-def _executor(name: str, shards: Sequence[StrategyResult]) -> Any:
-    """The first shard that ran a real merge backend speaks for the
-    cluster (empty shards report the serial defaults)."""
-    ran = [row for row in shards if row.merge_executor != "serial"]
-    return getattr((ran or shards)[0], name)
 
 
 #: Fold rule of the fields the cluster scheduler computes (the LPT
@@ -169,10 +159,6 @@ def _percent(value: float, agg: Any) -> float:
 
 def _megabytes(value: float, agg: Any) -> float:
     return value / 1e6
-
-
-def _backend_and_workers(workers: int, agg: Any) -> str:
-    return f"{agg.merge_executor} x{workers}"
 
 
 @dataclass(frozen=True)
@@ -254,23 +240,8 @@ CATALOGUE: tuple[Metric, ...] = (
     ),
     Metric("wall_seconds", _sum, MEAN, compacted="wall_seconds"),
     # Real merge execution (lsm/compaction/executor.py).
-    Metric(
-        "merge_wall_seconds", _sum, MEAN, _col("merge wall s", "parallel"),
-        compacted="merge_wall_seconds",
-    ),
-    Metric(
-        "merge_executor", _executor, CONST, switch="parallel",
-        compacted="merge_executor",
-    ),
-    Metric(
-        "merge_workers", _executor, CONST,
-        _col("workers", "parallel", _backend_and_workers),
-        compacted="merge_workers",
-    ),
-    Metric(
-        "merge_utilization", _mean, MEAN, _col("util%", "parallel", _percent),
-        compacted="merge_utilization",
-    ),
+    Metric("merge_wall_seconds", _sum, MEAN, compacted="merge_wall_seconds"),
+    Metric("merge_utilization", _mean, MEAN, compacted="merge_utilization"),
     # Cluster shape (cluster/scheduler.py).
     Metric("num_shards", CLUSTER, CONST, _col("shards", "sharded"), switch="sharded"),
     Metric(
@@ -281,17 +252,8 @@ CATALOGUE: tuple[Metric, ...] = (
     Metric("shard_ops", CLUSTER, VECTOR),
     Metric("shard_costs", CLUSTER, VECTOR),
     Metric("shard_read_amps", CLUSTER, VECTOR),
-    # Phase-1 ingest accounting (simulator/phase1.py).
-    Metric("write_pipeline", _first, CONST, switch="pipelined", ingest=True),
-    Metric(
-        "ingest_wall_seconds", _sum, MEAN, _col("ingest s", "pipelined"),
-        ingest=True,
-    ),
-    Metric("write_stall_count", _sum, MEAN, _col("stalls", "pipelined"), ingest=True),
-    Metric(
-        "flush_overlap_fraction", _mean, MEAN,
-        _col("overlap%", "pipelined", _percent), ingest=True,
-    ),
+    # Phase-1 ingest (simulator/phase1.py).
+    Metric("ingest_wall_seconds", _sum, MEAN, ingest=True),
     # Serving phase (simulator/read_path.py).
     Metric("reads", _sum, MEAN, switch="served", served="reads"),
     Metric("scans", _sum, MEAN, switch="served", served="scans"),
@@ -433,9 +395,9 @@ def report_table(
 ) -> tuple[list[str], list[list[Any]]]:
     """Headers and one row per aggregate of the comparison table.
 
-    A column group appears only when some strategy switched it on (a
-    non-serial executor, shards, the write pipeline, served reads), so
-    reports of runs without the feature stay byte-identical.
+    A column group appears only when some strategy switched it on
+    (shards, served reads), so reports of runs without the feature stay
+    byte-identical.
     """
     shown = shown_groups(aggregates) | {""}
     columns = [

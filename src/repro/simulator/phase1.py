@@ -47,7 +47,6 @@ import numpy as _np
 from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import EngineConfig, LSMEngine
-from ..lsm.pipeline import FlushPipeline, resolve_flush_workers
 from ..lsm.sstable import SSTable
 from ..ycsb.operations import OperationType
 from ..ycsb.workload import CoreWorkload, ReadOpColumns
@@ -75,16 +74,8 @@ class Phase1Result:
     #: share — the serving phase replays them against each policy's
     #: compacted sstable set.  ``None`` for write-only mixes.
     read_ops: Optional[ReadOpColumns] = None
-    #: Ingest accounting (docs/concurrency.md, part 2).  The wall clock
-    #: covers table generation on either plane — measured for serial
-    #: ingest too, so pipelined-vs-serial comparisons read straight off
-    #: a report; flush overlap only moves when ``write_pipeline=True``,
-    #: and a serial run stalls once per inline flush on the reference
-    #: plane (the fast plane's serial loop has no queue: 0).
-    write_pipeline: bool = False
+    #: The wall clock of table generation, on either plane.
     ingest_wall_seconds: float = 0.0
-    write_stall_count: int = 0
-    flush_overlap_fraction: float = 0.0
 
     @property
     def n_tables(self) -> int:
@@ -192,14 +183,8 @@ def _wants_read_ops(config: SimulationConfig) -> bool:
 
 
 def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
-    """The operation-at-a-time plane: drive the real LSM engine.
-
-    With ``write_pipeline=True`` the engine's flush queue gets a bound
-    and background workers: freezes wait on the immutable queue and
-    flush there while the op loop keeps ingesting — same tables, byte
-    for byte.  Without it the same engine flushes inline (bound 0, no
-    workers), and every flush is a write stall.
-    """
+    """The operation-at-a-time plane: drive the real LSM engine, which
+    flushes each full memtable inline."""
     workload = CoreWorkload(config.workload_config())
     engine_config = EngineConfig(
         memtable_capacity=config.memtable_capacity,
@@ -208,13 +193,7 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         default_value_size=config.value_size,
         use_wal=False,
     )
-    piped = config.write_pipeline
-    engine = LSMEngine(
-        engine_config,
-        SimulatedDisk(config.timing_model()),
-        max_immutable_memtables=config.max_immutable_memtables if piped else 0,
-        flush_workers=resolve_flush_workers(config.flush_workers) if piped else 0,
-    )
+    engine = LSMEngine(engine_config, SimulatedDisk(config.timing_model()))
     collect = _wants_read_ops(config)
     read_keynums: list[int] = []
     scan_keynums: list[int] = []
@@ -233,13 +212,7 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         count += 1
     engine.flush()
     ingest_wall = perf_counter() - ingest_start
-    pipeline_metrics = engine.pipeline_metrics()
     engine.close()
-    overlap = (
-        min(1.0, pipeline_metrics.flush_overlap_seconds / ingest_wall)
-        if ingest_wall > 0.0
-        else 0.0
-    )
     tables = list(engine.sstables)
     return Phase1Result(
         tables=tables,
@@ -253,10 +226,7 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         )
         if collect
         else None,
-        write_pipeline=config.write_pipeline,
         ingest_wall_seconds=ingest_wall,
-        write_stall_count=pipeline_metrics.write_stall_count,
-        flush_overlap_fraction=overlap,
     )
 
 
@@ -280,36 +250,24 @@ def phase1_from_columns(
     total_operations: int,
     read_ops: Optional[ReadOpColumns] = None,
 ) -> Phase1Result:
-    """Flush a write column into sstables, timed, with ingest accounting.
+    """Flush a write column into sstables, timed.
 
     The fast plane's back half.  The sharded engine feeds each shard's
     write column through it with shard-local indices, so per-shard
     seqnos restart at 1 — each shard is an independent engine with its
     own seqno space.  ``keynums`` may be a list or an int64 array;
-    ``tombstone_positions`` indexes into it.  With
-    ``config.write_pipeline`` the slab flushes run through the
-    :class:`~repro.lsm.pipeline.FlushPipeline` (byte-identical by
-    construction: each slab builds independently and publishes in slab
-    order).
+    ``tombstone_positions`` indexes into it.
     """
     ingest_start = perf_counter()
-    tables, stall_count, overlap_seconds = _build_tables_and_stats(
-        keynums, tombstone_positions, config
-    )
+    tables = build_tables_from_columns(keynums, tombstone_positions, config)
     ingest_wall = perf_counter() - ingest_start
-    overlap = (
-        min(1.0, overlap_seconds / ingest_wall) if ingest_wall > 0.0 else 0.0
-    )
     return Phase1Result(
         tables=tables,
         total_operations=total_operations,
         total_entries=sum(table.entry_count for table in tables),
         plane_used="fast",
         read_ops=read_ops,
-        write_pipeline=config.write_pipeline,
         ingest_wall_seconds=ingest_wall,
-        write_stall_count=stall_count,
-        flush_overlap_fraction=overlap,
     )
 
 
@@ -318,14 +276,6 @@ def build_tables_from_columns(
 ) -> list[SSTable]:
     """Just the tables of :func:`phase1_from_columns`, untimed (the
     benchmark's traced mirror times the call itself)."""
-    tables, _, _ = _build_tables_and_stats(keynums, tombstone_positions, config)
-    return tables
-
-
-def _build_tables_and_stats(
-    keynums, tombstone_positions, config: SimulationConfig
-) -> tuple[list[SSTable], int, float]:
-    """Tables plus (stall count, flush-overlap seconds) for the pipeline."""
     capacity = config.memtable_capacity
     key_array = _np.asarray(keynums, dtype=_np.int64)
     if config.memtable_mode == "map":
@@ -333,23 +283,10 @@ def _build_tables_and_stats(
     else:
         slabs = _append_mode_slabs(int(key_array.size), capacity)
     build_one = _columnar_slab_builder(key_array, list(tombstone_positions), config)
-    if not config.write_pipeline:
-        return [
-            build_one(table_id, start, stop)
-            for table_id, (start, stop) in enumerate(slabs)
-        ], 0, 0.0
-    tables: list[SSTable] = []
-    with FlushPipeline(
-        build=lambda item: build_one(*item),
-        publish=lambda item, table: tables.append(table),
-        max_pending=config.max_immutable_memtables,
-        workers=resolve_flush_workers(config.flush_workers),
-    ) as pipeline:
-        for table_id, (start, stop) in enumerate(slabs):
-            pipeline.submit((table_id, start, stop))
-        pipeline.drain()
-        metrics = pipeline.metrics()
-    return tables, metrics.write_stall_count, metrics.flush_overlap_seconds
+    return [
+        build_one(table_id, start, stop)
+        for table_id, (start, stop) in enumerate(slabs)
+    ]
 
 
 def _append_mode_slabs(total_writes: int, capacity: int) -> list[tuple[int, int]]:
@@ -422,9 +359,7 @@ def _columnar_slab_builder(
     entry of every equal-key run is the newest version — exactly the
     record both memtable flavours' dict dedup keeps at flush.  Works
     unchanged for static (append-mode) and data-dependent (map-mode)
-    slab ranges.  Each slab builds from read-only slices of the shared
-    columns, so the serial loop and the flush pipeline's workers run the
-    very same code — byte-identity by construction.
+    slab ranges.
     """
     tombstones = None
     if tombstone_positions:

@@ -110,8 +110,6 @@ def build_strategy(
         backend=config.backend,
         bloom_fp_rate=config.bloom_fp_rate,
         merge_kernel=merge_kernel,
-        merge_executor=config.merge_executor,
-        merge_workers=config.merge_workers or None,
         **estimator_kwargs,
     )
 

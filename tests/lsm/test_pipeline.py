@@ -21,7 +21,6 @@ from repro.lsm import (
     MajorCompaction,
     MemoryFileSystem,
     SizeTieredCompaction,
-    resolve_flush_workers,
 )
 
 
@@ -389,13 +388,6 @@ class TestFlushPipelineCore:
 
 
 class TestValidation:
-    def test_resolve_flush_workers(self):
-        assert resolve_flush_workers(3) == 3
-        assert resolve_flush_workers(None) >= 1
-        assert resolve_flush_workers(0) >= 1
-        with pytest.raises(ConfigError):
-            resolve_flush_workers(-1)
-
     def test_negative_queue_bound_or_workers_rejected(self):
         with pytest.raises(ConfigError, match="max_immutable_memtables"):
             LSMEngine(EngineConfig(), max_immutable_memtables=-1)

@@ -46,9 +46,6 @@ STRATEGIES = {
     "BT(O)": lambda: MajorCompaction("BT(O)", k=3),
     "LM": lambda: MajorCompaction("LM"),
     "RANDOM": lambda: MajorCompaction("RANDOM", seed=5, drop_tombstones=False),
-    "BT(I)/thread": lambda: MajorCompaction(
-        "BT(I)", merge_executor="thread", merge_workers=2
-    ),
     "STCS": lambda: SizeTieredCompaction(min_threshold=2),
     "STCS/partial": lambda: SizeTieredCompaction(min_threshold=3, until_single=False),
     "LEVELED": lambda: LeveledCompaction(

@@ -121,9 +121,11 @@ class TestPanels:
 
 
 def test_spec_hashes_are_pinned():
-    """Refactors must leave every registered spec alone: the fixture
-    holds the hashes of the tree before the figure paths were merged
-    (PR 21's parent commit).  A deliberate spec change re-records it."""
+    """Refactors must leave every registered spec alone.  A deliberate
+    spec change re-records the fixture: it was last re-recorded when the
+    five merge executor / write pipeline fields left the config, after
+    checking that each new spec with those fields put back at their old
+    defaults hashed to its previous pin."""
     fixture = Path(__file__).parent / "fixtures" / "spec_hashes.json"
     pinned = json.loads(fixture.read_text())
     assert {s.name: s.spec_hash() for s in REGISTRY} == pinned

@@ -196,6 +196,25 @@ class TestStore:
         rebuilt = Scenario.from_dict(manifest.scenario)
         assert rebuilt == REGISTRY.get("read-heavy")
 
+    def test_manifest_holding_retired_knobs_is_rerunnable(self, runner, store):
+        """Manifests written while the thread merge executor and the
+        pipelined ingest existed record their five knobs, at any value;
+        none ever changed an output, so the spec rebuilds without them."""
+        _, path = runner.run_and_record("read-heavy", runs=1, overrides=TINY)
+        document = json.loads(path.read_text())
+        retired = dict(
+            merge_executor="thread",
+            merge_workers=4,
+            write_pipeline=True,
+            max_immutable_memtables=3,
+            flush_workers=2,
+        )
+        for section in (document["scenario"]["config"], document["config"]):
+            section.update(retired)
+        path.write_text(json.dumps(document))
+        rebuilt = Scenario.from_dict(store.load(path).scenario)
+        assert rebuilt == REGISTRY.get("read-heavy")
+
     def test_sweep_cells_carry_x_and_parameter(self, runner, store):
         _, path = runner.run_and_record(
             "fig7a", runs=1, overrides={**TINY, "operationcount": 1000}

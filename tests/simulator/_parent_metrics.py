@@ -4,12 +4,14 @@ Copied verbatim from the commit before the metric catalogue
 (``simulator/metrics.py``: ``AggregateResult`` / ``aggregate``;
 ``cluster/scheduler.py``: ``ClusterMetrics`` / ``combine_shard_results``;
 ``scenarios/runner.py``: ``_cell_metrics`` / ``render_comparison_table``)
-with exactly two edits: ``ClusterScheduler.metrics`` became the free
+with three edits: ``ClusterScheduler.metrics`` became the free
 function ``cluster_metrics`` (the scheduler class itself is imported),
-and the comparison table prints ``simulated_seconds_mean`` as is (the
-overhead double-count fix).  ``combine_shard_results`` still drops the
-four ingest fields, as it did: test_metric_catalogue.py checks those
-against their stated rules instead.
+the comparison table prints ``simulated_seconds_mean`` as is (the
+overhead double-count fix), and, in step with the catalogue, the
+merge executor and write pipeline fields are gone with their column
+groups.  ``combine_shard_results`` still drops ``ingest_wall_seconds``,
+as it did: test_metric_catalogue.py checks it against its stated rule
+instead.
 """
 
 from __future__ import annotations
@@ -40,11 +42,8 @@ class AggregateResult:
     wall_seconds_mean: float
     strategy_overhead_mean: float
     lopt_entries_mean: float
-    # Real merge-execution accounting: the backend/worker settings are
-    # constant across runs of one config; wall clock and utilization are
+    # Real merge-execution accounting: wall clock and utilization are
     # averaged like the other measured times.
-    merge_executor: str = "serial"
-    merge_workers: int = 1
     merge_wall_seconds_mean: float = 0.0
     merge_utilization_mean: float = 0.0
     # Serving-phase read metrics, averaged over runs (all zero for
@@ -64,13 +63,8 @@ class AggregateResult:
     shard_ops_mean: tuple[float, ...] = ()
     shard_costs_mean: tuple[float, ...] = ()
     shard_read_amps_mean: tuple[float, ...] = ()
-    # Phase-1 ingest accounting: the pipeline flag is constant across
-    # runs of one config; wall/stalls/overlap average like other
-    # measured times.
-    write_pipeline: bool = False
+    # Phase-1 ingest wall clock, averaged like other measured times.
     ingest_wall_seconds_mean: float = 0.0
-    write_stall_count_mean: float = 0.0
-    flush_overlap_fraction_mean: float = 0.0
 
     @property
     def cost_over_lopt(self) -> float:
@@ -128,8 +122,6 @@ def aggregate(results: Sequence[StrategyResult]) -> AggregateResult:
         lopt_entries_mean=statistics.mean(
             [result.lopt_entries for result in results]
         ),
-        merge_executor=results[0].merge_executor,
-        merge_workers=results[0].merge_workers,
         merge_wall_seconds_mean=statistics.mean(
             [result.merge_wall_seconds for result in results]
         ),
@@ -166,15 +158,8 @@ def aggregate(results: Sequence[StrategyResult]) -> AggregateResult:
         shard_read_amps_mean=_elementwise_mean(
             [result.shard_read_amps for result in results]
         ),
-        write_pipeline=results[0].write_pipeline,
         ingest_wall_seconds_mean=statistics.mean(
             [result.ingest_wall_seconds for result in results]
-        ),
-        write_stall_count_mean=statistics.mean(
-            [result.write_stall_count for result in results]
-        ),
-        flush_overlap_fraction_mean=statistics.mean(
-            [result.flush_overlap_fraction for result in results]
         ),
     )
 
@@ -228,13 +213,6 @@ def combine_shard_results(
             f"mixed strategy labels in shard results for {label!r}"
         )
     metrics = cluster_metrics(scheduler, shard_ops, shard_results)
-    executors = [r for r in shard_results if r.merge_executor != "serial"]
-    merge_executor = (
-        executors[0].merge_executor if executors else shard_results[0].merge_executor
-    )
-    merge_workers = (
-        executors[0].merge_workers if executors else shard_results[0].merge_workers
-    )
     utilizations = [r.merge_utilization for r in shard_results]
     return StrategyResult(
         strategy=label,
@@ -251,8 +229,6 @@ def combine_shard_results(
             r.strategy_overhead_seconds for r in shard_results
         ),
         wall_seconds=sum(r.wall_seconds for r in shard_results),
-        merge_executor=merge_executor,
-        merge_workers=merge_workers,
         merge_wall_seconds=sum(r.merge_wall_seconds for r in shard_results),
         merge_utilization=sum(utilizations) / len(utilizations),
         reads=sum(r.reads for r in shard_results),
@@ -295,10 +271,7 @@ def _cell_metrics(agg: AggregateResult) -> dict[str, Any]:
         "simulated_seconds_std": agg.simulated_seconds_std,
         "strategy_overhead_mean": agg.strategy_overhead_mean,
         "wall_seconds_mean": agg.wall_seconds_mean,
-        # Real merge-execution accounting (additive keys; serial
-        # defaults for strategies that never ran a parallel backend).
-        "merge_executor": agg.merge_executor,
-        "merge_workers": agg.merge_workers,
+        # Real merge-execution accounting.
         "merge_wall_seconds_mean": agg.merge_wall_seconds_mean,
         "merge_utilization_mean": agg.merge_utilization_mean,
         # Serving-phase read metrics (additive keys; all zero for
@@ -317,12 +290,8 @@ def _cell_metrics(agg: AggregateResult) -> dict[str, Any]:
         "shard_ops_mean": list(agg.shard_ops_mean),
         "shard_costs_mean": list(agg.shard_costs_mean),
         "shard_read_amps_mean": list(agg.shard_read_amps_mean),
-        # Phase-1 ingest accounting (additive keys; serial defaults for
-        # runs without the concurrent write pipeline).
-        "write_pipeline": agg.write_pipeline,
+        # Phase-1 ingest wall clock.
         "ingest_wall_seconds_mean": agg.ingest_wall_seconds_mean,
-        "write_stall_count_mean": agg.write_stall_count_mean,
-        "flush_overlap_fraction_mean": agg.flush_overlap_fraction_mean,
     }
 
 
@@ -342,21 +311,10 @@ def render_comparison_table(
         or comparison.per_strategy[label].scans_mean
         for label in labels
     )
-    # Merge-execution columns appear only when a non-serial backend ran,
-    # so historical (serial) reports stay byte-identical.
-    parallel = any(
-        comparison.per_strategy[label].merge_executor != "serial"
-        for label in labels
-    )
     # Cluster columns appear only for sharded runs (num_shards > 1), so
     # unsharded reports stay byte-identical.
     sharded = any(
         comparison.per_strategy[label].num_shards > 1 for label in labels
-    )
-    # Ingest columns appear only when the concurrent write pipeline ran,
-    # so serial reports stay byte-identical.
-    pipelined = any(
-        comparison.per_strategy[label].write_pipeline for label in labels
     )
     headers = [
         "strategy",
@@ -366,12 +324,8 @@ def render_comparison_table(
         "sim seconds",
         "overhead s",
     ]
-    if parallel:
-        headers += ["merge wall s", "workers", "util%"]
     if sharded:
         headers += ["shards", "makespan s", "imbalance"]
-    if pipelined:
-        headers += ["ingest s", "stalls", "overlap%"]
     if served:
         headers += ["read amp", "bloom FP%", "read MB"]
     rows = []
@@ -385,23 +339,11 @@ def render_comparison_table(
             agg.simulated_seconds_mean,  # the overhead fix: already I/O + overhead
             agg.strategy_overhead_mean,
         ]
-        if parallel:
-            row += [
-                agg.merge_wall_seconds_mean,
-                f"{agg.merge_executor} x{agg.merge_workers}",
-                agg.merge_utilization_mean * 100.0,
-            ]
         if sharded:
             row += [
                 agg.num_shards,
                 agg.cluster_makespan_mean,
                 agg.shard_imbalance_mean,
-            ]
-        if pipelined:
-            row += [
-                agg.ingest_wall_seconds_mean,
-                agg.write_stall_count_mean,
-                agg.flush_overlap_fraction_mean * 100.0,
             ]
         if served:
             row += [

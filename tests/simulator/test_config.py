@@ -1,5 +1,7 @@
 """Tests for SimulationConfig and the figure presets."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.errors import ConfigError, WorkloadError
@@ -32,9 +34,16 @@ class TestValidation:
         assert config.estimator == "hll"
 
     def test_backend_and_estimator_aliases_canonicalized(self):
-        config = SimulationConfig(backend="bits", estimator="hyperloglog")
+        config = SimulationConfig(
+            backend="bits", estimator="hyperloglog", distribution="LATEST"
+        )
         assert config.backend == "bitset"
         assert config.estimator == "hll"
+        assert config.distribution == "latest"
+        assert config.describe().startswith("latest ")
+        assert config.to_dict() == SimulationConfig(
+            backend="bitset", estimator="hll"
+        ).to_dict()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigError):
@@ -55,29 +64,22 @@ class TestValidation:
         with pytest.raises(ConfigError):
             SimulationConfig(hll_precision=99)
 
-    def test_merge_executor_validated(self):
-        assert SimulationConfig().merge_executor == "serial"
-        SimulationConfig(merge_executor="thread", merge_workers=4)
-        for removed_or_unknown in ("process", "gpu"):
-            with pytest.raises(ConfigError, match=r"'serial', 'thread'"):
-                SimulationConfig(merge_executor=removed_or_unknown)
-        with pytest.raises(ConfigError):
-            SimulationConfig(merge_workers=-1)
-
-    @pytest.mark.parametrize("value", [True, False, 0, 1])
-    def test_write_pipeline_takes_bools_and_0_1(self, value):
-        config = SimulationConfig(write_pipeline=value)
-        assert config.write_pipeline is bool(value)
-        assert config.to_dict() == SimulationConfig(
-            write_pipeline=bool(value)
-        ).to_dict()
-
-    def test_describe_mentions_parallel_merges_only(self):
-        assert "merge=" not in SimulationConfig().describe()
-        text = SimulationConfig(merge_executor="thread").describe()
-        assert "merge=threadxauto" in text
-        text = SimulationConfig(merge_executor="thread", merge_workers=2).describe()
-        assert "merge=threadx2" in text
+    def test_retired_fields_dropped_from_stored_specs_only(self):
+        """A manifest written while the thread executor and the pipelined
+        ingest existed still rebuilds; nothing else accepts their knobs."""
+        retired = {
+            "merge_executor": "thread",
+            "merge_workers": 4,
+            "write_pipeline": True,
+            "max_immutable_memtables": 3,
+            "flush_workers": 2,
+        }
+        assert SimulationConfig.from_dict({**retired, "k": 3}) == SimulationConfig(k=3)
+        for field, value in retired.items():
+            with pytest.raises(ConfigError, match=field):
+                SimulationConfig().overridden({field: value})
+            with pytest.raises(TypeError, match=field):
+                SimulationConfig(**{field: value})
 
 
 #: Values that used to construct and then die inside the first cell
@@ -93,10 +95,26 @@ HOSTILE_VALUES = [
     ("memtable_capacity", 2.5),
     ("bloom_fp_rate", 1.5),
     ("bloom_fp_rate", 0.0),
-    # bool() of any of these is True: each once turned the pipeline on.
-    ("write_pipeline", "false"),
-    ("write_pipeline", "yes"),
-    ("write_pipeline", 2),
+    # NaN fails every comparison, so it once passed both disk checks
+    # and turned every simulated time into NaN.
+    ("disk_seek_seconds", float("nan")),
+    ("disk_bandwidth", float("nan")),
+    # A bool is an int to Python: each of these once ran as 0 or 1.
+    ("memtable_capacity", True),
+    ("seed", False),
+    ("recordcount", True),
+    ("num_shards", True),
+    ("shard_skew", True),
+    ("update_fraction", True),
+]
+
+# Every field whose default is a number, read from the defaults rather
+# than the annotations the validator itself reads.
+NUMERIC_FIELDS = [
+    spec.name
+    for spec in fields(SimulationConfig)
+    if isinstance(spec.default, (int, float))
+    and not isinstance(spec.default, bool)
 ]
 
 ROUTES = {
@@ -114,6 +132,19 @@ class TestFailsAtConfigurationTime:
     def test_hostile_value_names_its_field(self, route, field, value):
         with pytest.raises((ConfigError, WorkloadError), match=field):
             ROUTES[route]({field: value})
+
+    def test_numeric_fields_found(self):
+        assert len(NUMERIC_FIELDS) == 18
+        assert {"seed", "k", "disk_bandwidth", "wal_sync_every"} <= set(
+            NUMERIC_FIELDS
+        )
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", NUMERIC_FIELDS)
+    def test_no_numeric_field_takes_a_bool(self, field, value):
+        """Either bool would otherwise run as 1 or 0 in some field."""
+        with pytest.raises(ConfigError, match=f"^{field} must be a number"):
+            SimulationConfig(**{field: value})
 
     def test_reference_plane_is_unsharded_only(self):
         """Shards ingest on the fast plane only, so the pair would put

@@ -34,27 +34,18 @@ from repro.simulator.runner import ComparisonResult
 COUNTS = st.integers(0, 10**7)
 SECONDS = st.floats(0.0, 1e4, allow_nan=False)
 FRACTIONS = st.floats(0.0, 1.0, allow_nan=False)
-INGEST = (
-    "write_pipeline",
-    "ingest_wall_seconds",
-    "write_stall_count",
-    "flush_overlap_fraction",
-)
+#: Fields the catalogue does not report: constants the benchmark's
+#: traced mirror still passes to ``StrategyResult``.
+UNREPORTED = {"merge_executor", "merge_workers"}
 
 
 @st.composite
-def result_rows(
-    draw, count, *, served=None, parallel=None, shards=1, pipelined=None
-):
+def result_rows(draw, count, *, served=None, shards=1):
     """``count`` runs (or shards) of one strategy on one config.
 
-    The constant-per-config fields (executor, shard count, pipeline
-    flag) are drawn once; ``None`` lets hypothesis pick the feature.
+    ``served=None`` lets hypothesis pick whether reads were served.
     """
     served = draw(st.booleans()) if served is None else served
-    parallel = draw(st.booleans()) if parallel is None else parallel
-    pipelined = draw(st.booleans()) if pipelined is None else pipelined
-    workers = draw(st.integers(2, 8))
     rows = []
     for _ in range(count):
         reads = draw(st.integers(1, 10**5)) if served else 0
@@ -75,8 +66,6 @@ def result_rows(
             merge_utilization=draw(FRACTIONS),
             ingest_wall_seconds=draw(SECONDS),
         )
-        if parallel:
-            row.update(merge_executor="thread", merge_workers=workers)
         if served:
             row.update(
                 reads=reads,
@@ -103,12 +92,6 @@ def result_rows(
                 shard_read_amps=tuple(
                     draw(st.lists(SECONDS, min_size=shards, max_size=shards))
                 ),
-            )
-        if pipelined:
-            row.update(
-                write_pipeline=True,
-                write_stall_count=draw(COUNTS),
-                flush_overlap_fraction=draw(FRACTIONS),
             )
         rows.append(StrategyResult(**row))
     return rows
@@ -154,31 +137,18 @@ class TestAgainstParent:
         scheduler = ClusterScheduler(lanes)
         derived = combine_shard_results("SI", ops, shards, scheduler)
         oracle = parent.combine_shard_results("SI", ops, shards, scheduler)
-        # The parent dropped the ingest fields (the defect this fold
+        # The parent dropped the ingest wall (the defect this fold
         # fixes); everything else must match it field for field.
-        assert replace(
-            derived, **{name: getattr(oracle, name) for name in INGEST}
-        ) == oracle
-        assert derived.write_pipeline == shards[0].write_pipeline
+        assert replace(derived, ingest_wall_seconds=0.0) == oracle
         assert derived.ingest_wall_seconds == sum(
             row.ingest_wall_seconds for row in shards
         )
-        assert derived.write_stall_count == sum(
-            row.write_stall_count for row in shards
-        )
-        assert derived.flush_overlap_fraction == sum(
-            row.flush_overlap_fraction for row in shards
-        ) / len(shards)
 
-    @pytest.mark.parametrize(
-        "parallel,sharded,pipelined,served", product((False, True), repeat=4)
-    )
+    @pytest.mark.parametrize("sharded,served", product((False, True), repeat=2))
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
-    def test_comparison_table_column_groups(
-        self, data, parallel, sharded, pipelined, served
-    ):
-        """All 16 on/off combinations of the four groups, byte for byte."""
+    def test_comparison_table_column_groups(self, data, sharded, served):
+        """All 4 on/off combinations of the two groups, byte for byte."""
         labels = ("SI", "BT(I)")
         per_strategy = {}
         for label in labels:
@@ -186,9 +156,7 @@ class TestAgainstParent:
                 result_rows(
                     data.draw(st.integers(1, 3)),
                     served=served,
-                    parallel=parallel,
                     shards=3 if sharded else 1,
-                    pipelined=pipelined,
                 )
             )
             runs = [replace(run, strategy=label) for run in runs]
@@ -211,15 +179,15 @@ class TestAgainstParent:
         assert tables[0] == tables[1]
         header = tables[0].splitlines()[1]
         for group, marker in (
-            (parallel, "merge wall s"),
             (sharded, "makespan s"),
-            (pipelined, "ingest s"),
             (served, "read amp"),
+            (False, "merge wall s"),
+            (False, "ingest s"),
         ):
             assert (marker in header) == group
 
 
-#: Schema v1 of a manifest cell: 31 metric keys plus the four the
+#: Schema v1 of a manifest cell: 26 metric keys plus the four the
 #: scenario layer adds around them.
 MANIFEST_CELL_KEYS = [
     "strategy",
@@ -233,8 +201,6 @@ MANIFEST_CELL_KEYS = [
     "simulated_seconds_std",
     "strategy_overhead_mean",
     "wall_seconds_mean",
-    "merge_executor",
-    "merge_workers",
     "merge_wall_seconds_mean",
     "merge_utilization_mean",
     "reads_mean",
@@ -249,10 +215,7 @@ MANIFEST_CELL_KEYS = [
     "shard_ops_mean",
     "shard_costs_mean",
     "shard_read_amps_mean",
-    "write_pipeline",
     "ingest_wall_seconds_mean",
-    "write_stall_count_mean",
-    "flush_overlap_fraction_mean",
     "distribution",
     "parameter",
     "x",
@@ -272,7 +235,8 @@ class TestCatalogueStructure:
     def test_every_result_field_has_exactly_one_row(self):
         sources = [metric.source for metric in CATALOGUE if metric.source]
         assert len(sources) == len(set(sources))
-        result_fields = {f.name for f in fields(StrategyResult)}
+        result_fields = {f.name for f in fields(StrategyResult)} - UNREPORTED
+        assert not UNREPORTED & set(sources)
         assert result_fields <= set(sources)
         # The remaining rows read a StrategyResult property.
         for name in set(sources) - result_fields:
@@ -291,12 +255,12 @@ class TestCatalogueStructure:
 
         compacted = {m.source: m.compacted for m in CATALOGUE if m.compacted}
         assert set(compacted.values()) <= {f.name for f in fields(CompactionResult)}
-        assert len(compacted) == 14
+        assert len(compacted) == 12
         produced = set(compacted) | {"strategy", "lopt_entries"}
         for metric in CATALOGUE:
             if metric.served or metric.ingest or metric.fold is CLUSTER:
                 produced.add(metric.source)
-        assert produced == {f.name for f in fields(StrategyResult)}
+        assert produced == {f.name for f in fields(StrategyResult)} - UNREPORTED
 
     def test_aggregate_fields_are_the_catalogue_keys(self):
         stored = [
@@ -327,7 +291,7 @@ class TestCatalogueStructure:
         )
         for cell in run.cells():
             assert sorted(cell) == sorted(MANIFEST_CELL_KEYS)
-        assert len(MANIFEST_CELL_KEYS) == 35
+        assert len(MANIFEST_CELL_KEYS) == 30
 
     @settings(max_examples=30, deadline=None)
     @given(result_rows(1), COUNTS)
@@ -366,26 +330,20 @@ class TestCatalogueStructure:
 
 class TestFixedDefects:
     def test_sharded_cell_keeps_ingest_accounting(self):
-        """A sharded pipelined cell used to report the serial defaults."""
+        """A sharded cell used to report the serial defaults."""
         from repro.cluster import ShardedEngine
 
-        config = tiny_config(
-            num_shards=2, write_pipeline=True, flush_workers=2
-        )
+        config = tiny_config(num_shards=2)
         engine = ShardedEngine(config, ("SI",))
         shards = [run.per_label["SI"] for run in engine.run_shards(0)]
-        assert all(row.write_pipeline for row in shards)
+        assert all(row.ingest_wall_seconds > 0 for row in shards)
         agg = run_comparison(config, ("SI",), runs=1).per_strategy["SI"]
-        assert agg.write_pipeline is True
         assert agg.ingest_wall_seconds_mean > 0
-        # Stalls depend on thread timing, so the sum is checked on one
-        # set of shard rows rather than across two executions.
-        assert engine.run(0)["SI"].write_pipeline is True
         cell = combine_shard_results(
             "SI", [1, 1], shards, ClusterScheduler(config.parallel_lanes)
         )
-        assert cell.write_stall_count == sum(
-            row.write_stall_count for row in shards
+        assert cell.ingest_wall_seconds == sum(
+            row.ingest_wall_seconds for row in shards
         )
 
     def test_time_cell_is_the_mean_total_simulated_seconds(self):

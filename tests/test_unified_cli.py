@@ -151,6 +151,46 @@ class TestRun:
         err = capsys.readouterr().err
         assert "data_plane" in err and "num_shards" in err
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "merge_executor",
+            "merge_workers",
+            "write_pipeline",
+            "max_immutable_memtables",
+            "flush_workers",
+        ],
+    )
+    def test_removed_thread_knob_flags_are_argparse_errors(self, capsys, field):
+        flag = "--" + field.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "churn", "--no-store", flag, "2"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_removed_merge_executor_is_clean_error(self, capsys):
+        """The thread executor and its knobs are gone: ``--set`` names
+        the unknown field."""
+        sets = ["--set", "merge_executor=thread"]
+        assert main(["run", "churn", "--no-store"] + sets + TINY_SETS) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "merge_executor" in err
+
+    def test_nan_disk_model_is_clean_error(self, capsys):
+        sets = ["--set", "disk_seek_seconds=nan"]
+        assert main(["run", "churn", "--no-store"] + sets + TINY_SETS) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "disk_seek_seconds" in err
+
+    def test_bool_in_spec_file_is_clean_error(self, capsys, tmp_path):
+        spec = REGISTRY.get("churn").to_dict()
+        spec["config"]["memtable_capacity"] = True
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(path), "--no-store"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "memtable_capacity" in err
+
     def test_zero_runs_is_clean_error(self, capsys):
         assert main(["run", "churn", "--no-store", "--runs", "0"] + TINY_SETS) == 2
         assert "error:" in capsys.readouterr().err
@@ -292,9 +332,6 @@ class TestFigures:
         assert len(sweeps) == len(set(sweeps)) == 1 + 1 + 3 + 3
         assert "[manifest" not in capsys.readouterr().out
 
-    def test_unknown_figure_and_removed_executor_are_clean_errors(self, capsys):
+    def test_unknown_figure_is_clean_error(self, capsys):
         assert main(["figures", "churn"]) == 2
         assert "unknown figure 'churn'" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            main(["figures", "fig8", "--merge-executor", "process"])
-        assert "choose from 'serial', 'thread'" in capsys.readouterr().err
