@@ -10,7 +10,8 @@ and simulation reproducible across runs:
   fallback for other value types.
 * :func:`hash_key` — the dispatching entry point used everywhere in the
   library; supports ``int``, ``str``, ``bytes``, ``tuple`` (recursively)
-  and falls back to hashing ``repr`` for other values.
+  and falls back to hashing ``repr`` for other values.  Its per-type
+  part, :func:`key_base`, does not depend on the seed.
 * :func:`hash_keys_u64` — the numpy batch form of :func:`hash_key` for
   plain-int keys; :func:`hash_key` is its oracle and the only path for
   keys a ``uint64`` vector cannot represent (str, bool, tuple, ...).
@@ -60,29 +61,37 @@ def hash_key(key: Hashable, seed: int = 0) -> int:
     agree modulo ``2**64`` collide — irrelevant for key-value keys,
     which live far below that range.
     """
+    return splitmix64(key_base(key) ^ splitmix64(seed))
+
+
+def key_base(key: Hashable) -> int:
+    """The seed-independent part of :func:`hash_key`.
+
+    ``hash_key(key, seed) == splitmix64(key_base(key) ^ splitmix64(seed))``,
+    so a caller hashing one key under several fixed seeds (the bloom
+    filter's probe pair) dispatches on its type once.
+    """
     if isinstance(key, bool):  # bool is an int subclass; keep it distinct
-        base = 0x51ED2700 + int(key)
-    elif isinstance(key, int):
-        base = key & MASK64
-    elif isinstance(key, str):
+        return 0x51ED2700 + int(key)
+    if isinstance(key, int):
+        return key & MASK64
+    if isinstance(key, str):
         # type salt keeps str distinct from its utf-8 bytes
-        base = fnv1a64(key.encode("utf-8")) ^ 0x5374720000000000
-    elif isinstance(key, bytes):
-        base = fnv1a64(key)
-    elif isinstance(key, tuple):
+        return fnv1a64(key.encode("utf-8")) ^ 0x5374720000000000
+    if isinstance(key, bytes):
+        return fnv1a64(key)
+    if isinstance(key, tuple):
         acc = 0x2545F4914F6CDD1D
         for item in key:
             acc = splitmix64(acc ^ hash_key(item))
-        base = acc
-    elif isinstance(key, frozenset):
+        return acc
+    if isinstance(key, frozenset):
         # Order-independent combine so equal sets hash equally.
         acc = 0
         for item in key:
             acc ^= hash_key(item)
-        base = acc
-    else:
-        base = fnv1a64(repr(key).encode("utf-8"))
-    return splitmix64(base ^ splitmix64(seed))
+        return acc
+    return fnv1a64(repr(key).encode("utf-8"))
 
 
 def _splitmix64_u64(x: "_np.ndarray") -> "_np.ndarray":

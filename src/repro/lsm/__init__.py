@@ -1,6 +1,6 @@
 """The LSM storage substrate (Figures 1 and 2 of the paper).
 
-Memtables, sstables with bloom filters and sparse indexes, write-ahead
+Memtables, sstables with bloom filters and binary-searched keys, write-ahead
 logs, a simulated disk with byte accounting and a timing model, fault-
 injecting filesystems, the compaction strategies, and the one engine
 that runs the full read/write path over them: :class:`LSMEngine`,

@@ -5,7 +5,9 @@ certainly do not contain the key — the standard LSM read-amplification
 mitigation (Bigtable §6, Cassandra, RocksDB).  Classic m/k sizing from
 the target false-positive rate, double hashing for the k probes (the
 probe arithmetic wraps at 64 bits so the scalar and the vectorized
-uint64 batch path set exactly the same bits).
+uint64 batch path set exactly the same bits).  The probe hashes depend
+only on the key, so a point read computes them once
+(:func:`probe_hashes`) and tests them against every table it checks.
 
 :meth:`BloomFilter.add_all` is batched: plain-int key collections hash
 through :func:`~repro.hll.hashing.hash_keys_u64` and scatter their probe
@@ -21,10 +23,25 @@ from typing import Hashable, Iterable, Optional
 import numpy as _np
 
 from ..errors import ConfigError
-from ..hll.hashing import MASK64, hash_key, hash_keys_u64
+from ..hll.hashing import MASK64, hash_keys_u64, key_base, splitmix64
 
 _PROBE_SEED_1 = 0x0B1008
 _PROBE_SEED_2 = 0x0B1009
+_SEED_MIX_1 = splitmix64(_PROBE_SEED_1)
+_SEED_MIX_2 = splitmix64(_PROBE_SEED_2)
+
+
+def probe_hashes(key: Hashable) -> tuple[int, int]:
+    """The double-hashing pair ``(h1, h2)`` every filter probes ``key`` with.
+
+    ``h1``/``h2`` are ``hash_key(key, seed)`` under the two probe seeds
+    (``h2`` forced odd, so its multiples cycle through every bit).  The
+    pair does not depend on the filter, so a point read computes it once
+    and tests it against each table's filter with
+    :meth:`BloomFilter.contains_hashes`.
+    """
+    base = key_base(key)
+    return splitmix64(base ^ _SEED_MIX_1), splitmix64(base ^ _SEED_MIX_2) | 1
 
 
 class BloomFilter:
@@ -43,15 +60,11 @@ class BloomFilter:
         self._bits = bytearray((self.m_bits + 7) // 8)
         self._count = 0
 
-    def _probes(self, key: Hashable) -> Iterable[int]:
-        h1 = hash_key(key, seed=_PROBE_SEED_1)
-        h2 = hash_key(key, seed=_PROBE_SEED_2) | 1  # odd => full cycle
+    def add(self, key: Hashable) -> None:
+        h1, h2 = probe_hashes(key)
         m = self.m_bits
         for i in range(self.k_hashes):
-            yield ((h1 + i * h2) & MASK64) % m
-
-    def add(self, key: Hashable) -> None:
-        for bit in self._probes(key):
+            bit = ((h1 + i * h2) & MASK64) % m
             self._bits[bit >> 3] |= 1 << (bit & 7)
         self._count += 1
 
@@ -79,10 +92,18 @@ class BloomFilter:
         _np.bitwise_or.at(bits, byte_index, masks)
         self._count += len(keys)
 
+    def contains_hashes(self, h1: int, h2: int) -> bool:
+        """Membership test for a key given its :func:`probe_hashes` pair."""
+        bits = self._bits
+        m = self.m_bits
+        for i in range(self.k_hashes):
+            bit = ((h1 + i * h2) & MASK64) % m
+            if not bits[bit >> 3] & (1 << (bit & 7)):
+                return False
+        return True
+
     def __contains__(self, key: Hashable) -> bool:
-        return all(
-            self._bits[bit >> 3] & (1 << (bit & 7)) for bit in self._probes(key)
-        )
+        return self.contains_hashes(*probe_hashes(key))
 
     def contains_batch(self, keys) -> Optional["_np.ndarray"]:
         """Vectorized membership test, bit-identical to ``key in self``.

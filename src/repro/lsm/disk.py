@@ -91,6 +91,18 @@ class SimulatedDisk:
         self.stats.read_ops += 1
         return self.timing.transfer_seconds(nbytes)
 
+    def read_many(self, count: int, nbytes: int) -> None:
+        """Record ``count`` reads totalling ``nbytes`` in one call.
+
+        Leaves :attr:`stats` exactly as ``count`` :meth:`read` calls
+        summing to ``nbytes`` would (a scan bills each table's consumed
+        run this way).
+        """
+        if count < 0 or nbytes < 0:
+            raise ConfigError("cannot read a negative number of records or bytes")
+        self.stats.bytes_read += nbytes
+        self.stats.read_ops += count
+
     def write(self, nbytes: int) -> float:
         """Record a write of ``nbytes``; return its simulated duration."""
         if nbytes < 0:

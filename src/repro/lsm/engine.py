@@ -28,6 +28,7 @@ from typing import Hashable, Optional
 
 from ..errors import ConfigError, StorageError
 from ..ycsb.operations import Operation, OperationType
+from .bloom import probe_hashes
 from .compaction.base import CompactionResult, CompactionStrategy
 from .compaction.major import MajorCompaction
 from .disk import SimulatedDisk
@@ -76,9 +77,11 @@ class ReadStats:
     passed but the table did not hold the key (the probe bought only an
     index-block read).  Scans keep their own counters:
     ``scan_records_scanned`` is every sstable record the scan walk
-    consumed (charged to the disk), ``scan_records_returned`` the live
-    records handed back.  ``read_bytes`` totals all bytes charged on
-    behalf of reads and scans.
+    consumed (charged to the disk, one ``read_many`` per probed table's
+    consumed run), ``scan_records_returned`` the live records handed
+    back.  ``read_bytes`` totals all bytes charged on behalf of reads
+    and scans.  Neither reads nor scans materialize a column-backed
+    table's ``Record`` tuple: they count from its key list and columns.
     """
 
     reads: int = 0
@@ -356,8 +359,14 @@ class LSMEngine:
             if record is not None:
                 stats.memtable_hits += 1
                 return self._resolve(record)
+            hashes = None  # the bloom probe pair, hashed at the first table in range
             for table in reversed(self.sstables):
-                if not table.may_contain(key):
+                if not table.min_key <= key <= table.max_key:
+                    stats.bloom_skips += 1
+                    continue
+                if hashes is None:
+                    hashes = probe_hashes(key)
+                if not table.bloom.contains_hashes(*hashes):
                     stats.bloom_skips += 1
                     continue
                 stats.tables_probed += 1
@@ -382,65 +391,84 @@ class LSMEngine:
     def scan(self, start_key: Hashable, length: int) -> list[Record]:
         """Up to ``length`` live records with key >= ``start_key``.
 
-        A bounded k-way merge: every probed sstable and every memtable
-        contributes a cursor (one binary search, nothing copied), a heap
-        orders the cursor heads, and records are pulled in ascending key
-        order, resolving newest-per-key as it goes (a tombstone shadows
-        every older version without producing output) and stopping only
-        once ``length`` live records are resolved or every source is
-        exhausted — heavily overwritten or tombstoned key ranges extend
-        the walk instead of truncating the result.  Tables whose range
-        ends before ``start_key`` are pruned without a probe, and every
-        sstable record the walk consumes is charged to the simulated
-        disk; memtable records (active or frozen) are free.
+        A bounded k-way merge over sorted runs: every probed sstable and
+        every memtable contributes a cursor (one binary search, nothing
+        copied), a heap orders the cursors' head keys, and keys are
+        pulled in ascending order, resolving newest-per-key as it goes
+        (a tombstone shadows every older version without producing
+        output) and stopping only once ``length`` live records are
+        resolved or every source is exhausted — heavily overwritten or
+        tombstoned key ranges extend the walk instead of truncating the
+        result.  The heap holds ``(key, source, row)`` only: a key's
+        versions are compared by seqno through the runs' row accessors,
+        and a ``Record`` is fetched (on a column-backed table, built)
+        for the winner alone.
+
+        Tables whose range ends before ``start_key`` are pruned without
+        a probe.  Every sstable record the walk consumes is charged to
+        the simulated disk: each probed table's consumed run
+        ``[start, cursor)`` in one :meth:`SimulatedDisk.read_many` once
+        the walk ends, which leaves the counters exactly as one read per
+        record would.  Memtable records (active or frozen) are free.
         """
         if length < 1:
             return []
         with self._mutex:
             stats = self.read_stats
             stats.scans += 1
-            sources = []  # (records, cursor), oldest source first
+            runs = []  # oldest source first: probed sstables, then memtables
+            starts = []
             for table in self.sstables:
                 if start_key > table.max_key:
                     stats.scan_tables_pruned += 1
                     continue
-                stats.scan_tables_probed += 1
-                sources.append((table.records, table.lower_bound(start_key)))
-            n_tables = len(sources)
+                runs.append(table)
+                starts.append(table.lower_bound(start_key))
+            n_tables = len(runs)
+            stats.scan_tables_probed += n_tables
             for memtable in (*(f.memtable for f in self._immutable), self.memtable):
-                sources.append(memtable.records_from(start_key))
-            # Heads pop in (key, source) order, so equal keys are visited
-            # oldest source first and the strict ``>`` keeps the first of
-            # two equal seqnos; the record rides along so each one is
-            # fetched from its source exactly once.
-            heap = []
-            for index, (records, position) in enumerate(sources):
-                if position < len(records):
-                    record = records[position]
-                    heap.append((record.key, index, position, record))
+                view, position = memtable.records_from(start_key)
+                runs.append(view)
+                starts.append(position)
+            keys_of = [run.keys for run in runs]
+            heap = [
+                (keys[position], index, position)
+                for index, (keys, position) in enumerate(zip(keys_of, starts))
+                if position < len(keys)
+            ]
             heapq.heapify(heap)
             live: list[Record] = []
             while heap and len(live) < length:
-                key = heap[0][0]
-                best = None
-                while heap and heap[0][0] == key:
-                    _, index, position, record = heap[0]
-                    if index < n_tables:
-                        size = record.size_bytes
-                        self.disk.read(size)
-                        stats.read_bytes += size
-                        stats.scan_records_scanned += 1
-                    if best is None or record.seqno > best.seqno:
-                        best = record
-                    records = sources[index][0]
-                    position += 1
-                    if position < len(records):
-                        record = records[position]
-                        heapq.heapreplace(heap, (record.key, index, position, record))
+                key, index, position = heap[0]
+                winner, row = index, position
+                seqno = None  # the winner's, read once a second version shows
+                while True:  # pop every version of ``key``, oldest source first
+                    keys = keys_of[index]
+                    if position + 1 < len(keys):
+                        heapq.heapreplace(heap, (keys[position + 1], index, position + 1))
                     else:
                         heapq.heappop(heap)
-                if not best.tombstone:
-                    live.append(best)
+                    if not heap or heap[0][0] != key:
+                        break
+                    _, index, position = heap[0]
+                    if seqno is None:
+                        seqno = runs[winner].seqno_at(row)
+                    candidate = runs[index].seqno_at(position)
+                    if candidate > seqno:  # strict: the older source keeps a tie
+                        winner, row, seqno = index, position, candidate
+                record = runs[winner].record_at(row)
+                if not record.tombstone:
+                    live.append(record)
+            cursors = [len(keys) for keys in keys_of[:n_tables]]
+            for _, index, position in heap:
+                if index < n_tables:
+                    cursors[index] = position
+            for table, start, cursor in zip(runs, starts, cursors):
+                if cursor > start:
+                    nbytes = table.run_bytes(start, cursor)
+                    self.disk.read_many(cursor - start, nbytes)
+                    stats.read_bytes += nbytes
+                    stats.scan_records_scanned += cursor - start
             stats.scan_records_returned += len(live)
             return live
 

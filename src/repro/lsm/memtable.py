@@ -22,26 +22,30 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from bisect import bisect_left
 from itertools import islice
-from typing import Hashable, Sequence
+from typing import Hashable
 
 from ..errors import ConfigError, StorageError
 from .record import Record
 
 
 class _KeyOrderView:
-    """The newest record per key in ascending key order, looked up on access."""
+    """The newest record per key in ascending key order, looked up on access.
 
-    __slots__ = ("_keys", "_newest")
+    A sorted run like :class:`~repro.lsm.sstable.SSTable`: ``keys`` plus
+    the row accessors ``record_at`` and ``seqno_at``.
+    """
+
+    __slots__ = ("keys", "_newest")
 
     def __init__(self, keys: list, newest: dict) -> None:
-        self._keys = keys
+        self.keys = keys
         self._newest = newest
 
-    def __len__(self) -> int:
-        return len(self._keys)
+    def record_at(self, index: int) -> Record:
+        return self._newest[self.keys[index]]
 
-    def __getitem__(self, index: int) -> Record:
-        return self._newest[self._keys[index]]
+    def seqno_at(self, index: int) -> int:
+        return self._newest[self.keys[index]].seqno
 
 
 class Memtable(ABC):
@@ -77,9 +81,9 @@ class Memtable(ABC):
         memtable at once, and both then publish the same order.
         """
 
-    def records_from(self, start_key: Hashable) -> tuple[Sequence[Record], int]:
-        """The sorted, deduplicated contents as an indexable view, and the
-        position in it of the first key >= ``start_key`` (nothing is copied)."""
+    def records_from(self, start_key: Hashable) -> tuple[_KeyOrderView, int]:
+        """The sorted, deduplicated contents as a row view, and the row of
+        the first key >= ``start_key`` in it (nothing is copied)."""
         keys, newest = self._ordered()
         return _KeyOrderView(keys, newest), bisect_left(keys, start_key)
 

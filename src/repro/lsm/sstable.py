@@ -2,9 +2,10 @@
 
 An :class:`SSTable` is an immutable run of records sorted by key with at
 most one record per key (Figure 1's on-disk unit).  It carries the
-read-path accelerators a real store attaches: a bloom filter and a
-sparse index (one anchor every ``index_interval`` entries) for
-binary-search point lookups.
+read-path accelerator a real store attaches — a bloom filter — and
+answers a point lookup with one binary search over its key list
+(``index_interval``, the sparse-index spacing, is kept as a field of the
+file format; see :mod:`~repro.lsm.format.sstable_io`).
 
 Tables have two internal representations with one interface:
 
@@ -12,9 +13,13 @@ Tables have two internal representations with one interface:
   objects (the engine write path, generic keys/payloads);
 * **column-backed** — built from int64 key/seqno/value-size/tombstone
   arrays (:meth:`SSTable.from_columns`, the simulator's batched data
-  plane).  ``Record`` objects are materialized lazily, only if a caller
-  actually iterates them; compaction chains of column-backed tables
-  never allocate a single ``Record``.
+  plane and every columnar compaction output).  ``Record`` objects are
+  materialized lazily, only if a caller actually iterates them;
+  compaction chains of column-backed tables never allocate a single
+  ``Record``, and neither do reads: a get or a scan goes through the
+  key list and the row accessors (:meth:`SSTable.record_at`,
+  :meth:`SSTable.seqno_at`, :meth:`SSTable.run_bytes`), which build a
+  ``Record`` only for a row a read returns.
 
 :func:`merge_sstables` is the compaction kernel (Figure 2), with two
 bit-identical implementations: a columnar run merge (a stable argsort
@@ -31,7 +36,7 @@ safe when the merge output is the *bottommost* table for its key range
 from __future__ import annotations
 
 import heapq
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
@@ -204,7 +209,11 @@ class SSTable:
 
     @cached_property
     def records(self) -> tuple[Record, ...]:  # type: ignore[no-redef]
-        """The table's records, materialized lazily for columnar tables."""
+        """The table's records, materialized lazily for columnar tables.
+
+        Reads do not touch this: only iteration, the heap merge kernel
+        and the file encoder build a column-backed table's records.
+        """
         columns = self._columns
         tombstones = (
             columns.tombstones.tolist()
@@ -236,13 +245,26 @@ class SSTable:
         return BloomFilter.of(self._keys, self._bloom_fp_rate)
 
     @cached_property
-    def sparse_index(self) -> tuple[tuple[Hashable, int], ...]:
-        """(key, offset) anchors every ``index_interval`` entries."""
-        keys = self._keys
-        return tuple(
-            (keys[offset], offset)
-            for offset in range(0, len(keys), self._index_interval)
+    def _column_rows(self) -> tuple[list, list, Optional[list]]:
+        """A column-backed table's seqnos, value sizes and tombstones as lists."""
+        columns = self._columns
+        tombstones = columns.tombstones
+        return (
+            columns.seqnos.tolist(),
+            columns.value_sizes.tolist(),
+            None if tombstones is None else tombstones.tolist(),
         )
+
+    @cached_property
+    def _size_prefix(self) -> "_np.ndarray":
+        """A column-backed table's int64 running total of entry sizes.
+
+        Rows ``[a, b)`` weigh ``prefix[b] - prefix[a]`` bytes.
+        """
+        prefix = _np.zeros(self._entry_count + 1, dtype=_np.int64)
+        # int keys contribute no key bytes (Record.size_bytes).
+        _np.cumsum(self._columns.value_sizes + ENTRY_OVERHEAD_BYTES, out=prefix[1:])
+        return prefix
 
     # ------------------------------------------------------------------
     # Introspection
@@ -353,18 +375,56 @@ class SSTable:
         return key in self.bloom
 
     def get(self, key: Hashable) -> Optional[Record]:
-        """Point lookup via the sparse index + bounded binary search."""
+        """Point lookup: a range check, then one binary search of the keys."""
         if not self.min_key <= key <= self.max_key:
             return None
-        anchor = bisect_right(self.sparse_index, key, key=lambda entry: entry[0]) - 1
-        if anchor < 0:
-            return None
-        start = self.sparse_index[anchor][1]
-        stop = min(start + self._index_interval, len(self._keys))
-        lo = bisect_right(self._keys, key, lo=start, hi=stop) - 1
-        if lo >= 0 and self._keys[lo] == key:
-            return self.records[lo]
+        keys = self._keys
+        index = bisect_left(keys, key)  # < len(keys): key <= max_key
+        if keys[index] == key:
+            return self.record_at(index)
         return None
+
+    @property
+    def keys(self) -> list:
+        """The table's keys in ascending order (a shared list: do not mutate)."""
+        return self._keys
+
+    def record_at(self, index: int) -> Record:
+        """The record at row ``index`` of :attr:`keys`.
+
+        A column-backed table whose :attr:`records` were never
+        materialized builds this one ``Record`` from its column lists.
+        """
+        records = vars(self).get("records")  # always set if record-backed
+        if records is not None:
+            return records[index]
+        seqnos, value_sizes, tombstones = self._column_rows
+        return Record(
+            self._keys[index],
+            seqnos[index],
+            value_sizes[index],
+            tombstones is not None and tombstones[index],
+        )
+
+    def seqno_at(self, index: int) -> int:
+        """The seqno at row ``index``; builds no ``Record``."""
+        records = vars(self).get("records")
+        if records is not None:
+            return records[index].seqno
+        return self._column_rows[0][index]
+
+    def run_bytes(self, start: int, stop: int) -> int:
+        """Total ``size_bytes`` of the rows ``[start, stop)``.
+
+        A column-backed table answers from an int64 prefix sum; a table
+        holding records (record-backed, or materialized) sums over the
+        run's records only.
+        """
+        records = vars(self).get("records")
+        if records is None:
+            prefix = self._size_prefix
+            return int(prefix[stop] - prefix[start])
+        return sum(records[index].size_bytes for index in range(start, stop))
 
     def get_batch(self, keys) -> Optional["_np.ndarray"]:
         """Vectorized point lookups: the row index per key, ``-1`` if absent.
@@ -386,7 +446,7 @@ class SSTable:
         return _np.where(found, indices, -1)
 
     def lower_bound(self, key: Hashable) -> int:
-        """Index into :attr:`records` of the first record with key >= ``key``."""
+        """Row index of the first key >= ``key`` (``len(self)`` if none)."""
         return bisect_left(self._keys, key)
 
     # ------------------------------------------------------------------

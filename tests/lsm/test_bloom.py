@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.hll.hashing import hash_key
 from repro.lsm import BloomFilter
+from repro.lsm.bloom import _PROBE_SEED_1, _PROBE_SEED_2, probe_hashes
 
 
 class TestConstruction:
@@ -48,6 +50,19 @@ class TestMembership:
         bloom = BloomFilter.of(f"user{i}" for i in range(100))
         assert "user5" in bloom
         assert sum(1 for i in range(1000, 3000) if f"user{i}" in bloom) < 120
+
+    @pytest.mark.parametrize(
+        "key", (0, -7, 2**64 + 3, True, "user5", "", b"raw", (1, "a"), 2.5)
+    )
+    def test_probe_pair_is_the_two_seeded_key_hashes(self, key):
+        # A get hashes its key once; the pair must be what the per-seed
+        # hashes give, or a hashed-once probe would miss stored bits.
+        assert probe_hashes(key) == (
+            hash_key(key, seed=_PROBE_SEED_1),
+            hash_key(key, seed=_PROBE_SEED_2) | 1,
+        )
+        bloom = BloomFilter.of([key, 1, "x"])
+        assert bloom.contains_hashes(*probe_hashes(key))
 
     @given(st.sets(st.integers(), min_size=1, max_size=200))
     @settings(max_examples=25, deadline=None)

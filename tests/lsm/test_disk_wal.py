@@ -41,6 +41,21 @@ class TestSimulatedDisk:
             disk.read(-1)
         with pytest.raises(ConfigError):
             disk.write(-1)
+        with pytest.raises(ConfigError):
+            disk.read_many(-1, 0)
+        with pytest.raises(ConfigError):
+            disk.read_many(1, -1)
+        assert disk.stats == IoStats()
+
+    @pytest.mark.parametrize("sizes", ([], [0], [117], [117, 17, 300, 64]))
+    def test_read_many_equals_single_reads(self, sizes):
+        single, bulk = SimulatedDisk(), SimulatedDisk()
+        single.write(9)
+        bulk.write(9)
+        for size in sizes:
+            single.read(size)
+        bulk.read_many(len(sizes), sum(sizes))
+        assert bulk.stats == single.stats  # all four counters
 
     def test_snapshot_delta(self):
         disk = SimulatedDisk()

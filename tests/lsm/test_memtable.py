@@ -111,8 +111,9 @@ class TestOrderedView:
         for seqno, key in enumerate((30, 10, 20), start=1):
             memtable.add(Record.put(key, seqno))
         view, position = memtable.records_from(15)
-        assert (len(view), position) == (3, 1)
-        assert [view[i].key for i in range(position, len(view))] == [20, 30]
+        assert (len(view.keys), position) == (3, 1)
+        assert [view.record_at(i).key for i in range(position, 3)] == [20, 30]
+        assert [view.seqno_at(i) for i in range(position, 3)] == [3, 1]
         assert memtable.records_from(31)[1] == 3
         assert len(memtable) == 3
 
@@ -132,6 +133,6 @@ class TestOrderedView:
         for seqno in range(count):
             memtable.add(Record.put(100 - seqno, 10 + seqno))
         view, position = memtable.records_from(0)
-        assert [view[i].key for i in range(len(view))] == sorted(
+        assert [view.record_at(i).key for i in range(count)] == sorted(
             100 - seqno for seqno in range(count)
         )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import StorageError
 from repro.lsm import Record, SSTable, merge_sstables, table_from_records
+from repro.lsm.record import ENTRY_OVERHEAD_BYTES
 from repro.lsm.sstable import newest_per_key
 
 
@@ -219,11 +220,16 @@ class TestColumnarTables:
         assert (columnar.min_key, columnar.max_key) == (1, 9)
 
     def test_records_materialize_lazily(self):
-        table = make_columnar(0, range(10))
+        table = make_columnar(0, range(10), tombstones={4})
         assert "records" not in vars(table)
-        assert table.get(3).key == 3  # read path materializes
+        assert table.get(3) == Record(3, 4, 100)  # a get builds one record
+        assert table.get(4).tombstone and table.seqno_at(4) == 5
+        assert table.run_bytes(2, 5) == 3 * ENTRY_OVERHEAD_BYTES + 2 * 100
+        assert "records" not in vars(table)
+        records = list(table)  # iterating materializes
         assert "records" in vars(table)
-        assert all(isinstance(record.key, int) for record in table.records)
+        assert all(isinstance(record.key, int) for record in records)
+        assert [table.record_at(i) for i in range(10)] == records
 
     def test_rejects_bad_columns(self):
         with pytest.raises(StorageError):
