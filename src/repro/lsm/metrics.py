@@ -48,15 +48,21 @@ def measure_amplification(engine: LSMEngine) -> AmplificationReport:
 
     Space amplification counts distinct keys across all sstables (live
     versions only at the newest seqno); intended for test/demo scale —
-    it materializes the key union.
+    it materializes the key union.  It walks each table's rows through
+    the row accessors, so a column-backed table's ``records`` stay
+    unbuilt (and uncached) after the call.
     """
-    newest: dict = {}
+    newest: dict = {}  # key -> (seqno, table, row) of its newest version
     for table in engine.sstables:
-        for record in table.records:
-            existing = newest.get(record.key)
-            if existing is None or record.seqno > existing.seqno:
-                newest[record.key] = record
-    live_keys = sum(1 for record in newest.values() if not record.tombstone)
+        seqno_at = table.seqno_at
+        for row, key in enumerate(table.keys):
+            seqno = seqno_at(row)
+            existing = newest.get(key)
+            if existing is None or seqno > existing[0]:
+                newest[key] = (seqno, table, row)
+    live_keys = sum(
+        1 for _, table, row in newest.values() if not table.record_at(row).tombstone
+    )
     entries = engine.total_entries_on_disk
 
     disk_written = engine.disk.stats.bytes_written

@@ -245,14 +245,19 @@ class SSTable:
         return BloomFilter.of(self._keys, self._bloom_fp_rate)
 
     @cached_property
-    def _column_rows(self) -> tuple[list, list, Optional[list]]:
-        """A column-backed table's seqnos, value sizes and tombstones as lists."""
+    def _column_rows(self) -> tuple[memoryview, memoryview, Optional[memoryview]]:
+        """A column-backed table's seqnos, value sizes and tombstones, row by row.
+
+        Zero-copy views of the columns: indexing one returns a Python
+        ``int`` (a ``bool`` for tombstones), and a table a read touched
+        keeps no per-row objects beyond its key list.
+        """
         columns = self._columns
         tombstones = columns.tombstones
         return (
-            columns.seqnos.tolist(),
-            columns.value_sizes.tolist(),
-            None if tombstones is None else tombstones.tolist(),
+            memoryview(columns.seqnos),
+            memoryview(columns.value_sizes),
+            None if tombstones is None else memoryview(tombstones),
         )
 
     @cached_property
@@ -393,7 +398,7 @@ class SSTable:
         """The record at row ``index`` of :attr:`keys`.
 
         A column-backed table whose :attr:`records` were never
-        materialized builds this one ``Record`` from its column lists.
+        materialized builds this one ``Record`` from its column views.
         """
         records = vars(self).get("records")  # always set if record-backed
         if records is not None:

@@ -9,6 +9,7 @@ from repro.lsm import (
     LSMEngine,
     MajorCompaction,
     SizeTieredCompaction,
+    SSTable,
     measure_amplification,
 )
 from repro.ycsb import CoreWorkload, WorkloadConfig
@@ -121,6 +122,24 @@ class TestAmplification:
         engine.flush()
         report = measure_amplification(engine)
         assert report.live_keys == 7
+
+    def test_space_amp_leaves_column_tables_unmaterialized(self):
+        # A record-backed table holds 0-4 and a tombstone for 5; a newer
+        # column-backed one holds 4-9 with a tombstone for 8, so its 5
+        # outlives the deletion and 8 is the only dead key.
+        engine = fresh_engine(capacity=10)
+        for key in range(6):
+            engine.put(key)
+        engine.delete(5)
+        engine.flush()
+        column_table = SSTable.from_columns(
+            99, range(4, 10), range(100, 106), 10, [k == 8 for k in range(4, 10)]
+        )
+        engine.sstables.append(column_table)
+        report = measure_amplification(engine)
+        assert report.live_keys == 9
+        assert report.entries_on_disk == 6 + 6
+        assert "records" not in vars(column_table)
 
     def test_read_amplification_tracks_engine_stats(self):
         engine = fresh_engine(capacity=5)
