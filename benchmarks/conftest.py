@@ -66,13 +66,21 @@ def figure_panel(name: str):
 
 
 @pytest.fixture(scope="session")
-def figure7_results():
-    """Figure 7 sweep shared by the cost (7a) and time (7b) benches:
-    fig7b is the same spec under another name, read on another metric."""
-    from repro.scenarios import REGISTRY, ExperimentRunner
+def figure7_run():
+    """The Figure 7 sweep (latest distribution) behind both panels."""
+    from repro.scenarios import ExperimentRunner
 
-    run = ExperimentRunner().run("fig7a", fast=is_fast())
-    return run.panel(), replace(run, scenario=REGISTRY.get("fig7b")).panel()
+    return ExperimentRunner().run("fig7a", fast=is_fast())
+
+
+@pytest.fixture(scope="session")
+def figure7_results(figure7_run):
+    """Figure 7 panels shared by the cost (7a) and time (7b) benches:
+    fig7b is the same spec under another name, read on another metric."""
+    from repro.scenarios import REGISTRY
+
+    fig7b = replace(figure7_run, scenario=REGISTRY.get("fig7b"))
+    return figure7_run.panel(), fig7b.panel()
 
 
 def write_artifact(results_dir: Path, name: str, result) -> Path:

@@ -24,7 +24,15 @@ functions of the logical table — which gives the round-trip its
 defining property: ``encode_sstable(decode_sstable(data)) == data``,
 bloom filter and sketches included.
 
-``decode_sstable`` verifies every block CRC eagerly and raises
+A table with an int64 column view (int keys, no payload bytes: every
+compaction output and flush of an int-keyed engine) encodes its data
+blocks in one numpy pass, checksummed by one
+:func:`~repro.lsm.format.checksum.crc32c_many` call, and never builds
+its ``records``.  The record-by-record walk, ``_encode_data_blocks``,
+encodes every other table and is the column path's oracle.
+
+``decode_sstable`` verifies every block CRC eagerly, in one kernel call
+before it parses any block, and raises
 :class:`~repro.errors.CorruptionError` on any mismatch: sstables are
 only read *after* their durable sync + manifest commit, so unlike the
 WAL there is no torn tail to forgive.  Decoded tables rebuild onto the
@@ -41,12 +49,12 @@ import struct
 
 import numpy as _np
 
-from ...errors import CorruptionError
+from ...errors import CorruptionError, StorageError
 from ...hll import HyperLogLog
 from ..bloom import BloomFilter
 from ..record import Record
-from ..sstable import SSTable
-from .checksum import FRAME_HEADER_BYTES, frame_block, read_block
+from ..sstable import SSTable, TableColumns
+from .checksum import FRAME_HEADER_BYTES, crc32c_many, frame_block
 from .encoding import (
     decode_key,
     decode_record,
@@ -66,17 +74,12 @@ DATA_BLOCK_BYTES = 4096
 _FORMAT_VERSION = 1
 
 
-def _read_block_or_raise(data: bytes, offset: int, what: str) -> tuple[bytes, int]:
-    block = read_block(data, offset)
-    if block is None:
-        raise CorruptionError(
-            f"sstable {what} block at offset {offset} failed its checksum"
-        )
-    return block
-
-
 def _encode_data_blocks(records) -> tuple[list[bytes], list[tuple[int, int]]]:
-    """Framed data blocks + per-block ``(record_count, first_index)``."""
+    """Framed data blocks + per-block ``(record_count, first_index)``.
+
+    The one encoder for str / bytes keys and payloads, and the oracle of
+    :func:`_encode_column_blocks`.
+    """
     blocks: list[bytes] = []
     spans: list[tuple[int, int]] = []
     payload = bytearray()
@@ -96,10 +99,94 @@ def _encode_data_blocks(records) -> tuple[list[bytes], list[tuple[int, int]]]:
     return blocks, spans
 
 
+def _varint_lengths(values: "_np.ndarray") -> "_np.ndarray":
+    """Bytes of each ``uint64`` value's LEB128 varint (1..10)."""
+    lengths = _np.ones(values.shape, dtype=_np.int64)
+    for shift in range(7, 64, 7):
+        lengths += values >= _np.uint64(1 << shift)
+    return lengths
+
+
+def _scatter_varints(out, positions, values, lengths) -> None:
+    """Write each ``values[i]`` as a varint at ``out[positions[i]:]``."""
+    for byte in range(int(lengths.max())):
+        live = lengths > byte
+        chunk = (values[live] >> _np.uint64(7 * byte)) & _np.uint64(0x7F)
+        chunk[lengths[live] > byte + 1] |= 0x80  # more bytes follow
+        out[positions[live] + byte] = chunk
+
+
+def _encode_column_blocks(
+    columns: TableColumns,
+) -> tuple[list[bytes], list[tuple[int, int]]]:
+    """:func:`_encode_data_blocks` of a column-backed table, in one pass.
+
+    Each record is ``flags | int key tag | zigzag key | seqno |
+    value_size``: the field lengths give every record's offset, the
+    greedy block cuts fall where the running total first reaches
+    ``DATA_BLOCK_BYTES`` past the block's start, and one scatter per
+    varint byte writes all blocks; their CRCs take one kernel call.
+    """
+    keys, seqnos, sizes = columns.keys, columns.seqnos, columns.value_sizes
+    if (seqnos < 0).any() or (sizes < 0).any():
+        raise StorageError("cannot varint-encode a negative seqno or value size")
+    zigzag = (keys << 1).view(_np.uint64) ^ (keys >> 63).view(_np.uint64)
+    seqnos = seqnos.view(_np.uint64)
+    sizes = sizes.view(_np.uint64)
+    key_len = _varint_lengths(zigzag)
+    seqno_len = _varint_lengths(seqnos)
+    size_len = _varint_lengths(sizes)
+    total = _np.zeros(keys.size + 1, dtype=_np.int64)
+    _np.cumsum(2 + key_len + seqno_len + size_len, out=total[1:])
+
+    firsts = [0]
+    while True:
+        cut = int(_np.searchsorted(total, total[firsts[-1]] + DATA_BLOCK_BYTES))
+        if cut >= keys.size:
+            break
+        firsts.append(cut)
+    first = _np.array(firsts, dtype=_np.int64)
+    counts = _np.diff(first, append=keys.size)
+    count_len = _varint_lengths(counts.view(_np.uint64))
+    payload_len = count_len + total[first + counts] - total[first]
+    frame_len = FRAME_HEADER_BYTES + payload_len
+    frame_start = _np.cumsum(frame_len) - frame_len
+    payload_start = frame_start + FRAME_HEADER_BYTES
+
+    out = _np.empty(int(frame_len.sum()), dtype=_np.uint8)
+    for byte in range(4):
+        out[frame_start + byte] = (payload_len >> (8 * byte)) & 0xFF
+    _scatter_varints(out, payload_start, counts.view(_np.uint64), count_len)
+    record = total[:-1] + _np.repeat(payload_start + count_len - total[first], counts)
+    tombstones = columns.tombstones
+    out[record] = 0 if tombstones is None else tombstones  # the flags byte
+    out[record + 1] = 0  # the int key tag
+    _scatter_varints(out, record + 2, zigzag, key_len)
+    _scatter_varints(out, record + 2 + key_len, seqnos, seqno_len)
+    _scatter_varints(out, record + 2 + key_len + seqno_len, sizes, size_len)
+    crcs = crc32c_many(out, payload_start, payload_len)
+    for byte in range(4):
+        out[frame_start + 4 + byte] = (crcs >> (8 * byte)) & 0xFF
+
+    ends = (frame_start + frame_len).tolist()
+    blocks = [out[a:b].tobytes() for a, b in zip(frame_start.tolist(), ends)]
+    return blocks, list(zip(counts.tolist(), firsts))
+
+
 def encode_sstable(table: SSTable) -> bytes:
-    """The table's canonical file bytes (records, index, bloom, sketches)."""
-    records = table.records
-    blocks, spans = _encode_data_blocks(records)
+    """The table's canonical file bytes (records, index, bloom, sketches).
+
+    A table with an int64 column view encodes from its columns and never
+    builds its ``records``; any other goes record by record.
+    """
+    columns = table.columns()
+    if columns is not None:
+        blocks, spans = _encode_column_blocks(columns)
+        first_keys = columns.keys[[first for _count, first in spans]].tolist()
+    else:
+        records = table.records
+        blocks, spans = _encode_data_blocks(records)
+        first_keys = [records[first].key for _count, first in spans]
 
     offsets = []
     position = 0
@@ -108,10 +195,10 @@ def encode_sstable(table: SSTable) -> bytes:
         position += len(block)
 
     index_payload = bytearray()
-    for offset, (count, first) in zip(offsets, spans):
+    for offset, (count, _first), key in zip(offsets, spans, first_keys):
         index_payload += encode_varint(offset)
         index_payload += encode_varint(count)
-        index_payload += encode_key(records[first].key)
+        index_payload += encode_key(key)
     index_block = frame_block(bytes(index_payload))
 
     bloom = table.bloom
@@ -162,18 +249,64 @@ def encode_sstable(table: SSTable) -> bytes:
     )
 
 
-def _decode_footer(data: bytes):
+#: The blocks after the data blocks, in file order.
+_TRAILING_KINDS = ("index", "bloom", "sketch", "footer")
+
+
+def _verified_frames(data: bytes) -> list[tuple[int, int, int]]:
+    """Every block's ``(frame_offset, payload_start, payload_end)``.
+
+    The blocks are found from their frame headers alone: the footer
+    from the end of the file (magic, then its frame length), the rest by
+    walking the length fields from offset 0 up to it.  All of their
+    CRCs are then checked in one :func:`crc32c_many` call, and the first
+    bad block raises, named by its kind and offset.
+    """
     if len(data) < len(MAGIC) + 4 + FRAME_HEADER_BYTES:
         raise CorruptionError(f"sstable file is too short ({len(data)} bytes)")
     if data[-len(MAGIC) :] != MAGIC:
         raise CorruptionError(
             f"bad sstable magic {data[-len(MAGIC):]!r}; not an sstable file"
         )
-    (footer_len,) = struct.unpack_from("<I", data, len(data) - len(MAGIC) - 4)
-    footer_start = len(data) - len(MAGIC) - 4 - footer_len
+    footer_end = len(data) - len(MAGIC) - 4
+    (footer_len,) = struct.unpack_from("<I", data, footer_end)
+    footer_start = footer_end - footer_len
     if footer_start < 0:
         raise CorruptionError("sstable footer length exceeds the file")
-    payload, _end = _read_block_or_raise(data, footer_start, "footer")
+    frames: list[tuple[int, int, int]] = []
+    stored: list[int] = []
+    offset = 0
+    while offset < footer_end:
+        start = offset + FRAME_HEADER_BYTES
+        if start > footer_end:
+            raise CorruptionError(f"sstable block at offset {offset} is truncated")
+        length, crc = struct.unpack_from("<II", data, offset)
+        end = start + length
+        if end > footer_end or offset < footer_start < end:
+            raise CorruptionError(
+                f"sstable block at offset {offset} overruns the blocks after it"
+            )
+        frames.append((offset, start, end))
+        stored.append(crc)
+        offset = end
+    if len(frames) <= len(_TRAILING_KINDS) or frames[-1][0] != footer_start:
+        raise CorruptionError(
+            "sstable blocks do not end in index, bloom, sketch and footer"
+        )
+    starts = [start for _offset, start, _end in frames]
+    lengths = [end - start for _offset, start, end in frames]
+    bad = _np.flatnonzero(crc32c_many(data, starts, lengths) != _np.array(stored))
+    if bad.size:
+        index = int(bad[0])
+        trailing = index - (len(frames) - len(_TRAILING_KINDS))
+        kind = _TRAILING_KINDS[trailing] if trailing >= 0 else "data"
+        raise CorruptionError(
+            f"sstable {kind} block at offset {frames[index][0]} failed its checksum"
+        )
+    return frames
+
+
+def _decode_footer(payload: bytes):
     offset = 0
     version, offset = decode_varint(payload, offset)
     if version != _FORMAT_VERSION:
@@ -239,6 +372,8 @@ def _build_table(
 
 def decode_sstable(data: bytes) -> SSTable:
     """Parse file bytes back into an :class:`SSTable`, verifying all CRCs."""
+    frames = _verified_frames(data)
+    payloads = {offset: data[start:end] for offset, start, end in frames}
     (
         table_id,
         entry_count,
@@ -248,11 +383,21 @@ def decode_sstable(data: bytes) -> SSTable:
         bloom_offset,
         sketch_offset,
         fp_rate,
-    ) = _decode_footer(data)
+    ) = _decode_footer(payloads[frames[-1][0]])
+    trailing = [offset for offset, _start, _end in frames[-len(_TRAILING_KINDS) : -1]]
+    if [index_offset, bloom_offset, sketch_offset] != trailing:
+        raise CorruptionError(
+            "sstable footer's index, bloom and sketch offsets "
+            f"{[index_offset, bloom_offset, sketch_offset]} are not the blocks "
+            f"at {trailing}"
+        )
+    if block_count != len(frames) - len(_TRAILING_KINDS):
+        raise CorruptionError(
+            f"sstable footer counts {block_count} data blocks, the file holds "
+            f"{len(frames) - len(_TRAILING_KINDS)}"
+        )
 
-    index_payload, index_end = _read_block_or_raise(data, index_offset, "index")
-    if index_end != bloom_offset:
-        raise CorruptionError("sstable index block does not reach the bloom block")
+    index_payload = payloads[index_offset]
     index_entries = []
     offset = 0
     for _ in range(block_count):
@@ -262,10 +407,13 @@ def decode_sstable(data: bytes) -> SSTable:
         index_entries.append((block_offset, record_count, first_key))
     if offset != len(index_payload):
         raise CorruptionError("sstable index block has trailing bytes")
+    data_offsets = [offset for offset, _start, _end in frames[:block_count]]
+    if [entry[0] for entry in index_entries] != data_offsets:
+        raise CorruptionError("sstable index does not name the file's data blocks")
 
     records: list[Record] = []
     for block_offset, record_count, first_key in index_entries:
-        payload, _end = _read_block_or_raise(data, block_offset, "data")
+        payload = payloads[block_offset]
         count, position = decode_varint(payload, 0)
         if count != record_count:
             raise CorruptionError(
@@ -289,9 +437,7 @@ def decode_sstable(data: bytes) -> SSTable:
             f"sstable holds {len(records)} records, footer says {entry_count}"
         )
 
-    bloom_payload, bloom_end = _read_block_or_raise(data, bloom_offset, "bloom")
-    if bloom_end != sketch_offset:
-        raise CorruptionError("sstable bloom block does not reach the sketch block")
+    bloom_payload = payloads[bloom_offset]
     offset = 0
     m_bits, offset = decode_varint(bloom_payload, offset)
     k_hashes, offset = decode_varint(bloom_payload, offset)
@@ -299,7 +445,7 @@ def decode_sstable(data: bytes) -> SSTable:
     bloom_bits = bloom_payload[offset:]
     bloom = BloomFilter.from_state(m_bits, k_hashes, key_count, bloom_bits)
 
-    sketch_payload, _end = _read_block_or_raise(data, sketch_offset, "sketch")
+    sketch_payload = payloads[sketch_offset]
     offset = 0
     sketch_count, offset = decode_varint(sketch_payload, offset)
     sketches: list[HyperLogLog] = []

@@ -265,6 +265,24 @@ class TestDurableCorruption:
             open_engine(LocalFileSystem(tmp_path))
 
 
+class TestPersistLeavesColumnTablesUnmaterialized:
+    def test_compaction_output_persists_without_records(self):
+        """The file encoder reads a column-backed output's columns: the
+        persisted table never builds (and caches) a Record tuple."""
+        fs = MemoryFileSystem()
+        engine = open_engine(fs, capacity=4)
+        for i in range(12):
+            engine.put(i, value_size=3 * i)
+        engine.delete(5)
+        engine.compact(MajorCompaction("SI"))
+        (output,) = engine.sstables
+        assert fs.exists(f"{output.table_id:06d}.sst")
+        assert "records" not in vars(output)
+        recovered = open_engine(fs, capacity=4)
+        assert recovered.get(7).value_size == 21
+        assert recovered.get(5) is None
+
+
 class TestStoresWrittenBeforeTheEnginesMerged:
     """Directories written by the four-class hierarchy still open.
 

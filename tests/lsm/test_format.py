@@ -4,11 +4,20 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, StorageError
 from repro.lsm import MemoryFileSystem, Record, SSTable
 from repro.lsm.format import decode_sstable, encode_sstable
-from repro.lsm.format.checksum import crc32c, frame_block, read_block
+from repro.lsm.format.checksum import (
+    _KERNEL_MIN_BYTES,
+    _crc32c_scalar,
+    crc32c,
+    crc32c_many,
+    frame_block,
+    read_block,
+)
 from repro.lsm.format.encoding import (
     decode_key,
     decode_record,
@@ -24,6 +33,11 @@ from repro.lsm.format.manifest import (
     ManifestState,
     read_manifest,
     write_manifest,
+)
+from repro.lsm.format.sstable_io import (
+    DATA_BLOCK_BYTES,
+    _encode_column_blocks,
+    _encode_data_blocks,
 )
 
 
@@ -52,6 +66,63 @@ class TestCrc32c:
         framed = frame_block(b"payload")
         assert read_block(framed[:-1], 0) is None
         assert read_block(framed[:5], 0) is None
+
+
+def random_bytes(seed: int, size: int) -> bytes:
+    return np.random.default_rng(seed).integers(0, 256, size, dtype=np.uint8).tobytes()
+
+
+class TestCrc32cKernel:
+    """``crc32c_many`` against the byte loop it replaces on long frames."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(4, 10_000), min_size=1, max_size=5),
+        crc=st.sampled_from([0, 0xFFFFFFFF]) | st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_many_equals_byte_loop(self, seed, lengths, crc, data):
+        buffer = random_bytes(seed, 12_000)
+        starts = [
+            data.draw(st.integers(0, len(buffer) - length)) for length in lengths
+        ]
+        expected = [
+            _crc32c_scalar(buffer[start : start + length], crc)
+            for start, length in zip(starts, lengths)
+        ]
+        assert crc32c_many(buffer, starts, lengths, crc).tolist() == expected
+
+    @pytest.mark.parametrize("length", [4, 5, 255, 256, 257, 512, 4096, 4097, 10_000])
+    def test_chunk_boundaries(self, length):
+        buffer = random_bytes(length, length + 3)
+        for crc in (0, 0xE3069283):
+            got = crc32c_many(buffer, [3], [length], crc)
+            assert got.tolist() == [_crc32c_scalar(buffer[3:], crc)]
+
+    def test_segments_under_four_bytes_take_the_byte_loop(self):
+        # Too short to carry the folded initial register: handled by the
+        # byte loop, also when mixed with kernel-sized segments.
+        buffer = random_bytes(7, 600)
+        starts, lengths = [0, 10, 20, 30, 40, 50], [0, 1, 2, 3, 4, 500]
+        for crc in (0, 12345):
+            expected = [
+                _crc32c_scalar(buffer[a : a + n], crc) for a, n in zip(starts, lengths)
+            ]
+            assert crc32c_many(buffer, starts, lengths, crc).tolist() == expected
+        assert crc32c_many(buffer, [], []).size == 0
+
+    def test_segment_outside_the_buffer_rejected(self):
+        for starts, lengths in (([8], [4]), ([-1], [4]), ([0], [-1])):
+            with pytest.raises(ValueError):
+                crc32c_many(b"0123456789", starts, lengths)
+
+    def test_crc32c_dispatch_agrees_across_the_threshold(self):
+        data = random_bytes(3, 3 * _KERNEL_MIN_BYTES)
+        for length in (_KERNEL_MIN_BYTES - 1, _KERNEL_MIN_BYTES, 3 * _KERNEL_MIN_BYTES):
+            assert crc32c(data[:length]) == _crc32c_scalar(data[:length])
+        head = crc32c(data[:_KERNEL_MIN_BYTES])
+        assert crc32c(data[_KERNEL_MIN_BYTES:], head) == crc32c(data)
 
 
 class TestEncoding:
@@ -193,6 +264,87 @@ class TestSSTableRoundTrip:
         assert list(loaded.records) == records
 
 
+_FIELD_MODES = ("zero", "small", "wide", "mixed")
+
+
+def field_column(mode: str, rows: int, rng) -> np.ndarray:
+    """A seqno / value_size column: 0, 1-2 byte, or >= 2**35 varints."""
+    small = rng.integers(0, 300, rows)
+    wide = rng.integers(2**35, 2**62, rows)
+    return {
+        "zero": np.zeros(rows, dtype=np.int64),
+        "small": small,
+        "wide": wide,
+        "mixed": np.where(rng.random(rows) < 0.5, small, wide),
+    }[mode]
+
+
+@st.composite
+def column_tables(draw):
+    """Column-backed tables over int64 keys, extremes included."""
+    rows = draw(st.integers(1, 1500))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        # Every record is 8 bytes (2-byte key, seqno and size varints),
+        # so block cuts land exactly on DATA_BLOCK_BYTES.
+        keys = np.arange(64, 64 + rows)
+        seqnos = np.full(rows, 200)
+        sizes = np.full(rows, 300)
+    else:
+        keys = rng.integers(-(2**63), 2**63 - 1, rows, dtype=np.int64, endpoint=True)
+        extremes = draw(st.sets(st.sampled_from([-(2**63), -1, 0, 2**63 - 1])))
+        keys = np.unique(np.append(keys, np.array(sorted(extremes), dtype=np.int64)))
+        seqnos = field_column(draw(st.sampled_from(_FIELD_MODES)), keys.size, rng)
+        sizes = field_column(draw(st.sampled_from(_FIELD_MODES)), keys.size, rng)
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))  # no, some or all tombstones
+    tombstones = rng.random(keys.size) < share
+    return SSTable.from_columns(5, keys, seqnos, sizes, tombstones)
+
+
+class TestColumnEncoder:
+    """The one-pass column encoder against the record-by-record walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(column_tables())
+    def test_equals_record_encoder(self, table):
+        blocks, spans = _encode_column_blocks(table.columns())
+        assert (blocks, spans) == _encode_data_blocks(table.records)
+
+    @settings(max_examples=30, deadline=None)
+    @given(column_tables())
+    def test_round_trip_is_byte_identical(self, table):
+        data = encode_sstable(table)
+        assert "records" not in vars(table)  # never materialized
+        loaded = decode_sstable(data)
+        assert loaded.columns() is not None
+        assert encode_sstable(loaded) == data
+
+    @pytest.mark.parametrize(
+        "rows, counts",
+        [(1, [1]), (511, [511]), (512, [512]), (513, [512, 1]), (1025, [512, 512, 1])],
+    )
+    def test_cut_when_a_block_reaches_its_target(self, rows, counts):
+        # 8-byte records: 512 fill a block to exactly DATA_BLOCK_BYTES.
+        assert 512 * 8 == DATA_BLOCK_BYTES
+        keys = np.arange(64, 64 + rows)
+        table = SSTable.from_columns(1, keys, np.full(rows, 200), 300)
+        blocks, spans = _encode_column_blocks(table.columns())
+        assert [count for count, _first in spans] == counts
+        assert (blocks, spans) == _encode_data_blocks(table.records)
+
+    def test_record_backed_int_table_takes_the_column_path(self):
+        records = [Record.put(i, i + 100, value_size=i + 50) for i in range(-50, 50)]
+        assert SSTable(2, records).columns() is not None
+        assert encode_sstable(SSTable(2, records)) == encode_sstable(
+            SSTable.from_columns(2, range(-50, 50), range(50, 150), range(100))
+        )
+
+    def test_negative_seqno_rejected(self):
+        table = SSTable.from_columns(1, [1, 2], [3, -1], 0)
+        with pytest.raises(StorageError):
+            encode_sstable(table)
+
+
 class TestSSTableCorruption:
     def test_every_flipped_bit_detected_or_harmless(self):
         """Flipping any byte either raises CorruptionError or leaves the
@@ -205,6 +357,27 @@ class TestSSTableCorruption:
             with pytest.raises(CorruptionError):
                 decode_sstable(bytes(data))
             data[offset] ^= 0x10
+
+    @pytest.mark.parametrize("kind", ["data", "index", "bloom", "sketch", "footer"])
+    def test_first_bad_block_named_by_kind_and_offset(self, kind):
+        table = SSTable.from_columns(4, np.arange(0, 6000, 2), np.arange(3000), 7)
+        table.sketch()
+        data = bytearray(encode_sstable(table))
+        offsets, offset = [], 0
+        while offset < len(data) - 12:
+            offsets.append(offset)
+            offset += 8 + struct.unpack_from("<I", data, offset)[0]
+        kinds = ["data"] * (len(offsets) - 4) + ["index", "bloom", "sketch", "footer"]
+        assert kinds.count("data") > 1
+        target = offsets[kinds.index(kind)]
+        data[target + 9] ^= 0x01
+        if target != offsets[-1]:
+            data[offsets[-1] + 9] ^= 0x01  # a later bad block is not the one named
+        with pytest.raises(
+            CorruptionError,
+            match=f"sstable {kind} block at offset {target} failed its checksum",
+        ):
+            decode_sstable(bytes(data))
 
     def test_truncated_file_rejected(self):
         table, _records = table_with_accelerators()
