@@ -1,7 +1,8 @@
 """Sharding ablation: shard-count scaling and parallel shard fan-out.
 
 Pins the acceptance bar of the scale-out tier: an 8-shard cell fanned
-over the process pool must produce **byte-identical** cluster results
+over the process pool (the sweep runner's ``--jobs`` path, which splits
+a sharded cell into one task per shard) must produce **byte-identical** cluster results
 to the same shards executed serially, and on a machine with at least
 4 cores the fan-out must finish at least 2x faster than the serial
 shard loop.  The workload is insert-only at figure-7-like scale so the
@@ -32,6 +33,7 @@ import pytest
 from repro.analysis.tables import format_table
 from repro.cluster import run_sharded_cell
 from repro.simulator import SimulationConfig
+from repro.simulator.runner import _run_cells
 
 from conftest import write_artifact, write_bench_json
 
@@ -77,7 +79,11 @@ def build_config(fast: bool) -> SimulationConfig:
 
 def timed_cell(config: SimulationConfig, jobs: int):
     start = time.perf_counter()
-    cell = run_sharded_cell(config, LABELS, 0, jobs=jobs)
+    if jobs == 1:
+        cell = run_sharded_cell(config, LABELS, 0)
+    else:
+        # The runner's fan-out: one pool task per shard.
+        (cell,) = _run_cells([(config, LABELS, 0)], jobs)
     return cell, time.perf_counter() - start
 
 

@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .analysis.tables import format_table
-from .core.backend import available_backends
 from .core.estimator import available_estimators
 from .errors import ReproError, ScenarioError
 from .scenarios import (
@@ -89,31 +88,12 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated strategy labels overriding the spec's grid",
     )
     parser.add_argument(
-        "--backend", default=None, choices=available_backends(),
-        help="set kernel override (see docs/backends.md)",
-    )
-    parser.add_argument(
         "--estimator", default=None, choices=available_estimators(),
         help="union-cardinality oracle override (see docs/estimators.md)",
     )
     parser.add_argument(
         "--hll-precision", type=int, default=None,
         help="HyperLogLog precision p (registers = 2**p)",
-    )
-    parser.add_argument(
-        "--data-plane", default=None, choices=["auto", "fast", "reference"],
-        help="simulator data plane override (see docs/simulator.md)",
-    )
-    parser.add_argument(
-        "--storage", default=None, choices=["memory", "disk"],
-        help="phase-1 sstable storage: 'disk' spills every flushed table "
-        "through the on-disk sstable format and reloads it (results are "
-        "byte-identical to 'memory'; see docs/durability.md)",
-    )
-    parser.add_argument(
-        "--wal-sync-every", type=int, default=None,
-        help="group-commit cadence of the file WAL for --storage disk "
-        "(sync every Nth append; 1 = every write)",
     )
     parser.add_argument(
         "--num-shards", type=int, default=None,
@@ -152,26 +132,18 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--verbose",
         action="store_true",
-        help="print execution details (which data plane phase 1 ran on, "
-        "resolved runs/jobs) after the report",
+        help="print execution details (resolved runs/jobs, whether reads "
+        "were served) after the report",
     )
 
 
 def _collect_overrides(args: argparse.Namespace) -> dict[str, Any]:
     overrides = _parse_overrides(args.overrides)
-    for flag, key in (
-        ("backend", "backend"),
-        ("estimator", "estimator"),
-        ("hll_precision", "hll_precision"),
-        ("data_plane", "data_plane"),
-        ("storage", "storage"),
-        ("wal_sync_every", "wal_sync_every"),
-        ("num_shards", "num_shards"),
-        ("shard_skew", "shard_skew"),
-        ("partitioner", "partitioner"),
-        ("seed", "seed"),
+    for key in (
+        "estimator", "hll_precision", "num_shards", "shard_skew",
+        "partitioner", "seed",
     ):
-        value = getattr(args, flag)
+        value = getattr(args, key)
         if value is not None:
             overrides[key] = value
     return overrides
@@ -201,8 +173,7 @@ def _execute(
     if args.verbose:
         read_phase = "; read phase: served" if run.read_phase_served else ""
         print(
-            f"\n[data plane: {run.plane_used}; runs={run.runs} "
-            f"jobs={run.jobs}{read_phase}]"
+            f"\n[runs={run.runs} jobs={run.jobs}{read_phase}]"
         )
     if path is not None:
         print(f"\n[manifest written to {path}]")

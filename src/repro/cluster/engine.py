@@ -19,9 +19,10 @@ shard_id)``:
   streams per shard while shard 0 keeps the base seed (which is what
   makes a ``num_shards=1`` sharded run byte-identical to the unsharded
   baseline, RANDOM included);
-* the ``--jobs`` fan-out only changes *where* a shard task runs, never
-  what it computes: a worker regenerates the shard's stream from the
-  config alone, so results are byte-stable for any job count.
+* the ``--jobs`` fan-out (the sweep runner's ``_run_cells``, through
+  :func:`sharded_shard_task`) only changes *where* a shard task runs,
+  never what it computes: a worker regenerates the shard's stream from
+  the config alone, so results are byte-stable for any job count.
 
 The differential harness in tests/cluster/test_sharded_engine.py pins
 the ``num_shards=1`` identity and the jobs byte-stability.
@@ -29,7 +30,6 @@ the ``num_shards=1`` identity and the jobs byte-stability.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -41,7 +41,7 @@ from ..simulator.metrics import (
     ingest_fields,
     served_fields,
 )
-from ..simulator.phase1 import phase1_from_columns, spill_tables_to_disk
+from ..simulator.phase1 import phase1_from_columns
 from ..simulator.phase2 import run_strategy
 from ..simulator.read_path import ReadPhaseResult
 from ..ycsb.workload import CoreWorkload
@@ -80,11 +80,6 @@ def shard_streams(config: SimulationConfig) -> list[ShardStream]:
     loop, and the split is deterministic per key.
     """
     workload = CoreWorkload(config.workload_config())
-    if not workload.supports_op_stream():
-        raise ConfigError(
-            "sharded runs need a workload that supports the columnar op "
-            "stream (every SimulationConfig-expressible workload does)"
-        )
     stream = workload.op_stream_columns(
         include_read_ops=(
             config.read_fraction > 0.0 or config.scan_fraction > 0.0
@@ -118,10 +113,6 @@ def run_shard(
         read_ops=read_ops,
     )
     tables = phase1.tables
-    if config.storage == "disk":
-        tables = spill_tables_to_disk(
-            tables, wal_sync_every=config.wal_sync_every
-        )
     reads = read_ops.read_count if read_ops is not None else 0
     scans = read_ops.scan_count if read_ops is not None else 0
     all_missed = served_fields(
@@ -195,19 +186,17 @@ def run_sharded_cell(
     config: SimulationConfig,
     labels: tuple[str, ...],
     run_index: int,
-    jobs: int = 1,
 ) -> dict[str, StrategyResult]:
     """One sharded (point, run) cell: split, run every shard, combine.
 
-    The sweep runner prefers expanding shards into its own pool so
-    cross-cell and cross-shard work share workers — this entry point is
-    the direct API (and the differential harness's).
+    Serial; the sweep runner fans a cell's shards out over its own pool
+    through :func:`sharded_shard_task` under ``--jobs``.
     """
-    return ShardedEngine(config, labels).run(run_index, jobs)
+    return ShardedEngine(config, labels).run(run_index)
 
 
 class ShardedEngine:
-    """Run a sharded configuration end to end, shard-parallel on demand.
+    """Run a sharded configuration end to end, one shard after another.
 
     Object API of the cell functions: holds the config and label set,
     exposes per-run execution plus the shard-level inspection the tests
@@ -227,41 +216,17 @@ class ShardedEngine:
         """The per-shard stream slices of one run's op stream."""
         return shard_streams(self._run_config(run_index))
 
-    def run_shards(
-        self, run_index: int = 0, jobs: int = 1
-    ) -> list[ShardRunResult]:
-        """Every shard's individual result for one run (shard order).
-
-        Serial by default (the stream is generated and split once); with
-        ``jobs > 1`` the shards fan out over a process pool via
-        :func:`sharded_shard_task`, byte-identically.
-        """
-        num_shards = self.config.num_shards
-        if jobs > 1 and num_shards > 1:
-            with ProcessPoolExecutor(
-                max_workers=min(jobs, num_shards)
-            ) as pool:
-                return list(
-                    pool.map(
-                        sharded_shard_task,
-                        [self.config] * num_shards,
-                        [self.labels] * num_shards,
-                        [run_index] * num_shards,
-                        range(num_shards),
-                    )
-                )
+    def run_shards(self, run_index: int = 0) -> list[ShardRunResult]:
+        """Every shard's individual result for one run (shard order); the
+        stream is generated and split once."""
         run_config = self._run_config(run_index)
         return [
             run_shard(run_config, self.labels, stream)
             for stream in shard_streams(run_config)
         ]
 
-    def run(
-        self, run_index: int = 0, jobs: int = 1
-    ) -> dict[str, StrategyResult]:
+    def run(self, run_index: int = 0) -> dict[str, StrategyResult]:
         """Cluster-level results of one run (one row per label)."""
         return combine_shard_runs(
-            self._run_config(run_index),
-            self.labels,
-            self.run_shards(run_index, jobs),
+            self._run_config(run_index), self.labels, self.run_shards(run_index)
         )

@@ -5,10 +5,7 @@ fig9a/fig9b), the distribution and related-work ablations, workload
 presets the legacy drivers could not express at all (read-heavy,
 scan-heavy time-series, shrinking-key-space churn), the six canonical
 YCSB core workloads A-F, and kernel-knob sweeps (merge fan-in k, HLL
-precision).  Every entry runs the fast columnar data plane under
-``data_plane="auto"`` (asserted registry-wide by
-tests/scenarios/test_registry.py; a scenario that genuinely needs the
-operation-at-a-time loop must carry the ``reference-only`` tag).
+precision).  Every entry runs the simulator's columnar phase 1.
 User code registers additional scenarios with
 ``REGISTRY.register(Scenario(...))`` or loads them from JSON specs via
 ``Scenario.from_dict``.

@@ -21,7 +21,6 @@ from ..analysis.tables import format_table
 from ..errors import ScenarioError
 from ..simulator.config import SimulationConfig
 from ..simulator.metrics import cell_metrics, report_table, shown_groups
-from ..simulator.phase1 import resolve_plane
 from ..simulator.runner import (
     SWEEP_AXES,
     ComparisonResult,
@@ -96,16 +95,9 @@ class ScenarioRun:
     #: distribution -> SweepResult or ComparisonResult
     results: dict[str, Union[SweepResult, ComparisonResult]]
 
-    @property
-    def plane_used(self) -> str:
-        """The data plane phase 1 ran on ("fast" or "reference").
-
-        Resolved from the run's base config; per-point resolution lives
-        on each :meth:`cells` row, so a plane flip inside a sweep (none
-        of the registered parameters can cause one today) would still be
-        recorded faithfully.
-        """
-        return resolve_plane(self.config)
+    #: The phase-1 plane every run uses.  Schema-v1 manifests and their
+    #: cells carry it, so it is still recorded.
+    plane_used = "fast"
 
     def _points(self):
         """``(cell header, per-strategy aggregates)`` of every executed
@@ -121,16 +113,13 @@ class ScenarioRun:
                         # "update_fraction" values are fractions.
                         "parameter": result.parameter,
                         "x": point.x,
-                        "plane_used": resolve_plane(point.config),
+                        "plane_used": self.plane_used,
                     }, point.per_strategy
             else:
                 yield {
                     "distribution": distribution,
                     "parameter": None,
                     "x": None,
-                    # Plane eligibility never depends on the
-                    # distribution, so the base config's resolution
-                    # covers every leg.
                     "plane_used": self.plane_used,
                 }, result.per_strategy
 
@@ -160,8 +149,8 @@ class ScenarioRun:
         scenario = self.scenario
         lines = [
             f"== {scenario.name}: {scenario.title} ==",
-            f"spec {scenario.spec_hash()}  runs={self.runs} jobs={self.jobs} "
-            f"plane={self.plane_used}" + ("  [fast]" if self.fast else ""),
+            f"spec {scenario.spec_hash()}  runs={self.runs} jobs={self.jobs}"
+            + ("  [fast]" if self.fast else ""),
             f"config: {self.config.describe()}",
             "",
         ]
@@ -203,7 +192,7 @@ class ExperimentRunner:
         """Execute one scenario end to end.
 
         ``overrides`` are config-field replacements applied after the
-        fast variant (the CLI's ``--set``/``--backend``/... flags);
+        fast variant (the CLI's ``--set``/``--estimator``/... flags);
         ``strategies`` overrides the spec's grid.  ``run`` only
         executes — use :meth:`run_and_record` to also persist a
         manifest through the runner's store.

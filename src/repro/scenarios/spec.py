@@ -38,6 +38,13 @@ def _as_tuple(value: Sequence) -> tuple:
     return value if isinstance(value, tuple) else tuple(value)
 
 
+def _reject_duplicates(axis: str, values: tuple) -> None:
+    """A repeated label would run twice but key one result: refuse it."""
+    repeated = sorted({value for value in values if values.count(value) > 1})
+    if repeated:
+        raise ScenarioError(f"duplicate {axis} {repeated} in {list(values)}")
+
+
 def _reject_unknown_fields(cls, data: Mapping[str, Any]) -> None:
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
@@ -138,6 +145,8 @@ class Scenario:
         object.__setattr__(self, "fast_overrides", tuple(sorted(overrides)))
         if not self.strategies:
             raise ScenarioError("scenario needs at least one strategy label")
+        _reject_duplicates("strategies", self.strategies)
+        _reject_duplicates("distributions", self.distributions)
         known = set(known_strategy_labels())
         unknown = [label for label in self.strategies if label not in known]
         if unknown:

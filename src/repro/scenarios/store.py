@@ -72,9 +72,10 @@ class RunManifest:
     created_at: str
     cells: list[dict[str, Any]]
     git: Optional[str] = None
-    #: Data plane phase 1 ran on ("fast"/"reference"); None in manifests
-    #: written before the field existed.  Per-cell resolution lives on
-    #: each ``cells`` row under the same key.
+    #: Data plane phase 1 ran on: "fast" for every run this build makes
+    #: ("reference" in manifests from builds that could force it; None
+    #: in manifests written before the field existed).  Each ``cells``
+    #: row carries the same key.
     plane_used: Optional[str] = None
     schema_version: int = SCHEMA_VERSION
     path: Optional[Path] = field(default=None, compare=False)

@@ -12,11 +12,9 @@ from .config import SimulationConfig
 from .metrics import AggregateResult, StrategyResult, aggregate
 from .phase1 import (
     Phase1Result,
-    fast_plane_eligible,
     generate_sstables,
-    generate_sstables_fast,
     generate_sstables_reference,
-    resolve_plane,
+    spill_tables_to_disk,
 )
 from .phase2 import (
     PAPER_STRATEGIES,
@@ -51,15 +49,13 @@ __all__ = [
     "SweepResult",
     "aggregate",
     "build_strategy",
-    "fast_plane_eligible",
     "generate_sstables",
-    "generate_sstables_fast",
     "generate_sstables_reference",
     "known_strategy_labels",
-    "resolve_plane",
     "run_comparison",
     "run_strategy",
     "serve_reads",
+    "spill_tables_to_disk",
     "strategy_labels",
     "sweep",
 ]

@@ -6,6 +6,15 @@ insert/update mix), the memtable capacity that determines sstable
 boundaries, the merge fan-in ``k`` and the disk timing model.  The
 paper's defaults are the §5.2 settings: recordcount 1000, operationcount
 100 000, memtable size 1000, latest distribution, k = 2.
+
+A config holds the experiment, not the implementation that computes
+it: the set backend, the merge and read kernels and the phase-1 plane
+are fixed by the simulator (bitset, the columnar kernels, the fast
+plane), and their oracles are reached through the seams the tests call
+(``MajorCompaction(backend=...)``, ``merge_kernel``,
+``serve_reads(kernel=...)``,
+:func:`~repro.simulator.phase1.generate_sstables_reference`,
+:func:`~repro.simulator.phase1.spill_tables_to_disk`).
 """
 
 from __future__ import annotations
@@ -23,8 +32,9 @@ from ..ycsb.distributions import available_distributions
 from ..ycsb.workload import WorkloadConfig
 
 #: Removed fields that a stored spec may still hold: manifests written
-#: while they existed record them.  None of their values ever changed a
-#: deterministic output, so :meth:`SimulationConfig.from_dict` drops them.
+#: while they existed record them.  Each chose an implementation, never
+#: an outcome (none of their values ever changed a deterministic
+#: output), so :meth:`SimulationConfig.from_dict` drops them.
 _RETIRED_FIELDS = frozenset(
     {
         "merge_executor",
@@ -32,6 +42,10 @@ _RETIRED_FIELDS = frozenset(
         "write_pipeline",
         "max_immutable_memtables",
         "flush_workers",
+        "backend",
+        "data_plane",
+        "storage",
+        "wal_sync_every",
     }
 )
 
@@ -65,31 +79,10 @@ class SimulationConfig:
     disk_bandwidth: float = DEFAULT_BANDWIDTH_BYTES_PER_SEC
     disk_seek_seconds: float = DEFAULT_SEEK_SECONDS
     seed: int = 0
-    # Set kernel for the merge policies.  The bitset kernel is exact
-    # (schedules are bit-identical to frozenset; the differential
-    # harness in tests/core/test_backend_equivalence.py enforces it) and
-    # several times faster at paper scale, so the experiment drivers
-    # default to it; the core library default stays "frozenset".
-    backend: str = "bitset"
     # Union-cardinality oracle for the output-sensitive strategies (the
     # "SO" and "BT(O)" labels): "hll" is the paper's practical scheme,
     # "exact" the reference.  "SO(exact)" ignores this and stays exact.
     estimator: str = "hll"
-    # Simulator data plane.  "auto" runs phase 1 through the batched
-    # columnar pipeline and compaction merges through the columnar
-    # kernel — every expressible configuration is eligible (map mode and
-    # read/scan/delete mixes included; bit-identical to the reference,
-    # see docs/simulator.md) — "fast" requires it (raising on the
-    # exceptional ineligible shapes), "reference" forces the
-    # operation-at-a-time engine loop and the heap merge kernel
-    # (unsharded only: shards ingest on the columnar plane).
-    data_plane: str = "auto"
-    # Phase-1 sstable storage: "memory" (the default — tables live as
-    # Python objects, all goldens byte-identical) or "disk" (every
-    # flushed table is spilled through the on-disk sstable format and
-    # reloaded before phase 2; results are byte-identical by the format
-    # round-trip guarantee, see docs/durability.md).
-    storage: str = "memory"
     # Scale-out tier (see docs/sharding.md).  ``num_shards > 1`` routes
     # the op stream over that many independent engine/strategy instances
     # via ``partitioner`` ("hash" or "range"); ``shard_skew`` is the
@@ -99,17 +92,12 @@ class SimulationConfig:
     num_shards: int = 1
     shard_skew: float = 0.0
     partitioner: str = "hash"
-    # Group-commit knob of the file WAL used by ``storage="disk"`` runs:
-    # sync after every Nth framed append (1 = sync each record).
-    wal_sync_every: int = 1
 
     def __post_init__(self) -> None:
-        # Normalize + validate the backend/estimator names eagerly so a
-        # typo fails at configuration time, not n sweeps into an
-        # experiment.
-        from ..core.backend import canonical_backend_name
+        # Normalize + validate the estimator name eagerly so a typo
+        # fails at configuration time, not n sweeps into an experiment.
         from ..core.estimator import canonical_estimator_name
-        from ..errors import BackendError, EstimatorError
+        from ..errors import EstimatorError
         from ..hll.hyperloglog import MAX_PRECISION, MIN_PRECISION
 
         # Numeric fields first: the comparisons below assume numbers,
@@ -126,26 +114,14 @@ class SimulationConfig:
                 )
         try:
             object.__setattr__(
-                self, "backend", canonical_backend_name(self.backend)
-            )
-            object.__setattr__(
                 self, "estimator", canonical_estimator_name(self.estimator)
             )
-        except (BackendError, EstimatorError) as exc:
+        except EstimatorError as exc:
             raise ConfigError(str(exc)) from None
         if not MIN_PRECISION <= self.hll_precision <= MAX_PRECISION:
             raise ConfigError(
                 f"hll_precision must be in [{MIN_PRECISION}, {MAX_PRECISION}], "
                 f"got {self.hll_precision}"
-            )
-        if self.data_plane not in ("auto", "fast", "reference"):
-            raise ConfigError(
-                f"data_plane must be 'auto', 'fast' or 'reference', "
-                f"got {self.data_plane!r}"
-            )
-        if self.storage not in ("memory", "disk"):
-            raise ConfigError(
-                f"storage must be 'memory' or 'disk', got {self.storage!r}"
             )
         if self.memtable_mode not in ("append", "map"):
             raise ConfigError(
@@ -194,20 +170,9 @@ class SimulationConfig:
             raise ConfigError(
                 f"num_shards must be at least 1, got {self.num_shards}"
             )
-        if self.num_shards > 1 and self.data_plane == "reference":
-            # Shards ingest through phase1_from_columns only; accepting
-            # the pair would record "reference" for a fast-plane run.
-            raise ConfigError(
-                "data_plane='reference' is unsharded only: there is no "
-                f"sharded reference plane (num_shards={self.num_shards})"
-            )
         if not self.shard_skew >= 0.0:
             raise ConfigError(
                 f"shard_skew must be >= 0, got {self.shard_skew!r}"
-            )
-        if self.wal_sync_every < 1:
-            raise ConfigError(
-                f"wal_sync_every must be at least 1, got {self.wal_sync_every}"
             )
         # Build both derived objects once so their own validators
         # (recordcount, operationcount, value_size; bandwidth, seek) run
@@ -314,7 +279,6 @@ class SimulationConfig:
             f"records={self.recordcount}",
             f"memtable={self.memtable_capacity}",
             f"k={self.k}",
-            f"backend={self.backend}",
             f"estimator={self.estimator}",
             f"seed={self.seed}",
         ]
@@ -322,16 +286,10 @@ class SimulationConfig:
             value = getattr(self, name)
             if value:
                 parts.append(f"{name.split('_')[0]}={value:.0%}")
-        if self.data_plane != "auto":
-            parts.append(f"data_plane={self.data_plane}")
-        if self.storage != "memory":
-            parts.append(f"storage={self.storage}")
         if self.num_shards > 1:
             parts.append(f"shards={self.num_shards}x{self.partitioner}")
             if self.shard_skew:
                 parts.append(f"shard_skew={self.shard_skew:g}")
-        if self.wal_sync_every != 1:
-            parts.append(f"wal_sync_every={self.wal_sync_every}")
         return " ".join(parts)
 
     @classmethod

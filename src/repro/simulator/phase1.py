@@ -5,35 +5,27 @@ into a fixed size (number of keys) memtable.  When the memtable is full,
 it is flushed as an sstable and a new empty memtable is created for
 subsequent writes." (paper §5.1)
 
-Two data planes produce bit-identical sstables:
+:func:`generate_sstables` is the batched columnar plane: the workload
+emits its whole operation stream as columns
+(:meth:`~repro.ycsb.workload.CoreWorkload.op_stream_columns`, which
+vectorizes the Gray-sampling choosers and drops read/scan ops after
+consuming their rng draws), the write stream is cut into flush slabs —
+static ``capacity``-sized ranges in append mode (capacity counts
+operations) or **data-dependent** ranges in map mode (capacity counts
+distinct keys; a chunked running distinct-count kernel finds the exact
+operation index of every flush) — and each slab is deduplicated to a
+sorted newest-per-key run with one argsort: an array-native
+:class:`~repro.lsm.sstable.SSTable` per flush, no
+``Operation``/``Record`` objects, no per-op engine dispatch.  It serves
+every expressible :class:`SimulationConfig`, map mode and
+read/scan/delete mixes included.
 
-* **reference** — drive the real LSM engine's write path operation by
-  operation (WAL disabled; the paper's simulator has none) and collect
-  the flushed sstables.
-* **fast** — the batched columnar pipeline: the workload emits its
-  whole operation stream as columns
-  (:meth:`~repro.ycsb.workload.CoreWorkload.op_stream_columns`, which
-  vectorizes the Gray-sampling choosers and drops read/scan ops after
-  consuming their rng draws), the write stream is cut into flush slabs —
-  static ``capacity``-sized ranges in append mode (capacity counts
-  operations) or **data-dependent** ranges in map mode (capacity counts
-  distinct keys; a chunked running distinct-count kernel finds the
-  exact operation index of every flush) — and each slab is deduplicated
-  to a sorted newest-per-key run with one argsort: an array-native
-  :class:`~repro.lsm.sstable.SSTable` per flush, no
-  ``Operation``/``Record`` objects, no per-op engine dispatch.  Its
-  oracle is the reference plane: the engine's own memtables, key by key.
-
-``config.data_plane`` selects the plane; ``"auto"`` uses the fast plane
-for **every** expressible configuration — map mode and read/scan/delete
-mixes included — so the reference loop only runs when forced
-(``data_plane="reference"``) or for workload subclasses that remap
-``key_name``.  :func:`resolve_plane` answers which plane a config will
-use without running it, and every :class:`Phase1Result` records the
-plane that actually produced it (``plane_used``), so a fallback can
-never masquerade as a fast run.  The differential harness
-(tests/simulator/test_data_plane_equivalence.py) holds the two planes
-byte-identical.
+Its oracle is :func:`generate_sstables_reference`, which drives the real
+LSM engine's write path operation by operation (WAL disabled; the
+paper's simulator has none) and collects the flushed sstables.  The
+differential harness (tests/simulator/test_data_plane_equivalence.py)
+holds the two byte-identical, and :func:`spill_tables_to_disk` is the
+durable format's round-trip oracle over the same tables.
 """
 
 from __future__ import annotations
@@ -44,7 +36,6 @@ from typing import Optional
 
 import numpy as _np
 
-from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import EngineConfig, LSMEngine
 from ..lsm.sstable import SSTable
@@ -65,16 +56,12 @@ class Phase1Result:
     tables: list[SSTable]
     total_operations: int
     total_entries: int  # sum of sstable entry counts = the LOPT of Fig. 8
-    #: Which data plane actually produced the tables ("fast" or
-    #: "reference") — surfaced in run manifests and ``--verbose`` CLI
-    #: output so a quiet fallback is always observable.
-    plane_used: str = "reference"
-    #: The READ/SCAN operations of the stream, collected (by either
-    #: plane, in identical columns) whenever the mix has a read or scan
-    #: share — the serving phase replays them against each policy's
-    #: compacted sstable set.  ``None`` for write-only mixes.
+    #: The READ/SCAN operations of the stream, collected (by the plane
+    #: and its oracle, in identical columns) whenever the mix has a read
+    #: or scan share — the serving phase replays them against each
+    #: policy's compacted sstable set.  ``None`` for write-only mixes.
     read_ops: Optional[ReadOpColumns] = None
-    #: The wall clock of table generation, on either plane.
+    #: The wall clock of table generation.
     ingest_wall_seconds: float = 0.0
 
     @property
@@ -82,98 +69,24 @@ class Phase1Result:
         return len(self.tables)
 
 
-def fast_plane_eligible(config: SimulationConfig) -> bool:
-    """True when the batched pipeline applies to ``config``.
-
-    Since the map-mode slab cutter and the mix-aware op stream landed
-    this is every expressible :class:`SimulationConfig`; only a
-    :class:`~repro.ycsb.workload.CoreWorkload` subclass remapping
-    ``key_name`` (not reachable through a config) needs the reference
-    loop.  Kept as a real check so the registry-wide eligibility test
-    and :func:`resolve_plane` stay honest if either layer grows a new
-    ineligible shape.
-    """
-    if config.memtable_mode not in ("append", "map"):
-        return False
-    return CoreWorkload(config.workload_config()).supports_op_stream()
-
-
-def resolve_plane(config: SimulationConfig) -> str:
-    """The plane :func:`generate_sstables` will use: "fast" or "reference".
-
-    Pure function of the config — scenario manifests record it without
-    running anything.
-    """
-    if config.data_plane == "reference":
-        return "reference"
-    return "fast" if fast_plane_eligible(config) else "reference"
-
-
-def generate_sstables(config: SimulationConfig) -> Phase1Result:
-    """Run load + run phases through a memtable; return the flushed tables.
-
-    Reads never reach the memtable ("Thus, we ignore both of them in our
-    simulation", §5.1) — both planes drop them after consuming their rng
-    draws, so mixes with reads/scans still produce identical sstables.
-    """
-    if resolve_plane(config) == "fast":
-        result = generate_sstables_fast(config)
-    elif config.data_plane == "fast":
-        raise ConfigError(
-            "data_plane='fast' requires an 'append' or 'map' memtable mode "
-            "and a workload with the identity key_name"
-        )
-    else:
-        result = generate_sstables_reference(config)
-    if config.storage == "disk":
-        result.tables = spill_tables_to_disk(
-            result.tables, wal_sync_every=config.wal_sync_every
-        )
-    return result
-
-
-def spill_tables_to_disk(
-    tables: list[SSTable], wal_sync_every: int = 1
-) -> list[SSTable]:
+def spill_tables_to_disk(tables: list[SSTable]) -> list[SSTable]:
     """Round-trip every table through the on-disk sstable format.
 
-    ``storage="disk"`` writes each flushed table as a real CRC-checked
-    sstable file and reloads it before phase 2, so the rest of the run
-    operates on tables that survived serialization.  The format
-    round-trip is byte-identical (see docs/durability.md), so every
-    downstream result — schedules, costs, figures — matches
-    ``storage="memory"`` exactly; only real file I/O is added.
-
-    ``wal_sync_every`` models the durable ingest path's group commit:
-    before each table spills, its records are framed through a rotating
-    file WAL segment synced every Nth append — the same
-    :class:`~repro.lsm.format.wal.FileWriteAheadLog` knob the durable
-    engine exposes — and the segment is retired once the sstable has
-    round-tripped, exactly like a flush retiring its WAL.  Tables and
-    every downstream metric are unchanged by the knob; only the real
-    file traffic (and its sync cadence) varies.
+    Each table is written as a real CRC-checked sstable file and
+    reloaded, so a caller operates on tables that survived
+    serialization.  The round trip is byte-identical (see
+    docs/durability.md): schedules, costs and figures computed on the
+    reloaded tables match the in-memory ones exactly.
     """
     import tempfile
     from pathlib import Path
 
-    from ..lsm.faults import LocalFileSystem
-    from ..lsm.format.wal import FileWriteAheadLog
-
-    spilled: list[SSTable] = []
     with tempfile.TemporaryDirectory(prefix="repro-sst-") as tmpdir:
-        fs = LocalFileSystem(Path(tmpdir))
-        for index, table in enumerate(tables):
-            wal = FileWriteAheadLog(
-                fs, name=f"wal-{index:06d}.log", sync_every=wal_sync_every
-            )
-            for record in table.records:
-                wal.append(record)
-            wal.sync()
-            wal.close()
+        spilled = []
+        for table in tables:
             path = Path(tmpdir) / f"{table.table_id:06d}.sst"
             table.to_file(path)
             spilled.append(SSTable.from_file(path))
-            fs.remove(f"wal-{index:06d}.log")
     return spilled
 
 
@@ -183,8 +96,8 @@ def _wants_read_ops(config: SimulationConfig) -> bool:
 
 
 def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
-    """The operation-at-a-time plane: drive the real LSM engine, which
-    flushes each full memtable inline."""
+    """The operation-at-a-time oracle of :func:`generate_sstables`: drive
+    the real LSM engine, which flushes each full memtable inline."""
     workload = CoreWorkload(config.workload_config())
     engine_config = EngineConfig(
         memtable_capacity=config.memtable_capacity,
@@ -218,7 +131,6 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
         tables=tables,
         total_operations=count,
         total_entries=sum(table.entry_count for table in tables),
-        plane_used="reference",
         read_ops=ReadOpColumns(
             read_keynums=read_keynums,
             scan_keynums=scan_keynums,
@@ -230,8 +142,13 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
     )
 
 
-def generate_sstables_fast(config: SimulationConfig) -> Phase1Result:
-    """The batched columnar plane; bit-identical to the reference."""
+def generate_sstables(config: SimulationConfig) -> Phase1Result:
+    """Run load + run phases through a memtable; return the flushed tables.
+
+    Reads never reach the memtable ("Thus, we ignore both of them in our
+    simulation", §5.1): they are dropped after consuming their rng
+    draws, exactly as in the reference loop.
+    """
     workload = CoreWorkload(config.workload_config())
     stream = workload.op_stream_columns(include_read_ops=_wants_read_ops(config))
     return phase1_from_columns(
@@ -265,7 +182,6 @@ def phase1_from_columns(
         tables=tables,
         total_operations=total_operations,
         total_entries=sum(table.entry_count for table in tables),
-        plane_used="fast",
         read_ops=read_ops,
         ingest_wall_seconds=ingest_wall,
     )

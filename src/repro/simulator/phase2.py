@@ -70,15 +70,16 @@ def build_strategy(
     config: SimulationConfig,
     seed: Optional[int] = None,
 ) -> CompactionStrategy:
-    """Instantiate the compaction strategy behind a label."""
-    # The reference data plane pins the heap merge kernel on every
-    # strategy so differential timings compare the pre-vectorization
-    # path end to end; the kernels are bit-identical either way.
-    merge_kernel = "heap" if config.data_plane == "reference" else "auto"
+    """Instantiate the compaction strategy behind a label.
+
+    Every strategy merges with the ``"auto"`` kernel and a major
+    compaction models its inputs with the bitset backend; both are
+    exact, and their oracles are set on the returned strategy
+    (``strategy.merge_kernel = "heap"``) or built directly
+    (``MajorCompaction(backend="frozenset")``).
+    """
     if label == "STCS":
-        return SizeTieredCompaction(
-            bloom_fp_rate=config.bloom_fp_rate, merge_kernel=merge_kernel
-        )
+        return SizeTieredCompaction(bloom_fp_rate=config.bloom_fp_rate)
     if label == "LEVELED":
         # Size the level targets off the memtable so the shape scales
         # with the workload (matches the related-work bench settings at
@@ -87,7 +88,6 @@ def build_strategy(
             table_target_entries=config.memtable_capacity,
             base_level_entries=4 * config.memtable_capacity,
             bloom_fp_rate=config.bloom_fp_rate,
-            merge_kernel=merge_kernel,
         )
     try:
         policy, parallel, estimator = PAPER_STRATEGIES[label]
@@ -107,9 +107,8 @@ def build_strategy(
         k=config.k,
         lanes=config.parallel_lanes if parallel else 1,
         seed=seed if seed is not None else config.seed,
-        backend=config.backend,
+        backend="bitset",
         bloom_fp_rate=config.bloom_fp_rate,
-        merge_kernel=merge_kernel,
         **estimator_kwargs,
     )
 
@@ -135,13 +134,7 @@ def run_strategy(
     result = strategy.compact(tables, disk, next_table_id=10_000_000)
     read_metrics: dict = {}
     if read_ops is not None and read_ops.has_ops:
-        # The reference plane pins the scalar engine end to end, exactly
-        # like it pins the heap merge kernel; both kernels are
-        # bit-identical (tests/simulator/test_read_path.py).
-        kernel = "scalar" if config.data_plane == "reference" else "auto"
-        read_metrics = served_fields(
-            serve_reads(result.output_tables, read_ops, kernel=kernel)
-        )
+        read_metrics = served_fields(serve_reads(result.output_tables, read_ops))
     return StrategyResult(
         strategy=label,
         lopt_entries=sum(table.entry_count for table in tables),

@@ -13,7 +13,7 @@ from repro.core.backend import (
     canonical_backend_name,
     make_backend,
 )
-from repro.errors import BackendError, ConfigError
+from repro.errors import BackendError
 
 
 class TestRegistry:
@@ -50,12 +50,14 @@ class TestRegistry:
         with pytest.raises(BackendError, match="backend spec"):
             make_backend(42)
 
-    def test_simulation_config_validates_backend(self):
-        from repro.simulator import SimulationConfig
+    def test_simulator_strategies_run_the_bitset_backend(self):
+        """The set backend is the simulator's, not the spec's: every
+        major compaction ``build_strategy`` makes runs the bitset kernel."""
+        from repro.simulator import PAPER_STRATEGIES, SimulationConfig, build_strategy
 
-        assert SimulationConfig(backend="bits").backend == "bitset"
-        with pytest.raises(ConfigError, match="unknown set backend"):
-            SimulationConfig(backend="nope")
+        config = SimulationConfig()
+        for label in PAPER_STRATEGIES:
+            assert build_strategy(label, config).backend == "bitset", label
 
 
 @pytest.fixture(params=["frozenset", "bitset"])

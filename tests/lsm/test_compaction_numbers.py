@@ -17,7 +17,12 @@ import pytest
 
 from repro.lsm import SimulatedDisk
 from repro.lsm.compaction import DateTieredCompaction
-from repro.simulator import SimulationConfig, build_strategy, generate_sstables
+from repro.simulator import (
+    SimulationConfig,
+    build_strategy,
+    generate_sstables,
+    generate_sstables_reference,
+)
 
 FIXTURE = Path(__file__).parent / "fixtures" / "compaction_numbers.json"
 SEEDS = (1, 2, 3)
@@ -27,7 +32,7 @@ LABELS = (
 )
 
 
-def _config(seed: int, plane: str) -> SimulationConfig:
+def _config(seed: int) -> SimulationConfig:
     """A tiny mix with deletes: 13 tables of 50 operations."""
     return SimulationConfig(
         recordcount=60,
@@ -36,7 +41,6 @@ def _config(seed: int, plane: str) -> SimulationConfig:
         update_fraction=0.5,
         delete_fraction=0.1,
         seed=seed,
-        data_plane=plane,
     )
 
 
@@ -53,10 +57,19 @@ def _numbers(result) -> dict:
 
 
 def compaction_numbers(seed: int, plane: str) -> dict[str, dict]:
-    """``label -> numbers`` for one (seed, plane) table set."""
-    config = _config(seed, plane)
-    tables = generate_sstables(config).tables
+    """``label -> numbers`` for one (seed, plane) table set.
+
+    The reference plane is the engine-loop phase 1 with the heap merge
+    kernel set on every strategy ``build_strategy`` returns.
+    """
+    config = _config(seed)
+    reference = plane == "reference"
+    generate = generate_sstables_reference if reference else generate_sstables
+    tables = generate(config).tables
     strategies = {label: build_strategy(label, config) for label in LABELS}
+    if reference:
+        for strategy in strategies.values():
+            strategy.merge_kernel = "heap"
     strategies["DTCS"] = DateTieredCompaction(base_window=100, window_growth=2)
     return {
         label: _numbers(

@@ -57,7 +57,6 @@ def _forget() -> None:
 class TestSharedInstance:
     def test_one_encoding_per_cell_and_results_unchanged(self, monkeypatch):
         config = _config()
-        assert config.backend == "bitset"
         _forget()
         built = _count_encoders(monkeypatch)
         shared = run_comparison(config, LABELS, runs=1).per_strategy

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ScenarioError
 from repro.scenarios import REGISTRY, Scenario, ScenarioRegistry
 from repro.scenarios.registry import PANELS
-from repro.simulator import SimulationConfig, fast_plane_eligible, resolve_plane
+from repro.simulator import SWEEP_AXES, SimulationConfig
 
 LEGACY_FIGURES = ("fig7a", "fig7b", "fig8", "fig9a", "fig9b")
 NEW_PRESETS = ("read-heavy", "timeseries-scan", "churn")
@@ -150,53 +150,31 @@ class TestRegistryBehavior:
         assert {scenario.name for scenario in figures} == set(LEGACY_FIGURES)
 
 
-class TestUniversalFastPlane:
-    """Every registered scenario runs the columnar plane under "auto".
-
-    A quiet reference fallback made map-mode and read/scan experiments
-    an order of magnitude slower than the write-only figures without
-    anyone noticing.  This contract makes that impossible: a scenario
-    that genuinely needs the operation-at-a-time loop must carry the
-    ``reference-only`` tag, every other registered spec must resolve to
-    the fast plane for its base config, its fast variant, every
-    distribution on its axis, and every value of its sweep.
+class TestEveryPointValidates:
+    """Every registered scenario's base config, its fast variant, every
+    distribution on its axis and every value of its sweep is a config
+    ``SimulationConfig`` accepts, so no registered spec can fail inside
+    its first cell.  (Each such config runs the columnar phase 1: there
+    is no other plane to fall back to.)
     """
-
-    @staticmethod
-    def _sweep_configs(scenario, config):
-        sweep = scenario.sweep
-        if sweep is None:
-            return
-        for value in sweep.values:
-            if sweep.parameter == "memtable_capacity":
-                capacity = int(value)
-                yield replace(
-                    config,
-                    memtable_capacity=capacity,
-                    operationcount=capacity * sweep.n_sstables
-                    - config.recordcount,
-                )
-            elif sweep.parameter in ("operationcount", "k", "hll_precision"):
-                yield replace(config, **{sweep.parameter: int(value)})
-            else:
-                yield replace(config, **{sweep.parameter: value})
 
     @pytest.mark.parametrize(
         "scenario", list(REGISTRY), ids=lambda scenario: scenario.name
     )
-    def test_every_scenario_is_fast_plane_eligible(self, scenario):
-        if "reference-only" in scenario.tags:
-            pytest.skip(f"{scenario.name} is explicitly reference-only")
+    def test_every_scenario_point_is_a_valid_config(self, scenario):
+        sweep = scenario.sweep
         for fast in (False, True):
             base = scenario.config_for(fast)
-            assert base.data_plane == "auto", scenario.name
             for distribution in scenario.distributions_for():
                 config = replace(base, distribution=distribution)
-                assert fast_plane_eligible(config), (scenario.name, distribution)
-                assert resolve_plane(config) == "fast"
-                for point_config in self._sweep_configs(scenario, config):
-                    assert fast_plane_eligible(point_config), (
-                        scenario.name,
-                        distribution,
-                        scenario.sweep.parameter,
+                if sweep is None:
+                    continue
+                axis = SWEEP_AXES[sweep.parameter]
+                options = {
+                    name: getattr(sweep, name) for name in axis.options
+                }
+                for value in sweep.values_for(fast):
+                    point = axis.apply(config, axis.cast(value), **options)
+                    assert isinstance(point, SimulationConfig), (
+                        scenario.name, distribution, value,
                     )

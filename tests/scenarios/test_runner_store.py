@@ -1,6 +1,7 @@
 """End-to-end ExperimentRunner + ResultsStore at tiny scale."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +18,9 @@ from repro.simulator import SimulationConfig
 from repro.simulator.runner import ComparisonResult, SweepResult
 
 TINY = {"recordcount": 150, "operationcount": 1500, "memtable_capacity": 150}
+COMMITTED_MANIFESTS = sorted(
+    (Path(__file__).parents[2] / "results" / "runs").glob("*/*.json")
+)
 
 
 @pytest.fixture()
@@ -68,15 +72,30 @@ class TestRunner:
         (comparison,) = run.results.values()
         assert set(comparison.per_strategy) == {"SI", "BT(I)", "STCS", "LEVELED"}
 
-    def test_practical_strategies_honor_reference_kernel(self):
-        """data_plane='reference' pins the heap kernel on STCS/LEVELED too."""
-        from repro.simulator import build_strategy
+    def test_practical_strategies_identical_under_heap_kernel(self):
+        """STCS/LEVELED merge with the auto kernel; the heap kernel, set
+        on the built strategy, writes the very same output tables."""
+        from repro.lsm import SimulatedDisk
+        from repro.simulator import build_strategy, generate_sstables
 
-        config = REGISTRY.get("practical").config
+        config = REGISTRY.get("practical").config.overridden(TINY)
+        tables = generate_sstables(config).tables
         for label in ("STCS", "LEVELED"):
-            assert build_strategy(label, config).merge_kernel == "auto"
-            reference = config.overridden({"data_plane": "reference"})
-            assert build_strategy(label, reference).merge_kernel == "heap"
+            outputs = []
+            for kernel in ("auto", "heap"):
+                strategy = build_strategy(label, config)
+                assert strategy.merge_kernel == "auto"
+                strategy.merge_kernel = kernel
+                result = strategy.compact(
+                    tables, SimulatedDisk(config.timing_model()), 10_000
+                )
+                outputs.append(
+                    (
+                        result.cost_actual_entries,
+                        [t.records for t in result.output_tables],
+                    )
+                )
+            assert outputs[0] == outputs[1], label
 
     def test_distribution_override_wins_and_is_recorded(self, runner):
         """A --set distribution=X override must actually run X."""
@@ -121,32 +140,27 @@ class TestRunner:
 
     def test_churn_mix_identical_across_data_planes(self):
         """Delete mixes batch on the fast plane; planes stay bit-identical."""
-        from repro.simulator import fast_plane_eligible, generate_sstables
+        from repro.simulator import generate_sstables, generate_sstables_reference
 
         base = REGISTRY.get("churn").config.overridden(TINY)
-        assert fast_plane_eligible(base)
-        fast = generate_sstables(base.overridden({"data_plane": "fast"}))
-        reference = generate_sstables(base.overridden({"data_plane": "reference"}))
+        fast = generate_sstables(base)
+        reference = generate_sstables_reference(base)
         assert [t.records for t in fast.tables] == [
             t.records for t in reference.tables
         ]
 
     def test_read_scan_mixes_identical_across_data_planes(self):
         """Read/scan mixes batch on the fast plane bit-identically."""
-        from repro.simulator import fast_plane_eligible, generate_sstables
+        from repro.simulator import generate_sstables, generate_sstables_reference
 
         for name in ("read-heavy", "timeseries-scan"):
             base = REGISTRY.get(name).config.overridden(TINY)
-            assert fast_plane_eligible(base)
-            fast = generate_sstables(base.overridden({"data_plane": "fast"}))
-            reference = generate_sstables(
-                base.overridden({"data_plane": "reference"})
-            )
-            assert fast.plane_used == "fast"
-            assert reference.plane_used == "reference"
+            fast = generate_sstables(base)
+            reference = generate_sstables_reference(base)
             assert [t.records for t in fast.tables] == [
                 t.records for t in reference.tables
             ]
+            assert fast.read_ops == reference.read_ops
 
     def test_jobs_do_not_change_results(self, store):
         serial = ExperimentRunner(store=None, jobs=1).run(
@@ -180,15 +194,15 @@ class TestStore:
             assert cell["plane_used"] == "fast"
             assert cell["cost_actual_mean"] > 0
 
-    def test_manifest_records_reference_fallback(self, runner, store):
-        """A forced reference run can never masquerade as a fast one."""
-        run, path = runner.run_and_record(
-            "churn", runs=1, overrides={**TINY, "data_plane": "reference"}
-        )
-        assert run.plane_used == "reference"
-        manifest = store.load(path)
-        assert manifest.plane_used == "reference"
-        assert {cell["plane_used"] for cell in manifest.cells} == {"reference"}
+    @pytest.mark.parametrize(
+        "path", COMMITTED_MANIFESTS, ids=lambda path: path.parent.name
+    )
+    def test_committed_manifest_rebuilds(self, path):
+        """Manifests written before any knob retired still rebuild to
+        the registered spec."""
+        manifest = ResultsStore(path.parents[1]).load(path)
+        rebuilt = Scenario.from_dict(manifest.scenario)
+        assert rebuilt == REGISTRY.get(rebuilt.name)
 
     def test_manifest_spec_is_rerunnable(self, runner, store):
         _, path = runner.run_and_record("read-heavy", runs=1, overrides=TINY)
@@ -197,9 +211,11 @@ class TestStore:
         assert rebuilt == REGISTRY.get("read-heavy")
 
     def test_manifest_holding_retired_knobs_is_rerunnable(self, runner, store):
-        """Manifests written while the thread merge executor and the
-        pipelined ingest existed record their five knobs, at any value;
-        none ever changed an output, so the spec rebuilds without them."""
+        """Manifests written while the thread merge executor, the
+        pipelined ingest and the four implementation knobs (set backend,
+        data plane, storage, WAL sync cadence) existed record them, at
+        any value; none ever changed an output, so the spec rebuilds
+        without them."""
         _, path = runner.run_and_record("read-heavy", runs=1, overrides=TINY)
         document = json.loads(path.read_text())
         retired = dict(
@@ -208,6 +224,10 @@ class TestStore:
             write_pipeline=True,
             max_immutable_memtables=3,
             flush_workers=2,
+            backend="frozenset",
+            data_plane="reference",
+            storage="disk",
+            wal_sync_every=16,
         )
         for section in (document["scenario"]["config"], document["config"]):
             section.update(retired)

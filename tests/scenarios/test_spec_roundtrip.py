@@ -1,6 +1,7 @@
 """Round-trip and validation tests for the declarative scenario spec."""
 
 import json
+import re
 
 import pytest
 
@@ -50,6 +51,28 @@ class TestScenarioValidation:
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ScenarioError):
             Scenario("x", "t", SimulationConfig(), distributions=("gaussian",))
+
+    @pytest.mark.parametrize(
+        "axis, values, repeated",
+        [
+            ("strategies", ("SI", "SI", "STCS"), ["SI"]),
+            ("strategies", ("BT(O)", "SO", "BT(O)", "SO"), ["BT(O)", "SO"]),
+            ("distributions", ("latest", "latest", "uniform"), ["latest"]),
+        ],
+        ids=["strategy", "two-strategies", "distribution"],
+    )
+    def test_duplicate_labels_rejected(self, axis, values, repeated):
+        """A repeated label would be run twice but key one result."""
+        with pytest.raises(
+            ScenarioError, match=re.escape(f"duplicate {axis} {repeated}")
+        ):
+            Scenario("x", "t", SimulationConfig(), **{axis: values})
+
+    def test_duplicate_labels_rejected_from_a_spec(self):
+        spec = REGISTRY.get("churn").to_dict()
+        spec["strategies"] = ["SI", "STCS", "SI"]
+        with pytest.raises(ScenarioError, match="duplicate strategies"):
+            Scenario.from_dict(spec)
 
     def test_bad_fast_override_rejected_at_construction(self):
         with pytest.raises(Exception):  # ConfigError via overridden()

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigError, WorkloadError
 from repro.scenarios import Scenario
-from repro.simulator import SimulationConfig, sweep
+from repro.simulator import SimulationConfig
 
 
 class TestValidation:
@@ -28,26 +28,23 @@ class TestValidation:
             SimulationConfig(parallel_lanes=0)
 
     def test_experiment_driver_defaults(self):
-        """Paper-scale drivers default to the fast exact kernels."""
-        config = SimulationConfig()
-        assert config.backend == "bitset"
-        assert config.estimator == "hll"
+        """Paper-scale drivers default to the paper's practical scheme."""
+        assert SimulationConfig().estimator == "hll"
 
-    def test_backend_and_estimator_aliases_canonicalized(self):
-        config = SimulationConfig(
-            backend="bits", estimator="hyperloglog", distribution="LATEST"
-        )
-        assert config.backend == "bitset"
+    def test_estimator_and_distribution_aliases_canonicalized(self):
+        config = SimulationConfig(estimator="hyperloglog", distribution="LATEST")
         assert config.estimator == "hll"
         assert config.distribution == "latest"
         assert config.describe().startswith("latest ")
-        assert config.to_dict() == SimulationConfig(
-            backend="bitset", estimator="hll"
-        ).to_dict()
+        assert config.to_dict() == SimulationConfig(estimator="hll").to_dict()
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ConfigError):
-            SimulationConfig(backend="vibes")
+    def test_spec_holds_no_implementation_knob(self):
+        """The set backend, the data plane, the sstable storage and the
+        WAL sync cadence choose how a run is computed, never what it
+        computes, so none of them is a field."""
+        names = {spec.name for spec in fields(SimulationConfig)}
+        assert len(names) == 21
+        assert not names & {"backend", "data_plane", "storage", "wal_sync_every"}
 
     def test_unknown_estimator_rejected(self):
         with pytest.raises(ConfigError):
@@ -65,14 +62,19 @@ class TestValidation:
             SimulationConfig(hll_precision=99)
 
     def test_retired_fields_dropped_from_stored_specs_only(self):
-        """A manifest written while the thread executor and the pipelined
-        ingest existed still rebuilds; nothing else accepts their knobs."""
+        """A manifest written while the thread executor, the pipelined
+        ingest and the four implementation knobs existed still rebuilds;
+        nothing else accepts their knobs."""
         retired = {
             "merge_executor": "thread",
             "merge_workers": 4,
             "write_pipeline": True,
             "max_immutable_memtables": 3,
             "flush_workers": 2,
+            "backend": "frozenset",
+            "data_plane": "reference",
+            "storage": "disk",
+            "wal_sync_every": 16,
         }
         assert SimulationConfig.from_dict({**retired, "k": 3}) == SimulationConfig(k=3)
         for field, value in retired.items():
@@ -134,8 +136,8 @@ class TestFailsAtConfigurationTime:
             ROUTES[route]({field: value})
 
     def test_numeric_fields_found(self):
-        assert len(NUMERIC_FIELDS) == 18
-        assert {"seed", "k", "disk_bandwidth", "wal_sync_every"} <= set(
+        assert len(NUMERIC_FIELDS) == 17
+        assert {"seed", "k", "disk_bandwidth", "num_shards"} <= set(
             NUMERIC_FIELDS
         )
 
@@ -145,21 +147,6 @@ class TestFailsAtConfigurationTime:
         """Either bool would otherwise run as 1 or 0 in some field."""
         with pytest.raises(ConfigError, match=f"^{field} must be a number"):
             SimulationConfig(**{field: value})
-
-    def test_reference_plane_is_unsharded_only(self):
-        """Shards ingest on the fast plane only, so the pair would put
-        ``plane_used: reference`` on a fast-plane run."""
-        SimulationConfig(data_plane="reference", num_shards=1)
-        SimulationConfig(data_plane="fast", num_shards=2)
-        with pytest.raises(ConfigError, match="data_plane.*num_shards"):
-            SimulationConfig(data_plane="reference", num_shards=2)
-        # A num_shards sweep over a reference-plane base fails when its
-        # first sharded point is built, before any cell runs.
-        base = SimulationConfig(
-            data_plane="reference", recordcount=50, operationcount=100
-        )
-        with pytest.raises(ConfigError, match="data_plane.*num_shards"):
-            sweep(base, "num_shards", (1, 2), ("SI",), runs=1)
 
 
 class TestPresets:
@@ -256,9 +243,7 @@ class TestRoundTrip:
             read_fraction=0.5,
             scan_fraction=0.1,
             delete_fraction=0.1,
-            backend="frozenset",
             estimator="exact",
-            data_plane="reference",
             k=4,
         ),
     ]
@@ -287,14 +272,13 @@ class TestRoundTrip:
             config.overridden({"not_a_field": 1})
 
     def test_describe_mentions_key_knobs(self):
-        config = SimulationConfig(
-            update_fraction=0.5, read_fraction=0.25, seed=9, data_plane="fast"
-        )
+        config = SimulationConfig(update_fraction=0.5, read_fraction=0.25, seed=9)
         text = config.describe()
         assert "update=50%" in text
         assert "read=25%" in text
         assert "seed=9" in text
-        assert "data_plane=fast" in text
+        assert "estimator=hll" in text
+        assert "backend" not in text
 
 
 class TestDerivedObjects:

@@ -1,12 +1,13 @@
-"""Differential harness: the batched data plane equals the reference.
+"""Differential harness: the batched data plane equals its oracles.
 
-The fast plane (columnar phase 1 + columnar merge kernel) must produce
-**bit-identical** sstables, schedules and metrics to the reference plane
-(operation-at-a-time engine loop + heap merge) on every key
-distribution, and sweep results must not depend on the number of worker
-processes.  These tests are the contract that
-lets the figure goldens stay byte-identical while the pipeline gets
-faster.
+The simulator's plane (columnar phase 1 + columnar merge kernel) must
+produce **bit-identical** sstables, schedules and metrics to the
+reference plane (operation-at-a-time engine loop,
+:func:`generate_sstables_reference`, + the heap merge kernel, set on
+the strategy ``build_strategy`` returns) on every key distribution, and
+sweep results must not depend on the number of worker processes.  These
+tests are the contract that lets the figure goldens stay byte-identical
+while the pipeline gets faster.
 """
 
 from __future__ import annotations
@@ -16,18 +17,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import repro.lsm.compaction.executor as executor_module
 import repro.simulator.phase1 as phase1_module
 from repro.errors import ConfigError
+from repro.lsm import SimulatedDisk
 from repro.lsm.engine import EngineConfig, LSMEngine
 from repro.lsm.memtable import SortedMapMemtable
 from repro.lsm.record import Record
 from repro.simulator import (
     SimulationConfig,
-    fast_plane_eligible,
+    build_strategy,
     generate_sstables,
-    generate_sstables_fast,
     generate_sstables_reference,
-    run_strategy,
     sweep as run_sweep,
 )
 from repro.ycsb.workload import CoreWorkload, WorkloadConfig
@@ -80,6 +81,16 @@ def map_memtable_boundaries(keys, capacity):
     return boundaries
 
 
+def compact(tables, label, config, merge_kernel="auto"):
+    """Phase 2 of one plane: ``build_strategy``'s strategy, with the
+    merge kernel the plane pins."""
+    strategy = build_strategy(label, config)
+    strategy.merge_kernel = merge_kernel
+    return strategy.compact(
+        tables, SimulatedDisk(config.timing_model()), next_table_id=10_000_000
+    )
+
+
 class TestPhase1Equivalence:
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("update_fraction", (0.0, 0.6, 1.0))
@@ -88,15 +99,12 @@ class TestPhase1Equivalence:
             distribution=distribution, update_fraction=update_fraction
         )
         assert_tables_identical(
-            generate_sstables_reference(config), generate_sstables_fast(config)
+            generate_sstables_reference(config), generate_sstables(config)
         )
 
-    def test_auto_plane_uses_fast_pipeline(self):
+    def test_tables_stay_column_backed(self):
         config = small_config()
-        assert config.data_plane == "auto"
-        assert fast_plane_eligible(config)
         fast = generate_sstables(config)
-        assert fast.plane_used == "fast"
         # Column-backed tables never materialized records here.
         assert all(table.columns() is not None for table in fast.tables)
         assert all("records" not in vars(table) for table in fast.tables)
@@ -114,16 +122,14 @@ class TestPhase1Equivalence:
     def test_mode_and_mix_grid_identical(self, memtable_mode, mix):
         """Map mode and read/scan/delete mixes all run columnar now."""
         config = small_config(memtable_mode=memtable_mode, **self.MIXES[mix])
-        assert fast_plane_eligible(config)
-        fast = generate_sstables_fast(config)
-        assert fast.plane_used == "fast"
+        fast = generate_sstables(config)
         assert_tables_identical(generate_sstables_reference(config), fast)
 
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     def test_map_mode_matches_reference_per_distribution(self, distribution):
         config = small_config(memtable_mode="map", distribution=distribution)
         assert_tables_identical(
-            generate_sstables_reference(config), generate_sstables_fast(config)
+            generate_sstables_reference(config), generate_sstables(config)
         )
 
     def test_map_mode_slab_kernel_matches_pure_boundaries(self):
@@ -143,10 +149,8 @@ class TestPhase1Equivalence:
         with pytest.raises(ConfigError):
             small_config(memtable_mode="lsm")
 
-    def test_reference_plane_forced(self):
-        config = small_config(data_plane="reference")
-        result = generate_sstables(config)
-        assert result.plane_used == "reference"
+    def test_reference_tables_are_record_backed(self):
+        result = generate_sstables_reference(small_config())
         # Reference tables are record-backed from construction.
         assert all("records" in vars(table) for table in result.tables)
 
@@ -197,7 +201,7 @@ class TestPhase2Equivalence:
                 (
                     config,
                     generate_sstables_reference(config),
-                    generate_sstables_fast(config),
+                    generate_sstables(config),
                 )
             )
         return planes
@@ -205,18 +209,42 @@ class TestPhase2Equivalence:
     @pytest.mark.parametrize("label", ("SI", "SO", "BT(I)", "RANDOM"))
     def test_strategy_metrics_identical(self, planes, label):
         for config, reference, fast in planes:
-            result_reference = run_strategy(
-                reference.tables, label, replace(config, data_plane="reference")
+            result_reference = compact(
+                reference.tables, label, config, merge_kernel="heap"
             )
-            result_fast = run_strategy(fast.tables, label, config)
-            assert result_reference.cost_actual == result_fast.cost_actual
-            assert result_reference.cost_simplified == result_fast.cost_simplified
-            assert result_reference.bytes_read == result_fast.bytes_read
-            assert result_reference.bytes_written == result_fast.bytes_written
-            assert (
-                result_reference.simulated_seconds == result_fast.simulated_seconds
-            )
-            assert result_reference.n_merges == result_fast.n_merges
+            result_fast = compact(fast.tables, label, config)
+            for field in (
+                "cost_actual_entries",
+                "cost_simplified_entries",
+                "bytes_read",
+                "bytes_written",
+                "simulated_seconds",
+                "n_merges",
+            ):
+                assert getattr(result_reference, field) == getattr(
+                    result_fast, field
+                ), field
+
+    @pytest.mark.parametrize("label", ("SO", "STCS", "LEVELED"))
+    def test_heap_kernel_seam_reaches_every_merge(
+        self, planes, label, monkeypatch
+    ):
+        """Setting ``merge_kernel`` on a built strategy is the oracle's
+        only seam, so it must reach the merge itself."""
+        kernels = []
+        merge = executor_module.merge_sstables
+
+        def spy(*args, kernel="auto", **kwargs):
+            kernels.append(kernel)
+            return merge(*args, kernel=kernel, **kwargs)
+
+        monkeypatch.setattr(executor_module, "merge_sstables", spy)
+        config, reference, _ = planes[0]
+        compact(reference.tables, label, config, merge_kernel="heap")
+        assert kernels and set(kernels) == {"heap"}
+        kernels.clear()
+        compact(reference.tables, label, config)
+        assert kernels and set(kernels) == {"auto"}
 
     def test_merge_kernels_identical_on_fast_tables(self, planes):
         from repro.lsm.sstable import merge_sstables

@@ -1,22 +1,16 @@
-"""Phase-1 ingest plumbing: the ingest wall clock and the WAL knob.
+"""Phase-1 ingest plumbing: the ingest wall clock.
 
-Phase 1 times table generation on either plane, the aggregate carries
-that wall clock into manifest cells without a report column, and
-``wal_sync_every`` validates, shows in ``describe`` and reaches the
-manifest through its CLI flag.
+Phase 1 times table generation on either plane, and the aggregate
+carries that wall clock into manifest cells without a report column.
 """
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.cli import main
 from repro.scenarios import ResultsStore
 from repro.simulator.config import SimulationConfig
 from repro.simulator.metrics import StrategyResult, aggregate
-from repro.simulator.phase1 import (
-    generate_sstables_fast,
-    generate_sstables_reference,
-)
+from repro.simulator.phase1 import generate_sstables, generate_sstables_reference
 
 TINY = dict(recordcount=120, operationcount=1500, memtable_capacity=100, seed=3)
 
@@ -32,24 +26,9 @@ def _result(**kwargs):
     return StrategyResult(**base)
 
 
-class TestConfigValidation:
-    def test_default_syncs_every_append(self):
-        assert SimulationConfig(**TINY).wal_sync_every == 1
-
-    def test_bad_wal_sync_every_rejected(self):
-        with pytest.raises(ConfigError):
-            SimulationConfig(**TINY, wal_sync_every=0)
-
-    def test_describe_shows_sync_only_when_set(self):
-        assert "wal_sync_every=8" in SimulationConfig(
-            **TINY, wal_sync_every=8
-        ).describe()
-        assert "wal_sync_every" not in SimulationConfig(**TINY).describe()
-
-
 class TestIngestWall:
     @pytest.mark.parametrize(
-        "plane", [generate_sstables_fast, generate_sstables_reference]
+        "plane", [generate_sstables, generate_sstables_reference]
     )
     def test_measured_on_either_plane(self, plane):
         assert plane(SimulationConfig(**TINY)).ingest_wall_seconds > 0.0
@@ -83,20 +62,6 @@ class TestCli:
         assert cells, "manifest has no strategy cells"
         for cell in cells:
             assert cell["ingest_wall_seconds_mean"] > 0.0
-
-    def test_wal_sync_every_reaches_config(self, capsys, tmp_path):
-        store = tmp_path / "runs"
-        code = main(
-            [
-                "run", "churn", "--runs", "1", "--store", str(store),
-                "--storage", "disk", "--wal-sync-every", "16",
-            ]
-            + TINY_SETS
-        )
-        assert code == 0
-        manifest = next(iter(ResultsStore(store).manifests("churn")))
-        assert manifest.config["wal_sync_every"] == 16
-        assert manifest.config["storage"] == "disk"
 
 
 def _manifest_cells(manifest):

@@ -9,23 +9,22 @@ must not move the write stream by a byte; and the read metrics must surface thro
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from repro.errors import ConfigError
 from repro.lsm.record import Record
 from repro.lsm.sstable import SSTable
+from repro.lsm import SimulatedDisk
 from repro.simulator import (
     SimulationConfig,
+    build_strategy,
+    generate_sstables,
+    generate_sstables_reference,
     run_comparison,
     run_strategy,
     serve_reads,
 )
-from repro.simulator.phase1 import (
-    generate_sstables_fast,
-    generate_sstables_reference,
-)
+from repro.simulator.metrics import served_fields
 from repro.scenarios.runner import render_comparison_table
 from repro.ycsb.workload import ReadOpColumns
 
@@ -85,7 +84,7 @@ class TestKernelEquivalence:
     )
     def test_batched_matches_scalar(self, mix, distribution):
         config = read_config(distribution=distribution, **MIXES[mix])
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         assert phase1.read_ops is not None and phase1.read_ops.has_ops
         batched = serve_reads(phase1.tables, phase1.read_ops, kernel="batched")
         scalar = serve_reads(phase1.tables, phase1.read_ops, kernel="scalar")
@@ -99,7 +98,7 @@ class TestKernelEquivalence:
         from repro.lsm.disk import SimulatedDisk
 
         config = read_config(operationcount=4000, **MIXES["churny"])
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         strategy = build_strategy("LEVELED", config)
         result = strategy.compact(
             phase1.tables, SimulatedDisk(config.timing_model()), 10_000_000
@@ -128,7 +127,7 @@ class TestKernelEquivalence:
 
     def test_auto_prefers_batched_and_falls_back(self):
         config = read_config()
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         assert (
             serve_reads(phase1.tables, phase1.read_ops).kernel_used
             == "batched"
@@ -147,7 +146,7 @@ class TestKernelEquivalence:
 
     def test_unknown_kernel_rejected(self):
         config = read_config()
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         with pytest.raises(ConfigError):
             serve_reads(phase1.tables, phase1.read_ops, kernel="simd")
 
@@ -169,7 +168,7 @@ class TestKernelEquivalence:
 class TestReadOpCollection:
     def test_planes_collect_identical_read_ops(self):
         config = read_config(**MIXES["churny"])
-        fast = generate_sstables_fast(config)
+        fast = generate_sstables(config)
         reference = generate_sstables_reference(config)
         assert fast.read_ops.read_keynums == reference.read_ops.read_keynums
         assert fast.read_ops.scan_keynums == reference.read_ops.scan_keynums
@@ -192,14 +191,14 @@ class TestReadOpCollection:
 
     def test_write_only_mix_collects_nothing(self):
         config = read_config(read_fraction=0.0, scan_fraction=0.0)
-        assert generate_sstables_fast(config).read_ops is None
+        assert generate_sstables(config).read_ops is None
         assert generate_sstables_reference(config).read_ops is None
 
 
 class TestStrategyMetrics:
     def test_run_strategy_serves_reads(self):
         config = read_config()
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         result = run_strategy(
             phase1.tables, "SI", config, read_ops=phase1.read_ops
         )
@@ -212,30 +211,32 @@ class TestStrategyMetrics:
 
     def test_run_strategy_without_read_ops_reports_zeros(self):
         config = read_config(read_fraction=0.0, scan_fraction=0.0)
-        phase1 = generate_sstables_fast(config)
+        phase1 = generate_sstables(config)
         result = run_strategy(phase1.tables, "SI", config)
         assert result.reads == 0
         assert result.scans == 0
         assert result.read_amplification == 0.0
 
     def test_reference_plane_serves_identically(self):
+        """The whole reference plane (engine-loop tables, the heap merge,
+        the scalar read kernel) serves exactly what ``run_strategy``
+        serves on the columnar plane."""
         config = read_config(**MIXES["read-heavy"])
-        auto = run_comparison(config, ("SI",), runs=1)
-        reference = run_comparison(
-            replace(config, data_plane="reference"), ("SI",), runs=1
+        phase1 = generate_sstables(config)
+        result = run_strategy(
+            phase1.tables, "SI", config, read_ops=phase1.read_ops
         )
-        agg_auto = auto.per_strategy["SI"]
-        agg_reference = reference.per_strategy["SI"]
-        for field in (
-            "reads_mean",
-            "scans_mean",
-            "read_amplification_mean",
-            "bloom_fp_rate_mean",
-            "read_bytes_mean",
-            "scan_records_scanned_mean",
-        ):
-            assert getattr(agg_auto, field) == getattr(agg_reference, field)
-        assert agg_auto.reads_mean > 0
+        reference = generate_sstables_reference(config)
+        strategy = build_strategy("SI", config)
+        strategy.merge_kernel = "heap"
+        compacted = strategy.compact(
+            reference.tables, SimulatedDisk(config.timing_model()), 10_000_000
+        )
+        served = served_fields(
+            serve_reads(compacted.output_tables, reference.read_ops, "scalar")
+        )
+        assert served == {name: getattr(result, name) for name in served}
+        assert result.reads > 0 and result.scans > 0
 
     def test_render_adds_read_columns_only_when_served(self):
         read_mix = read_config()

@@ -58,36 +58,22 @@ class TestRun:
         assert code == 0
         assert "[manifest" not in capsys.readouterr().out
 
-    def test_verbose_surfaces_the_data_plane(self, capsys):
+    def test_verbose_surfaces_runs_and_jobs(self, capsys):
         code = main(
             ["run", "churn", "--runs", "1", "--no-store", "--verbose"]
             + TINY_SETS
         )
         assert code == 0
-        assert "[data plane: fast" in capsys.readouterr().out
-        code = main(
-            ["run", "churn", "--runs", "1", "--no-store", "--verbose",
-             "--data-plane", "reference"] + TINY_SETS
-        )
-        assert code == 0
-        assert "[data plane: reference" in capsys.readouterr().out
+        assert "[runs=1 jobs=1" in capsys.readouterr().out
 
-    def test_header_always_shows_the_plane(self, capsys):
+    def test_header_shows_the_spec_not_the_implementation(self, capsys):
         code = main(["run", "churn", "--runs", "1", "--no-store"] + TINY_SETS)
         assert code == 0
-        assert "plane=fast" in capsys.readouterr().out
-
-    def test_storage_disk_smoke(self, capsys):
-        """--storage disk spills phase-1 tables through the on-disk
-        sstable format; the run completes with the same output shape."""
-        code = main(
-            ["run", "churn", "--runs", "1", "--no-store", "--storage", "disk"]
-            + TINY_SETS
-        )
-        assert code == 0
         out = capsys.readouterr().out
-        assert "costactual" in out
-        assert "storage=disk" in out
+        spec_hash = REGISTRY.get("churn").spec_hash()
+        assert f"spec {spec_hash}  runs=1 jobs=1" in out
+        for word in ("plane=", "backend=", "storage="):
+            assert word not in out
 
     def test_kernel_sweep_parameter(self, capsys):
         code = main(
@@ -143,14 +129,6 @@ class TestRun:
         )
         assert "error:" in capsys.readouterr().err
 
-    def test_sharded_reference_plane_is_clean_error(self, capsys):
-        """There is no sharded reference plane; ``--set`` cannot ask for
-        one and get a fast-plane run recorded as ``reference``."""
-        sets = ["--set", "data_plane=reference", "--set", "num_shards=2"]
-        assert main(["run", "churn", "--no-store"] + sets + TINY_SETS) == 2
-        err = capsys.readouterr().err
-        assert "data_plane" in err and "num_shards" in err
-
     @pytest.mark.parametrize(
         "field",
         [
@@ -167,6 +145,51 @@ class TestRun:
             main(["run", "churn", "--no-store", flag, "2"])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--backend", "frozenset"),
+            ("--data-plane", "reference"),
+            ("--storage", "disk"),
+            ("--wal-sync-every", "16"),
+        ],
+    )
+    def test_removed_implementation_flags_are_argparse_errors(
+        self, capsys, flag, value
+    ):
+        """The set backend, data plane, storage and WAL cadence are not
+        part of an experiment: their flags are gone."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "churn", "--no-store", flag, value] + TINY_SETS)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and flag in err
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "backend=frozenset",
+            "data_plane=reference",
+            "storage=disk",
+            "wal_sync_every=16",
+        ],
+    )
+    def test_removed_implementation_keys_are_clean_errors(self, capsys, setting):
+        sets = ["--set", setting]
+        assert main(["run", "churn", "--no-store"] + sets + TINY_SETS) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and setting.split("=")[0] in err
+
+    def test_duplicate_strategies_are_clean_error(self, capsys):
+        """Each label would run twice but key one row and one cell."""
+        code = main(
+            ["run", "churn", "--no-store", "--strategies", "SI,SI,STCS"]
+            + TINY_SETS
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "duplicate strategies ['SI']" in err
 
     def test_removed_merge_executor_is_clean_error(self, capsys):
         """The thread executor and its knobs are gone: ``--set`` names
