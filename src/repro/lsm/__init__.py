@@ -3,10 +3,8 @@
 Memtables, sstables with bloom filters and binary-searched keys, write-ahead
 logs, a simulated disk with byte accounting and a timing model, fault-
 injecting filesystems, the compaction strategies, and the one engine
-that runs the full read/write path over them: :class:`LSMEngine`,
-composed from a storage (memory or ``fs=``; :mod:`~repro.lsm.storage`)
-and a flush queue (``max_immutable_memtables`` / ``flush_workers``;
-:class:`FlushPipeline`).
+that runs the full read/write path over them: :class:`LSMEngine`, on a
+storage (memory or ``fs=``; :mod:`~repro.lsm.storage`), single-threaded.
 """
 
 from .bloom import BloomFilter
@@ -32,7 +30,6 @@ from .faults import (
 )
 from .format import FileWriteAheadLog
 from .metrics import AmplificationReport, measure_amplification
-from .pipeline import FlushPipeline, PipelineMetrics
 from .memtable import (
     AppendLogMemtable,
     Memtable,
@@ -65,7 +62,6 @@ __all__ = [
     "FaultInjectedFileSystem",
     "FaultPlan",
     "FileWriteAheadLog",
-    "FlushPipeline",
     "IoStats",
     "LSMEngine",
     "LeveledCompaction",
@@ -74,7 +70,6 @@ __all__ = [
     "MERGE_KERNELS",
     "MajorCompaction",
     "Memtable",
-    "PipelineMetrics",
     "ReadStats",
     "Record",
     "SSTable",

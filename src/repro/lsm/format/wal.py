@@ -79,6 +79,12 @@ class FileWriteAheadLog:
         self._unsynced = 0
 
     def close(self) -> None:
+        """Sync what the group commit left unsynced, then release the file.
+
+        Idempotent: a second close finds nothing unsynced.
+        """
+        if self._unsynced:
+            self.sync()
         self._file.close()
 
     # -- read path ------------------------------------------------------

@@ -74,23 +74,13 @@ class Memtable(ABC):
 
     @abstractmethod
     def _ordered(self) -> tuple[list, dict]:
-        """``(sorted keys, newest record per key)``, cached between writes.
-
-        A stale cache is replaced by a fresh list, never patched in
-        place: a flush worker and a reader may refresh the same frozen
-        memtable at once, and both then publish the same order.
-        """
+        """``(sorted keys, newest record per key)``, cached between writes."""
 
     def records_from(self, start_key: Hashable) -> tuple[_KeyOrderView, int]:
         """The sorted, deduplicated contents as a row view, and the row of
         the first key >= ``start_key`` in it (nothing is copied)."""
         keys, newest = self._ordered()
         return _KeyOrderView(keys, newest), bisect_left(keys, start_key)
-
-    def pending_records(self) -> list[Record]:
-        """Sorted, per-key-deduplicated contents *without* clearing."""
-        keys, newest = self._ordered()
-        return [newest[key] for key in keys]
 
     @property
     def is_full(self) -> bool:
@@ -135,10 +125,10 @@ class AppendLogMemtable(Memtable):
         return keys, newest
 
     def flush_records(self) -> list[Record]:
-        records = self.pending_records()
+        keys, newest = self._ordered()
         self._log = []
         self._view = (0, [], {})
-        return records
+        return [newest[key] for key in keys]
 
 
 class SortedMapMemtable(Memtable):
@@ -172,10 +162,10 @@ class SortedMapMemtable(Memtable):
         return order, self._map
 
     def flush_records(self) -> list[Record]:
-        records = self.pending_records()
+        keys, newest = self._ordered()
         self._map = {}
         self._order = []
-        return records
+        return [newest[key] for key in keys]
 
 
 def make_memtable(mode: str, capacity_entries: int) -> Memtable:

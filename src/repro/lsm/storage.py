@@ -7,8 +7,8 @@ recovery paths are written once:
 ``wal``
     the active log; the engine appends every write to it.
 ``rotate()``
-    at freeze: seal the active log (it now covers exactly the frozen
-    memtable) and install a fresh one.
+    at a flush: seal the active log (it now covers exactly the memtable
+    being flushed) and install a fresh one.
 ``persist(table)``
     make one flushed sstable durable.
 ``commit(tables, next_table_id, durable_seqno)``
@@ -21,6 +21,8 @@ recovery paths are written once:
     first.
 ``after_crash()``
     a fresh storage over whatever a process death leaves behind.
+``close()``
+    a clean stop: sync and release the active log.
 
 :class:`MemoryStorage` keeps list-backed logs and bills a
 :class:`~repro.lsm.disk.SimulatedDisk`; :class:`FileStorage` writes
@@ -99,6 +101,9 @@ class MemoryStorage:
         survivor.wal.restore(self.wal.replay())
         return survivor
 
+    def close(self) -> None:
+        """Nothing to release: the logs are lists."""
+
 
 def _table_name(table_id: int) -> str:
     return f"{table_id:06d}.sst"
@@ -122,7 +127,7 @@ class FileStorage:
 
     The active log is always ``wal.log``; ``rotate()`` syncs it, closes
     it and atomically renames it to the next ``wal-NNNNNN.log`` segment,
-    so every record of a frozen memtable is durable before the memtable
+    so every record of a flushed memtable is durable before the memtable
     leaves the write path.  The MANIFEST rename inside ``commit()`` is
     the commit point: files it does not name are garbage, and nothing
     is removed before it lands.
@@ -247,3 +252,7 @@ class FileStorage:
     def after_crash(self) -> "FileStorage":
         """Everything durable is in the files; reopen them."""
         return FileStorage(self.fs, self.disk, self._use_wal, self._sync_every)
+
+    def close(self) -> None:
+        if self._use_wal:
+            self.wal.close()  # syncs what the group commit has not

@@ -2,7 +2,7 @@
 
 Every write is appended to the WAL before reaching the memtable so the
 buffered data survives a crash; the storage rotates to a fresh log when
-a memtable freezes and retires the sealed one once its flush lands (see
+a memtable flushes and retires the sealed one once its flush lands (see
 ``lsm/storage.py``).  The simulation keeps the log in memory and
 accounts its byte traffic against the simulated disk when one is
 attached — WAL appends are sequential writes and contribute to the

@@ -8,8 +8,11 @@ import pytest
 
 from repro.errors import CorruptionError, StorageError
 from repro.lsm import (
+    CrashPoint,
     DurableLSMEngine,
     EngineConfig,
+    FaultInjectedFileSystem,
+    FaultPlan,
     LSMEngine,
     LocalFileSystem,
     MajorCompaction,
@@ -121,6 +124,67 @@ class TestOpenAndRecover:
         recovered = open_engine(fs, capacity=4)
         assert [r.key for r in recovered.scan(3, 4)] == [3, 4, 5, 6]
         assert recovered.get(8).value_size == 9
+
+
+class TestCleanClose:
+    """A clean ``close()`` makes every acknowledged write durable."""
+
+    @staticmethod
+    def crash_on_next_write(fs):
+        """Die at the next destructive operation: unsynced bytes roll back."""
+        fs.plan = FaultPlan(crash_at_write=fs.writes_done + 1)
+        with pytest.raises(CrashPoint):
+            fs.open_write("after-close")
+
+    @pytest.mark.parametrize("mode", ["map", "append"])
+    @pytest.mark.parametrize("sync_every", [1, 32])
+    def test_close_keeps_group_committed_writes(self, sync_every, mode):
+        fs = FaultInjectedFileSystem(MemoryFileSystem())
+        config = EngineConfig(memtable_capacity=8, memtable_mode=mode)
+        with LSMEngine.open(fs=fs, config=config, wal_sync_every=sync_every) as engine:
+            for key in range(5):
+                engine.put(key, value_size=key + 1)
+        self.crash_on_next_write(fs)
+        recovered = LSMEngine.open(fs=fs.base, config=config)
+        for key in range(5):
+            record = recovered.get(key)
+            assert record is not None, f"clean close lost key {key}"
+            assert record.value_size == key + 1
+
+    @pytest.mark.parametrize("sync_every", [1, 32])
+    def test_close_syncs_only_the_unsynced_tail_once(self, sync_every):
+        fs = FaultInjectedFileSystem(MemoryFileSystem())
+        engine = LSMEngine.open(
+            fs=fs, config=EngineConfig(), wal_sync_every=sync_every
+        )
+        engine.put(1, value_size=10)
+        engine.close()
+        engine.close()
+        assert fs.syncs_done == 1
+
+    def test_close_releases_a_real_file(self, tmp_path):
+        engine = LSMEngine.open(tmp_path, EngineConfig(), wal_sync_every=32)
+        engine.put(1, value_size=10)
+        engine.close()
+        engine.close()
+        assert engine.wal._file._f.closed
+        with LSMEngine.open(tmp_path) as reopened:
+            assert reopened.get(1).value_size == 10
+
+    def test_crash_restart_syncs_nothing(self):
+        fs = FaultInjectedFileSystem(MemoryFileSystem())
+        engine = LSMEngine.open(fs=fs, config=EngineConfig(), wal_sync_every=32)
+        for key in range(5):
+            engine.put(key, value_size=10)
+        syncs = fs.syncs_done
+        engine.simulate_crash_and_recover()
+        assert fs.syncs_done == syncs == 0
+
+    def test_memory_storage_close_is_a_no_op(self):
+        with LSMEngine(EngineConfig()) as engine:
+            engine.put(1, value_size=10)
+        engine.close()
+        assert engine.get(1).value_size == 10
 
 
 class TestDurableMidReplayFlush:
@@ -297,8 +361,7 @@ class TestStoresWrittenBeforeTheEnginesMerged:
     FIXTURE = Path(__file__).parent / "fixtures" / "parent_stores.json"
 
     @pytest.mark.parametrize("written_by", ["plain", "pipelined"])
-    @pytest.mark.parametrize("bound", [0, 2])
-    def test_reopens_to_acknowledged_state(self, written_by, bound):
+    def test_reopens_to_acknowledged_state(self, written_by):
         fixture = json.loads(self.FIXTURE.read_text())
         fs = MemoryFileSystem()
         for name, data in fixture["stores"][written_by].items():
@@ -306,7 +369,7 @@ class TestStoresWrittenBeforeTheEnginesMerged:
             handle.append(base64.b64decode(data))
             handle.close()
         config = EngineConfig(memtable_capacity=fixture["memtable_capacity"])
-        engine = LSMEngine.open(fs=fs, config=config, max_immutable_memtables=bound)
+        engine = LSMEngine.open(fs=fs, config=config)
         expected = {int(key): size for key, size in fixture["expected"].items()}
         for _ in range(2):  # as found, then after new writes and a restart
             for key in range(9):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, StorageError
-from repro.lsm import EngineConfig, LSMEngine, MajorCompaction
+from repro.lsm import EngineConfig, LSMEngine, MajorCompaction, MemoryFileSystem
 from repro.ycsb import CoreWorkload, Operation, OperationType, WorkloadConfig
 
 
@@ -24,6 +24,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EngineConfig(default_value_size=-1)
 
+    @pytest.mark.parametrize("use_wal", [True, False])
+    def test_bad_wal_sync_every_names_the_field(self, use_wal):
+        with pytest.raises(ConfigError, match="wal_sync_every"):
+            LSMEngine.open(
+                fs=MemoryFileSystem(),
+                config=EngineConfig(use_wal=use_wal),
+                wal_sync_every=0,
+            )
+
 
 class TestWritePath:
     def test_read_your_writes_from_memtable(self):
@@ -38,6 +47,22 @@ class TestWritePath:
             engine.put(i)
         assert engine.flush_count == 2
         assert engine.table_count == 2
+
+    def test_full_memtable_flushes_before_the_write_lands(self):
+        """The writer flushes inline: the write that finds the memtable
+        full waits for its sstable, then lands in an empty memtable."""
+        engine = engine_with(capacity=4)
+        for i in range(20):
+            engine.put(i, value_size=10)
+            assert engine.flush_count == engine.table_count == i // 4
+            assert len(engine.memtable) == i % 4 + 1
+
+    def test_unorderable_keys_error_propagates(self):
+        engine = engine_with(capacity=2)
+        engine.put(1, value_size=10)
+        engine.put("a", value_size=10)
+        with pytest.raises(TypeError):
+            engine.put(2, value_size=10)  # the flush's sort fails
 
     def test_manual_flush(self):
         engine = engine_with()

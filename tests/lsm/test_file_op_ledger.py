@@ -4,10 +4,12 @@ A fixed op stream — puts and deletes with at least one flush, one
 compaction, a reopen from the files and a crash-restart — runs over
 ``FaultInjectedFileSystem(MemoryFileSystem())`` for each memtable mode
 and WAL cadence.  ``fixtures/file_op_ledger.json`` holds what it did:
-the destructive writes and syncs it counted and a sha256 of every file
-left in the directory.  The crash harness picks its fault points by
-those counts, so an engine change that moves them moves every fault
-point, and one that changes a file's bytes changes what recovery reads.
+the destructive writes and syncs it counted, a sha256 of the operation
+sequence (each append with its file and size, each sync, open, rename,
+remove and truncate with its file) and a sha256 of every file left in
+the directory.  The crash harness picks its fault points by those
+counts, so an engine change that moves them moves every fault point,
+and one that changes a file's bytes changes what recovery reads.
 
 The fixture was recorded from the commit before the engine dropped its
 flush queue (``PYTHONPATH=<that commit>/src python
@@ -38,6 +40,41 @@ SYNC_EVERY = (1, 4)
 KEYS = 48
 
 
+class OpRecordingFileSystem(FaultInjectedFileSystem):
+    """Counts like its base class and hashes every operation in order."""
+
+    def __init__(self, base) -> None:
+        super().__init__(base)
+        self.sequence = hashlib.sha256()
+
+    def _note(self, *parts) -> None:
+        self.sequence.update(" ".join(map(str, parts)).encode() + b"\n")
+
+    def _on_append(self, file, data: bytes) -> None:
+        self._note("append", file.name, len(data))
+        super()._on_append(file, data)
+
+    def _on_sync(self, file) -> None:
+        self._note("sync", file.name)
+        super()._on_sync(file)
+
+    def open_write(self, name: str):
+        self._note("open_write", name)
+        return super().open_write(name)
+
+    def rename(self, src: str, dst: str) -> None:
+        self._note("rename", src, dst)
+        super().rename(src, dst)
+
+    def remove(self, name: str) -> None:
+        self._note("remove", name)
+        super().remove(name)
+
+    def truncate(self, name: str, length: int = 0) -> None:
+        self._note("truncate", name, length)
+        super().truncate(name, length)
+
+
 def _ops(engine: LSMEngine, rng: random.Random, count: int) -> None:
     for _ in range(count):
         key = rng.randrange(KEYS)
@@ -49,7 +86,7 @@ def _ops(engine: LSMEngine, rng: random.Random, count: int) -> None:
 
 def ledger(mode: str, sync_every: int) -> dict:
     """Run the stream; return its counts and the final directory's hashes."""
-    fs = FaultInjectedFileSystem(MemoryFileSystem())
+    fs = OpRecordingFileSystem(MemoryFileSystem())
     config = EngineConfig(memtable_capacity=8, memtable_mode=mode)
     rng = random.Random(7)
 
@@ -71,6 +108,7 @@ def ledger(mode: str, sync_every: int) -> dict:
     return {
         "writes": fs.writes_done,
         "syncs": fs.syncs_done,
+        "sequence": fs.sequence.hexdigest(),
         "files": {
             name: hashlib.sha256(fs.base.read_bytes(name)).hexdigest()
             for name in fs.listdir()

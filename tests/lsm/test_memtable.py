@@ -60,12 +60,6 @@ class TestAppendLog:
         assert memtable.get("k").seqno == 2
         assert memtable.get("missing") is None
 
-    def test_pending_records_nondestructive(self):
-        memtable = AppendLogMemtable(5)
-        memtable.add(Record.put("k", seqno=1))
-        assert len(memtable.pending_records()) == 1
-        assert len(memtable) == 1
-
 
 class TestSortedMap:
     """The engine-mode memtable: capacity counts distinct keys."""
@@ -102,9 +96,15 @@ class TestSortedMap:
         assert memtable.get("k").tombstone
 
 
+def _rows(memtable):
+    """Every row of the memtable's ordered view (all keys here are >= 0)."""
+    view, _ = memtable.records_from(0)
+    return [view.record_at(row) for row in range(len(view.keys))]
+
+
 @pytest.mark.parametrize("mode", ("append", "map"))
 class TestOrderedView:
-    """``records_from`` and ``pending_records`` share one cached key order."""
+    """``records_from`` and ``flush_records`` share one cached key order."""
 
     def test_view_starts_at_the_lower_bound_and_copies_nothing(self, mode):
         memtable = make_memtable(mode, 10)
@@ -121,14 +121,15 @@ class TestOrderedView:
         memtable = make_memtable(mode, 10)
         memtable.add(Record.put(5, 1))
         memtable.add(Record.put(9, 2))
-        assert [r.key for r in memtable.pending_records()] == [5, 9]
+        assert [r.key for r in _rows(memtable)] == [5, 9]
         memtable.add(Record.put(1, 3))  # below everything cached
         memtable.add(Record.put(9, 4))  # an overwrite keeps the order
-        assert [(r.key, r.seqno) for r in memtable.pending_records()] == [
+        assert [(r.key, r.seqno) for r in _rows(memtable)] == [
             (1, 3), (5, 1), (9, 4),
         ]
         count = len(memtable)
-        memtable.flush_records()
+        rows = _rows(memtable)
+        assert memtable.flush_records() == rows
         # Refilled to the same length: the cache must not answer for it.
         for seqno in range(count):
             memtable.add(Record.put(100 - seqno, 10 + seqno))

@@ -5,8 +5,7 @@
 probed table's consumed run in one ``read_many``; neither builds a
 column-backed table's ``Record`` tuple.  Here a drawn store — flush
 outputs, column-backed twins of some of them (some already iterated, as
-the file encoder leaves them), frozen memtables queued behind the
-active one, overwrites and tombstones, ``int`` or ``str`` keys (a
+the file encoder leaves them), the memtable, overwrites and tombstones, ``int`` or ``str`` keys (a
 ``str`` key's bytes count in ``size_bytes``) — answers drawn gets and
 scans.  Every answer must equal a dict replay of the writes,
 and after every read all 13 ``ReadStats`` and all 4 ``IoStats``
@@ -26,7 +25,6 @@ from repro.lsm.disk import IoStats
 from repro.lsm.engine import _INDEX_BLOCK_BYTES, ReadStats
 
 KEYSPACE = 40
-QUEUED = 2  # frozen memtables kept queued behind the active one
 
 #: ``(key number, value size)``; a ``None`` size is a delete.
 writes_strategy = st.lists(
@@ -34,7 +32,7 @@ writes_strategy = st.lists(
         st.integers(0, KEYSPACE - 1),
         st.one_of(st.none(), st.integers(0, 300)),
     ),
-    min_size=30,  # enough to flush several tables past the queued memtables
+    min_size=30,  # enough to flush several tables
     max_size=120,
 )
 reads_strategy = st.lists(
@@ -53,7 +51,7 @@ class Store:
     """What the engine holds, as this file's per-record walk sees it."""
 
     tables: list[tuple[SSTable, dict]]  # oldest first: (table, key -> record)
-    memtables: list[dict]  # oldest first, the active memtable last
+    memtable: dict  # key -> record
     twins: list[SSTable]  # the column-backed tables no one iterated
 
 
@@ -63,8 +61,7 @@ def build(mode, key_of, writes, columnar, iterated):
     twins whose bit is set in ``iterated`` too, as the file encoder
     does, so their records exist before any read."""
     engine = LSMEngine(
-        EngineConfig(memtable_capacity=6, memtable_mode=mode, use_wal=False),
-        max_immutable_memtables=QUEUED,
+        EngineConfig(memtable_capacity=6, memtable_mode=mode, use_wal=False)
     )
     model = {}
     for number, value_size in writes:
@@ -93,11 +90,9 @@ def build(mode, key_of, writes, columnar, iterated):
             else:
                 twins.append(table)
         tables.append((table, records))
-    memtables = [
-        {record.key: record for record in memtable.pending_records()}
-        for memtable in (*(f.memtable for f in engine._immutable), engine.memtable)
-    ]
-    return engine, model, Store(tables, memtables, twins)
+    view, _ = engine.memtable.records_from(key_of(0))  # the view holds every key
+    memtable = {key: view.record_at(row) for row, key in enumerate(view.keys)}
+    return engine, model, Store(tables, memtable, twins)
 
 
 def charge(stats: ReadStats, io: IoStats, nbytes: int) -> None:
@@ -108,12 +103,9 @@ def charge(stats: ReadStats, io: IoStats, nbytes: int) -> None:
 
 def walk_get(store: Store, key, stats: ReadStats, io: IoStats):
     stats.reads += 1
-    record = None
-    for memtable in reversed(store.memtables):  # the active one first
-        if key in memtable:
-            stats.memtable_hits += 1
-            record = memtable[key]
-            break
+    record = store.memtable.get(key)
+    if record is not None:
+        stats.memtable_hits += 1
     else:
         for table, records in reversed(store.tables):
             if not (table.min_key <= key <= table.max_key and key in table.bloom):
@@ -144,7 +136,7 @@ def walk_scan(store: Store, start, length, stats: ReadStats, io: IoStats):
             continue
         stats.scan_tables_probed += 1
         sources.append((records, True))
-    sources += [(memtable, False) for memtable in store.memtables]
+    sources.append((store.memtable, False))
     live = []
     for key in sorted({key for records, _ in sources for key in records if key >= start}):
         if len(live) == length:

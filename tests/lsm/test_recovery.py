@@ -159,11 +159,11 @@ class TestMidReplayFlush:
             engine.put(i)
         recovered = engine.simulate_crash_and_recover(config=self.shrunk())
         # The log the replay came from was sealed by the mid-replay
-        # freeze; what the logs would replay *now* (records newer than
+        # flush; what the logs would replay *now* (records newer than
         # the last commit) is exactly what sits unflushed in memory.
         *_, replayed = recovered.storage.recover()
-        pending = list(recovered.memtable.pending_records())
-        assert replayed == pending
+        view, _ = recovered.memtable.records_from(0)
+        assert replayed == [view.record_at(row) for row in range(len(view.keys))]
 
 
 class TestWalReplayValidation:
