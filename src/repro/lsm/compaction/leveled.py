@@ -19,6 +19,12 @@ Unlike major compaction the output is *many* tables, but point reads
 probe at most one table per level — the read-amplification trade the
 paper describes.  ``levels`` in the result's ``extras`` maps level
 number to the output table ids.
+
+Each merge output is cut into its level's tables by
+:meth:`~repro.lsm.sstable.SSTable.split`, so the outputs keep their
+input's representation: int64 column slices stay column-backed and
+never build a ``Record``; record-backed runs (generic keys, payload
+bytes, the heap merge kernel) are cut by record slices.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ import time
 from typing import Sequence
 
 from ..disk import SimulatedDisk
-from ..record import Record
 from ..sstable import SSTable
 from .base import CompactionResult, CompactionStrategy
 from .executor import _merge_step
@@ -75,16 +80,6 @@ class LeveledCompaction(CompactionStrategy):
         result = CompactionResult.start(self.name, tables)
         levels: dict[int, list[SSTable]] = {0: list(tables)}
 
-        def split_records(records: list[Record], start_id: int) -> list[SSTable]:
-            chunks = []
-            target = self.table_target_entries
-            for offset in range(0, len(records), target):
-                chunk = records[offset : offset + target]
-                chunks.append(
-                    SSTable(start_id + len(chunks), chunk, bloom_fp_rate=self.bloom_fp_rate)
-                )
-            return chunks
-
         def merge_into(
             sources: list[SSTable], target_level: int
         ) -> None:
@@ -103,7 +98,9 @@ class LeveledCompaction(CompactionStrategy):
             merged, seconds = _merge_step(
                 group, next_table_id, bottommost, self.bloom_fp_rate, self.merge_kernel
             )
-            outputs = split_records(list(merged.records), next_table_id + 1)
+            outputs = merged.split(
+                self.table_target_entries, next_table_id + 1, self.bloom_fp_rate
+            )
             next_table_id += 1 + len(outputs)
             result.merge_wall_seconds += seconds
             result.bill(group, outputs, disk)

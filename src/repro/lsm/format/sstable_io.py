@@ -35,10 +35,14 @@ encodes every other table and is the column path's oracle.
 before it parses any block, and raises
 :class:`~repro.errors.CorruptionError` on any mismatch: sstables are
 only read *after* their durable sync + manifest commit, so unlike the
-WAL there is no torn tail to forgive.  Decoded tables rebuild onto the
-engine's native representations — int64 columns via
-:meth:`SSTable.from_columns` when the data allows (plain int keys, no
-payload bytes), record-backed otherwise — so every downstream kernel
+WAL there is no torn tail to forgive.  It then parses all data blocks
+of an int-keyed table in one numpy pass, ``_decode_columns``, straight
+into the int64 columns of :meth:`SSTable.from_columns`, building no
+``Record``.  That pass only ever *accepts* a table: str / bytes keys,
+payload bytes, any value outside int64 and any broken structural rule
+send the blocks to the record-by-record walk, ``_decode_records``,
+which loads them record-backed or raises the ``CorruptionError``, and
+is the column pass's oracle.  Either way every downstream kernel
 (columnar merge, batched bloom probes, sketch unions) works on a loaded
 table unchanged.
 """
@@ -333,47 +337,141 @@ def _decode_footer(payload: bytes):
     )
 
 
-def _build_table(
-    table_id: int,
-    records: list[Record],
-    fp_rate: float,
-    index_interval: int,
-) -> SSTable:
-    """Rebuild onto the columnar representation when the data allows."""
-    if (
-        records
-        and set(map(type, (r.key for r in records))) <= {int}
-        and all(r.value is None for r in records)
+def _gather_varints(body, starts, lengths) -> "_np.ndarray":
+    """The ``uint64`` value of each varint ``body[starts[i]:][:lengths[i]]``.
+
+    The caller has checked every length is at most 10 and that a 10-byte
+    varint's last byte is 0 or 1, so each value fits 64 bits.
+    """
+    values = _np.zeros(starts.shape, dtype=_np.uint64)
+    for byte in range(int(lengths.max())):
+        live = lengths > byte
+        chunk = (body[starts[live] + byte] & 0x7F).astype(_np.uint64)
+        values[live] |= chunk << _np.uint64(7 * byte)
+    return values
+
+
+def _decode_columns(data: bytes, frames, index_entries, entry_count: int):
+    """The data blocks of an int-keyed table as :class:`TableColumns`.
+
+    One numpy pass over all blocks, after their CRCs were verified: the
+    block bodies (what follows each count varint) are concatenated, a
+    byte below 0x80 ends a varint, and a record without a payload is
+    exactly five tokens — flags, key tag, zigzag key, seqno, value size.
+    Returns ``None`` unless every rule the record walk checks holds and
+    every value fits the int64 columns: block counts against the index,
+    each block's first key against the index, flags in {0, 1}, key tag
+    0, no trailing bytes, the footer's entry count, ascending keys.
+    The caller then walks the records, which either builds a
+    record-backed table or raises the :class:`CorruptionError`.
+    """
+    first_keys = [first_key for _offset, _count, first_key in index_entries]
+    if any(type(key) is not int for key in first_keys):
+        return None
+    try:
+        index_keys = _np.array(first_keys, dtype=_np.int64)
+    except OverflowError:  # a first key beyond int64
+        return None
+    view = memoryview(data)
+    spans = []
+    counts = []
+    for (_offset, start, end), (_block, record_count, _key) in zip(
+        frames, index_entries
     ):
-        count = len(records)
-        keys = _np.fromiter((r.key for r in records), dtype=_np.int64, count=count)
-        seqnos = _np.fromiter((r.seqno for r in records), dtype=_np.int64, count=count)
-        sizes = _np.fromiter(
-            (r.value_size for r in records), dtype=_np.int64, count=count
-        )
-        tombstones = None
-        if any(r.tombstone for r in records):
-            tombstones = _np.fromiter(
-                (r.tombstone for r in records), dtype=bool, count=count
-            )
-        return SSTable.from_columns(
-            table_id,
-            keys,
-            seqnos,
-            sizes,
-            tombstones,
-            bloom_fp_rate=fp_rate,
-            index_interval=index_interval,
-        )
-    return SSTable(
-        table_id, records, bloom_fp_rate=fp_rate, index_interval=index_interval
+        try:
+            count, skip = decode_varint(view[start:end], 0)
+        except CorruptionError:
+            return None
+        if count != record_count or not count:
+            return None
+        spans.append((start + skip, end))
+        counts.append(count)
+    rows = sum(counts)
+    if rows != entry_count:
+        return None
+    buffer = _np.frombuffer(data, dtype=_np.uint8)
+    body = _np.concatenate([buffer[start:end] for start, end in spans])
+    ends = _np.flatnonzero(body < 0x80)
+    if ends.size != 5 * rows:
+        return None
+    # Each block's last token must end on the block's last byte: no
+    # record straddles two blocks, and no block has trailing bytes.
+    block_ends = _np.cumsum([end - start for start, end in spans]) - 1
+    if not (ends[5 * _np.cumsum(counts) - 1] == block_ends).all():
+        return None
+    starts = _np.concatenate(([0], ends[:-1] + 1)).reshape(rows, 5)
+    ends = ends.reshape(rows, 5)
+    lengths = ends - starts + 1
+    flags = body[starts[:, 0]]
+    if (lengths[:, :2] != 1).any() or (flags > 1).any() or body[starts[:, 1]].any():
+        return None
+    fields = lengths[:, 2:]
+    if (fields > 10).any() or (body[ends[:, 2:][fields == 10]] > 1).any():
+        return None  # beyond 64 bits
+    zigzag, seqnos, sizes = (
+        _gather_varints(body, starts[:, field], lengths[:, field])
+        for field in (2, 3, 4)
     )
+    if (seqnos >> _np.uint64(63)).any() or (sizes >> _np.uint64(63)).any():
+        return None  # beyond int64
+    keys = (zigzag >> _np.uint64(1)).view(_np.int64) ^ -(
+        zigzag & _np.uint64(1)
+    ).view(_np.int64)
+    if not (keys[1:] > keys[:-1]).all():
+        return None
+    if not (keys[_np.cumsum(counts) - counts] == index_keys).all():
+        return None
+    return TableColumns(
+        keys, seqnos.view(_np.int64), sizes.view(_np.int64), flags.astype(bool)
+    )
+
+
+def _decode_records(
+    data: bytes, frames, index_entries, entry_count: int
+) -> list[Record]:
+    """The data blocks walked record by record, every rule checked.
+
+    The oracle of :func:`_decode_columns`, the one decoder of str /
+    bytes keys, payloads and values beyond int64, and the source of
+    every data-block :class:`CorruptionError`.
+    """
+    records: list[Record] = []
+    for (_offset, start, end), (block_offset, record_count, first_key) in zip(
+        frames, index_entries
+    ):
+        payload = data[start:end]
+        count, position = decode_varint(payload, 0)
+        if count != record_count:
+            raise CorruptionError(
+                f"sstable data block at {block_offset} holds {count} records, "
+                f"index says {record_count}"
+            )
+        for index_in_block in range(count):
+            record, position = decode_record(payload, position)
+            if index_in_block == 0 and record.key != first_key:
+                raise CorruptionError(
+                    f"sstable data block at {block_offset} starts at key "
+                    f"{record.key!r}, index says {first_key!r}"
+                )
+            records.append(record)
+        if position != len(payload):
+            raise CorruptionError(
+                f"sstable data block at {block_offset} has trailing bytes"
+            )
+    if len(records) != entry_count:
+        raise CorruptionError(
+            f"sstable holds {len(records)} records, footer says {entry_count}"
+        )
+    return records
 
 
 def decode_sstable(data: bytes) -> SSTable:
     """Parse file bytes back into an :class:`SSTable`, verifying all CRCs."""
     frames = _verified_frames(data)
-    payloads = {offset: data[start:end] for offset, start, end in frames}
+    payloads = {
+        offset: data[start:end]
+        for offset, start, end in frames[-len(_TRAILING_KINDS) :]
+    }
     (
         table_id,
         entry_count,
@@ -407,35 +505,14 @@ def decode_sstable(data: bytes) -> SSTable:
         index_entries.append((block_offset, record_count, first_key))
     if offset != len(index_payload):
         raise CorruptionError("sstable index block has trailing bytes")
-    data_offsets = [offset for offset, _start, _end in frames[:block_count]]
+    data_frames = frames[:block_count]
+    data_offsets = [offset for offset, _start, _end in data_frames]
     if [entry[0] for entry in index_entries] != data_offsets:
         raise CorruptionError("sstable index does not name the file's data blocks")
 
-    records: list[Record] = []
-    for block_offset, record_count, first_key in index_entries:
-        payload = payloads[block_offset]
-        count, position = decode_varint(payload, 0)
-        if count != record_count:
-            raise CorruptionError(
-                f"sstable data block at {block_offset} holds {count} records, "
-                f"index says {record_count}"
-            )
-        for index_in_block in range(count):
-            record, position = decode_record(payload, position)
-            if index_in_block == 0 and record.key != first_key:
-                raise CorruptionError(
-                    f"sstable data block at {block_offset} starts at key "
-                    f"{record.key!r}, index says {first_key!r}"
-                )
-            records.append(record)
-        if position != len(payload):
-            raise CorruptionError(
-                f"sstable data block at {block_offset} has trailing bytes"
-            )
-    if len(records) != entry_count:
-        raise CorruptionError(
-            f"sstable holds {len(records)} records, footer says {entry_count}"
-        )
+    columns = _decode_columns(data, data_frames, index_entries, entry_count)
+    if columns is None:
+        records = _decode_records(data, data_frames, index_entries, entry_count)
 
     bloom_payload = payloads[bloom_offset]
     offset = 0
@@ -464,7 +541,20 @@ def decode_sstable(data: bytes) -> SSTable:
     if offset != len(sketch_payload):
         raise CorruptionError("sstable sketch block has trailing bytes")
 
-    table = _build_table(table_id, records, fp_rate, index_interval)
+    if columns is not None:
+        table = SSTable.from_columns(
+            table_id,
+            columns.keys,
+            columns.seqnos,
+            columns.value_sizes,
+            columns.tombstones,
+            bloom_fp_rate=fp_rate,
+            index_interval=index_interval,
+        )
+    else:
+        table = SSTable(
+            table_id, records, bloom_fp_rate=fp_rate, index_interval=index_interval
+        )
     # Adopt the persisted accelerators instead of rebuilding them: the
     # bloom slots straight into the cached_property, the sketches into
     # the (precision, seed) cache — both were exact for these keys when

@@ -191,14 +191,14 @@ class SSTable:
         count = len(records)
         try:
             key_column = _np.array(keys, dtype=_np.int64)
-        except (OverflowError, ValueError):  # keys beyond int64
+            seqnos = _np.fromiter(
+                (record.seqno for record in records), dtype=_np.int64, count=count
+            )
+            value_sizes = _np.fromiter(
+                (record.value_size for record in records), dtype=_np.int64, count=count
+            )
+        except (OverflowError, ValueError):  # values beyond int64
             return None
-        seqnos = _np.fromiter(
-            (record.seqno for record in records), dtype=_np.int64, count=count
-        )
-        value_sizes = _np.fromiter(
-            (record.value_size for record in records), dtype=_np.int64, count=count
-        )
         tombstones = None
         if any(record.tombstone for record in records):
             tombstones = _np.fromiter(
@@ -206,6 +206,42 @@ class SSTable:
             )
         self._columns = TableColumns(key_column, seqnos, value_sizes, tombstones)
         return self._columns
+
+    def split(
+        self, rows: int, first_id: int, bloom_fp_rate: float
+    ) -> list["SSTable"]:
+        """The table cut into consecutive runs of at most ``rows`` rows.
+
+        Run ``i`` becomes table ``first_id + i``.  A table with a column
+        view cuts its columns (no ``Record`` is built), any other its
+        records; every slice is a copy, so the pieces never keep this
+        table's full arrays alive.
+        """
+        columns = self._columns
+        cuts = range(0, self._entry_count, rows)
+        if columns is None:
+            return [
+                SSTable(
+                    first_id + number,
+                    self.records[start : start + rows],
+                    bloom_fp_rate=bloom_fp_rate,
+                    index_interval=self._index_interval,
+                )
+                for number, start in enumerate(cuts)
+            ]
+        tombstones = columns.tombstones
+        return [
+            SSTable.from_columns(
+                first_id + number,
+                columns.keys[start : start + rows].copy(),
+                columns.seqnos[start : start + rows].copy(),
+                columns.value_sizes[start : start + rows].copy(),
+                None if tombstones is None else tombstones[start : start + rows].copy(),
+                bloom_fp_rate=bloom_fp_rate,
+                index_interval=self._index_interval,
+            )
+            for number, start in enumerate(cuts)
+        ]
 
     @cached_property
     def records(self) -> tuple[Record, ...]:  # type: ignore[no-redef]
@@ -289,10 +325,14 @@ class SSTable:
         """Total on-disk footprint of the data block."""
         columns = self._columns
         if columns is not None:
-            # int keys contribute no key bytes (Record.size_bytes).
-            return ENTRY_OVERHEAD_BYTES * self._entry_count + int(
-                columns.value_sizes.sum()
-            )
+            # int keys contribute no key bytes (Record.size_bytes).  An
+            # int64 sum that could wrap is redone over Python ints.
+            sizes = columns.value_sizes
+            total = int(sizes.sum())
+            widest = max(int(sizes.max()), -int(sizes.min()))
+            if widest * self._entry_count >= 2**63:
+                total = sum(sizes.tolist())
+            return ENTRY_OVERHEAD_BYTES * self._entry_count + total
         return sum(record.size_bytes for record in self.records)
 
     @cached_property

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core import MergeSchedule, MergeStep
@@ -257,3 +258,116 @@ class TestLeveled:
         )
         merged = {r.key: r for t in result.output_tables for r in t.records}
         assert merged["k"].seqno == 2
+
+
+def column_tables(seed, n_tables=10, universe=2000, tombstone_rate=0.1):
+    """Column-backed inputs: overlapping int keys, varied sizes, tombstones."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    seqno = 0
+    for table_id in range(n_tables):
+        keys = np.unique(rng.integers(-universe, universe, rng.integers(1, 300)))
+        seqnos = np.arange(seqno + 1, seqno + 1 + keys.size)
+        seqno += keys.size
+        tables.append(
+            SSTable.from_columns(
+                table_id,
+                keys,
+                seqnos,
+                rng.integers(0, 500, keys.size),
+                rng.random(keys.size) < tombstone_rate,
+            )
+        )
+    return tables
+
+
+def table_rows(table):
+    """A table's identity and every row, read without building records."""
+    columns = table.columns()
+    tombstones = (
+        columns.tombstones.tolist()
+        if columns.tombstones is not None
+        else [False] * len(table)
+    )
+    return (
+        table.table_id,
+        columns.keys.tolist(),
+        columns.seqnos.tolist(),
+        columns.value_sizes.tolist(),
+        tombstones,
+        table.size_bytes,
+    )
+
+
+class TestLeveledColumnSplit:
+    """The column split against the record split, its oracle.
+
+    The heap kernel's merge outputs are record-backed, so LEVELED cuts
+    them by record slices; the default kernel's are column-backed and
+    cut by column slices.
+    """
+
+    LEDGER = (
+        "n_merges",
+        "cost_actual_entries",
+        "cost_simplified_entries",
+        "bytes_read",
+        "bytes_written",
+        "io_seconds",
+    )
+
+    def run(self, seed, kernel, target):
+        strategy = LeveledCompaction(
+            table_target_entries=target,
+            base_level_entries=200,
+            fanout=3,
+            merge_kernel=kernel,
+        )
+        return strategy.compact(column_tables(seed), SimulatedDisk(), 100)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("target", [1, 37, 150, 5000])
+    def test_column_split_equals_record_split(self, seed, target):
+        heap = self.run(seed, "heap", target)
+        columnar = self.run(seed, "auto", target)
+        assert columnar.n_merges > 1
+        assert [table_rows(t) for t in columnar.output_tables] == [
+            table_rows(t) for t in heap.output_tables
+        ]
+        for field in self.LEDGER:
+            assert getattr(columnar, field) == getattr(heap, field), field
+        assert columnar.extras["levels"] == heap.extras["levels"]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_column_inputs_never_build_records(self, seed):
+        result = self.run(seed, "auto", 37)
+        assert result.output_tables
+        assert not [t for t in result.output_tables if "records" in vars(t)]
+
+    @pytest.mark.parametrize("rows", [1, 3, 4, 10, 11])
+    def test_split_equals_record_split(self, rows):
+        keys = np.arange(10)
+        table = SSTable.from_columns(0, keys, keys + 10, keys + 5, keys % 3 == 0)
+        pieces = table.split(rows, 7, 0.02)
+        oracle = SSTable(0, list(table.records)).split(rows, 7, 0.02)
+        assert not [piece for piece in pieces if "records" in vars(piece)]
+        assert [table_rows(p) for p in pieces] == [table_rows(p) for p in oracle]
+        assert [p._bloom_fp_rate for p in pieces] == [0.02] * len(oracle)
+
+    def test_split_copies_its_slices(self):
+        table = SSTable.from_columns(0, np.arange(10), np.arange(10), 3)
+        pieces = table.split(4, 7, 0.02)
+        assert [(p.table_id, len(p)) for p in pieces] == [(7, 4), (8, 4), (9, 2)]
+        for piece in pieces:
+            for column in (piece.columns().keys, piece.columns().seqnos):
+                assert not np.shares_memory(column, table.columns().keys)
+                assert not np.shares_memory(column, table.columns().seqnos)
+
+    def test_record_backed_table_splits_by_records(self):
+        records = [Record.put(f"k{i:02d}", i, value=b"v" * i) for i in range(9)]
+        pieces = SSTable(0, records).split(4, 1, 0.01)
+        assert [list(p.records) for p in pieces] == [
+            records[0:4],
+            records[4:8],
+            records[8:],
+        ]

@@ -1,6 +1,8 @@
 """Tests for the on-disk formats: checksums, encoding, sstables, manifest."""
 
+import itertools
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CorruptionError, StorageError
-from repro.lsm import MemoryFileSystem, Record, SSTable
+from repro.lsm import EngineConfig, LSMEngine, MemoryFileSystem, Record, SSTable
 from repro.lsm.format import decode_sstable, encode_sstable
 from repro.lsm.format.checksum import (
     _KERNEL_MIN_BYTES,
@@ -34,6 +36,7 @@ from repro.lsm.format.manifest import (
     read_manifest,
     write_manifest,
 )
+from repro.lsm.format import sstable_io
 from repro.lsm.format.sstable_io import (
     DATA_BLOCK_BYTES,
     _encode_column_blocks,
@@ -343,6 +346,303 @@ class TestColumnEncoder:
         table = SSTable.from_columns(1, [1, 2], [3, -1], 0)
         with pytest.raises(StorageError):
             encode_sstable(table)
+
+
+def decode_by_record_walk(data: bytes) -> SSTable:
+    """``decode_sstable`` with the column path switched off: its oracle."""
+    with mock.patch.object(sstable_io, "_decode_columns", return_value=None):
+        return decode_sstable(data)
+
+
+def tombstone_list(columns) -> list:
+    if columns.tombstones is None:
+        return [False] * columns.keys.size
+    return columns.tombstones.tolist()
+
+
+def assert_same_table(loaded: SSTable, oracle: SSTable) -> None:
+    """Equal ids, rows, sizes and adopted accelerators."""
+    assert (loaded.table_id, len(loaded), loaded.size_bytes) == (
+        oracle.table_id,
+        len(oracle),
+        oracle.size_bytes,
+    )
+    assert loaded._index_interval == oracle._index_interval
+    assert loaded._bloom_fp_rate == oracle._bloom_fp_rate
+    columns, expected = loaded.columns(), oracle.columns()
+    for field in ("keys", "seqnos", "value_sizes"):
+        assert getattr(columns, field).tolist() == getattr(expected, field).tolist()
+    assert tombstone_list(columns) == tombstone_list(expected)
+    assert "bloom" in vars(loaded)  # adopted, not rebuilt
+    assert (loaded.bloom._bits, loaded.bloom.k_hashes, len(loaded.bloom)) == (
+        oracle.bloom._bits,
+        oracle.bloom.k_hashes,
+        len(oracle.bloom),
+    )
+    assert loaded.cached_sketch_keys == oracle.cached_sketch_keys
+    for precision, seed in oracle.cached_sketch_keys:
+        assert (
+            loaded.cached_sketch(precision, seed).to_bytes()
+            == oracle.cached_sketch(precision, seed).to_bytes()
+        )
+
+
+@st.composite
+def decoder_tables(draw):
+    """:func:`column_tables`, sometimes cut to one record, with sketches."""
+    table = draw(column_tables())
+    if draw(st.booleans()):
+        row = draw(st.integers(0, len(table) - 1))
+        columns = table.columns()
+        table = SSTable.from_columns(
+            table.table_id,
+            columns.keys[row : row + 1],
+            columns.seqnos[row : row + 1],
+            columns.value_sizes[row : row + 1],
+            tombstone_list(columns)[row : row + 1],
+            bloom_fp_rate=draw(st.sampled_from([0.01, 0.2])),
+        )
+    for precision, seed in draw(st.sets(st.sampled_from([(4, 0), (12, 0), (10, -3)]))):
+        table.sketch(precision, seed)
+    return table
+
+
+def split_file(data: bytes):
+    """A file's parts, for rebuilding it with an edit.
+
+    ``(data block payloads, index rows [count, first key], bloom payload,
+    sketch payload, footer fields)``.
+    """
+    frames = sstable_io._verified_frames(data)
+    *blocks, index, bloom, sketch, footer = [data[s:e] for _o, s, e in frames]
+    rows, offset = [], 0
+    while offset < len(index):
+        _block_offset, offset = decode_varint(index, offset)
+        count, offset = decode_varint(index, offset)
+        key, offset = decode_key(index, offset)
+        rows.append([count, key])
+    footer = list(sstable_io._decode_footer(footer))
+    return [bytearray(block) for block in blocks], rows, bloom, sketch, footer
+
+
+def join_file(blocks, rows, bloom, sketch, footer) -> bytes:
+    """The file of :func:`split_file`'s parts: offsets recomputed, every
+    block framed with a fresh CRC."""
+    framed = [frame_block(bytes(block)) for block in blocks]
+    offsets = list(itertools.accumulate([len(f) for f in framed], initial=0))
+    index = frame_block(
+        b"".join(
+            encode_varint(offset) + encode_varint(count) + encode_key(key)
+            for offset, (count, key) in zip(offsets, rows)
+        )
+    )
+    bloom, sketch = frame_block(bloom), frame_block(sketch)
+    table_id, entry_count, interval, _blocks, _index, _bloom, _sketch, fp = footer
+    index_offset = offsets[-1]
+    footer_block = frame_block(
+        b"".join(
+            encode_varint(value)
+            for value in (
+                1,
+                table_id,
+                entry_count,
+                interval,
+                len(blocks),
+                index_offset,
+                index_offset + len(index),
+                index_offset + len(index) + len(bloom),
+            )
+        )
+        + struct.pack("<d", fp)
+    )
+    return b"".join(
+        [*framed, index, bloom, sketch, footer_block]
+        + [struct.pack("<I", len(footer_block)), sstable_io.MAGIC]
+    )
+
+
+def eight_byte_table() -> bytes:
+    """600 records of 8 bytes (flags, tag, then 2-byte key, seqno and size
+    varints): block 0 holds 512 behind a 2-byte count, block 1 holds 88
+    behind a 1-byte count, so record ``i`` of block 1 starts at ``1 + 8i``."""
+    table = SSTable.from_columns(6, np.arange(64, 664), np.full(600, 200), 300)
+    table.sketch(precision=6)
+    return encode_sstable(table)
+
+
+def _set(block, position, value):
+    block[position] = value
+
+
+#: Edits of block 1 of :func:`eight_byte_table` that the record walk
+#: rejects, each with the start of its CorruptionError message.
+MALFORMED_BLOCKS = {
+    "count disagrees with the index": (
+        lambda blocks, rows, footer: _set(blocks[1], 0, 89),
+        "sstable data block at 4106 holds 89 records, index says 88",
+    ),
+    "flags carry the value bit": (
+        lambda blocks, rows, footer: _set(blocks[1], 1 + 8 * 87, 0x02),
+        "truncated record value",
+    ),
+    "flags carry an unknown bit": (
+        lambda blocks, rows, footer: _set(blocks[1], 1, 0x04),
+        "unknown record flags 0x04",
+    ),
+    "key tag is unknown": (
+        lambda blocks, rows, footer: _set(blocks[1], 2, 9),
+        "unknown key tag 9",
+    ),
+    "last varint is truncated": (
+        lambda blocks, rows, footer: _set(blocks[1], -1, blocks[1][-1] | 0x80),
+        "truncated varint",
+    ),
+    "first key disagrees with the index": (
+        lambda blocks, rows, footer: rows[1].__setitem__(1, 577),
+        "sstable data block at 4106 starts at key 576, index says 577",
+    ),
+    # Its low 64 bits are the index's first key: a parse that kept only
+    # 64 bits of an 11-byte varint would accept the block.
+    "11-byte key varint": (
+        lambda blocks, rows, footer: blocks[1].__setitem__(
+            slice(3, 5), encode_varint(2 * 576 + 2**70)
+        ),
+        f"sstable data block at 4106 starts at key {576 + 2**69}, index says 576",
+    ),
+    # The walk stops block 0 one record early; the token counts, entry
+    # count and first keys all still agree.
+    "a record straddles two blocks": (
+        lambda blocks, rows, footer: (
+            blocks[0].__setitem__(slice(0, 2), encode_varint(511)),
+            _set(blocks[1], 0, 89),
+            rows.__setitem__(slice(None), [[511, 64], [89, 575]]),
+        ),
+        "sstable data block at 0 has trailing bytes",
+    ),
+    "trailing bytes": (
+        lambda blocks, rows, footer: blocks[1].append(0),
+        "sstable data block at 4106 has trailing bytes",
+    ),
+    "footer counts one record more": (
+        lambda blocks, rows, footer: footer.__setitem__(1, 601),
+        "sstable holds 600 records, footer says 601",
+    ),
+}
+
+
+class TestColumnDecoder:
+    """The one-pass column decoder against the record-by-record walk."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(decoder_tables())
+    def test_equals_record_walk(self, table):
+        data = encode_sstable(table)
+        loaded = decode_sstable(data)
+        oracle = decode_by_record_walk(data)
+        assert "records" not in vars(loaded)  # no Record built
+        assert "records" in vars(oracle)
+        assert_same_table(loaded, oracle)
+        assert tombstone_list(loaded.columns()) == tombstone_list(table.columns())
+        assert encode_sstable(loaded) == data
+
+    def test_split_and_join_are_inverse(self):
+        data = eight_byte_table()
+        blocks, rows, _bloom, _sketch, _footer = split_file(data)
+        assert [len(block) for block in blocks] == [2 + 8 * 512, 1 + 8 * 88]
+        assert rows == [[512, 64], [88, 576]]
+        assert join_file(*split_file(data)) == data
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_BLOCKS))
+    def test_malformed_block_is_corruption(self, case):
+        edit, message = MALFORMED_BLOCKS[case]
+        blocks, rows, bloom, sketch, footer = split_file(eight_byte_table())
+        edit(blocks, rows, footer)
+        data = join_file(blocks, rows, bloom, sketch, footer)
+        with pytest.raises(CorruptionError, match=f"^{message}$"):
+            decode_sstable(data)
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [Record.put("alpha", 1), Record.delete("beta", 2)],
+            [Record.put(b"\x00k", 1, value_size=9), Record.put(b"z", 4)],
+            [Record.put(1, 5, value=b"hello"), Record.put(2, 6)],
+            [Record.put(1, 5, value=b""), Record.put(2, 6)],
+            [Record.put(2**63 - 1, 1), Record.put(2**63, 2)],
+            [Record.delete(-(2**63) - 1, 3), Record.put(0, 4)],
+            [Record.put(2**70, 1, value_size=2)],
+        ],
+        ids=["str", "bytes", "payload", "empty-payload", "2**63", "-2**63-1", "2**70"],
+    )
+    def test_unrepresentable_tables_load_record_backed(self, records):
+        data = encode_sstable(SSTable(1, records))
+        loaded = decode_sstable(data)
+        assert "records" in vars(loaded)
+        assert list(loaded.records) == records
+        assert encode_sstable(loaded) == data
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [(3, 2**63), (3, 2**64), (3, 2**70), (4, 2**63)],
+        ids=["seqno-2**63", "seqno-2**64", "seqno-11-bytes", "size-2**63"],
+    )
+    def test_values_beyond_int64_load_record_backed(self, field, value):
+        # Record 0 of block 1: flags, tag, key [3:5], seqno [5:7], size [7:9].
+        blocks, rows, bloom, sketch, footer = split_file(eight_byte_table())
+        start = 3 + 2 * (field - 2)
+        blocks[1][start : start + 2] = encode_varint(value)
+        data = join_file(blocks, rows, bloom, sketch, footer)
+        loaded = decode_sstable(data)
+        assert "records" in vars(loaded)
+        assert list(loaded.records) == list(decode_by_record_walk(data).records)
+        record = loaded.get(576)
+        assert (record.seqno, record.value_size)[field - 3] == value
+        assert loaded.columns() is None
+        assert encode_sstable(loaded) == data
+
+
+class TestKeysBeyondInt64:
+    """A table holding an int key outside int64 loads record-backed."""
+
+    @pytest.mark.parametrize(
+        "keys",
+        [
+            [2**63],
+            [2**70],
+            [2**63 - 1, 2**63],
+            [-(2**63) - 1],
+            [-(2**70), -(2**63), 0, 2**63 - 1, 2**64],
+        ],
+    )
+    def test_canonical_round_trip(self, keys):
+        records = [
+            Record.put(key, seqno, value_size=3) for seqno, key in enumerate(keys)
+        ]
+        data = encode_sstable(SSTable(2, records))
+        loaded = decode_sstable(data)
+        assert list(loaded.records) == records
+        assert encode_sstable(loaded) == data
+
+    def test_int64_boundaries_stay_columnar(self):
+        table = SSTable(2, [Record.put(-(2**63), 1), Record.put(2**63 - 1, 2)])
+        loaded = decode_sstable(encode_sstable(table))
+        assert "records" not in vars(loaded)
+        assert loaded.columns().keys.tolist() == [-(2**63), 2**63 - 1]
+
+    def test_engine_store_reopens(self):
+        fs = MemoryFileSystem()
+        config = EngineConfig(memtable_capacity=4)
+        keys = [1, 2**64, 5, -(2**70)]
+        engine = LSMEngine.open(fs=fs, config=config)
+        for key in keys:
+            engine.put(key, value_size=7)
+        engine.flush()
+        engine.close()
+        reopened = LSMEngine.open(fs=fs, config=config)
+        for key in keys:
+            record = reopened.get(key)
+            assert record is not None and record.value_size == 7, key
+        reopened.close()
 
 
 class TestSSTableCorruption:
