@@ -8,7 +8,7 @@ over an update-heavy YCSB workload and measures lifetime amplification:
   amplification but keeps fewer tables on disk,
 * no compaction has WA ~= 1 (each byte written once at flush) but the
   table count grows without bound,
-* Size-Tiered and Date-Tiered triggers land between those extremes.
+* a Size-Tiered trigger lands between those extremes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from conftest import is_fast, write_bench_json
 from repro.analysis import format_table
 from repro.lsm import (
     CompactionController,
-    DateTieredCompaction,
     EngineConfig,
     LSMEngine,
     MajorCompaction,
@@ -60,11 +59,6 @@ def test_write_amplification_vs_aggressiveness(benchmark, results_dir):
         )
         rows["stcs t=8"] = run_lifetime(
             lambda: SizeTieredCompaction(min_threshold=4, until_single=False),
-            8,
-            operationcount,
-        )
-        rows["dtcs t=8"] = run_lifetime(
-            lambda: DateTieredCompaction(base_window=2000, min_threshold=2),
             8,
             operationcount,
         )
@@ -110,6 +104,5 @@ def test_write_amplification_vs_aggressiveness(benchmark, results_dir):
     assert wa["major t=4"] > wa["major t=16"] >= wa["none"]
     # ... but keeps the fewest tables on disk
     assert tables["major t=4"] <= tables["major t=16"] <= tables["none"]
-    # tiered triggers land between full major and nothing
+    # a tiered trigger lands between full major and nothing
     assert wa["none"] < wa["stcs t=8"]
-    assert wa["none"] <= wa["dtcs t=8"] + 0.05

@@ -17,7 +17,6 @@ Run:  python examples/background_compaction.py
 from repro.analysis import format_table
 from repro.lsm import (
     CompactionController,
-    DateTieredCompaction,
     EngineConfig,
     LSMEngine,
     MajorCompaction,
@@ -63,11 +62,6 @@ def main() -> None:
         run_lifetime(
             "size-tiered, threshold 8",
             lambda: SizeTieredCompaction(min_threshold=4, until_single=False),
-            8,
-        ),
-        run_lifetime(
-            "date-tiered, threshold 8",
-            lambda: DateTieredCompaction(base_window=1500, min_threshold=2),
             8,
         ),
         run_lifetime("no compaction", lambda: MajorCompaction("BT(I)"), 10**9),

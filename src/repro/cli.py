@@ -6,13 +6,16 @@ One entry point for everything the repo can run::
     python -m repro run fig7a --fast               # run a registered scenario
     python -m repro run read-heavy --runs 1 --set operationcount=2000
     python -m repro run --spec my_scenario.json    # run a JSON spec
-    python -m repro sweep --parameter update_fraction --values 0,0.5,1
+    python -m repro sweep --parameter k --values 2,4 --set distribution=zipfian
     python -m repro figures fig8 --out results/    # regenerate paper figures
 
 ``run``, ``sweep`` and ``figures`` share one execution path and record a
 schema-versioned manifest under ``results/runs/`` (disable with
 ``--no-store``); ``figures <id>`` is ``run <id>`` plus the ``fig7`` /
 ``all`` groups and ``--out DIR`` for the ``<id>.txt`` artefacts.
+``--set KEY=VALUE`` is the one way to change a
+:class:`~repro.simulator.config.SimulationConfig` field: no option
+duplicates one.  ``sweep`` starts from ``SimulationConfig()``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ from pathlib import Path
 from typing import Any, Optional, Sequence
 
 from .analysis.tables import format_table
-from .core.estimator import available_estimators
 from .errors import ReproError, ScenarioError
 from .scenarios import (
     PANELS,
@@ -41,26 +43,18 @@ from .scenarios.store import DEFAULT_STORE_ROOT
 from .simulator.config import SimulationConfig
 
 
-def _parse_set_value(text: str) -> Any:
-    """``--set`` values: int, then float, then bare string."""
+def _parse_set(text: str) -> tuple[str, Any]:
+    """One ``--set KEY=VALUE``; the value is an int, then a float, then
+    the bare string."""
+    key, separator, value = text.partition("=")
+    if not separator or not key:
+        raise argparse.ArgumentTypeError(f"expects KEY=VALUE, got {text!r}")
     for cast in (int, float):
         try:
-            return cast(text)
+            return key, cast(value)
         except ValueError:
             continue
-    return text
-
-
-def _parse_overrides(pairs: Optional[Sequence[str]]) -> dict[str, Any]:
-    overrides: dict[str, Any] = {}
-    for pair in pairs or ():
-        key, separator, value = pair.partition("=")
-        if not separator or not key:
-            raise argparse.ArgumentTypeError(
-                f"--set expects KEY=VALUE, got {pair!r}"
-            )
-        overrides[key] = _parse_set_value(value)
-    return overrides
+    return key, value
 
 
 def _parse_values(text: str) -> tuple[float, ...]:
@@ -68,7 +62,7 @@ def _parse_values(text: str) -> tuple[float, ...]:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"--values expects comma-separated numbers, got {text!r}"
+            f"expects comma-separated numbers, got {text!r}"
         ) from None
 
 
@@ -88,35 +82,13 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
         help="comma-separated strategy labels overriding the spec's grid",
     )
     parser.add_argument(
-        "--estimator", default=None, choices=available_estimators(),
-        help="union-cardinality oracle override (see docs/estimators.md)",
-    )
-    parser.add_argument(
-        "--hll-precision", type=int, default=None,
-        help="HyperLogLog precision p (registers = 2**p)",
-    )
-    parser.add_argument(
-        "--num-shards", type=int, default=None,
-        help="shard the keyspace over N independent engines "
-        "(1 = unsharded; see docs/sharding.md)",
-    )
-    parser.add_argument(
-        "--shard-skew", type=float, default=None,
-        help="zipfian shard-weight exponent of the multi-tenant skew "
-        "model (0 = equal shares)",
-    )
-    parser.add_argument(
-        "--partitioner", default=None, choices=["hash", "range"],
-        help="key -> shard routing for sharded runs",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed")
-    parser.add_argument(
         "--set",
         action="append",
+        type=_parse_set,
         metavar="KEY=VALUE",
         dest="overrides",
-        help="override any SimulationConfig field (repeatable), e.g. "
-        "--set operationcount=2000 --set k=4",
+        help="override a SimulationConfig field (repeatable; the only way "
+        "to change one), e.g. --set operationcount=2000 --set k=4",
     )
     parser.add_argument(
         "--store",
@@ -129,24 +101,6 @@ def _add_common_run_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="do not write a run manifest",
     )
-    parser.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print execution details (resolved runs/jobs, whether reads "
-        "were served) after the report",
-    )
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict[str, Any]:
-    overrides = _parse_overrides(args.overrides)
-    for key in (
-        "estimator", "hll_precision", "num_shards", "shard_skew",
-        "partitioner", "seed",
-    ):
-        value = getattr(args, key)
-        if value is not None:
-            overrides[key] = value
-    return overrides
 
 
 def _execute(
@@ -165,16 +119,11 @@ def _execute(
         scenario,
         fast=args.fast,
         runs=args.runs,
-        overrides=_collect_overrides(args),
+        overrides=dict(args.overrides or ()),
         strategies=strategies,
     )
     path = None if args.no_store else ResultsStore(args.store).write(run)
     print(run.render(), end="")
-    if args.verbose:
-        read_phase = "; read phase: served" if run.read_phase_served else ""
-        print(
-            f"\n[runs={run.runs} jobs={run.jobs}{read_phase}]"
-        )
     if path is not None:
         print(f"\n[manifest written to {path}]")
     return run
@@ -201,30 +150,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = SimulationConfig(
-        recordcount=args.recordcount,
-        operationcount=args.operationcount,
-        memtable_capacity=args.memtable,
-        distribution=args.distribution,
-        update_fraction=args.update_fraction,
-        k=args.k,
-    )
-    kwargs: dict[str, Any] = {}
-    if args.strategies:
-        kwargs["strategies"] = tuple(
-            label.strip() for label in args.strategies.split(",") if label.strip()
-        )
-        args.strategies = None  # consumed; don't re-override in _execute
     scenario = Scenario(
         name="adhoc-sweep",
         title=f"ad-hoc {args.parameter} sweep",
-        config=config,
+        config=SimulationConfig(),
         sweep=SweepSpec(
-            args.parameter, _parse_values(args.values), n_sstables=args.n_sstables
+            args.parameter, args.values, n_sstables=args.n_sstables
         ),
-        runs=args.runs if args.runs is not None else 3,
         tags=("adhoc",),
-        **kwargs,
     )
     _execute(args, scenario)
     return 0
@@ -337,18 +270,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=list(SWEEP_PARAMETERS),
     )
     sweep.add_argument(
-        "--values", required=True, help="comma-separated sweep values"
+        "--values",
+        required=True,
+        type=_parse_values,
+        help="comma-separated sweep values",
     )
-    sweep.add_argument("--recordcount", type=int, default=1000)
-    sweep.add_argument("--operationcount", type=int, default=100_000)
-    sweep.add_argument("--memtable", type=int, default=1000)
-    sweep.add_argument(
-        "--distribution",
-        default="latest",
-        choices=["uniform", "zipfian", "latest", "scrambled_zipfian"],
-    )
-    sweep.add_argument("--update-fraction", type=float, default=1.0)
-    sweep.add_argument("--k", type=int, default=2, help="merge fan-in")
     sweep.add_argument(
         "--n-sstables",
         type=int,

@@ -13,7 +13,6 @@ from .compaction import (
     CompactionResult,
     CompactionStrategy,
     ControllerStats,
-    DateTieredCompaction,
     LeveledCompaction,
     MajorCompaction,
     SizeTieredCompaction,
@@ -55,7 +54,6 @@ __all__ = [
     "CompactionStrategy",
     "ControllerStats",
     "CrashPoint",
-    "DateTieredCompaction",
     "DiskTimingModel",
     "ENTRY_OVERHEAD_BYTES",
     "EngineConfig",

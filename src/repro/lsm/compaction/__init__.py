@@ -8,7 +8,6 @@
 
 from .base import CompactionResult, CompactionStrategy
 from .controller import CompactionController, ControllerStats
-from .date_tiered import DateTieredCompaction
 from .executor import execute_schedule
 from .leveled import LeveledCompaction
 from .major import MajorCompaction
@@ -19,7 +18,6 @@ __all__ = [
     "CompactionResult",
     "CompactionStrategy",
     "ControllerStats",
-    "DateTieredCompaction",
     "execute_schedule",
     "LeveledCompaction",
     "MajorCompaction",

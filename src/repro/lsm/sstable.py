@@ -351,7 +351,7 @@ class SSTable:
 
     @cached_property
     def max_seqno(self) -> int:
-        """Newest sequence number in the table (recency for DTCS)."""
+        """Newest sequence number in the table."""
         columns = self._columns
         if columns is not None:
             return int(columns.seqnos.max())

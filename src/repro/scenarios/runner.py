@@ -20,7 +20,7 @@ from ..analysis.experiments import ExperimentResult, series_panel
 from ..analysis.tables import format_table
 from ..errors import ScenarioError
 from ..simulator.config import SimulationConfig
-from ..simulator.metrics import cell_metrics, report_table, shown_groups
+from ..simulator.metrics import cell_metrics, report_table
 from ..simulator.runner import (
     SWEEP_AXES,
     ComparisonResult,
@@ -123,13 +123,6 @@ class ScenarioRun:
                     "plane_used": self.plane_used,
                 }, result.per_strategy
 
-    @property
-    def read_phase_served(self) -> bool:
-        """True when at least one cell replayed reads/scans (serving phase)."""
-        return "served" in shown_groups(
-            [agg for _, aggs in self._points() for agg in aggs.values()]
-        )
-
     def cells(self) -> list[dict[str, Any]]:
         """Flat per-(distribution, x, strategy) metric rows for the store."""
         return [
@@ -192,7 +185,7 @@ class ExperimentRunner:
         """Execute one scenario end to end.
 
         ``overrides`` are config-field replacements applied after the
-        fast variant (the CLI's ``--set``/``--estimator``/... flags);
+        fast variant (the CLI's ``--set`` flags);
         ``strategies`` overrides the spec's grid.  ``run`` only
         executes — use :meth:`run_and_record` to also persist a
         manifest through the runner's store.

@@ -100,10 +100,11 @@ class SimulationConfig:
         from ..errors import EstimatorError
         from ..hll.hyperloglog import MAX_PRECISION, MIN_PRECISION
 
-        # Numeric fields first: the comparisons below assume numbers,
-        # and a float capacity or a string seed otherwise dies as a bare
-        # TypeError inside the first cell.  A bool is an int to Python
-        # (a JSON ``true`` would run as 1), so no numeric field takes one.
+        # Types first: the checks below compare numbers and lower-case
+        # names, and a string fraction or an int estimator otherwise dies
+        # as a bare TypeError naming no field.  A bool is an int to
+        # Python (a JSON ``true`` would run as 1), so no numeric field
+        # takes one.
         for spec in fields(self):
             value = getattr(self, spec.name)
             if spec.type in ("int", "float") and isinstance(value, bool):
@@ -112,6 +113,10 @@ class SimulationConfig:
                 raise ConfigError(
                     f"{spec.name} must be an integer, got {value!r}"
                 )
+            if spec.type == "float" and not isinstance(value, (int, float)):
+                raise ConfigError(f"{spec.name} must be a number, got {value!r}")
+            if spec.type == "str" and not isinstance(value, str):
+                raise ConfigError(f"{spec.name} must be a string, got {value!r}")
         try:
             object.__setattr__(
                 self, "estimator", canonical_estimator_name(self.estimator)
@@ -132,7 +137,7 @@ class SimulationConfig:
             raise ConfigError(
                 f"bloom_fp_rate must be in (0, 1), got {self.bloom_fp_rate!r}"
             )
-        distribution = str(self.distribution).lower()
+        distribution = self.distribution.lower()
         if distribution not in available_distributions():
             raise ConfigError(
                 f"distribution must be one of {available_distributions()}, "
@@ -253,22 +258,14 @@ class SimulationConfig:
             key: value for key, value in data.items() if key not in _RETIRED_FIELDS
         }
         cls._reject_unknown_fields(data)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"invalid SimulationConfig value: {exc}") from None
+        return cls(**data)
 
     def overridden(self, overrides: Mapping[str, Any]) -> "SimulationConfig":
         """``replace`` with field-name validation (used by CLI ``--set``)."""
         self._reject_unknown_fields(overrides)
         if not overrides:
             return self
-        try:
-            return replace(self, **dict(overrides))
-        except TypeError as exc:
-            # e.g. --set k=two: the validation comparison in
-            # __post_init__ raises TypeError on a non-numeric value.
-            raise ConfigError(f"invalid SimulationConfig value: {exc}") from None
+        return replace(self, **dict(overrides))
 
     def describe(self) -> str:
         """One line summarizing the run-defining knobs (for CLI/manifests)."""

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 from repro.lsm import SimulatedDisk
-from repro.lsm.compaction import DateTieredCompaction
 from repro.simulator import (
     SimulationConfig,
     build_strategy,
@@ -70,7 +69,6 @@ def compaction_numbers(seed: int, plane: str) -> dict[str, dict]:
     if reference:
         for strategy in strategies.values():
             strategy.merge_kernel = "heap"
-    strategies["DTCS"] = DateTieredCompaction(base_window=100, window_growth=2)
     return {
         label: _numbers(
             strategy.compact(
@@ -90,15 +88,13 @@ def test_numbers_match_the_parent_commit(seed, plane):
 
 def test_fixture_exercises_every_code_path():
     """The pin is only worth something if the tiny mix does real work:
-    every strategy merges, LEVELED splits its output and DTCS leaves
-    several windows."""
+    every strategy merges and LEVELED splits its output."""
     pinned = json.loads(FIXTURE.read_text())
     assert set(pinned) == {f"seed={s}/{p}" for s in SEEDS for p in PLANES}
     for cell in pinned.values():
-        assert set(cell) == set(LABELS) | {"DTCS"}
+        assert set(cell) == set(LABELS)
         assert all(numbers["n_merges"] > 0 for numbers in cell.values())
         assert len(cell["LEVELED"]["outputs"]) > 1
-        assert len(cell["DTCS"]["outputs"]) > 1
 
 
 if __name__ == "__main__":

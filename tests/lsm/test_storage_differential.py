@@ -12,7 +12,6 @@ the one thing that differs on purpose: memory storage bills
 import pytest
 
 from repro.lsm import (
-    DateTieredCompaction,
     EngineConfig,
     FaultInjectedFileSystem,
     LeveledCompaction,
@@ -104,9 +103,8 @@ class TestDifferential:
             lambda: MajorCompaction("balance_tree_input"),
             lambda: SizeTieredCompaction(min_threshold=2),
             lambda: LeveledCompaction(),
-            lambda: DateTieredCompaction(),
         ],
-        ids=["SI", "BT(I)", "STCS", "LEVELED", "DTCS"],
+        ids=["SI", "BT(I)", "STCS", "LEVELED"],
     )
     def test_compaction_identical_on_files(self, strategy):
         config = EngineConfig(memtable_capacity=16)

@@ -28,11 +28,9 @@ from repro.errors import PolicyError
 from repro.hll import HyperLogLog
 from repro.lsm import Record, SSTable, SimulatedDisk
 from repro.lsm.compaction import (
-    DateTieredCompaction,
     LeveledCompaction,
     MajorCompaction,
     SizeTieredCompaction,
-    date_tiered,
     executor,
     leveled,
     major,
@@ -51,7 +49,6 @@ STRATEGIES = {
     "LEVELED": lambda: LeveledCompaction(
         table_target_entries=4, base_level_entries=8, fanout=2, level0_threshold=2
     ),
-    "DTCS": lambda: DateTieredCompaction(base_window=6, window_growth=2),
 }
 
 
@@ -89,7 +86,7 @@ def recorded_merges():
 
 def test_one_merge_call_site():
     """The log above is complete only if nothing else merges."""
-    for module in (major, size_tiered, leveled, date_tiered):
+    for module in (major, size_tiered, leveled):
         assert not hasattr(module, "merge_sstables"), module.__name__
 
 

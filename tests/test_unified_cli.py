@@ -1,11 +1,16 @@
 """Tests for the unified ``python -m repro`` CLI (repro.cli)."""
 
+import argparse
 import json
+from dataclasses import fields
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.errors import ConfigError
 from repro.scenarios import REGISTRY, ResultsStore, Scenario
+from repro.simulator import SimulationConfig
+from repro.ycsb.distributions import available_distributions
 
 TINY_SETS = [
     "--set", "recordcount=150",
@@ -58,14 +63,6 @@ class TestRun:
         assert code == 0
         assert "[manifest" not in capsys.readouterr().out
 
-    def test_verbose_surfaces_runs_and_jobs(self, capsys):
-        code = main(
-            ["run", "churn", "--runs", "1", "--no-store", "--verbose"]
-            + TINY_SETS
-        )
-        assert code == 0
-        assert "[runs=1 jobs=1" in capsys.readouterr().out
-
     def test_header_shows_the_spec_not_the_implementation(self, capsys):
         code = main(["run", "churn", "--runs", "1", "--no-store"] + TINY_SETS)
         assert code == 0
@@ -78,9 +75,7 @@ class TestRun:
     def test_kernel_sweep_parameter(self, capsys):
         code = main(
             ["sweep", "--parameter", "k", "--values", "2,4",
-             "--recordcount", "150", "--operationcount", "1500",
-             "--memtable", "150", "--strategies", "SI", "--runs", "1",
-             "--no-store"]
+             "--strategies", "SI", "--runs", "1", "--no-store"] + TINY_SETS
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -108,7 +103,7 @@ class TestRun:
     def test_strategy_and_seed_overrides(self, capsys):
         code = main(
             ["run", "churn", "--runs", "1", "--no-store", "--strategies",
-             "SI,RANDOM", "--seed", "9"] + TINY_SETS
+             "SI,RANDOM", "--set", "seed=9"] + TINY_SETS
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -199,6 +194,32 @@ class TestRun:
         err = capsys.readouterr().err
         assert "error:" in err and "merge_executor" in err
 
+    @pytest.mark.parametrize(
+        "field", [spec.name for spec in fields(SimulationConfig)]
+    )
+    def test_bad_value_names_its_field(self, capsys, field):
+        """Every field, whatever its type: the float fields once exited
+        with a bare comparison error that named none."""
+        sets = ["--set", f"{field}=abc"]
+        assert main(["run", "churn", "--no-store"] + TINY_SETS + sets) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and field in err
+        with pytest.raises(ConfigError, match=field):
+            SimulationConfig.from_dict({field: "abc"})
+
+    def test_number_for_a_name_field_is_clean_error(self, capsys):
+        """``--set estimator=5`` parses as an int, which once died on
+        ``.lower()``."""
+        sets = ["--set", "estimator=5"]
+        assert main(["run", "churn", "--no-store"] + sets + TINY_SETS) == 2
+        assert "estimator must be a string" in capsys.readouterr().err
+
+    def test_set_without_a_value_is_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "churn", "--no-store", "--set", "seed"])
+        assert exc.value.code == 2
+        assert "expects KEY=VALUE, got 'seed'" in capsys.readouterr().err
+
     def test_nan_disk_model_is_clean_error(self, capsys):
         sets = ["--set", "disk_seek_seconds=nan"]
         assert main(["run", "churn", "--no-store"] + sets + TINY_SETS) == 2
@@ -240,9 +261,9 @@ class TestSweep:
                 "sweep",
                 "--parameter", "update_fraction",
                 "--values", "0,1",
-                "--recordcount", "150",
-                "--operationcount", "1000",
-                "--memtable", "150",
+                "--set", "recordcount=150",
+                "--set", "operationcount=1000",
+                "--set", "memtable_capacity=150",
                 "--runs", "1",
                 "--strategies", "SI,RANDOM",
                 "--store", str(tmp_path / "runs"),
@@ -254,6 +275,98 @@ class TestSweep:
         assert "update_percentage" in out
         manifest = next(ResultsStore(tmp_path / "runs").manifests("adhoc-sweep"))
         assert {cell["x"] for cell in manifest.cells} == {0.0, 100.0}
+
+    def test_starts_from_the_default_config(self, capsys):
+        """A field not ``--set`` keeps its ``SimulationConfig()`` default."""
+        code = main(
+            ["sweep", "--parameter", "k", "--values", "2", "--runs", "1",
+             "--strategies", "SI", "--no-store", "--set", "operationcount=1500"]
+        )
+        assert code == 0
+        config = SimulationConfig(operationcount=1500)
+        assert f"config: {config.describe()}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("distribution", available_distributions())
+    def test_any_distribution_through_set(self, capsys, distribution):
+        """The old ``--distribution`` flag listed four of the six."""
+        code = main(
+            ["sweep", "--parameter", "k", "--values", "2", "--strategies",
+             "SI", "--runs", "1", "--no-store",
+             "--set", f"distribution={distribution}"] + TINY_SETS
+        )
+        assert code == 0
+        assert f"distribution={distribution}, runs=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "parameter, setting",
+        [("k", "k=8"), ("memtable_capacity", "operationcount=5000")],
+    )
+    def test_set_on_the_swept_field_is_clean_error(
+        self, capsys, parameter, setting
+    ):
+        """The old ``--k`` flag was recorded as applied while the sweep
+        ran its own values."""
+        code = main(
+            ["sweep", "--parameter", parameter, "--values", "50,100",
+             "--no-store", "--set", setting]
+        )
+        assert code == 2
+        assert "cannot override" in capsys.readouterr().err
+
+    def test_non_numeric_values_is_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--parameter", "k", "--values", "2,x"])
+        assert exc.value.code == 2
+        assert "comma-separated numbers" in capsys.readouterr().err
+
+
+#: The options a config field once had besides ``--set``.
+REMOVED_CONFIG_FLAGS = [
+    ("run", "--estimator", "exact"),
+    ("run", "--hll-precision", "14"),
+    ("run", "--num-shards", "2"),
+    ("run", "--shard-skew", "0.5"),
+    ("run", "--partitioner", "range"),
+    ("run", "--seed", "9"),
+    ("run", "--verbose", None),
+    ("sweep", "--recordcount", "150"),
+    ("sweep", "--operationcount", "1500"),
+    ("sweep", "--memtable", "150"),
+    ("sweep", "--distribution", "zipfian"),
+    ("sweep", "--update-fraction", "0.5"),
+    ("sweep", "--k", "4"),
+]
+
+
+class TestSurface:
+    """``--set`` is the one way to change a ``SimulationConfig`` field."""
+
+    def test_no_option_duplicates_a_config_field(self):
+        (subparsers,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert {"run", "sweep", "figures"} <= set(subparsers.choices)
+        config_fields = {spec.name for spec in fields(SimulationConfig)}
+        for name, parser in subparsers.choices.items():
+            assert not {a.dest for a in parser._actions} & config_fields, name
+            options = {o for a in parser._actions for o in a.option_strings}
+            assert "--memtable" not in options and "--verbose" not in options
+
+    @pytest.mark.parametrize("command, flag, value", REMOVED_CONFIG_FLAGS)
+    def test_removed_config_flags_are_argparse_errors(
+        self, capsys, command, flag, value
+    ):
+        heads = {
+            "run": ["run", "churn"],
+            "sweep": ["sweep", "--parameter", "k", "--values", "2"],
+        }
+        argv = heads[command] + ["--no-store", flag] + ([value] if value else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 #: Tiny scale per figure id: a sweep's own parameter (and the
