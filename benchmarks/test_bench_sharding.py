@@ -31,7 +31,6 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.tables import format_table
-from repro.cluster import run_sharded_cell
 from repro.simulator import SimulationConfig
 from repro.simulator.runner import _run_cells
 
@@ -79,11 +78,9 @@ def build_config(fast: bool) -> SimulationConfig:
 
 def timed_cell(config: SimulationConfig, jobs: int):
     start = time.perf_counter()
-    if jobs == 1:
-        cell = run_sharded_cell(config, LABELS, 0)
-    else:
-        # The runner's fan-out: one pool task per shard.
-        (cell,) = _run_cells([(config, LABELS, 0)], jobs)
+    # Serial at one job; above it, the runner's fan-out: one pool task
+    # per shard.
+    (cell,) = _run_cells([(config, LABELS, 0)], jobs)
     return cell, time.perf_counter() - start
 
 

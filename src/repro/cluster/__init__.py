@@ -1,19 +1,18 @@
 """Scale-out tier: sharded keyspace, traffic routing, cluster scheduling.
 
-See docs/sharding.md.  The subsystem splits a YCSB op stream over N
-independent engine shards (:mod:`~repro.cluster.partitioner`), runs the
-two-phase simulation per shard (:mod:`~repro.cluster.engine`) and folds
-the per-shard schedules into cluster metrics
+See docs/sharding.md.  Every simulator cell runs through this tier: it
+splits the cell's YCSB op stream over ``num_shards`` >= 1 independent
+engine shards (:mod:`~repro.cluster.partitioner`), runs the two-phase
+simulation per shard (:mod:`~repro.cluster.engine`) and folds the
+per-shard schedules into cluster metrics
 (:mod:`~repro.cluster.scheduler`).
 """
 
 from .engine import (
     SHARD_SEED_STRIDE,
-    ShardedEngine,
     ShardRunResult,
     combine_shard_runs,
     run_shard,
-    run_sharded_cell,
     shard_seed,
     shard_streams,
     sharded_shard_task,
@@ -44,13 +43,11 @@ __all__ = [
     "RangePartitioner",
     "ShardRunResult",
     "ShardStream",
-    "ShardedEngine",
     "combine_shard_results",
     "combine_shard_runs",
     "imbalance_p99_over_mean",
     "make_partitioner",
     "run_shard",
-    "run_sharded_cell",
     "shard_seed",
     "shard_streams",
     "shard_weights",

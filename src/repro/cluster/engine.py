@@ -1,10 +1,13 @@
 """Sharded execution: one independent engine per keyspace shard.
 
-A sharded run models a scale-out deployment: the partitioner routes the
-YCSB op stream over ``config.num_shards`` shards, each shard runs the
-full two-phase simulation independently (its own memtable/seqno space,
-its own strategy instance), and the :class:`ClusterScheduler` folds the
-per-shard schedules into cluster metrics.
+Every simulator cell is a cluster of ``config.num_shards`` >= 1 shards
+(one by default): the partitioner routes the YCSB op stream over the
+shards, each shard runs the full two-phase simulation independently
+(:func:`run_shard`: its own memtable/seqno space, its own strategy
+instance), and :func:`combine_shard_runs` folds the per-shard schedules
+into cluster metrics through the :class:`ClusterScheduler`.  There is
+one cell path; at one shard the split is the identity and the fold is
+exact (a sum over one row, the makespan of one schedule).
 
 Determinism and seeding
 -----------------------
@@ -12,20 +15,18 @@ Everything is a pure function of ``(config, labels, run_index,
 shard_id)``:
 
 * the op stream comes from the workload's certified columnar generator
-  (bit-identical to the scalar reference loop), seeded exactly like the
-  unsharded cell (``config.seed + run_index``);
+  (bit-identical to the scalar reference loop), seeded with
+  ``config.seed + run_index``;
 * shard ``s`` seeds its strategy with :func:`shard_seed` —
   ``seed + 1_000_003 * s`` — so RANDOM-style policies draw independent
-  streams per shard while shard 0 keeps the base seed (which is what
-  makes a ``num_shards=1`` sharded run byte-identical to the unsharded
-  baseline, RANDOM included);
+  streams per shard while shard 0 keeps the base seed;
 * the ``--jobs`` fan-out (the sweep runner's ``_run_cells``, through
   :func:`sharded_shard_task`) only changes *where* a shard task runs,
   never what it computes: a worker regenerates the shard's stream from
   the config alone, so results are byte-stable for any job count.
 
-The differential harness in tests/cluster/test_sharded_engine.py pins
-the ``num_shards=1`` identity and the jobs byte-stability.
+tests/cluster/test_sharded_engine.py checks one-shard cells against a
+frozen copy of the former unsharded cell, and the jobs byte-stability.
 """
 
 from __future__ import annotations
@@ -64,11 +65,7 @@ class ShardRunResult:
     """One shard's full two-phase outcome (every label, paired)."""
 
     shard_id: int
-    seed: int
     op_count: int
-    write_count: int
-    n_tables: int
-    total_entries: int
     per_label: dict[str, StrategyResult]
 
 
@@ -103,15 +100,19 @@ def run_shard(
     no writes reports the zero row with the serving semantics an empty
     engine would have (every point read probes zero tables and misses).
     """
-    seed = shard_seed(config.seed, stream.shard_id)
+    shard_id, op_count = stream.shard_id, stream.op_count
     read_ops = stream.read_ops
     phase1 = phase1_from_columns(
         stream.write_keynums,
         stream.tombstone_positions,
         config,
-        total_operations=stream.op_count,
+        total_operations=op_count,
         read_ops=read_ops,
     )
+    # The tables hold their own columns: the write column is not needed
+    # past phase 1.
+    del stream
+    seed = shard_seed(config.seed, shard_id)
     tables = phase1.tables
     reads = read_ops.read_count if read_ops is not None else 0
     scans = read_ops.scan_count if read_ops is not None else 0
@@ -128,15 +129,7 @@ def run_shard(
         )
         for label in labels
     }
-    return ShardRunResult(
-        shard_id=stream.shard_id,
-        seed=seed,
-        op_count=stream.op_count,
-        write_count=stream.write_count,
-        n_tables=len(tables),
-        total_entries=phase1.total_entries,
-        per_label=per_label,
-    )
+    return ShardRunResult(shard_id, op_count, per_label)
 
 
 def sharded_shard_task(
@@ -154,8 +147,7 @@ def sharded_shard_task(
     ``--jobs`` invisible in the results.
     """
     run_config = config.with_seed(config.seed + run_index)
-    stream = shard_streams(run_config)[shard_id]
-    return run_shard(run_config, labels, stream)
+    return run_shard(run_config, labels, shard_streams(run_config)[shard_id])
 
 
 def combine_shard_runs(
@@ -180,53 +172,3 @@ def combine_shard_runs(
         )
         for label in labels
     }
-
-
-def run_sharded_cell(
-    config: SimulationConfig,
-    labels: tuple[str, ...],
-    run_index: int,
-) -> dict[str, StrategyResult]:
-    """One sharded (point, run) cell: split, run every shard, combine.
-
-    Serial; the sweep runner fans a cell's shards out over its own pool
-    through :func:`sharded_shard_task` under ``--jobs``.
-    """
-    return ShardedEngine(config, labels).run(run_index)
-
-
-class ShardedEngine:
-    """Run a sharded configuration end to end, one shard after another.
-
-    Object API of the cell functions: holds the config and label set,
-    exposes per-run execution plus the shard-level inspection the tests
-    and notebooks want (streams, per-shard results).
-    """
-
-    def __init__(
-        self, config: SimulationConfig, labels: Sequence[str]
-    ) -> None:
-        self.config = config
-        self.labels = tuple(labels)
-
-    def _run_config(self, run_index: int) -> SimulationConfig:
-        return self.config.with_seed(self.config.seed + run_index)
-
-    def streams(self, run_index: int = 0) -> list[ShardStream]:
-        """The per-shard stream slices of one run's op stream."""
-        return shard_streams(self._run_config(run_index))
-
-    def run_shards(self, run_index: int = 0) -> list[ShardRunResult]:
-        """Every shard's individual result for one run (shard order); the
-        stream is generated and split once."""
-        run_config = self._run_config(run_index)
-        return [
-            run_shard(run_config, self.labels, stream)
-            for stream in shard_streams(run_config)
-        ]
-
-    def run(self, run_index: int = 0) -> dict[str, StrategyResult]:
-        """Cluster-level results of one run (one row per label)."""
-        return combine_shard_runs(
-            self._run_config(run_index), self.labels, self.run_shards(run_index)
-        )

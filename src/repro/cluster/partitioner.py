@@ -248,8 +248,18 @@ def split_stream(
 
     Every write/read/scan of ``stream`` appears on exactly one shard in
     its original relative order; tombstone positions are re-indexed into
-    the shard-local write column.
+    the shard-local write column.  One shard gets the stream's own
+    columns, uncopied.
     """
+    if partitioner.num_shards == 1:
+        return [
+            ShardStream(
+                0,
+                stream.write_keynums,
+                stream.tombstone_positions,
+                stream.read_ops,
+            )
+        ]
     key_space = stream_key_space(stream)
     read_ops = stream.read_ops
 

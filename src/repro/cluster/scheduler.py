@@ -6,8 +6,8 @@ lanes: :class:`ClusterScheduler` models the cluster as ``lanes``
 identical lanes and packs the per-shard compaction jobs onto them with
 the deterministic LPT (longest-processing-time-first) rule.  The
 resulting **global makespan** is the cluster's simulated compaction
-time — the number a capacity planner would compare against an
-unsharded run's makespan.
+time — the number a capacity planner would compare against a
+one-shard run's makespan.
 
 Beyond the makespan the scheduler reports the cross-shard load shape:
 

@@ -45,6 +45,20 @@ def _reject_duplicates(axis: str, values: tuple) -> None:
         raise ScenarioError(f"duplicate {axis} {repeated} in {list(values)}")
 
 
+def _check_sweep_values(parameter: str, values: tuple) -> None:
+    """Every value a number (never a bool), whole on an integer axis."""
+    whole = SWEEP_AXES[parameter].cast is int
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(
+                f"sweep {parameter} value {value!r} is not a number"
+            )
+        if whole and not float(value).is_integer():
+            raise ScenarioError(
+                f"sweep {parameter} takes whole numbers, got {value!r}"
+            )
+
+
 def _reject_unknown_fields(cls, data: Mapping[str, Any]) -> None:
     known = {f.name for f in fields(cls)}
     unknown = sorted(set(data) - known)
@@ -78,8 +92,10 @@ class SweepSpec:
         object.__setattr__(self, "values", _as_tuple(self.values))
         if not self.values:
             raise ScenarioError("sweep needs at least one value")
+        _check_sweep_values(self.parameter, self.values)
         if self.fast_values is not None:
             object.__setattr__(self, "fast_values", _as_tuple(self.fast_values))
+            _check_sweep_values(self.parameter, self.fast_values)
         if self.n_sstables < 1:
             raise ScenarioError("n_sstables must be at least 1")
 

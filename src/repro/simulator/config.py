@@ -83,12 +83,12 @@ class SimulationConfig:
     # "SO" and "BT(O)" labels): "hll" is the paper's practical scheme,
     # "exact" the reference.  "SO(exact)" ignores this and stays exact.
     estimator: str = "hll"
-    # Scale-out tier (see docs/sharding.md).  ``num_shards > 1`` routes
-    # the op stream over that many independent engine/strategy instances
-    # via ``partitioner`` ("hash" or "range"); ``shard_skew`` is the
+    # Scale-out tier (see docs/sharding.md).  Every cell is a cluster:
+    # ``partitioner`` ("hash" or "range") routes the op stream over
+    # ``num_shards`` independent engine/strategy instances (one by
+    # default, where the split is the identity); ``shard_skew`` is the
     # zipfian exponent of the multi-tenant shard-weight model (0.0 =
-    # equal shares).  The defaults keep every historical run on the
-    # unsharded path, byte-identical.
+    # equal shares).
     num_shards: int = 1
     shard_skew: float = 0.0
     partitioner: str = "hash"

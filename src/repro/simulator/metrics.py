@@ -58,9 +58,11 @@ class StrategyResult:
     scan_tables_pruned: int = 0
     scan_records_scanned: int = 0
     scan_records_returned: int = 0
-    # Cluster-level fields (num_shards == 1 with empty vectors for
-    # unsharded runs so historical results are unchanged; see
-    # cluster/scheduler.py for the makespan/imbalance definitions).
+    # Cluster-level fields.  Every cell is a cluster, so a cell's row
+    # carries them (one shard: the makespan is ``simulated_seconds``,
+    # the imbalance 1.0, one-element vectors); the defaults are what a
+    # single strategy run reports before the shard fold.  See
+    # cluster/scheduler.py for the makespan/imbalance definitions.
     num_shards: int = 1
     cluster_makespan_seconds: float = 0.0
     shard_imbalance: float = 0.0

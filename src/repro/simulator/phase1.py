@@ -169,10 +169,10 @@ def phase1_from_columns(
 ) -> Phase1Result:
     """Flush a write column into sstables, timed.
 
-    The fast plane's back half.  The sharded engine feeds each shard's
-    write column through it with shard-local indices, so per-shard
-    seqnos restart at 1 — each shard is an independent engine with its
-    own seqno space.  ``keynums`` may be a list or an int64 array;
+    The fast plane's back half.  Every cell feeds each shard's write
+    column through it (:func:`~repro.cluster.engine.run_shard`) with
+    shard-local indices, so per-shard seqnos restart at 1 — each shard
+    is an independent engine with its own seqno space.  ``keynums`` may be a list or an int64 array;
     ``tombstone_positions`` indexes into it.
     """
     ingest_start = perf_counter()

@@ -14,11 +14,13 @@ Parallelism
 -----------
 :func:`sweep` and :func:`run_comparison` accept ``jobs``: the
 independent *(point, run)* cells fan out over a
-``concurrent.futures.ProcessPoolExecutor``.  A cell is one seeded
-phase 1 plus phase 2 for every strategy label — the whole unit the
-paired comparison needs — and its seed is derived from the cell's
-configuration alone (``config.seed + run_index``), never from
-scheduling order.  Cells are reassembled in submission order, so all
+``concurrent.futures.ProcessPoolExecutor``.  A cell is a cluster of
+``config.num_shards`` shards (one by default), each a seeded phase 1
+plus phase 2 for every strategy label — the whole unit the paired
+comparison needs — and every shard of every cell is one pool task.
+Seeds derive from the cell's configuration alone (``config.seed +
+run_index``), never from scheduling order.  Cells are reassembled in
+submission order, so all
 deterministic outputs (costs, simulated seconds, byte counts, figure
 tables) are byte-identical for any job count; only the wall-clock
 overhead columns vary, exactly as they do between two serial runs.
@@ -32,9 +34,8 @@ from typing import Any, Callable, Optional, Sequence
 
 from ..errors import ConfigError
 from .config import SimulationConfig
-from .metrics import AggregateResult, StrategyResult, aggregate, ingest_fields
-from .phase1 import generate_sstables
-from .phase2 import run_strategy, strategy_labels
+from .metrics import AggregateResult, StrategyResult, aggregate
+from .phase2 import strategy_labels
 
 
 @dataclass(frozen=True)
@@ -78,35 +79,24 @@ def _comparison_cell(
 ) -> dict[str, StrategyResult]:
     """One (point, run) unit of work: phase 1 + phase 2 for every label.
 
-    Module-level so worker processes can import it; deterministic given
-    its arguments, which is what makes ``jobs`` invisible in the
-    results.  Sharded configurations route to the cluster engine — the
-    routing depends on the config alone (``num_shards > 1``), never on
-    the job count, so a given config always takes the same code path.
+    Every cell is a cluster of ``config.num_shards`` shards (one by
+    default): the run's op stream is split over the shards, each shard
+    runs both phases (:func:`~repro.cluster.engine.run_shard`) and the
+    shards fold into one row per label.  Module-level and deterministic
+    given its arguments, which is what makes ``jobs`` invisible in the
+    results.
     """
-    if config.num_shards > 1:
-        from ..cluster.engine import run_sharded_cell
+    # repro.cluster imports this package, so it is imported at call time.
+    from ..cluster.engine import combine_shard_runs, run_shard, shard_streams
 
-        return run_sharded_cell(config, labels, run_index)
     run_config = config.with_seed(config.seed + run_index)
-    phase1 = generate_sstables(run_config)
-    # Phase-1 ingest accounting rides on every strategy's result (the
-    # tables are shared within a run, so it is per-cell, not
-    # per-strategy).
-    ingest = ingest_fields(phase1)
-    return {
-        label: replace(
-            run_strategy(
-                phase1.tables,
-                label,
-                run_config,
-                seed=run_config.seed,
-                read_ops=phase1.read_ops,
-            ),
-            **ingest,
-        )
-        for label in labels
-    }
+    streams = shard_streams(run_config)
+    # Pop each stream as it runs, so no shard's write column outlives
+    # its phase 1.
+    shard_runs = []
+    while streams:
+        shard_runs.append(run_shard(run_config, labels, streams.pop(0)))
+    return combine_shard_runs(run_config, labels, shard_runs)
 
 
 def _run_cells(
@@ -115,53 +105,35 @@ def _run_cells(
 ) -> list[dict[str, StrategyResult]]:
     """Evaluate comparison cells serially or on a process pool.
 
-    Results come back in ``cells`` order either way.  Sharded cells
-    expand into per-shard tasks on the pool (a cell with 8 shards keeps
-    8 workers busy, not 1) and are reassembled by
-    :func:`~repro.cluster.engine.combine_shard_runs` — the same fold the
-    serial path applies, so the results are byte-identical for any
-    ``jobs``.
+    Results come back in ``cells`` order either way.  On the pool every
+    shard of every cell is one :func:`~repro.cluster.engine.sharded_shard_task`
+    (a cell with 8 shards keeps 8 workers busy, not 1), and each cell is
+    reassembled by :func:`~repro.cluster.engine.combine_shard_runs` — the
+    fold the serial path applies, so the results are byte-identical for
+    any ``jobs``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1 or (
-        len(cells) <= 1
-        and all(config.num_shards == 1 for config, _, _ in cells)
-    ):
+    tasks = [
+        (index, (config, labels, run_index, shard_id))
+        for index, (config, labels, run_index) in enumerate(cells)
+        for shard_id in range(config.num_shards)
+    ]
+    if jobs == 1 or len(tasks) <= 1:
         return [_comparison_cell(*cell) for cell in cells]
     from ..cluster.engine import combine_shard_runs, sharded_shard_task
 
-    tasks: list[tuple[int, object, tuple]] = []
-    for index, (config, labels, run_index) in enumerate(cells):
-        if config.num_shards > 1:
-            for shard_id in range(config.num_shards):
-                tasks.append(
-                    (
-                        index,
-                        sharded_shard_task,
-                        (config, labels, run_index, shard_id),
-                    )
-                )
-        else:
-            tasks.append(
-                (index, _comparison_cell, (config, labels, run_index))
-            )
     with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-        futures = [pool.submit(fn, *args) for _, fn, args in tasks]
-        outputs = [future.result() for future in futures]
-    results: list[dict[str, StrategyResult] | None] = [None] * len(cells)
-    shard_runs: dict[int, list] = {}
-    for (index, fn, _), output in zip(tasks, outputs):
-        if fn is _comparison_cell:
-            results[index] = output
-        else:
-            shard_runs.setdefault(index, []).append(output)
-    for index, runs in shard_runs.items():
-        config, labels, run_index = cells[index]
-        results[index] = combine_shard_runs(
+        futures = [pool.submit(sharded_shard_task, *args) for _, args in tasks]
+        shard_runs: list[list] = [[] for _ in cells]
+        for (index, _), future in zip(tasks, futures):
+            shard_runs[index].append(future.result())
+    return [
+        combine_shard_runs(
             config.with_seed(config.seed + run_index), labels, runs
         )
-    return results
+        for (config, labels, run_index), runs in zip(cells, shard_runs)
+    ]
 
 
 def _aggregate_cells(
@@ -226,10 +198,13 @@ def _set_capacity(
 
 
 def _set_shard_skew(base: SimulationConfig, skew: float) -> SimulationConfig:
-    """Zipfian shard-weight skew at a fixed shard count (8 when the
-    base is unsharded: skew needs shards to act on)."""
-    sharded = base if base.num_shards > 1 else replace(base, num_shards=8)
-    return replace(sharded, shard_skew=skew)
+    """Zipfian shard-weight skew at the base's shard count, which must
+    be above one: skew needs shards to act on."""
+    if base.num_shards == 1:
+        raise ConfigError(
+            "a shard_skew sweep needs num_shards > 1 (e.g. --set num_shards=8)"
+        )
+    return replace(base, shard_skew=skew)
 
 
 #: Every sweepable ``SimulationConfig`` parameter: one per paper figure

@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from ..errors import WorkloadError
 from .distributions import DEFAULT_ZIPFIAN_THETA, KeyChooser, make_chooser
@@ -166,23 +166,13 @@ class CoreWorkload:
         """Keys inserted so far (load + run inserts)."""
         return self._inserted
 
-    def key_name(self, keynum: int) -> Hashable:
-        """Map a key number to the stored key.
-
-        Integers keep the simulator fast; swap in e.g. ``f"user{keynum}"``
-        by subclassing if string keys are wanted.
-        """
-        return keynum
-
     # ------------------------------------------------------------------
     def load_operations(self) -> Iterator[Operation]:
         """The load phase: insert ``recordcount`` fresh keys."""
         for keynum in range(self.config.recordcount):
             self._inserted += 1
             yield Operation(
-                OperationType.INSERT,
-                self.key_name(keynum),
-                value_size=self.config.value_size,
+                OperationType.INSERT, keynum, value_size=self.config.value_size
             )
 
     def run_operations(self) -> Iterator[Operation]:
@@ -201,13 +191,11 @@ class CoreWorkload:
             if op_type is OperationType.SCAN:
                 yield Operation(
                     op_type,
-                    self.key_name(keynum),
+                    keynum,
                     scan_length=rng.randint(1, config.max_scan_length),
                 )
             else:
-                yield Operation(
-                    op_type, self.key_name(keynum), value_size=config.value_size
-                )
+                yield Operation(op_type, keynum, value_size=config.value_size)
 
     def all_operations(self) -> Iterator[Operation]:
         """Load phase followed by run phase."""
@@ -217,16 +205,6 @@ class CoreWorkload:
     # ------------------------------------------------------------------
     # Columnar op stream (the simulator's batched data plane)
     # ------------------------------------------------------------------
-    def supports_op_stream(self) -> bool:
-        """True when :meth:`op_stream_columns` can replace the op loop.
-
-        Every built-in mix (reads, scans and deletes included) and every
-        distribution qualifies; only a subclass overriding ``key_name``
-        (whose mapped keys need ``Operation`` objects) forces the
-        operation-at-a-time reference loop.
-        """
-        return self.__class__.key_name is CoreWorkload.key_name
-
     def op_stream_columns(
         self, include_read_ops: bool = False
     ) -> "OpStreamColumns":
@@ -251,11 +229,6 @@ class CoreWorkload:
         per key and the sequential one draws none, so
         :meth:`_scalar_op_columns` is their only generator.
         """
-        if not self.supports_op_stream():
-            raise WorkloadError(
-                "op_stream_columns requires the identity key_name; "
-                "use all_operations instead"
-            )
         if hasattr(self._chooser, "decode_batch"):
             columns = _gray_op_columns(
                 self._rng,

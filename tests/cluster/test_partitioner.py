@@ -184,6 +184,9 @@ class TestSplitStream:
     def test_single_shard_split_is_identity(self):
         stream = make_stream(read_fraction=0.2, delete_fraction=0.1)
         (only,) = split_stream(stream, HashPartitioner(1))
+        # The stream's own columns, not a copy.
+        assert only.write_keynums is stream.write_keynums
+        assert only.read_ops is stream.read_ops
         assert [int(k) for k in only.write_keynums] == [
             int(k) for k in stream.write_keynums
         ]

@@ -2,35 +2,45 @@
 
 The acceptance contract of the scale-out tier:
 
-* ``num_shards=1`` sharded runs are byte-identical to the unsharded
-  baseline (every deterministic StrategyResult field, RANDOM included);
+* every cell is a cluster of ``num_shards`` >= 1 shards; a one-shard
+  cell equals the former unsharded cell (frozen below as
+  :func:`unsharded_cell`) on every deterministic non-cluster field,
+  RANDOM included, and reports the one-shard cluster it is;
 * sharded results are byte-stable for any ``--jobs`` value.
 """
 
 from __future__ import annotations
 
-import pytest
+import weakref
+from dataclasses import fields, replace
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.cluster.engine as engine_module
 from repro.cluster import (
     ClusterScheduler,
-    ShardedEngine,
     ShardStream,
     combine_shard_results,
+    combine_shard_runs,
     imbalance_p99_over_mean,
     run_shard,
-    run_sharded_cell,
     shard_seed,
     shard_streams,
+    sharded_shard_task,
 )
 from repro.errors import ConfigError
 from repro.simulator import SimulationConfig, run_comparison
+from repro.simulator.metrics import StrategyResult, ingest_fields
+from repro.simulator.phase1 import generate_sstables
+from repro.simulator.phase2 import run_strategy
 from repro.simulator.runner import _comparison_cell, _run_cells
 
 LABELS = ("SI", "SO", "BT(I)", "BT(O)", "RANDOM", "LM")
 
-#: Every StrategyResult field that must not depend on sharding plumbing,
-#: job count, or wall clock (the wall/overhead fields measure real time
-#: and legitimately differ between runs).
+#: Every deterministic StrategyResult field the shard fold does not
+#: compute: none may depend on the cell path or the job count.
 DETERMINISTIC_FIELDS = (
     "strategy",
     "n_tables",
@@ -56,6 +66,10 @@ DETERMINISTIC_FIELDS = (
     "scan_tables_pruned",
     "scan_records_scanned",
     "scan_records_returned",
+)
+
+#: The fields only the shard fold computes.
+CLUSTER_FIELDS = (
     "num_shards",
     "cluster_makespan_seconds",
     "shard_imbalance",
@@ -65,8 +79,27 @@ DETERMINISTIC_FIELDS = (
 )
 
 
+#: The fields that measure real time, and legitimately differ between
+#: two runs of one cell.
+TIMED_FIELDS = (
+    "strategy_overhead_seconds",
+    "wall_seconds",
+    "merge_wall_seconds",
+    "merge_utilization",
+    "ingest_wall_seconds",
+)
+
+
+def test_every_field_is_classified():
+    classified = DETERMINISTIC_FIELDS + CLUSTER_FIELDS + TIMED_FIELDS
+    assert sorted(classified) == sorted(f.name for f in fields(StrategyResult))
+
+
 def det(result):
-    return {name: getattr(result, name) for name in DETERMINISTIC_FIELDS}
+    return {
+        name: getattr(result, name)
+        for name in DETERMINISTIC_FIELDS + CLUSTER_FIELDS
+    }
 
 
 def small_config(**overrides) -> SimulationConfig:
@@ -96,8 +129,68 @@ class TestShardSeed:
         assert len(seeds) == 10 * 16
 
 
+def unsharded_cell(config, labels, run_index):
+    """The cell body from before every cell became a cluster: one phase
+    1 over the whole stream, then every label on the same tables."""
+    run_config = config.with_seed(config.seed + run_index)
+    phase1 = generate_sstables(run_config)
+    ingest = ingest_fields(phase1)
+    return {
+        label: replace(
+            run_strategy(
+                phase1.tables,
+                label,
+                run_config,
+                seed=run_config.seed,
+                read_ops=phase1.read_ops,
+            ),
+            **ingest,
+        )
+        for label in labels
+    }
+
+
+def assert_one_shard_cluster(config, labels, run_index=0):
+    """The cell equals the frozen unsharded body, plus the one-shard
+    cluster fields, exactly."""
+    oracle = unsharded_cell(config, labels, run_index)
+    cell = _comparison_cell(config, labels, run_index)
+    for label in labels:
+        expected, got = oracle[label], cell[label]
+        for field in DETERMINISTIC_FIELDS:
+            assert getattr(got, field) == getattr(expected, field), field
+        assert got.num_shards == 1
+        assert got.cluster_makespan_seconds == expected.simulated_seconds
+        assert got.shard_imbalance == 1.0
+        # One shard carries the whole stream: load-phase inserts plus
+        # every run-phase operation (reads/scans included).
+        assert got.shard_ops == (config.recordcount + config.operationcount,)
+        assert got.shard_costs == (expected.cost_actual,)
+        assert got.shard_read_amps == (expected.read_amplification,)
+
+
+@st.composite
+def tiny_configs(draw):
+    reads = draw(st.sampled_from((0.0, 0.2)))
+    scans = draw(st.sampled_from((0.0, 0.1)))
+    deletes = draw(st.sampled_from((0.0, 0.15)))
+    return SimulationConfig(
+        recordcount=draw(st.integers(1, 60)),
+        operationcount=draw(st.integers(0, 400)),
+        memtable_capacity=draw(st.integers(5, 60)),
+        memtable_mode=draw(st.sampled_from(("append", "map"))),
+        distribution=draw(st.sampled_from(("latest", "zipfian", "uniform"))),
+        update_fraction=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        read_fraction=reads,
+        scan_fraction=scans,
+        delete_fraction=deletes,
+        k=draw(st.integers(2, 4)),
+        seed=draw(st.integers(0, 1000)),
+    )
+
+
 class TestUnshardedIdentity:
-    """num_shards=1 through the cluster path == the unsharded baseline."""
+    """A one-shard cell == the frozen unsharded cell + one-shard fields."""
 
     @pytest.mark.parametrize(
         "overrides",
@@ -109,35 +202,45 @@ class TestUnshardedIdentity:
         ],
     )
     def test_single_shard_matches_baseline(self, overrides):
-        config = small_config(**overrides)
-        baseline = _comparison_cell(config, LABELS, 0)
-        sharded = run_sharded_cell(config, LABELS, 0)
-        for label in LABELS:
-            base = det(baseline[label])
-            # The baseline run is unsharded, so its cluster fields are
-            # the defaults; the sharded run reports one shard carrying
-            # everything with makespan == the schedule's own makespan.
-            clustered = det(sharded[label])
-            assert clustered["num_shards"] == 1
-            # One shard carries the whole stream: load-phase inserts
-            # plus every run-phase operation (reads/scans included).
-            assert clustered["shard_ops"] == (
-                config.recordcount + config.operationcount,
-            )
-            assert clustered["cluster_makespan_seconds"] == pytest.approx(
-                base["simulated_seconds"]
-            )
-            for field in DETERMINISTIC_FIELDS:
-                if field in (
-                    "num_shards",
-                    "cluster_makespan_seconds",
-                    "shard_imbalance",
-                    "shard_ops",
-                    "shard_costs",
-                    "shard_read_amps",
-                ):
-                    continue
-                assert clustered[field] == base[field], field
+        assert_one_shard_cluster(small_config(**overrides), LABELS)
+
+    def test_later_runs_match_baseline(self):
+        assert_one_shard_cluster(small_config(), ("SI", "RANDOM"), run_index=2)
+
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(tiny_configs())
+    def test_single_shard_matches_baseline_on_drawn_configs(self, config):
+        assert_one_shard_cluster(config, LABELS)
+
+    def test_write_column_freed_after_phase1(self, monkeypatch):
+        """No shard's write column outlives its phase 1."""
+        columns = []
+        alive_in_phase2 = []
+        phase1 = engine_module.phase1_from_columns
+        strategy = engine_module.run_strategy
+
+        def watched_phase1(keynums, *args, **kwargs):
+            columns.append(weakref.ref(keynums))
+            return phase1(keynums, *args, **kwargs)
+
+        def watched_strategy(*args, **kwargs):
+            alive_in_phase2.append([ref() is not None for ref in columns])
+            return strategy(*args, **kwargs)
+
+        monkeypatch.setattr(
+            engine_module, "phase1_from_columns", watched_phase1
+        )
+        monkeypatch.setattr(engine_module, "run_strategy", watched_strategy)
+        for num_shards in (1, 3):
+            columns.clear()
+            alive_in_phase2.clear()
+            _comparison_cell(small_config(num_shards=num_shards), ("SI",), 0)
+            assert len(columns) == num_shards
+            assert alive_in_phase2 and not any(map(any, alive_in_phase2))
 
 
 class TestJobsByteStability:
@@ -152,11 +255,16 @@ class TestJobsByteStability:
             for label in ("SI", "RANDOM"):
                 assert det(cell_serial[label]) == det(cell_fanned[label])
 
-    def test_sharded_engine_api_matches_cell_path(self):
+    def test_shard_tasks_fold_to_the_cell(self):
+        """The pool's work unit, folded, is the serial cell."""
         config = small_config(num_shards=3, partitioner="range")
-        engine = ShardedEngine(config, ("BT(I)",))
-        assert det(engine.run(0)["BT(I)"]) == det(
-            run_sharded_cell(config, ("BT(I)",), 0)["BT(I)"]
+        runs = [
+            sharded_shard_task(config, ("BT(I)",), 1, shard_id)
+            for shard_id in range(3)
+        ]
+        folded = combine_shard_runs(config.with_seed(8), ("BT(I)",), runs)
+        assert det(folded["BT(I)"]) == det(
+            _comparison_cell(config, ("BT(I)",), 1)["BT(I)"]
         )
 
     def test_mixed_sharded_and_unsharded_cells_on_one_pool(self):
@@ -178,14 +286,12 @@ class TestShardedExecution:
             result = run_shard(config, ("SI",), stream)
             # Seqnos restart per shard: the shard's table entries can
             # never exceed its own write count.
-            assert result.total_entries <= stream.write_count
+            assert result.per_label["SI"].lopt_entries <= stream.write_count
             assert result.per_label["SI"].strategy == "SI"
 
     def test_skew_concentrates_ops(self):
-        even = run_sharded_cell(
-            small_config(num_shards=4), ("SI",), 0
-        )["SI"]
-        skewed = run_sharded_cell(
+        even = _comparison_cell(small_config(num_shards=4), ("SI",), 0)["SI"]
+        skewed = _comparison_cell(
             small_config(num_shards=4, shard_skew=1.2), ("SI",), 0
         )["SI"]
         assert skewed.shard_imbalance > even.shard_imbalance
@@ -196,7 +302,7 @@ class TestShardedExecution:
             shard_id=0, write_keynums=[], tombstone_positions=[]
         )
         result = run_shard(config, ("SI", "RANDOM"), stream)
-        assert result.n_tables == 0
+        assert result.per_label["SI"].n_tables == 0
         assert result.per_label["SI"].cost_actual == 0
         from repro.ycsb.workload import ReadOpColumns
 

@@ -7,6 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from repro.core import MergeInstance
+from repro.simulator.runner import SWEEP_AXES
 
 #: The worked example from the paper (Section 4.3).
 WORKED_EXAMPLE_SETS = [
@@ -15,6 +16,22 @@ WORKED_EXAMPLE_SETS = [
     {3, 4, 5},
     {6, 7, 8},
     {7, 8, 9},
+]
+
+
+#: The sweep axes that cast their values with ``int``.
+WHOLE_AXES = tuple(
+    name for name, axis in SWEEP_AXES.items() if axis.cast is int
+)
+
+#: ``(parameter, value)`` pairs no sweep may take: a non-number (a bool
+#: included) on any axis, a fraction or a non-finite float on an
+#: integer one.
+BAD_SWEEP_VALUES = [
+    (parameter, value)
+    for parameter in SWEEP_AXES
+    for value in ("x", True, False, None)
+    + ((2.9, float("nan"), float("inf")) if parameter in WHOLE_AXES else ())
 ]
 
 

@@ -9,6 +9,7 @@ from repro.errors import ConfigError, ScenarioError
 from repro.scenarios import REGISTRY, Scenario, SweepSpec
 from repro.scenarios.spec import SWEEP_PARAMETERS
 from repro.simulator import SimulationConfig
+from tests.helpers import BAD_SWEEP_VALUES, WHOLE_AXES
 
 
 class TestSweepSpec:
@@ -37,6 +38,34 @@ class TestSweepSpec:
     def test_unknown_field_rejected(self):
         with pytest.raises(ScenarioError):
             SweepSpec.from_dict({"parameter": "update_fraction", "values": [1], "vibes": 1})
+
+
+class TestSweepValues:
+    """A sweep value is a number, and whole on an integer axis: ``int``
+    once truncated 2.9 to 2 while the spec recorded 2.9, and a ``true``
+    ran as 1 (100 % on ``update_fraction``)."""
+
+    @pytest.mark.parametrize("parameter,value", BAD_SWEEP_VALUES)
+    def test_bad_value_rejected(self, parameter, value):
+        for spec in (
+            lambda: SweepSpec(parameter, (value,)),
+            lambda: SweepSpec(parameter, (1,), fast_values=(value,)),
+            lambda: SweepSpec.from_dict(
+                {"parameter": parameter, "values": [value, 3]}
+            ),
+        ):
+            with pytest.raises(ScenarioError) as exc:
+                spec()
+            message = str(exc.value)
+            assert parameter in message and repr(value) in message
+
+    @pytest.mark.parametrize("parameter", WHOLE_AXES)
+    def test_whole_float_accepted_on_integer_axis(self, parameter):
+        """``--values`` parses floats, so ``2.0`` must pass."""
+        assert SweepSpec(parameter, (2.0, 3)).values == (2.0, 3)
+
+    def test_fraction_accepted_on_real_axis(self):
+        assert SweepSpec("shard_skew", (0, 0.5)).values == (0, 0.5)
 
 
 class TestScenarioValidation:

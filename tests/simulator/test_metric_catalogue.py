@@ -331,11 +331,13 @@ class TestCatalogueStructure:
 class TestFixedDefects:
     def test_sharded_cell_keeps_ingest_accounting(self):
         """A sharded cell used to report the serial defaults."""
-        from repro.cluster import ShardedEngine
+        from repro.cluster import run_shard, shard_streams
 
         config = tiny_config(num_shards=2)
-        engine = ShardedEngine(config, ("SI",))
-        shards = [run.per_label["SI"] for run in engine.run_shards(0)]
+        shards = [
+            run_shard(config, ("SI",), stream).per_label["SI"]
+            for stream in shard_streams(config)
+        ]
         assert all(row.ingest_wall_seconds > 0 for row in shards)
         agg = run_comparison(config, ("SI",), runs=1).per_strategy["SI"]
         assert agg.ingest_wall_seconds_mean > 0

@@ -12,6 +12,8 @@ from repro.scenarios import REGISTRY, ResultsStore, Scenario
 from repro.simulator import SimulationConfig
 from repro.ycsb.distributions import available_distributions
 
+from tests.helpers import BAD_SWEEP_VALUES, WHOLE_AXES
+
 TINY_SETS = [
     "--set", "recordcount=150",
     "--set", "operationcount=1500",
@@ -312,6 +314,55 @@ class TestSweep:
         )
         assert code == 2
         assert "cannot override" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("parameter", WHOLE_AXES)
+    @pytest.mark.parametrize("value", ["2.9", "nan", "inf"])
+    def test_fractional_value_on_integer_axis_is_clean_error(
+        self, capsys, parameter, value
+    ):
+        """``int`` once truncated 2.9 to 2 while the manifest recorded 2.9."""
+        code = main(
+            ["sweep", "--parameter", parameter, "--values", value,
+             "--no-store"] + TINY_SETS
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and parameter in err and value in err
+
+    @pytest.mark.parametrize("parameter,value", BAD_SWEEP_VALUES)
+    def test_bad_value_in_spec_file_is_clean_error(
+        self, capsys, tmp_path, parameter, value
+    ):
+        spec = REGISTRY.get("churn").to_dict()
+        spec["config"].update(
+            recordcount=150, operationcount=1000, memtable_capacity=150
+        )
+        spec["sweep"] = {"parameter": parameter, "values": [value, 3]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["run", "--spec", str(path), "--no-store"]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and parameter in err and repr(value) in err
+
+    def test_shard_skew_over_one_shard_is_clean_error(self, capsys):
+        """The axis once ran 8 shards while the manifest recorded 1."""
+        code = main(
+            ["sweep", "--parameter", "shard_skew", "--values", "0.5",
+             "--no-store", "--set", "num_shards=1"] + TINY_SETS
+        )
+        assert code == 2
+        assert "num_shards" in capsys.readouterr().err
+
+    def test_shard_skew_keeps_the_shard_count(self, tmp_path):
+        code = main(
+            ["sweep", "--parameter", "shard_skew", "--values", "0.5",
+             "--runs", "1", "--strategies", "SI", "--set", "num_shards=4",
+             "--store", str(tmp_path / "runs")] + TINY_SETS
+        )
+        assert code == 0
+        manifest = next(ResultsStore(tmp_path / "runs").manifests("adhoc-sweep"))
+        assert [cell["num_shards"] for cell in manifest.cells] == [4]
+        assert len(manifest.cells[0]["shard_ops_mean"]) == 4
 
     def test_non_numeric_values_is_argparse_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

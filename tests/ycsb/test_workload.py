@@ -468,17 +468,3 @@ class TestOpStreamColumns:
             rng_state, _, *zeta = end_state(workload)
             assert (rng_state, inserted, *zeta) == end_state(reference)
 
-    def test_supports_op_stream_covers_every_mix(self):
-        for mix in MIX_CONFIGS.values():
-            config = WorkloadConfig(recordcount=10, operationcount=10, **mix)
-            assert CoreWorkload(config).supports_op_stream()
-
-    def test_key_name_subclass_not_supported(self):
-        class Named(CoreWorkload):
-            def key_name(self, keynum):
-                return f"user{keynum}"
-
-        workload = Named(WorkloadConfig(recordcount=10, operationcount=10))
-        assert not workload.supports_op_stream()
-        with pytest.raises(WorkloadError):
-            workload.op_stream_columns()
