@@ -13,6 +13,7 @@ from .engine import (
     ShardRunResult,
     combine_shard_runs,
     run_shard,
+    shard_phase1,
     shard_seed,
     shard_streams,
     sharded_shard_task,
@@ -48,6 +49,7 @@ __all__ = [
     "imbalance_p99_over_mean",
     "make_partitioner",
     "run_shard",
+    "shard_phase1",
     "shard_seed",
     "shard_streams",
     "shard_weights",

@@ -3,8 +3,8 @@
 Every simulator cell is a cluster of ``config.num_shards`` >= 1 shards
 (one by default): the partitioner routes the YCSB op stream over the
 shards, each shard runs the full two-phase simulation independently
-(:func:`run_shard`: its own memtable/seqno space, its own strategy
-instance), and :func:`combine_shard_runs` folds the per-shard schedules
+(:func:`shard_phase1` then :func:`run_shard`: its own memtable/seqno
+space, its own strategy instance), and :func:`combine_shard_runs` folds the per-shard schedules
 into cluster metrics through the :class:`ClusterScheduler`.  There is
 one cell path; at one shard the split is the identity and the fold is
 exact (a sum over one row, the makespan of one schedule).
@@ -42,7 +42,7 @@ from ..simulator.metrics import (
     ingest_fields,
     served_fields,
 )
-from ..simulator.phase1 import phase1_from_columns
+from ..simulator.phase1 import Phase1Result, phase1_from_columns
 from ..simulator.phase2 import run_strategy
 from ..simulator.read_path import ReadPhaseResult
 from ..ycsb.workload import CoreWorkload
@@ -88,32 +88,40 @@ def shard_streams(config: SimulationConfig) -> list[ShardStream]:
     return split_stream(stream, partitioner)
 
 
+def shard_phase1(
+    config: SimulationConfig, stream: ShardStream
+) -> tuple[int, Phase1Result]:
+    """Phase 1 on one shard's stream slice: its id and its tables.
+
+    A call of its own so that the write column is referenced only while
+    phase 1 runs: a caller hands the stream in and keeps only what this
+    returns (the tables hold their own columns), so no write column
+    reaches phase 2 on any Python version.
+    """
+    return stream.shard_id, phase1_from_columns(
+        stream.write_keynums,
+        stream.tombstone_positions,
+        config,
+        total_operations=stream.op_count,
+        read_ops=stream.read_ops,
+    )
+
+
 def run_shard(
     config: SimulationConfig,
     labels: Sequence[str],
-    stream: ShardStream,
+    shard_id: int,
+    phase1: Phase1Result,
 ) -> ShardRunResult:
-    """Phase 1 + phase 2 (every label) on one shard's stream slice.
+    """Phase 2 (every label) on one shard's :func:`shard_phase1` tables.
 
     High ``shard_skew`` with few operations can starve the tail shards
     entirely; phase 2 refuses empty table sets, so a shard that received
     no writes reports the zero row with the serving semantics an empty
     engine would have (every point read probes zero tables and misses).
     """
-    shard_id, op_count = stream.shard_id, stream.op_count
-    read_ops = stream.read_ops
-    phase1 = phase1_from_columns(
-        stream.write_keynums,
-        stream.tombstone_positions,
-        config,
-        total_operations=op_count,
-        read_ops=read_ops,
-    )
-    # The tables hold their own columns: the write column is not needed
-    # past phase 1.
-    del stream
     seed = shard_seed(config.seed, shard_id)
-    tables = phase1.tables
+    tables, read_ops = phase1.tables, phase1.read_ops
     reads = read_ops.read_count if read_ops is not None else 0
     scans = read_ops.scan_count if read_ops is not None else 0
     all_missed = served_fields(
@@ -129,7 +137,7 @@ def run_shard(
         )
         for label in labels
     }
-    return ShardRunResult(shard_id, op_count, per_label)
+    return ShardRunResult(shard_id, phase1.total_operations, per_label)
 
 
 def sharded_shard_task(
@@ -147,7 +155,13 @@ def sharded_shard_task(
     ``--jobs`` invisible in the results.
     """
     run_config = config.with_seed(config.seed + run_index)
-    return run_shard(run_config, labels, shard_streams(run_config)[shard_id])
+    # The stream is an argument of shard_phase1 alone, so it is freed
+    # before phase 2 starts.
+    return run_shard(
+        run_config,
+        labels,
+        *shard_phase1(run_config, shard_streams(run_config)[shard_id]),
+    )
 
 
 def combine_shard_runs(

@@ -21,10 +21,10 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Any, Mapping, Optional, Sequence
 
-from ..errors import ScenarioError
+from ..errors import ConfigError, ScenarioError
 from ..simulator.config import SimulationConfig
 from ..simulator.phase2 import known_strategy_labels, strategy_labels
-from ..simulator.runner import SWEEP_AXES
+from ..simulator.runner import SWEEP_AXES, cast_sweep_values
 from ..ycsb.distributions import available_distributions
 
 #: Sweepable SimulationConfig parameters (the simulator's axis table).
@@ -46,17 +46,12 @@ def _reject_duplicates(axis: str, values: tuple) -> None:
 
 
 def _check_sweep_values(parameter: str, values: tuple) -> None:
-    """Every value a number (never a bool), whole on an integer axis."""
-    whole = SWEEP_AXES[parameter].cast is int
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(
-                f"sweep {parameter} value {value!r} is not a number"
-            )
-        if whole and not float(value).is_integer():
-            raise ScenarioError(
-                f"sweep {parameter} takes whole numbers, got {value!r}"
-            )
+    """Each value one ``parameter``'s axis takes (see
+    :func:`~repro.simulator.runner.cast_sweep_values`)."""
+    try:
+        cast_sweep_values(parameter, values)
+    except ConfigError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def _reject_unknown_fields(cls, data: Mapping[str, Any]) -> None:

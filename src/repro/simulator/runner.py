@@ -28,6 +28,7 @@ overhead columns vary, exactly as they do between two serial runs.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Optional, Sequence
@@ -81,21 +82,30 @@ def _comparison_cell(
 
     Every cell is a cluster of ``config.num_shards`` shards (one by
     default): the run's op stream is split over the shards, each shard
-    runs both phases (:func:`~repro.cluster.engine.run_shard`) and the
-    shards fold into one row per label.  Module-level and deterministic
-    given its arguments, which is what makes ``jobs`` invisible in the
-    results.
+    runs both phases (:func:`~repro.cluster.engine.shard_phase1`, then
+    :func:`~repro.cluster.engine.run_shard`) and the shards fold into
+    one row per label.  Module-level and deterministic given its
+    arguments, which is what makes ``jobs`` invisible in the results.
     """
     # repro.cluster imports this package, so it is imported at call time.
-    from ..cluster.engine import combine_shard_runs, run_shard, shard_streams
+    from ..cluster.engine import (
+        combine_shard_runs,
+        run_shard,
+        shard_phase1,
+        shard_streams,
+    )
 
     run_config = config.with_seed(config.seed + run_index)
     streams = shard_streams(run_config)
-    # Pop each stream as it runs, so no shard's write column outlives
-    # its phase 1.
+    # Each stream is popped straight into shard_phase1 and referenced by
+    # nothing else, so no shard's write column outlives its phase 1.
     shard_runs = []
     while streams:
-        shard_runs.append(run_shard(run_config, labels, streams.pop(0)))
+        shard_runs.append(
+            run_shard(
+                run_config, labels, *shard_phase1(run_config, streams.pop(0))
+            )
+        )
     return combine_shard_runs(run_config, labels, shard_runs)
 
 
@@ -161,6 +171,25 @@ def run_comparison(
     )
 
 
+def _number(value: Any) -> float:
+    """A real axis's value: a finite int or float, never a bool."""
+    if not isinstance(value, bool) and isinstance(value, (int, float)):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    raise ConfigError(f"value {value!r} is not a finite number")
+
+
+def _whole(value: Any) -> int:
+    """An integer axis's value: a :func:`_number` with no fraction
+    (``2.0`` passes: ``--values`` parses floats)."""
+    if not _number(value).is_integer():
+        raise ConfigError(f"value {value!r} is not a whole number")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepAxis:
     """One sweepable parameter: how a value lands on the config and on
@@ -168,7 +197,8 @@ class SweepAxis:
 
     #: ``SweepResult.parameter``: the unit ``SweepPoint.x`` is in.
     label: str
-    cast: Callable[[float], Any]
+    #: ``cast(value)`` -> the value the axis sets, or a ConfigError.
+    cast: Callable[[Any], Any]
     #: ``apply(base, value, **options)`` -> the point's config.
     apply: Callable[..., SimulationConfig]
     #: Default strategy grid (``None``: the paper's five).
@@ -213,31 +243,47 @@ def _set_shard_skew(base: SimulationConfig, skew: float) -> SimulationConfig:
 SWEEP_AXES: dict[str, SweepAxis] = {
     # Figure 7 / 9a: the update share of the write mix, plotted in %.
     "update_fraction": SweepAxis(
-        "update_percentage", float, _set("update_fraction"),
+        "update_percentage", _number, _set("update_fraction"),
         x=lambda fraction: fraction * 100.0,
     ),
     # Figure 8: memtable size against the LOPT lower bound.
     "memtable_capacity": SweepAxis(
-        "memtable_capacity", int, _set_capacity, ("BT(I)",),
+        "memtable_capacity", _whole, _set_capacity, ("BT(I)",),
         options=("n_sstables",),
     ),
     # Figure 9b: the data size.
     "operationcount": SweepAxis(
-        "operationcount", int, _set("operationcount"), ("SI",)
+        "operationcount", _whole, _set("operationcount"), ("SI",)
     ),
     # How much a larger merge fan-in shrinks re-merge cost.
-    "k": SweepAxis("k", int, _set("k")),
+    "k": SweepAxis("k", _whole, _set("k")),
     # Only the estimator-driven strategies can move with the precision.
     "hll_precision": SweepAxis(
-        "hll_precision", int, _set("hll_precision"), ("SO", "BT(O)")
+        "hll_precision", _whole, _set("hll_precision"), ("SO", "BT(O)")
     ),
     # Scale-out: does splitting the workload shrink the cluster makespan
     # faster than it inflates total work?
-    "num_shards": SweepAxis("num_shards", int, _set("num_shards")),
+    "num_shards": SweepAxis("num_shards", _whole, _set("num_shards")),
     # Multi-tenant: do estimation-heavy policies amortize their overhead
     # better than LM under hot shards?
-    "shard_skew": SweepAxis("shard_skew", float, _set_shard_skew),
+    "shard_skew": SweepAxis("shard_skew", _number, _set_shard_skew),
 }
+
+
+def cast_sweep_values(parameter: str, values: Sequence[Any]) -> list:
+    """``values`` as ``parameter``'s axis sets them: the one check of a
+    sweep value, shared by :func:`sweep` and the scenario spec.  A bad
+    value is a ConfigError that names the parameter and the value."""
+    try:
+        axis = SWEEP_AXES[parameter]
+    except KeyError:
+        raise ConfigError(
+            f"unknown sweep parameter {parameter!r}; known: {list(SWEEP_AXES)}"
+        ) from None
+    try:
+        return [axis.cast(value) for value in values]
+    except ConfigError as exc:
+        raise ConfigError(f"sweep {parameter} {exc}") from None
 
 
 def sweep(
@@ -255,18 +301,14 @@ def sweep(
     at the sweep level (rather than per point) keeps all ``jobs`` workers
     busy across point boundaries.
     """
-    try:
-        axis = SWEEP_AXES[parameter]
-    except KeyError:
-        raise ConfigError(
-            f"unknown sweep parameter {parameter!r}; known: {list(SWEEP_AXES)}"
-        ) from None
+    values = cast_sweep_values(parameter, values)
+    axis = SWEEP_AXES[parameter]
     labels = tuple(labels) if labels is not None else (
         axis.labels or strategy_labels()
     )
     points = [
         (axis.x(value), axis.apply(base, value, **options))
-        for value in map(axis.cast, values)
+        for value in values
     ]
     cells = [
         (config, labels, run_index)

@@ -26,6 +26,7 @@ from repro.cluster import (
     combine_shard_runs,
     imbalance_p99_over_mean,
     run_shard,
+    shard_phase1,
     shard_seed,
     shard_streams,
     sharded_shard_task,
@@ -113,6 +114,11 @@ def small_config(**overrides) -> SimulationConfig:
     )
     defaults.update(overrides)
     return SimulationConfig(**defaults)
+
+
+def run_stream(config, labels, stream):
+    """Both phases on one shard's stream."""
+    return run_shard(config, labels, *shard_phase1(config, stream))
 
 
 class TestShardSeed:
@@ -217,7 +223,8 @@ class TestUnshardedIdentity:
         assert_one_shard_cluster(config, LABELS)
 
     def test_write_column_freed_after_phase1(self, monkeypatch):
-        """No shard's write column outlives its phase 1."""
+        """No shard's write column outlives its phase 1, in the serial
+        cell and in the pool's shard task alike."""
         columns = []
         alive_in_phase2 = []
         phase1 = engine_module.phase1_from_columns
@@ -236,11 +243,18 @@ class TestUnshardedIdentity:
         )
         monkeypatch.setattr(engine_module, "run_strategy", watched_strategy)
         for num_shards in (1, 3):
-            columns.clear()
-            alive_in_phase2.clear()
-            _comparison_cell(small_config(num_shards=num_shards), ("SI",), 0)
-            assert len(columns) == num_shards
-            assert alive_in_phase2 and not any(map(any, alive_in_phase2))
+            config = small_config(num_shards=num_shards)
+            cell = lambda: _comparison_cell(config, ("SI",), 0)
+            tasks = lambda: [
+                sharded_shard_task(config, ("SI",), 0, shard_id)
+                for shard_id in range(num_shards)
+            ]
+            for run in (cell, tasks):
+                columns.clear()
+                alive_in_phase2.clear()
+                run()
+                assert len(columns) == num_shards
+                assert alive_in_phase2 and not any(map(any, alive_in_phase2))
 
 
 class TestJobsByteStability:
@@ -283,7 +297,7 @@ class TestShardedExecution:
     def test_per_shard_seqnos_are_local(self):
         config = small_config(num_shards=3)
         for stream in shard_streams(config):
-            result = run_shard(config, ("SI",), stream)
+            result = run_stream(config, ("SI",), stream)
             # Seqnos restart per shard: the shard's table entries can
             # never exceed its own write count.
             assert result.per_label["SI"].lopt_entries <= stream.write_count
@@ -301,7 +315,7 @@ class TestShardedExecution:
         stream = ShardStream(
             shard_id=0, write_keynums=[], tombstone_positions=[]
         )
-        result = run_shard(config, ("SI", "RANDOM"), stream)
+        result = run_stream(config, ("SI", "RANDOM"), stream)
         assert result.per_label["SI"].n_tables == 0
         assert result.per_label["SI"].cost_actual == 0
         from repro.ycsb.workload import ReadOpColumns
@@ -314,7 +328,7 @@ class TestShardedExecution:
                 read_keynums=[1, 2], scan_keynums=[3], scan_lengths=[5]
             ),
         )
-        served = run_shard(config, ("SI",), with_reads).per_label["SI"]
+        served = run_stream(config, ("SI",), with_reads).per_label["SI"]
         assert served.reads == 2
         assert served.read_misses == 2
         assert served.scans == 1
@@ -356,8 +370,8 @@ class TestClusterScheduler:
         config = small_config(num_shards=2)
         streams = shard_streams(config)
         results = [
-            run_shard(config, ("SI",), streams[0]).per_label["SI"],
-            run_shard(config, ("RANDOM",), streams[1]).per_label["RANDOM"],
+            run_stream(config, ("SI",), streams[0]).per_label["SI"],
+            run_stream(config, ("RANDOM",), streams[1]).per_label["RANDOM"],
         ]
         with pytest.raises(ConfigError):
             combine_shard_results(
@@ -367,7 +381,7 @@ class TestClusterScheduler:
     def test_combine_sums_costs_and_takes_makespan(self):
         config = small_config(num_shards=2)
         shard_results = [
-            run_shard(config, ("SI",), stream)
+            run_stream(config, ("SI",), stream)
             for stream in shard_streams(config)
         ]
         combined = combine_shard_results(

@@ -7,7 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from repro.core import MergeInstance
-from repro.simulator.runner import SWEEP_AXES
+from repro.simulator.runner import SWEEP_AXES, _whole
 
 #: The worked example from the paper (Section 4.3).
 WORKED_EXAMPLE_SETS = [
@@ -19,19 +19,19 @@ WORKED_EXAMPLE_SETS = [
 ]
 
 
-#: The sweep axes that cast their values with ``int``.
+#: The sweep axes that take whole numbers only.
 WHOLE_AXES = tuple(
-    name for name, axis in SWEEP_AXES.items() if axis.cast is int
+    name for name, axis in SWEEP_AXES.items() if axis.cast is _whole
 )
 
 #: ``(parameter, value)`` pairs no sweep may take: a non-number (a bool
-#: included) on any axis, a fraction or a non-finite float on an
-#: integer one.
+#: included), a non-finite float or an int past the float range on any
+#: axis, a fraction on an integer one.
 BAD_SWEEP_VALUES = [
     (parameter, value)
     for parameter in SWEEP_AXES
-    for value in ("x", True, False, None)
-    + ((2.9, float("nan"), float("inf")) if parameter in WHOLE_AXES else ())
+    for value in ("x", True, False, None, float("nan"), float("inf"), 10**400)
+    + ((2.9,) if parameter in WHOLE_AXES else ())
 ]
 
 

@@ -331,11 +331,12 @@ class TestCatalogueStructure:
 class TestFixedDefects:
     def test_sharded_cell_keeps_ingest_accounting(self):
         """A sharded cell used to report the serial defaults."""
-        from repro.cluster import run_shard, shard_streams
+        from repro.cluster import run_shard, shard_phase1, shard_streams
 
         config = tiny_config(num_shards=2)
         shards = [
-            run_shard(config, ("SI",), stream).per_label["SI"]
+            run_shard(config, ("SI",), *shard_phase1(config, stream))
+            .per_label["SI"]
             for stream in shard_streams(config)
         ]
         assert all(row.ingest_wall_seconds > 0 for row in shards)

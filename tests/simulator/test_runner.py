@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ConfigError
 from repro.simulator import (
     SimulationConfig,
     StrategyResult,
@@ -9,6 +10,7 @@ from repro.simulator import (
     run_comparison,
     sweep as run_sweep,
 )
+from tests.helpers import BAD_SWEEP_VALUES
 
 
 def tiny_config(**overrides) -> SimulationConfig:
@@ -133,6 +135,19 @@ class TestSweeps:
         # A larger fan-in can only reduce re-merge work for SI.
         costs = [p.per_strategy["SI"].cost_actual_mean for p in sweep.points]
         assert costs[1] <= costs[0]
+
+    @pytest.mark.parametrize("parameter,value", BAD_SWEEP_VALUES)
+    def test_bad_value_rejected_before_any_cell(self, parameter, value):
+        """The API path once cast with ``int``, which ran k=2.9 as k=2."""
+        with pytest.raises(ConfigError) as exc:
+            run_sweep(tiny_config(), parameter, (3, value), runs=1)
+        message = str(exc.value)
+        assert parameter in message and repr(value) in message
+
+    def test_whole_float_is_cast_to_int(self):
+        sweep = run_sweep(tiny_config(), "k", (3.0,), labels=("SI",), runs=1)
+        assert sweep.points[0].config.k == 3
+        assert type(sweep.points[0].config.k) is int
 
     def test_hll_precision_sweep_defaults_to_estimator_strategies(self):
         sweep = run_sweep(tiny_config(), "hll_precision", (10, 12), runs=1)
