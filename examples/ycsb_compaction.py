@@ -3,8 +3,10 @@
 
 Generates a YCSB workload (latest distribution), pushes it through the
 fixed-capacity memtable to obtain sstables (phase 1), then compacts the
-same sstables with each of the paper's five strategies (phase 2) and
-prints cost and time, at three points of the insert/update spectrum.
+same sstables with each of the paper's five strategies (phase 2, one
+``run_strategies`` call: every schedule is planned, then a merge two
+schedules share runs once and is billed to both) and prints cost and
+time, at three points of the insert/update spectrum.
 
 Run:  python examples/ycsb_compaction.py [--full]
 
@@ -19,7 +21,7 @@ from repro.analysis import format_table
 from repro.simulator import (
     SimulationConfig,
     generate_sstables,
-    run_strategy,
+    run_strategies,
     strategy_labels,
 )
 
@@ -37,8 +39,8 @@ def main(full: bool = False) -> None:
             f"{phase1.n_tables} sstables, {phase1.total_entries} entries ==="
         )
         rows = []
-        for label in strategy_labels():
-            result = run_strategy(phase1.tables, label, config)
+        cell = run_strategies(phase1.tables, strategy_labels(), config)
+        for label, result in cell.items():
             rows.append(
                 [
                     label,

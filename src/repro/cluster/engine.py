@@ -4,8 +4,10 @@ Every simulator cell is a cluster of ``config.num_shards`` >= 1 shards
 (one by default): the partitioner routes the YCSB op stream over the
 shards, each shard runs the full two-phase simulation independently
 (:func:`shard_phase1` then :func:`run_shard`: its own memtable/seqno
-space, its own strategy instance), and :func:`combine_shard_runs` folds the per-shard schedules
-into cluster metrics through the :class:`ClusterScheduler`.  There is
+space, its own strategy instances, compacted jointly by
+:func:`~repro.simulator.phase2.run_strategies`), and
+:func:`combine_shard_runs` folds the per-shard schedules into cluster
+metrics through the :class:`ClusterScheduler`.  There is
 one cell path; at one shard the split is the identity and the fold is
 exact (a sum over one row, the makespan of one schedule).
 
@@ -43,7 +45,7 @@ from ..simulator.metrics import (
     served_fields,
 )
 from ..simulator.phase1 import Phase1Result, phase1_from_columns
-from ..simulator.phase2 import run_strategy
+from ..simulator.phase2 import run_strategies
 from ..simulator.read_path import ReadPhaseResult
 from ..ycsb.workload import CoreWorkload
 from .partitioner import ShardStream, make_partitioner, split_stream
@@ -128,15 +130,12 @@ def run_shard(
         ReadPhaseResult(reads=reads, misses=reads, scans=scans)
     )
     ingest = ingest_fields(phase1)
-    per_label = {
-        label: replace(
-            run_strategy(tables, label, config, seed=seed, read_ops=read_ops)
-            if tables
-            else empty_result(label, **all_missed),
-            **ingest,
-        )
-        for label in labels
-    }
+    compacted = (
+        run_strategies(tables, labels, config, seed=seed, read_ops=read_ops)
+        if tables
+        else {label: empty_result(label, **all_missed) for label in labels}
+    )
+    per_label = {label: replace(compacted[label], **ingest) for label in labels}
     return ShardRunResult(shard_id, phase1.total_operations, per_label)
 
 

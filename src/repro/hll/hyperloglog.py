@@ -116,15 +116,21 @@ class HyperLogLog:
     def add_all(self, keys: Iterable[Hashable]) -> None:
         """Add every key in ``keys``.
 
-        Plain-int batches take the vectorized path when numpy backs the
-        registers; anything else falls back to the per-key loop (which
-        consumes iterables lazily — only the vectorized candidate path
-        materializes them).  Both paths produce byte-identical registers.
+        Plain-int batches and ``int64`` / ``uint64`` arrays take the
+        vectorized path when numpy backs the registers; anything else
+        falls back to the per-key loop (which consumes iterables lazily —
+        only the vectorized candidate path materializes them).  Both
+        paths produce byte-identical registers.
         """
-        if self._registers.is_vectorized:
-            if not isinstance(keys, (list, tuple)):
+        vectorized = self._registers.is_vectorized
+        if isinstance(keys, _np.ndarray) and not (
+            vectorized and keys.dtype in (_np.int64, _np.uint64)
+        ):
+            keys = keys.tolist()  # a numpy scalar would hash by its repr
+        if vectorized:
+            if not isinstance(keys, (list, tuple, _np.ndarray)):
                 keys = list(keys)
-            if keys:
+            if len(keys):
                 hashed = hash_keys_u64(keys, self.seed)
                 if hashed is not None:
                     self._add_hash_array(hashed)

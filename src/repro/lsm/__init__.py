@@ -16,7 +16,9 @@ from .compaction import (
     LeveledCompaction,
     MajorCompaction,
     SizeTieredCompaction,
+    compact_majors,
     execute_schedule,
+    execute_schedules,
 )
 from .disk import DiskTimingModel, IoStats, SimulatedDisk
 from .engine import EngineConfig, LSMEngine, ReadStats
@@ -76,7 +78,9 @@ __all__ = [
     "SortedMapMemtable",
     "TableColumns",
     "WriteAheadLog",
+    "compact_majors",
     "execute_schedule",
+    "execute_schedules",
     "make_memtable",
     "measure_amplification",
     "merge_sstables",

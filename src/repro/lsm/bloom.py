@@ -69,8 +69,17 @@ class BloomFilter:
         self._count += 1
 
     def add_all(self, keys: Iterable[Hashable]) -> None:
-        """Insert many keys, vectorizing plain-int batches."""
-        if not isinstance(keys, (list, tuple)):
+        """Insert many keys, vectorizing plain-int batches.
+
+        An ``int64`` / ``uint64`` array is hashed as it is; any other
+        array becomes plain Python scalars first, since a numpy scalar
+        would hash through ``key_base``'s ``repr`` fallback and miss its
+        plain-int lookups.
+        """
+        if isinstance(keys, _np.ndarray):
+            if keys.dtype not in (_np.int64, _np.uint64):
+                keys = keys.tolist()
+        elif not isinstance(keys, (list, tuple)):
             keys = list(keys)
         h1 = hash_keys_u64(keys, seed=_PROBE_SEED_1)
         if h1 is None:  # keys a uint64 vector cannot represent
@@ -164,7 +173,8 @@ class BloomFilter:
     @classmethod
     def of(cls, keys: Iterable[Hashable], fp_rate: float = 0.01) -> "BloomFilter":
         """Build a filter sized for (and filled with) ``keys``."""
-        keys = list(keys)
+        if not isinstance(keys, _np.ndarray):
+            keys = list(keys)
         bloom = cls(max(1, len(keys)), fp_rate)
         bloom.add_all(keys)
         return bloom

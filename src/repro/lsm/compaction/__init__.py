@@ -8,9 +8,9 @@
 
 from .base import CompactionResult, CompactionStrategy
 from .controller import CompactionController, ControllerStats
-from .executor import execute_schedule
+from .executor import execute_schedule, execute_schedules
 from .leveled import LeveledCompaction
-from .major import MajorCompaction
+from .major import MajorCompaction, compact_majors
 from .size_tiered import SizeTieredCompaction
 
 __all__ = [
@@ -18,7 +18,9 @@ __all__ = [
     "CompactionResult",
     "CompactionStrategy",
     "ControllerStats",
+    "compact_majors",
     "execute_schedule",
+    "execute_schedules",
     "LeveledCompaction",
     "MajorCompaction",
     "SizeTieredCompaction",

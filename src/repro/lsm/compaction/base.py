@@ -84,7 +84,9 @@ class CompactionResult:
         charged by :meth:`start`); bytes and seconds follow the same
         reads and writes through ``disk``.  ``io_seconds`` grows one
         operation at a time while the returned duration is the step's
-        own sum, which is what the lane model schedules.
+        own sum, which is what the lane model schedules.  Only the
+        tables' ``entry_count`` and ``size_bytes`` are read, so a
+        shared merge is billed from those two numbers alone.
         """
         duration = 0.0
         for transfer, tables in ((disk.read, inputs), (disk.write, outputs)):

@@ -17,10 +17,15 @@ This is the bridge between :mod:`repro.core` and the storage substrate:
    schedule, timing the policy's decisions plus the sketch building
    (the *strategy overhead* of §5.1),
 4. execute the schedule against the real sstables with
-   :func:`~repro.lsm.compaction.executor.execute_schedule`, which
+   :func:`~repro.lsm.compaction.executor.execute_schedules`, which
    propagates input sketches losslessly onto every merge output and
    returns the billed :class:`~.base.CompactionResult`; this strategy
    adds its name, overhead and extras.
+
+Steps 1-3 are :meth:`MajorCompaction.plan`.  :func:`compact_majors` plans
+several strategies over the same tables and executes their schedules
+jointly, so a merge two schedules share runs once (a comparison cell's
+path); :meth:`MajorCompaction.compact` is its one-strategy call.
 
 BALANCETREE strategies default to ``lanes = 8`` (the paper's machine has
 8 cores and merges within a level are independent); everything else runs
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import time
 import weakref
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ...core.backend import canonical_backend_name
@@ -38,10 +44,12 @@ from ...core.estimator import EstimatorSpec, HllEstimator
 from ...core.greedy import GreedyMerger
 from ...core.instance import MergeInstance
 from ...core.policies import ChoosePolicy, canonical_policy_name, make_policy
+from ...core.schedule import MergeSchedule
+from ...errors import CompactionError
 from ..disk import SimulatedDisk
 from ..sstable import SSTable
 from .base import CompactionResult, CompactionStrategy
-from .executor import execute_schedule
+from .executor import execute_schedules
 
 _PARALLEL_POLICIES = ("balance_tree", "balance_tree_input", "balance_tree_output")
 DEFAULT_PARALLEL_LANES = 8
@@ -79,6 +87,20 @@ def _instance_for(tables: Sequence[SSTable]) -> MergeInstance:
         _modelled.clear()
         _modelled[tables[0]] = (tuple(map(weakref.ref, tables)), instance)
     return instance
+
+
+@dataclass(frozen=True)
+class MajorPlan:
+    """A strategy's decision: its schedule and what choosing it cost.
+
+    ``overhead_seconds`` is the §5.1 strategy overhead (the policy's
+    decisions plus ``sketch_seconds`` of sketch building).
+    """
+
+    schedule: MergeSchedule
+    overhead_seconds: float
+    sketch_seconds: float
+    policy_extras: dict
 
 
 class MajorCompaction(CompactionStrategy):
@@ -145,41 +167,76 @@ class MajorCompaction(CompactionStrategy):
         )
         return time.perf_counter() - started
 
-    def compact(
-        self,
-        tables: Sequence[SSTable],
-        disk: SimulatedDisk,
-        next_table_id: int,
-    ) -> CompactionResult:
-        if not tables:
-            raise ValueError("nothing to compact")
-        if len(tables) == 1:
-            return CompactionResult(self.name, 1, [tables[0]])
-
+    def plan(self, tables: Sequence[SSTable]) -> MajorPlan:
+        """Choose the merge schedule for two or more ``tables``."""
         instance = _instance_for(tables)
         policy = self._make_policy()
         sketch_seconds = self._seed_sketches(policy, tables)
         greedy = GreedyMerger(
             policy, k=self.k, seed=self.seed, backend=self.backend
         ).run(instance)
-        overhead_seconds = greedy.policy_seconds + sketch_seconds
-
-        result = execute_schedule(
-            tables,
+        return MajorPlan(
             greedy.schedule,
-            disk,
-            next_table_id=next_table_id,
-            lanes=self.lanes,
-            drop_tombstones=self.drop_tombstones,
-            bloom_fp_rate=self.bloom_fp_rate,
-            merge_kernel=self.merge_kernel,
+            greedy.policy_seconds + sketch_seconds,
+            sketch_seconds,
+            greedy.extras,
         )
-        result.strategy_name = self.name
-        result.strategy_overhead_seconds = overhead_seconds
-        result.wall_seconds += overhead_seconds
-        result.extras = {
-            "policy_extras": greedy.extras,
-            "lanes": self.lanes,
-            "sketch_seconds": sketch_seconds,
-        }
+
+    def compact(
+        self,
+        tables: Sequence[SSTable],
+        disk: SimulatedDisk,
+        next_table_id: int,
+    ) -> CompactionResult:
+        (result,) = compact_majors([self], tables, [disk], next_table_id)
         return result
+
+
+def compact_majors(
+    strategies: Sequence[MajorCompaction],
+    tables: Sequence[SSTable],
+    disks: Sequence[SimulatedDisk],
+    next_table_id: int,
+) -> list[CompactionResult]:
+    """Plan every strategy over ``tables``, then execute the schedules jointly.
+
+    One result per strategy (one disk each), each billed as if it ran
+    alone: :func:`~repro.lsm.compaction.executor.execute_schedules`
+    merges each leaf set once and bills it to every schedule that needs
+    it.  The strategies must agree on tombstone GC and bloom sizing,
+    which shape every output they could share.
+    """
+    if not tables:
+        raise ValueError("nothing to compact")
+    if len(tables) == 1:
+        return [CompactionResult(s.name, 1, [tables[0]]) for s in strategies]
+    if not strategies:
+        return []
+    settings = {(s.drop_tombstones, s.bloom_fp_rate) for s in strategies}
+    if len(settings) > 1:
+        raise CompactionError(
+            "strategies compacted jointly must share drop_tombstones and "
+            f"bloom_fp_rate, got {sorted(settings)}"
+        )
+    ((drop_tombstones, bloom_fp_rate),) = settings
+    plans = [strategy.plan(tables) for strategy in strategies]
+    results = execute_schedules(
+        tables,
+        [plan.schedule for plan in plans],
+        disks,
+        [strategy.lanes for strategy in strategies],
+        next_table_id,
+        drop_tombstones=drop_tombstones,
+        bloom_fp_rate=bloom_fp_rate,
+        merge_kernels=[strategy.merge_kernel for strategy in strategies],
+    )
+    for strategy, plan, result in zip(strategies, plans, results):
+        result.strategy_name = strategy.name
+        result.strategy_overhead_seconds = plan.overhead_seconds
+        result.wall_seconds += plan.overhead_seconds
+        result.extras = {
+            "policy_extras": plan.policy_extras,
+            "lanes": strategy.lanes,
+            "sketch_seconds": plan.sketch_seconds,
+        }
+    return results

@@ -21,6 +21,7 @@ from .phase2 import (
     PRACTICAL_STRATEGIES,
     build_strategy,
     known_strategy_labels,
+    run_strategies,
     run_strategy,
     strategy_labels,
 )
@@ -53,6 +54,7 @@ __all__ = [
     "generate_sstables_reference",
     "known_strategy_labels",
     "run_comparison",
+    "run_strategies",
     "run_strategy",
     "serve_reads",
     "spill_tables_to_disk",

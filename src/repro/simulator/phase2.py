@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from ..errors import CompactionError
 from ..lsm.compaction.base import CompactionStrategy
 from ..lsm.compaction.leveled import LeveledCompaction
-from ..lsm.compaction.major import MajorCompaction
+from ..lsm.compaction.major import MajorCompaction, compact_majors
 from ..lsm.compaction.size_tiered import SizeTieredCompaction
 from ..lsm.disk import SimulatedDisk
 from ..lsm.sstable import SSTable
@@ -113,6 +113,67 @@ def build_strategy(
     )
 
 
+#: First table id of a cell's compaction outputs (above any phase-1 id).
+NEXT_TABLE_ID = 10_000_000
+
+
+def run_strategies(
+    tables: Sequence[SSTable],
+    labels: Sequence[str],
+    config: SimulationConfig,
+    seed: Optional[int] = None,
+    read_ops: Optional[ReadOpColumns] = None,
+) -> dict[str, StrategyResult]:
+    """Compact ``tables`` with every labelled strategy; return their metrics.
+
+    A comparison cell's phase 2: every major-compaction label is planned
+    first and their schedules run jointly
+    (:func:`~repro.lsm.compaction.major.compact_majors`), so a merge two
+    of them share is computed once and billed to both; STCS and LEVELED
+    compact on their own.  With ``read_ops``, the workload's READ/SCAN
+    operations are replayed against each strategy's *output* tables
+    afterwards (the serving phase), so each result also carries
+    per-policy read amplification, bloom false-positive and read-byte
+    metrics.  Labels are taken in order and a label's output tables are
+    dropped once it is served; the joint run happens at the first major
+    label, so no major output is held while a practical strategy ahead
+    of it compacts and serves.
+    """
+    if not tables:
+        raise CompactionError("phase 2 needs at least one sstable")
+    strategies = {label: build_strategy(label, config, seed=seed) for label in labels}
+    majors = {
+        label: strategy
+        for label, strategy in strategies.items()
+        if isinstance(strategy, MajorCompaction)
+    }
+    compacted: dict = {}  # the majors' results not yet served
+    results = {}
+    for label, strategy in strategies.items():
+        if label not in majors:
+            result = strategy.compact(
+                tables, SimulatedDisk(config.timing_model()), NEXT_TABLE_ID
+            )
+        else:
+            if not compacted:  # the first major label runs them all
+                disks = [SimulatedDisk(config.timing_model()) for _ in majors]
+                joint = compact_majors(
+                    list(majors.values()), tables, disks, NEXT_TABLE_ID
+                )
+                compacted = dict(zip(majors, joint))
+            result = compacted.pop(label)
+        read_metrics: dict = {}
+        if read_ops is not None and read_ops.has_ops:
+            read_metrics = served_fields(serve_reads(result.output_tables, read_ops))
+        results[label] = StrategyResult(
+            strategy=label,
+            lopt_entries=sum(table.entry_count for table in tables),
+            **compacted_fields(result),
+            **read_metrics,
+        )
+    return results
+
+
 def run_strategy(
     tables: Sequence[SSTable],
     label: str,
@@ -120,24 +181,5 @@ def run_strategy(
     seed: Optional[int] = None,
     read_ops: Optional[ReadOpColumns] = None,
 ) -> StrategyResult:
-    """Compact ``tables`` with the labelled strategy; return its metrics.
-
-    With ``read_ops``, the workload's READ/SCAN operations are replayed
-    against the strategy's *output* tables afterwards (the serving
-    phase), so the result also carries per-policy read amplification,
-    bloom false-positive and read-byte metrics.
-    """
-    if not tables:
-        raise CompactionError("phase 2 needs at least one sstable")
-    strategy = build_strategy(label, config, seed=seed)
-    disk = SimulatedDisk(config.timing_model())
-    result = strategy.compact(tables, disk, next_table_id=10_000_000)
-    read_metrics: dict = {}
-    if read_ops is not None and read_ops.has_ops:
-        read_metrics = served_fields(serve_reads(result.output_tables, read_ops))
-    return StrategyResult(
-        strategy=label,
-        lopt_entries=sum(table.entry_count for table in tables),
-        **compacted_fields(result),
-        **read_metrics,
-    )
+    """:func:`run_strategies` for one label."""
+    return run_strategies(tables, [label], config, seed=seed, read_ops=read_ops)[label]

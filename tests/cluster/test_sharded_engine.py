@@ -224,24 +224,25 @@ class TestUnshardedIdentity:
 
     def test_write_column_freed_after_phase1(self, monkeypatch):
         """No shard's write column outlives its phase 1, in the serial
-        cell and in the pool's shard task alike."""
+        cell and in the pool's shard task alike: the spy on the cell-level
+        phase 2 (``run_strategies``) fires once per shard and sees none."""
         columns = []
         alive_in_phase2 = []
         phase1 = engine_module.phase1_from_columns
-        strategy = engine_module.run_strategy
+        strategies = engine_module.run_strategies
 
         def watched_phase1(keynums, *args, **kwargs):
             columns.append(weakref.ref(keynums))
             return phase1(keynums, *args, **kwargs)
 
-        def watched_strategy(*args, **kwargs):
+        def watched_strategies(*args, **kwargs):
             alive_in_phase2.append([ref() is not None for ref in columns])
-            return strategy(*args, **kwargs)
+            return strategies(*args, **kwargs)
 
         monkeypatch.setattr(
             engine_module, "phase1_from_columns", watched_phase1
         )
-        monkeypatch.setattr(engine_module, "run_strategy", watched_strategy)
+        monkeypatch.setattr(engine_module, "run_strategies", watched_strategies)
         for num_shards in (1, 3):
             config = small_config(num_shards=num_shards)
             cell = lambda: _comparison_cell(config, ("SI",), 0)
@@ -254,7 +255,8 @@ class TestUnshardedIdentity:
                 alive_in_phase2.clear()
                 run()
                 assert len(columns) == num_shards
-                assert alive_in_phase2 and not any(map(any, alive_in_phase2))
+                assert len(alive_in_phase2) == num_shards
+                assert not any(map(any, alive_in_phase2))
 
 
 class TestJobsByteStability:

@@ -26,6 +26,17 @@ class TestConstruction:
         assert 90 <= sketch.cardinality() <= 110
 
 
+    @pytest.mark.parametrize("force_pure", (False, True))
+    def test_int_array_sketches_like_its_plain_ints(self, force_pure):
+        import numpy
+
+        array = numpy.arange(-500, 2_000, 7)
+        for keys in (array, array.astype(numpy.int32)):
+            sketch = HyperLogLog.of(keys, precision=10, force_pure=force_pure)
+            plain = HyperLogLog.of(keys.tolist(), precision=10, force_pure=force_pure)
+            assert sketch.to_bytes() == plain.to_bytes()
+
+
 class TestAccuracy:
     @pytest.mark.parametrize("true_count", [10, 100, 1000, 20000])
     def test_error_within_5_sigma(self, true_count):

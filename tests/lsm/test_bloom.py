@@ -71,6 +71,28 @@ class TestMembership:
         assert all(key in bloom for key in keys)
 
 
+class TestNumpyArrays:
+    """An int64 / uint64 array is hashed as the plain ints it holds (a
+    numpy scalar would hash by its repr and miss every plain-int probe)."""
+
+    @pytest.mark.parametrize("dtype", (numpy.int64, numpy.uint64, numpy.int32))
+    def test_no_false_negatives_for_plain_int_probes(self, dtype):
+        array = numpy.arange(100, dtype=dtype)
+        bloom = BloomFilter.of(array)
+        assert all(int(key) in bloom for key in array)
+
+    @pytest.mark.parametrize("dtype", (numpy.int64, numpy.uint64, numpy.int32))
+    def test_bits_equal_the_plain_int_list(self, dtype):
+        array = numpy.arange(-50 if dtype != numpy.uint64 else 0, 400, 3).astype(dtype)
+        from_array = BloomFilter.of(array)
+        from_list = BloomFilter.of(array.tolist())
+        assert len(from_array) == len(from_list) == array.size
+        assert from_array._bits == from_list._bits
+        grown = BloomFilter(array.size)
+        grown.add_all(array)
+        assert grown._bits == from_list._bits
+
+
 class TestContainsBatch:
     def test_matches_scalar_membership(self):
         bloom = BloomFilter.of(range(0, 1000, 3), fp_rate=0.05)

@@ -4,7 +4,8 @@ A schedule that reads a table no earlier step leaves live is refused
 with a :class:`CompactionError`; a single-table schedule merges nothing;
 utilization is the merges' share of the merge wall.  A counted bound on
 the intermediate tables alive during an SI and a BT(I) schedule checks
-that settling frees them as it goes.
+that settling frees them as it goes, and a joint SI + SO + BT(I) run
+checks that a shared output dies once its last reader has merged.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from repro.lsm import (
     Record,
     SSTable,
     SimulatedDisk,
+    compact_majors,
     execute_schedule,
 )
 from repro.lsm.compaction import executor as executor_module
@@ -135,3 +137,45 @@ class TestIntermediatesFreed:
         assert [ref() for ref in watched if ref() is not None] == [
             result.output_table
         ]
+
+    def test_joint_run_frees_each_output_after_its_last_reader(self, monkeypatch):
+        """SI + SO + BT(I) executed jointly: every merge output is watched;
+        from the merge after its last reader on it must be dead, and after
+        the call only the schedules' final tables are alive.  An output
+        whose only consumer is a reused step is merged (to bill it) but
+        read by no merge: it must be dead from the next merge on."""
+        watched: list[weakref.ref] = []
+        alive_at: list[list[bool]] = []  # per merge: which outputs live
+        last_reader: dict[int, int] = {}  # watched index -> merge index
+        merge_step = executor_module._merge_step
+
+        def watching_merge_step(inputs, new_table_id, *args):
+            merge_index = len(alive_at)
+            alive_at.append([ref() is not None for ref in watched])
+            for index, ref in enumerate(watched):
+                if any(ref() is table for table in inputs):
+                    last_reader[index] = merge_index
+            output, seconds = merge_step(inputs, new_table_id, *args)
+            watched.append(weakref.ref(output))
+            return output, seconds
+
+        monkeypatch.setattr(executor_module, "_merge_step", watching_merge_step)
+        tables = self.columnar_tables(self.N_TABLES, seed=17)
+        strategies = [
+            MajorCompaction(policy, merge_kernel="columnar")
+            for policy in ("SI", "SO", "BT(I)")
+        ]
+        results = compact_majors(
+            strategies, tables, [SimulatedDisk() for _ in strategies], self.FIRST_ID
+        )
+
+        billed = sum(result.n_merges for result in results)
+        assert len(alive_at) < billed == 3 * (self.N_TABLES - 1)
+        finals = {id(result.output_table) for result in results}
+        for index, ref in enumerate(watched):
+            if id(ref()) in finals:
+                continue
+            last = last_reader.get(index, index)  # merge ``index`` made it
+            for alive in alive_at[last + 1:]:
+                assert not alive[index], (index, last)
+        assert {id(ref()) for ref in watched if ref() is not None} == finals
