@@ -66,11 +66,36 @@ def read_manifest(fs) -> Optional[ManifestState]:
     payload, _end = block
     try:
         doc = json.loads(payload.decode("utf-8"))
-        return ManifestState(
-            live_tables=tuple(int(t) for t in doc["live_tables"]),
-            next_table_id=int(doc["next_table_id"]),
-            last_seqno=int(doc["last_seqno"]),
-            version=int(doc["version"]),
+    except ValueError as exc:
+        raise CorruptionError(f"MANIFEST is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorruptionError("MANIFEST is not a JSON object")
+    version = _count("version", doc.get("version"))
+    if version != _VERSION:
+        raise CorruptionError(
+            f"MANIFEST field 'version' is {version}; this build reads {_VERSION}"
         )
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptionError(f"MANIFEST is structurally invalid: {exc}") from exc
+    tables = doc.get("live_tables")
+    if not isinstance(tables, list):
+        raise CorruptionError(f"MANIFEST field 'live_tables' holds {tables!r}, not a list")
+    return ManifestState(
+        live_tables=tuple(_count("live_tables", table) for table in tables),
+        next_table_id=_count("next_table_id", doc.get("next_table_id")),
+        last_seqno=_count("last_seqno", doc.get("last_seqno")),
+        version=version,
+    )
+
+
+def _count(field: str, value) -> int:
+    """``value`` of MANIFEST ``field`` as a non-negative int.
+
+    The writer stores only such ints, so anything else (a missing field,
+    a float such as 1.5 or the ``inf`` that ``Infinity`` and ``1e400``
+    parse to, a bool, a string, a negative number) is corruption, named
+    by its field.
+    """
+    if type(value) is not int or value < 0:
+        raise CorruptionError(
+            f"MANIFEST field {field!r} holds {value!r}, not a non-negative integer"
+        )
+    return value

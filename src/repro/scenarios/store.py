@@ -43,6 +43,32 @@ SCHEMA_VERSION = 1
 
 DEFAULT_STORE_ROOT = Path("results") / "runs"
 
+#: The JSON type each manifest field must hold.  The listing sorts on
+#: ``created_at`` and ``run_id``, so a wrong type there would take every
+#: sibling down with it; the loader refuses it instead.
+_FIELD_TYPES = {
+    "run_id": str,
+    "scenario": dict,
+    "spec_hash": str,
+    "config": dict,
+    "runs": int,
+    "jobs": int,
+    "fast": bool,
+    "created_at": str,
+    "cells": list,
+    "git": str,
+    "plane_used": str,
+}
+#: Fields older manifests lack or hold as null.
+_OPTIONAL_FIELDS = frozenset({"git", "plane_used"})
+_TYPE_NAMES = {
+    str: "a string",
+    dict: "an object",
+    list: "a list",
+    int: "an integer",
+    bool: "a boolean",
+}
+
 
 def git_describe() -> Optional[str]:
     """``git describe --always --dirty`` of the working tree, or None."""
@@ -150,10 +176,10 @@ class ResultsStore:
     def load(self, path: Path | str) -> RunManifest:
         path = Path(path)
         try:
-            document = json.loads(path.read_text())
+            document = json.loads(path.read_bytes().decode("utf-8"))
         except OSError as exc:
             raise ResultsStoreError(f"cannot read manifest {path}: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ResultsStoreError(f"corrupt manifest {path}: {exc}") from None
         if not isinstance(document, dict):
             raise ResultsStoreError(
@@ -161,33 +187,30 @@ class ResultsStore:
                 f"got {type(document).__name__}"
             )
         version = document.get("schema_version")
-        if not isinstance(version, int) or version > SCHEMA_VERSION:
+        if type(version) is not int or not 1 <= version <= SCHEMA_VERSION:
             raise ResultsStoreError(
                 f"manifest {path} has schema_version {version!r}; this build "
-                f"reads versions <= {SCHEMA_VERSION}"
+                f"reads versions 1..{SCHEMA_VERSION}"
             )
-        if not isinstance(document.get("cells", []), list):
-            raise ResultsStoreError(f"corrupt manifest {path}: cells is not a list")
-        try:
-            return RunManifest(
-                run_id=document["run_id"],
-                scenario=document["scenario"],
-                spec_hash=document["spec_hash"],
-                config=document["config"],
-                runs=document["runs"],
-                jobs=document["jobs"],
-                fast=document["fast"],
-                created_at=document["created_at"],
-                git=document.get("git"),
-                plane_used=document.get("plane_used"),
-                cells=document["cells"],
-                schema_version=version,
-                path=path,
-            )
-        except KeyError as exc:
-            raise ResultsStoreError(
-                f"manifest {path} is missing required field {exc}"
-            ) from None
+        for name, kind in _FIELD_TYPES.items():
+            value = document.get(name)
+            if value is None and name in _OPTIONAL_FIELDS:
+                continue
+            if name not in document:
+                raise ResultsStoreError(
+                    f"manifest {path} is missing required field {name!r}"
+                )
+            # json.loads builds exact types, so `type is` also keeps a
+            # bool out of the int fields.
+            if type(value) is not kind:
+                raise ResultsStoreError(
+                    f"corrupt manifest {path}: {name} is not {_TYPE_NAMES[kind]}"
+                )
+        return RunManifest(
+            **{name: document.get(name) for name in _FIELD_TYPES},
+            schema_version=version,
+            path=path,
+        )
 
     def manifests(self, scenario: Optional[str] = None) -> Iterator[RunManifest]:
         """All readable manifests (optionally for one scenario), oldest

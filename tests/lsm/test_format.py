@@ -1,6 +1,7 @@
 """Tests for the on-disk formats: checksums, encoding, sstables, manifest."""
 
 import itertools
+import json
 import struct
 from unittest import mock
 
@@ -725,4 +726,58 @@ class TestManifest:
         write_manifest(fs, ManifestState(live_tables=(1,)))
         fs.flip_bit(MANIFEST_NAME, fs.size(MANIFEST_NAME) - 1)
         with pytest.raises(CorruptionError):
+            read_manifest(fs)
+
+    VALID = {"version": 1, "live_tables": [2, 0], "next_table_id": 3, "last_seqno": 9}
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("live_tables", "[Infinity]", "'live_tables'"),
+            ("live_tables", "[1e400]", "'live_tables'"),
+            ("live_tables", "[NaN]", "'live_tables'"),
+            ("live_tables", "[1.5]", "'live_tables'"),
+            ("live_tables", "[1.0]", "'live_tables'"),
+            ("live_tables", "[true]", "'live_tables'"),
+            ("live_tables", "[-1]", "'live_tables'"),
+            ("live_tables", '["1"]', "'live_tables'"),
+            ("live_tables", "[null]", "'live_tables'"),
+            ("live_tables", "7", "'live_tables'"),
+            ("live_tables", None, "'live_tables'"),
+            ("next_table_id", "-1", "'next_table_id'"),
+            ("next_table_id", "Infinity", "'next_table_id'"),
+            ("next_table_id", "false", "'next_table_id'"),
+            ("next_table_id", None, "'next_table_id'"),
+            ("last_seqno", "-3", "'last_seqno'"),
+            ("last_seqno", "2.5", "'last_seqno'"),
+            ("version", "99", "'version' is 99"),
+            ("version", "0", "'version' is 0"),
+            ("version", "true", "'version'"),
+            ("version", None, "'version'"),
+        ],
+    )
+    def test_crc_valid_garbage_names_its_field(self, field, value, match):
+        """A document that passes the checksum but holds what the writer
+        never writes is a CorruptionError naming the field (never an
+        OverflowError, and never read as some other table or version).
+        A ``None`` value leaves the field out."""
+        members = [
+            f'"{name}": {value if name == field else json.dumps(good)}'
+            for name, good in self.VALID.items()
+            if name != field or value is not None
+        ]
+        fs = MemoryFileSystem()
+        handle = fs.open_write(MANIFEST_NAME)
+        handle.append(frame_block(("{" + ", ".join(members) + "}").encode("utf-8")))
+        handle.close()
+        with pytest.raises(CorruptionError, match=match):
+            read_manifest(fs)
+
+    @pytest.mark.parametrize("payload", [b"[1, 2]", b"{", b"\xff\xfe", b"null"])
+    def test_crc_valid_non_object_rejected(self, payload):
+        fs = MemoryFileSystem()
+        handle = fs.open_write(MANIFEST_NAME)
+        handle.append(frame_block(payload))
+        handle.close()
+        with pytest.raises(CorruptionError, match="MANIFEST"):
             read_manifest(fs)

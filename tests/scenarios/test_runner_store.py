@@ -356,6 +356,62 @@ class TestStore:
         with pytest.warns(UserWarning, match=r"x\.json"):
             assert [m.path for m in store.manifests()] == [path]
 
+    @pytest.mark.parametrize(
+        "field, value, complaint",
+        [
+            ("schema_version", True, "schema_version True"),
+            ("schema_version", 0, "schema_version 0"),
+            ("run_id", 12, "run_id is not a string"),
+            ("created_at", 1700000000, "created_at is not a string"),
+            ("spec_hash", None, "spec_hash is not a string"),
+            ("runs", True, "runs is not an integer"),
+            ("fast", 1, "fast is not a boolean"),
+            ("scenario", [], "scenario is not an object"),
+            ("git", 7, "git is not a string"),
+        ],
+    )
+    def test_load_checks_field_types(
+        self, runner, store, tmp_path, field, value, complaint
+    ):
+        _, path = runner.run_and_record("churn", runs=1, overrides=TINY)
+        document = json.loads(path.read_text())
+        document[field] = value
+        bad = tmp_path / "typed.json"
+        bad.write_text(json.dumps(document))
+        with pytest.raises(ResultsStoreError, match=complaint):
+            store.load(bad)
+
+    def test_hostile_siblings_are_skipped_and_the_good_ones_listed(
+        self, runner, store
+    ):
+        """Each of these used to crash the whole listing: a non-UTF-8 byte
+        with UnicodeDecodeError, an int run_id or created_at with a
+        TypeError in the sort (a bool schema_version loaded as version
+        1).  Each is now skipped with a warning naming its file."""
+        good = [runner.run_and_record("churn", runs=1, overrides=TINY)[1]]
+        good.append(store.write(runner.run("churn", runs=1, overrides=TINY)))
+        text = good[0].read_text()
+        document = json.loads(text)
+        hostile = {
+            "latin1.json": text.encode().replace(b'"churn"', b'"churn\xe9"', 1),
+        }
+        for field, value in [
+            ("schema_version", True),
+            ("run_id", 12),
+            ("created_at", 1700000000),
+        ]:
+            hostile[f"{field}.json"] = json.dumps({**document, field: value}).encode()
+        for name, data in hostile.items():
+            (good[0].parent / name).write_bytes(data)
+        with pytest.warns(UserWarning) as caught:
+            assert [m.path for m in store.manifests("churn")] == good
+        skipped = sorted(
+            name for name in hostile for w in caught if name in str(w.message)
+        )
+        assert skipped == sorted(hostile)
+        with pytest.warns(UserWarning):
+            assert store.latest("churn").path == good[1]
+
 
 class TestKernelSweeps:
     def test_k_sweep_preset_executes(self, runner):

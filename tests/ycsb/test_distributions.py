@@ -1,12 +1,21 @@
 """Tests for the YCSB key-access distributions."""
 
+import json
 import random
+import struct
 from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
+from repro.simulator.config import SimulationConfig
+from repro.ycsb import distributions
 from repro.ycsb import (
+    CoreWorkload,
     LatestChooser,
     ScrambledZipfianChooser,
     SequentialChooser,
@@ -173,6 +182,14 @@ def decode_draws(chooser, rng, counts) -> list[int]:
 
 GRAY_CHOOSERS = ["zipfian", "latest", "scrambled_zipfian"]
 
+#: The benchmark's workload files: the fallback share is pinned at their
+#: simulator workloads' shapes.
+BENCH_WORKLOADS = Path(__file__).parents[2] / "bench" / "workloads"
+
+#: The default theta plus both ends of (0, 1) and the steep middle: the
+#: tail certificate's bound grows with alpha = 1 / (1 - theta).
+THETAS = [0.01, 0.5, 0.9, 0.99, 0.999, 0.99999]
+
 
 class TestDecodeBatch:
     """The batch decode is bit-identical to the scalar next() loop."""
@@ -182,23 +199,25 @@ class TestDecodeBatch:
     )
     NON_MONOTONIC = [5] * 40 + [9] * 40 + [3] * 5 + [11] * 40
 
+    @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("name", GRAY_CHOOSERS)
     @pytest.mark.parametrize("counts", [GROWING, NON_MONOTONIC])
-    def test_matches_scalar_loop(self, name, counts):
-        scalar_chooser = make_chooser(name)
+    def test_matches_scalar_loop(self, name, counts, theta):
+        scalar_chooser = make_chooser(name, theta)
         scalar_rng = random.Random(13)
         expected = [scalar_chooser.next(scalar_rng, c) for c in counts]
         batch_rng = random.Random(13)
-        assert decode_draws(make_chooser(name), batch_rng, counts) == expected
+        assert decode_draws(make_chooser(name, theta), batch_rng, counts) == expected
         assert batch_rng.getstate() == scalar_rng.getstate()
 
+    @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("name", GRAY_CHOOSERS)
-    def test_state_continues_across_batches(self, name):
+    def test_state_continues_across_batches(self, name, theta):
         counts = self.GROWING
-        scalar_chooser = make_chooser(name)
+        scalar_chooser = make_chooser(name, theta)
         scalar_rng = random.Random(3)
         expected = [scalar_chooser.next(scalar_rng, c) for c in counts]
-        mixed_chooser = make_chooser(name)
+        mixed_chooser = make_chooser(name, theta)
         mixed_rng = random.Random(3)
         got = decode_draws(mixed_chooser, mixed_rng, counts[:100])
         got += [mixed_chooser.next(mixed_rng, c) for c in counts[100:200]]
@@ -255,3 +274,149 @@ class TestDecodeBatch:
         for name in ("latest", "scrambled_zipfian"):
             values = decode_draws(make_chooser(name), random.Random(4), [2] * 50)
             assert set(values) <= {0, 1}
+
+
+class _Variate:
+    """An rng stand-in whose one ``random()`` draw is ``u``."""
+
+    def __init__(self, u: float) -> None:
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+def _float_bits(value: float) -> int:
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def _bits_float(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def _straddling_variates(theta: float, n: int, k: int) -> tuple[float, float]:
+    """Adjacent floats ``u_below < u_at`` whose scalar keys are ``< k``
+    and ``>= k``: ``n * p`` lies on either side of the integer ``k``.
+
+    Bisects over the bit patterns of positive floats (ordered like their
+    values) between the tail's start, whose key is at most 2, and the
+    largest float below one, whose key is ``n - 1``.
+    """
+    chooser = ZipfianChooser(theta)
+    chooser._extend_zeta(n)
+
+    def reaches(bits: int) -> bool:
+        return chooser.next(_Variate(_bits_float(bits)), n) >= k
+
+    low = _float_bits(chooser._zeta2 / chooser._zetan)
+    high = _float_bits(np.nextafter(1.0, 0.0))
+    assert not reaches(low) and reaches(high)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if reaches(middle):
+            high = middle
+        else:
+            low = middle
+    return _bits_float(low), _bits_float(high)
+
+
+class _FallbackSpy:
+    """Counts the tail elements ``decode_batch`` recomputes through libm
+    (the ``base**alpha`` calls of ``_libm_pow``) and all tail elements
+    (the ``np.power`` pass of ``_tail_base``)."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.tail = 0
+        self.redone = 0
+        libm_pow = distributions._libm_pow
+        tail_base = ZipfianChooser._tail_base
+
+        def counting_pow(bases, exponent):
+            if exponent > 1.0:  # alpha = 1 / (1 - theta); the other sites are < 1
+                self.redone += len(bases)
+            return libm_pow(bases, exponent)
+
+        def counting_tail_base(chooser, u, sizes, zetan, power):
+            if power is not counting_pow:
+                self.tail += len(u)
+            return tail_base(chooser, u, sizes, zetan, power)
+
+        monkeypatch.setattr(distributions, "_libm_pow", counting_pow)
+        monkeypatch.setattr(ZipfianChooser, "_tail_base", counting_tail_base)
+
+
+def _perturbed_power(relative_error: float):
+    """``np.power`` with every result moved by ``relative_error`` in an
+    alternating direction: a kernel far worse than any real one, yet
+    inside the certificate's assumed bound."""
+    exact = np.power
+
+    def power(bases, exponent):
+        result = exact(bases, exponent)
+        signs = np.where(np.arange(result.size) % 2 == 0, 1.0, -1.0)
+        return result * (1.0 + relative_error * signs)
+
+    return power
+
+
+class TestTailCertificate:
+    """``np.power`` in the tail, certified against libm's keys."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        theta=st.one_of(st.sampled_from(THETAS), st.floats(0.01, 0.99999)),
+        n=st.integers(4, 3000),
+        where=st.floats(0.0, 1.0),
+        variates=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
+    )
+    def test_straddling_keys_fall_back_to_libm(self, theta, n, where, variates):
+        """Variates solved so that ``n * p`` lands on an integer are the
+        ones the certificate cannot settle: both fall back, and every key
+        equals ``next()``'s — with numpy's real kernel and with one
+        2**11 ulp off in either direction."""
+        k = 3 + int(where * (n - 4))
+        straddle = list(_straddling_variates(theta, n, k))
+        scalar = ZipfianChooser(theta)
+        for power in (np.power, _perturbed_power(2.0**-41), _perturbed_power(-(2.0**-41))):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(np, "power", power)
+                spy = _FallbackSpy(patch)
+                chooser = ZipfianChooser(theta)
+                keys = chooser.decode_batch(straddle, [n, n]).tolist()
+                assert spy.redone == spy.tail == 2
+                assert keys == [scalar.next(_Variate(u), n) for u in straddle]
+                assert keys[0] < k <= keys[1]
+                mixed = variates + straddle
+                got = ZipfianChooser(theta).decode_batch(mixed, [n] * len(mixed)).tolist()
+                assert got == [scalar.next(_Variate(u), n) for u in mixed]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_kernel_off_by_2_to_the_11_ulp_still_gives_libm_keys(self, monkeypatch, theta):
+        counts = list(range(3, 40_003, 2))
+        scalar = ZipfianChooser(theta)
+        rng = random.Random(29)
+        expected = [scalar.next(rng, c) for c in counts]
+        monkeypatch.setattr(np, "power", _perturbed_power(2.0**-41))
+        assert decode_draws(ZipfianChooser(theta), random.Random(29), counts) == expected
+
+    @pytest.mark.parametrize(
+        "shape, distribution",
+        [("bulk-merge", name) for name in GRAY_CHOOSERS]
+        + [("policy-sweep", "latest"), ("mixed-serving", "zipfian")],
+    )
+    def test_fallback_share_at_bench_shape(self, monkeypatch, shape, distribution):
+        """Measured at seed 11 (2-core x86-64 box with AVX-512, numpy
+        2.4.6, the SIMD and the scalar ``np.power`` loop alike): 29 of
+        895 048 tail keys fall back at bulk-merge shape on every Gray
+        distribution (they share one rank stream), 3 of 175 692 at
+        policy-sweep shape, 1 of 371 014 at mixed-serving shape.  The
+        bar is one in 10 000 tail keys; zero would mean the certificate
+        no longer runs."""
+        spec = json.loads((BENCH_WORKLOADS / f"{shape}.json").read_text())
+        config = SimulationConfig(
+            **dict(spec["scenario"]["config"], distribution=distribution), seed=11
+        )
+        spy = _FallbackSpy(monkeypatch)
+        CoreWorkload(config.workload_config()).op_stream_columns(include_read_ops=True)
+        assert spy.tail > 100_000
+        assert 0 < spy.redone <= spy.tail // 10_000
