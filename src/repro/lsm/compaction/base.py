@@ -50,7 +50,7 @@ class CompactionResult:
     # fraction of it spent merging.  ``merge_executor`` and
     # ``merge_workers`` are constants the benchmark's traced mirror
     # (bench/simulator.py) still reads; they leave with the next
-    # benchmark change (ROADMAP item 1).
+    # benchmark change (ROADMAP item 4).
     merge_executor: str = "serial"
     merge_workers: int = 1
     merge_wall_seconds: float = 0.0

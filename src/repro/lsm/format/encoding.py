@@ -97,7 +97,11 @@ def decode_key(data: bytes, offset: int) -> tuple[Hashable, int]:
         if end > len(data):
             raise CorruptionError("truncated key payload")
         payload = data[offset:end]
-        return (payload.decode("utf-8") if tag == _KEY_STR else payload), end
+        try:
+            return (payload.decode("utf-8") if tag == _KEY_STR else payload), end
+        except UnicodeDecodeError as error:
+            message = f"str key is not valid UTF-8: {error.reason}"
+            raise CorruptionError(message) from None
     raise CorruptionError(f"unknown key tag {tag}")
 
 

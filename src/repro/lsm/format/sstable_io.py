@@ -53,8 +53,9 @@ import struct
 
 import numpy as _np
 
-from ...errors import CorruptionError, StorageError
+from ...errors import ConfigError, CorruptionError, StorageError
 from ...hll import HyperLogLog
+from ...hll.hyperloglog import MAX_PRECISION, MIN_PRECISION
 from ..bloom import BloomFilter
 from ..record import Record
 from ..sstable import SSTable, TableColumns
@@ -426,6 +427,12 @@ def _decode_columns(data: bytes, frames, index_entries, entry_count: int):
     )
 
 
+def _ascending(before, key) -> bool:
+    """Whether ``key`` may follow ``before`` in a table: strictly greater
+    and of the same type (int, str and bytes keys do not compare)."""
+    return type(key) is type(before) and key > before
+
+
 def _decode_records(
     data: bytes, frames, index_entries, entry_count: int
 ) -> list[Record]:
@@ -440,24 +447,30 @@ def _decode_records(
         frames, index_entries
     ):
         payload = data[start:end]
-        count, position = decode_varint(payload, 0)
-        if count != record_count:
-            raise CorruptionError(
-                f"sstable data block at {block_offset} holds {count} records, "
-                f"index says {record_count}"
-            )
-        for index_in_block in range(count):
-            record, position = decode_record(payload, position)
-            if index_in_block == 0 and record.key != first_key:
+        try:
+            count, position = decode_varint(payload, 0)
+            if count != record_count or not count:
                 raise CorruptionError(
-                    f"sstable data block at {block_offset} starts at key "
-                    f"{record.key!r}, index says {first_key!r}"
+                    f"holds {count} records, index says {record_count}"
                 )
-            records.append(record)
-        if position != len(payload):
+            for index_in_block in range(count):
+                record, position = decode_record(payload, position)
+                key = record.key
+                if index_in_block == 0 and key != first_key:
+                    raise CorruptionError(
+                        f"starts at key {key!r}, index says {first_key!r}"
+                    )
+                if records and not _ascending(records[-1].key, key):
+                    raise CorruptionError(
+                        f"holds key {key!r} after key {records[-1].key!r}"
+                    )
+                records.append(record)
+            if position != len(payload):
+                raise CorruptionError("has trailing bytes")
+        except CorruptionError as error:
             raise CorruptionError(
-                f"sstable data block at {block_offset} has trailing bytes"
-            )
+                f"sstable data block at {block_offset}: {error}"
+            ) from None
     if len(records) != entry_count:
         raise CorruptionError(
             f"sstable holds {len(records)} records, footer says {entry_count}"
@@ -498,11 +511,16 @@ def decode_sstable(data: bytes) -> SSTable:
     index_payload = payloads[index_offset]
     index_entries = []
     offset = 0
-    for _ in range(block_count):
-        block_offset, offset = decode_varint(index_payload, offset)
-        record_count, offset = decode_varint(index_payload, offset)
-        first_key, offset = decode_key(index_payload, offset)
-        index_entries.append((block_offset, record_count, first_key))
+    try:
+        for _ in range(block_count):
+            block_offset, offset = decode_varint(index_payload, offset)
+            record_count, offset = decode_varint(index_payload, offset)
+            first_key, offset = decode_key(index_payload, offset)
+            index_entries.append((block_offset, record_count, first_key))
+    except CorruptionError as error:
+        raise CorruptionError(
+            f"sstable index block at offset {index_offset}: {error}"
+        ) from None
     if offset != len(index_payload):
         raise CorruptionError("sstable index block has trailing bytes")
     data_frames = frames[:block_count]
@@ -520,7 +538,12 @@ def decode_sstable(data: bytes) -> SSTable:
     k_hashes, offset = decode_varint(bloom_payload, offset)
     key_count, offset = decode_varint(bloom_payload, offset)
     bloom_bits = bloom_payload[offset:]
-    bloom = BloomFilter.from_state(m_bits, k_hashes, key_count, bloom_bits)
+    try:
+        bloom = BloomFilter.from_state(m_bits, k_hashes, key_count, bloom_bits)
+    except ConfigError as error:
+        raise CorruptionError(
+            f"sstable bloom block at offset {bloom_offset}: {error}"
+        ) from None
 
     sketch_payload = payloads[sketch_offset]
     offset = 0
@@ -529,6 +552,11 @@ def decode_sstable(data: bytes) -> SSTable:
     for _ in range(sketch_count):
         precision, offset = decode_varint(sketch_payload, offset)
         seed, offset = decode_zigzag(sketch_payload, offset)
+        if not MIN_PRECISION <= precision <= MAX_PRECISION:
+            raise CorruptionError(
+                f"sstable sketch block at offset {sketch_offset} holds precision "
+                f"{precision}, outside [{MIN_PRECISION}, {MAX_PRECISION}]"
+            )
         end = offset + (1 << precision)
         if end > len(sketch_payload):
             raise CorruptionError("sstable sketch block is truncated")

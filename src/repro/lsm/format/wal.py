@@ -125,7 +125,12 @@ class FileWriteAheadLog:
                     self._fs.truncate(self._name, offset)
                 break
             payload, next_offset = block
-            record, end = decode_record(payload, 0)
+            try:
+                record, end = decode_record(payload, 0)
+            except CorruptionError as error:
+                raise CorruptionError(
+                    f"WAL frame at offset {offset}: {error}"
+                ) from None
             if end != len(payload):
                 raise CorruptionError(
                     f"WAL frame at offset {offset} has {len(payload) - end} "

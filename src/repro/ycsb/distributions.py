@@ -26,22 +26,15 @@ exactly one ``rng.random()`` per key, so a caller that reads the rng
 stream itself (:mod:`repro.ycsb.wordstream`) hands the variates to
 :meth:`ZipfianChooser.decode_batch` and gets the keys the scalar
 :meth:`KeyChooser.next` calls would have produced, bit for bit, zeta
-state included.  The decode is numpy arrays in and out; IEEE-754 defines
-add/mul/div exactly, so everything vectorizes except ``pow``, whose
-numpy SIMD kernels are not bit-identical to libm's.  Of the three
-``pow`` sites, the marginal zeta terms ``i**theta`` stay one
-``map(math.pow, ...)``: ``zeta(n)`` is chooser state and is compared
-exactly.  The tail's two sites, ``(2/n)**(1-theta)`` per key-space size
-and ``base**alpha`` per key, run through ``np.power``, and a certificate
-keeps each key only where the ``pow`` error cannot move it: the key is
-``int(n * p)``, so ``p``'s last bits matter only where ``n * p`` is
-within a bound ``R`` (derived in :meth:`ZipfianChooser.decode_batch`,
-about ``2 alpha 2**-39`` relative at ``theta = 0.99``) of an integer.
-Those keys are recomputed through libm.  At the benchmark's shapes and
-seed 11 that is 29 of 895 048 tail keys for a 2 M-operation stream on
-each of zipfian, scrambled zipfian and latest (the three share one rank
-stream), 3 of 175 692 at 400 k operations (latest) and 1 of 371 014 for
-a 500 k-operation zipfian mix with reads and scans.
+state included.  The decode is numpy arrays in and out.  IEEE-754
+defines add/mul/div exactly, so those vectorize as they are; ``pow`` is
+not exact, and numpy's SIMD ``power`` loops round some inputs
+differently from libm's ``pow``, which the scalar path calls.  All three
+``pow`` sites therefore run through ``np.float_power``, whose float64
+loop calls the C library's ``pow`` per element, as ``math.pow`` and
+``float.__pow__`` do: the marginal zeta terms ``i**theta``,
+``(2/n)**(1-theta)`` once per key-space size and ``base**alpha`` once
+per tail key.
 
 Rejection-sampled choosers (uniform, hotspot) consume a data-dependent
 number of ``getrandbits`` draws per key whose acceptance depends on the
@@ -51,10 +44,8 @@ running key-space size; they have no batch decode and are driven one
 
 from __future__ import annotations
 
-import math
 import random
 from abc import ABC, abstractmethod
-from itertools import repeat
 
 import numpy as _np
 
@@ -67,21 +58,6 @@ DEFAULT_ZIPFIAN_THETA = 0.99
 #: run-phase inserts grow the key space one key at a time and a numpy
 #: round-trip per single term would be slower than the arithmetic.
 _ZETA_VECTOR_MIN = 32
-
-#: Largest relative gap between two ``pow`` kernels on the same input
-#: that the tail certificate allows for (each within 2**12 ulp of the true
-#: power; see :meth:`ZipfianChooser.decode_batch`).
-_POW_GAP = 2.0**-39
-
-
-def _libm_pow(bases, exponent: float) -> "_np.ndarray":
-    """``base ** exponent`` per element through libm's ``pow``, the one
-    operation of the decode numpy cannot do bit-identically: the zeta
-    terms, and the tail keys the certificate leaves unsettled."""
-    return _np.fromiter(
-        map(math.pow, bases, repeat(exponent)), dtype=_np.float64, count=len(bases)
-    )
-
 
 class KeyChooser(ABC):
     """Chooses a key index in ``[0, item_count)``."""
@@ -138,14 +114,17 @@ class ZipfianChooser(KeyChooser):
 
         ``np.add.accumulate`` applies the additions strictly sequentially
         and the base value is prepended before accumulating, so every
-        partial sum is bit-identical to the scalar ``+=`` loop.  The
-        ``i ** theta`` terms go through libm (see module docstring);
-        only the reciprocal and the running sum vectorize.
+        partial sum is bit-identical to the scalar ``+=`` loop.  Each
+        base is an int64 cast to float64, the float that ``i ** theta``
+        converts ``i`` to, and its power comes from libm through
+        ``np.float_power`` (see module docstring).
         """
         accumulation = _np.empty(item_count - self._n + 1, dtype=_np.float64)
         accumulation[0] = self._zetan
-        accumulation[1:] = _libm_pow(range(self._n + 1, item_count + 1), self.theta)
-        _np.divide(1.0, accumulation[1:], out=accumulation[1:])
+        terms = accumulation[1:]
+        terms[:] = _np.arange(self._n + 1, item_count + 1, dtype=_np.int64)
+        _np.float_power(terms, self.theta, out=terms)
+        _np.divide(1.0, terms, out=terms)
         return _np.add.accumulate(accumulation, out=accumulation)
 
     def _extend_zeta(self, item_count: int) -> None:
@@ -202,43 +181,11 @@ class ZipfianChooser(KeyChooser):
         Updates the incremental zeta state exactly as the scalar calls
         would.
 
-        The tail runs both of its ``pow`` sites through ``np.power`` and
-        keeps a key only where a certificate proves that libm gives the
-        same one.  The key ``k(x) = min(int(min(x, n)), n - 1)`` of ``x =
-        n * base**alpha`` is monotone in ``x``: if libm's ``x`` lies in
-        ``[x (1 - R), x (1 + R)]`` and ``k`` agrees at both ends, it is
-        libm's key.  The bound ``R``, per element:
-
-        * Every ``pow`` kernel (libm's, numpy's SIMD loops and its scalar
-          loop) is assumed within 2**12 ulp of the true power, so two of
-          them differ by at most ``D = 2**-39`` relative.  Real kernels
-          are within a few ulp (numpy's AVX-512 ``power`` and glibc
-          differ by at most one on the benchmark's streams), so the
-          assumption is loose by over 1000x.
-        * Site 1, ``s = (2/n)**(1-theta)``: the two chains' ``s`` differ
-          by ``<= D s``.  The cancellation in ``1 - s`` (condition number
-          ``s / (1 - s)``, 2.5e5 at ``theta = 0.99999, n = 3``) magnifies
-          that in ``eta``, but ``base = 1 - eta (1 - u)`` is affine in
-          ``s`` with slope ``(1 - u) / (1 - zeta2/zetan) <= 1`` in the
-          tail, which takes it back to an absolute ``D s <= D base``.
-        * Rounding: the five add / mul / div steps from ``s`` to ``base``
-          put at most ``2**-53 (4 + eta)`` absolute into each chain's
-          ``base``, so the two differ by ``rho <= D + 2**-52 (5 + eta) /
-          base`` relative (the extra ``2**-52`` covers second-order terms
-          and the tail test ``u zetan >= zeta2`` holding up to a rounding).
-        * Site 2: ``base**alpha`` turns ``rho`` into ``alpha rho`` to
-          first order, plus ``D`` for the two kernels and two roundings
-          for ``n * p``.
-
-        ``R = 2 (alpha rho + D)`` doubles that sum, which covers the
-        higher-order terms and the rounding of ``x (1 -+ R)`` while
-        ``alpha rho < 2**-10``.  ``alpha = 1/(1 - theta)`` is what makes
-        ``R`` grow with ``theta``.  An element past that limit, with a
-        non-positive ``base`` or a non-finite ``x``, or whose two ends
-        disagree (``x`` within about ``R x`` of an integer) takes the
-        scalar path's exact chain: a libm ``eta`` for its size, then a
-        libm ``base**alpha``.  ``_libm_pow`` is both that fallback and
-        the oracle the tests hold the certificate to.
+        ``np.float_power`` gives libm's powers bit for bit, because its
+        float64 loop calls the C library's ``pow`` as :meth:`_decode`'s
+        ``**`` does; ``tests/ycsb/test_distributions.py`` holds both it
+        (``TestLibmPower``) and the keys (``TestDecodeBatch``,
+        ``TestStraddlingKeys``) to the scalar path.
         """
         u = _np.asarray(us, dtype=_np.float64)
         counts = _np.asarray(item_counts, dtype=_np.int64)
@@ -268,38 +215,20 @@ class ZipfianChooser(KeyChooser):
         tail = _np.flatnonzero(uz >= self._second_cut)
         if tail.size:
             u, sizes, zetan = u[tail], counts[tail], zetan[tail]
-            eta, base = self._tail_base(u, sizes, zetan, _np.power)
-            x = sizes * _np.power(base, self._alpha)
-            with _np.errstate(all="ignore"):
-                spread = self._alpha * (_POW_GAP + 2.0**-52 * (5.0 + eta) / base)
-                r = 2.0 * (spread + _POW_GAP)
-                keys = _keys_at(x * (1.0 - r), sizes)
-                settled = keys == _keys_at(x * (1.0 + r), sizes)
-            settled &= (spread < 2.0**-10) & (base > 0.0) & _np.isfinite(x)
-            redo = _np.flatnonzero(~settled)
-            if redo.size:
-                u, sizes, zetan = u[redo], sizes[redo], zetan[redo]
-                _, base = self._tail_base(u, sizes, zetan, _libm_pow)
-                keys[redo] = _keys_at(sizes * _libm_pow(base, self._alpha), sizes)
-            out[tail] = keys
+            # eta once per run of equal key-space sizes (sizes only grow
+            # in a workload, so per distinct size), with the scalar
+            # path's arithmetic.  Sizes whose draws all land in the head
+            # cuts (item_count == 2 always does) never get here, so the
+            # 0/0-prone expression is never evaluated for them, matching
+            # the lazy scalar _decode.
+            fresh = _np.concatenate(([True], sizes[1:] != sizes[:-1]))
+            firsts = _np.flatnonzero(fresh)
+            shrink = _np.float_power(2.0 / sizes[firsts], 1.0 - self.theta)
+            eta = (1.0 - shrink) / (1.0 - self._zeta2 / zetan[firsts])
+            eta = eta[_np.cumsum(fresh) - 1]
+            p = _np.float_power(eta * u - eta + 1.0, self._alpha)
+            out[tail] = _keys_at(sizes * p, sizes)
         return out
-
-    def _tail_base(self, u, sizes, zetan, power):
-        """``(eta, eta*u - eta + 1)`` per tail element, ``pow`` by ``power``.
-
-        ``eta`` is computed once per run of equal key-space sizes (sizes
-        only grow in a workload, so per distinct size) with the scalar
-        path's arithmetic.  Sizes whose draws all land in the head cuts —
-        ``item_count == 2`` always does — never get here, so the 0/0-prone
-        expression is never evaluated for them, matching the lazy scalar
-        :meth:`_decode`.
-        """
-        fresh = _np.concatenate(([True], sizes[1:] != sizes[:-1]))
-        firsts = _np.flatnonzero(fresh)
-        shrink = power(2.0 / sizes[firsts].astype(_np.float64), 1.0 - self.theta)
-        eta = (1.0 - shrink) / (1.0 - self._zeta2 / zetan[firsts])
-        eta = eta[_np.cumsum(fresh) - 1]
-        return eta, eta * u - eta + 1.0
 
 
 def _keys_at(x: "_np.ndarray", sizes: "_np.ndarray") -> "_np.ndarray":

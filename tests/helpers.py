@@ -7,6 +7,7 @@ import random
 from hypothesis import strategies as st
 
 from repro.core import MergeInstance
+from repro.lsm.format.checksum import frame_block
 from repro.simulator.runner import SWEEP_AXES, _whole
 
 #: The worked example from the paper (Section 4.3).
@@ -86,3 +87,21 @@ def disjoint_instances(
         sets.append(frozenset(range(start, start + size)))
         start += size
     return MergeInstance(tuple(sets))
+
+
+def crc_valid_mutation(
+    rng: random.Random, data: bytes, frame: tuple[int, int, int]
+) -> bytes:
+    """``data`` with 1-3 payload bytes of one block rewritten at random
+    and the block framed again with a valid CRC.
+
+    ``frame`` is the block's ``(frame_offset, payload_start,
+    payload_end)``; the block keeps its length, so every other block
+    stays where it was.  What a loader sees here passed its checksum:
+    only the decoder's own checks can reject it.
+    """
+    offset, start, end = frame
+    payload = bytearray(data[start:end])
+    for _ in range(rng.randint(1, 3)):
+        payload[rng.randrange(len(payload))] = rng.randrange(256)
+    return data[:offset] + frame_block(bytes(payload)) + data[end:]

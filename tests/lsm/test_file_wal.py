@@ -1,10 +1,15 @@
 """Tests for the file-backed write-ahead log: framing, torn tails, replay."""
 
+import random
+
 import pytest
 
 from repro.errors import CorruptionError
 from repro.lsm import LocalFileSystem, MemoryFileSystem, Record, SimulatedDisk
+from repro.lsm.format.checksum import frame_block, read_block
+from repro.lsm.format.encoding import encode_record
 from repro.lsm.format.wal import WAL_NAME, FileWriteAheadLog
+from tests.helpers import crc_valid_mutation
 
 
 def records(n, start_seqno=1):
@@ -129,3 +134,52 @@ class TestWalCorruption:
         wal.append(Record.put(1, 5))
         with pytest.raises(CorruptionError):
             wal.replay()
+
+
+def written_log(data: bytes) -> MemoryFileSystem:
+    fs = MemoryFileSystem()
+    file = fs.open_write(WAL_NAME)
+    file.append(data)
+    file.close()
+    return fs
+
+
+class TestCrcValidHostileFrames:
+    """A frame that passes its CRC but does not decode is corruption,
+    never a decoder's own exception."""
+
+    def test_seeded_mutations_raise_only_corruption(self):
+        fs = MemoryFileSystem()
+        wal = FileWriteAheadLog(fs)
+        for seqno in range(1, 41):
+            if seqno % 2:
+                wal.append(Record.put(f"é{seqno}", seqno, value=b"x" * (seqno % 4)))
+            else:
+                wal.append(Record.put(seqno, seqno, value_size=seqno))
+        wal.close()
+        log = fs.read_bytes(WAL_NAME)
+        frames, offset = [], 0
+        while offset < len(log):
+            _payload, end = read_block(log, offset)
+            frames.append((offset, offset + 8, end))
+            offset = end
+        rng = random.Random(5)
+        rejected = 0
+        for _ in range(600):
+            mutated = crc_valid_mutation(rng, log, rng.choice(frames))
+            try:
+                FileWriteAheadLog(written_log(mutated))
+            except CorruptionError:
+                rejected += 1
+        assert rejected > 100  # the mutations reach the decoder's checks
+
+    def test_str_key_not_utf8_is_corruption(self):
+        good = frame_block(encode_record(Record.put("ab", 1)))
+        payload = bytearray(encode_record(Record.put("ab", 2)))
+        payload[3] = 0xFF  # flags, tag, length, then the key's first byte
+        fs = written_log(good + frame_block(bytes(payload)))
+        with pytest.raises(
+            CorruptionError,
+            match=f"^WAL frame at offset {len(good)}: str key is not valid UTF-8",
+        ):
+            FileWriteAheadLog(fs)

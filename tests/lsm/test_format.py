@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 import struct
 from unittest import mock
 
@@ -43,6 +44,7 @@ from repro.lsm.format.sstable_io import (
     _encode_column_blocks,
     _encode_data_blocks,
 )
+from tests.helpers import crc_valid_mutation
 
 
 class TestCrc32c:
@@ -480,27 +482,27 @@ def _set(block, position, value):
 MALFORMED_BLOCKS = {
     "count disagrees with the index": (
         lambda blocks, rows, footer: _set(blocks[1], 0, 89),
-        "sstable data block at 4106 holds 89 records, index says 88",
+        "sstable data block at 4106: holds 89 records, index says 88",
     ),
     "flags carry the value bit": (
         lambda blocks, rows, footer: _set(blocks[1], 1 + 8 * 87, 0x02),
-        "truncated record value",
+        "sstable data block at 4106: truncated record value",
     ),
     "flags carry an unknown bit": (
         lambda blocks, rows, footer: _set(blocks[1], 1, 0x04),
-        "unknown record flags 0x04",
+        "sstable data block at 4106: unknown record flags 0x04",
     ),
     "key tag is unknown": (
         lambda blocks, rows, footer: _set(blocks[1], 2, 9),
-        "unknown key tag 9",
+        "sstable data block at 4106: unknown key tag 9",
     ),
     "last varint is truncated": (
         lambda blocks, rows, footer: _set(blocks[1], -1, blocks[1][-1] | 0x80),
-        "truncated varint",
+        "sstable data block at 4106: truncated varint",
     ),
     "first key disagrees with the index": (
         lambda blocks, rows, footer: rows[1].__setitem__(1, 577),
-        "sstable data block at 4106 starts at key 576, index says 577",
+        "sstable data block at 4106: starts at key 576, index says 577",
     ),
     # Its low 64 bits are the index's first key: a parse that kept only
     # 64 bits of an 11-byte varint would accept the block.
@@ -508,7 +510,7 @@ MALFORMED_BLOCKS = {
         lambda blocks, rows, footer: blocks[1].__setitem__(
             slice(3, 5), encode_varint(2 * 576 + 2**70)
         ),
-        f"sstable data block at 4106 starts at key {576 + 2**69}, index says 576",
+        f"sstable data block at 4106: starts at key {576 + 2**69}, index says 576",
     ),
     # The walk stops block 0 one record early; the token counts, entry
     # count and first keys all still agree.
@@ -518,11 +520,11 @@ MALFORMED_BLOCKS = {
             _set(blocks[1], 0, 89),
             rows.__setitem__(slice(None), [[511, 64], [89, 575]]),
         ),
-        "sstable data block at 0 has trailing bytes",
+        "sstable data block at 0: has trailing bytes",
     ),
     "trailing bytes": (
         lambda blocks, rows, footer: blocks[1].append(0),
-        "sstable data block at 4106 has trailing bytes",
+        "sstable data block at 4106: has trailing bytes",
     ),
     "footer counts one record more": (
         lambda blocks, rows, footer: footer.__setitem__(1, 601),
@@ -700,6 +702,140 @@ class TestSSTableCorruption:
         struct.pack_into("<I", data, len(data) - 12, 2**31)
         with pytest.raises(CorruptionError):
             decode_sstable(bytes(data))
+
+
+def hostile_sources() -> list[bytes]:
+    """Tables for the CRC-valid mutations: str keys (some not ASCII)
+    with payloads and tombstones, an int-keyed two-block table that
+    loads onto columns, and bytes keys; each with cached sketches."""
+    words = ["ключ", "clé", "naïve", "zürich", "日本"]
+    words += [f"key{i:03d}" for i in range(60)]
+    text = SSTable(
+        1,
+        [
+            Record.put(key, seqno, value=b"v")
+            if seqno % 3
+            else Record.delete(key, seqno)
+            for seqno, key in enumerate(sorted(words), start=1)
+        ],
+    )
+    text.sketch(precision=4)
+    text.sketch(precision=8, seed=-3)
+    ints = SSTable.from_columns(2, np.arange(0, 1200, 2), np.arange(1, 601), 70)
+    ints.sketch(precision=6)
+    raw = SSTable(
+        3, [Record.put(b"\x00b%02d" % i, i + 1, value_size=i) for i in range(40)]
+    )
+    raw.sketch(precision=5, seed=9)
+    return [encode_sstable(table) for table in (text, ints, raw)]
+
+
+def reframed(data: bytes, block: int, edit) -> bytes:
+    """``data`` with one block's payload edited in place by ``edit`` and
+    framed again with a valid CRC.  ``block`` indexes the file's blocks
+    (-4 index, -3 bloom, -2 sketch, -1 footer); the edit keeps the
+    payload's length."""
+    offset, start, end = sstable_io._verified_frames(data)[block]
+    payload = bytearray(data[start:end])
+    edit(payload)
+    assert len(payload) == end - start
+    return data[:offset] + frame_block(bytes(payload)) + data[end:]
+
+
+def two_str_keys() -> bytes:
+    """``"alpha"`` then ``"beta"`` in one data block: a count, then per
+    record flags, tag, length, the key's bytes, seqno and size, so the
+    first key byte is at 4 and the second record's tag at 12.  The index
+    block (at offset 28) is offset, count, tag, length, then the key: its
+    first key byte is at 4 too."""
+    return encode_sstable(SSTable(1, [Record.put("alpha", 1), Record.put("beta", 2)]))
+
+
+#: CRC-valid blocks that decoded into the wrong error type before the
+#: loader checked them (the type is in the comment), each with the start
+#: of the CorruptionError that names the block now.
+HOSTILE_BLOCKS = {
+    # StorageError from SSTable.__init__: records must be strictly sorted.
+    "duplicate key": (
+        lambda: reframed(
+            eight_byte_table(),
+            1,
+            lambda b: b.__setitem__(slice(11, 13), encode_varint(2 * 576)),
+        ),
+        "sstable data block at 4106: holds key 576 after key 576",
+    ),
+    # StorageError from SSTable.__init__: a table of no records.
+    "empty data block": (
+        lambda: join_file(
+            [bytearray(b"\x00")],
+            [[0, 64]],
+            *split_file(eight_byte_table())[2:4],
+            [6, 0, 16, 1, 0, 0, 0, 0.01],
+        ),
+        "sstable data block at 0: holds 0 records, index says 0",
+    ),
+    # TypeError from SSTable.__init__: a str key compared with a bytes key.
+    "key of another type": (
+        lambda: reframed(two_str_keys(), 0, lambda b: _set(b, 12, 2)),
+        "sstable data block at 0: holds key b'beta' after key 'alpha'",
+    ),
+    # UnicodeDecodeError from decode_key, in a data block and in the index.
+    "str key not UTF-8 (data)": (
+        lambda: reframed(two_str_keys(), 0, lambda b: _set(b, 4, 0xFF)),
+        "sstable data block at 0: str key is not valid UTF-8",
+    ),
+    "str key not UTF-8 (index)": (
+        lambda: reframed(two_str_keys(), -4, lambda b: _set(b, 4, 0xFF)),
+        "sstable index block at offset 28: str key is not valid UTF-8",
+    ),
+    # ConfigError from BloomFilter.from_state: m_bits off by 8.
+    "bloom size disagrees": (
+        lambda: reframed(two_str_keys(), -3, lambda b: _set(b, 0, b[0] ^ 0x08)),
+        "sstable bloom block at offset ",
+    ),
+    # ValueError from HyperLogLog: precision 1.
+    "sketch precision 1": (
+        lambda: reframed(eight_byte_table(), -2, lambda b: _set(b, 1, 1)),
+        "sstable sketch block at offset ",
+    ),
+}
+
+
+class TestCrcValidHostileBlocks:
+    """A block that passes its CRC but not the decoder's checks raises
+    CorruptionError, whatever part of the decoder it reaches."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_seeded_mutations_raise_only_corruption(self, seed):
+        rng = random.Random(seed)
+        sources = [
+            (data, sstable_io._verified_frames(data)) for data in hostile_sources()
+        ]
+        rejected = 0
+        for _ in range(500):
+            data, frames = rng.choice(sources)
+            try:
+                decode_sstable(crc_valid_mutation(rng, data, rng.choice(frames)))
+            except CorruptionError:
+                rejected += 1
+        assert rejected > 100  # the mutations reach the decoder's checks
+
+    @pytest.mark.parametrize("case", sorted(HOSTILE_BLOCKS))
+    def test_hostile_block_is_corruption(self, case):
+        build, message = HOSTILE_BLOCKS[case]
+        with pytest.raises(CorruptionError, match=f"^{message}"):
+            decode_sstable(build())
+
+    def test_huge_sketch_precision_checked_before_the_shift(self):
+        """A 6-byte precision varint of 2**40: the shift would build a
+        2**40-bit int before any length check."""
+        data = reframed(
+            eight_byte_table(),
+            -2,
+            lambda b: b.__setitem__(slice(1, 7), encode_varint(2**40)),
+        )
+        with pytest.raises(CorruptionError, match=f"holds precision {2**40}, outside"):
+            decode_sstable(data)
 
 
 class TestManifest:

@@ -1,10 +1,12 @@
 """Tests for the YCSB key-access distributions."""
 
-import json
+import ast
+import inspect
+import math
 import random
 import struct
+import textwrap
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
-from repro.simulator.config import SimulationConfig
-from repro.ycsb import distributions
 from repro.ycsb import (
-    CoreWorkload,
     LatestChooser,
     ScrambledZipfianChooser,
     SequentialChooser,
@@ -182,12 +181,9 @@ def decode_draws(chooser, rng, counts) -> list[int]:
 
 GRAY_CHOOSERS = ["zipfian", "latest", "scrambled_zipfian"]
 
-#: The benchmark's workload files: the fallback share is pinned at their
-#: simulator workloads' shapes.
-BENCH_WORKLOADS = Path(__file__).parents[2] / "bench" / "workloads"
-
-#: The default theta plus both ends of (0, 1) and the steep middle: the
-#: tail certificate's bound grows with alpha = 1 / (1 - theta).
+#: The default theta plus both ends of (0, 1) and the steep middle:
+#: alpha = 1 / (1 - theta), the tail's ``pow`` exponent, runs from
+#: about 1 to 10**5, and the zeta terms' exponent is theta itself.
 THETAS = [0.01, 0.5, 0.9, 0.99, 0.999, 0.99999]
 
 
@@ -320,103 +316,90 @@ def _straddling_variates(theta: float, n: int, k: int) -> tuple[float, float]:
     return _bits_float(low), _bits_float(high)
 
 
-class _FallbackSpy:
-    """Counts the tail elements ``decode_batch`` recomputes through libm
-    (the ``base**alpha`` calls of ``_libm_pow``) and all tail elements
-    (the ``np.power`` pass of ``_tail_base``)."""
+class TestStraddlingKeys:
+    """``decode_batch`` equals ``next()`` where a last-bit change in
+    ``p`` would move the key."""
 
-    def __init__(self, monkeypatch) -> None:
-        self.tail = 0
-        self.redone = 0
-        libm_pow = distributions._libm_pow
-        tail_base = ZipfianChooser._tail_base
-
-        def counting_pow(bases, exponent):
-            if exponent > 1.0:  # alpha = 1 / (1 - theta); the other sites are < 1
-                self.redone += len(bases)
-            return libm_pow(bases, exponent)
-
-        def counting_tail_base(chooser, u, sizes, zetan, power):
-            if power is not counting_pow:
-                self.tail += len(u)
-            return tail_base(chooser, u, sizes, zetan, power)
-
-        monkeypatch.setattr(distributions, "_libm_pow", counting_pow)
-        monkeypatch.setattr(ZipfianChooser, "_tail_base", counting_tail_base)
-
-
-def _perturbed_power(relative_error: float):
-    """``np.power`` with every result moved by ``relative_error`` in an
-    alternating direction: a kernel far worse than any real one, yet
-    inside the certificate's assumed bound."""
-    exact = np.power
-
-    def power(bases, exponent):
-        result = exact(bases, exponent)
-        signs = np.where(np.arange(result.size) % 2 == 0, 1.0, -1.0)
-        return result * (1.0 + relative_error * signs)
-
-    return power
-
-
-class TestTailCertificate:
-    """``np.power`` in the tail, certified against libm's keys."""
-
-    @settings(max_examples=60, deadline=None)
+    @pytest.mark.parametrize("theta", THETAS)
+    @settings(max_examples=15, deadline=None)
     @given(
-        theta=st.one_of(st.sampled_from(THETAS), st.floats(0.01, 0.99999)),
         n=st.integers(4, 3000),
         where=st.floats(0.0, 1.0),
         variates=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=30),
     )
-    def test_straddling_keys_fall_back_to_libm(self, theta, n, where, variates):
-        """Variates solved so that ``n * p`` lands on an integer are the
-        ones the certificate cannot settle: both fall back, and every key
-        equals ``next()``'s — with numpy's real kernel and with one
-        2**11 ulp off in either direction."""
+    def test_straddling_keys_match_scalar(self, theta, n, where, variates):
+        """Variates solved so that ``n * p`` lies on either side of an
+        integer, alone and mixed with arbitrary ones."""
         k = 3 + int(where * (n - 4))
         straddle = list(_straddling_variates(theta, n, k))
         scalar = ZipfianChooser(theta)
-        for power in (np.power, _perturbed_power(2.0**-41), _perturbed_power(-(2.0**-41))):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(np, "power", power)
-                spy = _FallbackSpy(patch)
-                chooser = ZipfianChooser(theta)
-                keys = chooser.decode_batch(straddle, [n, n]).tolist()
-                assert spy.redone == spy.tail == 2
-                assert keys == [scalar.next(_Variate(u), n) for u in straddle]
-                assert keys[0] < k <= keys[1]
-                mixed = variates + straddle
-                got = ZipfianChooser(theta).decode_batch(mixed, [n] * len(mixed)).tolist()
-                assert got == [scalar.next(_Variate(u), n) for u in mixed]
+        keys = ZipfianChooser(theta).decode_batch(straddle, [n, n]).tolist()
+        assert keys == [scalar.next(_Variate(u), n) for u in straddle]
+        assert keys[0] < k <= keys[1]
+        mixed = variates + straddle
+        got = ZipfianChooser(theta).decode_batch(mixed, [n] * len(mixed)).tolist()
+        assert got == [scalar.next(_Variate(u), n) for u in mixed]
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+class TestLibmPower:
+    """``np.float_power`` is the scalar path's libm ``pow``, bit for bit,
+    at all three of the decode's ``pow`` sites."""
 
     @pytest.mark.parametrize("theta", THETAS)
-    def test_kernel_off_by_2_to_the_11_ulp_still_gives_libm_keys(self, monkeypatch, theta):
-        counts = list(range(3, 40_003, 2))
-        scalar = ZipfianChooser(theta)
-        rng = random.Random(29)
-        expected = [scalar.next(rng, c) for c in counts]
-        monkeypatch.setattr(np, "power", _perturbed_power(2.0**-41))
-        assert decode_draws(ZipfianChooser(theta), random.Random(29), counts) == expected
+    def test_zeta_terms(self, theta):
+        bases = np.arange(1, 200_001, dtype=np.int64).astype(np.float64)
+        expected = [math.pow(i, theta) for i in range(1, 200_001)]
+        assert np.array_equal(_bits(np.float_power(bases, theta)), _bits(expected))
 
-    @pytest.mark.parametrize(
-        "shape, distribution",
-        [("bulk-merge", name) for name in GRAY_CHOOSERS]
-        + [("policy-sweep", "latest"), ("mixed-serving", "zipfian")],
-    )
-    def test_fallback_share_at_bench_shape(self, monkeypatch, shape, distribution):
-        """Measured at seed 11 (2-core x86-64 box with AVX-512, numpy
-        2.4.6, the SIMD and the scalar ``np.power`` loop alike): 29 of
-        895 048 tail keys fall back at bulk-merge shape on every Gray
-        distribution (they share one rank stream), 3 of 175 692 at
-        policy-sweep shape, 1 of 371 014 at mixed-serving shape.  The
-        bar is one in 10 000 tail keys; zero would mean the certificate
-        no longer runs."""
-        spec = json.loads((BENCH_WORKLOADS / f"{shape}.json").read_text())
-        config = SimulationConfig(
-            **dict(spec["scenario"]["config"], distribution=distribution), seed=11
-        )
-        spy = _FallbackSpy(monkeypatch)
-        CoreWorkload(config.workload_config()).op_stream_columns(include_read_ops=True)
-        assert spy.tail > 100_000
-        assert 0 < spy.redone <= spy.tail // 10_000
+    @pytest.mark.parametrize("theta", THETAS)
+    def test_tail_bases(self, theta):
+        """``(2/n)**(1-theta)`` per key-space size, and seeded bases in
+        the tail's range ``[(2/n)**(1-theta), 1)`` raised to alpha."""
+        sizes = np.arange(3, 100_003, dtype=np.int64)
+        shrink = [math.pow(2.0 / n, 1.0 - theta) for n in sizes.tolist()]
+        got = np.float_power(2.0 / sizes, 1.0 - theta)
+        assert np.array_equal(_bits(got), _bits(shrink))
+        rng = random.Random(17)
+        bases = [s + (1.0 - s) * rng.random() for s in shrink]
+        alpha = 1.0 / (1.0 - theta)
+        expected = [math.pow(base, alpha) for base in bases]
+        assert np.array_equal(_bits(np.float_power(bases, alpha)), _bits(expected))
+
+
+def _pow_operators(function) -> list[int]:
+    """Line offsets of the ``**`` operators in ``function``'s body."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+    ]
+
+
+class TestNoSimdPower:
+    """The batch decode calls no ``np.power`` kernel, whose SIMD loops
+    are not libm's: not by name and not through an array's ``**``."""
+
+    @pytest.mark.parametrize("name", GRAY_CHOOSERS)
+    def test_decode_batch_without_np_power(self, monkeypatch, name):
+        counts = list(range(2, 5_000))
+        scalar = make_chooser(name)
+        rng = random.Random(31)
+        expected = [scalar.next(rng, c) for c in counts]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("decode_batch called np.power")
+
+        monkeypatch.setattr(np, "power", refuse)
+        assert decode_draws(make_chooser(name), random.Random(31), counts) == expected
+
+    def test_batch_path_has_no_pow_operator(self):
+        for function in (
+            ZipfianChooser.decode_batch,
+            ZipfianChooser._marginal_accumulation,
+        ):
+            assert _pow_operators(function) == [], function.__qualname__
