@@ -14,6 +14,10 @@ Replay distinguishes two failure shapes:
   the durable bytes are wrong, and replay raises
   :class:`~repro.errors.CorruptionError` rather than serve them.
 
+Only the active log can be torn.  A sealed ``wal-NNNNNN.log`` segment
+was synced before it was renamed, so :func:`read_sealed_log` treats a
+bad final frame as corruption too.
+
 The class mirrors the in-memory :class:`~repro.lsm.wal.WriteAheadLog`
 surface (``append``/``replay``/``is_empty``/``__len__``/``last_seqno``/
 ``bytes_appended_total``) so the engine can swap one for the other, and
@@ -100,60 +104,89 @@ class FileWriteAheadLog:
         return self._scan(repair=False)
 
     def _scan(self, repair: bool) -> list[Record]:
-        """Decode every complete frame; handle the tail per the rules.
+        """Decode every complete frame; drop a torn tail.
 
         With ``repair=True`` (open time) a torn tail is physically
         truncated off the file so subsequent appends start clean.
         """
         data = self._fs.read_bytes(self._name) if self._fs.exists(self._name) else b""
-        records: list[Record] = []
-        offset = 0
-        last_seqno: Optional[int] = None
-        while offset < len(data):
-            block = read_block(data, offset)
-            if block is None:
-                # Bad frame: only droppable if nothing follows it.  A
-                # longest-possible torn frame is header + claimed length
-                # running past EOF; anything beyond that span means
-                # complete frames sit after the bad one → corruption.
-                if not self._is_plausible_tail(data, offset):
-                    raise CorruptionError(
-                        f"WAL frame at offset {offset} failed its checksum "
-                        "with valid data following it"
-                    )
-                if repair:
-                    self._fs.truncate(self._name, offset)
-                break
-            payload, next_offset = block
-            try:
-                record, end = decode_record(payload, 0)
-            except CorruptionError as error:
-                raise CorruptionError(
-                    f"WAL frame at offset {offset}: {error}"
-                ) from None
-            if end != len(payload):
-                raise CorruptionError(
-                    f"WAL frame at offset {offset} has {len(payload) - end} "
-                    "trailing bytes after the record"
-                )
-            if last_seqno is not None and record.seqno <= last_seqno:
-                raise CorruptionError(
-                    f"WAL seqno went backwards: {record.seqno} after "
-                    f"{last_seqno} (offset {offset}); the log is not a "
-                    "faithful append history"
-                )
-            last_seqno = record.seqno
-            records.append(record)
-            offset = next_offset
+        records, torn_at = _decode_frames(data, torn_tail_ok=True)
+        if torn_at is not None and repair:
+            self._fs.truncate(self._name, torn_at)
         return records
 
-    @staticmethod
-    def _is_plausible_tail(data: bytes, offset: int) -> bool:
-        """Could the bad frame at ``offset`` be one torn final append?"""
-        remaining = len(data) - offset
-        if remaining < FRAME_HEADER_BYTES:
-            return True  # short header: certainly a torn tail
-        length = int.from_bytes(data[offset : offset + 4], "little")
-        # A torn append stops short of its declared end; if the buffer
-        # extends past it, the CRC failure is mid-log corruption.
-        return len(data) <= offset + FRAME_HEADER_BYTES + length
+
+def read_sealed_log(fs, name: str) -> list[Record]:
+    """Every record of a sealed ``wal-NNNNNN.log`` segment.
+
+    A segment is synced before the rename that seals it and is never
+    appended to again, so it has no torn tail: a bad final frame is
+    corruption like any other, and so is an empty segment (an empty log
+    is never sealed).
+    """
+    records, _ = _decode_frames(fs.read_bytes(name), torn_tail_ok=False)
+    if not records:
+        raise CorruptionError(f"WAL segment {name} holds no record")
+    return records
+
+
+def _decode_frames(
+    data: bytes, torn_tail_ok: bool
+) -> tuple[list[Record], Optional[int]]:
+    """A log's records, and the offset of its torn tail (``None`` if whole).
+
+    Raises :class:`CorruptionError` on a bad frame unless ``torn_tail_ok``
+    and the frame could be one torn final append.
+    """
+    records: list[Record] = []
+    offset = 0
+    last_seqno: Optional[int] = None
+    while offset < len(data):
+        block = read_block(data, offset)
+        if block is None:
+            # Bad frame: only droppable if nothing follows it.  A
+            # longest-possible torn frame is header + claimed length
+            # running past EOF; anything beyond that span means
+            # complete frames sit after the bad one → corruption.
+            if not torn_tail_ok:
+                raise CorruptionError(
+                    f"WAL frame at offset {offset} failed its checksum "
+                    "in a sealed segment"
+                )
+            if not _is_plausible_tail(data, offset):
+                raise CorruptionError(
+                    f"WAL frame at offset {offset} failed its checksum "
+                    "with valid data following it"
+                )
+            return records, offset
+        payload, next_offset = block
+        try:
+            record, end = decode_record(payload, 0)
+        except CorruptionError as error:
+            raise CorruptionError(f"WAL frame at offset {offset}: {error}") from None
+        if end != len(payload):
+            raise CorruptionError(
+                f"WAL frame at offset {offset} has {len(payload) - end} "
+                "trailing bytes after the record"
+            )
+        if last_seqno is not None and record.seqno <= last_seqno:
+            raise CorruptionError(
+                f"WAL seqno went backwards: {record.seqno} after "
+                f"{last_seqno} (offset {offset}); the log is not a "
+                "faithful append history"
+            )
+        last_seqno = record.seqno
+        records.append(record)
+        offset = next_offset
+    return records, None
+
+
+def _is_plausible_tail(data: bytes, offset: int) -> bool:
+    """Could the bad frame at ``offset`` be one torn final append?"""
+    remaining = len(data) - offset
+    if remaining < FRAME_HEADER_BYTES:
+        return True  # short header: certainly a torn tail
+    length = int.from_bytes(data[offset : offset + 4], "little")
+    # A torn append stops short of its declared end; if the buffer
+    # extends past it, the CRC failure is mid-log corruption.
+    return len(data) <= offset + FRAME_HEADER_BYTES + length

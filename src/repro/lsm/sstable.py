@@ -297,14 +297,31 @@ class SSTable:
         )
 
     @cached_property
-    def _size_prefix(self) -> "_np.ndarray":
-        """A column-backed table's int64 running total of entry sizes.
+    def _entry_bytes_bound(self) -> int:
+        """A column-backed table's largest ``|size_bytes|`` of one entry.
 
-        Rows ``[a, b)`` weigh ``prefix[b] - prefix[a]`` bytes.
+        ``k`` entries' worth of it bounds any sum of ``k`` entry sizes,
+        so one comparison with ``2**63`` tells whether an int64 sum over
+        the table is exact.
         """
-        prefix = _np.zeros(self._entry_count + 1, dtype=_np.int64)
+        sizes = self._columns.value_sizes
         # int keys contribute no key bytes (Record.size_bytes).
-        _np.cumsum(self._columns.value_sizes + ENTRY_OVERHEAD_BYTES, out=prefix[1:])
+        return ENTRY_OVERHEAD_BYTES + max(int(sizes.max()), -int(sizes.min()))
+
+    @cached_property
+    def _size_prefix(self) -> "_np.ndarray":
+        """A column-backed table's running total of entry sizes.
+
+        Rows ``[a, b)`` weigh ``prefix[b] - prefix[a]`` bytes.  The
+        totals are int64, or Python ints (an object array) when they
+        could pass int64: decided once here, so :meth:`run_bytes` stays
+        exact at no cost per call.
+        """
+        wide = self._entry_bytes_bound * self._entry_count >= 2**63
+        dtype = object if wide else _np.int64
+        prefix = _np.zeros(self._entry_count + 1, dtype=dtype)
+        sizes = self._columns.value_sizes.astype(dtype, copy=False)
+        _np.cumsum(sizes + ENTRY_OVERHEAD_BYTES, out=prefix[1:])
         return prefix
 
     # ------------------------------------------------------------------
@@ -326,11 +343,11 @@ class SSTable:
         columns = self._columns
         if columns is not None:
             # int keys contribute no key bytes (Record.size_bytes).  An
-            # int64 sum that could wrap is redone over Python ints.
+            # int64 sum that could wrap runs over Python ints instead.
             sizes = columns.value_sizes
-            total = int(sizes.sum())
-            widest = max(int(sizes.max()), -int(sizes.min()))
-            if widest * self._entry_count >= 2**63:
+            if self._entry_bytes_bound * self._entry_count < 2**63:
+                total = int(sizes.sum())
+            else:
                 total = sum(sizes.tolist())
             return ENTRY_OVERHEAD_BYTES * self._entry_count + total
         return sum(record.size_bytes for record in self.records)
@@ -461,9 +478,9 @@ class SSTable:
     def run_bytes(self, start: int, stop: int) -> int:
         """Total ``size_bytes`` of the rows ``[start, stop)``.
 
-        A column-backed table answers from an int64 prefix sum; a table
-        holding records (record-backed, or materialized) sums over the
-        run's records only.
+        A column-backed table answers from its cached prefix sum (exact
+        past int64); a table holding records (record-backed, or
+        materialized) sums over the run's records only.
         """
         records = vars(self).get("records")
         if records is None:

@@ -43,7 +43,7 @@ from .format.manifest import (
     write_manifest,
 )
 from .format.sstable_io import decode_sstable, encode_sstable
-from .format.wal import WAL_NAME, FileWriteAheadLog
+from .format.wal import WAL_NAME, FileWriteAheadLog, read_sealed_log
 from .record import Record
 from .sstable import SSTable
 from .wal import WriteAheadLog
@@ -215,25 +215,36 @@ class FileStorage:
         self._next_segment = max(segments, default=-1) + 1
         survivors: list[Record] = []
         if self._use_wal:
-            last_seqno = 0
-            for name in [*(segments[i] for i in sorted(segments)), WAL_NAME]:
-                log = self._open_log(name)  # repairs a torn tail
-                records = log.replay()
+            # Every write takes the next seqno and each log picks up
+            # where the one it replaced stopped, so the logs hold one
+            # contiguous run: a gap means a segment lost its tail.
+            last_seqno = None
+            names = [segments[i] for i in sorted(segments)]
+            # A crash can tear only the active log.  A store of the
+            # pipelined engine has no wal.log: its newest segment was.
+            active = names[-1] if names and not self.fs.exists(WAL_NAME) else None
+            for name in [*names, WAL_NAME]:
+                if name == WAL_NAME:
+                    self.wal = self._open_log(name)  # repairs a torn tail
+                    records = self.wal.replay()
+                elif name == active:
+                    log = self._open_log(name)  # repairs a torn tail
+                    records = log.replay()
+                    log.close()
+                    self._sealed.append((name, log.last_seqno))
+                else:
+                    records = read_sealed_log(self.fs, name)
+                    self._sealed.append((name, records[-1].seqno))
                 if records:
-                    if records[0].seqno <= last_seqno:
+                    if last_seqno is not None and records[0].seqno != last_seqno + 1:
                         raise CorruptionError(
                             f"WAL {name} starts at seqno {records[0].seqno}, "
-                            f"not after {last_seqno}"
+                            f"not at {last_seqno + 1}"
                         )
                     last_seqno = records[-1].seqno
                 survivors.extend(
                     record for record in records if record.seqno > state.last_seqno
                 )
-                if name == WAL_NAME:
-                    self.wal = log
-                else:
-                    log.close()
-                    self._sealed.append((name, log.last_seqno))
         return tables, state.next_table_id, state.last_seqno, survivors
 
     def _load(self, table_id: int) -> SSTable:

@@ -16,6 +16,13 @@ suffix on collision, so repeated runs sort chronologically.  A manifest
 is written to ``<run_id>.json.tmp``, fsynced and renamed into place, so
 a killed run leaves at most a stale ``*.tmp`` that no reader lists.
 
+Since schema 2 a manifest carries a ``checksum``: the SHA-256 of its
+own encoding without that field.  The loader re-encodes what it parsed
+and refuses a file whose bytes or checksum disagree, so a flipped bit
+or a cut file is a :class:`~repro.errors.ResultsStoreError`, never a
+silently different number.  Schema-1 manifests (no checksum) still
+load.
+
 Cell rows are additive: read-serving metrics (``reads_mean``,
 ``read_amplification_mean``, ``bloom_fp_rate_mean``, ...) joined the
 write-cost keys without a schema bump — added keys are backwards
@@ -26,6 +33,7 @@ fields are dropped when an old manifest's spec is rebuilt.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -39,7 +47,7 @@ from ..errors import ResultsStoreError
 
 #: Bump on any backwards-incompatible manifest change; the loader
 #: refuses newer-versioned manifests instead of misreading them.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 DEFAULT_STORE_ROOT = Path("results") / "runs"
 
@@ -68,6 +76,17 @@ _TYPE_NAMES = {
     int: "an integer",
     bool: "a boolean",
 }
+
+
+def _encode(document: dict[str, Any]) -> bytes:
+    """A manifest file's bytes: the one encoding the writer makes."""
+    return (json.dumps(document, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def _checksum(document: dict[str, Any]) -> str:
+    """SHA-256 of ``document``'s encoding without its ``checksum`` field."""
+    body = {name: value for name, value in document.items() if name != "checksum"}
+    return hashlib.sha256(_encode(body)).hexdigest()
 
 
 def git_describe() -> Optional[str]:
@@ -162,9 +181,10 @@ class ResultsStore:
             suffix += 1
         document = manifest.to_dict()
         document["run_id"] = run_id
+        document["checksum"] = _checksum(document)
         temporary = path.with_name(path.name + ".tmp")
-        with open(temporary, "w") as file:
-            file.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
+        with open(temporary, "wb") as file:
+            file.write(_encode(document))
             file.flush()
             os.fsync(file.fileno())
         os.replace(temporary, path)
@@ -176,7 +196,8 @@ class ResultsStore:
     def load(self, path: Path | str) -> RunManifest:
         path = Path(path)
         try:
-            document = json.loads(path.read_bytes().decode("utf-8"))
+            data = path.read_bytes()
+            document = json.loads(data.decode("utf-8"))
         except OSError as exc:
             raise ResultsStoreError(f"cannot read manifest {path}: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -206,6 +227,13 @@ class ResultsStore:
                 raise ResultsStoreError(
                     f"corrupt manifest {path}: {name} is not {_TYPE_NAMES[kind]}"
                 )
+        if version >= 2 and (
+            document.get("checksum") != _checksum(document)
+            or data != _encode(document)
+        ):
+            raise ResultsStoreError(
+                f"corrupt manifest {path}: its bytes do not match its checksum"
+            )
         return RunManifest(
             **{name: document.get(name) for name in _FIELD_TYPES},
             schema_version=version,

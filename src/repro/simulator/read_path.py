@@ -14,12 +14,19 @@ Two kernels, differentially certified bit-identical:
 * **scalar** — the reference: an :class:`~repro.lsm.engine.LSMEngine`
   with an empty memtable serves every op through its ordinary
   ``get``/``scan`` path, and the result is its ``ReadStats``.
-* **batched** — the fast plane: point lookups run columnar over all
-  queries at once (range masks + :meth:`BloomFilter.contains_batch` +
-  :meth:`SSTable.get_batch`, tables newest to oldest, resolving queries
-  as they hit), and all scans resolve at once against one merged
-  live-key view of the table set (two ``searchsorted`` calls give every
-  scan its stop key) before each table is charged its consumed slices.
+* **batched** — the fast plane.  Point lookups run once per distinct
+  key (``np.unique`` with counts), tables newest to oldest over the
+  still-open keys (two ``searchsorted`` calls for the range check,
+  then :meth:`BloomFilter.contains_batch` and :meth:`SSTable.get_batch`),
+  and every counter adds the key's multiplicity.  All scans resolve at
+  once against one merged live-key view of the table set (two
+  ``searchsorted`` calls give every scan its stop key); sorted by start,
+  the scans a table probes are a prefix, charged their consumed slices
+  from the table's cached size prefix sum.
+
+Byte totals are exact ints: a table whose sums could pass int64 is
+summed over Python ints (decided once per table, see
+:attr:`SSTable._size_prefix`).
 
 ``kernel="auto"`` uses the batched plane whenever every table exposes
 an int64 column view and the scalar engine otherwise (generic keys,
@@ -29,6 +36,7 @@ payload bytes); ``"batched"`` requires the view and raises without it.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from operator import mul
 from typing import Optional, Sequence
 
 import numpy as _np
@@ -42,6 +50,8 @@ from ..ycsb.workload import ReadOpColumns
 
 #: ``serve_reads`` kernel names.
 READ_KERNELS = ("auto", "batched", "scalar")
+
+_INT64_LIMIT = 2**63
 
 
 @dataclass(frozen=True)
@@ -142,10 +152,13 @@ def _serve_batched(
         return None
 
     # ------------------------------------------------------------------
-    # Point lookups: all queries at once, tables newest to oldest.
-    # A query stays "open" until some table holds its key; each table
-    # sees only the still-open queries, exactly like the scalar probe
-    # order (range check, then bloom, then the binary search).
+    # Point lookups: each distinct key once, tables newest to oldest.
+    # Every counter is a sum over ops, so a key read w times adds w to
+    # each of its counters.  A key stays "open" until some table holds
+    # it; each table sees only the still-open keys, exactly like the
+    # scalar probe order (range check, then bloom, then the binary
+    # search).  The open keys stay sorted, so a table's range check is
+    # two searchsorted calls.
     # ------------------------------------------------------------------
     queries = _np.asarray(read_ops.read_keynums, dtype=_np.int64)
     reads = int(queries.size)
@@ -153,49 +166,55 @@ def _serve_batched(
     tables_probed = bloom_skips = bloom_false_positives = 0
     read_bytes = 0
     if reads:
-        open_mask = _np.ones(reads, dtype=bool)
+        open_keys, open_weights = _np.unique(queries, return_counts=True)
+        open_total = reads  # the open keys' summed weight
         for table, column in zip(reversed(tables), reversed(columns)):
-            active = _np.flatnonzero(open_mask)
-            if active.size == 0:
+            if not open_total:
                 break
-            active_keys = queries[active]
-            in_range = (active_keys >= table.min_key) & (
-                active_keys <= table.max_key
-            )
-            candidates = active[in_range]
-            if candidates.size == 0:
-                bloom_skips += int(active.size)
+            lo = int(_np.searchsorted(open_keys, table.min_key))
+            hi = int(_np.searchsorted(open_keys, table.max_key, side="right"))
+            if lo == hi:
+                bloom_skips += open_total
                 continue
-            passed = table.bloom.contains_batch(queries[candidates])
+            passed = table.bloom.contains_batch(open_keys[lo:hi])
             if passed is None:  # pragma: no cover - int64 queries always batch
                 return None
-            probe = candidates[passed]
-            bloom_skips += int(active.size) - int(probe.size)
-            if probe.size == 0:
+            probe = lo + _np.flatnonzero(passed)  # positions in the open keys
+            probe_weights = open_weights[probe]
+            probed = int(probe_weights.sum())
+            bloom_skips += open_total - probed
+            if not probed:
                 continue
-            tables_probed += int(probe.size)
-            rows = table.get_batch(queries[probe])
+            tables_probed += probed
+            rows = table.get_batch(open_keys[probe])
             if rows is None:  # pragma: no cover - columns checked above
                 return None
             found_mask = rows >= 0
-            n_found = int(found_mask.sum())
-            n_false = int(probe.size) - n_found
-            bloom_false_positives += n_false
-            read_bytes += n_false * _INDEX_BLOCK_BYTES
-            if n_found:
+            found_weights = probe_weights[found_mask]
+            found = int(found_weights.sum())
+            false_positives = probed - found
+            bloom_false_positives += false_positives
+            read_bytes += false_positives * _INDEX_BLOCK_BYTES
+            if found:
                 found_rows = rows[found_mask]
                 # Int keys contribute no key bytes (Record.size_bytes).
-                read_bytes += n_found * ENTRY_OVERHEAD_BYTES + int(
-                    column.value_sizes[found_rows].sum()
+                read_bytes += found * ENTRY_OVERHEAD_BYTES + _exact_dot(
+                    found_weights,
+                    column.value_sizes[found_rows],
+                    reads * table._entry_bytes_bound,
                 )
                 if column.tombstones is not None:
-                    dead = int(column.tombstones[found_rows].sum())
+                    dead = int(found_weights[column.tombstones[found_rows]].sum())
                 else:
                     dead = 0
                 misses += dead
-                hits += n_found - dead
-                open_mask[probe[found_mask]] = False
-        misses += int(open_mask.sum())
+                hits += found - dead
+                still_open = _np.ones(open_keys.size, dtype=bool)
+                still_open[probe[found_mask]] = False
+                open_keys = open_keys[still_open]
+                open_weights = open_weights[still_open]
+                open_total -= found
+        misses += open_total
 
     # ------------------------------------------------------------------
     # Range scans: every scan asks the same table set the same question,
@@ -203,7 +222,9 @@ def _serve_batched(
     # tombstoned winners dropped) and resolve all scans against that.
     # Charging is the scalar walk's rule, one table at a time with the
     # scans as the vector: a probed table is billed from the scan's
-    # start up to and including its stop key.
+    # start up to and including its stop key.  Every scan counter is an
+    # order-free sum, so the scans are sorted by start once: the scans
+    # a table probes (start <= its max key) are then a prefix.
     # ------------------------------------------------------------------
     starts = _np.asarray(read_ops.scan_keynums, dtype=_np.int64)
     lengths = _np.asarray(read_ops.scan_lengths, dtype=_np.int64)
@@ -212,6 +233,8 @@ def _serve_batched(
     scans = int(starts.size)
     scan_tables_probed = scan_records_scanned = scan_records_returned = 0
     if scans and tables:
+        order = _np.argsort(starts, kind="stable")
+        starts, lengths = starts[order], lengths[order]
         keys, _, tombstones, survivors = newest_per_key(columns)
         live_keys = keys[survivors]
         if tombstones is not None:
@@ -225,15 +248,19 @@ def _serve_batched(
             (_np.minimum(last + 1, live_keys.size) - first).sum()
         )
         for table, column in zip(tables, columns):
-            probed = starts <= table.max_key
-            scan_tables_probed += int(_np.count_nonzero(probed))
-            lo = _np.searchsorted(column.keys, starts[probed])
-            hi = _np.searchsorted(column.keys, stop_keys[probed], side="right")
-            value_bytes = _np.concatenate(([0], _np.cumsum(column.value_sizes)))
-            consumed = int((hi - lo).sum())
-            scan_records_scanned += consumed
-            read_bytes += consumed * ENTRY_OVERHEAD_BYTES + int(
-                (value_bytes[hi] - value_bytes[lo]).sum()
+            probed = int(_np.searchsorted(starts, table.max_key, side="right"))
+            if not probed:
+                continue
+            scan_tables_probed += probed
+            lo = _np.searchsorted(column.keys, starts[:probed])
+            hi = _np.searchsorted(column.keys, stop_keys[:probed], side="right")
+            scan_records_scanned += int((hi - lo).sum())
+            prefix = table._size_prefix
+            spans = prefix[hi] - prefix[lo]
+            # Each span is at most the table's bytes; their sum may not be.
+            bound = probed * table.entry_count * table._entry_bytes_bound
+            read_bytes += int(spans.sum()) if bound < _INT64_LIMIT else sum(
+                spans.tolist()
             )
     scan_tables_pruned = scans * len(tables) - scan_tables_probed
 
@@ -252,3 +279,14 @@ def _serve_batched(
         scan_records_returned=scan_records_returned,
         kernel_used="batched",
     )
+
+
+def _exact_dot(weights, values, bound: int) -> int:
+    """``weights . values`` as an exact int.
+
+    ``bound`` caps every partial sum: below ``2**63`` the int64 dot
+    product is exact, otherwise the products are summed as Python ints.
+    """
+    if bound < _INT64_LIMIT:
+        return int(weights @ values)
+    return sum(map(mul, weights.tolist(), values.tolist()))

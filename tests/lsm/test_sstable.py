@@ -1,11 +1,19 @@
 """Tests for SSTable structure, reads and the k-way merge."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.lsm import Record, SSTable, merge_sstables, table_from_records
+from repro.lsm import (
+    EngineConfig,
+    LSMEngine,
+    Record,
+    SSTable,
+    merge_sstables,
+    table_from_records,
+)
 from repro.lsm.record import ENTRY_OVERHEAD_BYTES
 from repro.lsm.sstable import newest_per_key
 
@@ -230,6 +238,28 @@ class TestColumnarTables:
         assert "records" in vars(table)
         assert all(isinstance(record.key, int) for record in records)
         assert [table.record_at(i) for i in range(10)] == records
+
+    def test_run_bytes_past_int64(self):
+        """Entry sizes near 2**62: run totals are exact ints, not wrapped."""
+        sizes = [2**62, 2**62, 5]
+        table = SSTable.from_columns(1, [1, 2, 3], [1, 2, 3], sizes)
+        entries = [ENTRY_OVERHEAD_BYTES + size for size in sizes]
+        assert table.size_bytes == sum(entries)
+        for start in range(4):
+            for stop in range(start, 4):
+                assert table.run_bytes(start, stop) == sum(entries[start:stop])
+        narrow = SSTable.from_columns(2, [1, 2], [1, 2], [2**40, 7])
+        assert narrow._size_prefix.dtype == np.int64  # the common case
+
+    def test_engine_scan_charges_exact_bytes_past_int64(self):
+        table = SSTable.from_columns(1, [1, 2, 3], [1, 2, 3], [2**62, 2**62, 5])
+        engine = LSMEngine(EngineConfig(use_wal=False))
+        engine.sstables = [table]
+        assert [record.key for record in engine.scan(1, 3)] == [1, 2, 3]
+        assert engine.scan(2, 1)[0].value_size == 2**62
+        expected = table.size_bytes + table.run_bytes(1, 2)
+        assert engine.read_stats.read_bytes == expected == 3 * 2**62 + 5 + 4 * ENTRY_OVERHEAD_BYTES
+        assert engine.disk.stats.bytes_read == expected
 
     def test_rejects_bad_columns(self):
         with pytest.raises(StorageError):

@@ -231,6 +231,9 @@ class TestStore:
         )
         for section in (document["scenario"]["config"], document["config"]):
             section.update(retired)
+        # Such manifests predate the checksum: schema 1 carries none.
+        document["schema_version"] = 1
+        del document["checksum"]
         path.write_text(json.dumps(document))
         rebuilt = Scenario.from_dict(store.load(path).scenario)
         assert rebuilt == REGISTRY.get("read-heavy")

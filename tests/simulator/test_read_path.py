@@ -10,9 +10,12 @@ must not move the write stream by a byte; and the read metrics must surface thro
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.lsm.record import Record
+from repro.lsm.bloom import BloomFilter
+from repro.lsm.record import ENTRY_OVERHEAD_BYTES, Record
 from repro.lsm.sstable import SSTable
 from repro.lsm import SimulatedDisk
 from repro.simulator import (
@@ -163,6 +166,148 @@ class TestKernelEquivalence:
             assert served.misses == 2  # tombstoned 3 + absent 42
             # The scan sees 9 live keys (3 is shadowed).
             assert served.scan_records_returned == 9
+
+
+@st.composite
+def duplicate_heavy(draw):
+    """Tables over keys 0..59 and read ops that repeat themselves.
+
+    Tables are oldest first with seqnos rising table by table, like a
+    flush sequence; about a third of the entries are tombstones, so
+    newer tables shadow older puts.  Each drawn read key (absent ones,
+    keys outside every table's range and negative ones included) is
+    read 1-50 times, and scans repeat ``(start, length)`` pairs, some of
+    length < 1.
+    """
+    tables = []
+    for table_id in range(draw(st.integers(1, 5))):
+        entries = draw(
+            st.dictionaries(
+                st.integers(0, 59),
+                st.tuples(st.booleans(), st.booleans(), st.integers(0, 300)),
+                min_size=1,
+                max_size=30,
+            )
+        )
+        keys = sorted(entries)
+        dead = [first and second for first, second, _ in map(entries.get, keys)]
+        tables.append(
+            SSTable.from_columns(
+                table_id,
+                keys,
+                [table_id * 100 + row for row in range(len(keys))],
+                [0 if gone else entries[key][2] for key, gone in zip(keys, dead)],
+                dead,
+            )
+        )
+    counted = draw(
+        st.lists(
+            st.tuples(st.integers(-10, 80), st.integers(1, 50)), max_size=20
+        )
+    )
+    reads = [key for key, times in counted for _ in range(times)]
+    reads = draw(st.permutations(reads))
+    pairs = draw(
+        st.lists(
+            st.tuples(st.integers(-10, 70), st.integers(-2, 12), st.integers(1, 5)),
+            max_size=8,
+        )
+    )
+    scans = draw(
+        st.permutations(
+            [(start, length) for start, length, times in pairs for _ in range(times)]
+        )
+    )
+    read_ops = ReadOpColumns(
+        read_keynums=reads,
+        scan_keynums=[start for start, _ in scans],
+        scan_lengths=[length for _, length in scans],
+    )
+    return tables, read_ops
+
+
+class TestDuplicateHeavy:
+    """The batched kernel serves each distinct key once and weights it."""
+
+    @settings(max_examples=150)
+    @given(duplicate_heavy())
+    def test_batched_matches_scalar(self, case):
+        tables, read_ops = case
+        batched = serve_reads(tables, read_ops, kernel="batched")
+        scalar = serve_reads(tables, read_ops, kernel="scalar")
+        assert batched.kernel_used == "batched"
+        assert_counts_identical(batched, scalar)
+        assert batched.reads == len(read_ops.read_keynums)
+
+    def test_per_table_work_is_per_distinct_key(self, monkeypatch):
+        """Each table's bloom and binary search see a distinct key once.
+
+        Counts the keys ``contains_batch`` and ``get_batch`` receive per
+        table: a kernel doing per-op work on these zipfian reads (far
+        more ops than distinct keys) passes the bound on neither.
+        """
+        config = read_config(operationcount=6000, **MIXES["read-heavy"])
+        phase1 = generate_sstables(config)
+        reads = phase1.read_ops.read_keynums
+        distinct = len(set(reads))
+        assert 2 * distinct < len(reads)  # the reads really repeat
+        received: dict[tuple[str, int], int] = {}
+
+        def counted(name, method):
+            def wrapper(self, keys):
+                slot = (name, id(self))
+                received[slot] = received.get(slot, 0) + len(keys)
+                return method(self, keys)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            BloomFilter,
+            "contains_batch",
+            counted("bloom", BloomFilter.contains_batch),
+        )
+        monkeypatch.setattr(
+            SSTable, "get_batch", counted("table", SSTable.get_batch)
+        )
+        served = serve_reads(
+            phase1.tables,
+            ReadOpColumns(reads, [], []),
+            kernel="batched",
+        )
+        assert served.tables_probed > len(phase1.tables)
+        assert {name for name, _ in received} == {"bloom", "table"}
+        assert max(received.values()) <= distinct, received
+
+
+class TestByteSumsPastInt64:
+    """Entry sizes near 2**62: every byte sum stays an exact int."""
+
+    TABLE = dict(keys=[1, 2, 3], seqnos=[1, 2, 3], value_sizes=[2**62, 2**62, 5])
+
+    @pytest.mark.parametrize("kernel", ("batched", "scalar"))
+    def test_read_bytes_are_exact(self, kernel):
+        table = SSTable.from_columns(1, **self.TABLE)
+        ops = ReadOpColumns(read_keynums=[1, 2], scan_keynums=[1], scan_lengths=[3])
+        served = serve_reads([table], ops, kernel=kernel)
+        gets = 2 * (2**62 + ENTRY_OVERHEAD_BYTES)
+        assert served.read_bytes == gets + table.size_bytes
+        assert served.read_bytes == 4 * 2**62 + 5 + 5 * ENTRY_OVERHEAD_BYTES
+
+    @pytest.mark.parametrize("kernel", ("batched", "scalar"))
+    def test_repeated_reads_of_a_wide_entry(self, kernel):
+        """Weights times sizes: 3 reads of one 2**61-byte entry pass int64."""
+        table = SSTable.from_columns(0, [7, 8], [1, 2], [2**61, 1])
+        ops = ReadOpColumns(read_keynums=[7, 7, 8, 7, 7], scan_keynums=[], scan_lengths=[])
+        served = serve_reads([table], ops, kernel=kernel)
+        assert served.read_bytes == 4 * 2**61 + 1 + 5 * ENTRY_OVERHEAD_BYTES
+
+    @pytest.mark.parametrize("kernel", ("batched", "scalar"))
+    def test_repeated_scans_of_a_wide_table(self, kernel):
+        """Each scan's bytes fit int64; three scans' sum does not."""
+        table = SSTable.from_columns(0, [1, 2], [1, 2], [2**61, 2**61])
+        ops = ReadOpColumns([], scan_keynums=[0, 1, 0], scan_lengths=[2, 5, 9])
+        served = serve_reads([table], ops, kernel=kernel)
+        assert served.read_bytes == 3 * table.size_bytes > 2**63
 
 
 class TestReadOpCollection:
