@@ -8,9 +8,10 @@ Replay distinguishes two failure shapes:
 * a **torn tail** — the *final* frame is short or fails its CRC, which
   is exactly what a crash mid-append leaves behind.  The partial frame
   is dropped and truncated away; every complete frame before it is kept.
-* **mid-log corruption** — a bad frame *followed by more bytes*, or a
-  frame whose payload decodes to a sequence number that does not
-  strictly increase.  Appends happen in seqno order, so either means
+* **mid-log corruption** — a bad frame *followed by more bytes*, a
+  whole frame whose length field was damaged (a prefix of the bytes
+  after its header matches its CRC), or a frame whose payload decodes
+  to a sequence number that does not strictly increase.  Appends happen in seqno order, so either means
   the durable bytes are wrong, and replay raises
   :class:`~repro.errors.CorruptionError` rather than serve them.
 
@@ -27,12 +28,13 @@ bills frame bytes to a
 
 from __future__ import annotations
 
+import struct
 from typing import Optional
 
 from ...errors import CorruptionError
 from ..disk import SimulatedDisk
 from ..record import Record
-from .checksum import FRAME_HEADER_BYTES, frame_block, read_block
+from .checksum import FRAME_HEADER_BYTES, crc32c, frame_block, read_block
 from .encoding import decode_record, encode_record
 
 WAL_NAME = "wal.log"
@@ -186,7 +188,19 @@ def _is_plausible_tail(data: bytes, offset: int) -> bool:
     remaining = len(data) - offset
     if remaining < FRAME_HEADER_BYTES:
         return True  # short header: certainly a torn tail
-    length = int.from_bytes(data[offset : offset + 4], "little")
+    length, crc = struct.unpack_from("<II", data, offset)
     # A torn append stops short of its declared end; if the buffer
     # extends past it, the CRC failure is mid-log corruption.
-    return len(data) <= offset + FRAME_HEADER_BYTES + length
+    if len(data) > offset + FRAME_HEADER_BYTES + length:
+        return False
+    # A whole frame whose length field was damaged also claims to run
+    # past the end, but some prefix of the bytes after its header still
+    # carries its CRC.  A torn payload matches by chance only (2**-32
+    # per byte), and it is at most one frame long, so this walk is short
+    # unless the length lies.
+    register = 0
+    for index in range(offset + FRAME_HEADER_BYTES, len(data)):
+        register = crc32c(data[index : index + 1], register)
+        if register == crc:
+            return False
+    return True

@@ -17,10 +17,11 @@ is written to ``<run_id>.json.tmp``, fsynced and renamed into place, so
 a killed run leaves at most a stale ``*.tmp`` that no reader lists.
 
 Since schema 2 a manifest carries a ``checksum``: the SHA-256 of its
-own encoding without that field.  The loader re-encodes what it parsed
-and refuses a file whose bytes or checksum disagree, so a flipped bit
-or a cut file is a :class:`~repro.errors.ResultsStoreError`, never a
-silently different number.  Schema-1 manifests (no checksum) still
+own encoding without that field.  The loader recomputes it from what it
+parsed and refuses a file whose content and checksum disagree, so a
+flipped bit or a cut file is a :class:`~repro.errors.ResultsStoreError`
+or loads the same manifest (a flip in whitespace), never a silently
+different number.  Schema-1 manifests (no checksum) still
 load.
 
 Cell rows are additive: read-serving metrics (``reads_mean``,
@@ -196,8 +197,7 @@ class ResultsStore:
     def load(self, path: Path | str) -> RunManifest:
         path = Path(path)
         try:
-            data = path.read_bytes()
-            document = json.loads(data.decode("utf-8"))
+            document = json.loads(path.read_bytes().decode("utf-8"))
         except OSError as exc:
             raise ResultsStoreError(f"cannot read manifest {path}: {exc}") from None
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
@@ -227,12 +227,9 @@ class ResultsStore:
                 raise ResultsStoreError(
                     f"corrupt manifest {path}: {name} is not {_TYPE_NAMES[kind]}"
                 )
-        if version >= 2 and (
-            document.get("checksum") != _checksum(document)
-            or data != _encode(document)
-        ):
+        if version >= 2 and document.get("checksum") != _checksum(document):
             raise ResultsStoreError(
-                f"corrupt manifest {path}: its bytes do not match its checksum"
+                f"corrupt manifest {path}: its content does not match its checksum"
             )
         return RunManifest(
             **{name: document.get(name) for name in _FIELD_TYPES},

@@ -119,6 +119,23 @@ class TestWalCorruption:
         with pytest.raises(CorruptionError):
             FileWriteAheadLog(fs)
 
+    @pytest.mark.parametrize("frame", [0, 2, 3])
+    @pytest.mark.parametrize("byte", [1, 2, 3])
+    def test_length_flip_running_past_the_end_is_corruption(self, frame, byte):
+        """A flip in a length field's high bytes makes a whole frame
+        claim to run past EOF, like a torn one; its CRC still matches a
+        prefix of what follows, so it is corruption, even as the final
+        frame: nothing synced is dropped."""
+        fs = MemoryFileSystem()
+        wal = FileWriteAheadLog(fs)
+        for record in records(4):
+            wal.append(record)
+        wal.close()
+        frame_bytes = fs.size(WAL_NAME) // 4
+        fs.flip_bit(WAL_NAME, frame * frame_bytes + byte, 7)
+        with pytest.raises(CorruptionError):
+            FileWriteAheadLog(fs)
+
     def test_out_of_order_seqnos_rejected_loudly(self):
         fs = MemoryFileSystem()
         wal = FileWriteAheadLog(fs)

@@ -1,27 +1,21 @@
-"""Batched == scalar read kernel on a benchmark workload's own tables.
+"""Batched == scalar read kernel on ``mixed-serving``'s own tables.
 
-Builds a simulator workload of ``bench/workloads/`` (phase 1, then each
-of its strategies' compaction), serves every strategy's output tables
-with both ``serve_reads`` kernels and exits non-zero unless all twelve
-counters agree.  The tier-1 tests certify the kernels on 2.5 k-op
-configs; ``mixed-serving`` at full scale is what the benchmark times:
-a 41-table LEVELED set and zipfian reads repeating each distinct key
-about nine times, which the batched kernel serves once per key.
+Builds the ``bench/workloads/mixed-serving.json`` workload at full scale,
+seed 11 (phase 1, then each of its strategies' compaction), serves every
+strategy's output tables with both ``serve_reads`` kernels and exits
+non-zero unless all twelve counters agree.  The tier-1 tests certify the
+kernels on 2.5 k-op configs; ``mixed-serving`` is what the benchmark
+times: a 41-table LEVELED set and zipfian reads repeating each distinct
+key about nine times, which the batched kernel serves once per key.
 
     PYTHONPATH=src python tools/read_kernel_differential.py
-    PYTHONPATH=src python tools/read_kernel_differential.py --scale 0.05
 
-``--scale`` shrinks the record and operation counts (the memtable by
-its square root, as ``bench/run.py`` scales its warm-up).  The scalar
-kernel runs the engine's ``get`` per op: ~20 s at full scale on one
-core.
+The scalar kernel runs the engine's ``get`` per op: ~20 s on one core.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -30,37 +24,20 @@ from repro.lsm.disk import SimulatedDisk
 from repro.simulator import SimulationConfig, build_strategy, generate_sstables
 from repro.simulator.read_path import ReadPhaseResult, serve_reads
 
-WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+WORKLOAD = (
+    Path(__file__).resolve().parent.parent / "bench" / "workloads" / "mixed-serving.json"
+)
+SEED = 11
 COUNTERS = [f.name for f in fields(ReadPhaseResult) if f.name != "kernel_used"]
 
 
-def scaled_config(scenario: dict, seed: int, scale: float) -> SimulationConfig:
-    config = dict(scenario["config"], seed=seed)
-    for count in ("operationcount", "recordcount"):
-        config[count] = max(1, round(config[count] * scale))
-    config["memtable_capacity"] = max(
-        2, round(config["memtable_capacity"] * math.sqrt(scale))
-    )
-    return SimulationConfig(**config)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", default="mixed-serving")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--scale", type=float, default=1.0)
-    args = parser.parse_args(argv)
-    scenario = json.loads((WORKLOADS / f"{args.workload}.json").read_text())[
-        "scenario"
-    ]
-    config = scaled_config(scenario, args.seed, args.scale)
+def main() -> int:
+    scenario = json.loads(WORKLOAD.read_text())["scenario"]
+    config = SimulationConfig(**dict(scenario["config"], seed=SEED))
     phase1 = generate_sstables(config)
     read_ops = phase1.read_ops
-    if read_ops is None or not read_ops.has_ops:
-        print(f"{args.workload} serves no reads", file=sys.stderr)
-        return 1
     print(
-        f"{args.workload} seed {args.seed} scale {args.scale}: "
+        f"mixed-serving seed {SEED}: "
         f"{len(read_ops.read_keynums)} reads of "
         f"{len(set(read_ops.read_keynums))} distinct keys, "
         f"{len(read_ops.scan_keynums)} scans"
