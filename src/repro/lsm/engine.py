@@ -3,10 +3,12 @@
 Writes go commit log -> memtable; a full memtable is flushed as an
 sstable before the write that found it full lands.  Reads consult the
 memtable, then sstables newest-first, pruned by bloom filters — the
-read path whose fan-out compaction exists to shrink.  The engine records
-read-amplification statistics so the effect of a compaction strategy on
-reads is directly measurable (the paper's motivation: "a typical read
-path may contact multiple sstables, making disk I/O a bottleneck").
+read path whose fan-out compaction exists to shrink; scans read a
+cached newest-per-key view of the sstables against the memtable.  The
+engine records read-amplification statistics so the effect of a
+compaction strategy on reads is directly measurable (the paper's
+motivation: "a typical read path may contact multiple sstables, making
+disk I/O a bottleneck").
 
 There is one engine.  It *has* a storage (:mod:`~repro.lsm.storage`:
 where the log and the tables live — process memory or a filesystem),
@@ -19,6 +21,7 @@ the call that triggers it (docs/concurrency.md).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Hashable, Optional
 
@@ -31,10 +34,11 @@ from .disk import SimulatedDisk
 from .faults import LocalFileSystem
 from .memtable import Memtable, make_memtable
 from .record import Record
-from .sstable import SSTable
+from .sstable import SSTable, live_view
 from .storage import FileStorage, MemoryStorage
 
 _INDEX_BLOCK_BYTES = 64  # charged for a bloom false positive probe
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -66,12 +70,14 @@ class ReadStats:
     ``bloom_false_positives`` is the subset of probes where the bloom
     passed but the table did not hold the key (the probe bought only an
     index-block read).  Scans keep their own counters:
-    ``scan_records_scanned`` is every sstable record the scan walk
-    consumed (charged to the disk, one ``read_many`` per probed table's
-    consumed run), ``scan_records_returned`` the live records handed
-    back.  ``read_bytes`` totals all bytes charged on behalf of reads
-    and scans.  Neither reads nor scans materialize a column-backed
-    table's ``Record`` tuple: they count from its key list and columns.
+    ``scan_records_scanned`` is every sstable record a scan consumed —
+    in each probed table, the rows from the start key up to and
+    including the last key returned, whether the live view or the cursor
+    merge served it (charged to the disk, one ``read_many`` per probed
+    table) — and ``scan_records_returned`` the live records handed back.
+    ``read_bytes`` totals all bytes charged on behalf of reads and
+    scans.  Neither reads nor scans materialize a column-backed table's
+    ``Record`` tuple: they count from its key list and columns.
     """
 
     reads: int = 0
@@ -166,6 +172,8 @@ class LSMEngine:
         self.disk = storage.disk
         self.memtable = self._new_memtable()
         self.read_stats = ReadStats()
+        #: ``(tables, live view)`` of the last scan's table set (see scan).
+        self._live: Optional[tuple[tuple[SSTable, ...], Optional[_LiveView]]] = None
         self.flush_count = 0
         self.user_bytes_written = 0  # payload accepted from callers
         #: ``sstables`` is oldest first; ``_durable_seqno`` is the highest
@@ -233,6 +241,7 @@ class LSMEngine:
         table_id = self._next_table_id
         self._next_table_id += 1
         memtable, self.memtable = self.memtable, self._new_memtable()
+        self._live = None
         self.storage.rotate()
         table = SSTable(
             table_id,
@@ -300,84 +309,88 @@ class LSMEngine:
     def scan(self, start_key: Hashable, length: int) -> list[Record]:
         """Up to ``length`` live records with key >= ``start_key``.
 
-        A bounded k-way merge over sorted runs: every probed sstable and
-        the memtable contribute a cursor (one binary search, nothing
-        copied), a heap orders the cursors' head keys, and keys are
-        pulled in ascending order, resolving newest-per-key as it goes
-        (a tombstone shadows every older version without producing
-        output) and stopping only once ``length`` live records are
-        resolved or every source is exhausted — heavily overwritten or
-        tombstoned key ranges extend the walk instead of truncating the
-        result.  The heap holds ``(key, source, row)`` only: a key's
-        versions are compared by seqno through the runs' row accessors,
-        and a ``Record`` is fetched (on a column-backed table, built)
-        for the winner alone.
+        Resolves newest-per-key (a tombstone shadows every older version
+        without producing output) and stops only once ``length`` live
+        records are resolved or every source is exhausted — heavily
+        overwritten or tombstoned key ranges extend the walk instead of
+        truncating the result.
 
-        Tables whose range ends before ``start_key`` are pruned without
-        a probe.  Every sstable record the walk consumes is charged to
-        the simulated disk: each probed table's consumed run
-        ``[start, cursor)`` in one :meth:`SimulatedDisk.read_many` once
-        the walk ends, which leaves the counters exactly as one read per
-        record would.  Memtable records are free.
+        The scan reads a cached live view of the table set
+        (:func:`~repro.lsm.sstable.live_view`: each key's newest version,
+        tombstoned winners dropped, and the table and row holding it).
+        The view is built on the first scan after the table set changes,
+        one O(rows) build; scans until the next flush or compaction
+        reuse it.  A scan finds its start in the view with one
+        ``searchsorted`` and walks a window of it against the memtable's
+        sorted keys.  The memtable's version of a key wins: every
+        memtable seqno exceeds ``_durable_seqno``, and every sstable
+        seqno is at most that (checked against the view's newest seqno,
+        so a caller who installs newer tables gets the cursor merge).
+        A ``Record`` is fetched (on a column-backed table, built) for
+        the winners alone.
+
+        Accounting is :func:`cursor_merge_scan`'s, bit for bit.  Tables
+        whose range ends before ``start_key`` are pruned without a
+        probe; each probed table is charged its consumed run in one
+        :meth:`SimulatedDisk.read_many`: the rows from ``start_key`` up
+        to and including the last key returned (to the table's end when
+        the scan runs out of live records).  Memtable records are free.
+
+        The cursor merge serves what the view cannot represent: a table
+        set with a table that has no int64 column view (generic keys,
+        payload bytes, keys past int64), or a start key that is not an
+        int inside int64.
         """
         if length < 1:
             return []
+        view = self._scan_view(start_key)
+        if view is None:
+            return cursor_merge_scan(
+                self.sstables, self.memtable, start_key, length,
+                self.read_stats, self.disk,
+            )
         stats = self.read_stats
         stats.scans += 1
-        runs = []  # oldest source first: probed sstables, then the memtable
-        starts = []
-        for table in self.sstables:
+        memtable_view, row = self.memtable.records_from(start_key)
+        live, stop_key = view.walk(start_key, length, memtable_view, row)
+        for table in view.tables:
             if start_key > table.max_key:
                 stats.scan_tables_pruned += 1
                 continue
-            runs.append(table)
-            starts.append(table.lower_bound(start_key))
-        n_tables = len(runs)
-        stats.scan_tables_probed += n_tables
-        view, position = self.memtable.records_from(start_key)
-        runs.append(view)
-        starts.append(position)
-        keys_of = [run.keys for run in runs]
-        heap = [
-            (keys[position], index, position)
-            for index, (keys, position) in enumerate(zip(keys_of, starts))
-            if position < len(keys)
-        ]
-        heapq.heapify(heap)
-        live: list[Record] = []
-        while heap and len(live) < length:
-            key, index, position = heap[0]
-            winner, row = index, position
-            seqno = None  # the winner's, read once a second version shows
-            while True:  # pop every version of ``key``, oldest source first
-                keys = keys_of[index]
-                if position + 1 < len(keys):
-                    heapq.heapreplace(heap, (keys[position + 1], index, position + 1))
-                else:
-                    heapq.heappop(heap)
-                if not heap or heap[0][0] != key:
-                    break
-                _, index, position = heap[0]
-                if seqno is None:
-                    seqno = runs[winner].seqno_at(row)
-                candidate = runs[index].seqno_at(position)
-                if candidate > seqno:  # strict: the older source keeps a tie
-                    winner, row, seqno = index, position, candidate
-            record = runs[winner].record_at(row)
-            if not record.tombstone:
-                live.append(record)
-        cursors = [len(keys) for keys in keys_of[:n_tables]]
-        for _, index, position in heap:
-            if index < n_tables:
-                cursors[index] = position
-        for table, start, cursor in zip(runs, starts, cursors):
-            if cursor > start:
-                nbytes = table.run_bytes(start, cursor)
-                self.disk.read_many(cursor - start, nbytes)
+            stats.scan_tables_probed += 1
+            keys = table.keys
+            start = bisect_left(keys, start_key)
+            if stop_key is None:
+                stop = len(keys)
+            else:
+                stop = bisect_right(keys, stop_key, start)
+            if stop > start:
+                nbytes = table.run_bytes(start, stop)
+                self.disk.read_many(stop - start, nbytes)
                 stats.read_bytes += nbytes
-                stats.scan_records_scanned += cursor - start
+                stats.scan_records_scanned += stop - start
         stats.scan_records_returned += len(live)
         return live
+
+    def _scan_view(self, start_key: Hashable) -> Optional["_LiveView"]:
+        """The live view a scan from ``start_key`` may read, else ``None``.
+
+        Cached with the tables it was built over, compared by identity,
+        so assigning to or appending to :attr:`sstables` is seen by the
+        next scan; a flush or a compaction drops it.
+        """
+        if type(start_key) is not int or not _INT64_MIN <= start_key <= _INT64_MAX:
+            return None
+        tables = tuple(self.sstables)
+        cached = self._live
+        if cached is None or cached[0] != tables:
+            cached = self._live = (tables, _LiveView.of(tables))
+        view = cached[1]
+        if view is None or (
+            view.max_seqno > self._durable_seqno and not self.memtable.is_empty
+        ):
+            return None
+        return view
 
     # ------------------------------------------------------------------
     # Workload driving
@@ -412,6 +425,7 @@ class LSMEngine:
         self.flush()
         if not self.sstables:
             raise StorageError("nothing to compact: no sstables on disk")
+        self._live = None  # before the merge, so the two never coexist
         strategy = strategy or MajorCompaction("balance_tree_input")
         result = strategy.compact(self.sstables, self.disk, self._next_table_id)
         if result.output_tables:
@@ -467,3 +481,163 @@ class LSMEngine:
     @property
     def total_entries_on_disk(self) -> int:
         return sum(table.entry_count for table in self.sstables)
+
+
+class _LiveView:
+    """A table set's live keys and where their newest versions live.
+
+    The engine's scan index: :func:`~repro.lsm.sstable.live_view` over
+    the tables, kept with the tables themselves (to build the winners'
+    records) and their newest seqno (to check that the memtable wins).
+    """
+
+    __slots__ = ("tables", "keys", "numbers", "rows", "max_seqno")
+
+    def __init__(self, tables: tuple[SSTable, ...], keys, numbers, rows) -> None:
+        self.tables = tables
+        self.keys = keys
+        self.numbers = numbers
+        self.rows = rows
+        self.max_seqno = max((table.max_seqno for table in tables), default=0)
+
+    @classmethod
+    def of(cls, tables: tuple[SSTable, ...]) -> Optional["_LiveView"]:
+        """The view of ``tables``, or ``None`` if one has no column view."""
+        columns = [table.columns() for table in tables]
+        if any(column is None for column in columns):
+            return None
+        return cls(tables, *live_view(columns))
+
+    def walk(
+        self, start_key: int, length: int, memtable, row: int
+    ) -> tuple[list[Record], Optional[Hashable]]:
+        """The first ``length`` live records with key >= ``start_key``.
+
+        Merges the view with ``memtable`` (a sorted row view) from
+        ``row`` on; on equal keys the memtable's version wins.  Returns
+        the records and the last one's key, or ``None`` in its place
+        when the live records ran out first.  The view is read in
+        ``.tolist()`` windows of at most the records still wanted: each
+        view key yields at most one record, so a window overshoots only
+        when the memtable returns records or shadows keys inside it.
+        """
+        live: list[Record] = []
+        tables = self.tables
+        memtable_keys = memtable.keys
+        memtable_end = len(memtable_keys)
+        position = int(self.keys.searchsorted(start_key))
+        end = self.keys.size
+        while position < end:
+            stop = min(position + length - len(live), end)
+            window = zip(
+                self.keys[position:stop].tolist(),
+                self.numbers[position:stop].tolist(),
+                self.rows[position:stop].tolist(),
+            )
+            for key, number, index in window:
+                while row < memtable_end and memtable_keys[row] < key:
+                    record = memtable.record_at(row)
+                    row += 1
+                    if not record.tombstone:
+                        live.append(record)
+                        if len(live) == length:
+                            return live, record.key
+                if row < memtable_end and memtable_keys[row] == key:
+                    record = memtable.record_at(row)  # the newer version
+                    row += 1
+                    if record.tombstone:
+                        continue
+                else:
+                    record = tables[number].record_at(index)
+                live.append(record)
+                if len(live) == length:
+                    return live, key
+            position = stop
+        while row < memtable_end:
+            record = memtable.record_at(row)
+            row += 1
+            if not record.tombstone:
+                live.append(record)
+                if len(live) == length:
+                    return live, record.key
+        return live, None
+
+
+def cursor_merge_scan(
+    tables, memtable: Memtable, start_key: Hashable, length: int,
+    stats: ReadStats, disk: SimulatedDisk,
+) -> list[Record]:
+    """:meth:`LSMEngine.scan` as a bounded k-way merge over sorted runs.
+
+    The scan for inputs the live view cannot represent, and its oracle:
+    ``tables`` (oldest first) and ``memtable`` are read, and ``stats``
+    and ``disk`` are charged exactly as the view scan charges them.
+
+    Every probed sstable and the memtable contribute a cursor (one
+    binary search, nothing copied), a heap orders the cursors' head
+    keys, and keys are pulled in ascending order, resolving
+    newest-per-key by seqno as it goes, until ``length`` live records
+    are resolved or every source is exhausted.  The heap holds ``(key,
+    source, row)`` only: a key's versions are compared by seqno through
+    the runs' row accessors, and a ``Record`` is fetched for the winner
+    alone.  Each probed table's consumed run ``[start, cursor)`` is
+    charged in one :meth:`SimulatedDisk.read_many` once the walk ends,
+    which leaves the counters exactly as one read per record would.
+    """
+    if length < 1:
+        return []
+    stats.scans += 1
+    runs = []  # oldest source first: probed sstables, then the memtable
+    starts = []
+    for table in tables:
+        if start_key > table.max_key:
+            stats.scan_tables_pruned += 1
+            continue
+        runs.append(table)
+        starts.append(table.lower_bound(start_key))
+    n_tables = len(runs)
+    stats.scan_tables_probed += n_tables
+    view, position = memtable.records_from(start_key)
+    runs.append(view)
+    starts.append(position)
+    keys_of = [run.keys for run in runs]
+    heap = [
+        (keys[position], index, position)
+        for index, (keys, position) in enumerate(zip(keys_of, starts))
+        if position < len(keys)
+    ]
+    heapq.heapify(heap)
+    live: list[Record] = []
+    while heap and len(live) < length:
+        key, index, position = heap[0]
+        winner, row = index, position
+        seqno = None  # the winner's, read once a second version shows
+        while True:  # pop every version of ``key``, oldest source first
+            keys = keys_of[index]
+            if position + 1 < len(keys):
+                heapq.heapreplace(heap, (keys[position + 1], index, position + 1))
+            else:
+                heapq.heappop(heap)
+            if not heap or heap[0][0] != key:
+                break
+            _, index, position = heap[0]
+            if seqno is None:
+                seqno = runs[winner].seqno_at(row)
+            candidate = runs[index].seqno_at(position)
+            if candidate > seqno:  # strict: the older source keeps a tie
+                winner, row, seqno = index, position, candidate
+        record = runs[winner].record_at(row)
+        if not record.tombstone:
+            live.append(record)
+    cursors = [len(keys) for keys in keys_of[:n_tables]]
+    for _, index, position in heap:
+        if index < n_tables:
+            cursors[index] = position
+    for table, start, cursor in zip(runs, starts, cursors):
+        if cursor > start:
+            nbytes = table.run_bytes(start, cursor)
+            disk.read_many(cursor - start, nbytes)
+            stats.read_bytes += nbytes
+            stats.scan_records_scanned += cursor - start
+    stats.scan_records_returned += len(live)
+    return live

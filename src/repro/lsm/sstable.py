@@ -10,7 +10,9 @@ file format; see :mod:`~repro.lsm.format.sstable_io`).
 Tables have two internal representations with one interface:
 
 * **record-backed** — built from :class:`~repro.lsm.record.Record`
-  objects (the engine write path, generic keys/payloads);
+  objects (the engine write path, generic keys/payloads); one whose
+  keys are plain ints and whose records carry no payload bytes also
+  keeps an int64 column view, built with it;
 * **column-backed** — built from int64 key/seqno/value-size/tombstone
   arrays (:meth:`SSTable.from_columns`, the simulator's batched data
   plane and every columnar compaction output).  ``Record`` objects are
@@ -20,6 +22,11 @@ Tables have two internal representations with one interface:
   key list and the row accessors (:meth:`SSTable.record_at`,
   :meth:`SSTable.seqno_at`, :meth:`SSTable.run_bytes`), which build a
   ``Record`` only for a row a read returns.
+
+:func:`live_view` turns a table set into the keys a scan can return:
+each key's newest version, tombstoned winners dropped, and where it
+lives.  The engine's scan and the simulator's batched read plane both
+read it.
 
 :func:`merge_sstables` is the compaction kernel (Figure 2), with two
 bit-identical implementations: a columnar run merge (a stable argsort
@@ -39,6 +46,7 @@ import heapq
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Hashable, Iterable, Iterator, Optional, Sequence
 
 import numpy as _np
@@ -87,6 +95,7 @@ class SSTable:
             )
         self.records: tuple[Record, ...] = tuple(records)
         self._keys: list = keys
+        self._columns: Optional[TableColumns] = self._record_columns()
         self._init_common(
             table_id, len(keys), keys[0], keys[-1], bloom_fp_rate, index_interval
         )
@@ -165,21 +174,19 @@ class SSTable:
         )
         return table
 
-    #: Record-backed tables set this in ``columns()`` on first use.
-    _columns: Optional[TableColumns] = None
-    _columns_built = False
-
     def columns(self) -> Optional[TableColumns]:
         """The table's int64 column view, or ``None`` if unrepresentable.
 
-        Column-backed tables return their native columns; record-backed
-        tables build (and cache) a view when every key is a plain int
-        and no record carries payload bytes.  The columnar merge kernel
-        applies exactly when all inputs return a view.
+        Column-backed tables return their native columns; a record-backed
+        table has a view when every key is a plain int and no record
+        carries payload bytes (built with the table).  The columnar merge
+        kernel and the engine's scan view apply exactly when all inputs
+        return a view.
         """
-        if self._columns is not None or self._columns_built:
-            return self._columns
-        self._columns_built = True
+        return self._columns
+
+    def _record_columns(self) -> Optional[TableColumns]:
+        """A record-backed table's column view, or ``None``."""
         records = self.records
         keys = self._keys
         # bool is an int subclass with different hashing; keep it off
@@ -204,8 +211,7 @@ class SSTable:
             tombstones = _np.fromiter(
                 (record.tombstone for record in records), dtype=bool, count=count
             )
-        self._columns = TableColumns(key_column, seqnos, value_sizes, tombstones)
-        return self._columns
+        return TableColumns(key_column, seqnos, value_sizes, tombstones)
 
     def split(
         self, rows: int, first_id: int, bloom_fp_rate: float
@@ -298,7 +304,7 @@ class SSTable:
 
     @cached_property
     def _entry_bytes_bound(self) -> int:
-        """A column-backed table's largest ``|size_bytes|`` of one entry.
+        """A table with a column view: its largest ``|size_bytes|`` of one entry.
 
         ``k`` entries' worth of it bounds any sum of ``k`` entry sizes,
         so one comparison with ``2**63`` tells whether an int64 sum over
@@ -310,13 +316,18 @@ class SSTable:
 
     @cached_property
     def _size_prefix(self) -> "_np.ndarray":
-        """A column-backed table's running total of entry sizes.
+        """The table's running total of entry sizes.
 
-        Rows ``[a, b)`` weigh ``prefix[b] - prefix[a]`` bytes.  The
-        totals are int64, or Python ints (an object array) when they
-        could pass int64: decided once here, so :meth:`run_bytes` stays
-        exact at no cost per call.
+        Rows ``[a, b)`` weigh ``prefix[b] - prefix[a]`` bytes, so
+        :meth:`run_bytes` stays exact at no cost per call.  A table with
+        a column view sums its columns: int64, or Python ints (an object
+        array) when the totals could pass int64, decided once here.  Any
+        other table sums its records' ``size_bytes`` as Python ints,
+        which counts the key bytes of str keys.
         """
+        if self._columns is None:
+            sizes = accumulate(record.size_bytes for record in self.records)
+            return _np.array([0, *sizes], dtype=object)
         wide = self._entry_bytes_bound * self._entry_count >= 2**63
         dtype = object if wide else _np.int64
         prefix = _np.zeros(self._entry_count + 1, dtype=dtype)
@@ -476,17 +487,10 @@ class SSTable:
         return self._column_rows[0][index]
 
     def run_bytes(self, start: int, stop: int) -> int:
-        """Total ``size_bytes`` of the rows ``[start, stop)``.
-
-        A column-backed table answers from its cached prefix sum (exact
-        past int64); a table holding records (record-backed, or
-        materialized) sums over the run's records only.
-        """
-        records = vars(self).get("records")
-        if records is None:
-            prefix = self._size_prefix
-            return int(prefix[stop] - prefix[start])
-        return sum(records[index].size_bytes for index in range(start, stop))
+        """Total ``size_bytes`` of the rows ``[start, stop)``, read from
+        the cached prefix sum (exact past int64)."""
+        prefix = self._size_prefix
+        return int(prefix[stop] - prefix[start])
 
     def get_batch(self, keys) -> Optional["_np.ndarray"]:
         """Vectorized point lookups: the row index per key, ``-1`` if absent.
@@ -554,8 +558,9 @@ def newest_per_key(columns: Sequence[TableColumns]):
     position holding its maximum seqno: the newest record, and among
     equal newest ones the earliest input.  ``heapq.merge`` is stable
     over its streams and pops ``(key, -seqno)`` ascending, so the heap
-    kernel keeps that same record, as does the engine scan's strict
-    ``>`` over sources oldest first.
+    kernel keeps that same record, as does the engine's cursor merge
+    (:func:`~repro.lsm.engine.cursor_merge_scan`) with its strict ``>``
+    over sources oldest first.
     """
     keys = _np.concatenate([column.keys for column in columns])
     seqnos = _np.concatenate([column.seqnos for column in columns])
@@ -590,6 +595,34 @@ def newest_per_key(columns: Sequence[TableColumns]):
     candidates[member_seqnos != _np.repeat(newest, lengths)] = members.size
     shared[members[_np.minimum.reduceat(candidates, starts)]] = False
     return keys, seqnos, tombstones, order[~shared]
+
+
+def live_view(columns: Sequence[TableColumns]):
+    """A table set's live keys, and where each one's newest record lives.
+
+    Returns ``(keys, tables, rows)`` in ascending key order: every key
+    whose newest record (:func:`newest_per_key`) is not a tombstone, the
+    index into ``columns`` of the table holding that record, and its row
+    there.  ``keys`` is int64; ``tables`` and ``rows`` are the narrowest
+    unsigned ints that fit, and nothing else is kept, so the view costs
+    a few bytes per live key.  The batched read plane answers scans from
+    ``keys`` alone; the engine's scan also builds its winners' records
+    from ``(tables, rows)``.
+    """
+    if not columns:
+        empty = _np.zeros(0, dtype=_np.uint8)
+        return _np.zeros(0, dtype=_np.int64), empty, empty
+    keys, _, tombstones, survivors = newest_per_key(columns)
+    if tombstones is not None:
+        survivors = survivors[~tombstones[survivors]]
+    sizes = [column.keys.size for column in columns]
+    first_rows = _np.cumsum([0, *sizes[:-1]])
+    numbers = _np.arange(len(sizes), dtype=_np.min_scalar_type(len(sizes) - 1))
+    tables = _np.repeat(numbers, sizes)[survivors]
+    rows = (survivors - first_rows[tables]).astype(
+        _np.min_scalar_type(max(sizes) - 1)
+    )
+    return keys[survivors], tables, rows
 
 
 def _merge_columnar(

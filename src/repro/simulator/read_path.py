@@ -45,7 +45,7 @@ from ..errors import ConfigError
 from ..lsm.disk import SimulatedDisk
 from ..lsm.engine import _INDEX_BLOCK_BYTES, EngineConfig, LSMEngine
 from ..lsm.record import ENTRY_OVERHEAD_BYTES
-from ..lsm.sstable import SSTable, newest_per_key
+from ..lsm.sstable import SSTable, live_view
 from ..ycsb.workload import ReadOpColumns
 
 #: ``serve_reads`` kernel names.
@@ -235,10 +235,7 @@ def _serve_batched(
     if scans and tables:
         order = _np.argsort(starts, kind="stable")
         starts, lengths = starts[order], lengths[order]
-        keys, _, tombstones, survivors = newest_per_key(columns)
-        live_keys = keys[survivors]
-        if tombstones is not None:
-            live_keys = live_keys[~tombstones[survivors]]
+        live_keys, _, _ = live_view(columns)
         first = _np.searchsorted(live_keys, starts)
         # A scan that runs out of live keys walks every probed table to
         # its end; a stop key above any key says so to each table.

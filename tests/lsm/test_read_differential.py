@@ -1,9 +1,10 @@
 """Engine reads against a dict and a per-record charge, on drawn stores.
 
 ``LSMEngine.get`` hashes its key once for every bloom it checks, and
-``LSMEngine.scan`` merges ``(key, source, row)`` cursors and bills each
-probed table's consumed run in one ``read_many``; neither builds a
-column-backed table's ``Record`` tuple.  Here a drawn store — flush
+``LSMEngine.scan`` walks the table set's live view (or, on ``str`` keys,
+merges ``(key, source, row)`` cursors) and bills each probed table's
+consumed run in one ``read_many``; neither builds a column-backed
+table's ``Record`` tuple.  Here a drawn store — flush
 outputs, column-backed twins of some of them (some already iterated, as
 the file encoder leaves them), the memtable, overwrites and tombstones, ``int`` or ``str`` keys (a
 ``str`` key's bytes count in ``size_bytes``) — answers drawn gets and

@@ -251,6 +251,32 @@ class TestColumnarTables:
         narrow = SSTable.from_columns(2, [1, 2], [1, 2], [2**40, 7])
         assert narrow._size_prefix.dtype == np.int64  # the common case
 
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [Record.put(f"k{i}", i + 1, 10 * i) for i in range(6)],  # key bytes count
+            [Record.put(i, i + 1, value=b"x" * i) for i in range(6)],  # payloads
+            [
+                Record.put(i, i + 1, 7) if i % 3 else Record.delete(i, i + 1)
+                for i in range(6)
+            ],
+            [Record.put(i, i + 1, 2**62) for i in range(6)],  # sums past int64
+            [Record.put(i, i + 1, 2**64 + i) for i in range(6)],  # sizes past int64
+            [Record.put(f"s{i}", i + 1, 2**63) for i in range(6)],
+        ],
+        ids=[
+            "str-keys", "payloads", "tombstones", "sums-wide", "sizes-wide", "str-wide"
+        ],
+    )
+    def test_run_bytes_of_record_backed_tables(self, records):
+        """Every table reads one prefix sum; it equals the per-record sum."""
+        table = SSTable(1, records)
+        for start in range(len(records) + 1):
+            for stop in range(start, len(records) + 1):
+                expected = sum(record.size_bytes for record in records[start:stop])
+                assert table.run_bytes(start, stop) == expected
+        assert table.run_bytes(0, len(records)) == table.size_bytes
+
     def test_engine_scan_charges_exact_bytes_past_int64(self):
         table = SSTable.from_columns(1, [1, 2, 3], [1, 2, 3], [2**62, 2**62, 5])
         engine = LSMEngine(EngineConfig(use_wal=False))
