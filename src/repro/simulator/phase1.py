@@ -31,6 +31,7 @@ durable format's round-trip oracle over the same tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from time import perf_counter
 from typing import Optional
 
@@ -113,7 +114,9 @@ def generate_sstables_reference(config: SimulationConfig) -> Phase1Result:
     scan_lengths: list[int] = []
     count = 0
     ingest_start = perf_counter()
-    for operation in workload.all_operations():
+    # The per-op generator, not all_operations(): the oracle stays off
+    # the word-stream kernel that the fast plane's columns come from.
+    for operation in chain(workload.load_operations(), workload.run_operations()):
         if operation.is_write:
             engine.apply(operation)
         elif collect:

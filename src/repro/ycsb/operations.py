@@ -40,12 +40,14 @@ OP_TYPE_CODES: dict[OperationType, int] = {
 CODE_OP_TYPES: tuple[OperationType, ...] = tuple(OperationType)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One workload operation.
 
     ``value_size`` is the payload size in bytes for writes (YCSB's field
-    length); ``scan_length`` is only set for scans.
+    length); ``scan_length`` is only set for scans.  Slotted: a stream
+    holds hundreds of thousands of them, and an instance without a
+    ``__dict__`` is about two thirds the size.
     """
 
     type: OperationType

@@ -1,6 +1,6 @@
 """Op-stream generation straight from the Mersenne-Twister word stream.
 
-``CoreWorkload.all_operations`` spends its rng on three kinds of draw:
+``CoreWorkload.run_operations`` spends its rng on three kinds of draw:
 ``rng.random()`` for the operation type, ``rng.random()`` again for the
 key of a Gray-sampling chooser (zipfian, scrambled zipfian, latest), and
 ``rng.randint(1, max_scan_length)`` for a scan's length.  All three are
@@ -127,8 +127,8 @@ def gray_op_columns(
     ``inserted`` the keys inserted before the load phase.  Returns
     ``(write_keynums, tombstone_positions, op_codes, (read_keynums,
     scan_keynums, scan_lengths), inserted)``, each equal to the fold of
-    ``all_operations()``, and leaves ``rng`` and the chooser's zeta
-    state where that fold leaves them.
+    the per-op ``load_operations()`` and ``run_operations()``, and leaves
+    ``rng`` and the chooser's zeta state where that fold leaves them.
     """
     recordcount = config.recordcount
     opcount = config.operationcount

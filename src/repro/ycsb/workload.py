@@ -15,6 +15,15 @@ operation streams:
 
 Everything is driven by one seeded :mod:`random.Random`, so a config is
 a complete, reproducible description of a workload.
+
+Those two generators are the per-op reference.  The streams the engine
+consumes come from :meth:`CoreWorkload.all_operations`, which draws the
+whole load + run stream as columns at its first item
+(:meth:`CoreWorkload.op_stream_columns`, the word-stream kernel for the
+Gray-sampling choosers) and builds its ``Operation`` objects from them
+one slice at a time: the same operations and the same rng,
+``inserted_count`` and zeta state afterwards, but that state jumps to the
+stream's end at the first item.
 """
 
 from __future__ import annotations
@@ -22,16 +31,27 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Optional, Sequence
+
+import numpy as np
 
 from ..errors import WorkloadError
 from .distributions import DEFAULT_ZIPFIAN_THETA, KeyChooser, make_chooser
-from .operations import Operation, OperationType, OP_TYPE_CODES
+from .operations import CODE_OP_TYPES, OP_TYPE_CODES, Operation, OperationType
 from .wordstream import gray_op_columns as _gray_op_columns
 
 #: ``getrandbits(k)`` is one Mersenne-Twister word up to k == 32, which
 #: makes "one word per scan-length try" an invariant of every stream.
 _MAX_SCAN_LENGTH_LIMIT = 2**32
+
+#: Operations built per slice of the columns by ``all_operations``.
+_SLICE_OPS = 1 << 16
+
+_READ_CODE = OP_TYPE_CODES[OperationType.READ]
+_SCAN_CODE = OP_TYPE_CODES[OperationType.SCAN]
+#: Op-type code -> OperationType, as a gather table.
+_TYPE_OF_CODE = np.array(CODE_OP_TYPES, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -198,9 +218,46 @@ class CoreWorkload:
                 yield Operation(op_type, keynum, value_size=config.value_size)
 
     def all_operations(self) -> Iterator[Operation]:
-        """Load phase followed by run phase."""
-        yield from self.load_operations()
-        yield from self.run_operations()
+        """Load phase followed by run phase, assembled from the columns.
+
+        The first item draws the whole stream through
+        :meth:`op_stream_columns` (the Gray kernel for zipfian, scrambled
+        zipfian and latest, :meth:`_scalar_op_columns` for the rest), so
+        the rng, :attr:`inserted_count` and the chooser's zeta state jump
+        to the stream's end then, not op by op.  The operations, and that
+        end state, equal :meth:`load_operations` followed by
+        :meth:`run_operations`, the per-op reference.  A streaming caller
+        holds the columns plus one slice of ``_SLICE_OPS`` operations.
+        """
+        value_size = self.config.value_size
+        stream = self.op_stream_columns(include_read_ops=True)
+        reads = stream.read_ops
+        codes = np.frombuffer(stream.op_codes, dtype=np.uint8)
+        is_read = codes == _READ_CODE
+        is_scan = codes == _SCAN_CODE
+        keys = np.empty(len(codes), dtype=np.int64)
+        keys[is_read] = reads.read_keynums
+        keys[is_scan] = reads.scan_keynums
+        keys[~(is_read | is_scan)] = stream.write_keynums
+        scan_lengths = iter(reads.scan_lengths)
+        # The key lists now live in ``keys``; free them before the
+        # operations are built.
+        del stream, reads, is_read, is_scan
+        for start in range(0, len(codes), _SLICE_OPS):
+            window = slice(start, start + _SLICE_OPS)
+            kinds = codes[window]
+            at_scan = np.flatnonzero(kinds == _SCAN_CODE)
+            sizes = np.full(len(kinds), value_size, dtype=object)
+            sizes[at_scan] = 0
+            lengths = np.full(len(kinds), None, dtype=object)
+            lengths[at_scan] = list(islice(scan_lengths, len(at_scan)))
+            yield from map(
+                Operation,
+                _TYPE_OF_CODE[kinds].tolist(),
+                keys[window].tolist(),
+                sizes.tolist(),
+                lengths.tolist(),
+            )
 
     # ------------------------------------------------------------------
     # Columnar op stream (the simulator's batched data plane)
@@ -210,8 +267,9 @@ class CoreWorkload:
     ) -> "OpStreamColumns":
         """The whole load + run stream as flat columns.
 
-        Consumes the workload rng **exactly** like :meth:`all_operations`:
-        one op-type draw per run operation, then the chooser's draws for
+        Consumes the workload rng **exactly** like the per-op generators
+        (:meth:`load_operations`, then :meth:`run_operations`): one op-type
+        draw per run operation, then the chooser's draws for
         non-inserts, then a scan-length draw for scans — so the columns,
         ``rng.getstate()``, :attr:`inserted_count` and the chooser's zeta
         state afterwards all equal that fold's.
@@ -250,7 +308,7 @@ class CoreWorkload:
         )
 
     def _scalar_op_columns(self, include_read_ops: bool):
-        """:meth:`all_operations` folded into columns one operation per
+        """The per-op generators folded into columns one operation per
         iteration, minus the ``Operation`` objects: the generator for
         choosers without a ``decode_batch`` and the Gray kernel's oracle.
 

@@ -173,7 +173,8 @@ class TestPhase1Equivalence:
                 use_wal=False,
             )
         )
-        for operation in CoreWorkload(workload_config).all_operations():
+        workload = CoreWorkload(workload_config)
+        for operation in [*workload.load_operations(), *workload.run_operations()]:
             engine.apply(operation)
         engine.flush()
 

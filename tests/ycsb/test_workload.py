@@ -1,5 +1,8 @@
 """Tests for the YCSB core workload (load + run phases)."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ import repro.ycsb.wordstream as wordstream_module
 import repro.ycsb.workload as workload_module
 from repro.errors import WorkloadError
 from repro.ycsb import CoreWorkload, Operation, OperationType, WorkloadConfig
+from repro.ycsb.distributions import available_distributions
 from repro.ycsb.operations import CODE_OP_TYPES
 
 
@@ -218,13 +222,19 @@ MIX_CONFIGS = {
 }
 
 
+def per_op_stream(workload):
+    """The per-op reference for one ``all_operations()`` call."""
+    return [*workload.load_operations(), *workload.run_operations()]
+
+
 def scalar_fold(config):
-    """Every column of the stream, folded from ``all_operations()``, and
-    the workload that produced them (for its end state)."""
+    """Every column of the stream, folded from the per-op generator
+    (``load_operations()`` then ``run_operations()``), and the workload
+    that produced them (for its end state)."""
     workload = CoreWorkload(config)
     keynums, tombstones, codes = [], [], []
     reads, scans, lengths = [], [], []
-    for op in workload.all_operations():
+    for op in per_op_stream(workload):
         codes.append(op.type.code)
         if op.type is OperationType.READ:
             reads.append(op.key)
@@ -468,3 +478,116 @@ class TestOpStreamColumns:
             rng_state, _, *zeta = end_state(workload)
             assert (rng_state, inserted, *zeta) == end_state(reference)
 
+
+class TestAllOperations:
+    """``all_operations()`` assembles its ``Operation``s from the columns;
+    the per-op generator is the reference for the stream and the state
+    it leaves."""
+
+    @pytest.mark.parametrize("recordcount", (1, 60))
+    @pytest.mark.parametrize("mix", sorted(MIX_CONFIGS))
+    @pytest.mark.parametrize("distribution", available_distributions())
+    def test_equals_the_per_op_stream_twice(self, distribution, mix, recordcount):
+        config = WorkloadConfig(
+            recordcount=recordcount,
+            operationcount=150,
+            distribution=distribution,
+            max_scan_length=129,
+            value_size=64,
+            seed=23,
+            **MIX_CONFIGS[mix],
+        )
+        workload, reference = CoreWorkload(config), CoreWorkload(config)
+        for _ in range(2):
+            operations = list(workload.all_operations())
+            expected = per_op_stream(reference)
+            assert operations == expected
+            assert [type(op.key) for op in operations] == [int] * len(expected)
+            assert end_state(workload) == end_state(reference)
+
+    @pytest.mark.parametrize("distribution", available_distributions())
+    def test_no_run_operations(self, distribution):
+        config = WorkloadConfig(
+            recordcount=5, operationcount=0, distribution=distribution, seed=4
+        )
+        workload, reference = CoreWorkload(config), CoreWorkload(config)
+        assert list(workload.all_operations()) == per_op_stream(reference)
+        assert end_state(workload) == end_state(reference)
+
+    @pytest.mark.parametrize("distribution", ("zipfian", "uniform"))
+    def test_stream_longer_than_one_slice(self, monkeypatch, distribution):
+        """Slices cut scans and load/run boundaries anywhere; the whole
+        stream is drawn at the first item, not slice by slice."""
+        monkeypatch.setattr(workload_module, "_SLICE_OPS", 7)
+        config = WorkloadConfig(
+            recordcount=10,
+            operationcount=300,
+            distribution=distribution,
+            seed=29,
+            **MIX_CONFIGS["scans"],
+        )
+        workload, reference = CoreWorkload(config), CoreWorkload(config)
+        expected = per_op_stream(reference)
+        operations = workload.all_operations()
+        first = next(operations)
+        assert end_state(workload) == end_state(reference)
+        assert [first, *operations] == expected
+
+    @pytest.mark.parametrize("distribution", available_distributions())
+    def test_kernel_called_once_per_stream(self, monkeypatch, distribution):
+        calls = []
+        kernel = workload_module._gray_op_columns
+
+        def spy(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(workload_module, "_gray_op_columns", spy)
+        config = WorkloadConfig(
+            recordcount=10,
+            operationcount=50,
+            distribution=distribution,
+            **MIX_CONFIGS["scans"],
+        )
+        workload = CoreWorkload(config)
+        for streams in (1, 2):
+            list(workload.all_operations())
+            assert len(calls) == (streams if distribution in GRAY_DISTRIBUTIONS else 0)
+
+
+class TestSlottedOperation:
+    def test_no_instance_dict(self):
+        op = Operation(OperationType.UPDATE, 3, value_size=100)
+        assert not hasattr(op, "__dict__")
+        assert Operation.__slots__ == ("type", "key", "value_size", "scan_length")
+
+    def test_frozen(self):
+        op = Operation(OperationType.SCAN, 3, scan_length=9)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.key = 4
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.scan_length = None
+
+    def test_equality_and_hash_by_fields(self):
+        op = Operation(OperationType.INSERT, 7, value_size=100)
+        assert op == Operation(OperationType.INSERT, 7, 100, None)
+        assert hash(op) == hash((OperationType.INSERT, 7, 100, None))
+        assert op != Operation(OperationType.UPDATE, 7, value_size=100)
+        assert len({op, Operation(OperationType.INSERT, 7, value_size=100)}) == 1
+
+    def test_replace(self):
+        op = Operation(OperationType.UPDATE, 5, value_size=100)
+        moved = dataclasses.replace(op, key=6)
+        assert moved == Operation(OperationType.UPDATE, 6, value_size=100)
+        assert op.key == 5
+
+    @pytest.mark.parametrize(
+        "op",
+        (
+            Operation(OperationType.DELETE, 2**70),
+            Operation(OperationType.SCAN, "user1", scan_length=12),
+        ),
+    )
+    def test_pickle_round_trip(self, op):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(op, protocol)) == op
